@@ -34,6 +34,7 @@ func TestDMINRoutesAroundFault(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	e.EnableChannelStats()
 	if !e.RunUntilDrained(100000) {
 		t.Fatalf("DMIN with one fault did not drain: %d active", e.ActiveWorms())
 	}
@@ -41,7 +42,7 @@ func TestDMINRoutesAroundFault(t *testing.T) {
 		t.Errorf("delivered %d of %d", e.Stats().Delivered, len(msgs))
 	}
 	// The failed channel carried nothing.
-	if e.chanOwner[victim] != nil || e.chanCnt[victim] != 0 {
+	if e.chanOwner[victim] != nil || e.ChannelFlits()[victim] != 0 {
 		t.Error("failed channel was used")
 	}
 }

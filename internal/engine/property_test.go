@@ -49,7 +49,13 @@ func randomScript(net *topology.Network, seed uint64, msgs int) *script {
 		}
 		s.msgs[src] = append(s.msgs[src], m)
 	}
-	// Per-node creation times must be nondecreasing.
+	s.makeCreatedMonotone()
+	return s
+}
+
+// makeCreatedMonotone raises creation times where needed so that each
+// node's are nondecreasing, as Source.Next requires.
+func (s *script) makeCreatedMonotone() {
 	for n := range s.msgs {
 		q := s.msgs[n]
 		for i := 1; i < len(q); i++ {
@@ -58,7 +64,6 @@ func randomScript(net *topology.Network, seed uint64, msgs int) *script {
 			}
 		}
 	}
-	return s
 }
 
 // TestQuickConservation: every generated message is delivered exactly

@@ -7,8 +7,8 @@ package engine
 // points of one sweep); everything that is a pure function of the
 // configuration — the topology, the flattened route table, the
 // channel->link map, the fault mask — is built once and shared, and
-// the per-lane mutable state (channel ownership and occupancy, link
-// epochs, source queues, pending arrivals, worm pools) is carved out
+// the per-lane mutable state (channel ownership, link epochs, source
+// queues, pending arrivals, worm pools) is carved out
 // of contiguous structure-of-arrays slabs indexed [replica][...]
 // (see replica_slabs.go).
 //

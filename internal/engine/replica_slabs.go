@@ -45,7 +45,6 @@ type replicaSlabs struct {
 
 	// [replica][channel|link|node] state, R windows per slab.
 	chanOwner []*worm
-	chanCnt   []uint8
 	linkMark  []int64
 	queues    [][]Message
 	pending   []Message
@@ -67,7 +66,6 @@ func newReplicaSlabs(net *topology.Network, r int) replicaSlabs {
 		maxPath: maxWormPath(net),
 	}
 	s.chanOwner = make([]*worm, r*s.chans)
-	s.chanCnt = make([]uint8, r*s.chans)
 	s.linkMark = make([]int64, r*s.links)
 	s.queues = make([][]Message, r*s.nodes)
 	s.pending = make([]Message, r*s.nodes)
@@ -83,7 +81,6 @@ func newReplicaSlabs(net *topology.Network, r int) replicaSlabs {
 func (s *replicaSlabs) lane(i int) laneArrays {
 	return laneArrays{
 		chanOwner: s.chanOwner[i*s.chans : (i+1)*s.chans : (i+1)*s.chans],
-		chanCnt:   s.chanCnt[i*s.chans : (i+1)*s.chans : (i+1)*s.chans],
 		linkMark:  s.linkMark[i*s.links : (i+1)*s.links : (i+1)*s.links],
 		queues:    s.queues[i*s.nodes : (i+1)*s.nodes : (i+1)*s.nodes],
 		pending:   s.pending[i*s.nodes : (i+1)*s.nodes : (i+1)*s.nodes],

@@ -200,35 +200,51 @@ func TestReplicaStepMatchesRun(t *testing.T) {
 
 // TestReplicaStepAllocs machine-checks the 0 allocs/cycle contract of
 // the lockstep hot path, complementing the static simvet hotalloc
-// gate with a dynamic measurement.
+// gate with a dynamic measurement. The cases reach every helper of the
+// advance kernel: private links (tmin-cube) take the train path with
+// no per-hop work, shared links (vmin-cube) claim link stamps hop by
+// hop and fall back to the per-hop loop, and channel statistics add
+// the per-hop flit counts to both.
 func TestReplicaStepAllocs(t *testing.T) {
-	spec := experiments.PaperSpecs()[0].Spec
-	net, err := spec.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := engine.ReplicaConfig{Net: net}
-	for r := 0; r < 4; r++ {
-		// A clearly sustainable load: at saturation the source queues
-		// grow without bound and their append-doubling would charge
-		// (amortized, legitimate) allocations to the measurement.
-		cfg.Lanes = append(cfg.Lanes, engine.LaneConfig{
-			Source: uniformSource(t, net.Nodes, 0.2, uint64(7+r)),
-			Seed:   uint64(42 + r),
-		})
-	}
-	rs, err := engine.NewReplicaSet(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Warm up past the transient so scratch buffers and source queues
-	// reach their steady-state capacities.
-	rs.Run(50_000)
-	if allocs := testing.AllocsPerRun(200, rs.Step); allocs != 0 {
-		t.Errorf("lockstep Step allocates %.1f times per cycle, want 0", allocs)
-	}
-	if allocs := testing.AllocsPerRun(20, func() { rs.Run(100) }); allocs != 0 {
-		t.Errorf("lockstep Run allocates %.1f times per 100 cycles, want 0", allocs)
+	for _, tc := range []struct {
+		spec      experiments.NetworkSpec
+		chanStats bool
+	}{
+		{experiments.TMINCube, false},
+		{experiments.TMINCube, true},
+		{experiments.VMINCube, false},
+		{experiments.VMINCube, true},
+	} {
+		net, err := tc.spec.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := engine.ReplicaConfig{Net: net}
+		for r := 0; r < 4; r++ {
+			// A clearly sustainable load: at saturation the source queues
+			// grow without bound and their append-doubling would charge
+			// (amortized, legitimate) allocations to the measurement.
+			cfg.Lanes = append(cfg.Lanes, engine.LaneConfig{
+				Source: uniformSource(t, net.Nodes, 0.2, uint64(7+r)),
+				Seed:   uint64(42 + r),
+			})
+		}
+		rs, err := engine.NewReplicaSet(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tc.chanStats {
+			rs.EnableChannelStats()
+		}
+		// Warm up past the transient so scratch buffers and source queues
+		// reach their steady-state capacities.
+		rs.Run(50_000)
+		if allocs := testing.AllocsPerRun(200, rs.Step); allocs != 0 {
+			t.Errorf("%s stats=%v: lockstep Step allocates %.1f times per cycle, want 0", net.Name(), tc.chanStats, allocs)
+		}
+		if allocs := testing.AllocsPerRun(20, func() { rs.Run(100) }); allocs != 0 {
+			t.Errorf("%s stats=%v: lockstep Run allocates %.1f times per 100 cycles, want 0", net.Name(), tc.chanStats, allocs)
+		}
 	}
 }
 

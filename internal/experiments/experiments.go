@@ -86,7 +86,7 @@ var (
 
 // NamedSpec pairs a paper-standard network spec with a stable name,
 // for harnesses that iterate over all five evaluation networks (the
-// determinism regression tests, cmd/benchjson, cmd/saturate).
+// determinism regression tests, cmd/saturate).
 type NamedSpec struct {
 	Name string
 	Spec NetworkSpec

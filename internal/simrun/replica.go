@@ -36,7 +36,7 @@ const laneNodeBudget = 1 << 18
 
 // laneWidth returns the widest ReplicaSet points over this network
 // should join. Two inputs. Family: BMIN lockstep batching measured a
-// wash in BENCH_c46d25e (replica speedups 0.93–1.05x vs scalar, where
+// wash at commit c46d25e (replica speedups 0.93–1.05x vs scalar, where
 // the unidirectional families gain up to 11% at R >= 4 — the
 // turnaround candidate sets make lockstep lanes diverge too much for
 // the SoA slabs to pay), so BMIN points run scalar and skip the

@@ -11,8 +11,8 @@
 //   - a zero-allocation steady-state Step path: functions reachable
 //     from //simvet:hotpath roots must not call fmt formatting, build
 //     closures, make fresh slices/maps, or box values into interfaces
-//     (analyzer hotalloc, backing the 0 allocs/op baseline in
-//     BENCH_*.json);
+//     (analyzer hotalloc, backing the 0 allocs/cycle contract the
+//     benchmark's traced run reports as engine.allocs_per_cycle);
 //
 // plus one rot detector: every field of engine.Stats must be both
 // written by the engine and read somewhere — a counter nobody consumes

@@ -55,6 +55,11 @@ func NewBMINVC(k, n, vcs int) (*Network, error) {
 		Eject:    make([]int, N),
 		switchAt: make([][]int, n),
 	}
+	// Closed-form sizes: a full-duplex pair of single-channel links per
+	// node, and per interstage wire a pair of links of vcs channels.
+	net.Channels = make([]Channel, 0, 2*N+(n-1)*N*2*vcs)
+	net.Links = make([]Link, 0, 2*N+(n-1)*N*2)
+	net.Switches = make([]Switch, 0, n*(N/k))
 	b := &builder{net: net}
 
 	perStage := N / k // k^{n-1}

@@ -153,6 +153,12 @@ func NewUnidirectional(cfg UniConfig) (*Network, error) {
 		Eject:    make([]int, N),
 		switchAt: make([][]int, total),
 	}
+	// Closed-form sizes: one single-channel link per node at each end,
+	// and per interstage wire either Dilation one-channel links or one
+	// link of VCs channels (the two never combine).
+	net.Channels = make([]Channel, 0, 2*N+(total-1)*N*cfg.Dilation*cfg.VCs)
+	net.Links = make([]Link, 0, 2*N+(total-1)*N*cfg.Dilation)
+	net.Switches = make([]Switch, 0, total*(N/k))
 	b := &builder{net: net}
 
 	for s := 0; s < total; s++ {

@@ -6,7 +6,10 @@
 // simulation experiments are exactly reproducible.
 package xrand
 
-import "math"
+import (
+	"math"
+	"math/bits"
+)
 
 // Source is a xoshiro256** generator. The zero value is invalid;
 // construct with New.
@@ -73,24 +76,11 @@ func (src *Source) Intn(n int) int {
 	//simvet:bounded — rejection probability < 2^-32 per draw, so the loop all but always exits on the first iteration
 	for {
 		v := src.Uint64()
-		hi, lo := mul64(v, bound)
+		hi, lo := bits.Mul64(v, bound)
 		if lo >= bound || lo >= (-bound)%bound {
 			return int(hi)
 		}
 	}
-}
-
-// mul64 returns the 128-bit product of a and b as (hi, lo).
-func mul64(a, b uint64) (hi, lo uint64) {
-	const mask = 1<<32 - 1
-	a0, a1 := a&mask, a>>32
-	b0, b1 := b&mask, b>>32
-	w0 := a0 * b0
-	t := a1*b0 + w0>>32
-	w1 := t&mask + a0*b1
-	hi = a1*b1 + t>>32 + w1>>32
-	lo = a * b
-	return
 }
 
 // IntRange returns a uniform integer in [lo, hi] inclusive.

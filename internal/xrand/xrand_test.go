@@ -116,6 +116,47 @@ func TestPerm(t *testing.T) {
 	}
 }
 
+// TestDrawSequencePinned compares Intn and Perm streams against a
+// table generated before Intn's 128-bit product moved to bits.Mul64:
+// every simulated statistic downstream depends on these draws bit for
+// bit. 1<<63 - 1 stands in for a 2^63 bound, which an int cannot hold.
+func TestDrawSequencePinned(t *testing.T) {
+	for _, tc := range []struct {
+		bound int
+		want  []int
+	}{
+		{1, []int{0, 0, 0, 0, 0, 0}},
+		{2, []int{0, 0, 1, 1, 0, 0}},
+		{3, []int{0, 0, 1, 2, 1, 0}},
+		{64, []int{19, 11, 33, 42, 21, 15}},
+		{1<<32 + 1, []int{1291743126, 790445708, 2247216918, 2882713500, 1458320365, 1020478888}},
+		{1 << 62, []int{1386998620728476521, 848734616708051321, 2412930792317932031, 3095290050963242505, 1565859569363942649, 1095730863181773515}},
+		{1<<63 - 1, []int{2773997241456953041, 1697469233416102641, 4825861584635864062, 6190580101926485010, 3131719138727885298, 2191461726363547030}},
+	} {
+		src := New(1995)
+		for i, want := range tc.want {
+			if got := src.Intn(tc.bound); got != want {
+				t.Errorf("Intn(%d) draw %d = %d, want %d", tc.bound, i, got, want)
+			}
+		}
+	}
+	src := New(1995)
+	for _, want := range [][]int{
+		{15, 11, 3, 13, 7, 6, 4, 2, 8, 9, 1, 5, 10, 14, 0, 12},
+		{4, 2, 0, 3, 1},
+	} {
+		got := src.Perm(nil, len(want))
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("Perm(%d) = %v, want %v", len(want), got, want)
+			}
+		}
+	}
+	if got, want := src.Uint64(), uint64(2994797721334147285); got != want {
+		t.Errorf("Uint64 after the two Perms = %d, want %d (a Perm consumed a different number of draws)", got, want)
+	}
+}
+
 func TestPermFairness(t *testing.T) {
 	// Each element should appear in each position about equally often.
 	src := New(6)
