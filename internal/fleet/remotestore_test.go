@@ -41,7 +41,7 @@ func TestRemoteStoreConformance(t *testing.T) {
 		return storetest.Fixture{
 			Store: NewRemoteStore(srv.URL, srv.Client()),
 			Corrupt: func(key string) {
-				if err := os.WriteFile(filepath.Join(dir, key+".json"), []byte("{not json"), 0o644); err != nil {
+				if err := os.WriteFile(filepath.Join(dir, key+".entry"), []byte("not an entry"), 0o644); err != nil {
 					t.Fatalf("corrupting entry: %v", err)
 				}
 			},

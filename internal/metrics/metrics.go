@@ -7,6 +7,7 @@ package metrics
 import (
 	"fmt"
 	"math"
+	"strconv"
 	"strings"
 
 	"minsim/internal/engine"
@@ -29,9 +30,11 @@ func MillisecondsToCycles(ms float64) float64 {
 }
 
 // Point is one measurement of a latency/throughput curve. It is
-// serialized (default field names) into cache-store entries and simd
-// job results; renaming a field orphans every cached result and
-// breaks API consumers.
+// serialized (default field names) into simd job results and the
+// fleet's store bodies, and its fields are written in declaration
+// order into cache-store entries (simrun's entryFields): renaming a
+// field breaks API consumers; adding, removing or reordering one needs
+// a new entry version, which a simrun test insists on.
 //
 //simvet:wire
 type Point struct {
@@ -248,13 +251,34 @@ type Figure struct {
 //simvet:wire
 const csvHeader = "figure,series,offered,throughput,latency_cycles,latency_ms,latency_stddev,messages,sustainable,replicas,latency_ci_lo,latency_ci_hi,throughput_ci_lo,throughput_ci_hi\n"
 
+// csvRowNumbers bounds the bytes of one CSV row past its figure and
+// series names at ordinary magnitudes (the committed figures peak at
+// 84); a longer row only makes the builder grow.
+const csvRowNumbers = 96
+
 // CSV renders the figure as comma-separated values with a header. The
 // trailing replication columns are the error bars: for single-run
 // points (replicas = 1) the CI bounds degenerate to the point
-// estimates themselves.
+// estimates themselves. The columns are fmt's %.4f, %.1f, %.3f, %d and
+// %t, written through strconv: a warm figure request spends its time
+// here, and fmt's argument boxing and verb parsing were most of it.
 func (f Figure) CSV() string {
+	size := len(csvHeader)
+	for _, s := range f.Series {
+		size += len(s.Points) * (len(f.ID) + len(s.Label) + csvRowNumbers)
+	}
 	var sb strings.Builder
+	sb.Grow(size)
 	sb.WriteString(csvHeader)
+	var scratch [32]byte
+	float := func(v float64, prec int) {
+		sb.WriteByte(',')
+		sb.Write(strconv.AppendFloat(scratch[:0], v, 'f', prec, 64))
+	}
+	integer := func(v int64) {
+		sb.WriteByte(',')
+		sb.Write(strconv.AppendInt(scratch[:0], v, 10))
+	}
 	for _, s := range f.Series {
 		for _, p := range s.Points {
 			replicas := p.Replicas
@@ -265,9 +289,23 @@ func (f Figure) CSV() string {
 				latLo, latHi = p.LatencyCyc, p.LatencyCyc
 				thrLo, thrHi = p.Throughput, p.Throughput
 			}
-			fmt.Fprintf(&sb, "%s,%s,%.4f,%.4f,%.1f,%.3f,%.1f,%d,%t,%d,%.1f,%.1f,%.4f,%.4f\n",
-				f.ID, s.Label, p.Offered, p.Throughput, p.LatencyCyc, p.LatencyMs, p.StdDev, p.Messages, p.Sustainable,
-				replicas, latLo, latHi, thrLo, thrHi)
+			sb.WriteString(f.ID)
+			sb.WriteByte(',')
+			sb.WriteString(s.Label)
+			float(p.Offered, 4)
+			float(p.Throughput, 4)
+			float(p.LatencyCyc, 1)
+			float(p.LatencyMs, 3)
+			float(p.StdDev, 1)
+			integer(p.Messages)
+			sb.WriteByte(',')
+			sb.Write(strconv.AppendBool(scratch[:0], p.Sustainable))
+			integer(int64(replicas))
+			float(latLo, 1)
+			float(latHi, 1)
+			float(thrLo, 4)
+			float(thrHi, 4)
+			sb.WriteByte('\n')
 		}
 	}
 	return sb.String()

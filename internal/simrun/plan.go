@@ -77,7 +77,10 @@ func (p *Plan) AddSweep(s SweepSpec) *Handle {
 		reps = 1
 	}
 	h := &Handle{groups: make([][]*pointRun, len(s.Loads))}
-	//simvet:bounded — plan assembly over the requested load list; Key's one-time fingerprint costs milliseconds
+	// One key prefix serves the whole sweep: only the point line
+	// differs between its keys. An error makes every point uncacheable.
+	prefix, prefixErr := keyPrefix(s.Net, s.Work)
+	//simvet:bounded — plan assembly over the requested load list; keyPrefix's one-time fingerprint costs milliseconds
 	for i, load := range s.Loads {
 		group := make([]*pointRun, reps)
 		//simvet:bounded — replicas per load point, admission-capped
@@ -94,14 +97,13 @@ func (p *Plan) AddSweep(s SweepSpec) *Handle {
 				Arbitration: s.Arbitration,
 			}
 			p.requested++
-			key, err := rs.Key()
-			if err == nil {
+			key := "" // uncacheable: unique run, no dedup, no store
+			if prefixErr == nil {
+				key = rs.keyAfter(prefix)
 				if existing, ok := p.index[key]; ok {
 					group[rep] = existing
 					continue
 				}
-			} else {
-				key = "" // uncacheable: unique run, no dedup, no store
 			}
 			r := &pointRun{key: key, spec: rs}
 			p.runs = append(p.runs, r)

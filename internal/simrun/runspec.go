@@ -8,6 +8,7 @@ import (
 	"io"
 	"math"
 	"reflect"
+	"strconv"
 	"sync"
 
 	"minsim/internal/engine"
@@ -50,54 +51,72 @@ func (r RunSpec) String() string {
 // An error means the spec is not canonically encodable (e.g. a
 // user-supplied LengthDist implementation) and must run uncached.
 //
+// The hashed bytes are keyPrefix(Net, Work) followed by the point
+// line; Plan.AddSweep builds the prefix once and calls keyAfter for
+// each of the sweep's points.
+//
 //simvet:keypath
 func (r RunSpec) Key() (string, error) {
+	prefix, err := keyPrefix(r.Net, r.Work)
+	if err != nil {
+		return "", err
+	}
+	return r.keyAfter(prefix), nil
+}
+
+// keyPrefix canonically encodes everything of a key that a load sweep
+// holds fixed: the schema line, the engine fingerprint, the network
+// and the workload.
+func keyPrefix(net NetworkSpec, work WorkloadSpec) ([]byte, error) {
 	fp, err := Fingerprint()
 	if err != nil {
-		return "", err
+		return nil, err
 	}
-	h := sha256.New()
-	fmt.Fprintf(h, "minsim-runspec-v%d\n%s\n", specSchemaVersion, fp)
+	b := fmt.Appendf(make([]byte, 0, 256), "minsim-runspec-v%d\n%s\n", specSchemaVersion, fp)
 
-	n := r.Net.canon()
-	fmt.Fprintf(h, "net %d %d %d %d %d %d %d\n", int(n.Kind), int(n.Pattern), n.K, n.Stages, n.Dilation, n.VCs, n.Extra)
+	n := net.canon()
+	b = fmt.Appendf(b, "net %d %d %d %d %d %d %d\n", int(n.Kind), int(n.Pattern), n.K, n.Stages, n.Dilation, n.VCs, n.Extra)
 
-	p, err := r.Work.Pattern.canon()
+	p, err := work.Pattern.canon()
 	if err != nil {
-		return "", err
+		return nil, err
 	}
-	fmt.Fprintf(h, "work %d %d %x %d %q\n", int(r.Work.Cluster), int(p.Kind), math.Float64bits(p.HotX), p.Butterfly, p.Name)
+	b = fmt.Appendf(b, "work %d %d %x %d %q\n", int(work.Cluster), int(p.Kind), math.Float64bits(p.HotX), p.Butterfly, p.Name)
 	// The trace, adv and arrival lines exist only for the kinds that
 	// use them: every spec expressible before those kinds existed still
 	// produces the exact byte stream it always did, so the warm cache
 	// survives the schema opening without a version bump.
 	if p.Kind == TraceReplay {
-		fmt.Fprintf(h, "trace %d", len(p.Trace))
+		b = fmt.Appendf(b, "trace %d", len(p.Trace))
 		for _, pr := range p.Trace {
-			fmt.Fprintf(h, " %d:%d", pr.Src, pr.Dst)
+			b = fmt.Appendf(b, " %d:%d", pr.Src, pr.Dst)
 		}
-		fmt.Fprintln(h)
+		b = append(b, '\n')
 	}
 	if p.Kind == Adversarial {
-		fmt.Fprintf(h, "adv %d\n", p.AdvIters)
+		b = fmt.Appendf(b, "adv %d\n", p.AdvIters)
 	}
-	a, err := r.Work.Arrival.canon()
+	a, err := work.Arrival.canon()
 	if err != nil {
-		return "", err
+		return nil, err
 	}
 	if a.Kind != ArrivalExponential {
-		fmt.Fprintf(h, "arrival %d %x %x %x\n", int(a.Kind),
+		b = fmt.Appendf(b, "arrival %d %x %x %x\n", int(a.Kind),
 			math.Float64bits(a.Burst), math.Float64bits(a.DwellHi), math.Float64bits(a.DwellLo))
 	}
-	fmt.Fprintf(h, "ratios %d", len(r.Work.Ratios))
-	for _, v := range r.Work.Ratios {
-		fmt.Fprintf(h, " %x", math.Float64bits(v))
+	b = fmt.Appendf(b, "ratios %d", len(work.Ratios))
+	for _, v := range work.Ratios {
+		b = fmt.Appendf(b, " %x", math.Float64bits(v))
 	}
-	fmt.Fprintln(h)
-	if err := hashLengths(h, r.Work.Lengths); err != nil {
-		return "", err
-	}
+	b = append(b, '\n')
+	return appendLengths(b, work.Lengths)
+}
 
+// keyAfter returns the key of r given keyPrefix(r.Net, r.Work): the
+// hash of the prefix and r's point line ("point %x %d %d %d %d %d %d\n"
+// in fmt's terms). The line is appended to prefix, in place when it has
+// room; prefix itself is unchanged and serves the next point.
+func (r RunSpec) keyAfter(prefix []byte) string {
 	qlimit := r.QueueLimit
 	if qlimit == 0 {
 		qlimit = 100 // the engine's paper-standard watermark
@@ -106,29 +125,36 @@ func (r RunSpec) Key() (string, error) {
 	if depth == 0 {
 		depth = 1 // the paper's single-flit buffers
 	}
-	fmt.Fprintf(h, "point %x %d %d %d %d %d %d\n",
-		math.Float64bits(r.Load), r.Warmup, r.Measure, r.Seed, qlimit, depth, int(r.Arbitration))
-	return hex.EncodeToString(h.Sum(nil)), nil
+	b := append(prefix, "point "...)
+	b = append(strconv.AppendUint(b, math.Float64bits(r.Load), 16), ' ')
+	b = append(strconv.AppendInt(b, r.Warmup, 10), ' ')
+	b = append(strconv.AppendInt(b, r.Measure, 10), ' ')
+	b = append(strconv.AppendUint(b, r.Seed, 10), ' ')
+	b = append(strconv.AppendInt(b, int64(qlimit), 10), ' ')
+	b = append(strconv.AppendInt(b, int64(depth), 10), ' ')
+	b = append(strconv.AppendInt(b, int64(r.Arbitration), 10), '\n')
+	sum := sha256.Sum256(b)
+	var text [2 * sha256.Size]byte
+	hex.Encode(text[:], sum[:])
+	return string(text[:])
 }
 
-// hashLengths canonically encodes the message-length distribution.
+// appendLengths canonically encodes the message-length distribution.
 // Only the stock distributions of package traffic are encodable;
 // unknown implementations make the spec uncacheable.
-func hashLengths(h io.Writer, d traffic.LengthDist) error {
+func appendLengths(b []byte, d traffic.LengthDist) ([]byte, error) {
 	if d == nil {
 		d = traffic.PaperLengths
 	}
 	switch l := d.(type) {
 	case traffic.UniformLen:
-		fmt.Fprintf(h, "len uniform %d %d\n", l.Min, l.Max)
+		return fmt.Appendf(b, "len uniform %d %d\n", l.Min, l.Max), nil
 	case traffic.FixedLen:
-		fmt.Fprintf(h, "len fixed %d\n", l.L)
+		return fmt.Appendf(b, "len fixed %d\n", l.L), nil
 	case traffic.BimodalLen:
-		fmt.Fprintf(h, "len bimodal %d %d %x\n", l.Short, l.Long, math.Float64bits(l.PShort))
-	default:
-		return fmt.Errorf("simrun: length distribution %T has no canonical encoding; point is uncacheable", d)
+		return fmt.Appendf(b, "len bimodal %d %d %x\n", l.Short, l.Long, math.Float64bits(l.PShort)), nil
 	}
-	return nil
+	return nil, fmt.Errorf("simrun: length distribution %T has no canonical encoding; point is uncacheable", d)
 }
 
 // run executes the spec, sharing built networks through nc. The

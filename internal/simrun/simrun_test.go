@@ -129,16 +129,16 @@ func TestStoreCorruptEntriesAreMisses(t *testing.T) {
 		t.Fatalf("round trip failed: %+v ok=%t", got, ok)
 	}
 
-	// Truncated JSON.
-	if err := os.WriteFile(filepath.Join(dir, "abc.json"), []byte(`{"key":"abc","point":{"Off`), 0o644); err != nil {
+	// Truncated mid-field.
+	whole := appendEntry(nil, "abc", "spec", pt)
+	if err := os.WriteFile(filepath.Join(dir, "abc"+entryExt), whole[:len(whole)-9], 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := store.Get("abc"); ok {
 		t.Error("truncated entry was trusted")
 	}
-	// Valid JSON under the wrong key (renamed/copied file).
-	data, _ := json.Marshal(storeEntry{Key: "zzz", Spec: "spec", Point: pt})
-	if err := os.WriteFile(filepath.Join(dir, "abc.json"), data, 0o644); err != nil {
+	// A valid entry under the wrong key (renamed/copied file).
+	if err := os.WriteFile(filepath.Join(dir, "abc"+entryExt), appendEntry(nil, "zzz", "spec", pt), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := store.Get("abc"); ok {
@@ -192,7 +192,7 @@ func TestCachedRerunIsByteIdenticalAndFree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(filepath.Join(store.Dir(), key+".json"), []byte("garbage"), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(store.Dir(), key+entryExt), []byte("garbage"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	healed, c3 := run()

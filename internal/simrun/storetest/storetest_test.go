@@ -22,7 +22,7 @@ func TestDiskStoreConformance(t *testing.T) {
 		return storetest.Fixture{
 			Store: s,
 			Corrupt: func(key string) {
-				if err := os.WriteFile(filepath.Join(dir, key+".json"), []byte("{not json"), 0o644); err != nil {
+				if err := os.WriteFile(filepath.Join(dir, key+".entry"), []byte("not an entry"), 0o644); err != nil {
 					t.Fatalf("corrupting entry: %v", err)
 				}
 			},
