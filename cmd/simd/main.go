@@ -13,9 +13,11 @@
 //
 // With -coordinator set, simd additionally runs as a fleet worker: it
 // registers with the simfleet coordinator at that URL, pulls chunked
-// unit leases, executes them against the coordinator's shared store
-// (so a fleet-wide warm key never re-simulates), heartbeats while
-// executing, and exposes simd_worker_* counters on its own /metrics.
+// unit leases (one held call at a time: the coordinator answers when
+// it has units), executes them against the coordinator's shared store
+// (so a fleet-wide warm key never re-simulates) with the networks it
+// has built kept between leases, heartbeats while executing, and
+// exposes simd_worker_* counters on its own /metrics.
 // The local HTTP service keeps working unchanged alongside.
 //
 // The service is hardened for production-style operation: admission
@@ -113,7 +115,7 @@ func run() int {
 			defer close(workerDone)
 			worker.Run(workerCtx)
 		}()
-		fmt.Fprintf(os.Stderr, "simd: fleet worker polling %s\n", *coordinator)
+		fmt.Fprintf(os.Stderr, "simd: fleet worker leasing from %s\n", *coordinator)
 	} else {
 		close(workerDone)
 	}

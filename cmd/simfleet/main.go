@@ -2,8 +2,10 @@
 // jobs execute on registered remote workers instead of in-process.
 // It accepts the same sweep/figure requests as simd, decomposes each
 // job's plan into content-key work units, and leases them in chunks
-// to workers that poll /fleet/v1/lease, with heartbeat-based lease
-// expiry and requeue on worker loss. The content-addressed result
+// to workers that call /fleet/v1/lease — a call the coordinator holds
+// while it has nothing to grant, so a queued unit wakes an idle
+// worker instead of waiting for its next poll — with heartbeat-based
+// lease expiry and requeue on worker loss. The content-addressed result
 // store lives here and is served to the whole fleet over
 // /fleet/v1/store/{key}, so a key warm anywhere executes nowhere.
 //

@@ -3,7 +3,9 @@ package fleet
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"minsim/internal/metrics"
@@ -72,6 +74,7 @@ type unit struct {
 // expires unless heartbeaten.
 type lease struct {
 	id       string
+	seq      int // grant order; expiry sweeps in it
 	workerID string
 	units    []*unit
 	expires  time.Time
@@ -91,17 +94,24 @@ type workerState struct {
 // simrun.Dispatcher, so a server job's plan hands its hashable points
 // here instead of the local pool. All state lives under one mutex;
 // lease expiry is lazy — every mutating call first expires overdue
-// leases — so there is no background sweeper to leak, and worker
-// polling is what drives requeue forward.
+// leases — so there is no background sweeper to leak. A lease call
+// that finds the queue empty is held (grantLease) until a unit is
+// queued, and while held it keeps a timer on the earliest live
+// lease's expiry, so the parked workers are what drive requeue
+// forward.
 type Coordinator struct {
 	cfg Config
 	now func() time.Time // injectable for expiry tests
+
+	waiters atomic.Int64 // lease calls parked right now
 
 	mu         sync.Mutex
 	workers    map[string]*workerState
 	queue      []*unit          // FIFO; done units are skipped lazily
 	byKey      map[string]*unit // in-flight (not done) units
 	leases     map[string]*lease
+	wake       chan struct{} // closed and replaced when the queue gains a unit
+	released   bool          // Release was called: lease calls no longer park
 	nextWorker int
 	nextLease  int
 
@@ -127,6 +137,7 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 		workers: map[string]*workerState{},
 		byKey:   map[string]*unit{},
 		leases:  map[string]*lease{},
+		wake:    make(chan struct{}),
 	}, nil
 }
 
@@ -161,6 +172,7 @@ func (c *Coordinator) Dispatch(ctx context.Context, units []simrun.DispatchUnit,
 		c.byKey[du.Key] = u
 		c.queue = append(c.queue, u)
 	}
+	c.wakeLocked()
 	c.mu.Unlock()
 
 	select {
@@ -193,14 +205,43 @@ func (c *Coordinator) deliverLocked(u *unit, pt metrics.Point, executed bool, er
 	u.subs = nil
 }
 
-// expireLocked requeues or fails the units of every overdue lease.
-// Caller holds c.mu.
-func (c *Coordinator) expireLocked(now time.Time) {
-	for id, l := range c.leases {
-		if now.Before(l.expires) {
-			continue
+// wakeLocked ends every held lease call's wait; each takes the lock
+// and tries its grant again. Caller holds c.mu.
+func (c *Coordinator) wakeLocked() {
+	close(c.wake)
+	c.wake = make(chan struct{})
+}
+
+// Release ends every held lease call with an empty reply carrying a
+// back-off, and makes later calls that find the queue empty answer
+// the same without parking, so closing the HTTP server never waits
+// out a hold. Queued units are still granted: running jobs finish
+// inside the server's drain window. There is no way back.
+func (c *Coordinator) Release() {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.released = true
+	c.wakeLocked()
+}
+
+// expireLocked requeues or fails the units of every overdue lease, in
+// grant order so the queue that results does not depend on map order,
+// and returns the earliest expiry among the leases still live (zero
+// if none). Caller holds c.mu.
+func (c *Coordinator) expireLocked(now time.Time) (next time.Time) {
+	var due []*lease
+	for _, l := range c.leases {
+		switch {
+		case !now.Before(l.expires):
+			due = append(due, l)
+		case next.IsZero() || l.expires.Before(next):
+			next = l.expires
 		}
-		delete(c.leases, id)
+	}
+	slices.SortFunc(due, func(a, b *lease) int { return a.seq - b.seq })
+	requeued := false
+	for _, l := range due {
+		delete(c.leases, l.id)
 		c.leasesExpired++
 		if w, ok := c.workers[l.workerID]; ok {
 			w.activeLeases--
@@ -220,8 +261,13 @@ func (c *Coordinator) expireLocked(now time.Time) {
 			}
 			c.queue = append(c.queue, u)
 			c.unitsRequeued++
+			requeued = true
 		}
 	}
+	if requeued {
+		c.wakeLocked()
+	}
+	return next
 }
 
 // register admits a worker and returns its protocol parameters.
@@ -241,21 +287,69 @@ func (c *Coordinator) register(name string) RegisterResponse {
 	}
 }
 
-// leasePollMs is the wait hint returned when the queue is empty;
-// short enough that a just-submitted panel spreads across every
-// polling worker.
-const leasePollMs = 100
+// leaseHold is the longest a lease call is held on an empty queue
+// before it answers empty and the worker asks again. It must end,
+// reply delivered, inside the worker client's 30 s timeout, or every
+// idle hold would surface there as a transport error and a 1 s
+// back-off; 20 s leaves a wide margin for a slow link and still costs
+// an idle worker only three calls a minute.
+const leaseHold = 20 * time.Second
 
-// grantLease pops up to max pending units for the worker. An empty
-// grant carries a poll-again hint instead of a lease.
-func (c *Coordinator) grantLease(workerID string, max int) (LeaseResponse, error) {
+// drainWaitMs is the back-off a released coordinator sends with an
+// empty reply: the same second a worker waits after a transport
+// error, which is what it will meet next.
+const drainWaitMs = 1000
+
+// grantLease answers a lease call: at once when units are queued (or
+// the coordinator is released), otherwise it parks — outside c.mu —
+// until Dispatch or a requeue wakes it, the earliest live lease's
+// expiry passes (the sweep that follows requeues a dead worker's
+// units to this very call), ctx ends or leaseHold runs out. An empty
+// reply without WaitMs means "ask again now".
+//
+//simvet:ctxbound
+func (c *Coordinator) grantLease(ctx context.Context, workerID string, max int) (LeaseResponse, error) {
+	var hold <-chan time.Time // started by the first park: a call that grants at once pays for no timer
+	//simvet:blocking — one iteration per wake-up, each observing ctx and the hold
+	for {
+		resp, wake, expired, err := c.tryGrant(workerID, max)
+		if wake == nil {
+			return resp, err
+		}
+		if hold == nil {
+			hold = time.After(leaseHold)
+		}
+		over := false
+		c.waiters.Add(1)
+		select {
+		case <-wake:
+		case <-expired:
+		case <-hold:
+			over = true
+		case <-ctx.Done():
+			over = true
+		}
+		c.waiters.Add(-1)
+		if over {
+			return LeaseResponse{}, nil
+		}
+	}
+}
+
+// tryGrant pops up to max pending units for the worker. When there is
+// nothing to grant and the call should park, it returns the channel
+// the next queued unit closes — taken under the same lock hold as the
+// empty look, so no wake-up falls between the two — and one that
+// fires when the earliest live lease expires (nil, so never, when no
+// lease is live).
+func (c *Coordinator) tryGrant(workerID string, max int) (resp LeaseResponse, wake <-chan struct{}, expired <-chan time.Time, err error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	now := c.now()
-	c.expireLocked(now)
+	next := c.expireLocked(now)
 	w, ok := c.workers[workerID]
 	if !ok {
-		return LeaseResponse{}, fmt.Errorf("unknown worker %q", workerID)
+		return LeaseResponse{}, nil, nil, fmt.Errorf("unknown worker %q", workerID)
 	}
 	if max <= 0 || max > c.cfg.ChunkSize {
 		max = c.cfg.ChunkSize
@@ -271,11 +365,18 @@ func (c *Coordinator) grantLease(workerID string, max int) (LeaseResponse, error
 		granted = append(granted, u)
 	}
 	if len(granted) == 0 {
-		return LeaseResponse{WaitMs: leasePollMs}, nil
+		if c.released {
+			return LeaseResponse{WaitMs: drainWaitMs}, nil, nil, nil
+		}
+		if !next.IsZero() {
+			expired = time.After(next.Sub(now))
+		}
+		return LeaseResponse{}, c.wake, expired, nil
 	}
 	c.nextLease++
 	l := &lease{
 		id:       fmt.Sprintf("l-%06d", c.nextLease),
+		seq:      c.nextLease,
 		workerID: workerID,
 		units:    granted,
 		expires:  now.Add(c.cfg.LeaseTTL),
@@ -283,11 +384,11 @@ func (c *Coordinator) grantLease(workerID string, max int) (LeaseResponse, error
 	c.leases[l.id] = l
 	c.leasesGranted++
 	w.activeLeases++
-	resp := LeaseResponse{LeaseID: l.id, Units: make([]Unit, len(granted))}
+	resp = LeaseResponse{LeaseID: l.id, Units: make([]Unit, len(granted))}
 	for i, u := range granted {
 		resp.Units[i] = Unit{Key: u.key, Spec: u.wire}
 	}
-	return resp, nil
+	return resp, nil, nil, nil
 }
 
 // heartbeat extends a lease. ok=false means the lease is gone — the

@@ -70,6 +70,12 @@ func testUnits(t *testing.T, n int) []simrun.DispatchUnit {
 	return units
 }
 
+// tryLease is one lease attempt that never parks.
+func tryLease(c *Coordinator, workerID string) (LeaseResponse, error) {
+	resp, _, _, err := c.tryGrant(workerID, 0)
+	return resp, err
+}
+
 // reportSink collects dispatch reports thread-safely.
 type reportSink struct {
 	mu   sync.Mutex
@@ -142,7 +148,7 @@ func TestLeaseExpiryRequeuesToSurvivor(t *testing.T) {
 	units := testUnits(t, 2)
 	done := dispatchAsync(c, context.Background(), units, sink)
 
-	lr1, err := c.grantLease(w1.WorkerID, 0)
+	lr1, err := tryLease(c, w1.WorkerID)
 	if err != nil || len(lr1.Units) != 2 {
 		t.Fatalf("w1 lease = %+v, %v; want 2 units", lr1, err)
 	}
@@ -150,7 +156,7 @@ func TestLeaseExpiryRequeuesToSurvivor(t *testing.T) {
 	// w1 dies: no heartbeats. TTL passes; w2's next poll must inherit
 	// the units.
 	clk.advance(11 * time.Second)
-	lr2, err := c.grantLease(w2.WorkerID, 0)
+	lr2, err := tryLease(c, w2.WorkerID)
 	if err != nil || len(lr2.Units) != 2 {
 		t.Fatalf("w2 lease after expiry = %+v, %v; want the 2 requeued units", lr2, err)
 	}
@@ -182,7 +188,7 @@ func TestUnitFailsAfterMaxAttempts(t *testing.T) {
 	done := dispatchAsync(c, context.Background(), testUnits(t, 1), sink)
 
 	for attempt := 0; attempt < 2; attempt++ {
-		lr, err := c.grantLease(w1.WorkerID, 0)
+		lr, err := tryLease(c, w1.WorkerID)
 		if err != nil || len(lr.Units) != 1 {
 			t.Fatalf("attempt %d: lease = %+v, %v", attempt, lr, err)
 		}
@@ -190,7 +196,7 @@ func TestUnitFailsAfterMaxAttempts(t *testing.T) {
 	}
 	// Third poll triggers expiry of the second lease; the unit is out
 	// of attempts and must fail rather than requeue.
-	lr, err := c.grantLease(w1.WorkerID, 0)
+	lr, err := tryLease(c, w1.WorkerID)
 	if err != nil {
 		t.Fatalf("final lease: %v", err)
 	}
@@ -212,9 +218,9 @@ func TestDuplicateCompletionIsIdempotent(t *testing.T) {
 	sink := newSink()
 	done := dispatchAsync(c, context.Background(), testUnits(t, 1), sink)
 
-	lr1, _ := c.grantLease(w1.WorkerID, 0)
+	lr1, _ := tryLease(c, w1.WorkerID)
 	clk.advance(11 * time.Second)
-	lr2, _ := c.grantLease(w2.WorkerID, 0)
+	lr2, _ := tryLease(c, w2.WorkerID)
 	if len(lr2.Units) != 1 {
 		t.Fatalf("w2 did not inherit the unit: %+v", lr2)
 	}
@@ -256,7 +262,7 @@ func TestCrossJobDedupSharesOneExecution(t *testing.T) {
 		return u != nil && len(u.subs) == 2
 	})
 
-	lr, _ := c.grantLease(w1.WorkerID, 0)
+	lr, _ := tryLease(c, w1.WorkerID)
 	if len(lr.Units) != 1 {
 		t.Fatalf("two jobs enqueued %d copies of one key; want a single shared unit", len(lr.Units))
 	}
@@ -279,7 +285,7 @@ func TestDispatchCancelDetachesSubscribers(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	done := dispatchAsync(c, ctx, testUnits(t, 1), sink)
 
-	lr, _ := c.grantLease(w1.WorkerID, 0)
+	lr, _ := tryLease(c, w1.WorkerID)
 	cancel()
 	if err := <-done; err != context.Canceled {
 		t.Fatalf("Dispatch after cancel = %v; want context.Canceled", err)
@@ -304,7 +310,7 @@ func TestCompletionWriteThroughRepairsStore(t *testing.T) {
 	sink := newSink()
 	done := dispatchAsync(c, context.Background(), testUnits(t, 1), sink)
 
-	lr, _ := c.grantLease(w1.WorkerID, 0)
+	lr, _ := tryLease(c, w1.WorkerID)
 	// The worker claims execution but its store write-through was
 	// lost (flaky network): the coordinator must repair the entry so
 	// the warm path stays warm.

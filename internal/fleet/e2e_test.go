@@ -175,7 +175,7 @@ func TestFleetWorkerLossMidJob(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	lr, err := coord.grantLease(reg.WorkerID, 0)
+	lr, err := tryLease(coord, reg.WorkerID)
 	if err != nil || len(lr.Units) == 0 {
 		t.Fatalf("victim lease = %+v, %v; want a non-empty chunk", lr, err)
 	}

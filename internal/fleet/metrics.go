@@ -60,6 +60,7 @@ func (c *Coordinator) WriteMetrics(w io.Writer) {
 	gauge("fleet_workers_registered", "Workers that have joined the fleet.", int64(snap.workers))
 	gauge("fleet_units_pending", "Units queued waiting for a lease.", int64(snap.pending))
 	gauge("fleet_units_leased", "Units currently out on live leases.", int64(snap.leased))
+	gauge("fleet_lease_waiters", "Lease calls held waiting for a unit: idle workers.", c.waiters.Load())
 	counter("fleet_leases_granted_total", "Leases handed to workers.", snap.granted)
 	counter("fleet_leases_expired_total", "Leases that missed their heartbeat window.", snap.expired)
 	counter("fleet_units_requeued_total", "Units re-leased after worker loss.", snap.requeued)
@@ -95,6 +96,7 @@ func (wk *Worker) WriteMetrics(w io.Writer) {
 	counter("simd_worker_units_failed_total", "Units that failed on this worker.", wk.failedUnits.Load())
 	counter("simd_worker_heartbeat_lost_total", "Leases lost to a 410 heartbeat.", wk.heartbeatLost.Load())
 	counter("simd_worker_complete_failures_total", "Result deliveries abandoned after retries.", wk.completeFails.Load())
+	counter("simd_worker_network_builds_total", "Networks this worker built (the rest came from its cache).", wk.nets.Builds())
 	st := wk.store.Stats()
 	counter("simd_worker_store_hits_total", "Shared-store lookups that hit.", st.Hits)
 	counter("simd_worker_store_misses_total", "Shared-store lookups that missed.", st.Misses)

@@ -8,15 +8,18 @@
 // the shared store before simulating and write fresh results back
 // through it before reporting completion.
 //
-// The protocol is pull-based — workers poll for leases — which keeps
-// the coordinator free of per-worker connections and makes worker
-// death a purely passive event: a lease whose heartbeats stop simply
-// expires and its units requeue for the next poll.
+// The protocol is pull-based — workers ask for leases, the
+// coordinator never dials out — and worker death is a purely passive
+// event: a lease whose heartbeats stop simply expires and its units
+// requeue. A lease call that finds nothing queued is held by the
+// coordinator until there is something to grant (or a hold shorter
+// than the client's timeout runs out), so an idle worker is a parked
+// call, woken by the unit that needs it, not a poll loop.
 //
 // Endpoints (mounted by internal/server under /fleet/v1/):
 //
 //	POST /fleet/v1/register    join the fleet, get a worker id
-//	POST /fleet/v1/lease       pull a chunk of units (or a wait hint)
+//	POST /fleet/v1/lease       pull a chunk of units (held while there are none)
 //	POST /fleet/v1/heartbeat   keep a lease alive (410 = lease gone)
 //	POST /fleet/v1/complete    deliver unit results
 //	GET  /fleet/v1/store/{key} shared-store lookup
@@ -233,14 +236,16 @@ type LeaseRequest struct {
 	Max      int    `json:"max,omitempty"` // 0 = the coordinator's chunk size
 }
 
-// LeaseResponse carries a granted lease, or — when Units is empty —
-// a hint to poll again in WaitMs.
+// LeaseResponse carries a granted lease. With Units empty the held
+// call ended with nothing to grant: ask again — at once, unless WaitMs
+// is set, which only a draining coordinator does (it no longer holds
+// calls, so the worker must supply the pause itself).
 //
 //simvet:wire
 type LeaseResponse struct {
 	LeaseID string `json:"lease_id,omitempty"`
 	Units   []Unit `json:"units,omitempty"`
-	WaitMs  int64  `json:"wait_ms,omitempty"`
+	WaitMs  int64  `json:"wait_ms,omitempty"` // back-off before the next call; 0 = none
 }
 
 // HeartbeatRequest is the body of POST /fleet/v1/heartbeat. A 410

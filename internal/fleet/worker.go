@@ -25,19 +25,27 @@ type WorkerConfig struct {
 	// SimWorkers bounds concurrent simulations per lease
 	// (0 = GOMAXPROCS).
 	SimWorkers int
-	// Client overrides the HTTP client (nil = 30s timeout default).
+	// Client overrides the HTTP client (nil = 30s timeout default). Its
+	// Timeout must outlast the coordinator's lease hold (20 s), or idle
+	// lease calls end as transport errors instead of empty replies.
 	Client *http.Client
 }
 
-// Worker is the pull side of the fleet protocol: register, poll for
-// a lease, execute its units through an ordinary simrun plan backed
-// by the coordinator's shared store, heartbeat while executing, and
-// deliver results. A worker that dies mid-lease simply stops
-// heartbeating; the coordinator requeues its units.
+// Worker is the pull side of the fleet protocol: register, ask for a
+// lease (the coordinator holds the call until it has units), execute
+// the units through an ordinary simrun plan backed by the
+// coordinator's shared store, heartbeat while executing, and deliver
+// results. A worker that dies mid-lease simply stops heartbeating;
+// the coordinator requeues its units.
 type Worker struct {
 	cfg    WorkerConfig
 	client *http.Client
 	store  *RemoteStore
+	// nets keeps built networks between leases: a job's leases walk
+	// the same few networks, and each lease is a plan of its own. It
+	// belongs to the worker, not the process, so plans run any other
+	// way build and release exactly what they always did.
+	nets *simrun.NetCache
 
 	leases        atomic.Int64
 	executed      atomic.Int64
@@ -65,6 +73,7 @@ func NewWorker(cfg WorkerConfig) (*Worker, error) {
 		cfg:    cfg,
 		client: client,
 		store:  NewRemoteStore(cfg.Coordinator, client),
+		nets:   simrun.NewNetCache(),
 	}, nil
 }
 
@@ -139,9 +148,9 @@ func (w *Worker) register(ctx context.Context) (RegisterResponse, error) {
 }
 
 // Run is the worker loop; it returns when ctx is cancelled. Every
-// wait inside — registration backoff, poll sleeps, heartbeats, the
-// simulations themselves — observes ctx, so shutdown latency is one
-// cancellation quantum, not one lease.
+// wait inside — registration backoff, held lease calls, heartbeats,
+// the simulations themselves — observes ctx, so shutdown latency is
+// one cancellation quantum, not one lease.
 //
 //simvet:ctxbound
 func (w *Worker) Run(ctx context.Context) error {
@@ -150,7 +159,7 @@ func (w *Worker) Run(ctx context.Context) error {
 		return err
 	}
 	ttl := time.Duration(reg.LeaseTTLMs) * time.Millisecond
-	//simvet:blocking — the worker's whole life: poll until ctx ends
+	//simvet:blocking — the worker's whole life: lease until ctx ends
 	for {
 		if err := ctx.Err(); err != nil {
 			return err
@@ -169,11 +178,11 @@ func (w *Worker) Run(ctx context.Context) error {
 			continue
 		}
 		if len(lr.Units) == 0 {
-			wait := time.Duration(lr.WaitMs) * time.Millisecond
-			if wait <= 0 {
-				wait = leasePollMs * time.Millisecond
+			// A hold that ran out: ask again at once. Only a draining
+			// coordinator sends a back-off.
+			if lr.WaitMs > 0 {
+				sleepCtx(ctx, time.Duration(lr.WaitMs)*time.Millisecond)
 			}
-			sleepCtx(ctx, wait)
 			continue
 		}
 		w.leases.Add(1)
@@ -214,7 +223,7 @@ func (w *Worker) runLease(ctx context.Context, workerID string, lr LeaseResponse
 		}
 		handles[i] = plan.AddSpec(rs)
 	}
-	plan.Execute(leaseCtx, simrun.Options{Workers: w.cfg.SimWorkers, Store: w.store})
+	plan.Execute(leaseCtx, simrun.Options{Workers: w.cfg.SimWorkers, Store: w.store, Nets: w.nets})
 	cancelLease()
 	<-hbDone
 	if ctx.Err() != nil {
@@ -276,7 +285,7 @@ func (w *Worker) heartbeatLoop(leaseCtx context.Context, cancelLease context.Can
 			}
 			// Transport errors: keep trying; if the coordinator is
 			// really gone the lease expires there and the next
-			// heartbeat (or lease poll) answers 410.
+			// heartbeat (or lease call) answers 410.
 		}
 	}
 }
@@ -290,10 +299,15 @@ func (w *Worker) markLeaseLost(leaseID string) {
 	w.lost[leaseID] = true
 }
 
+// lostLease reports whether the lease was marked lost and forgets
+// it: runLease asks once per lease, so the map holds only leases
+// still executing.
 func (w *Worker) lostLease(leaseID string) bool {
 	w.lostMu.Lock()
 	defer w.lostMu.Unlock()
-	return w.lost[leaseID]
+	lost := w.lost[leaseID]
+	delete(w.lost, leaseID)
+	return lost
 }
 
 // complete delivers results with bounded retries; a chunk that cannot

@@ -1,0 +1,180 @@
+package fleet
+
+import (
+	"context"
+	"net/http"
+	"net/http/httptest"
+	"sync"
+	"testing"
+	"time"
+
+	"minsim/internal/simrun"
+	"minsim/internal/topology"
+)
+
+// TestLostLeaseIsForgotten: a lease whose heartbeat answers 410 is
+// abandoned without a completion, and the note that says so does not
+// outlive the lease.
+func TestLostLeaseIsForgotten(t *testing.T) {
+	units := testUnits(t, 2)
+	// The first lease is long enough to need a heartbeat (TTL/3 = 10 ms);
+	// the 410 cancels it.
+	units[0].Spec.Measure = 1 << 40
+	key, err := units[0].Spec.Key()
+	if err != nil {
+		t.Fatal(err)
+	}
+	units[0].Key = key
+	var wire [2]Unit
+	for i, u := range units {
+		ws, err := EncodeSpec(u.Spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wire[i] = Unit{Key: u.Key, Spec: ws}
+	}
+
+	var mu sync.Mutex
+	leases := 0
+	var completed []string
+	secondDone := make(chan struct{})
+	mux := http.NewServeMux()
+	mux.HandleFunc("POST /fleet/v1/register", func(w http.ResponseWriter, r *http.Request) {
+		writeFleetJSON(w, RegisterResponse{WorkerID: "w-1", LeaseTTLMs: 30, Chunk: 1})
+	})
+	mux.HandleFunc("POST /fleet/v1/lease", func(w http.ResponseWriter, r *http.Request) {
+		mu.Lock()
+		leases++
+		n := leases
+		mu.Unlock()
+		switch n {
+		case 1:
+			writeFleetJSON(w, LeaseResponse{LeaseID: "l-1", Units: wire[:1]})
+		case 2:
+			writeFleetJSON(w, LeaseResponse{LeaseID: "l-2", Units: wire[1:]})
+		default:
+			<-r.Context().Done() // held, as the coordinator would
+		}
+	})
+	mux.HandleFunc("POST /fleet/v1/heartbeat", func(w http.ResponseWriter, r *http.Request) {
+		http.Error(w, "lease gone", http.StatusGone)
+	})
+	mux.HandleFunc("POST /fleet/v1/complete", func(w http.ResponseWriter, r *http.Request) {
+		var req CompleteRequest
+		if !decodeBody(w, r, &req) {
+			return
+		}
+		mu.Lock()
+		completed = append(completed, req.LeaseID)
+		mu.Unlock()
+		w.WriteHeader(http.StatusNoContent)
+		if req.LeaseID == "l-2" {
+			close(secondDone)
+		}
+	})
+	mux.HandleFunc("/fleet/v1/store/", func(w http.ResponseWriter, r *http.Request) {
+		if r.Method == http.MethodGet {
+			http.Error(w, "miss", http.StatusNotFound)
+			return
+		}
+		w.WriteHeader(http.StatusNoContent)
+	})
+	srv := httptest.NewServer(mux)
+	defer srv.Close()
+
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	w, err := NewWorker(WorkerConfig{Coordinator: srv.URL, SimWorkers: 1, Client: srv.Client()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	stopped := make(chan struct{})
+	go func() { defer close(stopped); w.Run(ctx) }()
+	select {
+	case <-secondDone:
+	case <-ctx.Done():
+		t.Fatal("second lease never completed")
+	}
+	cancel()
+	<-stopped
+
+	mu.Lock()
+	defer mu.Unlock()
+	if len(completed) != 1 || completed[0] != "l-2" {
+		t.Fatalf("completions %v; want only l-2 (l-1 was lost to a 410 heartbeat)", completed)
+	}
+	if n := w.heartbeatLost.Load(); n != 1 {
+		t.Fatalf("heartbeatLost = %d; want 1", n)
+	}
+	w.lostMu.Lock()
+	defer w.lostMu.Unlock()
+	if len(w.lost) != 0 {
+		t.Fatalf("lost map still holds %v after both leases ended", w.lost)
+	}
+}
+
+// TestWorkerKeepsNetworksBetweenLeases: three leases over one network
+// build it once, and what the worker computes equals the same plan
+// run locally, point for point.
+func TestWorkerKeepsNetworksBetweenLeases(t *testing.T) {
+	store, err := simrun.NewStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	coord, err := NewCoordinator(Config{Store: store, ChunkSize: 2, LeaseTTL: 5 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(coord.Handler())
+	defer srv.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	w, err := NewWorker(WorkerConfig{Coordinator: srv.URL, SimWorkers: 1, Client: srv.Client()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	stopped := make(chan struct{})
+	go func() { defer close(stopped); w.Run(ctx) }()
+
+	// Two spellings of one DMIN: the default dilation and the explicit 2.
+	sweep := func(p *simrun.Plan, dilation int, loads ...float64) *simrun.Handle {
+		return p.AddSweep(simrun.SweepSpec{
+			Net:    simrun.NetworkSpec{Kind: topology.DMIN, K: 4, Stages: 2, Dilation: dilation},
+			Work:   simrun.WorkloadSpec{Pattern: simrun.PatternSpec{Kind: simrun.Uniform}},
+			Loads:  loads,
+			Budget: simrun.Budget{WarmupCycles: 50, MeasureCycles: 300, Seed: 1995},
+		})
+	}
+	build := func() (*simrun.Plan, []*simrun.Handle) {
+		p := simrun.NewPlan()
+		return p, []*simrun.Handle{sweep(p, 0, 0.1, 0.2, 0.3), sweep(p, 2, 0.4, 0.5, 0.6)}
+	}
+	fleetPlan, fleetHandles := build()
+	if err := fleetPlan.Execute(ctx, simrun.Options{Store: store, Dispatcher: coord}); err != nil {
+		t.Fatalf("fleet Execute: %v", err)
+	}
+	twinPlan, twinHandles := build()
+	if err := twinPlan.Execute(ctx, simrun.Options{Workers: 1}); err != nil {
+		t.Fatalf("twin Execute: %v", err)
+	}
+	for i := range fleetHandles {
+		got, err := fleetHandles[i].Points()
+		if err != nil {
+			t.Fatalf("fleet Points: %v", err)
+		}
+		want, err := twinHandles[i].Points()
+		if err != nil {
+			t.Fatalf("twin Points: %v", err)
+		}
+		for j := range want {
+			if got[j] != want[j] {
+				t.Fatalf("sweep %d point %d:\n fleet %+v\n local %+v", i, j, got[j], want[j])
+			}
+		}
+	}
+	if leases, builds := w.leases.Load(), w.nets.Builds(); leases != 3 || builds != 1 {
+		t.Fatalf("%d leases built the network %d times; want 3 leases, 1 build", leases, builds)
+	}
+	cancel()
+	<-stopped
+}

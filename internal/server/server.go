@@ -166,8 +166,13 @@ func (s *Server) Handler() http.Handler { return s.handler }
 // /healthz flips to 503), queued jobs are canceled, running jobs get
 // the drain window, then their contexts are cut. It returns once all
 // workers have exited. Completed points are flushed to the store as
-// they finish, so nothing completed is ever lost.
+// they finish, so nothing completed is ever lost. A fleet
+// coordinator's held lease calls are released first, so the HTTP
+// server that closes next never waits out a hold.
 func (s *Server) Shutdown(ctx context.Context) error {
+	if s.cfg.Fleet != nil {
+		s.cfg.Fleet.Release()
+	}
 	s.mgr.shutdown(ctx)
 	return ctx.Err()
 }

@@ -5,12 +5,15 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
+	"minsim/internal/fleet"
 	"minsim/internal/simrun"
 )
 
@@ -387,5 +390,81 @@ func TestReplicatedRunWarmCache(t *testing.T) {
 	}
 	if single.Counters.Executed != 0 || single.Counters.Cached != 2 {
 		t.Fatalf("single run after replicated run should be fully cached: %+v", single.Counters)
+	}
+}
+
+// TestShutdownReleasesParkedLeaseCalls: idle fleet workers are parked
+// inside the coordinator's lease handler; Shutdown must answer them
+// rather than wait out their hold, closing the HTTP server must then
+// be prompt, and the workers must back off — no errors, no spinning.
+func TestShutdownReleasesParkedLeaseCalls(t *testing.T) {
+	store, err := simrun.NewStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	coord, err := fleet.NewCoordinator(fleet.Config{Store: store})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := New(Config{Store: store, Fleet: coord, LogWriter: &bytes.Buffer{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mu sync.Mutex
+	leaseReplies := map[int]int{} // status -> count
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		rec := &statusRecorder{ResponseWriter: w, code: http.StatusOK}
+		s.Handler().ServeHTTP(rec, r)
+		if r.URL.Path == "/fleet/v1/lease" {
+			mu.Lock()
+			leaseReplies[rec.code]++
+			mu.Unlock()
+		}
+	}))
+
+	const workers = 3
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	stopped := make(chan struct{}, workers)
+	for i := 0; i < workers; i++ {
+		w, err := fleet.NewWorker(fleet.WorkerConfig{Coordinator: ts.URL, Client: ts.Client()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		go func() { w.Run(ctx); stopped <- struct{}{} }()
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		resp, err := http.Get(ts.URL + "/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		text, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if metricValue(t, string(text), "fleet_lease_waiters") == workers {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("workers never parked:\n%s", text)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+
+	start := time.Now()
+	if err := s.Shutdown(context.Background()); err != nil {
+		t.Fatalf("Shutdown: %v", err)
+	}
+	ts.Close() // waits for every outstanding request
+	if d := time.Since(start); d > time.Second {
+		t.Fatalf("Shutdown and Close took %v with %d lease calls parked; want well under the hold", d, workers)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if len(leaseReplies) != 1 || leaseReplies[http.StatusOK] != workers {
+		t.Fatalf("lease replies by status = %v; want %d answers, all 200, and no re-poll inside the back-off", leaseReplies, workers)
+	}
+	cancel()
+	for i := 0; i < workers; i++ {
+		<-stopped
 	}
 }

@@ -190,7 +190,7 @@ func TestReplicatedSweepBursty(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	nets := &netCache{m: map[NetworkSpec]*topology.Network{}}
+	nets := &NetCache{}
 	for i, load := range loads {
 		pts := make([]metrics.Point, reps)
 		for rep := 0; rep < reps; rep++ {
@@ -218,7 +218,7 @@ func TestAdversarialSpecDeterministic(t *testing.T) {
 	run := func() metrics.Point {
 		s := tinySpec(0.2, 42)
 		s.Work.Pattern = PatternSpec{Kind: Adversarial, AdvIters: 256}
-		nets := &netCache{m: map[NetworkSpec]*topology.Network{}}
+		nets := &NetCache{}
 		pt, err := s.run(context.Background(), nets)
 		if err != nil {
 			t.Fatal(err)

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"minsim/internal/engine"
 	"minsim/internal/metrics"
@@ -227,6 +228,10 @@ type Options struct {
 	// results is the dispatcher's responsibility (fleet workers write
 	// through the shared store), so Execute does not re-Put them.
 	Dispatcher Dispatcher
+	// Nets, when non-nil, outlives the call: networks it already holds
+	// are not rebuilt, and ones built here are left in it (up to its
+	// bound) for the next Execute.
+	Nets *NetCache
 	// Progress, when non-nil, is called with a counter snapshot after
 	// every state change (cache hit, start, finish). Calls are
 	// serialized.
@@ -240,27 +245,77 @@ func (p *Plan) Counters() Counters {
 	return p.counters
 }
 
-// netCache shares immutable built networks between the point-runs of
-// one plan execution; networks are safe for concurrent engines. Keys
-// are canonical specs so default-valued and explicit spellings of the
-// same network share one build.
-type netCache struct {
-	mu sync.Mutex
-	m  map[NetworkSpec]*topology.Network
+// netCacheChannels bounds a NewNetCache by the channels its networks
+// retain. A built network costs about 200-240 bytes per channel, so
+// 1<<16 channels is at most ~16 MB: some 170 paper-scale (64-node)
+// networks or six 1024-node ones, every family of a figure grid with
+// room to spare. A 16K-node network (245,760 channels, 57 MB) is over
+// it and is built per Execute, as without the cache.
+const netCacheChannels = 1 << 16
+
+// NetCache shares immutable built networks between point-runs;
+// networks are safe for concurrent engines. Keys are canonical specs
+// so default-valued and explicit spellings of the same network share
+// one build. Every Execute owns an unbounded one that dies with the
+// call; a caller that executes many small plans over the same networks
+// (a fleet worker: one plan per lease) passes its own bounded one in
+// Options.Nets and the per-call cache fills from it instead of
+// building.
+type NetCache struct {
+	mu       sync.Mutex
+	m        map[NetworkSpec]*topology.Network
+	channels int       // retained by m
+	bound    int       // on channels; 0 = unbounded
+	parent   *NetCache // consulted before building; nil = build
+	builds   atomic.Int64
 }
 
-func (c *netCache) get(spec NetworkSpec) (*topology.Network, error) {
+// NewNetCache returns an empty cache bounded at netCacheChannels
+// retained channels.
+func NewNetCache() *NetCache {
+	return &NetCache{bound: netCacheChannels}
+}
+
+// Builds reports how many networks this cache has built.
+func (c *NetCache) Builds() int64 { return c.builds.Load() }
+
+func (c *NetCache) get(spec NetworkSpec) (*topology.Network, error) {
 	key := spec.canon()
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if net, ok := c.m[key]; ok {
 		return net, nil
 	}
-	net, err := spec.Build()
+	if c.m == nil {
+		c.m = map[NetworkSpec]*topology.Network{}
+	}
+	var net *topology.Network
+	var err error
+	if c.parent != nil {
+		net, err = c.parent.get(key)
+	} else {
+		c.builds.Add(1)
+		net, err = spec.Build()
+	}
 	if err != nil {
 		return nil, err
 	}
+	size := len(net.Channels)
+	if c.bound > 0 {
+		if size > c.bound {
+			return net, nil // never fits: the caller's per-call cache keeps it
+		}
+		if c.channels+size > c.bound {
+			// Start over rather than track recency: a grid that cycles
+			// through more networks than fit defeats LRU and FIFO alike,
+			// and a dropped network stays alive for as long as a running
+			// plan still holds it.
+			clear(c.m)
+			c.channels = 0
+		}
+	}
 	c.m[key] = net
+	c.channels += size
 	return net, nil
 }
 
@@ -371,7 +426,7 @@ func (p *Plan) Execute(ctx context.Context, opts Options) error {
 	// way a unit is the scheduling granule of the worker pool.
 	units := batchUnits(pending, workers)
 
-	nets := &netCache{m: map[NetworkSpec]*topology.Network{}}
+	nets := &NetCache{parent: opts.Nets}
 	work := make(chan []*pointRun)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -423,7 +478,7 @@ feed:
 // with the scalar path), checking ctx between lockstep chunks. Either
 // way cancellation latency is bounded by one quantum, not a run.
 // Opaque fn points remain non-preemptible: there is no spec to chunk.
-func executeUnit(ctx context.Context, unit []*pointRun, nets *netCache) {
+func executeUnit(ctx context.Context, unit []*pointRun, nets *NetCache) {
 	if len(unit) == 1 {
 		r := unit[0]
 		if r.fn != nil {

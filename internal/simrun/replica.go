@@ -138,7 +138,7 @@ const cancelQuantum = 8192
 // run batched. Cancellation mid-run marks every lane of the batch
 // with the context error — none of them has a complete result — so a
 // re-Execute re-runs them.
-func runBatch(ctx context.Context, unit []*pointRun, nets *netCache) {
+func runBatch(ctx context.Context, unit []*pointRun, nets *NetCache) {
 	net, err := nets.get(unit[0].spec.Net)
 	if err != nil {
 		for _, r := range unit {

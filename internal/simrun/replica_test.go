@@ -61,7 +61,7 @@ func TestReplicatedSweep(t *testing.T) {
 	}
 
 	// Scalar reference: every replica simulated on its own engine.
-	nets := &netCache{m: map[NetworkSpec]*topology.Network{}}
+	nets := &NetCache{}
 	for i, load := range loads {
 		pts := make([]metrics.Point, reps)
 		for rep := 0; rep < reps; rep++ {

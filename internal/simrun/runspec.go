@@ -161,7 +161,7 @@ func appendLengths(b []byte, d traffic.LengthDist) ([]byte, error) {
 // simulation advances in cancelQuantum legs, observing ctx between
 // legs, so a scalar point bounds cancellation latency exactly like a
 // batched one (chunked legs are bit-exact with a single full run).
-func (r RunSpec) run(ctx context.Context, nc *netCache) (metrics.Point, error) {
+func (r RunSpec) run(ctx context.Context, nc *NetCache) (metrics.Point, error) {
 	net, err := nc.get(r.Net)
 	if err != nil {
 		return metrics.Point{}, err

@@ -12,6 +12,10 @@
 #   3. a warm rerun of the cold panel executes 0 points fleet-wide —
 #      the shared content-addressed store answers everything.
 #
+# Along the way it checks that idle workers wait in held lease calls
+# (fleet_lease_waiters = 2) and that a worker builds its network once,
+# not once per lease.
+#
 # On failure, logs are copied to $E2E_ARTIFACT_DIR (if set) so CI can
 # upload them as artifacts.
 set -euo pipefail
@@ -79,7 +83,7 @@ registered() { [ "$(metric "$COORD" fleet_workers_registered)" = 2 ]; }
 wait_for "both workers registered" registered
 
 # 8 points heavy enough (~0.5M cycles each) that chunk-2 leases take
-# long enough for both pollers to grab work.
+# long enough for both workers to grab work.
 PANEL='{"experiments":[{"id":"panel","loads":[0.05,0.1,0.15,0.2,0.25,0.3,0.35,0.4],"curves":[{"label":"tmin","network":{"kind":"tmin","k":4,"stages":2},"workload":{"pattern":"uniform"}}]}],"budget":{"warmup":200,"measure":500000}}'
 
 echo "== cold panel: sharded across the fleet"
@@ -101,9 +105,18 @@ echo "w1 executed $w1_exec, w2 executed $w2_exec, duplicates $dups"
 [ "$((w1_exec + w2_exec))" = "$unique" ] \
   || { echo "per-worker executed ($w1_exec + $w2_exec) != $unique unique: a key ran twice"; exit 1; }
 
+# Both workers are idle now, and an idle worker is a lease call held
+# in the coordinator: two waiters says the held path is the one in use.
+echo "== idle workers are parked in the coordinator"
+both_parked() { [ "$(metric "$COORD" fleet_lease_waiters)" = 2 ]; }
+wait_for "both workers parked in held lease calls" both_parked
+
 echo "== worker-side metrics surface"
 curl -fsS "http://127.0.0.1:$W1_PORT/metrics" | grep -q '^simd_worker_points_executed_total' \
   || { echo "w1 missing fleet worker metrics"; exit 1; }
+# One network in the panel: however many leases w1 ran, it built it once.
+[ "$(metric "http://127.0.0.1:$W1_PORT" simd_worker_network_builds_total)" = 1 ] \
+  || { echo "w1 did not keep its network between leases"; exit 1; }
 
 # Slow job: 6 fresh points at 8M cycles each, so a chunk-2 lease stays
 # outstanding for seconds — long enough to observe and kill its holder.
