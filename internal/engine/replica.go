@@ -91,7 +91,7 @@ func NewReplicaSet(cfg ReplicaConfig) (*ReplicaSet, error) {
 	}
 	rs := &ReplicaSet{
 		lanes: make([]Engine, len(cfg.Lanes)),
-		slabs: newReplicaSlabs(cfg.Net, len(cfg.Lanes)),
+		slabs: newReplicaSlabs(cfg.Net, sh.sharedLinks, len(cfg.Lanes)),
 	}
 	for i := range rs.lanes {
 		rs.lanes[i].init(sh, rs.slabs.lane(i), cfg.Lanes[i].Source, cfg.Lanes[i].Seed, nil)

@@ -40,7 +40,7 @@ func maxWormPath(net *topology.Network) int { return 2*net.Stages + net.Extra + 
 // ReplicaSet. lane(i) carves the per-lane windows; prime(e, i) fills
 // lane i's worm pool from the path/cnt slabs.
 type replicaSlabs struct {
-	chans, links, nodes int // per-lane array lengths
+	chans, links, nodes int // per-lane array lengths (links: 0 unless shared)
 	perLane, maxPath    int // worm-pool geometry
 
 	// [replica][channel|link|node] state, R windows per slab.
@@ -56,14 +56,18 @@ type replicaSlabs struct {
 	cnts  []uint8
 }
 
-// newReplicaSlabs allocates the slabs for r lanes over net.
-func newReplicaSlabs(net *topology.Network, r int) replicaSlabs {
+// newReplicaSlabs allocates the slabs for r lanes over net. Like a
+// scalar engine's, the lanes' link budgets exist only where links are
+// shared.
+func newReplicaSlabs(net *topology.Network, sharedLinks bool, r int) replicaSlabs {
 	s := replicaSlabs{
 		chans:   len(net.Channels),
-		links:   len(net.Links),
 		nodes:   net.Nodes,
 		perLane: wormsPerLane(net),
 		maxPath: maxWormPath(net),
+	}
+	if sharedLinks {
+		s.links = len(net.Links)
 	}
 	s.chanOwner = make([]*worm, r*s.chans)
 	s.linkMark = make([]int64, r*s.links)

@@ -12,10 +12,12 @@ import (
 // The per-hop advance is the definition of how a worm moves: every
 // flit of every worm is visited every cycle, and every hop spends its
 // link's budget whether or not the link is shared. Engine.advanceWorm
-// must be indistinguishable from it. refStep drives an Engine through
-// one cycle with this kernel in place of advanceWorm (admission and
-// allocation are the engine's own), so two engines fed the same script
-// can be stepped side by side and compared.
+// must be indistinguishable from it, and so must the sweep that skips
+// sleeping worms. refStep drives an Engine through one cycle with this
+// kernel in place of advance (admission and allocation are the engine's
+// own), so two engines fed the same script can be stepped side by side
+// and compared. The reference stamps links on every network and never
+// puts a worm to sleep.
 
 // refAdvanceWorm is the per-hop advance of one worm.
 func refAdvanceWorm(e *Engine, w *worm) bool {
@@ -132,12 +134,19 @@ func isCompact(e *Engine, w *worm) bool {
 }
 
 // trainCoverage counts the fates of the worms that began a cycle
-// compact, out of wormCycles worm-cycles in all.
+// compact, out of wormCycles worm-cycles in all, and how many
+// worm-cycles the engine under test ended asleep.
 type trainCoverage struct {
 	wormCycles int
 	held       int // head not routed through: stood still
 	streamed   int // done: moved as a train
 	broke      int // done, but a shared link was spent and a bubble opened
+	parked     int // ended the cycle parked
+	slept      int // ended the cycle asleep streaming
+	// parkedSeen counts the parked worm-cycles of runs where every hop
+	// must be seen (shared links or channel statistics), so that no
+	// worm may sleep streaming.
+	parkedSeen int
 }
 
 // contendedScript offers msgs messages within the first few hundred
@@ -168,59 +177,130 @@ func contendedScript(net *topology.Network, seed uint64, msgs int) *script {
 	return s
 }
 
-// stepBothAndCompare builds two engines from cfg, one per source, and
-// steps them side by side — got through Engine.Step, want through
-// refStep — until both drain or maxCycles pass. After every cycle the
-// statistics, the per-channel and per-stage counters, every worm's
-// flit positions and the engine's own invariants must agree.
-func stepBothAndCompare(t testing.TB, cfg Config, gotSrc, wantSrc Source, chanStats bool, maxCycles int64, cov *trainCoverage) {
+// delivery is one OnDeliver call.
+type delivery struct {
+	msg Message
+	at  int64
+}
+
+// diffPair is an engine under test and the per-hop reference built
+// from the same configuration, with what each has delivered so far.
+type diffPair struct {
+	got, want       *Engine
+	gotDel, wantDel []delivery
+}
+
+// newDiffPair builds the two engines, one per source. OnDeliver is
+// recorded on both sides; react, when non-nil, is called after the
+// record with the engine that delivered, to offer follow-on traffic.
+func newDiffPair(t testing.TB, cfg Config, gotSrc, wantSrc Source, chanStats bool, measureFrom int64, react func(*Engine, Message, int64)) *diffPair {
 	t.Helper()
-	cfg.Source = gotSrc
-	got, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.Source = wantSrc
-	want, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if chanStats {
-		got.EnableChannelStats()
-		want.EnableChannelStats()
-	}
-	got.SetMeasureFrom(50)
-	want.SetMeasureFrom(50)
-	for cycle := int64(0); cycle < maxCycles; cycle++ {
-		if cycle > 0 && got.drained() && want.drained() {
-			break
-		}
-		got.Step()
-		refStep(want, cov)
-		if got.stats != want.stats {
-			t.Fatalf("cycle %d: Stats diverge:\n got: %+v\nwant: %+v", cycle, got.stats, want.stats)
-		}
-		if !slices.Equal(got.chanFlits, want.chanFlits) {
-			t.Fatalf("cycle %d: ChannelFlits diverge", cycle)
-		}
-		if !slices.Equal(got.blockedByStage, want.blockedByStage) {
-			t.Fatalf("cycle %d: BlockedByStage diverge: %v vs %v", cycle, got.blockedByStage, want.blockedByStage)
-		}
-		if len(got.worms) != len(want.worms) {
-			t.Fatalf("cycle %d: %d worms in flight, want %d", cycle, len(got.worms), len(want.worms))
-		}
-		for i, g := range got.worms {
-			w := want.worms[i]
-			if g.id != w.id || g.inj != w.inj || g.del != w.del || g.tail != w.tail || g.done != w.done ||
-				!slices.Equal(g.path, w.path) || !slices.Equal(g.cnt, w.cnt) {
-				t.Fatalf("cycle %d: worm %d diverges:\n got: id=%d inj=%d del=%d tail=%d done=%v path=%v cnt=%v\nwant: id=%d inj=%d del=%d tail=%d done=%v path=%v cnt=%v",
-					cycle, i, g.id, g.inj, g.del, g.tail, g.done, g.path, g.cnt, w.id, w.inj, w.del, w.tail, w.done, w.path, w.cnt)
+	p := &diffPair{}
+	build := func(src Source, del *[]delivery) *Engine {
+		var e *Engine
+		c := cfg
+		c.Source = src
+		c.OnDeliver = func(m Message, at int64) {
+			*del = append(*del, delivery{m, at})
+			if react != nil {
+				react(e, m, at)
 			}
 		}
-		if err := got.CheckInvariants(); err != nil {
-			t.Fatalf("cycle %d: %v", cycle, err)
+		e, err := New(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if chanStats {
+			e.EnableChannelStats()
+		}
+		e.SetMeasureFrom(measureFrom)
+		return e
+	}
+	p.got = build(gotSrc, &p.gotDel)
+	p.want = build(wantSrc, &p.wantDel)
+	if p.want.linkMark == nil {
+		p.want.linkMark = make([]int64, len(cfg.Net.Links))
+	}
+	return p
+}
+
+// compare checks that the two engines are in the same state: the
+// statistics as they stand — a sleeping worm's flits are credited in
+// bulk, cycle by cycle, and this is what holds that to account — the
+// per-channel and per-stage counters, the deliveries in order, every
+// worm's flit positions (a streaming sleeper's counters read through
+// its lag) and the engine's own invariants. It tallies into cov how the
+// engine under test's worms sleep.
+func (p *diffPair) compare(t testing.TB, cycle int64, cov *trainCoverage) {
+	t.Helper()
+	got, want := p.got, p.want
+	if got.stats != want.stats {
+		t.Fatalf("cycle %d: Stats diverge:\n got: %+v\nwant: %+v", cycle, got.stats, want.stats)
+	}
+	if !slices.Equal(got.chanFlits, want.chanFlits) {
+		t.Fatalf("cycle %d: ChannelFlits diverge", cycle)
+	}
+	if !slices.Equal(got.blockedByStage, want.blockedByStage) {
+		t.Fatalf("cycle %d: BlockedByStage diverge: %v vs %v", cycle, got.blockedByStage, want.blockedByStage)
+	}
+	if !slices.Equal(p.gotDel, p.wantDel) {
+		t.Fatalf("cycle %d: deliveries diverge:\n got: %v\nwant: %v", cycle, p.gotDel, p.wantDel)
+	}
+	if len(got.worms) != len(want.worms) {
+		t.Fatalf("cycle %d: %d worms in flight, want %d", cycle, len(got.worms), len(want.worms))
+	}
+	seen := got.sharedLinks || got.chanFlits != nil
+	for i, g := range got.worms {
+		w := want.worms[i]
+		lag := got.lag(g)
+		if g.id != w.id || g.inj+lag != w.inj || g.del+lag != w.del || g.tail != w.tail || g.done != w.done ||
+			!slices.Equal(g.path, w.path) || !slices.Equal(g.cnt, w.cnt) {
+			t.Fatalf("cycle %d: worm %d diverges:\n got: id=%d inj=%d del=%d lag=%d tail=%d done=%v path=%v cnt=%v\nwant: id=%d inj=%d del=%d tail=%d done=%v path=%v cnt=%v",
+				cycle, i, g.id, g.inj, g.del, lag, g.tail, g.done, g.path, g.cnt, w.id, w.inj, w.del, w.tail, w.done, w.path, w.cnt)
+		}
+		switch wk := got.wake[i]; {
+		case wk == 0:
+		case wk == never:
+			cov.parked++
+			if seen {
+				cov.parkedSeen++
+			}
+		default:
+			cov.slept++
+			if seen || g.msg.Len <= 2 {
+				t.Fatalf("cycle %d: worm %d (%d flits) sleeps streaming; shared links or channel statistics: %v", cycle, g.id, g.msg.Len, seen)
+			}
 		}
 	}
+	if err := got.CheckInvariants(); err != nil {
+		t.Fatalf("cycle %d: %v", cycle, err)
+	}
+}
+
+// run steps the pair side by side — got through Engine.Step, want
+// through refStep — until both drain or maxCycles pass, comparing them
+// after every cycle. before, when non-nil, is called ahead of each
+// cycle with the state the previous one left.
+func (p *diffPair) run(t testing.TB, maxCycles int64, cov *trainCoverage, before func(cycle int64)) {
+	t.Helper()
+	for cycle := int64(0); cycle < maxCycles; cycle++ {
+		if cycle > 0 && p.got.drained() && p.want.drained() {
+			return
+		}
+		if before != nil {
+			before(cycle)
+		}
+		p.got.Step()
+		refStep(p.want, cov)
+		p.compare(t, cycle, cov)
+	}
+}
+
+// stepBothAndCompare builds two engines from cfg, one per source, and
+// runs them side by side with measurement from cycle 50.
+func stepBothAndCompare(t testing.TB, cfg Config, gotSrc, wantSrc Source, chanStats bool, maxCycles int64, cov *trainCoverage) {
+	t.Helper()
+	newDiffPair(t, cfg, gotSrc, wantSrc, chanStats, 50, nil).run(t, maxCycles, cov, nil)
 }
 
 // paperFamilies builds the five 64-node networks of the paper's
@@ -267,7 +347,7 @@ func firstInterstageChannel(net *topology.Network) int {
 
 // TestTrainAdvanceMatchesPerHop is the differential test of the
 // compact-worm path: five paper families x both arbitrations x buffer
-// depths 1-3 x channel statistics on/off x (no fault | one failed
+// depths 1-4 x channel statistics on/off x (no fault | one failed
 // interstage channel), on scripts whose lengths include 1 and values
 // below the path length.
 func TestTrainAdvanceMatchesPerHop(t *testing.T) {
@@ -276,7 +356,7 @@ func TestTrainAdvanceMatchesPerHop(t *testing.T) {
 		name, net := fam.name, fam.net
 		var cov trainCoverage
 		for _, arb := range []Arbitration{ArbitrateRandom, ArbitrateOldestFirst} {
-			for depth := 1; depth <= 3; depth++ {
+			for depth := 1; depth <= 4; depth++ {
 				for _, chanStats := range []bool{false, true} {
 					for _, fault := range []bool{false, true} {
 						seed++
@@ -307,8 +387,15 @@ func TestTrainAdvanceMatchesPerHop(t *testing.T) {
 		if cov.held == 0 || cov.streamed == 0 {
 			t.Errorf("%s: a compact fate was never met: %+v", name, cov)
 		}
-		if shared := len(net.Links) < len(net.Channels); (cov.broke > 0) != shared {
+		shared := len(net.Links) < len(net.Channels)
+		if (cov.broke > 0) != shared {
 			t.Errorf("%s: trains broken by a spent link: %d, shared links: %v", name, cov.broke, shared)
+		}
+		// Both ways of sleeping must have been exercised — streaming only
+		// where links are private — and parking also in the runs that
+		// bar streaming (compare fails any worm that streams there).
+		if cov.parked == 0 || cov.parkedSeen == 0 || (cov.slept > 0) == shared {
+			t.Errorf("%s: a way of sleeping was never met, or met where it must not be (shared links: %v): %+v", name, shared, cov)
 		}
 	}
 }

@@ -134,6 +134,37 @@ func TestRunCorrectnessAllAlgorithms(t *testing.T) {
 	}
 }
 
+// TestLatenciesPinned holds the collectives to the cycle counts the
+// engine produced before its worms learned to sleep through the advance
+// sweep: forwards are offered from inside OnDeliver, so a delivery made
+// in a different cycle, or two deliveries of one cycle made in a
+// different order, would move them.
+func TestLatenciesPinned(t *testing.T) {
+	dests := []int{1, 7, 13, 21, 34, 55, 62, 3, 40, 41, 18}
+	for _, tc := range []struct {
+		net         *topology.Network
+		run, gather []int64 // per algorithms()
+	}{
+		{bmin(t), []int64{2216, 820, 820}, []int64{2212, 820, 820}},
+		{tmin(t), []int64{2214, 816, 816}, []int64{2214, 816, 816}},
+	} {
+		for i, alg := range algorithms() {
+			res, err := Run(tc.net, alg, 5, dests, 200)
+			if err != nil {
+				t.Fatal(err)
+			}
+			g, err := Gather(tc.net, alg, 5, dests, 200)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Latency != tc.run[i] || g.Latency != tc.gather[i] {
+				t.Errorf("%s on %s: multicast %d, gather %d; pinned %d, %d",
+					alg.Name(), tc.net.Name(), res.Latency, g.Latency, tc.run[i], tc.gather[i])
+			}
+		}
+	}
+}
+
 // TestBinomialBeatsSeparateAddressing: with enough destinations the
 // logarithmic tree wins clearly — the headline result of software
 // multicast.

@@ -9,6 +9,7 @@ package xrand
 import (
 	"math"
 	"math/bits"
+	"slices"
 )
 
 // Source is a xoshiro256** generator. The zero value is invalid;
@@ -115,14 +116,37 @@ func (src *Source) Bool() bool { return src.Uint64()&1 == 1 }
 
 // Perm fills a permutation of [0, n) into dst (reusing its backing
 // storage when cap allows) using Fisher-Yates, and returns it.
+//
+// It is the loop `j := src.Intn(i + 1); dst[i] = dst[j]; dst[j] = i`
+// for i in [0, n), draw for draw: the engine shuffles its worms with it
+// every cycle, so Uint64 and Intn's rejection test are written out here
+// with the generator state held in locals across the whole loop rather
+// than loaded and stored per draw. TestDrawSequencePinned holds it to
+// that loop's output and to the state it leaves behind.
 func (src *Source) Perm(dst []int, n int) []int {
-	dst = dst[:0]
-	for i := 0; i < n; i++ {
-		j := src.Intn(i + 1)
-		dst = append(dst, 0)
-		dst[i] = dst[j]
-		dst[j] = i
+	dst = slices.Grow(dst[:0], n)[:n]
+	s0, s1, s2, s3 := src.s[0], src.s[1], src.s[2], src.s[3]
+	for i := range dst {
+		bound := uint64(i + 1)
+		//simvet:bounded — Intn's rejection loop, same probability
+		for {
+			v := rotl(s1*5, 7) * 9
+			t := s1 << 17
+			s2 ^= s0
+			s3 ^= s1
+			s1 ^= s2
+			s0 ^= s3
+			s2 ^= t
+			s3 = rotl(s3, 45)
+			hi, lo := bits.Mul64(v, bound)
+			if lo >= bound || lo >= (-bound)%bound {
+				dst[i] = dst[hi]
+				dst[hi] = i
+				break
+			}
+		}
 	}
+	src.s = [4]uint64{s0, s1, s2, s3}
 	return dst
 }
 

@@ -2,6 +2,7 @@ package xrand
 
 import (
 	"math"
+	"slices"
 	"testing"
 )
 
@@ -154,6 +155,53 @@ func TestDrawSequencePinned(t *testing.T) {
 	}
 	if got, want := src.Uint64(), uint64(2994797721334147285); got != want {
 		t.Errorf("Uint64 after the two Perms = %d, want %d (a Perm consumed a different number of draws)", got, want)
+	}
+
+	// Perm writes Intn's draw out inline; it must stay the Fisher-Yates
+	// loop over Intn draw for draw, and leave the generator where that
+	// loop leaves it, whatever storage it is handed.
+	for _, n := range []int{0, 1, 2, 3, 64, 1000, 1 << 16} {
+		for _, seed := range []uint64{0, 1, 1995, 1<<64 - 1} {
+			ref := New(seed)
+			want := make([]int, n)
+			for i := range want {
+				j := ref.Intn(i + 1)
+				want[i] = want[j]
+				want[j] = i
+			}
+			var after [4]uint64
+			for i := range after {
+				after[i] = ref.Uint64()
+			}
+			spare := make([]int, n/2, 2*n+3)
+			for i := range spare {
+				spare[i] = -1 - i // stale contents must not show through
+			}
+			for _, tc := range []struct {
+				name string
+				dst  []int
+			}{
+				{"nil", nil},
+				{"exact capacity", make([]int, 0, n)},
+				{"spare capacity", spare},
+				{"too small", make([]int, n/3)},
+			} {
+				name, dst := tc.name, tc.dst
+				src := New(seed)
+				got := src.Perm(dst, n)
+				if !slices.Equal(got, want) {
+					t.Fatalf("seed %d, dst %s: Perm(%d) differs from the Intn loop", seed, name, n)
+				}
+				if cap(dst) >= n && n > 0 && &got[0] != &dst[:1][0] {
+					t.Errorf("seed %d, dst %s: Perm(%d) did not reuse dst's storage", seed, name, n)
+				}
+				for i, w := range after {
+					if g := src.Uint64(); g != w {
+						t.Fatalf("seed %d, dst %s: Uint64 %d after Perm(%d) = %d, want %d", seed, name, i, n, g, w)
+					}
+				}
+			}
+		}
 	}
 }
 
