@@ -88,7 +88,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	if _, err := spec.Build(); err != nil {
+	if err := spec.Check(); err != nil {
 		fatal(err)
 	}
 

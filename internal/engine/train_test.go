@@ -13,11 +13,15 @@ import (
 // flit of every worm is visited every cycle, and every hop spends its
 // link's budget whether or not the link is shared. Engine.advanceWorm
 // must be indistinguishable from it, and so must the sweep that skips
-// sleeping worms. refStep drives an Engine through one cycle with this
-// kernel in place of advance (admission and allocation are the engine's
-// own), so two engines fed the same script can be stepped side by side
-// and compared. The reference stamps links on every network and never
-// puts a worm to sleep.
+// sleeping worms. Allocation has its definition too: every routable head
+// and every non-empty queue is asked every cycle, and Engine.allocate,
+// which asks only those a release could have served, must be
+// indistinguishable from that. refStep drives an Engine through one
+// cycle with the per-hop kernel in place of advance and with everything
+// woken before allocate (admission is the engine's own), so two engines
+// fed the same script can be stepped side by side and compared. The
+// reference stamps links on every network, never puts a worm to sleep
+// and never lets a head or a queue wait unasked.
 
 // refAdvanceWorm is the per-hop advance of one worm.
 func refAdvanceWorm(e *Engine, w *worm) bool {
@@ -77,6 +81,7 @@ func refAdvanceWorm(e *Engine, w *worm) bool {
 // step with this one met the same.
 func refStep(e *Engine, cov *trainCoverage) {
 	e.admitArrivals()
+	refWakeAll(e)
 	e.allocate()
 	e.epoch++
 	moved := false
@@ -115,6 +120,19 @@ func refStep(e *Engine, cov *trainCoverage) {
 	e.stats.Cycles++
 }
 
+// refWakeAll makes the allocate that follows a full scan: no head is
+// flagged, and every node with a queued message is listed, ascending.
+func refWakeAll(e *Engine) {
+	clear(e.blocked)
+	e.qlive = e.qlive[:0]
+	for node, q := range e.queues {
+		if len(q) > 0 {
+			e.qlive = append(e.qlive, node)
+		}
+	}
+	e.qunsorted = false
+}
+
 // isCompact restates the compact-worm condition from the buffers
 // themselves rather than from the inj/del arithmetic the engine uses.
 func isCompact(e *Engine, w *worm) bool {
@@ -134,8 +152,9 @@ func isCompact(e *Engine, w *worm) bool {
 }
 
 // trainCoverage counts the fates of the worms that began a cycle
-// compact, out of wormCycles worm-cycles in all, and how many
-// worm-cycles the engine under test ended asleep.
+// compact, out of wormCycles worm-cycles in all, how many worm-cycles
+// the engine under test ended asleep, and how many heads and queues its
+// next allocate was set to pass over.
 type trainCoverage struct {
 	wormCycles int
 	held       int // head not routed through: stood still
@@ -147,6 +166,8 @@ type trainCoverage struct {
 	// must be seen (shared links or channel statistics), so that no
 	// worm may sleep streaming.
 	parkedSeen int
+	headSkips  int // routable heads left flagged blocked
+	queueSkips int // non-empty queues left off the injection scan
 }
 
 // contendedScript offers msgs messages within the first few hundred
@@ -272,6 +293,16 @@ func (p *diffPair) compare(t testing.TB, cycle int64, cov *trainCoverage) {
 			}
 		}
 	}
+	for i, b := range got.blocked {
+		if !b {
+			continue
+		}
+		cov.headSkips++
+		if got.blockedByStage != nil {
+			t.Fatalf("cycle %d: worm %d's head is flagged while blocked cycles are counted per stage", cycle, got.heads[i].id)
+		}
+	}
+	cov.queueSkips += got.waiting - len(got.qlive)
 	if err := got.CheckInvariants(); err != nil {
 		t.Fatalf("cycle %d: %v", cycle, err)
 	}
@@ -396,6 +427,12 @@ func TestTrainAdvanceMatchesPerHop(t *testing.T) {
 		// bar streaming (compare fails any worm that streams there).
 		if cov.parked == 0 || cov.parkedSeen == 0 || (cov.slept > 0) == shared {
 			t.Errorf("%s: a way of sleeping was never met, or met where it must not be (shared links: %v): %+v", name, shared, cov)
+		}
+		// And allocate must have passed over heads and queues the
+		// reference asked (compare fails a flagged head where blocked
+		// cycles are counted per stage).
+		if cov.headSkips == 0 || cov.queueSkips == 0 {
+			t.Errorf("%s: allocate never passed over a waiting head or queue: %+v", name, cov)
 		}
 	}
 }

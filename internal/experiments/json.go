@@ -141,9 +141,10 @@ func ParseJSON(data []byte) (Experiment, error) {
 		}
 		e.Curves = append(e.Curves, Curve{Label: jc.Label, Net: net, Work: work, BufferDepth: jc.BufferDepth})
 	}
-	// Validate the networks build.
+	// Validate that the networks would build, without building them:
+	// this runs on a server's request path, ahead of admission.
 	for _, c := range e.Curves {
-		if _, err := c.Net.Build(); err != nil {
+		if err := c.Net.Check(); err != nil {
 			return Experiment{}, fmt.Errorf("experiments: %s/%s: %w", je.ID, c.Label, err)
 		}
 	}

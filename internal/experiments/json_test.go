@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 
@@ -178,5 +179,25 @@ func TestParseJSONDefaults(t *testing.T) {
 	}
 	if !strings.Contains(e.Title, "d") {
 		t.Error("title default wrong")
+	}
+}
+
+// TestParseJSONDoesNotBuild: parsing validates a request's networks
+// without constructing them — a server parses ahead of admission, so a
+// request must not be able to make it allocate a million-node network.
+func TestParseJSONDoesNotBuild(t *testing.T) {
+	req := []byte(`{"id":"big","loads":[0.1],"curves":[{"label":"a","network":{"k":2,"stages":20}}]}`)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	e, err := ParseJSON(req)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := e.Curves[0].Net.Nodes(); n != 1<<20 {
+		t.Fatalf("parsed a %d-node network", n)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > 1<<20 {
+		t.Errorf("ParseJSON of a 2^20-node curve allocated %d bytes", got)
 	}
 }

@@ -41,31 +41,56 @@ type NetworkSpec struct {
 	Extra    int // extra distribution stages (unidirectional kinds)
 }
 
-// Build constructs the network.
-func (s NetworkSpec) Build() (*topology.Network, error) {
+// builderArgs resolves the spec into the topology builder's arguments,
+// defaults applied: a UniConfig for the unidirectional kinds, and for a
+// BMIN (bmin true) its K, Stages and VCs.
+func (s NetworkSpec) builderArgs() (cfg topology.UniConfig, bmin bool, err error) {
+	cfg = topology.UniConfig{K: s.K, Stages: s.Stages, Pattern: s.Pattern, Dilation: 1, VCs: 1, Extra: s.Extra}
 	switch s.Kind {
 	case topology.BMIN:
-		v := s.VCs
-		if v == 0 {
-			v = 1
+		if cfg.VCs = s.VCs; cfg.VCs == 0 {
+			cfg.VCs = 1
 		}
-		return topology.NewBMINVC(s.K, s.Stages, v)
+		return cfg, true, nil
 	case topology.TMIN:
-		return topology.NewUnidirectional(topology.UniConfig{K: s.K, Stages: s.Stages, Pattern: s.Pattern, Dilation: 1, VCs: 1, Extra: s.Extra})
 	case topology.DMIN:
-		d := s.Dilation
-		if d == 0 {
-			d = 2
+		if cfg.Dilation = s.Dilation; cfg.Dilation == 0 {
+			cfg.Dilation = 2
 		}
-		return topology.NewUnidirectional(topology.UniConfig{K: s.K, Stages: s.Stages, Pattern: s.Pattern, Dilation: d, VCs: 1, Extra: s.Extra})
 	case topology.VMIN:
-		v := s.VCs
-		if v == 0 {
-			v = 2
+		if cfg.VCs = s.VCs; cfg.VCs == 0 {
+			cfg.VCs = 2
 		}
-		return topology.NewUnidirectional(topology.UniConfig{K: s.K, Stages: s.Stages, Pattern: s.Pattern, Dilation: 1, VCs: v, Extra: s.Extra})
+	default:
+		return cfg, false, fmt.Errorf("simrun: unknown network kind %v", s.Kind)
 	}
-	return nil, fmt.Errorf("simrun: unknown network kind %v", s.Kind)
+	return cfg, false, nil
+}
+
+// Build constructs the network.
+func (s NetworkSpec) Build() (*topology.Network, error) {
+	cfg, bmin, err := s.builderArgs()
+	if err != nil {
+		return nil, err
+	}
+	if bmin {
+		return topology.NewBMINVC(cfg.K, cfg.Stages, cfg.VCs)
+	}
+	return topology.NewUnidirectional(cfg)
+}
+
+// Check reports the error Build would return, or nil if the network
+// would build, without building it: validating a description costs
+// nothing, however large the network it describes.
+func (s NetworkSpec) Check() error {
+	cfg, bmin, err := s.builderArgs()
+	if err != nil {
+		return err
+	}
+	if bmin {
+		return topology.CheckBMIN(cfg.K, cfg.Stages, cfg.VCs)
+	}
+	return cfg.Check()
 }
 
 // Nodes returns K^Stages, the node count of the built network,

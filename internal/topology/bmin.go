@@ -26,21 +26,28 @@ func NewBMIN(k, n int) (*Network, error) {
 	return NewBMINVC(k, n, 1)
 }
 
+// CheckBMIN reports the error NewBMINVC would return for the arguments,
+// or nil if it would build — without allocating (see UniConfig.Check).
+func CheckBMIN(k, n, vcs int) error {
+	if k&(k-1) != 0 {
+		return fmt.Errorf("topology: switch arity k = %d must be a power of two", k)
+	}
+	if vcs < 1 {
+		return fmt.Errorf("topology: virtual channels %d, want >= 1", vcs)
+	}
+	_, err := kary.New(k, n)
+	return err
+}
+
 // NewBMINVC builds a butterfly BMIN whose interstage links each carry
 // vcs virtual channels — the "BMINs with virtual channels" variant of
 // the paper's future-work list. Node links stay single-channel
 // (one-port architecture). vcs = 1 gives the paper's standard BMIN.
 func NewBMINVC(k, n, vcs int) (*Network, error) {
-	if k&(k-1) != 0 {
-		return nil, fmt.Errorf("topology: switch arity k = %d must be a power of two", k)
-	}
-	if vcs < 1 {
-		return nil, fmt.Errorf("topology: virtual channels %d, want >= 1", vcs)
-	}
-	r, err := kary.New(k, n)
-	if err != nil {
+	if err := CheckBMIN(k, n, vcs); err != nil {
 		return nil, err
 	}
+	r := kary.MustNew(k, n)
 	N := r.Size()
 
 	net := &Network{

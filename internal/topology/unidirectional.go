@@ -40,6 +40,28 @@ func (c UniConfig) kind() (Kind, error) {
 	}
 }
 
+// Check reports the error NewUnidirectional would return for the
+// configuration, or nil if it would build — without allocating. Every
+// way NewUnidirectional can fail is a property of its arguments, so
+// callers that only need to validate a description (request parsing, a
+// command's pre-flight) need not pay for the network.
+func (c UniConfig) Check() error {
+	if _, err := c.kind(); err != nil {
+		return err
+	}
+	if c.Dilation < 1 || c.VCs < 1 {
+		return fmt.Errorf("topology: dilation (%d) and VCs (%d) must be >= 1", c.Dilation, c.VCs)
+	}
+	if c.Extra < 0 {
+		return fmt.Errorf("topology: negative extra stages %d", c.Extra)
+	}
+	if c.K&(c.K-1) != 0 {
+		return fmt.Errorf("topology: switch arity k = %d must be a power of two", c.K)
+	}
+	_, err := kary.New(c.K, c.Stages)
+	return err
+}
+
 // ConnPerm returns the connection pattern C_layer of a unidirectional
 // MIN as a permutation of the k^n wire addresses, for layer in
 // [0, n]. Layer 0 connects nodes to stage 0, layer i (0 < i < n)
@@ -117,23 +139,11 @@ func RoutingTag(r kary.Radix, pat Pattern, stage, dst int) int {
 // DMINs "half of the input channels and half of the output channels
 // to/from the network are not used").
 func NewUnidirectional(cfg UniConfig) (*Network, error) {
-	kind, err := cfg.kind()
-	if err != nil {
+	if err := cfg.Check(); err != nil {
 		return nil, err
 	}
-	if cfg.Dilation < 1 || cfg.VCs < 1 {
-		return nil, fmt.Errorf("topology: dilation (%d) and VCs (%d) must be >= 1", cfg.Dilation, cfg.VCs)
-	}
-	if cfg.Extra < 0 {
-		return nil, fmt.Errorf("topology: negative extra stages %d", cfg.Extra)
-	}
-	if cfg.K&(cfg.K-1) != 0 {
-		return nil, fmt.Errorf("topology: switch arity k = %d must be a power of two", cfg.K)
-	}
-	r, err := kary.New(cfg.K, cfg.Stages)
-	if err != nil {
-		return nil, err
-	}
+	kind, _ := cfg.kind() // Check passed
+	r := kary.MustNew(cfg.K, cfg.Stages)
 	n := cfg.Stages
 	e := cfg.Extra
 	total := n + e

@@ -1,6 +1,7 @@
 package topology
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -97,5 +98,35 @@ func TestLayerChannels(t *testing.T) {
 	uni, _ := NewUnidirectional(UniConfig{K: 2, Stages: 3, Pattern: Cube, Dilation: 1, VCs: 1})
 	if got := len(uni.LayerChannels(1, Backward)); got != 0 {
 		t.Errorf("unidirectional backward channels: %d", got)
+	}
+}
+
+// TestCheckMatchesBuilders: UniConfig.Check and CheckBMIN return what
+// the builders return, for every way the builders' arguments can be
+// wrong.
+func TestCheckMatchesBuilders(t *testing.T) {
+	same := func(what string, build, check error) {
+		t.Helper()
+		if (build == nil) != (check == nil) || (build != nil && build.Error() != check.Error()) {
+			t.Errorf("%s:\n build: %v\n check: %v", what, build, check)
+		}
+	}
+	for _, cfg := range []UniConfig{
+		{K: 4, Stages: 2, Dilation: 1, VCs: 1},
+		{K: 4, Stages: 2, Dilation: 2, VCs: 2},
+		{K: 4, Stages: 2, Dilation: 0, VCs: 1},
+		{K: 4, Stages: 2, Dilation: 1, VCs: 0},
+		{K: 4, Stages: 2, Dilation: 1, VCs: 1, Extra: -1},
+		{K: 12, Stages: 2, Dilation: 1, VCs: 1},
+		{K: 1, Stages: 2, Dilation: 1, VCs: 1},
+		{K: 4, Stages: 0, Dilation: 1, VCs: 1},
+		{K: 4, Stages: 33, Dilation: 1, VCs: 1},
+	} {
+		_, err := NewUnidirectional(cfg)
+		same(fmt.Sprintf("%+v", cfg), err, cfg.Check())
+	}
+	for _, a := range [][3]int{{4, 2, 1}, {4, 2, 2}, {5, 2, 1}, {4, 2, 0}, {0, 2, 1}, {4, 0, 1}, {2, 64, 1}} {
+		_, err := NewBMINVC(a[0], a[1], a[2])
+		same(fmt.Sprintf("BMIN%v", a), err, CheckBMIN(a[0], a[1], a[2]))
 	}
 }
