@@ -470,13 +470,13 @@ func BenchmarkRouting(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	r := routing.New(net)
-	in := &net.Channels[net.Inject[5]]
+	r, g := routing.New(net), net.Graph()
+	in := &g.Channels[net.Inject(5)]
 	var buf []int
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		buf = r.Candidates(buf[:0], net, in, 42)
+		buf = r.Candidates(buf[:0], g, in, 42)
 	}
 	_ = buf
 }
@@ -488,10 +488,10 @@ func BenchmarkAllPaths(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	r := routing.New(net)
+	r, g := routing.New(net), net.Graph()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if got := routing.AllPaths(net, r, 0, 63); len(got) != 16 {
+		if got := routing.AllPaths(g, r, 0, 63); len(got) != 16 {
 			b.Fatal("wrong path count")
 		}
 	}

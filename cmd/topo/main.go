@@ -43,12 +43,20 @@ func main() {
 		fatal(err)
 	}
 	router := routing.New(net)
+	// The struct view of the description, checked before it is walked.
+	graph := func() *topology.Graph {
+		g := net.Graph()
+		if err := g.Validate(); err != nil {
+			fatal(err)
+		}
+		return g
+	}
 
 	switch args[0] {
 	case "dump":
-		fmt.Print(net.Dump())
+		fmt.Print(graph().Dump())
 	case "dot":
-		fmt.Print(net.DOT())
+		fmt.Print(graph().DOT())
 	case "route":
 		if len(args) != 3 {
 			fatal(fmt.Errorf("route needs source and destination node numbers"))
@@ -57,7 +65,7 @@ func main() {
 		if _, err := fmt.Sscanf(args[1]+" "+args[2], "%d %d", &s, &d); err != nil {
 			fatal(err)
 		}
-		route(net, router, s, d)
+		route(graph(), router, s, d)
 	case "partition":
 		if len(args) < 2 {
 			fatal(fmt.Errorf("partition needs at least one cluster pattern like 0** or 21*"))
@@ -106,7 +114,7 @@ func build(name, wiring string, k, stages, dil, vcs int) (*topology.Network, err
 	return nil, fmt.Errorf("unknown network %q", name)
 }
 
-func route(net *topology.Network, router routing.Router, s, d int) {
+func route(net *topology.Graph, router routing.Router, s, d int) {
 	if s < 0 || s >= net.Nodes || d < 0 || d >= net.Nodes || s == d {
 		fatal(fmt.Errorf("need distinct nodes in [0, %d)", net.Nodes))
 	}
@@ -183,7 +191,7 @@ func partitionReport(net *topology.Network, router routing.Router, patterns []st
 
 func summary(net *topology.Network) {
 	fmt.Printf("%s\n", net.Name())
-	fmt.Printf("  switches: %d (%d stages x %d)\n", len(net.Switches), net.Stages, len(net.Switches)/net.Stages)
+	fmt.Printf("  switches: %d (%d stages x %d)\n", net.SwitchCount(), net.Stages, net.SwitchCount()/net.Stages)
 	fmt.Printf("  physical links: %d\n", net.LinkCount())
 	fmt.Printf("  virtual channels: %d\n", net.ChannelCount())
 }

@@ -61,14 +61,15 @@ func main() {
 	// 4. Water-filling prediction of the shuffle-permutation saturation.
 	topo := net.Topology()
 	r := routing.New(topo)
+	graph := topo.Graph()
 	perm := topo.R.ShufflePerm()
 	var flows [][]int
 	for s := 0; s < topo.Nodes; s++ {
 		if perm[s] != s {
-			flows = append(flows, routing.OnePath(topo, r, s, perm[s]))
+			flows = append(flows, routing.OnePath(graph, r, s, perm[s]))
 		}
 	}
-	rates := analytic.FairRates(flows, len(topo.Channels))
+	rates := analytic.FairRates(flows, topo.ChannelCount())
 	agg := 0.0
 	for _, rt := range rates {
 		agg += rt

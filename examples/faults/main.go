@@ -43,13 +43,7 @@ func main() {
 		log.Fatal(err)
 	}
 	topo := net.Topology()
-	victim := -1
-	for i := range topo.Channels {
-		if topo.Channels[i].Layer == 1 {
-			victim = i
-			break
-		}
-	}
+	victim := topo.LayerBase(1) // the first interstage channel
 	fmt.Printf("\n64-node DMIN, uniform load 0.4, interstage channel %d failed:\n", victim)
 	for _, failed := range [][]int{nil, {victim}} {
 		res, err := minsim.Run(minsim.RunConfig{

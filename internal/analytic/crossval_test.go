@@ -135,7 +135,7 @@ func TestHotSpotBoundHoldsInSimulation(t *testing.T) {
 // TMIN saturation (~25% of ejection capacity) closely.
 func TestFairRatesPredictsPermutationSaturation(t *testing.T) {
 	net := tmin64(t)
-	r := routing.New(net)
+	r, g := routing.New(net), net.Graph()
 	perm := net.R.ShufflePerm()
 	var flows [][]int
 	active := 0
@@ -143,10 +143,10 @@ func TestFairRatesPredictsPermutationSaturation(t *testing.T) {
 		if perm[s] == s {
 			continue
 		}
-		flows = append(flows, routing.OnePath(net, r, s, perm[s]))
+		flows = append(flows, routing.OnePath(g, r, s, perm[s]))
 		active++
 	}
-	rates := FairRates(flows, len(net.Channels))
+	rates := FairRates(flows, net.ChannelCount())
 	agg := 0.0
 	for _, rt := range rates {
 		agg += rt

@@ -103,11 +103,11 @@ type Network struct {
 func NetworkModel(net *topology.Network, bufferDepth int) Network {
 	sw := SwitchModel(net, bufferDepth)
 	out := Network{
-		Switches:       len(net.Switches),
+		Switches:       net.SwitchCount(),
 		Channels:       net.ChannelCount(),
 		Links:          net.LinkCount(),
-		CrossbarPoints: sw.CrossbarPoints * len(net.Switches),
-		Buffers:        sw.Buffers * len(net.Switches),
+		CrossbarPoints: sw.CrossbarPoints * net.SwitchCount(),
+		Buffers:        sw.Buffers * net.SwitchCount(),
 	}
 	// Baseline: a TMIN switch of the same arity has arbitration delay
 	// log2(k) and no VC multiplexing.

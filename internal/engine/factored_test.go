@@ -23,7 +23,7 @@ import (
 // oracle configuration for the equivalence runs below.
 type denseOnly struct{ inner routing.Router }
 
-func (d denseOnly) Candidates(dst []int, net *topology.Network, in *topology.Channel, dest int) []int {
+func (d denseOnly) Candidates(dst []int, net *topology.Graph, in *topology.Channel, dest int) []int {
 	return d.inner.Candidates(dst, net, in, dest)
 }
 

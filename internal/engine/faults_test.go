@@ -14,13 +14,7 @@ func TestDMINRoutesAroundFault(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	victim := -1
-	for i := range net.Channels {
-		if net.Channels[i].Layer == 1 {
-			victim = i
-			break
-		}
-	}
+	victim := net.LayerBase(1) // the first channel of layer 1
 	var msgs []Message
 	for s := 0; s < net.Nodes; s++ {
 		msgs = append(msgs, Message{Src: s, Dst: (s + 17) % net.Nodes, Len: 24, Created: 0})
@@ -54,21 +48,15 @@ func TestTMINFaultStallsAffectedPairsOnly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := routing.New(net)
-	victim := -1
-	for i := range net.Channels {
-		if net.Channels[i].Layer == 2 {
-			victim = i
-			break
-		}
-	}
+	r, g := routing.New(net), net.Graph()
+	victim := net.LayerBase(2) // the first channel of layer 2
 	failed := map[int]bool{victim: true}
 	var msgs []Message
 	affected := 0
 	for s := 0; s < net.Nodes; s++ {
 		d := (s + 9) % net.Nodes
 		msgs = append(msgs, Message{Src: s, Dst: d, Len: 16, Created: 0})
-		if !routing.Reachable(net, r, failed, s, d) {
+		if !routing.Reachable(g, r, failed, s, d) {
 			affected++
 		}
 	}
@@ -114,14 +102,7 @@ func TestBMINBackwardFaultNeedsLookahead(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	victim := -1
-	for i := range net.Channels {
-		ch := &net.Channels[i]
-		if ch.Layer == 2 && ch.Dir == topology.Backward {
-			victim = i
-			break
-		}
-	}
+	victim := net.LayerBase(2) + net.VCs // wire 0's first backward channel
 	mkMsgs := func() *script {
 		var msgs []Message
 		for s := 0; s < net.Nodes; s++ {

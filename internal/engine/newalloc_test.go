@@ -1,0 +1,46 @@
+package engine
+
+import (
+	"runtime"
+	"testing"
+
+	"minsim/internal/topology"
+)
+
+// TestNewAllocatesOnlyItsArrays: an engine reads the network through
+// its closed form, so building one over the 16K-node TMIN of the
+// large-n workload allocates the engine's own per-channel and per-node
+// arrays — an owner per channel, and per node a queue header, a
+// prefetched arrival and a heap slot: 8 B x 245,760 + (24 + 32 + 12) B
+// x 16,384 = 3.08 MB — and nothing near the 64 MB of the network's
+// struct view, which the bound below could not hold. A VMIN adds its link map
+// and budgets (4 B per channel, 8 B per link).
+func TestNewAllocatesOnlyItsArrays(t *testing.T) {
+	for _, tc := range []struct {
+		cfg   topology.UniConfig
+		bound uint64
+	}{
+		{topology.UniConfig{K: 2, Stages: 14, Pattern: topology.Cube, Dilation: 1, VCs: 1}, 4 << 20},
+		{topology.UniConfig{K: 2, Stages: 14, Pattern: topology.Cube, Dilation: 1, VCs: 2}, 12 << 20},
+	} {
+		net, err := topology.NewUnidirectional(tc.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		e, err := New(Config{Net: net, Seed: 1})
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := after.TotalAlloc - before.TotalAlloc
+		if got > tc.bound {
+			t.Errorf("%s: New allocated %d bytes, want at most %d", net.Name(), got, tc.bound)
+		}
+		t.Logf("%s: New allocated %.2f MB for %d channels", net.Name(), float64(got)/1e6, net.ChannelCount())
+		if !e.RoutingFactored() {
+			t.Errorf("%s: not on the factored path", net.Name())
+		}
+	}
+}

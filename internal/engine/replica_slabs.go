@@ -61,13 +61,13 @@ type replicaSlabs struct {
 // shared.
 func newReplicaSlabs(net *topology.Network, sharedLinks bool, r int) replicaSlabs {
 	s := replicaSlabs{
-		chans:   len(net.Channels),
+		chans:   net.ChannelCount(),
 		nodes:   net.Nodes,
 		perLane: wormsPerLane(net),
 		maxPath: maxWormPath(net),
 	}
 	if sharedLinks {
-		s.links = len(net.Links)
+		s.links = net.LinkCount()
 	}
 	s.chanOwner = make([]*worm, r*s.chans)
 	s.linkMark = make([]int64, r*s.links)

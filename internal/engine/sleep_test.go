@@ -74,7 +74,7 @@ func TestChunkedRunMatchesPerHop(t *testing.T) {
 				p.compare(t, p.got.now, &cov)
 				asleepAtReturn += p.got.streaming
 			}
-			if shared := len(net.Links) < len(net.Channels); (asleepAtReturn > 0) == shared {
+			if shared := net.LinkCount() < net.ChannelCount(); (asleepAtReturn > 0) == shared {
 				t.Errorf("Run returned with sleepers %d times, shared links: %v", asleepAtReturn, shared)
 			}
 			cfg.Source = contendedScript(net, 11, 150)
@@ -156,7 +156,7 @@ func TestSleepersWithReactiveOffers(t *testing.T) {
 			if want := 2*(1<<6-1) + (1<<5 - 1); len(p.gotDel) != want {
 				t.Errorf("%s: %d deliveries, want %d", fam.name, len(p.gotDel), want)
 			}
-			if shared := len(net.Links) < len(net.Channels); cov.parked == 0 || (cov.slept > 0) == shared {
+			if shared := net.LinkCount() < net.ChannelCount(); cov.parked == 0 || (cov.slept > 0) == shared {
 				t.Errorf("%s: sleeping not exercised: %+v", fam.name, cov)
 			}
 		}
@@ -180,7 +180,7 @@ func TestChannelStatsEnabledMidSleep(t *testing.T) {
 			p.want.EnableChannelStats()
 		}
 	})
-	if n := p.got.ChannelFlits()[net.Inject[msg.Src]]; n == 0 || n >= int64(msg.Len) {
+	if n := p.got.ChannelFlits()[net.Inject(msg.Src)]; n == 0 || n >= int64(msg.Len) {
 		t.Errorf("injection channel counted %d flits of %d", n, msg.Len)
 	}
 }

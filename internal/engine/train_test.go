@@ -240,7 +240,13 @@ func newDiffPair(t testing.TB, cfg Config, gotSrc, wantSrc Source, chanStats boo
 	p.got = build(gotSrc, &p.gotDel)
 	p.want = build(wantSrc, &p.wantDel)
 	if p.want.linkMark == nil {
-		p.want.linkMark = make([]int64, len(cfg.Net.Links))
+		// The engine keeps link state only where links are shared;
+		// the reference stamps every hop.
+		p.want.linkMark = make([]int64, cfg.Net.LinkCount())
+		p.want.chanLink = make([]int32, cfg.Net.ChannelCount())
+		for c := range p.want.chanLink {
+			p.want.chanLink[c] = int32(cfg.Net.LinkOf(c))
+		}
 	}
 	return p
 }
@@ -367,9 +373,8 @@ type namedNet struct {
 // firstInterstageChannel returns a channel between two switch stages —
 // failing it leaves every node attached.
 func firstInterstageChannel(net *topology.Network) int {
-	for i := range net.Channels {
-		ch := &net.Channels[i]
-		if !ch.From.IsNode() && !ch.To.IsNode() {
+	for i := 0; i < net.ChannelCount(); i++ {
+		if ch := net.ChannelAt(i); !ch.From.IsNode() && !ch.To.IsNode() {
 			return i
 		}
 	}
@@ -418,7 +423,7 @@ func TestTrainAdvanceMatchesPerHop(t *testing.T) {
 		if cov.held == 0 || cov.streamed == 0 {
 			t.Errorf("%s: a compact fate was never met: %+v", name, cov)
 		}
-		shared := len(net.Links) < len(net.Channels)
+		shared := net.LinkCount() < net.ChannelCount()
 		if (cov.broke > 0) != shared {
 			t.Errorf("%s: trains broken by a spent link: %d, shared links: %v", name, cov.broke, shared)
 		}

@@ -16,10 +16,10 @@ import (
 
 // destVia returns a destination for which a head waiting in channel in
 // may take channel out next, or -1.
-func destVia(net *topology.Network, in, out int) int {
-	r := routing.New(net)
-	for d := 0; d < net.Nodes; d++ {
-		if slices.Contains(r.Candidates(nil, net, &net.Channels[in], d), out) {
+func destVia(g *topology.Graph, in, out int) int {
+	r := routing.New(g.Network)
+	for d := 0; d < g.Nodes; d++ {
+		if slices.Contains(r.Candidates(nil, g, &g.Channels[in], d), out) {
 			return d
 		}
 	}
@@ -28,9 +28,9 @@ func destVia(net *topology.Network, in, out int) int {
 
 // nodeInputs returns the nodes attached to a switch and their injection
 // channels.
-func nodeInputs(net *topology.Network, sw *topology.Switch) (nodes, chans []int) {
+func nodeInputs(g *topology.Graph, sw *topology.Switch) (nodes, chans []int) {
 	for _, in := range sw.In {
-		if from := net.Channels[in].From; from.IsNode() {
+		if from := g.Channels[in].From; from.IsNode() {
 			nodes = append(nodes, from.Node)
 			chans = append(chans, in)
 		}
@@ -61,9 +61,10 @@ func headOf(e *Engine, src int) *worm {
 // and the flag must move too.
 func TestFailedCandidateWokenNeverGranted(t *testing.T) {
 	net := tmin(t)
+	g := net.Graph()
 	dead := firstInterstageChannel(net)
-	sw := &net.Switches[net.Channels[dead].From.Switch]
-	nodes, ins := nodeInputs(net, sw)
+	sw := &g.Switches[g.Channels[dead].From.Switch]
+	nodes, ins := nodeInputs(g, sw)
 	sibling := -1
 	for _, p := range sw.Ports {
 		if p.Channels[0] != dead {
@@ -71,13 +72,13 @@ func TestFailedCandidateWokenNeverGranted(t *testing.T) {
 			break
 		}
 	}
-	stranded := Message{Src: nodes[0], Dst: destVia(net, ins[0], dead), Len: 20, Created: 1}
+	stranded := Message{Src: nodes[0], Dst: destVia(g, ins[0], dead), Len: 20, Created: 1}
 	const pairs = 5
 	script := func() *script {
 		msgs := []Message{stranded}
 		for i := 0; i < pairs; i++ {
 			for _, from := range []int{1, 2} {
-				msgs = append(msgs, Message{Src: nodes[from], Dst: destVia(net, ins[from], sibling), Len: 8, Created: int64(40 * i)})
+				msgs = append(msgs, Message{Src: nodes[from], Dst: destVia(g, ins[from], sibling), Len: 8, Created: int64(40 * i)})
 			}
 		}
 		return scripted(net.Nodes, msgs...)
@@ -127,7 +128,7 @@ func TestReactiveOfferBusyFreeFailed(t *testing.T) {
 		if m.Src != 0 {
 			return
 		}
-		if e.chanOwner[net.Inject[busy]] == nil || e.chanOwner[net.Inject[free]] != nil {
+		if e.chanOwner[net.Inject(busy)] == nil || e.chanOwner[net.Inject(free)] != nil {
 			t.Fatalf("cycle %d: node %d is not injecting or node %d is", at, busy, free)
 		}
 		for i, src := range []int{busy, free, cut} {
@@ -139,7 +140,7 @@ func TestReactiveOfferBusyFreeFailed(t *testing.T) {
 			Message{Src: 0, Dst: 1, Len: 4},
 			Message{Src: busy, Dst: 40, Len: 200})
 	}
-	cfg := Config{Net: net, Seed: 1, FailedChannels: []int{net.Inject[cut]}}
+	cfg := Config{Net: net, Seed: 1, FailedChannels: []int{net.Inject(cut)}}
 	p := newDiffPair(t, cfg, script(), script(), false, 0, react)
 	var cov trainCoverage
 	p.run(t, 600, &cov, nil)
@@ -196,8 +197,9 @@ func TestBMINForwardHeadWokenByAnyUpChannel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sw := &net.Switches[net.Channels[net.Inject[0]].To.Switch]
-	nodes, ins := nodeInputs(net, sw)
+	g := net.Graph()
+	sw := &g.Switches[g.Channels[net.Inject(0)].To.Switch]
+	nodes, ins := nodeInputs(g, sw)
 	var ups []int
 	for _, p := range sw.Ports {
 		if p.Side == topology.Right {
@@ -221,7 +223,7 @@ func TestBMINForwardHeadWokenByAnyUpChannel(t *testing.T) {
 					Message{Src: nodes[1], Dst: 62, Len: 10, Created: 5})
 			}
 			p := newDiffPair(t, cfg, script(), script(), false, 0, nil)
-			if _, _, runs, _ := p.got.fact.Lookup(&net.Channels[ins[1]], 62); runs != net.K() {
+			if _, _, runs, _ := p.got.fact.Lookup(g.Channels[ins[1]].Layer, g.Channels[ins[1]].Wire, g.Channels[ins[1]].Dir, 62); runs != net.K() {
 				t.Fatalf("the forward hop offers %d runs of candidates, want %d", runs, net.K())
 			}
 			var cov trainCoverage
@@ -257,8 +259,7 @@ func TestWaitingOnWiderNetworks(t *testing.T) {
 					contendedScript(net, seed, 200), contendedScript(net, seed, 200), false, 50, nil)
 				p.run(t, 8000, &cov, func(int64) {
 					for i, w := range p.got.heads {
-						at := net.Channels[w.path[len(w.path)-1]].To.Switch
-						if p.got.blocked[i] && net.Switches[at].Stage < net.Extra {
+						if p.got.blocked[i] && net.StageEntered(w.path[len(w.path)-1]) < net.Extra {
 							distributing++
 						}
 					}

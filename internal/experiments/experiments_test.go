@@ -24,7 +24,7 @@ func TestNetworkSpecsBuild(t *testing.T) {
 		if net.Nodes != 64 {
 			t.Errorf("%s: %d nodes", name, net.Nodes)
 		}
-		if err := net.Validate(); err != nil {
+		if err := net.Graph().Validate(); err != nil {
 			t.Errorf("%s: %v", name, err)
 		}
 	}

@@ -182,11 +182,12 @@ func TestParseJSONDefaults(t *testing.T) {
 	}
 }
 
-// TestParseJSONDoesNotBuild: parsing validates a request's networks
-// without constructing them — a server parses ahead of admission, so a
-// request must not be able to make it allocate a million-node network.
+// TestParseJSONDoesNotBuild: parsing validates a request's networks at
+// the cost of their descriptions — a server parses ahead of admission,
+// so a request must not be able to make it allocate by the size of the
+// network it names (here the largest power of two a run admits).
 func TestParseJSONDoesNotBuild(t *testing.T) {
-	req := []byte(`{"id":"big","loads":[0.1],"curves":[{"label":"a","network":{"k":2,"stages":20}}]}`)
+	req := []byte(`{"id":"big","loads":[0.1],"curves":[{"label":"a","network":{"k":2,"stages":19}}]}`)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	e, err := ParseJSON(req)
@@ -194,10 +195,10 @@ func TestParseJSONDoesNotBuild(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := e.Curves[0].Net.Nodes(); n != 1<<20 {
+	if n := e.Curves[0].Net.Nodes(); n != 1<<19 {
 		t.Fatalf("parsed a %d-node network", n)
 	}
 	if got := after.TotalAlloc - before.TotalAlloc; got > 1<<20 {
-		t.Errorf("ParseJSON of a 2^20-node curve allocated %d bytes", got)
+		t.Errorf("ParseJSON of a 2^19-node curve allocated %d bytes", got)
 	}
 }

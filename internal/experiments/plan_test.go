@@ -2,7 +2,9 @@ package experiments
 
 import (
 	"context"
+	"os"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"minsim/internal/simrun"
@@ -87,5 +89,41 @@ func TestRunAllMatchesRun(t *testing.T) {
 	}
 	if !reflect.DeepEqual(single, batched[0]) {
 		t.Errorf("RunAll result differs from Run:\n%+v\nvs\n%+v", single, batched[0])
+	}
+}
+
+// TestLargePanelStaysOffTheGraph is the large-n unit of the benchmark,
+// bench/panels/tmin-16k.json at its budget, under an allocation bound:
+// two points on a 16384-node TMIN allocate two engines' arrays (3 MB
+// each), their sources and what 1200 cycles of traffic grow — about 12
+// MB — where a struct view of the network alone is 64 MB. Held to 20.
+func TestLargePanelStaysOffTheGraph(t *testing.T) {
+	data, err := os.ReadFile("../../bench/panels/tmin-16k.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	exp, err := ParseJSON(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	plan := simrun.NewPlan()
+	h := AddToPlan(plan, exp, Budget{WarmupCycles: 300, MeasureCycles: 900, Seed: 1995})
+	if err := plan.Execute(context.Background(), simrun.Options{Workers: 1}); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	fig, err := h.Figure()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(fig.Series) != 1 || len(fig.Series[0].Points) != 2 {
+		t.Fatalf("unexpected figure shape: %+v", fig)
+	}
+	got := after.TotalAlloc - before.TotalAlloc
+	t.Logf("Plan.Execute of %s allocated %.1f MB", exp.ID, float64(got)/1e6)
+	if got >= 20<<20 {
+		t.Errorf("Plan.Execute of %s allocated %d bytes, want < 20 MB", exp.ID, got)
 	}
 }

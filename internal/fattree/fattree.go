@@ -129,10 +129,10 @@ func VerifyAgainstBMIN(t Tree, net *topology.Network) error {
 		return fmt.Errorf("fattree: radix mismatch")
 	}
 	k := t.R.K()
-	for i := range net.Switches {
-		sw := &net.Switches[i]
-		l := sw.Stage + 1
-		leaves := net.Subtree(sw.Stage, sw.Index)
+	for i := 0; i < net.SwitchCount(); i++ {
+		stage, index := net.StageOf(i)
+		l := stage + 1
+		leaves := net.Subtree(stage, index)
 		v := t.VertexOf(leaves[0], l)
 		want := t.Leaves(l, v)
 		if len(leaves) != len(want) {

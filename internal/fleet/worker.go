@@ -73,7 +73,7 @@ func NewWorker(cfg WorkerConfig) (*Worker, error) {
 		cfg:    cfg,
 		client: client,
 		store:  NewRemoteStore(cfg.Coordinator, client),
-		nets:   simrun.NewNetCache(),
+		nets:   &simrun.NetCache{},
 	}, nil
 }
 

@@ -23,6 +23,9 @@ func FuzzDigitRoundTrip(f *testing.F) {
 			if got := r.Butterfly(i, r.Butterfly(i, x)); got != x {
 				t.Fatalf("β_%d not involutive at %d", i, x)
 			}
+			if got, want := r.Butterfly(i, x), r.SwapDigits(x, 0, i); got != want {
+				t.Fatalf("k=%d: β_%d(%d) = %d, swapping digits 0 and %d gives %d", k, i, x, got, i, want)
+			}
 			v := r.Digit(x, i)
 			if got := r.InsertDigit(r.DeleteDigit(x, i), i, v); got != x {
 				t.Fatalf("delete/insert digit %d broken at %d", i, x)
@@ -33,6 +36,9 @@ func FuzzDigitRoundTrip(f *testing.F) {
 		}
 		for m := 1; m <= n; m++ {
 			y := r.RotateLowRight(x, m)
+			if got := r.RotateLowLeft(y, m); got != x {
+				t.Fatalf("RotateLowLeft(RotateLowRight(%d, %d)) = %d", x, m, got)
+			}
 			// Rotating m times in a block of size m is the identity.
 			z := x
 			for i := 0; i < m; i++ {

@@ -19,7 +19,7 @@ func TestDynamicChannelIsolation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := routing.New(net)
+	r, g := routing.New(net), net.Graph()
 
 	// Static: channels used by each 16-node top-digit cluster.
 	var clusters [][]int
@@ -33,7 +33,7 @@ func TestDynamicChannelIsolation(t *testing.T) {
 				if s == d {
 					continue
 				}
-				for _, p := range routing.AllPaths(net, r, s, d) {
+				for _, p := range routing.AllPaths(g, r, s, d) {
 					for _, c := range p {
 						allowed[c] = true
 					}
@@ -72,7 +72,7 @@ func TestDynamicChannelIsolation(t *testing.T) {
 	totalAllowed := int64(0)
 	for id, n := range flits {
 		if n > 0 && !allowed[id] {
-			ch := &net.Channels[id]
+			ch := &g.Channels[id]
 			t.Errorf("channel %d (layer %d wire %d) carried %d flits outside every cluster's set",
 				id, ch.Layer, ch.Wire, n)
 		}
@@ -86,7 +86,7 @@ func TestDynamicChannelIsolation(t *testing.T) {
 	// Every allowed interstage channel should see some traffic in a
 	// 30k-cycle run at moderate load (balance, not silence).
 	for id := range allowed {
-		ch := &net.Channels[id]
+		ch := &g.Channels[id]
 		if ch.Layer > 0 && ch.Layer < net.Stages && flits[id] == 0 {
 			t.Errorf("allowed interstage channel %d (layer %d) carried no flits", id, ch.Layer)
 		}
@@ -127,9 +127,9 @@ func TestDynamicUtilizationBalance(t *testing.T) {
 	// Collect interstage link utilizations.
 	var sum float64
 	var vals []float64
-	for i := range net.Links {
-		ch := &net.Channels[net.Links[i].Channels[0]]
-		if ch.Layer > 0 && ch.Layer < net.Stages {
+	for i := range util {
+		first, _ := net.LinkChannels(i)
+		if layer, _, _ := net.Address(first); layer > 0 && layer < net.Stages {
 			vals = append(vals, util[i])
 			sum += util[i]
 		}

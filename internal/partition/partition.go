@@ -209,14 +209,15 @@ type Usage struct {
 // ClusterUsage computes the channels used by intra-cluster traffic.
 func ClusterUsage(net *topology.Network, r routing.Router, nodes []int) Usage {
 	u := Usage{Net: net, Wires: make(map[wireKey]bool), ByLayer: make(map[int]int)}
+	g := net.Graph() // the routes are walked over the struct view
 	for _, s := range nodes {
 		for _, d := range nodes {
 			if s == d {
 				continue
 			}
-			for _, p := range routing.AllPaths(net, r, s, d) {
+			for _, p := range routing.AllPaths(g, r, s, d) {
 				for _, c := range p {
-					ch := &net.Channels[c]
+					ch := &g.Channels[c]
 					u.Wires[wireKey{ch.Layer, ch.Wire, ch.Dir}] = true
 				}
 			}

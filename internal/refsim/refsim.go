@@ -54,7 +54,7 @@ type refWorm struct {
 
 // Sim is the reference simulator.
 type Sim struct {
-	net    *topology.Network
+	net    *topology.Graph
 	router routing.Router
 	now    int64
 
@@ -73,7 +73,7 @@ type Sim struct {
 // at routing time).
 func New(net *topology.Network) *Sim {
 	s := &Sim{
-		net:    net,
+		net:    net.Graph(),
 		router: routing.New(net),
 		owner:  map[int]*refWorm{},
 		buf:    map[int]*flit{},

@@ -20,7 +20,7 @@ type Sharing struct {
 
 // PermutationSharing computes channel sharing of a permutation routed
 // on the first-candidate paths.
-func PermutationSharing(net *topology.Network, r Router, perm kary.Perm) Sharing {
+func PermutationSharing(net *topology.Graph, r Router, perm kary.Perm) Sharing {
 	use := map[int]int{}
 	s := Sharing{}
 	for src := 0; src < net.Nodes; src++ {
@@ -51,7 +51,7 @@ func PermutationSharing(net *topology.Network, r Router, perm kary.Perm) Sharing
 // single-path networks this uses the unique paths; for multipath
 // networks it searches the alternatives (the Section 5.3.3 "properly
 // chosen forward channel" question).
-func Admissible(net *topology.Network, r Router, perm kary.Perm) bool {
+func Admissible(net *topology.Graph, r Router, perm kary.Perm) bool {
 	var pairs [][2]int
 	for src := 0; src < net.Nodes; src++ {
 		if perm[src] != src {

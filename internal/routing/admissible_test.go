@@ -11,7 +11,7 @@ import (
 // channels to carry four source/destination pairs.
 func TestShuffleSharingOnTMIN(t *testing.T) {
 	net := mustUni(t, topology.UniConfig{K: 4, Stages: 3, Pattern: topology.Cube, Dilation: 1, VCs: 1})
-	r := New(net)
+	r := New(net.Network)
 	s := PermutationSharing(net, r, net.R.ShufflePerm())
 	if s.MaxShare != 4 {
 		t.Errorf("max share %d, paper says 4", s.MaxShare)
@@ -35,7 +35,7 @@ func TestShuffleSharingOnTMIN(t *testing.T) {
 // claim that a properly chosen forward channel avoids contention).
 func TestAdmissibility(t *testing.T) {
 	tmin := mustUni(t, topology.UniConfig{K: 2, Stages: 3, Pattern: topology.Cube, Dilation: 1, VCs: 1})
-	rT := New(tmin)
+	rT := New(tmin.Network)
 	if !Admissible(tmin, rT, tmin.R.IdentityPerm()) {
 		t.Error("identity should be admissible")
 	}
@@ -45,7 +45,7 @@ func TestAdmissibility(t *testing.T) {
 	}
 
 	bmin := mustBMIN(t, 2, 3)
-	rB := New(bmin)
+	rB := New(bmin.Network)
 	if !Admissible(bmin, rB, shuffle) {
 		t.Error("shuffle should be admissible on the BMIN")
 	}
@@ -53,7 +53,7 @@ func TestAdmissibility(t *testing.T) {
 	// On the DMIN the extra channels also make the shuffle routable
 	// without sharing.
 	dmin := mustUni(t, topology.UniConfig{K: 2, Stages: 3, Pattern: topology.Cube, Dilation: 2, VCs: 1})
-	rD := New(dmin)
+	rD := New(dmin.Network)
 	if !Admissible(dmin, rD, shuffle) {
 		t.Error("shuffle should be admissible on the two-dilated DMIN")
 	}
@@ -65,7 +65,7 @@ func TestAdmissibility(t *testing.T) {
 // saturation for it on every network.
 func TestComplementIsAdmissibleOnCube(t *testing.T) {
 	net := mustUni(t, topology.UniConfig{K: 4, Stages: 3, Pattern: topology.Cube, Dilation: 1, VCs: 1})
-	r := New(net)
+	r := New(net.Network)
 	perm := make([]int, net.Nodes)
 	rr := net.R
 	for x := range perm {
@@ -89,7 +89,7 @@ func TestComplementIsAdmissibleOnCube(t *testing.T) {
 // the static analysis and Fig. 20's 25% TMIN plateau.
 func TestSharingMatchesSaturation(t *testing.T) {
 	net := mustUni(t, topology.UniConfig{K: 4, Stages: 3, Pattern: topology.Cube, Dilation: 1, VCs: 1})
-	r := New(net)
+	r := New(net.Network)
 	s := PermutationSharing(net, r, net.R.ShufflePerm())
 	bound := float64(s.ActivePairs) / float64(net.Nodes) / float64(s.MaxShare)
 	if bound < 0.2 || bound > 0.26 {

@@ -30,7 +30,7 @@ import (
 // and setup are O(N^2 · pathlen) and each iteration rescans the pairs
 // in O(N · pathlen); intended for the paper-scale networks (tens to a
 // few thousand nodes), not the 64K-node engines.
-func WorstPermutation(net *topology.Network, r Router, seed uint64, iters int) (kary.Perm, Sharing) {
+func WorstPermutation(net *topology.Graph, r Router, seed uint64, iters int) (kary.Perm, Sharing) {
 	n := net.Nodes
 	rng := xrand.New(seed ^ 0xadbe75a12a35b0d1)
 
@@ -136,7 +136,7 @@ func WorstPermutation(net *topology.Network, r Router, seed uint64, iters int) (
 // per-channel pair count along each pair's first-candidate path. It
 // proxies (inverse) sustainable throughput — a pair bottlenecked on a
 // k-shared channel drains at ~1/k of a private channel's rate.
-func PermutationBottleneck(net *topology.Network, r Router, perm kary.Perm) int64 {
+func PermutationBottleneck(net *topology.Graph, r Router, perm kary.Perm) int64 {
 	n := net.Nodes
 	use := make([]int, len(net.Channels))
 	paths := make([]Path, n)

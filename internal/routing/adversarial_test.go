@@ -7,11 +7,11 @@ import (
 )
 
 func TestWorstPermutationDeterministicAndValid(t *testing.T) {
-	net, err := topology.NewUnidirectional(topology.UniConfig{K: 4, Stages: 3, Pattern: topology.Cube, Dilation: 1, VCs: 1})
+	net, err := viewOf(topology.NewUnidirectional(topology.UniConfig{K: 4, Stages: 3, Pattern: topology.Cube, Dilation: 1, VCs: 1}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := New(net)
+	r := New(net.Network)
 	p1, s1 := WorstPermutation(net, r, 9, 2000)
 	p2, s2 := WorstPermutation(net, r, 9, 2000)
 	if !p1.Equal(p2) || s1 != s2 {
@@ -31,11 +31,11 @@ func TestWorstPermutationDeterministicAndValid(t *testing.T) {
 // searched worst case must score at least as high on the search's own
 // congestion proxy — the summed per-pair bottleneck share.
 func TestWorstPermutationBeatsShuffle(t *testing.T) {
-	net, err := topology.NewUnidirectional(topology.UniConfig{K: 4, Stages: 3, Pattern: topology.Cube, Dilation: 1, VCs: 1})
+	net, err := viewOf(topology.NewUnidirectional(topology.UniConfig{K: 4, Stages: 3, Pattern: topology.Cube, Dilation: 1, VCs: 1}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := New(net)
+	r := New(net.Network)
 	shuffle := PermutationBottleneck(net, r, net.R.ShufflePerm())
 	perm, worst := WorstPermutation(net, r, 1, 4096)
 	searched := PermutationBottleneck(net, r, perm)

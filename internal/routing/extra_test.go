@@ -11,7 +11,7 @@ import (
 func TestExtraStagePathCount(t *testing.T) {
 	for _, e := range []int{1, 2} {
 		net := mustUni(t, topology.UniConfig{K: 2, Stages: 3, Pattern: topology.Cube, Dilation: 1, VCs: 1, Extra: e})
-		r := New(net)
+		r := New(net.Network)
 		want := 1 << e
 		for src := 0; src < net.Nodes; src++ {
 			for dst := 0; dst < net.Nodes; dst++ {
@@ -42,7 +42,7 @@ func TestExtraStagePathCount(t *testing.T) {
 // asks about.
 func TestExtraStagePathsDiverge(t *testing.T) {
 	net := mustUni(t, topology.UniConfig{K: 4, Stages: 2, Pattern: topology.Cube, Dilation: 1, VCs: 1, Extra: 1})
-	r := New(net)
+	r := New(net.Network)
 	for src := 0; src < net.Nodes; src += 3 {
 		for dst := 0; dst < net.Nodes; dst++ {
 			if src == dst {
@@ -66,11 +66,11 @@ func TestExtraStagePathsDiverge(t *testing.T) {
 // path count by the per-hop VC choices; we only verify delivery and
 // that the plain k^t distinct wire-level routes survive.
 func TestBMINVCDelivery(t *testing.T) {
-	net, err := topology.NewBMINVC(2, 3, 2)
+	net, err := viewOf(topology.NewBMINVC(2, 3, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := New(net)
+	r := New(net.Network)
 	for src := 0; src < net.Nodes; src++ {
 		for dst := 0; dst < net.Nodes; dst++ {
 			if src == dst {

@@ -2,6 +2,7 @@ package routing
 
 import (
 	"fmt"
+	"math/bits"
 
 	"minsim/internal/topology"
 )
@@ -10,23 +11,26 @@ import (
 // functions. Where Table materializes every (input channel,
 // destination) candidate set — an offset index of O(channels × nodes)
 // entries, gigabytes at 64K nodes — Factored exploits the regularity
-// the builders guarantee: channel ids within a connection layer are
-// assigned consecutively per wire, so the candidate set of any hop is
-// a handful of arithmetic runs computable from the incoming channel's
-// (Layer, Wire, Dir) and the destination's radix-k digits. Total
-// state is a few O(stages) integer slices — O(stages · k) memory per
-// network instead of O(C · N), which is what lets a 64K-node MIN route
-// out of a table smaller than one page.
+// of the network description: channel ids within a connection layer
+// are consecutive per wire (topology.Network's layer-major layout), so
+// the candidate set of any hop is a handful of arithmetic runs
+// computable from the incoming channel's (layer, wire, direction) and
+// the destination's radix-k digits. Total state is a few O(stages)
+// integer slices — O(stages · k) memory per network instead of
+// O(C · N), which is what lets a 64K-node MIN route out of a table
+// smaller than one page.
 //
-// The digit arithmetic is pure shifts and masks: the builders enforce
-// power-of-two k, and construction additionally requires power-of-two
-// channels-per-wire, so every radix digit is a bit field
+// The digit arithmetic is pure shifts and masks: the description
+// enforces power-of-two k, and construction additionally requires
+// power-of-two channels-per-wire, so every radix digit is a bit field
 // (kary.Radix.Bits). Candidate order is identical to the Router
 // implementations — run expansion walks ascending channel ids, which
-// is exactly the order the builders append channels to ports — so a
-// random pick among the free candidates draws the same channel as the
-// dense table. NewFactored verifies all of this structurally against
-// the built network before the engine is allowed to use it.
+// is exactly the order a port lists its channels in — so a random pick
+// among the free candidates draws the same channel as the dense table.
+// Factored and the layout it assumes are read off one description, so
+// nothing is verified at run time; the tests hold it against the
+// Routers walking the Graph view, for every family, pattern,
+// extra-stage and VC count (TestFactoredMatchesRouters).
 type Factored struct {
 	bmin bool
 
@@ -53,21 +57,22 @@ type Factored struct {
 }
 
 // Lookup returns the candidate output channels for a head flit
-// waiting at the downstream end of input channel ch (which must
-// terminate at a switch) and destined for node dest, as `runs`
-// arithmetic runs of `count` consecutive ids starting at base,
-// base+stride, base+2·stride, ... Candidates enumerate in ascending
+// waiting at the downstream end of the input channel with the given
+// address (topology.Network.Address; the channel must terminate at a
+// switch) and destined for node dest, as `runs` arithmetic runs of
+// `count` consecutive ids starting at base, base+stride,
+// base+2·stride, ... Candidates enumerate in ascending
 // id order within a run and across runs — the same order Table and
 // the Router implementations produce. runs > 1 only occurs for the
 // continue-forward hop of a BMIN (one run per right port).
 //
 //simvet:hotpath
-func (f *Factored) Lookup(ch *topology.Channel, dest int) (base, count, runs, stride int) {
+func (f *Factored) Lookup(layer, wire int, dir topology.Dir, dest int) (base, count, runs, stride int) {
 	if f.bmin {
-		return f.lookupBMIN(ch, dest)
+		return f.lookupBMIN(layer, wire, dir, dest)
 	}
-	s := ch.Layer
-	q := ch.Wire &^ f.km1
+	s := layer
+	q := wire &^ f.km1
 	if s >= f.extra {
 		// Self-routing stage: the output port is the destination's
 		// routing-tag digit; candidates are that wire's channels.
@@ -84,10 +89,8 @@ func (f *Factored) Lookup(ch *topology.Channel, dest int) (base, count, runs, st
 // address agrees with the destination on every digit above j; the
 // turn and every backward hop rewrite digit j of the wire with the
 // destination's digit j and take that wire's backward channels.
-func (f *Factored) lookupBMIN(ch *topology.Channel, dest int) (base, count, runs, stride int) {
-	w := ch.Wire
-	j := ch.Layer
-	if ch.Dir == topology.Forward {
+func (f *Factored) lookupBMIN(j, w int, dir topology.Dir, dest int) (base, count, runs, stride int) {
+	if dir == topology.Forward {
 		sh := j * f.b
 		if w>>(sh+f.b) != dest>>(sh+f.b) {
 			// Destination outside this subtree: continue forward on
@@ -116,8 +119,8 @@ func (f *Factored) lookupBMIN(ch *topology.Channel, dest int) (base, count, runs
 
 // Expand appends the candidate ids Lookup describes, in order — the
 // test/tool mirror of the run expansion the engine inlines.
-func (f *Factored) Expand(dst []int, ch *topology.Channel, dest int) []int {
-	base, count, runs, stride := f.Lookup(ch, dest)
+func (f *Factored) Expand(dst []int, layer, wire int, dir topology.Dir, dest int) []int {
+	base, count, runs, stride := f.Lookup(layer, wire, dir, dest)
 	for ; runs > 0; runs-- {
 		for c := base; c < base+count; c++ {
 			dst = append(dst, c)
@@ -137,8 +140,8 @@ func (f *Factored) Bytes() int {
 // FactoredFor returns the stage-factored routing representation the
 // engine should prefer for the configured router, or ok = false when
 // the configuration needs the dense table: a custom Router (the
-// factored form encodes only the two family algorithms), or a network
-// whose channel layout fails the structural verification.
+// factored form encodes only the two family algorithms), or a
+// channels-per-wire count that is not a power of two.
 func FactoredFor(net *topology.Network, r Router) (*Factored, bool) {
 	switch r.(type) {
 	case nil:
@@ -162,221 +165,43 @@ func FactoredFor(net *topology.Network, r Router) (*Factored, bool) {
 
 // NewFactored builds the stage-factored representation of the
 // network's own family routing function (destination-tag for
-// unidirectional kinds, turnaround for BMINs) and verifies it
-// structurally against the built network in O(channels) — every
-// switch port's channel list must equal the arithmetic run the
-// factored lookup would emit for it, every channel's (Layer, Wire)
-// must address its downstream switch, and the routing-tag bit
-// positions must reproduce topology.RoutingTag. An error means the
-// network is not in the builders' canonical stage-regular layout
-// (e.g. a hand-built topology) and the caller must fall back to the
-// dense table.
+// unidirectional kinds, turnaround for BMINs) from the network
+// description alone, in O(stages). It fails only where the shift
+// arithmetic does not apply — channels per wire not a power of two —
+// and the caller must fall back to the dense table.
 func NewFactored(net *topology.Network) (*Factored, error) {
-	if net.Kind == topology.BMIN {
-		return newFactoredBMIN(net)
-	}
-	return newFactoredUni(net)
-}
-
-func newFactoredUni(net *topology.Network) (*Factored, error) {
 	k := net.K()
 	b, ok := net.R.Bits()
 	if !ok {
 		return nil, fmt.Errorf("routing: factored lookup needs power-of-two arity, got k = %d", k)
 	}
-	cpw := net.Dilation // channels per interstage wire
-	if net.VCs > cpw {
-		cpw = net.VCs
+	f := &Factored{bmin: net.Kind == topology.BMIN, b: b, k: k, km1: k - 1, extra: net.Extra, vcs: net.VCs}
+	// Channels per interstage wire: a BMIN wire carries its vcs forward
+	// channels, then its vcs backward ones.
+	cpw, last := max(net.Dilation, net.VCs), net.Stages
+	if f.bmin {
+		cpw, last = 2*net.VCs, net.Stages-1
 	}
-	cshift := 0
-	for 1<<cshift < cpw {
-		cshift++
+	shift := bits.Len(uint(cpw)) - 1
+	if 1<<shift != cpw {
+		return nil, fmt.Errorf("routing: factored lookup needs power-of-two channels per wire, got %d", max(net.Dilation, net.VCs))
 	}
-	if 1<<cshift != cpw {
-		return nil, fmt.Errorf("routing: factored lookup needs power-of-two channels per wire, got %d", cpw)
+	f.layerBase = make([]int, last+1)
+	for L := 1; L <= last; L++ {
+		f.layerBase[L] = net.LayerBase(L)
 	}
-	n := net.R.N()
-	total := net.Stages
-	N := net.Nodes
-	if total != n+net.Extra || N != net.R.Size() {
-		return nil, fmt.Errorf("routing: network geometry (%d stages, %d nodes) does not match its radix (%d^%d)", total, N, k, n)
+	if f.bmin {
+		f.vcs2Shift = shift
+		return f, nil
 	}
-
-	f := &Factored{
-		b: b, k: k, km1: k - 1,
-		extra:      net.Extra,
-		layerBase:  make([]int, total+1),
-		layerShift: make([]int, total+1),
-		tagShift:   make([]int, total),
+	f.layerShift = make([]int, last+1)
+	for L := 1; L < last; L++ {
+		f.layerShift[L] = shift
 	}
-	for L := 1; L <= total; L++ {
-		f.layerBase[L] = N + (L-1)*N*cpw
-		f.layerShift[L] = cshift
-	}
-	f.layerShift[total] = 0 // single-channel ejection layer
-	if want := f.layerBase[total] + N; len(net.Channels) != want {
-		return nil, fmt.Errorf("routing: %d channels, want %d for the canonical layer layout", len(net.Channels), want)
-	}
-
-	// Routing-tag digit positions, checked against RoutingTag for
-	// every (stage, digit value) so the bit-field extraction in Lookup
-	// provably matches the pattern's tag rule.
-	for s := net.Extra; s < total; s++ {
-		st := s - net.Extra
-		pos := n - st - 1
-		if net.Pat == topology.Butterfly {
-			if st == n-1 {
-				pos = 0
-			} else {
-				pos = st + 1
-			}
-		}
-		f.tagShift[s] = pos * b
-		for v := 0; v < k; v++ {
-			if got := topology.RoutingTag(net.R, net.Pat, st, v<<f.tagShift[s]); got != v {
-				return nil, fmt.Errorf("routing: stage %d routing tag mismatch: digit position %d gives %d, want %d", st, pos, got, v)
-			}
-		}
-	}
-
-	// Structural verification: incoming channels address their switch
-	// through (Layer, Wire), and every output port's channel list is
-	// exactly the ascending run the layer arithmetic predicts.
-	for ci := range net.Channels {
-		ch := &net.Channels[ci]
-		if ch.To.IsNode() {
-			continue
-		}
-		sw := &net.Switches[ch.To.Switch]
-		if ch.Layer != sw.Stage || ch.Layer < 0 || ch.Layer >= total || ch.Wire != sw.Index*k+ch.To.Port {
-			return nil, fmt.Errorf("routing: channel %d (layer %d, wire %d) does not address switch %d canonically", ci, ch.Layer, ch.Wire, sw.ID)
-		}
-	}
-	for si := range net.Switches {
-		sw := &net.Switches[si]
-		right := 0
-		for pi := range sw.Ports {
-			p := &sw.Ports[pi]
-			if p.Side != topology.Right {
-				continue
-			}
-			if p.Offset != right {
-				return nil, fmt.Errorf("routing: switch %d right ports out of order at offset %d", si, p.Offset)
-			}
-			right++
-			L := sw.Stage + 1
-			base := f.layerBase[L] + (sw.Index*k+p.Offset)<<f.layerShift[L]
-			if err := checkRun(p.Channels, base, 1<<f.layerShift[L]); err != nil {
-				return nil, fmt.Errorf("routing: switch %d port R%d: %w", si, p.Offset, err)
-			}
-		}
-		if right != k {
-			return nil, fmt.Errorf("routing: switch %d has %d right ports, want %d", si, right, k)
-		}
+	// The ejection layer is single-channel, so its shift stays 0.
+	f.tagShift = make([]int, net.Stages)
+	for s := net.Extra; s < net.Stages; s++ {
+		f.tagShift[s] = b * topology.TagDigit(net.R.N(), net.Pat, s-net.Extra)
 	}
 	return f, nil
-}
-
-func newFactoredBMIN(net *topology.Network) (*Factored, error) {
-	k := net.K()
-	b, ok := net.R.Bits()
-	if !ok {
-		return nil, fmt.Errorf("routing: factored lookup needs power-of-two arity, got k = %d", k)
-	}
-	vcs := net.VCs
-	vshift := 0
-	for 1<<vshift < 2*vcs {
-		vshift++
-	}
-	if 1<<vshift != 2*vcs {
-		return nil, fmt.Errorf("routing: factored lookup needs power-of-two virtual channels, got %d", vcs)
-	}
-	n := net.R.N()
-	N := net.Nodes
-	if net.Stages != n || N != net.R.Size() || net.Extra != 0 {
-		return nil, fmt.Errorf("routing: BMIN geometry (%d stages, %d nodes) does not match its radix (%d^%d)", net.Stages, N, k, n)
-	}
-	r := net.R
-
-	f := &Factored{
-		bmin: true,
-		b:    b, k: k, km1: k - 1,
-		vcs: vcs, vcs2Shift: vshift,
-		layerBase: make([]int, n),
-	}
-	for g := 1; g < n; g++ {
-		f.layerBase[g] = 2*N + (g-1)*2*N*vcs
-	}
-	if want := 2*N + (n-1)*2*N*vcs; len(net.Channels) != want {
-		return nil, fmt.Errorf("routing: %d channels, want %d for the canonical BMIN layout", len(net.Channels), want)
-	}
-
-	for ci := range net.Channels {
-		ch := &net.Channels[ci]
-		if ch.To.IsNode() {
-			continue
-		}
-		sw := &net.Switches[ch.To.Switch]
-		j := ch.Layer
-		if ch.Dir == topology.Backward {
-			j--
-		}
-		if j != sw.Stage || j < 0 || j >= n || r.DeleteDigit(ch.Wire, j) != sw.Index || r.Digit(ch.Wire, j) != ch.To.Port {
-			return nil, fmt.Errorf("routing: channel %d (layer %d, wire %d, %v) does not address switch %d canonically", ci, ch.Layer, ch.Wire, ch.Dir, sw.ID)
-		}
-	}
-	for si := range net.Switches {
-		sw := &net.Switches[si]
-		j := sw.Stage
-		left, right := 0, 0
-		for pi := range sw.Ports {
-			p := &sw.Ports[pi]
-			a := r.InsertDigit(sw.Index, j, p.Offset) // the port's wire address
-			if p.Side == topology.Left {
-				if p.Offset != left {
-					return nil, fmt.Errorf("routing: switch %d left ports out of order at offset %d", si, p.Offset)
-				}
-				left++
-				// Left-port outputs are the backward channels.
-				if j == 0 {
-					if err := checkRun(p.Channels, 2*a+1, 1); err != nil {
-						return nil, fmt.Errorf("routing: switch %d port L%d: %w", si, p.Offset, err)
-					}
-					continue
-				}
-				if err := checkRun(p.Channels, f.layerBase[j]+a<<vshift+vcs, vcs); err != nil {
-					return nil, fmt.Errorf("routing: switch %d port L%d: %w", si, p.Offset, err)
-				}
-				continue
-			}
-			if p.Offset != right {
-				return nil, fmt.Errorf("routing: switch %d right ports out of order at offset %d", si, p.Offset)
-			}
-			right++
-			if j == n-1 {
-				return nil, fmt.Errorf("routing: switch %d at the last stage has a right port", si)
-			}
-			if err := checkRun(p.Channels, f.layerBase[j+1]+a<<vshift, vcs); err != nil {
-				return nil, fmt.Errorf("routing: switch %d port R%d: %w", si, p.Offset, err)
-			}
-		}
-		if left != k || (j < n-1 && right != k) || (j == n-1 && right != 0) {
-			return nil, fmt.Errorf("routing: switch %d has %d left / %d right ports, want %d-wide sides", si, left, right, k)
-		}
-	}
-	return f, nil
-}
-
-// checkRun verifies a port's channel list is exactly `count`
-// consecutive ids starting at base.
-func checkRun(chans []int, base, count int) error {
-	if len(chans) != count {
-		return fmt.Errorf("%d channels, want %d", len(chans), count)
-	}
-	for i, c := range chans {
-		if c != base+i {
-			return fmt.Errorf("channel %d at run offset %d, want %d", c, i, base+i)
-		}
-	}
-	return nil
 }

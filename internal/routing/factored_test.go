@@ -14,11 +14,12 @@ import (
 
 // checkFactoredEquivalence asserts the three-way property the engine
 // relies on: for every (input channel, destination) pair the
-// stage-factored lookup expands to exactly the Router's candidate
-// list and the dense table's row — same channels, same order (the
-// order feeds the random pick, so it is part of the determinism
-// contract).
-func checkFactoredEquivalence(t *testing.T, net *topology.Network, f *routing.Factored, tbl *routing.Table, r routing.Router) {
+// stage-factored lookup — asked the way the engine asks it, with the
+// address the description's closed form gives the channel — expands to
+// exactly the candidate list the Router finds walking the struct view,
+// and to the dense table's row — same channels, same order (the order
+// feeds the random pick, so it is part of the determinism contract).
+func checkFactoredEquivalence(t *testing.T, net *topology.Graph, f *routing.Factored, tbl *routing.Table, r routing.Router) {
 	t.Helper()
 	var got, want []int
 	for ci := range net.Channels {
@@ -26,8 +27,9 @@ func checkFactoredEquivalence(t *testing.T, net *topology.Network, f *routing.Fa
 		if ch.To.IsNode() {
 			continue // ejection channel: the engine never asks
 		}
+		layer, wire, dir := net.Address(ci)
 		for dest := 0; dest < net.Nodes; dest++ {
-			got = f.Expand(got[:0], ch, dest)
+			got = f.Expand(got[:0], layer, wire, dir, dest)
 			want = r.Candidates(want[:0], net, ch, dest)
 			if !equalInts(got, want) {
 				t.Fatalf("%s: channel %d dest %d: factored %v, router %v",
@@ -68,19 +70,20 @@ func equalInts(a, b []int) bool {
 // exists for.
 func TestFactoredMatchesRouterPaperConfigs(t *testing.T) {
 	for _, ns := range experiments.PaperSpecs() {
-		net, err := ns.Spec.Build()
+		desc, err := ns.Spec.Build()
 		if err != nil {
 			t.Fatal(err)
 		}
-		f, err := routing.NewFactored(net)
+		f, err := routing.NewFactored(desc)
 		if err != nil {
 			t.Fatalf("%s: %v", ns.Name, err)
 		}
+		net := desc.Graph()
 		tbl, err := routing.BuildTable(net)
 		if err != nil {
 			t.Fatalf("%s: %v", ns.Name, err)
 		}
-		checkFactoredEquivalence(t, net, f, tbl, routing.New(net))
+		checkFactoredEquivalence(t, net, f, tbl, routing.New(desc))
 		if f.Bytes() >= tbl.Bytes() {
 			t.Errorf("%s: factored %d bytes, not smaller than dense %d bytes", ns.Name, f.Bytes(), tbl.Bytes())
 		}
@@ -124,6 +127,50 @@ func TestFactoredForSelection(t *testing.T) {
 	}
 }
 
+// TestFactoredMatchesRouters is the check NewFactored used to make on
+// every engine.New, over everything it can be asked to route: every
+// family, pattern, arity, extra-stage count and power-of-two channel
+// multiplicity, pairwise-exhaustively against the family's Router
+// walking the struct view and against the dense table (networks past
+// 64 nodes are left to TestFactoredLayout's O(channels) check).
+func TestFactoredMatchesRouters(t *testing.T) {
+	configs := 0
+	for _, k := range []int{2, 4, 8} {
+		for n := 1; n <= 4; n++ {
+			for kind := uint8(0); kind < 4; kind++ {
+				for _, pat := range []topology.Pattern{topology.Cube, topology.Butterfly, topology.Omega, topology.Baseline} {
+					for _, dv := range []int{1, 2, 4} {
+						for extra := 0; extra <= 2; extra++ {
+							if kind == 0 && (pat != topology.Cube || extra != 0) || kind == 1 && dv != 1 || kind > 1 && dv == 1 {
+								continue // a BMIN has one wiring; a TMIN is the d = m = 1 case
+							}
+							desc, err := fuzzNetwork(k, n, kind, pat, dv, extra)
+							if err != nil {
+								t.Fatal(err)
+							}
+							if desc.Nodes > 64 {
+								continue
+							}
+							fac, err := routing.NewFactored(desc)
+							if err != nil {
+								t.Fatalf("%s: %v", desc.Name(), err)
+							}
+							net := desc.Graph()
+							tbl, err := routing.BuildTable(net)
+							if err != nil {
+								t.Fatalf("%s: %v", net.Name(), err)
+							}
+							checkFactoredEquivalence(t, net, fac, tbl, routing.New(desc))
+							configs++
+						}
+					}
+				}
+			}
+		}
+	}
+	t.Logf("%d configurations", configs)
+}
+
 // TestFactoredRejectsIrregular: networks outside the power-of-two
 // channels-per-wire regularity must be refused (the engine then uses
 // the dense table, which handles them fine).
@@ -163,37 +210,25 @@ func FuzzFactoredEquivalence(f *testing.F) {
 		if size > 256 {
 			t.Skip() // keep the exhaustive pair check cheap
 		}
-		var (
-			net *topology.Network
-			err error
-		)
 		kind := kindRaw % 4
-		switch kind {
-		case 0:
-			net, err = topology.NewBMINVC(k, n, dv)
-		case 1:
-			net, err = topology.NewUnidirectional(topology.UniConfig{K: k, Stages: n, Pattern: pat, Dilation: 1, VCs: 1, Extra: extra})
-		case 2:
-			net, err = topology.NewUnidirectional(topology.UniConfig{K: k, Stages: n, Pattern: pat, Dilation: dv, VCs: 1, Extra: extra})
-		default:
-			net, err = topology.NewUnidirectional(topology.UniConfig{K: k, Stages: n, Pattern: pat, Dilation: 1, VCs: dv, Extra: extra})
-		}
+		desc, err := fuzzNetwork(k, n, kind, pat, dv, extra)
 		if err != nil {
 			t.Skip()
 		}
-		fac, err := routing.NewFactored(net)
+		fac, err := routing.NewFactored(desc)
 		if err != nil {
 			// The only irregularity this space can produce is a
 			// non-power-of-two channels-per-wire count.
 			if kind != 1 && dv == 3 {
 				return
 			}
-			t.Fatalf("%s: %v", net.Name(), err)
+			t.Fatalf("%s: %v", desc.Name(), err)
 		}
+		net := desc.Graph()
 		tbl, err := routing.BuildTable(net)
 		if err != nil {
 			t.Fatalf("%s: %v", net.Name(), err)
 		}
-		checkFactoredEquivalence(t, net, fac, tbl, routing.New(net))
+		checkFactoredEquivalence(t, net, fac, tbl, routing.New(desc))
 	})
 }

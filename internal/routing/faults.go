@@ -7,7 +7,7 @@ import "minsim/internal/topology"
 // route avoiding every failed channel must exist. For a TMIN this is
 // simply "the unique path avoids the faults"; for DMINs, VMINs,
 // extra-stage MINs and BMINs the router's alternatives are searched.
-func Reachable(net *topology.Network, r Router, failed map[int]bool, src, dst int) bool {
+func Reachable(net *topology.Graph, r Router, failed map[int]bool, src, dst int) bool {
 	if src == dst {
 		return true
 	}
@@ -37,7 +37,7 @@ func Reachable(net *topology.Network, r Router, failed map[int]bool, src, dst in
 // DisconnectedPairs returns every ordered (src, dst) pair the faults
 // cut off, for fault-impact reports. The cost is the full route
 // enumeration per pair; intended for analysis, not per-cycle use.
-func DisconnectedPairs(net *topology.Network, r Router, failed map[int]bool) [][2]int {
+func DisconnectedPairs(net *topology.Graph, r Router, failed map[int]bool) [][2]int {
 	var out [][2]int
 	for s := 0; s < net.Nodes; s++ {
 		for d := 0; d < net.Nodes; d++ {
@@ -65,7 +65,7 @@ type FaultAware struct {
 }
 
 // Candidates implements Router.
-func (f FaultAware) Candidates(dst []int, net *topology.Network, in *topology.Channel, dest int) []int {
+func (f FaultAware) Candidates(dst []int, net *topology.Graph, in *topology.Channel, dest int) []int {
 	start := len(dst)
 	dst = f.Inner.Candidates(dst, net, in, dest)
 	keep := start
@@ -83,7 +83,7 @@ func (f FaultAware) Candidates(dst []int, net *topology.Network, in *topology.Ch
 
 // leads reports whether some fault-free continuation from channel c
 // reaches dest.
-func (f FaultAware) leads(net *topology.Network, c int, dest int) bool {
+func (f FaultAware) leads(net *topology.Graph, c int, dest int) bool {
 	ch := &net.Channels[c]
 	if ch.To.IsNode() {
 		return ch.To.Node == dest
@@ -104,7 +104,7 @@ func (f FaultAware) leads(net *topology.Network, c int, dest int) bool {
 // for a fault-tolerant network (under single faults), positive for
 // the single-path TMIN. A direct quantification of the paper's
 // Section 2.1 motivation for multipath MINs.
-func CriticalChannels(net *topology.Network, r Router) []int {
+func CriticalChannels(net *topology.Graph, r Router) []int {
 	out := make([]int, len(net.Channels))
 	for c := range net.Channels {
 		failed := map[int]bool{c: true}

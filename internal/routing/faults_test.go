@@ -8,7 +8,7 @@ import (
 
 func TestReachableNoFaults(t *testing.T) {
 	net := mustBMIN(t, 4, 3)
-	r := New(net)
+	r := New(net.Network)
 	for s := 0; s < net.Nodes; s += 7 {
 		for d := 0; d < net.Nodes; d++ {
 			if !Reachable(net, r, nil, s, d) {
@@ -23,7 +23,7 @@ func TestReachableNoFaults(t *testing.T) {
 // Section 2.1.
 func TestTMINSingleFaultDisconnects(t *testing.T) {
 	net := mustUni(t, topology.UniConfig{K: 4, Stages: 3, Pattern: topology.Cube, Dilation: 1, VCs: 1})
-	r := New(net)
+	r := New(net.Network)
 	// Pick an interstage channel (layer 1).
 	var victim int = -1
 	for i := range net.Channels {
@@ -75,7 +75,7 @@ func TestTMINSingleFaultDisconnects(t *testing.T) {
 // any single interstage channel failure.
 func TestDMINToleratesSingleInterstageFault(t *testing.T) {
 	net := mustUni(t, topology.UniConfig{K: 4, Stages: 3, Pattern: topology.Cube, Dilation: 2, VCs: 1})
-	r := New(net)
+	r := New(net.Network)
 	for i := range net.Channels {
 		ch := &net.Channels[i]
 		if ch.Layer == 0 || ch.Layer == net.Stages {
@@ -95,7 +95,7 @@ func TestDMINToleratesSingleInterstageFault(t *testing.T) {
 // remain critical, as in every one-port network.)
 func TestBMINSingleInterstageFaultTolerance(t *testing.T) {
 	net := mustBMIN(t, 2, 3)
-	r := New(net)
+	r := New(net.Network)
 	for i := range net.Channels {
 		ch := &net.Channels[i]
 		if ch.Layer == 0 {
@@ -119,14 +119,14 @@ func TestBMINSingleInterstageFaultTolerance(t *testing.T) {
 // channel is critical; no DMIN interstage channel is.
 func TestCriticalChannels(t *testing.T) {
 	tminNet := mustUni(t, topology.UniConfig{K: 2, Stages: 3, Pattern: topology.Cube, Dilation: 1, VCs: 1})
-	crit := CriticalChannels(tminNet, New(tminNet))
+	crit := CriticalChannels(tminNet, New(tminNet.Network))
 	for c, n := range crit {
 		if n == 0 {
 			t.Errorf("TMIN channel %d reported non-critical", c)
 		}
 	}
 	dminNet := mustUni(t, topology.UniConfig{K: 2, Stages: 3, Pattern: topology.Cube, Dilation: 2, VCs: 1})
-	critD := CriticalChannels(dminNet, New(dminNet))
+	critD := CriticalChannels(dminNet, New(dminNet.Network))
 	for c, n := range critD {
 		ch := &dminNet.Channels[c]
 		interstage := ch.Layer > 0 && ch.Layer < dminNet.Stages
@@ -141,7 +141,7 @@ func TestCriticalChannels(t *testing.T) {
 
 func TestInjectionFaultUnreachable(t *testing.T) {
 	net := mustBMIN(t, 2, 2)
-	r := New(net)
+	r := New(net.Network)
 	failed := map[int]bool{net.Inject[1]: true}
 	if Reachable(net, r, failed, 1, 2) {
 		t.Error("node with failed injection channel reported reachable")

@@ -21,7 +21,7 @@ func (p Path) Length() int { return len(p) }
 // the unique destination-tag path; for a DMIN it is the d^{n-1}
 // channel-level variants of that path; for a BMIN it is the k^t
 // shortest turnaround paths of Theorem 1. It panics if src == dst.
-func AllPaths(net *topology.Network, r Router, src, dst int) []Path {
+func AllPaths(net *topology.Graph, r Router, src, dst int) []Path {
 	if src == dst {
 		panic("routing: AllPaths with src == dst")
 	}
@@ -51,7 +51,7 @@ func AllPaths(net *topology.Network, r Router, src, dst int) []Path {
 // OnePath returns the route obtained by always taking the first
 // candidate. Useful for deterministic traces and the blocking example
 // tests.
-func OnePath(net *topology.Network, r Router, src, dst int) Path {
+func OnePath(net *topology.Graph, r Router, src, dst int) Path {
 	p := Path{net.Inject[src]}
 	//simvet:bounded — each step moves toward the destination; the walk ends at the ejection channel after at most a few stages
 	for {
@@ -65,7 +65,7 @@ func OnePath(net *topology.Network, r Router, src, dst int) Path {
 }
 
 // LinksOf maps a path to the physical links it occupies.
-func LinksOf(net *topology.Network, p Path) []int {
+func LinksOf(net *topology.Graph, p Path) []int {
 	links := make([]int, len(p))
 	for i, c := range p {
 		links[i] = net.Channels[c].Link
@@ -97,7 +97,7 @@ func SharesChannel(a, b Path) bool {
 // simultaneously without contention if the forward channel is
 // properly chosen" for permutation traffic. The search is exponential
 // in the worst case; intended for small test instances.
-func ContentionFreeAssignment(net *topology.Network, r Router, pairs [][2]int) ([]Path, bool) {
+func ContentionFreeAssignment(net *topology.Graph, r Router, pairs [][2]int) ([]Path, bool) {
 	alts := make([][]Path, len(pairs))
 	for i, pr := range pairs {
 		alts[i] = AllPaths(net, r, pr[0], pr[1])

@@ -19,13 +19,15 @@ import (
 	"minsim/internal/topology"
 )
 
-// Router computes candidate output channels for a head flit.
+// Router computes candidate output channels for a head flit, walking
+// the network's struct form: the specification Factored is tested
+// against, and what the engine tabulates (Table) for other algorithms.
 type Router interface {
 	// Candidates appends to dst the ids of every output channel the
 	// head of a packet for destination dest may take from the switch
 	// at the downstream end of input channel in, and returns dst.
 	// The input channel's To must be a switch.
-	Candidates(dst []int, net *topology.Network, in *topology.Channel, dest int) []int
+	Candidates(dst []int, net *topology.Graph, in *topology.Channel, dest int) []int
 }
 
 // New returns the router appropriate for the network kind.
@@ -47,7 +49,7 @@ type DestinationTag struct{}
 // path extension inside the engine's allocation phase.
 //
 //simvet:hotpath
-func (DestinationTag) Candidates(dst []int, net *topology.Network, in *topology.Channel, dest int) []int {
+func (DestinationTag) Candidates(dst []int, net *topology.Graph, in *topology.Channel, dest int) []int {
 	sw := &net.Switches[in.To.Switch]
 	if sw.Stage < net.Extra {
 		// Distribution stage of an extra-stage MIN: any output port
@@ -81,7 +83,7 @@ type Turnaround struct{}
 // path extension inside the engine's allocation phase.
 //
 //simvet:hotpath
-func (Turnaround) Candidates(dst []int, net *topology.Network, in *topology.Channel, dest int) []int {
+func (Turnaround) Candidates(dst []int, net *topology.Graph, in *topology.Channel, dest int) []int {
 	if net.Kind != topology.BMIN {
 		panic("routing: Turnaround router on a non-BMIN network")
 	}

@@ -6,31 +6,41 @@ import (
 	"minsim/internal/topology"
 )
 
-func mustUni(t *testing.T, cfg topology.UniConfig) *topology.Network {
+// mustUni and mustBMIN return the struct view the routers walk; the
+// description rides along as its embedded Network.
+func mustUni(t *testing.T, cfg topology.UniConfig) *topology.Graph {
 	t.Helper()
-	net, err := topology.NewUnidirectional(cfg)
+	net, err := viewOf(topology.NewUnidirectional(cfg))
 	if err != nil {
 		t.Fatal(err)
 	}
-	return net
+	return net.Graph()
 }
 
-func mustBMIN(t *testing.T, k, n int) *topology.Network {
+// viewOf turns a constructor's result into the struct view.
+func viewOf(n *topology.Network, err error) (*topology.Graph, error) {
+	if err != nil {
+		return nil, err
+	}
+	return n.Graph(), nil
+}
+
+func mustBMIN(t *testing.T, k, n int) *topology.Graph {
 	t.Helper()
-	net, err := topology.NewBMIN(k, n)
+	net, err := viewOf(topology.NewBMIN(k, n))
 	if err != nil {
 		t.Fatal(err)
 	}
-	return net
+	return net.Graph()
 }
 
 func TestNewSelectsRouter(t *testing.T) {
 	uni := mustUni(t, topology.UniConfig{K: 4, Stages: 3, Pattern: topology.Cube, Dilation: 1, VCs: 1})
-	if _, ok := New(uni).(DestinationTag); !ok {
+	if _, ok := New(uni.Network).(DestinationTag); !ok {
 		t.Error("unidirectional network did not get DestinationTag router")
 	}
 	b := mustBMIN(t, 4, 3)
-	if _, ok := New(b).(Turnaround); !ok {
+	if _, ok := New(b.Network).(Turnaround); !ok {
 		t.Error("BMIN did not get Turnaround router")
 	}
 }
@@ -40,7 +50,7 @@ func TestNewSelectsRouter(t *testing.T) {
 func TestAllPathsDelivery(t *testing.T) {
 	type tc struct {
 		name  string
-		net   *topology.Network
+		net   *topology.Graph
 		paths func(src, dst int) int // expected number of paths
 	}
 	tmin := mustUni(t, topology.UniConfig{K: 4, Stages: 3, Pattern: topology.Cube, Dilation: 1, VCs: 1})
@@ -64,7 +74,7 @@ func TestAllPathsDelivery(t *testing.T) {
 		}},
 	}
 	for _, c := range cases {
-		r := New(c.net)
+		r := New(c.net.Network)
 		for src := 0; src < c.net.Nodes; src += 7 {
 			for dst := 0; dst < c.net.Nodes; dst++ {
 				if src == dst {
@@ -91,7 +101,7 @@ func TestAllPathsDelivery(t *testing.T) {
 func TestTheorem1(t *testing.T) {
 	for _, kn := range [][2]int{{2, 3}, {2, 4}, {4, 2}, {4, 3}} {
 		net := mustBMIN(t, kn[0], kn[1])
-		r := New(net)
+		r := New(net.Network)
 		for src := 0; src < net.Nodes; src++ {
 			for dst := 0; dst < net.Nodes; dst++ {
 				if src == dst {
@@ -124,7 +134,7 @@ func TestTheorem1(t *testing.T) {
 // gives two.
 func TestFig9Examples(t *testing.T) {
 	net := mustBMIN(t, 2, 3)
-	r := New(net)
+	r := New(net.Network)
 	// S = 001, D = 101: t = 2, 4 paths (also the Fig. 8 example).
 	if got := len(AllPaths(net, r, 0b001, 0b101)); got != 4 {
 		t.Errorf("001->101: %d paths, want 4", got)
@@ -143,7 +153,7 @@ func TestFig9Examples(t *testing.T) {
 func TestUnidirectionalPathLength(t *testing.T) {
 	for _, pat := range []topology.Pattern{topology.Cube, topology.Butterfly} {
 		net := mustUni(t, topology.UniConfig{K: 4, Stages: 3, Pattern: pat, Dilation: 1, VCs: 1})
-		r := New(net)
+		r := New(net.Network)
 		for src := 0; src < net.Nodes; src += 5 {
 			for dst := 0; dst < net.Nodes; dst++ {
 				if src == dst {
@@ -161,13 +171,13 @@ func TestUnidirectionalPathLength(t *testing.T) {
 // turns exactly at stage t = FirstDifference(S, D) (Fig. 7 step 2).
 func TestTurnaroundMatchesFirstDifference(t *testing.T) {
 	net := mustBMIN(t, 4, 3)
-	r := New(net)
+	r := New(net.Network)
 	for src := 0; src < net.Nodes; src++ {
 		for dst := 0; dst < net.Nodes; dst++ {
 			if src == dst {
 				continue
 			}
-			want, _ := FirstDifferenceTag(net, src, dst)
+			want, _ := FirstDifferenceTag(net.Network, src, dst)
 			for _, p := range AllPaths(net, r, src, dst) {
 				// The turnaround switch is the switch at the deepest
 				// point: channel index t is the last forward channel.
@@ -200,7 +210,7 @@ func TestTurnaroundMatchesFirstDifference(t *testing.T) {
 // condition). With shortest paths this holds automatically.
 func TestDefinition4NoPortPairReuse(t *testing.T) {
 	net := mustBMIN(t, 2, 3)
-	r := New(net)
+	r := New(net.Network)
 	for src := 0; src < net.Nodes; src++ {
 		for dst := 0; dst < net.Nodes; dst++ {
 			if src == dst {
@@ -228,7 +238,7 @@ func TestDefinition4NoPortPairReuse(t *testing.T) {
 // assignment may still exist for other pairs.
 func TestFig11Blocking(t *testing.T) {
 	net := mustBMIN(t, 2, 3)
-	r := New(net)
+	r := New(net.Network)
 	a := AllPaths(net, r, 0b011, 0b111)
 	b := AllPaths(net, r, 0b001, 0b110)
 	conflict := false
@@ -251,7 +261,7 @@ func TestFig11Blocking(t *testing.T) {
 // shuffle permutation a channel-disjoint assignment exists.
 func TestShufflePermutationContentionFreeOnBMIN(t *testing.T) {
 	net := mustBMIN(t, 2, 3)
-	r := New(net)
+	r := New(net.Network)
 	var pairs [][2]int
 	perm := net.R.ShufflePerm()
 	for s := 0; s < net.Nodes; s++ {
@@ -270,7 +280,7 @@ func TestShufflePermutationContentionFreeOnBMIN(t *testing.T) {
 // four pairs, Section 5.3.3).
 func TestTMINPermutationContention(t *testing.T) {
 	net := mustUni(t, topology.UniConfig{K: 4, Stages: 3, Pattern: topology.Cube, Dilation: 1, VCs: 1})
-	r := New(net)
+	r := New(net.Network)
 	perm := net.R.ShufflePerm()
 	use := map[int]int{}
 	peak := 0
@@ -292,7 +302,7 @@ func TestTMINPermutationContention(t *testing.T) {
 
 func TestOnePathDeterministic(t *testing.T) {
 	net := mustUni(t, topology.UniConfig{K: 4, Stages: 3, Pattern: topology.Butterfly, Dilation: 2, VCs: 1})
-	r := New(net)
+	r := New(net.Network)
 	p1 := OnePath(net, r, 3, 42)
 	p2 := OnePath(net, r, 3, 42)
 	if len(p1) != len(p2) {
@@ -312,12 +322,12 @@ func TestAllPathsPanicsOnSelf(t *testing.T) {
 			t.Error("AllPaths(src == dst) did not panic")
 		}
 	}()
-	AllPaths(net, New(net), 1, 1)
+	AllPaths(net, New(net.Network), 1, 1)
 }
 
 func TestLinksOf(t *testing.T) {
 	net := mustUni(t, topology.UniConfig{K: 2, Stages: 3, Pattern: topology.Cube, Dilation: 1, VCs: 2})
-	r := New(net)
+	r := New(net.Network)
 	p := OnePath(net, r, 0, 5)
 	links := LinksOf(net, p)
 	if len(links) != len(p) {

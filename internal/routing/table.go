@@ -49,7 +49,7 @@ func (t *Table) Bytes() int { return 4 * (len(t.off) + len(t.arena)) }
 
 // newTableShell allocates the offset index for a network, sized for
 // every (channel, destination) pair.
-func newTableShell(net *topology.Network) *Table {
+func newTableShell(net *topology.Graph) *Table {
 	return &Table{
 		nodes: net.Nodes,
 		off:   make([]int32, len(net.Channels)*net.Nodes+1),
@@ -62,12 +62,12 @@ func newTableShell(net *topology.Network) *Table {
 // every entry against the corresponding Router implementation before
 // returning — a construction-time equivalence proof that the flat
 // table and the algorithmic router route identically.
-func BuildTable(net *topology.Network) (*Table, error) {
+func BuildTable(net *topology.Graph) (*Table, error) {
 	fill := destinationTagCandidates
 	if net.Kind == topology.BMIN {
 		fill = turnaroundCandidates
 	}
-	ref := New(net)
+	ref := New(net.Network)
 	t := newTableShell(net)
 	var scratch []int
 	for ci := range net.Channels {
@@ -94,7 +94,7 @@ func BuildTable(net *topology.Network) (*Table, error) {
 // candidate handling has always relied on this), so the table is an
 // exact snapshot. Used for routers the per-family builders do not
 // cover, e.g. routing.FaultAware.
-func NewTableFromRouter(net *topology.Network, r Router) *Table {
+func NewTableFromRouter(net *topology.Graph, r Router) *Table {
 	t := newTableShell(net)
 	var scratch []int
 	for ci := range net.Channels {
@@ -116,7 +116,7 @@ func NewTableFromRouter(net *topology.Network, r Router) *Table {
 // given configured router: the verified per-family table when r is
 // nil or the family's own algorithmic router, and a generic snapshot
 // of r otherwise.
-func TableFor(net *topology.Network, r Router) (*Table, error) {
+func TableFor(net *topology.Graph, r Router) (*Table, error) {
 	switch r.(type) {
 	case nil:
 		return BuildTable(net)
@@ -150,7 +150,7 @@ func spanEqual(span []int32, cand []int) bool {
 // DestinationTag.Candidates, used by the table builder. Any change
 // here must keep the append order identical to the Router method —
 // BuildTable fails otherwise.
-func destinationTagCandidates(dst []int32, net *topology.Network, in *topology.Channel, dest int) []int32 {
+func destinationTagCandidates(dst []int32, net *topology.Graph, in *topology.Channel, dest int) []int32 {
 	sw := &net.Switches[in.To.Switch]
 	if sw.Stage < net.Extra {
 		// Distribution stage of an extra-stage MIN: every output port
@@ -175,7 +175,7 @@ func destinationTagCandidates(dst []int32, net *topology.Network, in *topology.C
 // Turnaround.Candidates, used by the table builder. Any change here
 // must keep the append order identical to the Router method —
 // BuildTable fails otherwise.
-func turnaroundCandidates(dst []int32, net *topology.Network, in *topology.Channel, dest int) []int32 {
+func turnaroundCandidates(dst []int32, net *topology.Graph, in *topology.Channel, dest int) []int32 {
 	sw := &net.Switches[in.To.Switch]
 	j := sw.Stage
 	r := net.R

@@ -18,7 +18,7 @@ import (
 // table returns exactly the Router's candidate list — same channels,
 // same order (the order feeds the random pick, so it is part of the
 // determinism contract) — and ejection channels have empty rows.
-func checkTableEquivalence(t *testing.T, net *topology.Network, tbl *routing.Table, r routing.Router) {
+func checkTableEquivalence(t *testing.T, net *topology.Graph, tbl *routing.Table, r routing.Router) {
 	t.Helper()
 	var scratch []int
 	for ci := range net.Channels {
@@ -52,15 +52,16 @@ func checkTableEquivalence(t *testing.T, net *topology.Network, tbl *routing.Tab
 // evaluation configurations (all four network families).
 func TestTableMatchesRouterPaperConfigs(t *testing.T) {
 	for _, ns := range experiments.PaperSpecs() {
-		net, err := ns.Spec.Build()
+		desc, err := ns.Spec.Build()
 		if err != nil {
 			t.Fatal(err)
 		}
+		net := desc.Graph()
 		tbl, err := routing.BuildTable(net)
 		if err != nil {
 			t.Fatalf("%s: %v", ns.Name, err)
 		}
-		checkTableEquivalence(t, net, tbl, routing.New(net))
+		checkTableEquivalence(t, net, tbl, routing.New(desc))
 		t.Logf("%s: route table %d bytes", ns.Name, tbl.Bytes())
 	}
 }
@@ -69,10 +70,11 @@ func TestTableMatchesRouterPaperConfigs(t *testing.T) {
 // path the engine takes for non-default routers, using the
 // fault-aware wrapper as the representative custom Router.
 func TestTableFromRouterMatchesWrappedRouter(t *testing.T) {
-	net, err := topology.NewBMIN(4, 3)
+	desc, err := topology.NewBMIN(4, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
+	net := desc.Graph()
 	failed := map[int]bool{}
 	for i := range net.Channels {
 		ch := &net.Channels[i]
@@ -81,7 +83,7 @@ func TestTableFromRouterMatchesWrappedRouter(t *testing.T) {
 			break
 		}
 	}
-	aware := routing.FaultAware{Inner: routing.New(net), Failed: failed}
+	aware := routing.FaultAware{Inner: routing.New(desc), Failed: failed}
 	checkTableEquivalence(t, net, routing.NewTableFromRouter(net, aware), aware)
 }
 
@@ -89,18 +91,19 @@ func TestTableFromRouterMatchesWrappedRouter(t *testing.T) {
 // the family's own router get the verified per-family table, a
 // foreign router gets the generic snapshot — both equivalent.
 func TestTableForSelectsFamilyBuilder(t *testing.T) {
-	net, err := topology.NewUnidirectional(topology.UniConfig{
+	desc, err := topology.NewUnidirectional(topology.UniConfig{
 		K: 4, Stages: 3, Pattern: topology.Cube, Dilation: 2, VCs: 1,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	net := desc.Graph()
 	for _, r := range []routing.Router{nil, routing.DestinationTag{}} {
 		tbl, err := routing.TableFor(net, r)
 		if err != nil {
 			t.Fatal(err)
 		}
-		checkTableEquivalence(t, net, tbl, routing.New(net))
+		checkTableEquivalence(t, net, tbl, routing.New(desc))
 	}
 }
 
@@ -129,27 +132,31 @@ func FuzzTableEquivalence(f *testing.F) {
 		if size > 256 {
 			t.Skip() // keep the exhaustive pair check cheap
 		}
-		var (
-			net *topology.Network
-			err error
-		)
-		switch kindRaw % 4 {
-		case 0:
-			net, err = topology.NewBMINVC(k, n, dv)
-		case 1:
-			net, err = topology.NewUnidirectional(topology.UniConfig{K: k, Stages: n, Pattern: pat, Dilation: 1, VCs: 1, Extra: extra})
-		case 2:
-			net, err = topology.NewUnidirectional(topology.UniConfig{K: k, Stages: n, Pattern: pat, Dilation: dv, VCs: 1, Extra: extra})
-		default:
-			net, err = topology.NewUnidirectional(topology.UniConfig{K: k, Stages: n, Pattern: pat, Dilation: 1, VCs: dv, Extra: extra})
-		}
+		desc, err := fuzzNetwork(k, n, kindRaw%4, pat, dv, extra)
 		if err != nil {
 			t.Skip()
 		}
+		net := desc.Graph()
 		tbl, err := routing.BuildTable(net)
 		if err != nil {
 			t.Fatalf("%s: %v", net.Name(), err)
 		}
-		checkTableEquivalence(t, net, tbl, routing.New(net))
+		checkTableEquivalence(t, net, tbl, routing.New(desc))
 	})
+}
+
+// fuzzNetwork decodes the network both equivalence fuzzers draw: kind 0
+// is a BMIN with dv virtual channels, 1 a TMIN, 2 a DMIN with dilation
+// dv, 3 a VMIN with dv virtual channels.
+func fuzzNetwork(k, n int, kind uint8, pat topology.Pattern, dv, extra int) (*topology.Network, error) {
+	cfg := topology.UniConfig{K: k, Stages: n, Pattern: pat, Dilation: 1, VCs: 1, Extra: extra}
+	switch kind {
+	case 0:
+		return topology.NewBMINVC(k, n, dv)
+	case 2:
+		cfg.Dilation = dv
+	case 3:
+		cfg.VCs = dv
+	}
+	return topology.NewUnidirectional(cfg)
 }

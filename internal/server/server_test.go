@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -137,6 +138,31 @@ func TestHTTPValidationErrors(t *testing.T) {
 	resp, _ := postJSON(t, tsSmall.URL+"/v1/run", fastRunBody)
 	if resp.StatusCode != http.StatusRequestEntityTooLarge {
 		t.Errorf("oversized body: code %d, want 413", resp.StatusCode)
+	}
+}
+
+// TestOversizeNetworkRefused: a network description is free to parse
+// whatever size it names, so the request path must refuse one no run
+// could hold before anything is sized by it — 400, naming the count,
+// and far from the terabytes an engine over it would ask for.
+func TestOversizeNetworkRefused(t *testing.T) {
+	_, ts, _ := newTestServer(t, nil)
+	body := `{"experiments":[{"id":"huge","loads":[0.1],"curves":[{"label":"h",
+	  "network":{"kind":"tmin","k":2,"stages":40},"workload":{"pattern":"uniform"}}]}],` + fastBudget + `}`
+	postJSON(t, ts.URL+"/v1/run", `{}`) // connection and handler warm-up
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	resp, out := postJSON(t, ts.URL+"/v1/run", body)
+	runtime.ReadMemStats(&after)
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("code %d, want 400; body %s", resp.StatusCode, out)
+	}
+	var eb errorBody
+	if err := json.Unmarshal(out, &eb); err != nil || !strings.Contains(eb.Error, "45079976738816 channels") {
+		t.Errorf("body %q does not name the channel count", out)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+		t.Errorf("refusing the request allocated %d bytes, want < 1 MB", got)
 	}
 }
 

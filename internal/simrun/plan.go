@@ -229,8 +229,8 @@ type Options struct {
 	// through the shared store), so Execute does not re-Put them.
 	Dispatcher Dispatcher
 	// Nets, when non-nil, outlives the call: networks it already holds
-	// are not rebuilt, and ones built here are left in it (up to its
-	// bound) for the next Execute.
+	// are not rebuilt, and ones built here are left in it for the next
+	// Execute.
 	Nets *NetCache
 	// Progress, when non-nil, is called with a counter snapshot after
 	// every state change (cache hit, start, finish). Calls are
@@ -245,35 +245,20 @@ func (p *Plan) Counters() Counters {
 	return p.counters
 }
 
-// netCacheChannels bounds a NewNetCache by the channels its networks
-// retain. A built network costs about 200-240 bytes per channel, so
-// 1<<16 channels is at most ~16 MB: some 170 paper-scale (64-node)
-// networks or six 1024-node ones, every family of a figure grid with
-// room to spare. A 16K-node network (245,760 channels, 57 MB) is over
-// it and is built per Execute, as without the cache.
-const netCacheChannels = 1 << 16
-
-// NetCache shares immutable built networks between point-runs;
+// NetCache shares immutable network descriptions between point-runs;
 // networks are safe for concurrent engines. Keys are canonical specs
 // so default-valued and explicit spellings of the same network share
-// one build. Every Execute owns an unbounded one that dies with the
-// call; a caller that executes many small plans over the same networks
-// (a fleet worker: one plan per lease) passes its own bounded one in
-// Options.Nets and the per-call cache fills from it instead of
-// building.
+// one build. A description is a few words whatever the network's size,
+// so the cache needs no bound, and its zero value is ready to use.
+// Every Execute owns one that dies with the call; a caller that
+// executes many small plans over the same networks (a fleet worker: one
+// plan per lease) passes its own in Options.Nets and the per-call cache
+// fills from it instead of building.
 type NetCache struct {
-	mu       sync.Mutex
-	m        map[NetworkSpec]*topology.Network
-	channels int       // retained by m
-	bound    int       // on channels; 0 = unbounded
-	parent   *NetCache // consulted before building; nil = build
-	builds   atomic.Int64
-}
-
-// NewNetCache returns an empty cache bounded at netCacheChannels
-// retained channels.
-func NewNetCache() *NetCache {
-	return &NetCache{bound: netCacheChannels}
+	mu     sync.Mutex
+	m      map[NetworkSpec]*topology.Network
+	parent *NetCache // consulted before building; nil = build
+	builds atomic.Int64
 }
 
 // Builds reports how many networks this cache has built.
@@ -300,22 +285,7 @@ func (c *NetCache) get(spec NetworkSpec) (*topology.Network, error) {
 	if err != nil {
 		return nil, err
 	}
-	size := len(net.Channels)
-	if c.bound > 0 {
-		if size > c.bound {
-			return net, nil // never fits: the caller's per-call cache keeps it
-		}
-		if c.channels+size > c.bound {
-			// Start over rather than track recency: a grid that cycles
-			// through more networks than fit defeats LRU and FIFO alike,
-			// and a dropped network stays alive for as long as a running
-			// plan still holds it.
-			clear(c.m)
-			c.channels = 0
-		}
-	}
 	c.m[key] = net
-	c.channels += size
 	return net, nil
 }
 

@@ -67,30 +67,51 @@ func (s NetworkSpec) builderArgs() (cfg topology.UniConfig, bmin bool, err error
 	return cfg, false, nil
 }
 
-// Build constructs the network.
+// MaxChannels bounds the networks a spec may describe. A description
+// costs nothing to parse or build however large the network it names,
+// but an engine over it allocates per channel, so the size is checked
+// where the description is. The 64K-node VC-2 network is 2.2 M channels.
+const MaxChannels = 1 << 24
+
+// Build constructs the network description.
 func (s NetworkSpec) Build() (*topology.Network, error) {
 	cfg, bmin, err := s.builderArgs()
 	if err != nil {
 		return nil, err
 	}
+	var net *topology.Network
 	if bmin {
-		return topology.NewBMINVC(cfg.K, cfg.Stages, cfg.VCs)
+		net, err = topology.NewBMINVC(cfg.K, cfg.Stages, cfg.VCs)
+	} else {
+		net, err = topology.NewUnidirectional(cfg)
 	}
-	return topology.NewUnidirectional(cfg)
+	if err != nil {
+		return nil, err
+	}
+	if chans := channelCount(net.Nodes, cfg, bmin); chans > MaxChannels {
+		return nil, fmt.Errorf("simrun: %s describes %.0f channels, over the %d a run admits", s, chans, MaxChannels)
+	}
+	return net, nil
 }
 
-// Check reports the error Build would return, or nil if the network
-// would build, without building it: validating a description costs
-// nothing, however large the network it describes.
+// Check reports the error Build would return, or nil: validating a
+// description is building it, which costs nothing however large the
+// network it describes.
 func (s NetworkSpec) Check() error {
-	cfg, bmin, err := s.builderArgs()
-	if err != nil {
-		return err
-	}
+	_, err := s.Build()
+	return err
+}
+
+// channelCount is topology.Network.ChannelCount — two edge layers' worth
+// of node channels and the interstage layers between — as a float:
+// nothing bounds the factors before this, and an int would wrap where a
+// float only rounds.
+func channelCount(nodes int, cfg topology.UniConfig, bmin bool) float64 {
+	inner, perWire := float64(cfg.Stages-1)+float64(cfg.Extra), float64(cfg.Dilation)*float64(cfg.VCs)
 	if bmin {
-		return topology.CheckBMIN(cfg.K, cfg.Stages, cfg.VCs)
+		inner, perWire = float64(cfg.Stages-1), 2*float64(cfg.VCs)
 	}
-	return cfg.Check()
+	return float64(nodes) * (2 + inner*perWire)
 }
 
 // Nodes returns K^Stages, the node count of the built network,
@@ -422,7 +443,9 @@ func (w WorkloadSpec) Validate() error {
 // a fresh one is built per invocation (each engine of a replica batch
 // must own its own cursors). The adversarial pattern resolves here —
 // deterministically, from the spec and the network alone — to the
-// worst permutation routing.WorstPermutation finds.
+// worst permutation routing.WorstPermutation finds, the one workload
+// that walks the network's struct view (built for the search, dropped
+// after it).
 func (w WorkloadSpec) Factory(net *topology.Network) SourceFactory {
 	lengths := w.Lengths
 	if lengths == nil {
@@ -450,7 +473,7 @@ func (w WorkloadSpec) Factory(net *topology.Network) SourceFactory {
 			newPattern = func() (traffic.Pattern, error) { return traffic.NewTracePattern(net.Nodes, pairs) }
 		case Adversarial:
 			spec, _ := w.Pattern.canon()
-			perm, _ := routing.WorstPermutation(net, routing.New(net), advSearchSeed, spec.AdvIters)
+			perm, _ := routing.WorstPermutation(net.Graph(), routing.New(net), advSearchSeed, spec.AdvIters)
 			pattern = traffic.Permutation{P: perm}
 		}
 	}

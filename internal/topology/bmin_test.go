@@ -8,7 +8,7 @@ func bminConfigs() [][2]int {
 
 func TestBMINValidate(t *testing.T) {
 	for _, kn := range bminConfigs() {
-		net, err := NewBMIN(kn[0], kn[1])
+		net, err := viewOf(NewBMIN(kn[0], kn[1]))
 		if err != nil {
 			t.Fatalf("NewBMIN(%d, %d): %v", kn[0], kn[1], err)
 		}
@@ -21,7 +21,7 @@ func TestBMINValidate(t *testing.T) {
 func TestBMINCounts(t *testing.T) {
 	for _, kn := range bminConfigs() {
 		k, n := kn[0], kn[1]
-		net, _ := NewBMIN(k, n)
+		net, _ := viewOf(NewBMIN(k, n))
 		N := net.Nodes
 		// n stages of k^{n-1} switches each.
 		if len(net.Switches) != n*N/k {
@@ -40,8 +40,8 @@ func TestBMINCounts(t *testing.T) {
 // at 64 nodes with 4x4 switches both carry the same total number of
 // channels.
 func TestBMINvsDMINHardware(t *testing.T) {
-	dmin, _ := NewUnidirectional(UniConfig{K: 4, Stages: 3, Pattern: Cube, Dilation: 2, VCs: 1})
-	bmin, _ := NewBMIN(4, 3)
+	dmin, _ := viewOf(NewUnidirectional(UniConfig{K: 4, Stages: 3, Pattern: Cube, Dilation: 2, VCs: 1}))
+	bmin, _ := viewOf(NewBMIN(4, 3))
 	if dmin.ChannelCount() != bmin.ChannelCount() {
 		t.Errorf("DMIN has %d channels, BMIN %d; the paper calls these similar",
 			dmin.ChannelCount(), bmin.ChannelCount())
@@ -49,7 +49,7 @@ func TestBMINvsDMINHardware(t *testing.T) {
 }
 
 func TestBMINLastStageHasNoRightPorts(t *testing.T) {
-	net, _ := NewBMIN(4, 3)
+	net, _ := viewOf(NewBMIN(4, 3))
 	for i := range net.Switches {
 		sw := &net.Switches[i]
 		hasRight := sw.PortAt(Right, 0) != nil
@@ -69,7 +69,7 @@ func TestBMINWireIdentity(t *testing.T) {
 	// Between adjacent stages, forward and backward channels of the
 	// same wire address connect the same pair of switch ports, in
 	// opposite directions.
-	net, _ := NewBMIN(4, 3)
+	net, _ := viewOf(NewBMIN(4, 3))
 	for g := 1; g < net.Stages; g++ {
 		fwd := net.LayerChannels(g, Forward)
 		bwd := net.LayerChannels(g, Backward)
@@ -94,7 +94,7 @@ func TestBMINWireIdentity(t *testing.T) {
 }
 
 func TestBMINSubtree(t *testing.T) {
-	net, _ := NewBMIN(2, 3)
+	net, _ := viewOf(NewBMIN(2, 3))
 	// Stage-0 switches cover pairs {0,1}, {2,3}, ...
 	for idx := 0; idx < 4; idx++ {
 		got := net.Subtree(0, idx)
@@ -120,7 +120,7 @@ func TestBMINSubtree(t *testing.T) {
 }
 
 func TestBMINSubtreePanicsOnUnidirectional(t *testing.T) {
-	net, _ := NewUnidirectional(UniConfig{K: 2, Stages: 3, Dilation: 1, VCs: 1})
+	net, _ := viewOf(NewUnidirectional(UniConfig{K: 2, Stages: 3, Dilation: 1, VCs: 1}))
 	defer func() {
 		if recover() == nil {
 			t.Error("Subtree on a unidirectional network did not panic")
@@ -147,7 +147,7 @@ func TestBMINErrors(t *testing.T) {
 // switch lead (backward) to ports of switches whose subtrees partition
 // the whole network.
 func TestRightmostStageRedundancy(t *testing.T) {
-	net, _ := NewBMIN(2, 3)
+	net, _ := viewOf(NewBMIN(2, 3))
 	last := net.Stages - 1
 	for idx := 0; idx < net.Nodes/2; idx++ {
 		sw := net.SwitchAt(last, idx)

@@ -7,7 +7,7 @@ import (
 )
 
 // locString renders an endpoint compactly, e.g. "n05" or "G1.s03.R2".
-func (n *Network) locString(l Loc) string {
+func (n *Graph) locString(l Loc) string {
 	if l.IsNode() {
 		return fmt.Sprintf("n%0*d", digitsFor(n.Nodes), l.Node)
 	}
@@ -27,7 +27,7 @@ func digitsFor(n int) int {
 // Dump writes a human-readable wiring listing, one line per physical
 // link, grouped by layer. It is used by cmd/topo to reproduce the
 // paper's wiring diagrams (Figs. 4-6) in textual form.
-func (n *Network) Dump() string {
+func (n *Graph) Dump() string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "%s: %d switches, %d links, %d channels\n", n.Name(), len(n.Switches), len(n.Links), len(n.Channels))
 	type row struct {
@@ -62,7 +62,7 @@ func (n *Network) Dump() string {
 }
 
 // DOT renders the network in Graphviz dot format.
-func (n *Network) DOT() string {
+func (n *Graph) DOT() string {
 	var sb strings.Builder
 	sb.WriteString("digraph min {\n  rankdir=LR;\n  node [shape=box];\n")
 	for i := 0; i < n.Nodes; i++ {
@@ -99,7 +99,7 @@ func (n *Network) DOT() string {
 	return sb.String()
 }
 
-func (n *Network) dotName(l Loc) string {
+func (n *Graph) dotName(l Loc) string {
 	if l.IsNode() {
 		return fmt.Sprintf("node%d", l.Node)
 	}

@@ -9,7 +9,7 @@ import (
 func TestExtraStageValidate(t *testing.T) {
 	for _, e := range []int{1, 2} {
 		for _, pat := range []Pattern{Cube, Butterfly} {
-			net, err := NewUnidirectional(UniConfig{K: 4, Stages: 3, Pattern: pat, Dilation: 1, VCs: 1, Extra: e})
+			net, err := viewOf(NewUnidirectional(UniConfig{K: 4, Stages: 3, Pattern: pat, Dilation: 1, VCs: 1, Extra: e}))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -35,7 +35,7 @@ func TestExtraStageValidate(t *testing.T) {
 // routing that extra-stage MINs rely on.
 func TestExtraStageDelivery(t *testing.T) {
 	for _, pat := range []Pattern{Cube, Butterfly} {
-		net, err := NewUnidirectional(UniConfig{K: 4, Stages: 3, Pattern: pat, Dilation: 1, VCs: 1, Extra: 1})
+		net, err := viewOf(NewUnidirectional(UniConfig{K: 4, Stages: 3, Pattern: pat, Dilation: 1, VCs: 1, Extra: 1}))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -71,14 +71,14 @@ func TestExtraStageDelivery(t *testing.T) {
 }
 
 func TestExtraStageName(t *testing.T) {
-	net, _ := NewUnidirectional(UniConfig{K: 4, Stages: 3, Pattern: Cube, Dilation: 1, VCs: 1, Extra: 1})
+	net, _ := viewOf(NewUnidirectional(UniConfig{K: 4, Stages: 3, Pattern: Cube, Dilation: 1, VCs: 1, Extra: 1}))
 	if got := net.Name(); got != "TMIN(cube+1xs) 64 nodes 4x4" {
 		t.Errorf("Name = %q", got)
 	}
 }
 
 func TestBMINVC(t *testing.T) {
-	net, err := NewBMINVC(4, 3, 2)
+	net, err := viewOf(NewBMINVC(4, 3, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +112,7 @@ func TestBMINVC(t *testing.T) {
 func TestExtraStageLemma1Unaffected(t *testing.T) {
 	// The plain networks (Extra = 0) still wire C_0 per pattern, so
 	// the partitionability analysis of Section 4 is untouched.
-	net, _ := NewUnidirectional(UniConfig{K: 4, Stages: 3, Pattern: Cube, Dilation: 1, VCs: 1})
+	net, _ := viewOf(NewUnidirectional(UniConfig{K: 4, Stages: 3, Pattern: Cube, Dilation: 1, VCs: 1}))
 	r := kary.MustNew(4, 3)
 	for s := 0; s < net.Nodes; s++ {
 		if net.Channels[net.Inject[s]].Wire != r.Shuffle(s) {

@@ -6,7 +6,7 @@ import "testing"
 // against hand-derived wires: C_0 is the perfect shuffle, C_1 = β_2,
 // C_2 = β_1, C_3 = identity (all on 3-bit addresses).
 func TestFig4aCubeWiring(t *testing.T) {
-	net, err := NewUnidirectional(UniConfig{K: 2, Stages: 3, Pattern: Cube, Dilation: 1, VCs: 1})
+	net, err := viewOf(NewUnidirectional(UniConfig{K: 2, Stages: 3, Pattern: Cube, Dilation: 1, VCs: 1}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +58,7 @@ func TestFig4aCubeWiring(t *testing.T) {
 // TestFig4bButterflyWiring spot-checks the 8-node butterfly TMIN of
 // Fig. 4b: C_0 identity, C_1 = β_1, C_2 = β_2, C_3 identity.
 func TestFig4bButterflyWiring(t *testing.T) {
-	net, err := NewUnidirectional(UniConfig{K: 2, Stages: 3, Pattern: Butterfly, Dilation: 1, VCs: 1})
+	net, err := viewOf(NewUnidirectional(UniConfig{K: 2, Stages: 3, Pattern: Butterfly, Dilation: 1, VCs: 1}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +84,7 @@ func TestFig4bButterflyWiring(t *testing.T) {
 // switches in Fig. 8), stage-0 switches pair adjacent nodes and the
 // interstage wires are identity on addresses.
 func TestFig6BMINStage0(t *testing.T) {
-	net, err := NewBMIN(2, 3)
+	net, err := viewOf(NewBMIN(2, 3))
 	if err != nil {
 		t.Fatal(err)
 	}

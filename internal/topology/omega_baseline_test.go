@@ -35,7 +35,7 @@ func TestOmegaBaselineDelivery(t *testing.T) {
 			{K: 4, Stages: 3, Pattern: pat, Dilation: 1, VCs: 1},
 			{K: 8, Stages: 2, Pattern: pat, Dilation: 1, VCs: 1},
 		} {
-			net, err := NewUnidirectional(cfg)
+			net, err := viewOf(NewUnidirectional(cfg))
 			if err != nil {
 				t.Fatal(err)
 			}

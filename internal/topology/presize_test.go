@@ -1,12 +1,16 @@
 package topology
 
-import "testing"
+import (
+	"reflect"
+	"testing"
+)
 
-// TestBuildersPresizeExactly pins the closed-form capacities the
-// builders allocate up front: a count that drifts from what the build
-// loops append would silently bring back growslice copies (or waste
-// memory) at 16K nodes without failing any structural test.
-func TestBuildersPresizeExactly(t *testing.T) {
+// TestGraphCarvedFromSlabs pins how the view is allocated: a fixed
+// handful of slabs sized in closed form, whatever the network — per-
+// switch or per-link slices would bring back a million small
+// allocations at 16K nodes without failing any structural test — and
+// a description that allocates nothing but itself.
+func TestGraphCarvedFromSlabs(t *testing.T) {
 	var nets []*Network
 	for _, cfg := range append(allUniConfigs(),
 		UniConfig{K: 2, Stages: 3, Pattern: Cube, Dilation: 1, VCs: 1, Extra: 2},
@@ -26,9 +30,44 @@ func TestBuildersPresizeExactly(t *testing.T) {
 		nets = append(nets, net)
 	}
 	for _, net := range nets {
-		if len(net.Channels) != cap(net.Channels) || len(net.Links) != cap(net.Links) || len(net.Switches) != cap(net.Switches) {
-			t.Errorf("%s: channels %d/%d, links %d/%d, switches %d/%d (len/cap)", net.Name(),
-				len(net.Channels), cap(net.Channels), len(net.Links), cap(net.Links), len(net.Switches), cap(net.Switches))
+		var g *Graph
+		if allocs := testing.AllocsPerRun(3, func() { g = net.Graph() }); allocs > 9 {
+			t.Errorf("%s: Graph() makes %.0f allocations, want its 8 slabs and itself", net.Name(), allocs)
 		}
+		if len(g.Channels) != cap(g.Channels) || len(g.Links) != cap(g.Links) || len(g.Switches) != cap(g.Switches) {
+			t.Errorf("%s: channels %d/%d, links %d/%d, switches %d/%d (len/cap)", net.Name(),
+				len(g.Channels), cap(g.Channels), len(g.Links), cap(g.Links), len(g.Switches), cap(g.Switches))
+		}
+	}
+	if allocs := testing.AllocsPerRun(10, func() {
+		if _, err := NewUnidirectional(UniConfig{K: 2, Stages: 16, Pattern: Cube, Dilation: 1, VCs: 1}); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs > 1 {
+		t.Errorf("describing a 64K-node TMIN makes %.0f allocations, want 1", allocs)
+	}
+}
+
+// TestNetworkIsPlainData: a Network is numbers all the way down — no
+// slice, map or pointer a struct view could be parked behind — so
+// whatever holds one (simrun.NetCache, a fleet worker, an engine)
+// retains a few words, and a reader can never find a field that some
+// earlier call was supposed to fill.
+func TestNetworkIsPlainData(t *testing.T) {
+	var check func(path string, typ reflect.Type)
+	check = func(path string, typ reflect.Type) {
+		switch typ.Kind() {
+		case reflect.Struct:
+			for i := 0; i < typ.NumField(); i++ {
+				check(path+"."+typ.Field(i).Name, typ.Field(i).Type)
+			}
+		case reflect.Int, reflect.Int8, reflect.Uint8, reflect.Bool:
+		default:
+			t.Errorf("%s is a %s", path, typ.Kind())
+		}
+	}
+	check("Network", reflect.TypeOf(Network{}))
+	if size := reflect.TypeOf(Network{}).Size(); size > 256 {
+		t.Errorf("a Network is %d bytes, want a few words", size)
 	}
 }

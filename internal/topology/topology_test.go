@@ -27,7 +27,7 @@ func allUniConfigs() []UniConfig {
 
 func TestUnidirectionalValidate(t *testing.T) {
 	for _, cfg := range allUniConfigs() {
-		net, err := NewUnidirectional(cfg)
+		net, err := viewOf(NewUnidirectional(cfg))
 		if err != nil {
 			t.Fatalf("%+v: %v", cfg, err)
 		}
@@ -39,7 +39,7 @@ func TestUnidirectionalValidate(t *testing.T) {
 
 func TestUnidirectionalCounts(t *testing.T) {
 	for _, cfg := range allUniConfigs() {
-		net, _ := NewUnidirectional(cfg)
+		net, _ := viewOf(NewUnidirectional(cfg))
 		k, n, N := cfg.K, cfg.Stages, net.Nodes
 		if len(net.Switches) != n*N/k {
 			t.Errorf("%s: %d switches, want %d", net.Name(), len(net.Switches), n*N/k)
@@ -92,7 +92,7 @@ func TestConnPermsAreValid(t *testing.T) {
 // validates Fig. 4 (TMINs) and Fig. 5 (DMINs) structurally.
 func TestDestinationTagDelivery(t *testing.T) {
 	for _, cfg := range allUniConfigs() {
-		net, _ := NewUnidirectional(cfg)
+		net, _ := viewOf(NewUnidirectional(cfg))
 		r := net.R
 		for src := 0; src < net.Nodes; src++ {
 			for dst := 0; dst < net.Nodes; dst++ {
@@ -122,7 +122,7 @@ func TestDestinationTagDelivery(t *testing.T) {
 // σ(s) = s_{n-2}...s_0 s_{n-1}, and the wire exiting stage i carries
 // address d_{n-1}...d_{n-i} s_{n-i-2}...s_0 d_{n-i-1}.
 func TestLemma1ChannelAddresses(t *testing.T) {
-	net, _ := NewUnidirectional(UniConfig{K: 4, Stages: 3, Pattern: Cube, Dilation: 1, VCs: 1})
+	net, _ := viewOf(NewUnidirectional(UniConfig{K: 4, Stages: 3, Pattern: Cube, Dilation: 1, VCs: 1}))
 	r := net.R
 	n := r.N()
 	for s := 0; s < net.Nodes; s++ {
@@ -185,7 +185,7 @@ func TestKindClassification(t *testing.T) {
 		{UniConfig{K: 4, Stages: 3, Dilation: 1, VCs: 2}, VMIN},
 	}
 	for _, c := range cases {
-		net, err := NewUnidirectional(c.cfg)
+		net, err := viewOf(NewUnidirectional(c.cfg))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -199,7 +199,7 @@ func TestNodeEdgesSingleChannel(t *testing.T) {
 	// The one-port rule: node links carry exactly one channel in every
 	// network, including DMINs and VMINs.
 	for _, cfg := range allUniConfigs() {
-		net, _ := NewUnidirectional(cfg)
+		net, _ := viewOf(NewUnidirectional(cfg))
 		for node := 0; node < net.Nodes; node++ {
 			inj := net.Channels[net.Inject[node]]
 			if got := len(net.Links[inj.Link].Channels); got != 1 {
@@ -215,7 +215,7 @@ func TestNodeEdgesSingleChannel(t *testing.T) {
 
 func TestPaperConfiguration(t *testing.T) {
 	// Section 5: 64 nodes, 4x4 switches, three stages, 16 switches per stage.
-	net, err := NewUnidirectional(UniConfig{K: 4, Stages: 3, Pattern: Cube, Dilation: 1, VCs: 1})
+	net, err := viewOf(NewUnidirectional(UniConfig{K: 4, Stages: 3, Pattern: Cube, Dilation: 1, VCs: 1}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,7 +236,7 @@ func TestPaperConfiguration(t *testing.T) {
 }
 
 func TestDumpAndDOT(t *testing.T) {
-	net, _ := NewUnidirectional(UniConfig{K: 2, Stages: 3, Pattern: Cube, Dilation: 1, VCs: 1})
+	net, _ := viewOf(NewUnidirectional(UniConfig{K: 2, Stages: 3, Pattern: Cube, Dilation: 1, VCs: 1}))
 	d := net.Dump()
 	if len(d) == 0 {
 		t.Error("empty dump")
@@ -245,7 +245,7 @@ func TestDumpAndDOT(t *testing.T) {
 	if len(dot) == 0 {
 		t.Error("empty DOT")
 	}
-	bnet, _ := NewBMIN(2, 3)
+	bnet, _ := viewOf(NewBMIN(2, 3))
 	if len(bnet.Dump()) == 0 || len(bnet.DOT()) == 0 {
 		t.Error("empty BMIN dump")
 	}

@@ -2,11 +2,11 @@ package topology
 
 import "fmt"
 
-// Validate checks structural invariants of a built network and
-// returns the first violation found, or nil. It is cheap enough to
-// run in tests over every configuration and in tools before a
-// simulation starts.
-func (n *Network) Validate() error {
+// Validate checks structural invariants of the struct form and
+// returns the first violation found, or nil. The form is filled from
+// the Network's closed-form accessors, so this is a check on them: it
+// runs in the tests over every configuration and in cmd/topo.
+func (n *Graph) Validate() error {
 	if err := n.validateChannels(); err != nil {
 		return err
 	}
@@ -19,7 +19,7 @@ func (n *Network) Validate() error {
 	return n.validateNodeEdges()
 }
 
-func (n *Network) validateChannels() error {
+func (n *Graph) validateChannels() error {
 	for i := range n.Channels {
 		ch := &n.Channels[i]
 		if ch.ID != i {
@@ -49,7 +49,7 @@ func (n *Network) validateChannels() error {
 	return nil
 }
 
-func (n *Network) validateLinks() error {
+func (n *Graph) validateLinks() error {
 	// Indexed by channel id: a map here costs hundreds of megabytes
 	// on million-channel large-N networks.
 	seen := make([]bool, len(n.Channels))
@@ -86,7 +86,7 @@ func (n *Network) validateLinks() error {
 	return nil
 }
 
-func (n *Network) validateSwitches() error {
+func (n *Graph) validateSwitches() error {
 	k := n.K()
 	for i := range n.Switches {
 		sw := &n.Switches[i]
@@ -132,7 +132,7 @@ func (n *Network) validateSwitches() error {
 	return nil
 }
 
-func (n *Network) validateNodeEdges() error {
+func (n *Graph) validateNodeEdges() error {
 	for node := 0; node < n.Nodes; node++ {
 		inj := n.Inject[node]
 		if inj < 0 || inj >= len(n.Channels) || !n.Channels[inj].From.IsNode() || n.Channels[inj].From.Node != node {
@@ -145,23 +145,3 @@ func (n *Network) validateNodeEdges() error {
 	}
 	return nil
 }
-
-// LayerChannels returns the ids of all channels in the given
-// connection layer (and, for BMINs, direction).
-func (n *Network) LayerChannels(layer int, dir Dir) []int {
-	var out []int
-	for i := range n.Channels {
-		ch := &n.Channels[i]
-		if ch.Layer == layer && ch.Dir == dir {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
-// ChannelCount returns the total number of (virtual) channels,
-// a proxy for the paper's hardware-complexity comparison.
-func (n *Network) ChannelCount() int { return len(n.Channels) }
-
-// LinkCount returns the number of physical links.
-func (n *Network) LinkCount() int { return len(n.Links) }

@@ -1,16 +1,15 @@
 package topology
 
 import (
-	"fmt"
 	"strings"
 	"testing"
 )
 
 // corrupt applies a mutation to a freshly built network and asserts
 // Validate reports a violation mentioning the given substring.
-func corrupt(t *testing.T, wantErr string, mutate func(n *Network)) {
+func corrupt(t *testing.T, wantErr string, mutate func(n *Graph)) {
 	t.Helper()
-	net, err := NewUnidirectional(UniConfig{K: 2, Stages: 3, Pattern: Cube, Dilation: 1, VCs: 1})
+	net, err := viewOf(NewUnidirectional(UniConfig{K: 2, Stages: 3, Pattern: Cube, Dilation: 1, VCs: 1}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -26,17 +25,17 @@ func corrupt(t *testing.T, wantErr string, mutate func(n *Network)) {
 }
 
 func TestValidateDetectsCorruption(t *testing.T) {
-	corrupt(t, "has ID", func(n *Network) { n.Channels[3].ID = 99 })
-	corrupt(t, "out of range", func(n *Network) { n.Channels[3].Link = 9999 })
-	corrupt(t, "out of range", func(n *Network) { n.Channels[3].To.Switch = 9999; n.Channels[3].To.Node = -1 })
-	corrupt(t, "node to node", func(n *Network) {
+	corrupt(t, "has ID", func(n *Graph) { n.Channels[3].ID = 99 })
+	corrupt(t, "out of range", func(n *Graph) { n.Channels[3].Link = 9999 })
+	corrupt(t, "out of range", func(n *Graph) { n.Channels[3].To.Switch = 9999; n.Channels[3].To.Node = -1 })
+	corrupt(t, "node to node", func(n *Graph) {
 		n.Channels[0].From = Loc{Node: 0, Switch: -1}
 		n.Channels[0].To = Loc{Node: 1, Switch: -1}
 	})
-	corrupt(t, "has ID", func(n *Network) { n.Links[2].ID = 0 })
-	corrupt(t, "no channels", func(n *Network) { n.Links[2].Channels = nil })
-	corrupt(t, "belongs to link", func(n *Network) { n.Links[2].Channels = []int{n.Links[3].Channels[0]} })
-	corrupt(t, "does not terminate", func(n *Network) {
+	corrupt(t, "has ID", func(n *Graph) { n.Links[2].ID = 0 })
+	corrupt(t, "no channels", func(n *Graph) { n.Links[2].Channels = nil })
+	corrupt(t, "belongs to link", func(n *Graph) { n.Links[2].Channels = []int{n.Links[3].Channels[0]} })
+	corrupt(t, "does not terminate", func(n *Graph) {
 		sw := &n.Switches[0]
 		// Claim an input that terminates elsewhere.
 		for i := range n.Channels {
@@ -46,11 +45,11 @@ func TestValidateDetectsCorruption(t *testing.T) {
 			}
 		}
 	})
-	corrupt(t, "port offset", func(n *Network) { n.Switches[0].Ports[0].Offset = 9 })
-	corrupt(t, "has no channels", func(n *Network) { n.Switches[0].Ports[0].Channels = nil })
-	corrupt(t, "invalid injection", func(n *Network) { n.Inject[0] = n.Eject[0] })
-	corrupt(t, "invalid ejection", func(n *Network) { n.Eject[0] = n.Inject[0] })
-	corrupt(t, "channels, want", func(n *Network) {
+	corrupt(t, "port offset", func(n *Graph) { n.Switches[0].Ports[0].Offset = 9 })
+	corrupt(t, "has no channels", func(n *Graph) { n.Switches[0].Ports[0].Channels = nil })
+	corrupt(t, "invalid injection", func(n *Graph) { n.Inject[0] = n.Eject[0] })
+	corrupt(t, "invalid ejection", func(n *Graph) { n.Eject[0] = n.Inject[0] })
+	corrupt(t, "channels, want", func(n *Graph) {
 		// Duplicate a channel on a port: wrong multiplicity.
 		p := n.SwitchAt(1, 0).PortAt(Right, 0)
 		p.Channels = append(p.Channels, p.Channels[0])
@@ -58,17 +57,17 @@ func TestValidateDetectsCorruption(t *testing.T) {
 }
 
 func TestValidateAcceptsAllBuilders(t *testing.T) {
-	builders := []func() (*Network, error){
-		func() (*Network, error) {
-			return NewUnidirectional(UniConfig{K: 4, Stages: 3, Pattern: Omega, Dilation: 1, VCs: 1})
+	builders := []func() (*Graph, error){
+		func() (*Graph, error) {
+			return viewOf(NewUnidirectional(UniConfig{K: 4, Stages: 3, Pattern: Omega, Dilation: 1, VCs: 1}))
 		},
-		func() (*Network, error) {
-			return NewUnidirectional(UniConfig{K: 4, Stages: 3, Pattern: Baseline, Dilation: 1, VCs: 1})
+		func() (*Graph, error) {
+			return viewOf(NewUnidirectional(UniConfig{K: 4, Stages: 3, Pattern: Baseline, Dilation: 1, VCs: 1}))
 		},
-		func() (*Network, error) {
-			return NewUnidirectional(UniConfig{K: 4, Stages: 3, Pattern: Cube, Dilation: 2, VCs: 1, Extra: 2})
+		func() (*Graph, error) {
+			return viewOf(NewUnidirectional(UniConfig{K: 4, Stages: 3, Pattern: Cube, Dilation: 2, VCs: 1, Extra: 2}))
 		},
-		func() (*Network, error) { return NewBMINVC(4, 3, 4) },
+		func() (*Graph, error) { return viewOf(NewBMINVC(4, 3, 4)) },
 	}
 	for i, b := range builders {
 		net, err := b()
@@ -82,7 +81,7 @@ func TestValidateAcceptsAllBuilders(t *testing.T) {
 }
 
 func TestLayerChannels(t *testing.T) {
-	net, _ := NewBMIN(2, 3)
+	net, _ := viewOf(NewBMIN(2, 3))
 	for g := 1; g < 3; g++ {
 		if got := len(net.LayerChannels(g, Forward)); got != 8 {
 			t.Errorf("layer %d fwd: %d channels", g, got)
@@ -95,38 +94,21 @@ func TestLayerChannels(t *testing.T) {
 		t.Errorf("inject layer: %d", got)
 	}
 	// Unidirectional networks have no backward channels.
-	uni, _ := NewUnidirectional(UniConfig{K: 2, Stages: 3, Pattern: Cube, Dilation: 1, VCs: 1})
+	uni, _ := viewOf(NewUnidirectional(UniConfig{K: 2, Stages: 3, Pattern: Cube, Dilation: 1, VCs: 1}))
 	if got := len(uni.LayerChannels(1, Backward)); got != 0 {
 		t.Errorf("unidirectional backward channels: %d", got)
 	}
 }
 
-// TestCheckMatchesBuilders: UniConfig.Check and CheckBMIN return what
-// the builders return, for every way the builders' arguments can be
-// wrong.
-func TestCheckMatchesBuilders(t *testing.T) {
-	same := func(what string, build, check error) {
-		t.Helper()
-		if (build == nil) != (check == nil) || (build != nil && build.Error() != check.Error()) {
-			t.Errorf("%s:\n build: %v\n check: %v", what, build, check)
+// LayerChannels returns the ids of all channels in the given
+// connection layer (and, for BMINs, direction).
+func (n *Graph) LayerChannels(layer int, dir Dir) []int {
+	var out []int
+	for i := range n.Channels {
+		ch := &n.Channels[i]
+		if ch.Layer == layer && ch.Dir == dir {
+			out = append(out, i)
 		}
 	}
-	for _, cfg := range []UniConfig{
-		{K: 4, Stages: 2, Dilation: 1, VCs: 1},
-		{K: 4, Stages: 2, Dilation: 2, VCs: 2},
-		{K: 4, Stages: 2, Dilation: 0, VCs: 1},
-		{K: 4, Stages: 2, Dilation: 1, VCs: 0},
-		{K: 4, Stages: 2, Dilation: 1, VCs: 1, Extra: -1},
-		{K: 12, Stages: 2, Dilation: 1, VCs: 1},
-		{K: 1, Stages: 2, Dilation: 1, VCs: 1},
-		{K: 4, Stages: 0, Dilation: 1, VCs: 1},
-		{K: 4, Stages: 33, Dilation: 1, VCs: 1},
-	} {
-		_, err := NewUnidirectional(cfg)
-		same(fmt.Sprintf("%+v", cfg), err, cfg.Check())
-	}
-	for _, a := range [][3]int{{4, 2, 1}, {4, 2, 2}, {5, 2, 1}, {4, 2, 0}, {0, 2, 1}, {4, 0, 1}, {2, 64, 1}} {
-		_, err := NewBMINVC(a[0], a[1], a[2])
-		same(fmt.Sprintf("BMIN%v", a), err, CheckBMIN(a[0], a[1], a[2]))
-	}
+	return out
 }

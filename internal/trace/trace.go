@@ -182,7 +182,7 @@ func BlockingReport(blocked []int64, totalCycles int64) string {
 // carried a flit. This is the dynamic face of the paper's
 // channel-balance arguments.
 func UtilizationReport(net *topology.Network, flits []int64, cycles int64) string {
-	if len(flits) != len(net.Channels) || cycles <= 0 {
+	if len(flits) != net.ChannelCount() || cycles <= 0 {
 		return "utilization: no data\n"
 	}
 	type key struct {
@@ -195,10 +195,10 @@ func UtilizationReport(net *topology.Network, flits []int64, cycles int64) strin
 		n        int
 	}
 	layers := map[key]*agg{}
-	for i := range net.Channels {
-		ch := &net.Channels[i]
+	for i := range flits {
+		layer, _, dir := net.Address(i)
 		u := float64(flits[i]) / float64(cycles)
-		k := key{ch.Layer, ch.Dir}
+		k := key{layer, dir}
 		a := layers[k]
 		if a == nil {
 			a = &agg{min: u, max: u}

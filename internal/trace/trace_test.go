@@ -100,14 +100,14 @@ func TestUtilizationNoData(t *testing.T) {
 	if !strings.Contains(UtilizationReport(net, nil, 100), "no data") {
 		t.Error("nil flits should report no data")
 	}
-	if !strings.Contains(UtilizationReport(net, make([]int64, len(net.Channels)), 0), "no data") {
+	if !strings.Contains(UtilizationReport(net, make([]int64, net.ChannelCount()), 0), "no data") {
 		t.Error("zero cycles should report no data")
 	}
 }
 
 func TestUtilizationBMINDirections(t *testing.T) {
 	net, _ := topology.NewBMIN(2, 2)
-	flits := make([]int64, len(net.Channels))
+	flits := make([]int64, net.ChannelCount())
 	for i := range flits {
 		flits[i] = int64(i)
 	}

@@ -137,8 +137,9 @@ func (n *Network) Name() string { return n.topo.Name() }
 // hardware-complexity proxy.
 func (n *Network) Channels() int { return n.topo.ChannelCount() }
 
-// Topology exposes the underlying graph for advanced use (analysis
-// tools, custom engines).
+// Topology exposes the underlying network description for advanced
+// use (analysis tools, custom engines); its Graph method builds the
+// switch-level graph.
 func (n *Network) Topology() *topology.Network { return n.topo }
 
 // Pattern selects a traffic pattern.

@@ -94,14 +94,7 @@ func TestFacadeOmegaBaseline(t *testing.T) {
 func TestFacadeFaultsAndDepth(t *testing.T) {
 	net, _ := NewNetwork(NetworkConfig{Kind: DMIN})
 	// Pick an interstage channel to fail via the topology.
-	victim := -1
-	topo := net.Topology()
-	for i := range topo.Channels {
-		if topo.Channels[i].Layer == 1 {
-			victim = i
-			break
-		}
-	}
+	victim := net.Topology().LayerBase(1)
 	if !net.Reachable([]int{victim}, 0, 63) {
 		t.Error("DMIN should route around one interstage fault")
 	}
