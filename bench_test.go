@@ -25,7 +25,6 @@ import (
 	"minsim/internal/metrics"
 	"minsim/internal/multicast"
 	"minsim/internal/routing"
-	"minsim/internal/simrun"
 	"minsim/internal/topology"
 	"minsim/internal/traffic"
 )
@@ -209,120 +208,6 @@ func BenchmarkEngineLowLoad(b *testing.B) {
 	st := e.Stats()
 	if st.Cycles > 0 {
 		b.ReportMetric(float64(st.IdleSkipped)/float64(st.Cycles), "idle_frac")
-	}
-}
-
-// Replica-batch benchmarks: the full cost of producing one replicated
-// load point — traffic-source and engine construction plus the
-// simulation run — normalized to nanoseconds per replica-cycle, so
-// the scalar baseline and the lockstep ReplicaSet are directly
-// comparable at every lane count. R=1 exposes the batching overhead
-// on a single lane; R in {4, 8, 16} shows the amortization of the
-// shared routing table and slab-resident state.
-const (
-	replicaBenchWarmup  = 2_000
-	replicaBenchMeasure = 8_000
-)
-
-// replicaBenchSource builds the standard benchmark workload (uniform
-// load 0.4, paper message lengths) for one replica seed.
-func replicaBenchSource(b *testing.B, net *topology.Network, seed uint64) engine.Source {
-	b.Helper()
-	c := traffic.Global(net.Nodes)
-	rates, err := traffic.NodeRates(c, 0.4, traffic.PaperLengths.Mean(), nil)
-	if err != nil {
-		b.Fatal(err)
-	}
-	src, err := traffic.NewWorkload(traffic.Config{
-		Nodes:   net.Nodes,
-		Pattern: traffic.Uniform{C: c},
-		Lengths: traffic.PaperLengths,
-		Rates:   rates,
-		Seed:    seed,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	return src
-}
-
-func benchReplicaSet(b *testing.B, spec experiments.NetworkSpec, lanes int) {
-	b.Helper()
-	net, err := spec.Build()
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rc := engine.ReplicaConfig{Net: net}
-		for r := 0; r < lanes; r++ {
-			seed := simrun.DeriveReplicaSeed(benchBudget.Seed, 0, r)
-			rc.Lanes = append(rc.Lanes, engine.LaneConfig{
-				Source: replicaBenchSource(b, net, seed),
-				Seed:   seed ^ 0xd1b54a32d192ed03,
-			})
-		}
-		rs, err := engine.NewReplicaSet(rc)
-		if err != nil {
-			b.Fatal(err)
-		}
-		rs.SetMeasureFrom(replicaBenchWarmup)
-		rs.Run(replicaBenchWarmup + replicaBenchMeasure)
-	}
-	b.StopTimer()
-	cycles := float64(b.N) * float64(lanes) * float64(replicaBenchWarmup+replicaBenchMeasure)
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/cycles, "ns/repcycle")
-}
-
-func benchReplicaScalar(b *testing.B, spec experiments.NetworkSpec, lanes int) {
-	b.Helper()
-	net, err := spec.Build()
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for r := 0; r < lanes; r++ {
-			seed := simrun.DeriveReplicaSeed(benchBudget.Seed, 0, r)
-			e, err := engine.New(engine.Config{
-				Net:    net,
-				Source: replicaBenchSource(b, net, seed),
-				Seed:   seed ^ 0xd1b54a32d192ed03,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			e.SetMeasureFrom(replicaBenchWarmup)
-			e.Run(replicaBenchWarmup + replicaBenchMeasure)
-		}
-	}
-	b.StopTimer()
-	cycles := float64(b.N) * float64(lanes) * float64(replicaBenchWarmup+replicaBenchMeasure)
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/cycles, "ns/repcycle")
-}
-
-// BenchmarkReplicaSet: one lockstep ReplicaSet spanning all lanes.
-func BenchmarkReplicaSet(b *testing.B) {
-	for _, ns := range experiments.PaperSpecs() {
-		for _, lanes := range []int{1, 4, 8, 16} {
-			b.Run(fmt.Sprintf("%s/R=%d", ns.Name, lanes), func(b *testing.B) {
-				benchReplicaSet(b, ns.Spec, lanes)
-			})
-		}
-	}
-}
-
-// BenchmarkReplicaScalar: the same replicated point run as independent
-// scalar engines — the baseline the ReplicaSet must amortize against.
-func BenchmarkReplicaScalar(b *testing.B) {
-	for _, ns := range experiments.PaperSpecs() {
-		for _, lanes := range []int{1, 4, 8, 16} {
-			b.Run(fmt.Sprintf("%s/R=%d", ns.Name, lanes), func(b *testing.B) {
-				benchReplicaScalar(b, ns.Spec, lanes)
-			})
-		}
 	}
 }
 

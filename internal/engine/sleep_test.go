@@ -40,7 +40,7 @@ func TestSleepAcrossMeasureBoundary(t *testing.T) {
 	}
 }
 
-// refRunTo is Engine.runTo over refStep.
+// refRunTo is Engine.Run's loop over refStep, up to an absolute cycle.
 func refRunTo(e *Engine, target int64, cov *trainCoverage) {
 	for e.now < target {
 		if e.skipIdle(target) {

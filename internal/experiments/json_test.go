@@ -195,10 +195,14 @@ func TestParseJSONDoesNotBuild(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := e.Curves[0].Net.Nodes(); n != 1<<19 {
-		t.Fatalf("parsed a %d-node network", n)
-	}
 	if got := after.TotalAlloc - before.TotalAlloc; got > 1<<20 {
 		t.Errorf("ParseJSON of a 2^19-node curve allocated %d bytes", got)
+	}
+	net, err := e.Curves[0].Net.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if net.Nodes != 1<<19 {
+		t.Fatalf("parsed a %d-node network", net.Nodes)
 	}
 }

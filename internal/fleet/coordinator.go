@@ -21,7 +21,7 @@ type Config struct {
 	Store simrun.Store
 	// ChunkSize is the maximum units granted per lease (default 4).
 	// Small chunks spread a panel across workers; large chunks
-	// amortize HTTP round-trips and batch better on the worker.
+	// amortize HTTP round-trips.
 	ChunkSize int
 	// LeaseTTL is how long a lease survives without a heartbeat
 	// (default 10s). Workers heartbeat at TTL/3.

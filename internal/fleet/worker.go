@@ -190,10 +190,10 @@ func (w *Worker) Run(ctx context.Context) error {
 	}
 }
 
-// runLease executes one chunk: all units in a single plan (so
-// same-topology units batch into lockstep replica sets exactly as
-// they would locally), with the shared store consulted per unit and
-// written through per fresh result, then one complete call. Losing
+// runLease executes one chunk: all units in a single plan on the
+// worker's pool, one point each exactly as they would run locally,
+// with the shared store consulted per unit and written through per
+// fresh result, then one complete call. Losing
 // the heartbeat cancels the simulations and abandons the chunk — the
 // coordinator has already requeued it.
 //

@@ -172,10 +172,9 @@ func burstySweep(loads []float64, replicas int) SweepSpec {
 	return s
 }
 
-// TestReplicatedSweepBursty extends the batched-equals-scalar
-// bit-exactness contract to the new arrival processes: an MMPP sweep
-// run through the replica executor merges to exactly what R scalar
-// engines produce.
+// TestReplicatedSweepBursty extends TestReplicatedSweep's contract to
+// the bursty arrival processes: an MMPP sweep replicated through the
+// plan merges to exactly what R direct runs of the same specs produce.
 func TestReplicatedSweepBursty(t *testing.T) {
 	loads := []float64{0.1, 0.25}
 	const reps = 3
@@ -203,7 +202,7 @@ func TestReplicatedSweepBursty(t *testing.T) {
 			pts[rep] = pt
 		}
 		if want := metrics.MergeReplicas(pts); merged[i] != want {
-			t.Errorf("load %g: batched bursty merge diverges from scalar merge:\nbatched: %+v\nscalar:  %+v", load, merged[i], want)
+			t.Errorf("load %g: plan bursty merge diverges from direct merge:\nplan:   %+v\ndirect: %+v", load, merged[i], want)
 		}
 		if merged[i].Messages == 0 {
 			t.Errorf("load %g measured nothing", load)

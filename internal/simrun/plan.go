@@ -69,9 +69,9 @@ type Handle struct {
 // be hashed (exotic length distributions) run uncached. With
 // Budget.Replicas > 1 every load point expands into that many
 // replica runs with seeds derived per (point, replica) — each replica
-// stays an ordinary single-run point-run with its own content key and
-// Store entry, so caching and dedup semantics are untouched by
-// replication; only the execution layer batches them.
+// is an ordinary single-run point-run with its own content key and
+// Store entry, so caching, dedup and execution are untouched by
+// replication; only Handle.Points merges them.
 func (p *Plan) AddSweep(s SweepSpec) *Handle {
 	reps := s.Budget.Replicas
 	if reps < 1 {
@@ -123,8 +123,8 @@ func (p *Plan) AddSweep(s SweepSpec) *Handle {
 // It shares the dedup index with AddSweep, so a spec already on the
 // plan resolves to the existing point-run. This is how a fleet worker
 // replays a leased unit through the plan layer: the unit's spec goes
-// straight in, and execution reuses the same cache check, batching and
-// chunked cancellation as any locally planned point.
+// straight in, and execution reuses the same cache check and chunked
+// cancellation as any locally planned point.
 func (p *Plan) AddSpec(rs RunSpec) *Handle {
 	p.requested++
 	key, err := rs.Key()
@@ -142,7 +142,7 @@ func (p *Plan) AddSpec(rs RunSpec) *Handle {
 }
 
 // AddFunc registers n opaque points executed by fn(i). Opaque points
-// cannot be hashed, deduplicated, cached or batched — they exist so
+// cannot be hashed, deduplicated or cached — they exist so
 // ad-hoc callers (arbitrary networks and source factories) still share
 // the plan's worker pool, cancellation and progress accounting.
 func (p *Plan) AddFunc(n int, fn func(i int) (metrics.Point, error)) *Handle {
@@ -391,47 +391,40 @@ func (p *Plan) Execute(ctx context.Context, opts Options) error {
 		workers = len(pending)
 	}
 
-	// Same-topology spec points batch into lockstep ReplicaSets (see
-	// replica.go); opaque and odd-one-out points run scalar. Either
-	// way a unit is the scheduling granule of the worker pool.
-	units := batchUnits(pending, workers)
-
+	// Every point — each replica of a replicated one included — is one
+	// engine run and the scheduling granule of the worker pool.
 	nets := &NetCache{parent: opts.Nets}
-	work := make(chan []*pointRun)
+	work := make(chan *pointRun)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for unit := range work {
+			for r := range work {
 				if ctx.Err() != nil {
 					continue // drain without simulating
 				}
-				p.bump(func(c *Counters) { c.Running += len(unit) }, opts.Progress)
-				executeUnit(ctx, unit, nets)
-				failed := 0
-				//simvet:bounded — one small atomic cache write per point of a lane-capped unit
-				for _, r := range unit {
-					r.done = r.err == nil
-					if r.err != nil {
-						failed++
-					} else if opts.Store != nil && r.key != "" {
-						opts.Store.Put(r.key, r.spec.String(), r.pt)
-					}
+				p.bump(func(c *Counters) { c.Running++ }, opts.Progress)
+				executePoint(ctx, r, nets)
+				r.done = r.err == nil
+				if r.done && opts.Store != nil && r.key != "" {
+					opts.Store.Put(r.key, r.spec.String(), r.pt)
 				}
 				p.bump(func(c *Counters) {
-					c.Running -= len(unit)
-					c.Executed += len(unit)
-					c.Done += len(unit)
-					c.Failed += failed
+					c.Running--
+					c.Executed++
+					c.Done++
+					if r.err != nil {
+						c.Failed++
+					}
 				}, opts.Progress)
 			}
 		}()
 	}
 feed:
-	for _, u := range units {
+	for _, r := range pending {
 		select {
-		case work <- u:
+		case work <- r:
 		case <-ctx.Done():
 			break feed
 		}
@@ -442,26 +435,19 @@ feed:
 	return ctx.Err()
 }
 
-// executeUnit simulates one scheduling unit: a single spec point runs
-// on a scalar engine in cancelQuantum legs (see PointConfig.simulate);
-// a batch runs all its points in lockstep on one ReplicaSet (bit-exact
-// with the scalar path), checking ctx between lockstep chunks. Either
-// way cancellation latency is bounded by one quantum, not a run.
-// Opaque fn points remain non-preemptible: there is no spec to chunk.
-func executeUnit(ctx context.Context, unit []*pointRun, nets *NetCache) {
-	if len(unit) == 1 {
-		r := unit[0]
-		if r.fn != nil {
-			r.pt, r.err = r.fn()
-			return
-		}
-		r.pt, r.err = r.spec.run(ctx, nets)
-		if r.err != nil {
-			r.err = fmt.Errorf("simrun: %s: %w", r.spec, r.err)
-		}
+// executePoint simulates one point: a spec point on an engine in
+// cancelQuantum legs (see PointConfig.simulate), so cancellation
+// latency is bounded by one quantum, not a run. Opaque fn points remain
+// non-preemptible: there is no spec to chunk.
+func executePoint(ctx context.Context, r *pointRun, nets *NetCache) {
+	if r.fn != nil {
+		r.pt, r.err = r.fn()
 		return
 	}
-	runBatch(ctx, unit, nets)
+	r.pt, r.err = r.spec.run(ctx, nets)
+	if r.err != nil {
+		r.err = fmt.Errorf("simrun: %s: %w", r.spec, r.err)
+	}
 }
 
 // bump applies a counter update and emits a progress snapshot, both

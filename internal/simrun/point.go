@@ -51,12 +51,16 @@ func (c PointConfig) Simulate() (metrics.Point, error) {
 	return c.simulate(context.Background())
 }
 
+// cancelQuantum bounds how many cycles a point simulates between
+// context checks, so a point does not make the plan executor
+// non-preemptible for a whole warmup+measure run. At ≤ 2 µs per cycle
+// on the paper networks, a leg is ≤ 16 ms.
+const cancelQuantum = 8192
+
 // simulate runs the point in cancelQuantum legs, observing ctx between
-// legs — the same chunking as the batched path (runBatch), so a scalar
-// point no longer makes the plan executor non-preemptible for a whole
-// warmup+measure run. Chunked Run legs are bit-exact with one full Run
-// (idle-skip credits are additive; idle cycles draw no randomness), so
-// cached results are unaffected.
+// legs. Chunked Run legs are bit-exact with one full Run (idle-skip
+// credits are additive; idle cycles draw no randomness), so cached
+// results are unaffected.
 func (c PointConfig) simulate(ctx context.Context) (metrics.Point, error) {
 	src, err := c.Factory(c.Load, c.Seed)
 	if err != nil {

@@ -13,14 +13,14 @@ import (
 )
 
 // TestScalarCancellationMidRun pins the preemption granularity of the
-// scalar executor: a lone spec point runs on a plain engine, and
-// PointConfig.simulate must advance it in cancelQuantum legs so
-// canceling the plan does not wait for a whole warmup+measure run.
-// The budget (~3M cycles) is far more simulation than the cancellation
-// should ever allow to run.
+// executor: PointConfig.simulate must advance a point in cancelQuantum
+// legs so canceling the plan does not wait for a whole warmup+measure
+// run, and the point cancelled mid-run counts as executed and failed.
+// The budget (~3M cycles over two points) is far more simulation than
+// the cancellation should ever allow to run.
 func TestScalarCancellationMidRun(t *testing.T) {
-	s := tinySweep([]float64{0.1}) // one point: scalar path, no batching
-	s.Budget.MeasureCycles = 3_000_000
+	s := tinySweep([]float64{0.1, 0.2})
+	s.Budget.MeasureCycles = 1_500_000
 
 	plan := NewPlan()
 	h := plan.AddSweep(s)
@@ -28,7 +28,7 @@ func TestScalarCancellationMidRun(t *testing.T) {
 	defer cancel()
 	err := plan.Execute(ctx, Options{Workers: 1, Progress: func(c Counters) {
 		if c.Running > 0 {
-			cancel() // fires as soon as the point is picked up
+			cancel() // fires as soon as the first point is picked up
 		}
 	}})
 	if !errors.Is(err, context.Canceled) {
@@ -36,6 +36,9 @@ func TestScalarCancellationMidRun(t *testing.T) {
 	}
 	if _, err := h.Points(); !errors.Is(err, context.Canceled) {
 		t.Fatalf("Points after mid-run cancellation returned %v, want context.Canceled", err)
+	}
+	if c := plan.Counters(); c.Executed == 0 || c.Failed == 0 {
+		t.Errorf("counters %+v: a point cancelled mid-run should be counted as executed-and-failed", c)
 	}
 }
 

@@ -159,8 +159,8 @@ func appendLengths(b []byte, d traffic.LengthDist) ([]byte, error) {
 
 // run executes the spec, sharing built networks through nc. The
 // simulation advances in cancelQuantum legs, observing ctx between
-// legs, so a scalar point bounds cancellation latency exactly like a
-// batched one (chunked legs are bit-exact with a single full run).
+// legs (chunked legs are bit-exact with a single full run). Each
+// replica of a replicated point is one such run.
 func (r RunSpec) run(ctx context.Context, nc *NetCache) (metrics.Point, error) {
 	net, err := nc.get(r.Net)
 	if err != nil {

@@ -114,32 +114,6 @@ func channelCount(nodes int, cfg topology.UniConfig, bmin bool) float64 {
 	return float64(nodes) * (2 + inner*perWire)
 }
 
-// Nodes returns K^Stages, the node count of the built network,
-// without constructing the topology — the spec-level size the
-// executor's lane-width heuristic and the large-N benchmark
-// vocabulary key off. Zero or negative geometry returns 0.
-//
-// It is a //simvet:keypath root in its own right: spec-derived
-// quantities must stay pure functions of the spec fields even when
-// (like this one) they feed scheduling rather than the cache key, so
-// batching decisions can never drift on ambient state.
-//
-//simvet:keypath
-func (s NetworkSpec) Nodes() int {
-	if s.K < 2 || s.Stages < 1 {
-		return 0
-	}
-	n := 1
-	//simvet:bounded — Stages is a small constant of the spec
-	for i := 0; i < s.Stages; i++ {
-		if n > (1<<62)/s.K {
-			return 0
-		}
-		n *= s.K
-	}
-	return n
-}
-
 // canon normalizes the spec so that configurations Build treats
 // identically hash identically: family defaults are applied and
 // fields the family ignores are zeroed.
@@ -440,8 +414,8 @@ func (w WorkloadSpec) Validate() error {
 // Factory returns a SourceFactory realizing the workload on the given
 // network. Stateless patterns are built once and shared across the
 // factory's invocations; the trace pattern carries replay cursors, so
-// a fresh one is built per invocation (each engine of a replica batch
-// must own its own cursors). The adversarial pattern resolves here —
+// a fresh one is built per invocation (each engine must own its own
+// cursors). The adversarial pattern resolves here —
 // deterministically, from the spec and the network alone — to the
 // worst permutation routing.WorstPermutation finds, the one workload
 // that walks the network's struct view (built for the search, dropped
@@ -511,8 +485,8 @@ type Budget struct {
 	// derived seeds, see DeriveReplicaSeed) of every load point; the
 	// sweep's results then report per-point means with confidence
 	// intervals (metrics.MergeReplicas). 0 or 1 means a single run per
-	// point, the pre-replication behavior. Replications of one load
-	// point — and same-topology points generally — execute batched in
-	// one lockstep engine.ReplicaSet; results are bit-exact either way.
+	// point, the pre-replication behavior. Each replica is an ordinary
+	// point with its own key and store entry; the merge happens after
+	// the cache (Handle.Points).
 	Replicas int
 }

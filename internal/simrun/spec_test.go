@@ -63,7 +63,7 @@ func TestNetworkSpecBoundsChannels(t *testing.T) {
 			t.Fatalf("%s: %v", spec, err)
 		}
 		cfg, bmin, _ := spec.builderArgs()
-		if got := channelCount(spec.Nodes(), cfg, bmin); got != float64(net.ChannelCount()) {
+		if got := channelCount(net.Nodes, cfg, bmin); got != float64(net.ChannelCount()) {
 			t.Errorf("%s: channelCount = %.0f, the network has %d", spec, got, net.ChannelCount())
 		}
 	}

@@ -14,9 +14,8 @@ import (
 // say they block) or has no loop condition at all — yet never observes
 // the context: no ctx.Err() check, no ctx.Done() receive, and no call
 // that hands ctx to a context-observing callee. This generalizes the
-// hand-maintained "check ctx every cancelQuantum cycles" rule from the
-// replica batching path into a property the compiler of record
-// enforces.
+// hand-maintained "check ctx every cancelQuantum cycles" rule of the
+// point executor into a property the compiler of record enforces.
 //
 // Functions annotated //simvet:blocking are boundaries: a call to one
 // is itself the blocking operation the caller must bracket with a

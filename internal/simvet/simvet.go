@@ -44,7 +44,7 @@
 //     propagated through the call graph across packages;
 //
 //   - ctxflow: every loop reachable from a //simvet:ctxbound root
-//     (job execution, the plan executor, replica batch legs, drain
+//     (job execution, the plan executor, point legs, drain
 //     paths) that can block or compute without bound must observe its
 //     context each iteration, generalizing the hand-maintained "check
 //     ctx every 8192 cycles" rule into an enforced property.

@@ -39,12 +39,6 @@ type Config struct {
 	BufferDepth   int                // per-channel flit buffers (0 = paper's 1)
 	Arbitration   engine.Arbitration // worm ordering policy
 	Parallelism   int                // worker goroutines (0 = GOMAXPROCS)
-	// Replicas runs each load point this many times with independent
-	// derived seeds (simrun.DeriveReplicaSeed) — batched in one
-	// lockstep engine.ReplicaSet per point — and reports the mean with
-	// a 95% confidence interval (metrics.MergeReplicas). 0 or 1 means
-	// one run per point, the pre-replication behavior.
-	Replicas int
 }
 
 func (c Config) validate() error {
@@ -85,54 +79,24 @@ func RunContext(ctx context.Context, cfg Config) ([]metrics.Point, error) {
 	return h.Points()
 }
 
-// runPoint simulates a single offered-load point: one scalar engine
-// for an unreplicated sweep, one lockstep ReplicaSet spanning the
-// replicas otherwise. Replica 0 uses the point's single-run seed, so
-// adding replicas refines a point estimate without replacing it.
+// runPoint simulates a single offered-load point on its own engine.
 func runPoint(cfg Config, i int) (metrics.Point, error) {
 	load := cfg.Loads[i]
-	if cfg.Replicas <= 1 {
-		pt, err := simrun.PointConfig{
-			Net:         cfg.Net,
-			Factory:     cfg.Factory,
-			Load:        load,
-			Seed:        simrun.DeriveSeed(cfg.Seed, i),
-			Warmup:      cfg.WarmupCycles,
-			Measure:     cfg.MeasureCycles,
-			QueueLimit:  cfg.QueueLimit,
-			BufferDepth: cfg.BufferDepth,
-			Arbitration: cfg.Arbitration,
-		}.Simulate()
-		if err != nil {
-			return metrics.Point{}, fmt.Errorf("sweep: load %v: %w", load, err)
-		}
-		return pt, nil
-	}
-	rc := engine.ReplicaConfig{
+	pt, err := simrun.PointConfig{
 		Net:         cfg.Net,
+		Factory:     cfg.Factory,
+		Load:        load,
+		Seed:        simrun.DeriveSeed(cfg.Seed, i),
+		Warmup:      cfg.WarmupCycles,
+		Measure:     cfg.MeasureCycles,
 		QueueLimit:  cfg.QueueLimit,
 		BufferDepth: cfg.BufferDepth,
 		Arbitration: cfg.Arbitration,
-	}
-	for rep := 0; rep < cfg.Replicas; rep++ {
-		seed := simrun.DeriveReplicaSeed(cfg.Seed, i, rep)
-		src, err := cfg.Factory(load, seed)
-		if err != nil {
-			return metrics.Point{}, fmt.Errorf("sweep: load %v replica %d: %w", load, rep, err)
-		}
-		rc.Lanes = append(rc.Lanes, engine.LaneConfig{Source: src, Seed: seed ^ 0xd1b54a32d192ed03})
-	}
-	rs, err := engine.NewReplicaSet(rc)
+	}.Simulate()
 	if err != nil {
 		return metrics.Point{}, fmt.Errorf("sweep: load %v: %w", load, err)
 	}
-	rs.SetMeasureFrom(cfg.WarmupCycles)
-	rs.Run(cfg.WarmupCycles + cfg.MeasureCycles)
-	pts := make([]metrics.Point, cfg.Replicas)
-	for rep := range pts {
-		pts[rep] = metrics.FromStats(load, cfg.Net.Nodes, rs.Stats(rep))
-	}
-	return metrics.MergeReplicas(pts), nil
+	return pt, nil
 }
 
 // LoadRange returns count loads evenly spaced over [lo, hi],

@@ -36,6 +36,7 @@ import (
 	"minsim/internal/kary"
 	"minsim/internal/metrics"
 	"minsim/internal/routing"
+	"minsim/internal/simrun"
 	"minsim/internal/sweep"
 	"minsim/internal/topology"
 	"minsim/internal/traffic"
@@ -84,7 +85,9 @@ type Network struct {
 	router routing.Router
 }
 
-// NewNetwork builds a network.
+// NewNetwork builds a network. Family defaults and the size bound
+// (simrun.MaxChannels) are those of every other entry point: the
+// config maps onto a simrun.NetworkSpec, whose Build applies them.
 func NewNetwork(cfg NetworkConfig) (*Network, error) {
 	if cfg.K == 0 {
 		cfg.K = 4
@@ -92,35 +95,17 @@ func NewNetwork(cfg NetworkConfig) (*Network, error) {
 	if cfg.Stages == 0 {
 		cfg.Stages = 3
 	}
-	var (
-		topo *topology.Network
-		err  error
-	)
-	switch cfg.Kind {
-	case BMIN:
-		vcs := cfg.VCs
-		if vcs == 0 {
-			vcs = 1
-		}
-		topo, err = topology.NewBMINVC(cfg.K, cfg.Stages, vcs)
-	case TMIN, DMIN, VMIN:
-		uc := topology.UniConfig{K: cfg.K, Stages: cfg.Stages, Pattern: topology.Pattern(cfg.Wiring), Dilation: 1, VCs: 1, Extra: cfg.Extra}
-		if cfg.Kind == DMIN {
-			uc.Dilation = cfg.Dilation
-			if uc.Dilation == 0 {
-				uc.Dilation = 2
-			}
-		}
-		if cfg.Kind == VMIN {
-			uc.VCs = cfg.VCs
-			if uc.VCs == 0 {
-				uc.VCs = 2
-			}
-		}
-		topo, err = topology.NewUnidirectional(uc)
-	default:
-		return nil, fmt.Errorf("minsim: unknown network kind %d", int(cfg.Kind))
-	}
+	// Kind and Wiring enumerate the topology's kinds and patterns in
+	// the same order.
+	topo, err := simrun.NetworkSpec{
+		Kind:     topology.Kind(cfg.Kind),
+		Pattern:  topology.Pattern(cfg.Wiring),
+		K:        cfg.K,
+		Stages:   cfg.Stages,
+		Dilation: cfg.Dilation,
+		VCs:      cfg.VCs,
+		Extra:    cfg.Extra,
+	}.Build()
 	if err != nil {
 		return nil, err
 	}

@@ -2,8 +2,12 @@ package minsim
 
 import (
 	"math"
+	"runtime"
+	"strconv"
 	"strings"
 	"testing"
+
+	"minsim/internal/simrun"
 )
 
 func TestNewNetworkDefaults(t *testing.T) {
@@ -41,6 +45,22 @@ func TestNewNetworkErrors(t *testing.T) {
 	}
 	if _, err := NewNetwork(NetworkConfig{Kind: TMIN, K: 3}); err == nil {
 		t.Error("non-power-of-two k accepted")
+	}
+}
+
+// TestNewNetworkBoundsChannels: the facade refuses a network too large
+// to run, as every other entry point does, and the refusal costs the
+// description, not the network (2^26 nodes is 1.8 G channels).
+func TestNewNetworkBoundsChannels(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := NewNetwork(NetworkConfig{Kind: TMIN, K: 2, Stages: 26})
+	runtime.ReadMemStats(&after)
+	if err == nil || !strings.Contains(err.Error(), strconv.Itoa(simrun.MaxChannels)) {
+		t.Errorf("NewNetwork at 2^26 nodes returned %v, want the %d-channel bound", err, simrun.MaxChannels)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+		t.Errorf("refusing a 2^26-node network allocated %d bytes, want < 1 MB", got)
 	}
 }
 
