@@ -260,8 +260,9 @@ const csvRowNumbers = 96
 // trailing replication columns are the error bars: for single-run
 // points (replicas = 1) the CI bounds degenerate to the point
 // estimates themselves. The columns are fmt's %.4f, %.1f, %.3f, %d and
-// %t, written through strconv: a warm figure request spends its time
-// here, and fmt's argument boxing and verb parsing were most of it.
+// %t, written through strconv (floats through appendFixed): a warm
+// figure request spends its time here, and fmt's argument boxing and
+// verb parsing were most of it.
 func (f Figure) CSV() string {
 	size := len(csvHeader)
 	for _, s := range f.Series {
@@ -273,7 +274,7 @@ func (f Figure) CSV() string {
 	var scratch [32]byte
 	float := func(v float64, prec int) {
 		sb.WriteByte(',')
-		sb.Write(strconv.AppendFloat(scratch[:0], v, 'f', prec, 64))
+		sb.Write(appendFixed(scratch[:0], v, prec))
 	}
 	integer := func(v int64) {
 		sb.WriteByte(',')
@@ -309,6 +310,75 @@ func (f Figure) CSV() string {
 		}
 	}
 	return sb.String()
+}
+
+// maxFixedDigits bounds the significant digits appendFixed asks of
+// strconv's 'e' form (whose fixed-precision path takes up to 18).
+const maxFixedDigits = 15
+
+// pow10 holds 10^k for k = pow10Min … 15: the thresholds appendFixed
+// compares against to find a decimal exponent. The positive powers are
+// exact; each negative one is the float64 just above 10^k, so for every
+// float64 a, a >= pow10[k-pow10Min] exactly when a >= 10^k.
+const pow10Min = -4
+
+var pow10 = [...]float64{1e-4, 1e-3, 1e-2, 1e-1, 1, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11, 1e12, 1e13, 1e14, 1e15}
+
+// appendFixed appends exactly strconv.AppendFloat(b, v, 'f', prec, 64)
+// for prec >= 0, faster. strconv renders 'f' at an explicit precision
+// on its multiprecision path, and 'e' at up to 18 digits on its
+// fixed-precision one, with the same rounding (correct, halfway cases
+// to even). So with |v| in
+// [10^x, 10^(x+1)) appendFixed asks 'e' for the prec+x+1 significant
+// digits 'f' prints and places the point itself; when rounding carries
+// to 10^(x+1) (9.99995 at 4 decimals is 1.0000e+01) 'f' prints one
+// digit more, a trailing zero. Zero, subnormals, NaN, ±Inf and values
+// that would need no digit or more than maxFixedDigits go to 'f'.
+func appendFixed(b []byte, v float64, prec int) []byte {
+	a := math.Abs(v)
+	e2 := int(math.Float64bits(a)>>52) - 1023 // 2^e2 <= a < 2^(e2+1) for normal a
+	x := e2 * 78913 >> 18                     // floor(e2·log10 2): 10^x <= a < 10^(x+2)
+	i := x + 1 - pow10Min
+	if i < 0 || i >= len(pow10) {
+		return strconv.AppendFloat(b, v, 'f', prec, 64)
+	}
+	if a >= pow10[i] {
+		x++
+	}
+	digits := prec + x + 1
+	if digits < 1 || digits > maxFixedDigits {
+		return strconv.AppendFloat(b, v, 'f', prec, 64)
+	}
+	var scratch [24]byte
+	s := strconv.AppendFloat(scratch[:0], a, 'e', digits-1, 64) // d.ddde±XX
+	n := len(s)
+	exp := int(s[n-2]-'0')*10 + int(s[n-1]-'0')
+	if s[n-3] == '-' {
+		exp = -exp
+	}
+	ds := s[:n-4]
+	if len(ds) > 1 { // drop the point: dddd
+		ds[1] = ds[0]
+		ds = ds[1:]
+	}
+	if exp != x { // carried to 10^(x+1)
+		ds = append(ds, '0')
+	}
+	if v < 0 {
+		b = append(b, '-')
+	}
+	if exp < 0 { // 0.0ddd
+		b = append(b, '0', '.')
+		for ; exp < -1; exp++ {
+			b = append(b, '0')
+		}
+		return append(b, ds...)
+	}
+	b = append(b, ds[:exp+1]...)
+	if prec > 0 {
+		b = append(append(b, '.'), ds[exp+1:]...)
+	}
+	return b
 }
 
 // Table renders the figure as an aligned text table, one block per

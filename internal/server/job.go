@@ -115,7 +115,8 @@ func (j *job) start(cancel context.CancelFunc) bool {
 	return true
 }
 
-// finish records the terminal state and wakes every waiter.
+// finish records the terminal state. It does not wake the waiters:
+// the worker closes done once its own bookkeeping is finished too.
 func (j *job) finish(figs []metrics.Figure, c simrun.Counters, err error) {
 	j.mu.Lock()
 	j.counters = c
@@ -135,7 +136,6 @@ func (j *job) finish(figs []metrics.Figure, c simrun.Counters, err error) {
 		j.err = err
 	}
 	j.mu.Unlock()
-	close(j.done)
 }
 
 // cancel requests cancellation: a queued job terminates immediately,
@@ -329,18 +329,19 @@ func (m *manager) worker() {
 // run executes one job as a deduplicated simrun plan sharing the
 // service-wide store. Cache entries are flushed point by point, so
 // even a job cut off by timeout or shutdown keeps everything it
-// completed.
+// completed. The job's registry record and the inflight gauge are
+// settled before done is closed, so a synchronous reply and every
+// /metrics read after it agree on the finished job.
 //
 //simvet:ctxbound
 func (m *manager) run(j *job) {
-	m.inflight.Add(1)
-	defer m.inflight.Add(-1)
 	ctx, cancel := context.WithTimeout(m.baseCtx, m.cfg.JobTimeout)
 	defer cancel()
 	if !j.start(cancel) {
 		m.record(j) // canceled while queued
 		return
 	}
+	m.inflight.Add(1)
 
 	plan := simrun.NewPlan()
 	handles := make([]*experiments.FigureHandle, len(j.exps))
@@ -369,6 +370,8 @@ func (m *manager) run(j *job) {
 	}
 	j.finish(figs, plan.Counters(), err)
 	m.record(j)
+	m.inflight.Add(-1)
+	close(j.done)
 }
 
 // record accumulates a job's terminal state into the metrics registry

@@ -2,6 +2,7 @@ package simrun
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
@@ -236,5 +237,77 @@ func TestLegacyAndLongEntries(t *testing.T) {
 	}
 	if st := store.Stats(); st.Hits != 2 || st.Misses != 1 || st.WriteFails != 0 {
 		t.Errorf("stats = %+v, want 2 hits, 1 miss, 0 write failures", st)
+	}
+}
+
+// TestGetOnABareDescriptor mixes 1000 Gets over every kind of file a
+// Get can meet — an entry, no file, a directory where the entry should
+// be (open succeeds, read fails with EISDIR), a truncated entry, an
+// entry longer than the read buffer — and holds each answer to what
+// reading the file whole and decoding it gives, the stats to the
+// tally, and (on Linux) the process's open descriptors to their count
+// before: no path through readEntry may leak one.
+func TestGetOnABareDescriptor(t *testing.T) {
+	dir := t.TempDir()
+	store, err := NewStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := metrics.Point{Offered: 0.25, Throughput: 0.2431, LatencyCyc: 88.5, Messages: 4242, Sustainable: true, Replicas: 2}
+	trace := strings.Repeat("12:5 3:40 63:1 ", 3*entryBufSize/15) // a trace spec: the entry outgrows the buffer
+	kinds := []string{"hit", "long", "absent", "directory", "truncated"}
+	keys := make([]string, len(kinds))
+	for i, kind := range kinds {
+		keys[i] = fmt.Sprintf("%064x", i+1)
+		path := filepath.Join(dir, keys[i]+entryExt)
+		switch kind {
+		case "hit":
+			store.Put(keys[i], "a spec", p)
+		case "long":
+			store.Put(keys[i], trace, p)
+		case "directory":
+			err = os.Mkdir(path, 0o755)
+		case "truncated":
+			entry := appendEntry(nil, keys[i], "a spec", p)
+			err = os.WriteFile(path, entry[:len(entry)-7], 0o644)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := func(key string) (metrics.Point, bool) {
+		data, err := os.ReadFile(filepath.Join(dir, key+entryExt))
+		if err != nil {
+			return metrics.Point{}, false
+		}
+		return parseEntry(data, key)
+	}
+	fds := func() int {
+		ents, err := os.ReadDir("/proc/self/fd")
+		if err != nil {
+			return -1
+		}
+		return len(ents)
+	}
+	before := fds()
+	var hits, misses int64
+	for i := 0; i < 1000; i++ {
+		k := (i * 7) % len(kinds)
+		got, ok := store.Get(keys[k])
+		wantP, wantOK := want(keys[k])
+		if ok != wantOK || got != wantP || ok != (kinds[k] == "hit" || kinds[k] == "long") {
+			t.Fatalf("Get #%d (%s) = %+v, %t; reading the file whole gives %+v, %t", i, kinds[k], got, ok, wantP, wantOK)
+		}
+		if ok {
+			hits++
+		} else {
+			misses++
+		}
+	}
+	if st := store.Stats(); st.Hits != hits || st.Misses != misses {
+		t.Errorf("stats = %+v, want %d hits and %d misses", st, hits, misses)
+	}
+	if after := fds(); after != before {
+		t.Errorf("open descriptors: %d before 1000 Gets, %d after", before, after)
 	}
 }

@@ -164,6 +164,11 @@ var blockingStdlib = map[string]string{
 	"os.File.Sync":        "file sync",
 	"os.File.Close":       "file close",
 
+	// The same disk I/O on a bare descriptor (simrun's readEntry).
+	"syscall.Open":  "disk open",
+	"syscall.Read":  "file read",
+	"syscall.Close": "file close",
+
 	"sync.WaitGroup.Wait": "waits on a WaitGroup",
 	"sync.Cond.Wait":      "waits on a Cond",
 }

@@ -33,6 +33,14 @@ func (h *Hub) FlushLocked(path string) {
 	simrun.Flush(path, nil) // want `blocking operation \(calls Flush, which os.WriteFile disk write\) in FlushLocked while holding h.mu`
 }
 
+// PeekLocked reads a file on a bare descriptor through simrun while
+// locked; raw syscalls are disk I/O too, and the fact says so.
+func (h *Hub) PeekLocked(path string, buf []byte) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	simrun.Peek(path, buf) // want `blocking operation \(calls Peek, which syscall.Open disk open\) in PeekLocked while holding h.mu`
+}
+
 // WriteUnlocked releases the lock before the write, so it is clean.
 func (h *Hub) WriteUnlocked(p []byte) {
 	h.mu.Lock()
