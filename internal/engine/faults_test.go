@@ -94,53 +94,41 @@ func TestFailedChannelValidation(t *testing.T) {
 }
 
 // TestBMINBackwardFaultNeedsLookahead: with a failed backward channel
-// a fault-oblivious turnaround router can commit a worm past the
-// point of no return and stall, even though every pair is statically
-// reachable; the routing.FaultAware wrapper restores full delivery.
+// a fault-oblivious turnaround router can commit a worm past the point
+// of no return and stall, even though routing.Reachable finds every
+// pair reachable. The lookahead that would prevent it,
+// routing.FaultAware, is an analysis the engine does not run; its
+// static check is routing's TestFaultAwareAvoidsBackwardDeadEnds.
 func TestBMINBackwardFaultNeedsLookahead(t *testing.T) {
 	net, err := topology.NewBMIN(4, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	victim := net.LayerBase(2) + net.VCs // wire 0's first backward channel
-	mkMsgs := func() *script {
-		var msgs []Message
-		for s := 0; s < net.Nodes; s++ {
-			msgs = append(msgs, Message{Src: s, Dst: (s + 33) % net.Nodes, Len: 20, Created: 0})
+	r, g := routing.New(net), net.Graph()
+	var msgs []Message
+	for s := 0; s < net.Nodes; s++ {
+		d := (s + 33) % net.Nodes
+		msgs = append(msgs, Message{Src: s, Dst: d, Len: 20, Created: 0})
+		if !routing.Reachable(g, r, map[int]bool{victim: true}, s, d) {
+			t.Fatalf("%d->%d unreachable with one backward fault", s, d)
 		}
-		return scripted(net.Nodes, msgs...)
 	}
-
-	// Fault-oblivious routing: some seed strands a worm (seed 5 does).
-	eObliv, err := New(Config{
+	e, err := New(Config{
 		Net:            net,
-		Source:         mkMsgs(),
+		Source:         scripted(net.Nodes, msgs...),
 		Seed:           5,
 		FailedChannels: []int{victim},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	eObliv.RunUntilDrained(100000)
-	stranded := eObliv.ActiveWorms()
-
-	// Fault-aware routing always delivers everything.
-	aware := routing.FaultAware{Inner: routing.New(net), Failed: map[int]bool{victim: true}}
-	eAware, err := New(Config{
-		Net:            net,
-		Source:         mkMsgs(),
-		Router:         aware,
-		Seed:           5,
-		FailedChannels: []int{victim},
-	})
-	if err != nil {
-		t.Fatal(err)
+	if e.RunUntilDrained(100000) {
+		t.Fatal("oblivious routing delivered everything; seed 5 used to strand a worm")
 	}
-	if !eAware.RunUntilDrained(100000) {
-		t.Fatalf("fault-aware BMIN did not drain: %d active", eAware.ActiveWorms())
+	stranded := e.ActiveWorms()
+	if int(e.Stats().Delivered)+stranded != len(msgs) {
+		t.Errorf("delivered %d and stranded %d of %d", e.Stats().Delivered, stranded, len(msgs))
 	}
-	if eAware.Stats().Delivered != 64 {
-		t.Errorf("fault-aware delivered %d of 64", eAware.Stats().Delivered)
-	}
-	t.Logf("oblivious routing stranded %d worm(s); fault-aware stranded none", stranded)
+	t.Logf("oblivious routing stranded %d worm(s)", stranded)
 }

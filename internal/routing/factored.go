@@ -2,35 +2,31 @@ package routing
 
 import (
 	"fmt"
-	"math/bits"
 
 	"minsim/internal/topology"
 )
 
 // Factored is the stage-factored form of the two family routing
-// functions. Where Table materializes every (input channel,
-// destination) candidate set — an offset index of O(channels × nodes)
-// entries, gigabytes at 64K nodes — Factored exploits the regularity
-// of the network description: channel ids within a connection layer
-// are consecutive per wire (topology.Network's layer-major layout), so
-// the candidate set of any hop is a handful of arithmetic runs
-// computable from the incoming channel's (layer, wire, direction) and
-// the destination's radix-k digits. Total state is a few O(stages)
-// integer slices — O(stages · k) memory per network instead of
-// O(C · N), which is what lets a 64K-node MIN route out of a table
-// smaller than one page.
+// functions. It exploits the regularity of the network description:
+// channel ids within a connection layer are consecutive per wire
+// (topology.Network's layer-major layout), so the candidate set of any
+// hop is a handful of arithmetic runs computable from the incoming
+// channel's (layer, wire, direction) and the destination's radix-k
+// digits. Total state is a few O(stages) integer slices — O(stages · k)
+// memory per network where a table of every (channel, destination)
+// candidate set would be O(C · N), gigabytes at 64K nodes.
 //
-// The digit arithmetic is pure shifts and masks: the description
-// enforces power-of-two k, and construction additionally requires
-// power-of-two channels-per-wire, so every radix digit is a bit field
-// (kary.Radix.Bits). Candidate order is identical to the Router
-// implementations — run expansion walks ascending channel ids, which
-// is exactly the order a port lists its channels in — so a random pick
-// among the free candidates draws the same channel as the dense table.
-// Factored and the layout it assumes are read off one description, so
-// nothing is verified at run time; the tests hold it against the
-// Routers walking the Graph view, for every family, pattern,
-// extra-stage and VC count (TestFactoredMatchesRouters).
+// The description enforces power-of-two k, so every radix digit is a
+// bit field (kary.Radix.Bits); channels per wire may be any count and
+// scale a wire address by multiplication. Candidate order is identical
+// to the Router implementations — run expansion walks ascending
+// channel ids, which is exactly the order a port lists its channels in
+// — so a random pick among the free candidates draws the same channel
+// the specification would. Factored and the layout it assumes are read
+// off one description, so nothing is verified at run time; the tests
+// hold it against the Routers walking the Graph view, for every
+// family, pattern, extra-stage and channel count
+// (TestFactoredMatchesRouters).
 type Factored struct {
 	bmin bool
 
@@ -39,21 +35,21 @@ type Factored struct {
 	km1 int // k - 1, the digit mask
 
 	// Unidirectional state. layerBase[L] is the first channel id of
-	// connection layer L and layerShift[L] is log2 of the channels per
-	// wire in that layer (log2 of max(dilation, VCs) for interstage
-	// layers, 0 for the single-channel ejection layer). tagShift[s] is
-	// the bit position of the destination digit consumed at routing
-	// stage s (the pattern's RoutingTag digit), unused for the leading
-	// distribution stages s < extra.
-	extra      int
-	layerBase  []int
-	layerShift []int
-	tagShift   []int
+	// connection layer L and layerCPW[L] the channels per wire in that
+	// layer (max(dilation, VCs) for interstage layers, 1 for the
+	// ejection layer). tagShift[s] is the bit position of the
+	// destination digit consumed at routing stage s (the pattern's
+	// RoutingTag digit), unused for the leading distribution stages
+	// s < extra.
+	extra     int
+	layerBase []int
+	layerCPW  []int
+	tagShift  []int
 
 	// BMIN state: interstage wires carry vcs forward + vcs backward
-	// channels, so consecutive wire addresses are 2*vcs ids apart.
-	vcs       int
-	vcs2Shift int // log2(2*vcs)
+	// channels, so consecutive wire addresses are vcs2 = 2*vcs ids apart.
+	vcs  int
+	vcs2 int
 }
 
 // Lookup returns the candidate output channels for a head flit
@@ -61,10 +57,10 @@ type Factored struct {
 // address (topology.Network.Address; the channel must terminate at a
 // switch) and destined for node dest, as `runs` arithmetic runs of
 // `count` consecutive ids starting at base, base+stride,
-// base+2·stride, ... Candidates enumerate in ascending
-// id order within a run and across runs — the same order Table and
-// the Router implementations produce. runs > 1 only occurs for the
-// continue-forward hop of a BMIN (one run per right port).
+// base+2·stride, ... Candidates enumerate in ascending id order within
+// a run and across runs — the order the Router implementations
+// produce. runs > 1 only occurs for the continue-forward hop of a BMIN
+// (one run per right port).
 //
 //simvet:hotpath
 func (f *Factored) Lookup(layer, wire int, dir topology.Dir, dest int) (base, count, runs, stride int) {
@@ -73,15 +69,16 @@ func (f *Factored) Lookup(layer, wire int, dir topology.Dir, dest int) (base, co
 	}
 	s := layer
 	q := wire &^ f.km1
+	cpw := f.layerCPW[s+1]
 	if s >= f.extra {
 		// Self-routing stage: the output port is the destination's
 		// routing-tag digit; candidates are that wire's channels.
 		q |= (dest >> f.tagShift[s]) & f.km1
-		return f.layerBase[s+1] + q<<f.layerShift[s+1], 1 << f.layerShift[s+1], 1, 0
+		return f.layerBase[s+1] + q*cpw, cpw, 1, 0
 	}
 	// Distribution stage of an extra-stage MIN: all k output ports
 	// deliver, and their wires' channels are consecutive.
-	return f.layerBase[s+1] + q<<f.layerShift[s+1], f.k << f.layerShift[s+1], 1, 0
+	return f.layerBase[s+1] + q*cpw, f.k * cpw, 1, 0
 }
 
 // lookupBMIN routes the turnaround algorithm (Figs. 6-8 of the paper)
@@ -96,7 +93,7 @@ func (f *Factored) lookupBMIN(j, w int, dir topology.Dir, dest int) (base, count
 			// Destination outside this subtree: continue forward on
 			// any right port — k runs of vcs channels, one per value
 			// of wire digit j, spaced k^j wires apart.
-			return f.layerBase[j+1] + (w&^(f.km1<<sh))<<f.vcs2Shift, f.vcs, f.k, 1 << (sh + f.vcs2Shift)
+			return f.layerBase[j+1] + (w&^(f.km1<<sh))*f.vcs2, f.vcs, f.k, (1 << sh) * f.vcs2
 		}
 		a := w&^(f.km1<<sh) | (dest>>sh&f.km1)<<sh
 		if j == 0 {
@@ -104,7 +101,7 @@ func (f *Factored) lookupBMIN(j, w int, dir topology.Dir, dest int) (base, count
 			return 2*a + 1, 1, 1, 0
 		}
 		// Turn around: the backward channels of wire a at layer j.
-		return f.layerBase[j] + a<<f.vcs2Shift + f.vcs, f.vcs, 1, 0
+		return f.layerBase[j] + a*f.vcs2 + f.vcs, f.vcs, 1, 0
 	}
 	// Moving down: a layer-j backward channel enters stage j-1, where
 	// the unique backward path sets digit j-1.
@@ -114,7 +111,7 @@ func (f *Factored) lookupBMIN(j, w int, dir topology.Dir, dest int) (base, count
 	if j == 0 {
 		return 2*a + 1, 1, 1, 0
 	}
-	return f.layerBase[j] + a<<f.vcs2Shift + f.vcs, f.vcs, 1, 0
+	return f.layerBase[j] + a*f.vcs2 + f.vcs, f.vcs, 1, 0
 }
 
 // Expand appends the candidate ids Lookup describes, in order — the
@@ -131,77 +128,47 @@ func (f *Factored) Expand(dst []int, layer, wire int, dir topology.Dir, dest int
 }
 
 // Bytes returns the resident size of the factored representation's
-// tables (plus the struct header) — the number to compare against
-// Table.Bytes' O(C·N): a 64K-node MIN fits in a few hundred bytes.
+// tables plus the struct header: a 64K-node MIN fits in a few hundred
+// bytes. Capacity planning at large N hinges on this number (see
+// DESIGN.md §12).
 func (f *Factored) Bytes() int {
-	return 8*(len(f.layerBase)+len(f.layerShift)+len(f.tagShift)) + 96
-}
-
-// FactoredFor returns the stage-factored routing representation the
-// engine should prefer for the configured router, or ok = false when
-// the configuration needs the dense table: a custom Router (the
-// factored form encodes only the two family algorithms), or a
-// channels-per-wire count that is not a power of two.
-func FactoredFor(net *topology.Network, r Router) (*Factored, bool) {
-	switch r.(type) {
-	case nil:
-	case DestinationTag:
-		if net.Kind == topology.BMIN {
-			return nil, false
-		}
-	case Turnaround:
-		if net.Kind != topology.BMIN {
-			return nil, false
-		}
-	default:
-		return nil, false
-	}
-	f, err := NewFactored(net)
-	if err != nil {
-		return nil, false
-	}
-	return f, true
+	return 8*(len(f.layerBase)+len(f.layerCPW)+len(f.tagShift)) + 96
 }
 
 // NewFactored builds the stage-factored representation of the
 // network's own family routing function (destination-tag for
 // unidirectional kinds, turnaround for BMINs) from the network
-// description alone, in O(stages). It fails only where the shift
-// arithmetic does not apply — channels per wire not a power of two —
-// and the caller must fall back to the dense table.
-func NewFactored(net *topology.Network) (*Factored, error) {
+// description alone, in O(stages). Every network the topology
+// constructors build is accepted.
+func NewFactored(net *topology.Network) *Factored {
 	k := net.K()
 	b, ok := net.R.Bits()
 	if !ok {
-		return nil, fmt.Errorf("routing: factored lookup needs power-of-two arity, got k = %d", k)
+		panic(fmt.Sprintf("routing: arity k = %d is not a power of two, which the topology constructors refuse", k))
 	}
 	f := &Factored{bmin: net.Kind == topology.BMIN, b: b, k: k, km1: k - 1, extra: net.Extra, vcs: net.VCs}
-	// Channels per interstage wire: a BMIN wire carries its vcs forward
-	// channels, then its vcs backward ones.
-	cpw, last := max(net.Dilation, net.VCs), net.Stages
+	last := net.Stages
 	if f.bmin {
-		cpw, last = 2*net.VCs, net.Stages-1
-	}
-	shift := bits.Len(uint(cpw)) - 1
-	if 1<<shift != cpw {
-		return nil, fmt.Errorf("routing: factored lookup needs power-of-two channels per wire, got %d", max(net.Dilation, net.VCs))
+		last = net.Stages - 1
 	}
 	f.layerBase = make([]int, last+1)
 	for L := 1; L <= last; L++ {
 		f.layerBase[L] = net.LayerBase(L)
 	}
 	if f.bmin {
-		f.vcs2Shift = shift
-		return f, nil
+		// A BMIN wire carries its vcs forward channels, then its vcs
+		// backward ones.
+		f.vcs2 = 2 * net.VCs
+		return f
 	}
-	f.layerShift = make([]int, last+1)
+	f.layerCPW = make([]int, last+1)
 	for L := 1; L < last; L++ {
-		f.layerShift[L] = shift
+		f.layerCPW[L] = max(net.Dilation, net.VCs)
 	}
-	// The ejection layer is single-channel, so its shift stays 0.
+	f.layerCPW[last] = 1 // the ejection layer is single-channel
 	f.tagShift = make([]int, net.Stages)
 	for s := net.Extra; s < net.Stages; s++ {
 		f.tagShift[s] = b * topology.TagDigit(net.R.N(), net.Pat, s-net.Extra)
 	}
-	return f, nil
+	return f
 }

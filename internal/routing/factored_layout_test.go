@@ -66,8 +66,8 @@ func verifyFactoredUni(net *topology.Graph, f *Factored) error {
 			}
 			right++
 			L := sw.Stage + 1
-			base := f.layerBase[L] + (sw.Index*k+p.Offset)<<f.layerShift[L]
-			if err := checkRun(p.Channels, base, 1<<f.layerShift[L]); err != nil {
+			base := f.layerBase[L] + (sw.Index*k+p.Offset)*f.layerCPW[L]
+			if err := checkRun(p.Channels, base, f.layerCPW[L]); err != nil {
 				return fmt.Errorf("routing: switch %d port R%d: %w", si, p.Offset, err)
 			}
 		}
@@ -81,7 +81,7 @@ func verifyFactoredUni(net *topology.Graph, f *Factored) error {
 func verifyFactoredBMIN(net *topology.Graph, f *Factored) error {
 	k := net.K()
 	vcs := net.VCs
-	vshift := f.vcs2Shift
+	vcs2 := f.vcs2
 	n := net.R.N()
 	N := net.Nodes
 	if net.Stages != n || N != net.R.Size() || net.Extra != 0 {
@@ -125,7 +125,7 @@ func verifyFactoredBMIN(net *topology.Graph, f *Factored) error {
 					}
 					continue
 				}
-				if err := checkRun(p.Channels, f.layerBase[j]+a<<vshift+vcs, vcs); err != nil {
+				if err := checkRun(p.Channels, f.layerBase[j]+a*vcs2+vcs, vcs); err != nil {
 					return fmt.Errorf("routing: switch %d port L%d: %w", si, p.Offset, err)
 				}
 				continue
@@ -137,7 +137,7 @@ func verifyFactoredBMIN(net *topology.Graph, f *Factored) error {
 			if j == n-1 {
 				return fmt.Errorf("routing: switch %d at the last stage has a right port", si)
 			}
-			if err := checkRun(p.Channels, f.layerBase[j+1]+a<<vshift, vcs); err != nil {
+			if err := checkRun(p.Channels, f.layerBase[j+1]+a*vcs2, vcs); err != nil {
 				return fmt.Errorf("routing: switch %d port R%d: %w", si, p.Offset, err)
 			}
 		}
@@ -162,26 +162,15 @@ func checkRun(chans []int, base, count int) error {
 	return nil
 }
 
-// TestFactoredLayout runs the verification over every network Factored
-// accepts: every family, pattern, arity, depth, extra-stage count and
-// power-of-two channel multiplicity — and checks that the others are
-// exactly the ones it refuses.
+// TestFactoredLayout runs the verification over every family, pattern,
+// arity, depth, extra-stage count and channel multiplicity 1 to 4.
 func TestFactoredLayout(t *testing.T) {
-	check := func(net *topology.Network, err error, pow2 bool) {
+	check := func(net *topology.Network, err error) {
 		t.Helper()
 		if err != nil {
 			t.Fatal(err)
 		}
-		f, err := NewFactored(net)
-		if !pow2 {
-			if err == nil {
-				t.Errorf("%s: NewFactored accepted a channel count that is not a power of two", net.Name())
-			}
-			return
-		}
-		if err != nil {
-			t.Fatalf("%s: %v", net.Name(), err)
-		}
+		f := NewFactored(net)
 		verify := verifyFactoredUni
 		if net.Kind == topology.BMIN {
 			verify = verifyFactoredBMIN
@@ -196,15 +185,14 @@ func TestFactoredLayout(t *testing.T) {
 				continue
 			}
 			for m := 1; m <= 4; m++ {
-				pow2 := m != 3
 				net, err := topology.NewBMINVC(k, n, m)
-				check(net, err, pow2)
+				check(net, err)
 				for _, pat := range []topology.Pattern{topology.Cube, topology.Butterfly, topology.Omega, topology.Baseline} {
 					for extra := 0; extra <= 2; extra++ {
 						net, err := topology.NewUnidirectional(topology.UniConfig{K: k, Stages: n, Pattern: pat, Dilation: m, VCs: 1, Extra: extra})
-						check(net, err, pow2)
+						check(net, err)
 						net, err = topology.NewUnidirectional(topology.UniConfig{K: k, Stages: n, Pattern: pat, Dilation: 1, VCs: m, Extra: extra})
-						check(net, err, pow2)
+						check(net, err)
 					}
 				}
 			}

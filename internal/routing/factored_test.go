@@ -1,8 +1,8 @@
 package routing_test
 
-// External test package for the same reason as table_test.go: the
-// paper's evaluation specs live in internal/experiments, which
-// imports routing.
+// External test package: the paper's evaluation specs live in
+// internal/experiments, which imports routing — an internal test
+// package here would cycle.
 
 import (
 	"testing"
@@ -12,14 +12,14 @@ import (
 	"minsim/internal/topology"
 )
 
-// checkFactoredEquivalence asserts the three-way property the engine
-// relies on: for every (input channel, destination) pair the
-// stage-factored lookup — asked the way the engine asks it, with the
-// address the description's closed form gives the channel — expands to
-// exactly the candidate list the Router finds walking the struct view,
-// and to the dense table's row — same channels, same order (the order
-// feeds the random pick, so it is part of the determinism contract).
-func checkFactoredEquivalence(t *testing.T, net *topology.Graph, f *routing.Factored, tbl *routing.Table, r routing.Router) {
+// checkFactoredEquivalence asserts the property the engine relies on:
+// for every (input channel, destination) pair the stage-factored
+// lookup — asked the way the engine asks it, with the address the
+// description's closed form gives the channel — expands to exactly the
+// candidate list the Router finds walking the struct view: same
+// channels, same order (the order feeds the random pick, so it is part
+// of the determinism contract).
+func checkFactoredEquivalence(t *testing.T, net *topology.Graph, f *routing.Factored, r routing.Router) {
 	t.Helper()
 	var got, want []int
 	for ci := range net.Channels {
@@ -34,19 +34,6 @@ func checkFactoredEquivalence(t *testing.T, net *topology.Graph, f *routing.Fact
 			if !equalInts(got, want) {
 				t.Fatalf("%s: channel %d dest %d: factored %v, router %v",
 					net.Name(), ci, dest, got, want)
-			}
-			if tbl != nil {
-				row := tbl.Lookup(ci, dest)
-				if len(row) != len(got) {
-					t.Fatalf("%s: channel %d dest %d: factored %v, table %v",
-						net.Name(), ci, dest, got, row)
-				}
-				for i := range row {
-					if int(row[i]) != got[i] {
-						t.Fatalf("%s: channel %d dest %d: factored %v, table %v",
-							net.Name(), ci, dest, got, row)
-					}
-				}
 			}
 		}
 	}
@@ -64,82 +51,54 @@ func equalInts(a, b []int) bool {
 	return true
 }
 
-// TestFactoredMatchesRouterPaperConfigs proves factored ≡ table ≡
-// Router pairwise-exhaustively on the paper's five 64-node evaluation
-// configurations, and pins the memory ratio the representation
-// exists for.
+// fuzzNetwork decodes the network the equivalence checks draw: kind 0
+// is a BMIN with dv virtual channels, 1 a TMIN, 2 a DMIN with dilation
+// dv, 3 a VMIN with dv virtual channels.
+func fuzzNetwork(k, n int, kind uint8, pat topology.Pattern, dv, extra int) (*topology.Network, error) {
+	cfg := topology.UniConfig{K: k, Stages: n, Pattern: pat, Dilation: 1, VCs: 1, Extra: extra}
+	switch kind {
+	case 0:
+		return topology.NewBMINVC(k, n, dv)
+	case 2:
+		cfg.Dilation = dv
+	case 3:
+		cfg.VCs = dv
+	}
+	return topology.NewUnidirectional(cfg)
+}
+
+// TestFactoredMatchesRouterPaperConfigs proves factored ≡ Router
+// pairwise-exhaustively on the paper's five 64-node evaluation
+// configurations, and pins the size the representation exists for:
+// under a kilobyte, where a table of every (channel, destination)
+// candidate set is O(channels × nodes).
 func TestFactoredMatchesRouterPaperConfigs(t *testing.T) {
 	for _, ns := range experiments.PaperSpecs() {
 		desc, err := ns.Spec.Build()
 		if err != nil {
 			t.Fatal(err)
 		}
-		f, err := routing.NewFactored(desc)
-		if err != nil {
-			t.Fatalf("%s: %v", ns.Name, err)
-		}
-		net := desc.Graph()
-		tbl, err := routing.BuildTable(net)
-		if err != nil {
-			t.Fatalf("%s: %v", ns.Name, err)
-		}
-		checkFactoredEquivalence(t, net, f, tbl, routing.New(desc))
-		if f.Bytes() >= tbl.Bytes() {
-			t.Errorf("%s: factored %d bytes, not smaller than dense %d bytes", ns.Name, f.Bytes(), tbl.Bytes())
-		}
-		t.Logf("%s: factored %d bytes vs dense %d bytes", ns.Name, f.Bytes(), tbl.Bytes())
-	}
-}
-
-// TestFactoredForSelection pins the dispatch contract at engine.New:
-// nil and the family's own router take the factored path, custom
-// routers and cross-family assignments fall back to the dense table.
-func TestFactoredForSelection(t *testing.T) {
-	uni, err := topology.NewUnidirectional(topology.UniConfig{
-		K: 4, Stages: 3, Pattern: topology.Cube, Dilation: 2, VCs: 1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	bmin, err := topology.NewBMIN(4, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cases := []struct {
-		name string
-		net  *topology.Network
-		r    routing.Router
-		want bool
-	}{
-		{"uni/nil", uni, nil, true},
-		{"uni/destination-tag", uni, routing.DestinationTag{}, true},
-		{"uni/turnaround", uni, routing.Turnaround{}, false},
-		{"bmin/nil", bmin, nil, true},
-		{"bmin/turnaround", bmin, routing.Turnaround{}, true},
-		{"bmin/destination-tag", bmin, routing.DestinationTag{}, false},
-		{"uni/fault-aware", uni, routing.FaultAware{Inner: routing.New(uni)}, false},
-	}
-	for _, c := range cases {
-		f, ok := routing.FactoredFor(c.net, c.r)
-		if ok != c.want || (ok && f == nil) {
-			t.Errorf("%s: FactoredFor ok = %v, want %v", c.name, ok, c.want)
+		f := routing.NewFactored(desc)
+		checkFactoredEquivalence(t, desc.Graph(), f, routing.New(desc))
+		if f.Bytes() > 1024 {
+			t.Errorf("%s: factored routing state is %d bytes, want under 1 KiB", ns.Name, f.Bytes())
 		}
 	}
 }
 
 // TestFactoredMatchesRouters is the check NewFactored used to make on
 // every engine.New, over everything it can be asked to route: every
-// family, pattern, arity, extra-stage count and power-of-two channel
-// multiplicity, pairwise-exhaustively against the family's Router
-// walking the struct view and against the dense table (networks past
-// 64 nodes are left to TestFactoredLayout's O(channels) check).
+// family, pattern, arity, extra-stage count and channel multiplicity 1
+// to 4, pairwise-exhaustively against the family's Router walking the
+// struct view (networks past 64 nodes are left to TestFactoredLayout's
+// O(channels) check).
 func TestFactoredMatchesRouters(t *testing.T) {
 	configs := 0
 	for _, k := range []int{2, 4, 8} {
 		for n := 1; n <= 4; n++ {
 			for kind := uint8(0); kind < 4; kind++ {
 				for _, pat := range []topology.Pattern{topology.Cube, topology.Butterfly, topology.Omega, topology.Baseline} {
-					for _, dv := range []int{1, 2, 4} {
+					for _, dv := range []int{1, 2, 3, 4} {
 						for extra := 0; extra <= 2; extra++ {
 							if kind == 0 && (pat != topology.Cube || extra != 0) || kind == 1 && dv != 1 || kind > 1 && dv == 1 {
 								continue // a BMIN has one wiring; a TMIN is the d = m = 1 case
@@ -151,16 +110,7 @@ func TestFactoredMatchesRouters(t *testing.T) {
 							if desc.Nodes > 64 {
 								continue
 							}
-							fac, err := routing.NewFactored(desc)
-							if err != nil {
-								t.Fatalf("%s: %v", desc.Name(), err)
-							}
-							net := desc.Graph()
-							tbl, err := routing.BuildTable(net)
-							if err != nil {
-								t.Fatalf("%s: %v", net.Name(), err)
-							}
-							checkFactoredEquivalence(t, net, fac, tbl, routing.New(desc))
+							checkFactoredEquivalence(t, desc.Graph(), routing.NewFactored(desc), routing.New(desc))
 							configs++
 						}
 					}
@@ -171,27 +121,11 @@ func TestFactoredMatchesRouters(t *testing.T) {
 	t.Logf("%d configurations", configs)
 }
 
-// TestFactoredRejectsIrregular: networks outside the power-of-two
-// channels-per-wire regularity must be refused (the engine then uses
-// the dense table, which handles them fine).
-func TestFactoredRejectsIrregular(t *testing.T) {
-	net, err := topology.NewBMINVC(2, 3, 3) // vcs = 3: not a power of two
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := routing.NewFactored(net); err == nil {
-		t.Fatal("NewFactored accepted a 3-VC BMIN; want power-of-two rejection")
-	}
-	if _, ok := routing.FactoredFor(net, nil); ok {
-		t.Fatal("FactoredFor accepted a 3-VC BMIN")
-	}
-}
-
-// FuzzFactoredEquivalence extends the three-way property over
-// randomized (k, stages, kind, wiring, dilation/VCs, extra) —
-// the same space as FuzzTableEquivalence, k ∈ {2,4,8}.
+// FuzzFactoredEquivalence extends the property over randomized
+// (k, stages, kind, wiring, dilation/VCs, extra), k ∈ {2,4,8}.
 func FuzzFactoredEquivalence(f *testing.F) {
-	// Same encoding as FuzzTableEquivalence in table_test.go.
+	// kRaw: 0/1/2 -> k = 2/4/8; nRaw: stages - 2; kind: 0 BMIN,
+	// 1 TMIN, 2 DMIN, 3 VMIN; pat: Cube..Baseline; dvRaw: d or m - 1.
 	f.Add(uint8(0), uint8(2), uint8(1), uint8(0), uint8(0), uint8(0)) // k=2 TMIN cube, 4 stages
 	f.Add(uint8(2), uint8(0), uint8(2), uint8(1), uint8(1), uint8(0)) // k=8 DMIN(d=2) butterfly, 64 nodes
 	f.Add(uint8(0), uint8(1), uint8(0), uint8(0), uint8(0), uint8(0)) // k=2 BMIN, 3 stages
@@ -210,25 +144,10 @@ func FuzzFactoredEquivalence(f *testing.F) {
 		if size > 256 {
 			t.Skip() // keep the exhaustive pair check cheap
 		}
-		kind := kindRaw % 4
-		desc, err := fuzzNetwork(k, n, kind, pat, dv, extra)
+		desc, err := fuzzNetwork(k, n, kindRaw%4, pat, dv, extra)
 		if err != nil {
 			t.Skip()
 		}
-		fac, err := routing.NewFactored(desc)
-		if err != nil {
-			// The only irregularity this space can produce is a
-			// non-power-of-two channels-per-wire count.
-			if kind != 1 && dv == 3 {
-				return
-			}
-			t.Fatalf("%s: %v", desc.Name(), err)
-		}
-		net := desc.Graph()
-		tbl, err := routing.BuildTable(net)
-		if err != nil {
-			t.Fatalf("%s: %v", net.Name(), err)
-		}
-		checkFactoredEquivalence(t, net, fac, tbl, routing.New(desc))
+		checkFactoredEquivalence(t, desc.Graph(), routing.NewFactored(desc), routing.New(desc))
 	})
 }

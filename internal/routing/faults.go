@@ -58,7 +58,9 @@ func DisconnectedPairs(net *topology.Graph, r Router, failed map[int]bool) [][2]
 // a faulty channel (e.g. a BMIN turnaround whose unique downward path
 // is broken); the wrapper performs the reachability lookahead a
 // fault-aware switch would, so any statically reachable destination
-// stays dynamically reachable.
+// stays dynamically reachable. The engine routes only the family
+// algorithms, so the wrapper is an analysis: routing's
+// TestFaultAwareAvoidsBackwardDeadEnds checks the property statically.
 type FaultAware struct {
 	Inner  Router
 	Failed map[int]bool

@@ -139,6 +139,72 @@ func TestCriticalChannels(t *testing.T) {
 	}
 }
 
+// TestFaultAwareAvoidsBackwardDeadEnds is the lookahead half of the
+// engine's TestBMINBackwardFaultNeedsLookahead, checked statically.
+// With one backward channel of a BMIN(4,3) failed, every pair stays
+// reachable, yet turnaround routing alone offers some walk that turns
+// around above the fault and then finds its unique downward channel
+// failed — a dead end, where a wormhole head would wait forever.
+// Through FaultAware's candidates no walk from any pair dead-ends.
+func TestFaultAwareAvoidsBackwardDeadEnds(t *testing.T) {
+	net := mustBMIN(t, 4, 3)
+	victim := net.LayerBase(2) + net.VCs // wire 0's first backward channel
+	failed := map[int]bool{victim: true}
+	oblivious := New(net.Network)
+	aware := FaultAware{Inner: oblivious, Failed: failed}
+	stranded := 0
+	for s := 0; s < net.Nodes; s++ {
+		for d := 0; d < net.Nodes; d++ {
+			if s == d {
+				continue
+			}
+			if !Reachable(net, oblivious, failed, s, d) {
+				t.Fatalf("%d->%d unreachable with one backward fault", s, d)
+			}
+			if deadEnd(net, aware, failed, s, d) {
+				t.Fatalf("%d->%d: a walk through fault-aware candidates dead-ends", s, d)
+			}
+			if deadEnd(net, oblivious, failed, s, d) {
+				stranded++
+			}
+		}
+	}
+	if stranded == 0 {
+		t.Fatal("turnaround routing alone has no dead end here; choose another victim")
+	}
+	t.Logf("turnaround alone can strand %d pairs; fault-aware none", stranded)
+}
+
+// deadEnd reports whether some walk from src's injection channel that
+// takes any non-failed candidate of r at every hop reaches a channel
+// whose candidates have all failed, or ejects at a node other than dst.
+func deadEnd(net *topology.Graph, r Router, failed map[int]bool, src, dst int) bool {
+	seen := map[int]bool{}
+	var walk func(c int) bool
+	walk = func(c int) bool {
+		if seen[c] {
+			return false
+		}
+		seen[c] = true
+		ch := &net.Channels[c]
+		if ch.To.IsNode() {
+			return ch.To.Node != dst
+		}
+		live := 0
+		for _, next := range r.Candidates(nil, net, ch, dst) {
+			if failed[next] {
+				continue
+			}
+			live++
+			if walk(next) {
+				return true
+			}
+		}
+		return live == 0
+	}
+	return walk(net.Inject[src])
+}
+
 func TestInjectionFaultUnreachable(t *testing.T) {
 	net := mustBMIN(t, 2, 2)
 	r := New(net.Network)

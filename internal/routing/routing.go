@@ -20,8 +20,9 @@ import (
 )
 
 // Router computes candidate output channels for a head flit, walking
-// the network's struct form: the specification Factored is tested
-// against, and what the engine tabulates (Table) for other algorithms.
+// the network's struct form: the specification that Factored — the
+// engine's closed form — is tested against, and what the path, fault
+// and partition analyses walk.
 type Router interface {
 	// Candidates appends to dst the ids of every output channel the
 	// head of a packet for destination dest may take from the switch

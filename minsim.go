@@ -314,7 +314,6 @@ func Run(cfg RunConfig) (Result, error) {
 	}
 	e, err := engine.New(engine.Config{
 		Net:            cfg.Network.topo,
-		Router:         cfg.Network.router,
 		Source:         src,
 		Seed:           cfg.Seed,
 		QueueLimit:     cfg.QueueLimit,

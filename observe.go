@@ -51,7 +51,6 @@ func RunObserved(cfg RunConfig, opts ObserveOptions) (Result, Observation, error
 	var rec trace.Recorder
 	ecfg := engine.Config{
 		Net:        cfg.Network.topo,
-		Router:     cfg.Network.router,
 		Source:     src,
 		Seed:       cfg.Seed,
 		QueueLimit: cfg.QueueLimit,
