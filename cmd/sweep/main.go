@@ -92,7 +92,7 @@ func main() {
 		fatal(err)
 	}
 
-	loads, err := cli.LoadRange(*from, *to, *points)
+	loads, err := experiments.LoadRange(*from, *to, *points)
 	if err != nil {
 		fatal(err)
 	}

@@ -1,7 +1,8 @@
-// Package cli holds the flag-parsing helpers shared by the command
-// line tools (cmd/minsim, cmd/sweep, cmd/mcast, cmd/topo), so the
-// string vocabulary for networks, wirings, patterns and scopes is
-// defined — and tested — once.
+// Package cli holds what the command line tools share beyond the spec
+// parsers of internal/experiments: the root facade's flag vocabulary
+// for networks, wirings, patterns, scopes, ratios and node lists
+// (cmd/minsim, cmd/mcast), and the pprof wiring behind -cpuprofile and
+// -memprofile (cmd/sweep, cmd/figures).
 package cli
 
 import (
@@ -103,18 +104,6 @@ func ParseNodeList(s string) ([]int, error) {
 			return nil, fmt.Errorf("bad node %q: %w", p, err)
 		}
 		out[i] = v
-	}
-	return out, nil
-}
-
-// LoadRange returns count evenly spaced loads over [from, to].
-func LoadRange(from, to float64, count int) ([]float64, error) {
-	if count < 2 || to < from || from < 0 {
-		return nil, fmt.Errorf("bad load range [%v, %v] x%d", from, to, count)
-	}
-	out := make([]float64, count)
-	for i := range out {
-		out[i] = from + (to-from)*float64(i)/float64(count-1)
 	}
 	return out, nil
 }

@@ -146,6 +146,19 @@ type Experiment struct {
 	Loads  []float64
 }
 
+// LoadRange returns count evenly spaced loads over [from, to], both
+// ends included.
+func LoadRange(from, to float64, count int) ([]float64, error) {
+	if count < 2 || to < from || from < 0 {
+		return nil, fmt.Errorf("experiments: bad load range [%v, %v] x%d", from, to, count)
+	}
+	out := make([]float64, count)
+	for i := range out {
+		out[i] = from + (to-from)*float64(i)/float64(count-1)
+	}
+	return out, nil
+}
+
 // DefaultBudget is sized so a full figure completes in tens of
 // seconds while giving stable curve ordering; increase the cycles for
 // smoother curves.

@@ -1,10 +1,10 @@
 package experiments
 
 import (
+	"math"
 	"strings"
 	"testing"
 
-	"minsim/internal/sweep"
 	"minsim/internal/topology"
 )
 
@@ -196,5 +196,22 @@ func TestLoadRangesSane(t *testing.T) {
 			}
 		}
 	}
-	_ = sweep.LoadRange // keep the import honest if ranges change form
+}
+
+func TestLoadRange(t *testing.T) {
+	got, err := LoadRange(0.1, 0.9, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []float64{0.1, 0.3, 0.5, 0.7, 0.9}
+	for i := range want {
+		if math.Abs(got[i]-want[i]) > 1e-12 {
+			t.Fatalf("LoadRange = %v", got)
+		}
+	}
+	for _, bad := range [][3]float64{{0.9, 0.1, 5}, {0.1, 0.9, 1}, {-1, 0.5, 3}} {
+		if _, err := LoadRange(bad[0], bad[1], int(bad[2])); err == nil {
+			t.Errorf("bad range %v accepted", bad)
+		}
+	}
 }

@@ -2,21 +2,23 @@ package experiments
 
 import (
 	"minsim/internal/engine"
-	"minsim/internal/sweep"
 	"minsim/internal/traffic"
 )
 
+// The load grids' bounds are constants LoadRange accepts
+// (TestLoadRangesSane), so its error is dropped.
+//
 // uniformLoads sweeps to the ejection-capacity region where the
 // uniform-traffic networks saturate.
-var uniformLoads = sweep.LoadRange(0.05, 0.95, 10)
+var uniformLoads, _ = LoadRange(0.05, 0.95, 10)
 
 // hotspotLoads stops earlier: hot-spot traffic saturates well below
 // uniform capacity.
-var hotspotLoads = sweep.LoadRange(0.05, 0.85, 9)
+var hotspotLoads, _ = LoadRange(0.05, 0.85, 9)
 
 // permutationLoads sweeps the permutation workloads, whose saturation
 // differs strongly across networks.
-var permutationLoads = sweep.LoadRange(0.05, 0.95, 10)
+var permutationLoads, _ = LoadRange(0.05, 0.95, 10)
 
 func uniformWork(c ClusterSpec) WorkloadSpec {
 	return WorkloadSpec{Cluster: c, Pattern: PatternSpec{Kind: Uniform}}

@@ -15,7 +15,7 @@ import (
 // SweepSpec requests one load sweep: a network under a workload
 // across a set of offered loads, with a cycle budget. Each load point
 // becomes a RunSpec whose seed is derived from Budget.Seed and the
-// point's index (DeriveSeed), exactly like the ad-hoc sweep runner.
+// point's index (DeriveSeed).
 type SweepSpec struct {
 	Net         NetworkSpec
 	Work        WorkloadSpec
@@ -142,8 +142,8 @@ func (p *Plan) AddSpec(rs RunSpec) *Handle {
 }
 
 // AddFunc registers n opaque points executed by fn(i). Opaque points
-// cannot be hashed, deduplicated or cached — they exist so
-// ad-hoc callers (arbitrary networks and source factories) still share
+// cannot be hashed, deduplicated or cached — they exist so callers
+// with work no RunSpec describes (the benchmark's probes) still share
 // the plan's worker pool, cancellation and progress accounting.
 func (p *Plan) AddFunc(n int, fn func(i int) (metrics.Point, error)) *Handle {
 	h := &Handle{groups: make([][]*pointRun, n)}

@@ -10,10 +10,10 @@ import (
 
 // DeriveSeed maps a sweep-level base seed and a point index to the
 // point's own seed, so adding points to a sweep does not reshuffle
-// existing ones. Every execution path (the ad-hoc sweep runner, the
-// plan scheduler, the cache key) must use this one derivation —
-// cached results are only valid if a point's seed is a pure function
-// of (base seed, index).
+// existing ones. Every execution path (Plan.AddSweep, the root
+// facade's Sweep, cmd/saturate's probes as index 0, the cache key)
+// must use this one derivation — cached results are only valid if a
+// point's seed is a pure function of (base seed, index).
 func DeriveSeed(base uint64, i int) uint64 {
 	return base*0x9e3779b97f4a7c15 + uint64(i+1)*0xbf58476d1ce4e5b9
 }
@@ -44,8 +44,7 @@ type PointConfig struct {
 }
 
 // Simulate runs the point and reduces the engine statistics to a
-// curve point. This is the single implementation behind both the
-// spec-described (cacheable) and the ad-hoc execution paths; results
+// curve point: the one implementation behind every RunSpec; results
 // are bit-exact functions of the config.
 func (c PointConfig) Simulate() (metrics.Point, error) {
 	return c.simulate(context.Background())

@@ -2,7 +2,7 @@
 // simulator's two load-bearing, non-local properties at review time
 // rather than at runtime:
 //
-//   - bit-exact determinism: the engine, the routers, the sweep harness
+//   - bit-exact determinism: the engine, the routers, the plan layer
 //     and the traffic generators must draw every random number from
 //     internal/xrand seeded streams, never consult wall-clock time, and
 //     never let Go's randomized map-iteration order leak into results
@@ -174,7 +174,6 @@ var deterministicSuffixes = []string{
 	"internal/engine",
 	"internal/routing",
 	"internal/simrun",
-	"internal/sweep",
 	"internal/traffic",
 	"internal/xrand",
 }

@@ -30,14 +30,13 @@
 package minsim
 
 import (
+	"cmp"
+	"context"
 	"fmt"
 
-	"minsim/internal/engine"
-	"minsim/internal/kary"
 	"minsim/internal/metrics"
 	"minsim/internal/routing"
 	"minsim/internal/simrun"
-	"minsim/internal/sweep"
 	"minsim/internal/topology"
 	"minsim/internal/traffic"
 )
@@ -81,6 +80,7 @@ type NetworkConfig struct {
 // Network is an immutable network instance; safe to share across
 // concurrent simulations.
 type Network struct {
+	spec   simrun.NetworkSpec // what the network was built from; Sweep's points name it
 	topo   *topology.Network
 	router routing.Router
 }
@@ -89,27 +89,22 @@ type Network struct {
 // (simrun.MaxChannels) are those of every other entry point: the
 // config maps onto a simrun.NetworkSpec, whose Build applies them.
 func NewNetwork(cfg NetworkConfig) (*Network, error) {
-	if cfg.K == 0 {
-		cfg.K = 4
-	}
-	if cfg.Stages == 0 {
-		cfg.Stages = 3
-	}
 	// Kind and Wiring enumerate the topology's kinds and patterns in
 	// the same order.
-	topo, err := simrun.NetworkSpec{
+	spec := simrun.NetworkSpec{
 		Kind:     topology.Kind(cfg.Kind),
 		Pattern:  topology.Pattern(cfg.Wiring),
-		K:        cfg.K,
-		Stages:   cfg.Stages,
+		K:        cmp.Or(cfg.K, 4),
+		Stages:   cmp.Or(cfg.Stages, 3),
 		Dilation: cfg.Dilation,
 		VCs:      cfg.VCs,
 		Extra:    cfg.Extra,
-	}.Build()
+	}
+	topo, err := spec.Build()
 	if err != nil {
 		return nil, err
 	}
-	return &Network{topo: topo, router: routing.New(topo)}, nil
+	return &Network{spec: spec, topo: topo, router: routing.New(topo)}, nil
 }
 
 // Nodes returns the number of processor nodes.
@@ -178,89 +173,30 @@ type Workload struct {
 	DwellLo float64 // mean quiet/off dwell, cycles (default 2000)
 }
 
-func (w Workload) arrival() (traffic.ArrivalProcess, error) {
-	burst, hi, lo := w.Burst, w.DwellHi, w.DwellLo
-	if burst == 0 {
-		burst = 8
+// spec maps the workload onto simrun's vocabulary, whose pattern,
+// scope and arrival kinds enumerate in the same order as the facade's.
+// The facade's own defaults apply here: MMPP 8/500/2000 and the
+// MinLen/MaxLen clamp.
+func (w Workload) spec() (simrun.WorkloadSpec, error) {
+	if w.Pattern < Uniform || w.Pattern > ButterflyPerm {
+		return simrun.WorkloadSpec{}, fmt.Errorf("minsim: unknown pattern %d", int(w.Pattern))
 	}
-	if hi == 0 {
-		hi = 500
+	spec := simrun.WorkloadSpec{
+		Cluster: simrun.ClusterSpec(w.Scope),
+		Pattern: simrun.PatternSpec{Kind: simrun.PatternKind(w.Pattern), HotX: w.HotX, Butterfly: w.ButterflyI},
+		Arrival: simrun.ArrivalSpec{
+			Kind:    simrun.ArrivalKind(w.Arrival),
+			Burst:   cmp.Or(w.Burst, 8),
+			DwellHi: cmp.Or(w.DwellHi, 500),
+			DwellLo: cmp.Or(w.DwellLo, 2000),
+		},
+		Ratios: w.Ratios,
 	}
-	if lo == 0 {
-		lo = 2000
+	if w.MinLen != 0 || w.MaxLen != 0 {
+		lo := cmp.Or(w.MinLen, 1)
+		spec.Lengths = traffic.UniformLen{Min: lo, Max: max(w.MaxLen, lo)}
 	}
-	switch w.Arrival {
-	case Poisson:
-		return traffic.Exponential{}, nil
-	case MMPP:
-		return traffic.MMPP2{Burst: burst, DwellHi: hi, DwellLo: lo}, nil
-	case OnOff:
-		return traffic.OnOff{DwellOn: hi, DwellOff: lo}, nil
-	default:
-		return nil, fmt.Errorf("minsim: unknown arrival process %d", int(w.Arrival))
-	}
-}
-
-func (w Workload) lengths() traffic.LengthDist {
-	if w.MinLen == 0 && w.MaxLen == 0 {
-		return traffic.PaperLengths
-	}
-	min, max := w.MinLen, w.MaxLen
-	if min == 0 {
-		min = 1
-	}
-	if max < min {
-		max = min
-	}
-	return traffic.UniformLen{Min: min, Max: max}
-}
-
-func (w Workload) clustering(r kary.Radix) traffic.Clustering {
-	switch w.Scope {
-	case Cluster16:
-		return traffic.Cluster16(r)
-	case ClusterShared:
-		return traffic.Cluster16Shared(r)
-	case Cluster32:
-		return traffic.Halves(r.Size())
-	default:
-		return traffic.Global(r.Size())
-	}
-}
-
-// source builds the engine traffic source for a load.
-func (w Workload) source(topo *topology.Network, load float64, seed uint64) (engine.Source, error) {
-	c := w.clustering(topo.R)
-	var pat traffic.Pattern
-	switch w.Pattern {
-	case Uniform:
-		pat = traffic.Uniform{C: c}
-	case HotSpot:
-		pat = traffic.HotSpot{C: c, X: w.HotX}
-	case ShufflePerm:
-		pat = traffic.ShufflePattern(topo.R)
-	case ButterflyPerm:
-		pat = traffic.ButterflyPattern(topo.R, w.ButterflyI)
-	default:
-		return nil, fmt.Errorf("minsim: unknown pattern %d", int(w.Pattern))
-	}
-	lengths := w.lengths()
-	rates, err := traffic.NodeRates(c, load, lengths.Mean(), w.Ratios)
-	if err != nil {
-		return nil, err
-	}
-	arr, err := w.arrival()
-	if err != nil {
-		return nil, err
-	}
-	return traffic.NewWorkload(traffic.Config{
-		Nodes:   topo.Nodes,
-		Pattern: pat,
-		Lengths: lengths,
-		Rates:   rates,
-		Seed:    seed,
-		Arrival: arr,
-	})
+	return spec, nil
 }
 
 // RunConfig parameterizes a single simulation.
@@ -297,36 +233,15 @@ type Result struct {
 	Sustainable       bool
 }
 
-// Run executes one simulation point.
+// Run executes one simulation point: RunObserved with no instruments.
 func Run(cfg RunConfig) (Result, error) {
-	if cfg.Network == nil {
-		return Result{}, fmt.Errorf("minsim: nil network")
-	}
-	if cfg.WarmupCycles == 0 {
-		cfg.WarmupCycles = 20_000
-	}
-	if cfg.MeasureCycles == 0 {
-		cfg.MeasureCycles = 60_000
-	}
-	src, err := cfg.Workload.source(cfg.Network.topo, cfg.Load, cfg.Seed^0x5bf03635)
-	if err != nil {
-		return Result{}, err
-	}
-	e, err := engine.New(engine.Config{
-		Net:            cfg.Network.topo,
-		Source:         src,
-		Seed:           cfg.Seed,
-		QueueLimit:     cfg.QueueLimit,
-		BufferDepth:    cfg.BufferDepth,
-		FailedChannels: cfg.FailedChannels,
-	})
-	if err != nil {
-		return Result{}, err
-	}
-	e.SetMeasureFrom(cfg.WarmupCycles)
-	e.Run(cfg.WarmupCycles + cfg.MeasureCycles)
-	st := e.Stats()
-	p := metrics.FromStats(cfg.Load, cfg.Network.topo.Nodes, st)
+	res, _, err := RunObserved(cfg, ObserveOptions{})
+	return res, err
+}
+
+// result converts a curve point; maxQueue is the engine's deepest
+// source queue, which a plan's point does not carry (0 there).
+func result(p metrics.Point, maxQueue int) Result {
 	return Result{
 		Offered:           p.Offered,
 		OfferedMeasured:   p.OfferedMeasured,
@@ -335,9 +250,9 @@ func Run(cfg RunConfig) (Result, error) {
 		MeanLatencyMs:     p.LatencyMs,
 		LatencyStdDev:     p.StdDev,
 		MessagesMeasured:  p.Messages,
-		MaxSourceQueue:    st.MaxQueue,
+		MaxSourceQueue:    maxQueue,
 		Sustainable:       p.Sustainable,
-	}, nil
+	}
 }
 
 // SweepConfig parameterizes a load sweep.
@@ -354,44 +269,38 @@ type SweepConfig struct {
 }
 
 // Sweep runs one simulation per load in parallel and returns the
-// latency/throughput points in load order.
+// latency/throughput points in load order. It is one simrun plan: point
+// i is the RunSpec of load i with seed simrun.DeriveSeed(Seed, i).
 func Sweep(cfg SweepConfig) ([]Result, error) {
 	if cfg.Network == nil {
 		return nil, fmt.Errorf("minsim: nil network")
 	}
-	if cfg.WarmupCycles == 0 {
-		cfg.WarmupCycles = 20_000
+	work, err := cfg.Workload.spec()
+	if err != nil {
+		return nil, err
 	}
-	if cfg.MeasureCycles == 0 {
-		cfg.MeasureCycles = 60_000
-	}
-	pts, err := sweep.Run(sweep.Config{
-		Net: cfg.Network.topo,
-		Factory: func(load float64, seed uint64) (engine.Source, error) {
-			return cfg.Workload.source(cfg.Network.topo, load, seed)
+	plan := simrun.NewPlan()
+	h := plan.AddSweep(simrun.SweepSpec{
+		Net:   cfg.Network.spec,
+		Work:  work,
+		Loads: cfg.Loads,
+		Budget: simrun.Budget{
+			WarmupCycles:  cmp.Or(cfg.WarmupCycles, 20_000),
+			MeasureCycles: cmp.Or(cfg.MeasureCycles, 60_000),
+			Seed:          cfg.Seed,
+			QueueLimit:    cfg.QueueLimit,
 		},
-		Loads:         cfg.Loads,
-		WarmupCycles:  cfg.WarmupCycles,
-		MeasureCycles: cfg.MeasureCycles,
-		Seed:          cfg.Seed,
-		QueueLimit:    cfg.QueueLimit,
-		Parallelism:   cfg.Parallelism,
 	})
+	if err := plan.Execute(context.TODO(), simrun.Options{Workers: cfg.Parallelism}); err != nil {
+		return nil, err
+	}
+	pts, err := h.Points()
 	if err != nil {
 		return nil, err
 	}
 	out := make([]Result, len(pts))
 	for i, p := range pts {
-		out[i] = Result{
-			Offered:           p.Offered,
-			OfferedMeasured:   p.OfferedMeasured,
-			Throughput:        p.Throughput,
-			MeanLatencyCycles: p.LatencyCyc,
-			MeanLatencyMs:     p.LatencyMs,
-			LatencyStdDev:     p.StdDev,
-			MessagesMeasured:  p.Messages,
-			Sustainable:       p.Sustainable,
-		}
+		out[i] = result(p, 0)
 	}
 	return out, nil
 }

@@ -262,16 +262,20 @@ func TestDumps(t *testing.T) {
 }
 
 func TestWorkloadLengthDefaults(t *testing.T) {
-	w := Workload{}
-	if w.lengths().Mean() != 516 {
-		t.Errorf("default mean length %v, want 516", w.lengths().Mean())
+	spec := func(w Workload) simrun.WorkloadSpec {
+		s, err := w.spec()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
 	}
-	w = Workload{MinLen: 100, MaxLen: 50} // max < min clamps to min
-	if w.lengths().Mean() != 100 {
-		t.Errorf("clamped mean %v, want 100", w.lengths().Mean())
+	if l := spec(Workload{}).Lengths; l != nil {
+		t.Errorf("default lengths %v, want nil (simrun's paper U{8..1024})", l)
 	}
-	w = Workload{MaxLen: 64}
-	if got := w.lengths().Mean(); got != 32.5 {
+	if got := spec(Workload{MinLen: 100, MaxLen: 50}).Lengths.Mean(); got != 100 { // max < min clamps to min
+		t.Errorf("clamped mean %v, want 100", got)
+	}
+	if got := spec(Workload{MaxLen: 64}).Lengths.Mean(); got != 32.5 {
 		t.Errorf("min defaulted mean %v, want 32.5", got)
 	}
 }
@@ -396,5 +400,70 @@ func TestClusterRatioWorkload(t *testing.T) {
 		MeasureCycles: 1,
 	}); err == nil {
 		t.Error("ratio count mismatch accepted")
+	}
+}
+
+// TestSweepAndRunPinned holds the facade to literal results recorded
+// before Sweep and Run moved onto simrun's specs: a DMIN hot-spot MMPP
+// workload with a message-length range, and cluster-16 ratios under
+// on-off arrivals with only MaxLen set. Every Result field is compared,
+// floats by bit pattern.
+func TestSweepAndRunPinned(t *testing.T) {
+	dmin, _ := NewNetwork(NetworkConfig{Kind: DMIN})
+	tmin, _ := NewNetwork(NetworkConfig{Kind: TMIN})
+	type pinned struct {
+		offered, offeredMeasured, throughput, latency, latencyMs, stdDev uint64
+		messages                                                         int64
+		maxQueue                                                         int
+		sustainable                                                      bool
+	}
+	pin := func(r Result) pinned {
+		return pinned{
+			math.Float64bits(r.Offered), math.Float64bits(r.OfferedMeasured), math.Float64bits(r.Throughput),
+			math.Float64bits(r.MeanLatencyCycles), math.Float64bits(r.MeanLatencyMs), math.Float64bits(r.LatencyStdDev),
+			r.MessagesMeasured, r.MaxSourceQueue, r.Sustainable,
+		}
+	}
+	cases := []struct {
+		net   *Network
+		work  Workload
+		sweep [2]pinned // loads 0.1 and 0.3
+		run   pinned    // load 0.2
+	}{
+		{
+			dmin, Workload{Pattern: HotSpot, HotX: 0.1, Arrival: MMPP, MinLen: 16, MaxLen: 64},
+			[2]pinned{
+				{0x3fb999999999999a, 0x3fb8c9fbe76c8b44, 0x3fb88c083126e979, 0x404cf87878787878, 0x40072d2d2d2d2d2d, 0x40418ed19f51b440, 612, 0, true},
+				{0x3fd3333333333333, 0x3fd3ee872b020c4a, 0x3fc5a10624dd2f1b, 0x40874e832c6e043b, 0x4042a535bd24d02f, 0x4088ba4e07a1d3c8, 968, 0, true},
+			},
+			pinned{0x3fc999999999999a, 0x3fcb61eb851eb852, 0x3fc54872b020c49c, 0x4077ad50abd50abd, 0x4032f10d56440897, 0x407ff8eddf7d19e0, 1025, 31, true},
+		},
+		{
+			tmin, Workload{Pattern: Uniform, Scope: Cluster16, Ratios: []float64{4, 1, 1, 1}, Arrival: OnOff, DwellHi: 300, MaxLen: 48},
+			[2]pinned{
+				{0x3fb999999999999a, 0x3fb9b0a3d70a3d71, 0x3fb98d916872b021, 0x406ac105e1d27a3f, 0x40256737e7db94ff, 0x406e697f211212ad, 1001, 0, true},
+				{0x3fd3333333333333, 0x3fd1b2c083126e98, 0x3fc88147ae147ae1, 0x4082685fa42f2edd, 0x403d73cc39e517c8, 0x40865e00f2e71b2b, 1606, 0, false},
+			},
+			pinned{0x3fc999999999999a, 0x3fca9645a1cac083, 0x3fc46a3d70a3d70a, 0x4080fabc6a7ef9db, 0x403b2ac710cb295e, 0x408809228defcf7b, 1500, 245, false},
+		},
+	}
+	for i, c := range cases {
+		res, err := Sweep(SweepConfig{Network: c.net, Workload: c.work, Loads: []float64{0.1, 0.3},
+			WarmupCycles: 1000, MeasureCycles: 4000, Seed: 9, Parallelism: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for j, r := range res {
+			if got := pin(r); got != c.sweep[j] {
+				t.Errorf("case %d: Sweep point %d = %#v, want %#v", i, j, got, c.sweep[j])
+			}
+		}
+		r, err := Run(RunConfig{Network: c.net, Workload: c.work, Load: 0.2, WarmupCycles: 1000, MeasureCycles: 4000, Seed: 9})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := pin(r); got != c.run {
+			t.Errorf("case %d: Run = %#v, want %#v", i, got, c.run)
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package minsim
 
 import (
+	"cmp"
 	"fmt"
 
 	"minsim/internal/engine"
@@ -33,27 +34,32 @@ type ObserveOptions struct {
 	BatchCycles int64
 }
 
-// RunObserved is Run with instrumentation attached.
+// RunObserved runs one simulation point with instrumentation attached.
+// The traffic source comes from the workload's simrun spec; the facade
+// keeps its own seed convention (source seed^0x5bf03635, engine seed).
 func RunObserved(cfg RunConfig, opts ObserveOptions) (Result, Observation, error) {
 	if cfg.Network == nil {
 		return Result{}, Observation{}, fmt.Errorf("minsim: nil network")
 	}
-	if cfg.WarmupCycles == 0 {
-		cfg.WarmupCycles = 20_000
+	warmup := cmp.Or(cfg.WarmupCycles, 20_000)
+	measure := cmp.Or(cfg.MeasureCycles, 60_000)
+	work, err := cfg.Workload.spec()
+	if err != nil {
+		return Result{}, Observation{}, err
 	}
-	if cfg.MeasureCycles == 0 {
-		cfg.MeasureCycles = 60_000
-	}
-	src, err := cfg.Workload.source(cfg.Network.topo, cfg.Load, cfg.Seed^0x5bf03635)
+	topo := cfg.Network.topo
+	src, err := work.Factory(topo)(cfg.Load, cfg.Seed^0x5bf03635)
 	if err != nil {
 		return Result{}, Observation{}, err
 	}
 	var rec trace.Recorder
 	ecfg := engine.Config{
-		Net:        cfg.Network.topo,
-		Source:     src,
-		Seed:       cfg.Seed,
-		QueueLimit: cfg.QueueLimit,
+		Net:            topo,
+		Source:         src,
+		Seed:           cfg.Seed,
+		QueueLimit:     cfg.QueueLimit,
+		BufferDepth:    cfg.BufferDepth,
+		FailedChannels: cfg.FailedChannels,
 	}
 	if opts.Trace {
 		ecfg.OnDeliver = rec.OnDeliver
@@ -72,22 +78,11 @@ func RunObserved(cfg RunConfig, opts ObserveOptions) (Result, Observation, error
 	if opts.BatchCycles > 0 {
 		e.EnableBatchMeans(opts.BatchCycles)
 	}
-	e.SetMeasureFrom(cfg.WarmupCycles)
-	e.Run(cfg.WarmupCycles + cfg.MeasureCycles)
+	e.SetMeasureFrom(warmup)
+	e.Run(warmup + measure)
 
 	st := e.Stats()
-	p := metrics.FromStats(cfg.Load, cfg.Network.topo.Nodes, st)
-	res := Result{
-		Offered:           p.Offered,
-		OfferedMeasured:   p.OfferedMeasured,
-		Throughput:        p.Throughput,
-		MeanLatencyCycles: p.LatencyCyc,
-		MeanLatencyMs:     p.LatencyMs,
-		LatencyStdDev:     p.StdDev,
-		MessagesMeasured:  p.Messages,
-		MaxSourceQueue:    st.MaxQueue,
-		Sustainable:       p.Sustainable,
-	}
+	res := result(metrics.FromStats(cfg.Load, topo.Nodes, st), st.MaxQueue)
 	var obs Observation
 	if opts.Histogram && hist.Count() > 0 {
 		obs.LatencyP50 = hist.Quantile(0.5)
@@ -96,7 +91,7 @@ func RunObserved(cfg RunConfig, opts ObserveOptions) (Result, Observation, error
 		obs.HistogramText = hist.String()
 	}
 	if opts.Utilization {
-		obs.UtilizationText = trace.UtilizationReport(cfg.Network.topo, e.ChannelFlits(), st.Cycles) +
+		obs.UtilizationText = trace.UtilizationReport(topo, e.ChannelFlits(), st.Cycles) +
 			trace.BlockingReport(e.BlockedByStage(), st.Cycles)
 	}
 	if opts.Trace {

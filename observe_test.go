@@ -128,3 +128,31 @@ func TestCriticalChannelCount(t *testing.T) {
 		t.Errorf("DMIN critical channels %d, want 16", got)
 	}
 }
+
+// TestRunObservedHonorsDepthAndFaults: with no instruments attached,
+// RunObserved returns Run's Result, deep buffers and a failed
+// interstage channel included.
+func TestRunObservedHonorsDepthAndFaults(t *testing.T) {
+	net, _ := NewNetwork(NetworkConfig{Kind: DMIN})
+	cfg := RunConfig{
+		Network:        net,
+		Workload:       Workload{MinLen: 8, MaxLen: 32},
+		Load:           0.3,
+		WarmupCycles:   1000,
+		MeasureCycles:  4000,
+		Seed:           4,
+		BufferDepth:    4,
+		FailedChannels: []int{net.Topology().LayerBase(1)},
+	}
+	want, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, _, err := RunObserved(cfg, ObserveOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != want {
+		t.Errorf("RunObserved = %+v, want Run's %+v", got, want)
+	}
+}
