@@ -11,7 +11,7 @@ import (
 // buildNet constructs one of the four network families from a fuzz
 // selector.
 func buildNet(sel uint8) (*topology.Network, error) {
-	switch sel % 8 {
+	switch sel % 9 {
 	case 0:
 		return topology.NewUnidirectional(topology.UniConfig{K: 4, Stages: 3, Pattern: topology.Cube, Dilation: 1, VCs: 1})
 	case 1:
@@ -26,8 +26,10 @@ func buildNet(sel uint8) (*topology.Network, error) {
 		return topology.NewUnidirectional(topology.UniConfig{K: 4, Stages: 3, Pattern: topology.Omega, Dilation: 1, VCs: 1})
 	case 6:
 		return topology.NewUnidirectional(topology.UniConfig{K: 2, Stages: 4, Pattern: topology.Baseline, Dilation: 1, VCs: 1})
-	default:
+	case 7:
 		return topology.NewBMIN(4, 3)
+	default:
+		return topology.NewUnidirectional(topology.UniConfig{K: 4, Stages: 3, Pattern: topology.Cube, Dilation: 1, VCs: 4})
 	}
 }
 

@@ -35,9 +35,10 @@ func uniformSource(t testing.TB, nodes int, load float64, seed uint64) engine.So
 // Run, complementing the static simvet hotalloc gate with a dynamic
 // measurement. The cases reach every helper of the advance kernel:
 // private links (tmin-cube) take the train path with no per-hop work,
-// shared links (vmin-cube) claim link stamps hop by hop and fall back
-// to the per-hop loop, and channel statistics add the per-hop flit
-// counts to both.
+// shared links (vmin-cube) claim link stamps hop by hop, fall back to
+// the per-hop loop, and sleep streaming while their links are quiet
+// (rousing sleepers in allocate), and channel statistics add the
+// per-hop flit counts to both.
 func TestStepAllocs(t *testing.T) {
 	for _, tc := range []struct {
 		name      string

@@ -7,16 +7,19 @@ import (
 	"minsim/internal/experiments"
 )
 
-// TestSweepVisitBudget bounds, on the five saturated paper networks
-// (load 0.9, the benchmark's "sat" probe), the share of worm-cycles the
-// advance sweep has to look at and the share of waiting heads and queues
-// allocate has to ask. The counts are pure functions of the simulation,
-// so this is a cost gate that does not depend on the machine's clock.
-// Sweep: where links are private nearly every worm is asleep nearly all
-// the time, parked or streaming (0.007-0.011 measured); where they are
-// shared (VMIN) only parking is available (0.517). Allocate: a head or a
-// queue is asked once per release that could serve it (0.003-0.005
-// measured on all five; 1.0 before blocked heads waited for a release).
+// TestSweepVisitBudget bounds, on the five saturated paper networks and
+// a BMIN with virtual channels (load 0.9, the benchmark's "sat" probe),
+// the share of worm-cycles the advance sweep has to look at and the
+// share of waiting heads and queues allocate has to ask. The counts are
+// pure functions of the simulation, so this is a cost gate that does not
+// depend on the machine's clock. Sweep: where links are private nearly
+// every worm is asleep nearly all the time, parked or streaming
+// (0.007-0.011 measured); where they are shared a worm streams asleep
+// only while no other worm that can move holds a channel on its links
+// (VMIN 0.310, BMIN with virtual channels 0.355; 0.517 and 0.523 when
+// only parking was available there). Allocate: a head or a queue is
+// asked once per release that could serve it (0.003-0.005 measured on
+// all six; 1.0 before blocked heads waited for a release).
 func TestSweepVisitBudget(t *testing.T) {
 	for _, tc := range []struct {
 		spec  experiments.NetworkSpec
@@ -25,8 +28,9 @@ func TestSweepVisitBudget(t *testing.T) {
 		{experiments.TMINCube, 0.05},
 		{experiments.TMINButterfly, 0.05},
 		{experiments.DMINCube, 0.05},
-		{experiments.VMINCube, 0.60},
+		{experiments.VMINCube, 0.35},
 		{experiments.BMINButterfly, 0.05},
+		{experiments.NetworkSpec{Kind: experiments.BMINButterfly.Kind, K: 4, Stages: 3, VCs: 2}, 0.40},
 	} {
 		const allocate = 0.01
 		net, err := tc.spec.Build()

@@ -162,9 +162,12 @@ type trainCoverage struct {
 	broke      int // done, but a shared link was spent and a bubble opened
 	parked     int // ended the cycle parked
 	slept      int // ended the cycle asleep streaming
-	// parkedSeen counts the parked worm-cycles of runs where every hop
-	// must be seen (shared links or channel statistics), so that no
-	// worm may sleep streaming.
+	// sleptBeside counts the streaming worm-cycles with a parked worm
+	// holding another channel on one of the sleeper's links.
+	sleptBeside int
+	// parkedSeen counts the parked worm-cycles of runs with channel
+	// statistics, where every hop must be counted and no worm may sleep
+	// streaming.
 	parkedSeen int
 	headSkips  int // routable heads left flagged blocked
 	queueSkips int // non-empty queues left off the injection scan
@@ -276,7 +279,7 @@ func (p *diffPair) compare(t testing.TB, cycle int64, cov *trainCoverage) {
 	if len(got.worms) != len(want.worms) {
 		t.Fatalf("cycle %d: %d worms in flight, want %d", cycle, len(got.worms), len(want.worms))
 	}
-	seen := got.sharedLinks || got.chanFlits != nil
+	counted := got.chanFlits != nil
 	for i, g := range got.worms {
 		w := want.worms[i]
 		lag := got.lag(g)
@@ -289,13 +292,17 @@ func (p *diffPair) compare(t testing.TB, cycle int64, cov *trainCoverage) {
 		case wk == 0:
 		case wk == never:
 			cov.parked++
-			if seen {
+			if counted {
 				cov.parkedSeen++
 			}
 		default:
 			cov.slept++
-			if seen || g.msg.Len <= 2 {
-				t.Fatalf("cycle %d: worm %d (%d flits) sleeps streaming; shared links or channel statistics: %v", cycle, g.id, g.msg.Len, seen)
+			moving, parked := sharers(got, g)
+			if counted || g.msg.Len <= 2 || moving != nil {
+				t.Fatalf("cycle %d: worm %d (%d flits) sleeps streaming; channel statistics: %v, beside a worm that can move: %v", cycle, g.id, g.msg.Len, counted, moving != nil)
+			}
+			if parked {
+				cov.sleptBeside++
 			}
 		}
 	}
@@ -312,6 +319,25 @@ func (p *diffPair) compare(t testing.TB, cycle int64, cov *trainCoverage) {
 	if err := got.CheckInvariants(); err != nil {
 		t.Fatalf("cycle %d: %v", cycle, err)
 	}
+}
+
+// sharers looks at the other channels of the links under w's path, read
+// off the network: moving is a worm holding one that is not parked, or
+// nil, and parked whether a parked worm holds one.
+func sharers(e *Engine, w *worm) (moving *worm, parked bool) {
+	for _, c := range w.path {
+		base, count := e.net.LinkChannels(e.net.LinkOf(c))
+		for s := base; s < base+count; s++ {
+			switch o := e.chanOwner[s]; {
+			case o == nil || o == w:
+			case e.wake[o.index] == never:
+				parked = true
+			default:
+				return o, parked
+			}
+		}
+	}
+	return nil, parked
 }
 
 // run steps the pair side by side — got through Engine.Step, want
@@ -370,6 +396,24 @@ type namedNet struct {
 	net  *topology.Network
 }
 
+// sharedFamilies builds two networks beyond the paper's whose links are
+// shared other than two channels to a link: a VMIN with four virtual
+// channels, three sharers per link, and a BMIN with virtual channels,
+// whose turnaround paths can cross the same link at different path
+// indices.
+func sharedFamilies(t testing.TB) []namedNet {
+	t.Helper()
+	vmin4, err := topology.NewUnidirectional(topology.UniConfig{K: 4, Stages: 3, Pattern: topology.Cube, Dilation: 1, VCs: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bminVC, err := topology.NewBMINVC(4, 3, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return []namedNet{{"vmin-cube-vc4", vmin4}, {"bmin-vc2", bminVC}}
+}
+
 // firstInterstageChannel returns a channel between two switch stages —
 // failing it leaves every node attached.
 func firstInterstageChannel(net *topology.Network) int {
@@ -382,13 +426,13 @@ func firstInterstageChannel(net *topology.Network) int {
 }
 
 // TestTrainAdvanceMatchesPerHop is the differential test of the
-// compact-worm path: five paper families x both arbitrations x buffer
-// depths 1-4 x channel statistics on/off x (no fault | one failed
-// interstage channel), on scripts whose lengths include 1 and values
-// below the path length.
+// compact-worm path: five paper families and two more with shared links
+// x both arbitrations x buffer depths 1-4 x channel statistics on/off x
+// (no fault | one failed interstage channel), on scripts whose lengths
+// include 1 and values below the path length.
 func TestTrainAdvanceMatchesPerHop(t *testing.T) {
 	seed := uint64(1)
-	for _, fam := range paperFamilies(t) {
+	for _, fam := range append(paperFamilies(t), sharedFamilies(t)...) {
 		name, net := fam.name, fam.net
 		var cov trainCoverage
 		for _, arb := range []Arbitration{ArbitrateRandom, ArbitrateOldestFirst} {
@@ -415,9 +459,14 @@ func TestTrainAdvanceMatchesPerHop(t *testing.T) {
 		}
 		// The comparison means little unless the compact path did a
 		// large share of the work (the scripts are half short worms, so
-		// less than on the paper's traffic), in each of its fates.
+		// less than on the paper's traffic, and four channels to a link
+		// interleave more of them into bubbles), in each of its fates.
 		t.Logf("%s: %+v", name, cov)
-		if compact := cov.held + cov.streamed + cov.broke; 3*compact < cov.wormCycles {
+		share := 3
+		if net.VCs > 2 {
+			share = 4
+		}
+		if compact := cov.held + cov.streamed + cov.broke; share*compact < cov.wormCycles {
 			t.Errorf("%s: only %d of %d worm-cycles began compact", name, compact, cov.wormCycles)
 		}
 		if cov.held == 0 || cov.streamed == 0 {
@@ -427,11 +476,12 @@ func TestTrainAdvanceMatchesPerHop(t *testing.T) {
 		if (cov.broke > 0) != shared {
 			t.Errorf("%s: trains broken by a spent link: %d, shared links: %v", name, cov.broke, shared)
 		}
-		// Both ways of sleeping must have been exercised — streaming only
-		// where links are private — and parking also in the runs that
-		// bar streaming (compare fails any worm that streams there).
-		if cov.parked == 0 || cov.parkedSeen == 0 || (cov.slept > 0) == shared {
-			t.Errorf("%s: a way of sleeping was never met, or met where it must not be (shared links: %v): %+v", name, shared, cov)
+		// Both ways of sleeping must have been exercised — streaming
+		// beside a parked worm where links are shared — and parking also
+		// in the runs that bar streaming (compare fails any worm that
+		// streams there).
+		if cov.parked == 0 || cov.parkedSeen == 0 || cov.slept == 0 || (cov.sleptBeside > 0) != shared {
+			t.Errorf("%s: a way of sleeping was never met (shared links: %v): %+v", name, shared, cov)
 		}
 		// And allocate must have passed over heads and queues the
 		// reference asked (compare fails a flagged head where blocked
@@ -443,14 +493,15 @@ func TestTrainAdvanceMatchesPerHop(t *testing.T) {
 }
 
 // FuzzTrainAdvanceMatchesPerHop widens the differential test to the
-// fuzz selector's networks (extra-stage, Omega, Baseline and BMINs
-// with virtual channels among them), deeper buffers and fuzzer-chosen
-// scripts.
+// fuzz selector's networks (extra-stage, Omega, Baseline, BMINs with
+// virtual channels and a VMIN with four of them among them), deeper
+// buffers and fuzzer-chosen scripts.
 func FuzzTrainAdvanceMatchesPerHop(f *testing.F) {
 	f.Add(uint8(0), uint64(1), uint8(40), uint8(0), uint8(0))
 	f.Add(uint8(2), uint64(42), uint8(90), uint8(1), uint8(2))
 	f.Add(uint8(4), uint64(7), uint8(120), uint8(2), uint8(7))
 	f.Add(uint8(3), uint64(1995), uint8(60), uint8(3), uint8(5))
+	f.Add(uint8(8), uint64(2930), uint8(110), uint8(0), uint8(0))
 	f.Fuzz(func(t *testing.T, sel uint8, seed uint64, msgCount, depth, flags uint8) {
 		net, err := buildNet(sel)
 		if err != nil {
