@@ -20,7 +20,7 @@ func (n *Network) PathCount(src, dst int) (int, error) {
 	if src < 0 || src >= n.topo.Nodes || dst < 0 || dst >= n.topo.Nodes {
 		return 0, fmt.Errorf("minsim: node out of range")
 	}
-	return len(routing.AllPaths(n.topo.Graph(), n.router, src, dst)), nil
+	return len(routing.AllPaths(n.topo, src, dst)), nil
 }
 
 // PathLength returns the number of channels a packet from src to dst
@@ -32,7 +32,7 @@ func (n *Network) PathLength(src, dst int) (int, error) {
 	if src < 0 || src >= n.topo.Nodes || dst < 0 || dst >= n.topo.Nodes {
 		return 0, fmt.Errorf("minsim: node out of range")
 	}
-	return routing.OnePath(n.topo.Graph(), n.router, src, dst).Length(), nil
+	return routing.OnePath(n.topo, src, dst).Length(), nil
 }
 
 // FirstDifference returns the paper's Definition 3: the most
@@ -55,7 +55,7 @@ type ClusterVerdict struct {
 
 // AnalyzeClusters classifies the given disjoint clustering.
 func (n *Network) AnalyzeClusters(clusters [][]int) ClusterVerdict {
-	rep := partition.Analyze(n.topo, n.router, clusters)
+	rep := partition.Analyze(n.topo, clusters)
 	v := ClusterVerdict{Balanced: true}
 	for _, cr := range rep.Clusters {
 		if !cr.Verdict.Balanced {
@@ -85,7 +85,7 @@ func (n *Network) Reachable(failedChannels []int, src, dst int) bool {
 	for _, c := range failedChannels {
 		failed[c] = true
 	}
-	return routing.Reachable(n.topo.Graph(), n.router, failed, src, dst)
+	return routing.Reachable(n.topo, failed, src, dst)
 }
 
 // CriticalChannelCount returns how many channels are single points of
@@ -94,7 +94,7 @@ func (n *Network) Reachable(failedChannels []int, src, dst int) bool {
 // one-port architecture; multipath networks (DMIN, VMIN, BMIN,
 // extra-stage) have no critical interstage channels.
 func (n *Network) CriticalChannelCount() int {
-	crit := routing.CriticalChannels(n.topo.Graph(), n.router)
+	crit := routing.CriticalChannels(n.topo)
 	count := 0
 	for _, pairs := range crit {
 		if pairs > 0 {
@@ -106,7 +106,7 @@ func (n *Network) CriticalChannelCount() int {
 
 // WiringDump returns the textual wiring listing (one line per
 // physical link) — the textual analogue of the paper's Figs. 4-6.
-func (n *Network) WiringDump() string { return n.topo.Graph().Dump() }
+func (n *Network) WiringDump() string { return n.topo.Dump() }
 
 // DOT returns the network in Graphviz format.
-func (n *Network) DOT() string { return n.topo.Graph().DOT() }
+func (n *Network) DOT() string { return n.topo.DOT() }

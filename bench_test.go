@@ -341,19 +341,19 @@ func BenchmarkMulticast(b *testing.B) {
 }
 
 // BenchmarkRouting measures candidate computation throughput, the
-// inner loop of the allocation phase.
+// inner loop of the allocation phase: the factored lookup, expanded.
 func BenchmarkRouting(b *testing.B) {
 	net, err := topology.NewBMIN(4, 3)
 	if err != nil {
 		b.Fatal(err)
 	}
-	r, g := routing.New(net), net.Graph()
-	in := &g.Channels[net.Inject(5)]
+	f := routing.NewFactored(net)
+	layer, wire, dir := net.Address(net.Inject(5))
 	var buf []int
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		buf = r.Candidates(buf[:0], g, in, 42)
+		buf = f.Expand(buf[:0], layer, wire, dir, 42)
 	}
 	_ = buf
 }
@@ -365,10 +365,9 @@ func BenchmarkAllPaths(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	r, g := routing.New(net), net.Graph()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if got := routing.AllPaths(g, r, 0, 63); len(got) != 16 {
+		if got := routing.AllPaths(net, 0, 63); len(got) != 16 {
 			b.Fatal("wrong path count")
 		}
 	}

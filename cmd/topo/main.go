@@ -12,8 +12,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -23,77 +25,98 @@ import (
 	"minsim/internal/topology"
 )
 
+const usageText = `usage: topo [flags] <command>
+commands:
+  dump                     wiring listing (one line per link)
+  dot                      Graphviz export
+  route <src> <dst>        show all shortest paths
+  partition <pat> [...]    analyze cube clusters, e.g. 0** 1** 2** 3**
+  summary                  component counts
+  cost                     hardware-cost comparison of the four families`
+
+// errUsage reports a command line that names no known command.
+var errUsage = errors.New(usageText)
+
 func main() {
+	switch err := run(os.Args[1:], os.Stdout); {
+	case errors.Is(err, errUsage):
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	case err != nil:
+		fmt.Fprintf(os.Stderr, "topo: %v\n", err)
+		os.Exit(1)
+	}
+}
+
+// run executes one topo command line (without the program name),
+// writing the report to w.
+func run(args []string, w io.Writer) error {
+	fs := flag.NewFlagSet("topo", flag.ContinueOnError)
 	var (
-		netName = flag.String("net", "tmin", "network: tmin, dmin, vmin, bmin")
-		wiring  = flag.String("wiring", "cube", "interstage wiring: cube or butterfly")
-		k       = flag.Int("k", 4, "switch arity")
-		stages  = flag.Int("stages", 3, "stages")
-		dil     = flag.Int("dilation", 2, "DMIN dilation")
-		vcs     = flag.Int("vcs", 2, "VMIN virtual channels")
+		netName = fs.String("net", "tmin", "network: tmin, dmin, vmin, bmin")
+		wiring  = fs.String("wiring", "cube", "interstage wiring: cube or butterfly")
+		k       = fs.Int("k", 4, "switch arity")
+		stages  = fs.Int("stages", 3, "stages")
+		dil     = fs.Int("dilation", 2, "DMIN dilation")
+		vcs     = fs.Int("vcs", 2, "VMIN virtual channels")
 	)
-	flag.Parse()
-	args := flag.Args()
+	if err := fs.Parse(args); errors.Is(err, flag.ErrHelp) {
+		return nil
+	} else if err != nil {
+		return errUsage
+	}
+	args = fs.Args()
 	if len(args) == 0 {
-		usage()
+		return errUsage
 	}
 
 	net, err := build(*netName, *wiring, *k, *stages, *dil, *vcs)
 	if err != nil {
-		fatal(err)
-	}
-	router := routing.New(net)
-	// The struct view of the description, checked before it is walked.
-	graph := func() *topology.Graph {
-		g := net.Graph()
-		if err := g.Validate(); err != nil {
-			fatal(err)
-		}
-		return g
+		return err
 	}
 
 	switch args[0] {
 	case "dump":
-		fmt.Print(graph().Dump())
+		_, err = io.WriteString(w, net.Dump())
 	case "dot":
-		fmt.Print(graph().DOT())
+		_, err = io.WriteString(w, net.DOT())
 	case "route":
 		if len(args) != 3 {
-			fatal(fmt.Errorf("route needs source and destination node numbers"))
+			return fmt.Errorf("route needs source and destination node numbers")
 		}
 		var s, d int
 		if _, err := fmt.Sscanf(args[1]+" "+args[2], "%d %d", &s, &d); err != nil {
-			fatal(err)
+			return err
 		}
-		route(graph(), router, s, d)
+		err = route(w, net, s, d)
 	case "partition":
 		if len(args) < 2 {
-			fatal(fmt.Errorf("partition needs at least one cluster pattern like 0** or 21*"))
+			return fmt.Errorf("partition needs at least one cluster pattern like 0** or 21*")
 		}
-		partitionReport(net, router, args[1:])
+		err = partitionReport(w, net, args[1:])
 	case "summary":
-		summary(net)
+		summary(w, net)
 	case "cost":
-		costReport(*k, *stages)
+		err = costReport(w, *k, *stages)
 	default:
-		usage()
+		return errUsage
 	}
+	return err
 }
 
 // costReport compares the hardware-cost model of the four standard
 // network families at the given size (the paper's footnote-4 and
 // Section 6 complexity discussion, after Chien's router model).
-func costReport(k, stages int) {
+func costReport(w io.Writer, k, stages int) error {
 	tmin, err1 := topology.NewUnidirectional(topology.UniConfig{K: k, Stages: stages, Pattern: topology.Cube, Dilation: 1, VCs: 1})
 	dmin, err2 := topology.NewUnidirectional(topology.UniConfig{K: k, Stages: stages, Pattern: topology.Cube, Dilation: 2, VCs: 1})
 	vmin, err3 := topology.NewUnidirectional(topology.UniConfig{K: k, Stages: stages, Pattern: topology.Cube, Dilation: 1, VCs: 2})
 	bmin, err4 := topology.NewBMIN(k, stages)
-	for _, err := range []error{err1, err2, err3, err4} {
-		if err != nil {
-			fatal(err)
-		}
+	if err := errors.Join(err1, err2, err3, err4); err != nil {
+		return err
 	}
-	fmt.Print(cost.Report([]*topology.Network{tmin, dmin, vmin, bmin}, 1))
+	_, err := io.WriteString(w, cost.Report([]*topology.Network{tmin, dmin, vmin, bmin}, 1))
+	return err
 }
 
 func build(name, wiring string, k, stages, dil, vcs int) (*topology.Network, error) {
@@ -114,45 +137,43 @@ func build(name, wiring string, k, stages, dil, vcs int) (*topology.Network, err
 	return nil, fmt.Errorf("unknown network %q", name)
 }
 
-func route(net *topology.Graph, router routing.Router, s, d int) {
+func route(w io.Writer, net *topology.Network, s, d int) error {
 	if s < 0 || s >= net.Nodes || d < 0 || d >= net.Nodes || s == d {
-		fatal(fmt.Errorf("need distinct nodes in [0, %d)", net.Nodes))
+		return fmt.Errorf("need distinct nodes in [0, %d)", net.Nodes)
 	}
 	r := net.R
-	paths := routing.AllPaths(net, router, s, d)
-	fmt.Printf("%s: %s -> %s\n", net.Name(), r.Format(s), r.Format(d))
+	paths := routing.AllPaths(net, s, d)
+	fmt.Fprintf(w, "%s: %s -> %s\n", net.Name(), r.Format(s), r.Format(d))
 	if t, ok := r.FirstDifference(s, d); ok {
-		fmt.Printf("FirstDifference = %d\n", t)
+		fmt.Fprintf(w, "FirstDifference = %d\n", t)
 	}
-	fmt.Printf("%d shortest path(s), length %d channels\n", len(paths), paths[0].Length())
-	show := len(paths)
-	if show > 8 {
-		show = 8
-	}
+	fmt.Fprintf(w, "%d shortest path(s), length %d channels\n", len(paths), paths[0].Length())
+	show := min(len(paths), 8)
 	for i := 0; i < show; i++ {
 		var hops []string
 		for _, c := range paths[i] {
-			ch := &net.Channels[c]
-			if ch.To.IsNode() {
-				hops = append(hops, fmt.Sprintf("node %s", r.Format(ch.To.Node)))
+			to := net.ChannelAt(c).To
+			if to.IsNode() {
+				hops = append(hops, fmt.Sprintf("node %s", r.Format(to.Node)))
 			} else {
-				sw := &net.Switches[ch.To.Switch]
-				hops = append(hops, fmt.Sprintf("G%d.%d", sw.Stage, sw.Index))
+				stage, index := net.StageOf(to.Switch)
+				hops = append(hops, fmt.Sprintf("G%d.%d", stage, index))
 			}
 		}
-		fmt.Printf("  path %d: %s\n", i+1, strings.Join(hops, " -> "))
+		fmt.Fprintf(w, "  path %d: %s\n", i+1, strings.Join(hops, " -> "))
 	}
 	if show < len(paths) {
-		fmt.Printf("  ... and %d more\n", len(paths)-show)
+		fmt.Fprintf(w, "  ... and %d more\n", len(paths)-show)
 	}
+	return nil
 }
 
-func partitionReport(net *topology.Network, router routing.Router, patterns []string) {
+func partitionReport(w io.Writer, net *topology.Network, patterns []string) error {
 	r := net.R
 	var clusters [][]int
 	for _, p := range patterns {
 		if len(p) != r.N() {
-			fatal(fmt.Errorf("pattern %q must have %d digits (use * for free)", p, r.N()))
+			return fmt.Errorf("pattern %q must have %d digits (use * for free)", p, r.N())
 		}
 		digits := make([]int, r.N())
 		for i, ch := range p {
@@ -161,54 +182,38 @@ func partitionReport(net *topology.Network, router routing.Router, patterns []st
 			} else if ch >= '0' && int(ch-'0') < r.K() {
 				digits[i] = int(ch - '0')
 			} else {
-				fatal(fmt.Errorf("bad digit %q in %q", ch, p))
+				return fmt.Errorf("bad digit %q in %q", ch, p)
 			}
 		}
 		cube, err := partition.NewCube(r, digits...)
 		if err != nil {
-			fatal(err)
+			return err
 		}
-		fmt.Printf("cluster %s: %d nodes, base cube: %t\n", cube, cube.Size(), cube.IsBase())
+		fmt.Fprintf(w, "cluster %s: %d nodes, base cube: %t\n", cube, cube.Size(), cube.IsBase())
 		clusters = append(clusters, cube.Nodes())
 	}
-	rep := partition.Analyze(net, router, clusters)
+	rep := partition.Analyze(net, clusters)
 	for i, cr := range rep.Clusters {
-		fmt.Printf("cluster %s: balanced=%t reduced=%t shared=%t, per-layer channels: ",
+		fmt.Fprintf(w, "cluster %s: balanced=%t reduced=%t shared=%t, per-layer channels: ",
 			patterns[i], cr.Verdict.Balanced, cr.Verdict.Reduced, cr.Verdict.Shared)
 		for layer := 0; layer <= net.Stages; layer++ {
 			if n, ok := cr.Usage.ByLayer[layer]; ok {
-				fmt.Printf("C%d=%d ", layer, n)
+				fmt.Fprintf(w, "C%d=%d ", layer, n)
 			}
 		}
-		fmt.Println()
+		fmt.Fprintln(w)
 	}
 	if rep.ContentionFree() {
-		fmt.Println("clustering is contention free")
+		fmt.Fprintln(w, "clustering is contention free")
 	} else {
-		fmt.Printf("clusters sharing channels: %v\n", rep.SharedPairs)
+		fmt.Fprintf(w, "clusters sharing channels: %v\n", rep.SharedPairs)
 	}
+	return nil
 }
 
-func summary(net *topology.Network) {
-	fmt.Printf("%s\n", net.Name())
-	fmt.Printf("  switches: %d (%d stages x %d)\n", net.SwitchCount(), net.Stages, net.SwitchCount()/net.Stages)
-	fmt.Printf("  physical links: %d\n", net.LinkCount())
-	fmt.Printf("  virtual channels: %d\n", net.ChannelCount())
-}
-
-func usage() {
-	fmt.Fprintln(os.Stderr, `usage: topo [flags] <command>
-commands:
-  dump                     wiring listing (one line per link)
-  dot                      Graphviz export
-  route <src> <dst>        show all shortest paths
-  partition <pat> [...]    analyze cube clusters, e.g. 0** 1** 2** 3**
-  summary                  component counts
-  cost                     hardware-cost comparison of the four families`)
-	os.Exit(2)
-}
-
-func fatal(err error) {
-	fmt.Fprintf(os.Stderr, "topo: %v\n", err)
-	os.Exit(1)
+func summary(w io.Writer, net *topology.Network) {
+	fmt.Fprintf(w, "%s\n", net.Name())
+	fmt.Fprintf(w, "  switches: %d (%d stages x %d)\n", net.SwitchCount(), net.Stages, net.SwitchCount()/net.Stages)
+	fmt.Fprintf(w, "  physical links: %d\n", net.LinkCount())
+	fmt.Fprintf(w, "  virtual channels: %d\n", net.ChannelCount())
 }

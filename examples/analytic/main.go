@@ -60,13 +60,11 @@ func main() {
 
 	// 4. Water-filling prediction of the shuffle-permutation saturation.
 	topo := net.Topology()
-	r := routing.New(topo)
-	graph := topo.Graph()
 	perm := topo.R.ShufflePerm()
 	var flows [][]int
 	for s := 0; s < topo.Nodes; s++ {
 		if perm[s] != s {
-			flows = append(flows, routing.OnePath(graph, r, s, perm[s]))
+			flows = append(flows, routing.OnePath(topo, s, perm[s]))
 		}
 	}
 	rates := analytic.FairRates(flows, topo.ChannelCount())

@@ -135,7 +135,6 @@ func TestHotSpotBoundHoldsInSimulation(t *testing.T) {
 // TMIN saturation (~25% of ejection capacity) closely.
 func TestFairRatesPredictsPermutationSaturation(t *testing.T) {
 	net := tmin64(t)
-	r, g := routing.New(net), net.Graph()
 	perm := net.R.ShufflePerm()
 	var flows [][]int
 	active := 0
@@ -143,7 +142,7 @@ func TestFairRatesPredictsPermutationSaturation(t *testing.T) {
 		if perm[s] == s {
 			continue
 		}
-		flows = append(flows, routing.OnePath(g, r, s, perm[s]))
+		flows = append(flows, routing.OnePath(net, s, perm[s]))
 		active++
 	}
 	rates := FairRates(flows, net.ChannelCount())

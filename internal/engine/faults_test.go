@@ -48,7 +48,6 @@ func TestTMINFaultStallsAffectedPairsOnly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, g := routing.New(net), net.Graph()
 	victim := net.LayerBase(2) // the first channel of layer 2
 	failed := map[int]bool{victim: true}
 	var msgs []Message
@@ -56,7 +55,7 @@ func TestTMINFaultStallsAffectedPairsOnly(t *testing.T) {
 	for s := 0; s < net.Nodes; s++ {
 		d := (s + 9) % net.Nodes
 		msgs = append(msgs, Message{Src: s, Dst: d, Len: 16, Created: 0})
-		if !routing.Reachable(g, r, failed, s, d) {
+		if !routing.Reachable(net, failed, s, d) {
 			affected++
 		}
 	}
@@ -97,20 +96,19 @@ func TestFailedChannelValidation(t *testing.T) {
 // a fault-oblivious turnaround router can commit a worm past the point
 // of no return and stall, even though routing.Reachable finds every
 // pair reachable. The lookahead that would prevent it,
-// routing.FaultAware, is an analysis the engine does not run; its
-// static check is routing's TestFaultAwareAvoidsBackwardDeadEnds.
+// graphtest.FaultAware, is a specification the engine does not run;
+// its static check is routing's TestFaultAwareAvoidsBackwardDeadEnds.
 func TestBMINBackwardFaultNeedsLookahead(t *testing.T) {
 	net, err := topology.NewBMIN(4, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	victim := net.LayerBase(2) + net.VCs // wire 0's first backward channel
-	r, g := routing.New(net), net.Graph()
 	var msgs []Message
 	for s := 0; s < net.Nodes; s++ {
 		d := (s + 33) % net.Nodes
 		msgs = append(msgs, Message{Src: s, Dst: d, Len: 20, Created: 0})
-		if !routing.Reachable(g, r, map[int]bool{victim: true}, s, d) {
+		if !routing.Reachable(net, map[int]bool{victim: true}, s, d) {
 			t.Fatalf("%d->%d unreachable with one backward fault", s, d)
 		}
 	}

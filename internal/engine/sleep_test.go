@@ -3,8 +3,8 @@ package engine
 import (
 	"testing"
 
-	"minsim/internal/routing"
 	"minsim/internal/topology"
+	"minsim/internal/topology/graphtest"
 	"minsim/internal/xrand"
 )
 
@@ -205,7 +205,7 @@ func vminRoutes(t *testing.T) (*topology.Network, [][][]int) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, r := net.Graph(), routing.New(net)
+	g, r := graphtest.New(net), graphtest.RouterFor(net)
 	routes := make([][][]int, net.Nodes)
 	for src := range routes {
 		routes[src] = make([][]int, net.Nodes)

@@ -5,8 +5,8 @@ import (
 	"slices"
 	"testing"
 
-	"minsim/internal/routing"
 	"minsim/internal/topology"
+	"minsim/internal/topology/graphtest"
 )
 
 // Scenarios for the heads and queues allocate passes over, which the
@@ -16,8 +16,8 @@ import (
 
 // destVia returns a destination for which a head waiting in channel in
 // may take channel out next, or -1.
-func destVia(g *topology.Graph, in, out int) int {
-	r := routing.New(g.Network)
+func destVia(g *graphtest.Graph, in, out int) int {
+	r := graphtest.RouterFor(g.Network)
 	for d := 0; d < g.Nodes; d++ {
 		if slices.Contains(r.Candidates(nil, g, &g.Channels[in], d), out) {
 			return d
@@ -28,7 +28,7 @@ func destVia(g *topology.Graph, in, out int) int {
 
 // nodeInputs returns the nodes attached to a switch and their injection
 // channels.
-func nodeInputs(g *topology.Graph, sw *topology.Switch) (nodes, chans []int) {
+func nodeInputs(g *graphtest.Graph, sw *graphtest.Switch) (nodes, chans []int) {
 	for _, in := range sw.In {
 		if from := g.Channels[in].From; from.IsNode() {
 			nodes = append(nodes, from.Node)
@@ -61,7 +61,7 @@ func headOf(e *Engine, src int) *worm {
 // and the flag must move too.
 func TestFailedCandidateWokenNeverGranted(t *testing.T) {
 	net := tmin(t)
-	g := net.Graph()
+	g := graphtest.New(net)
 	dead := firstInterstageChannel(net)
 	sw := &g.Switches[g.Channels[dead].From.Switch]
 	nodes, ins := nodeInputs(g, sw)
@@ -197,7 +197,7 @@ func TestBMINForwardHeadWokenByAnyUpChannel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g := net.Graph()
+	g := graphtest.New(net)
 	sw := &g.Switches[g.Channels[net.Inject(0)].To.Switch]
 	nodes, ins := nodeInputs(g, sw)
 	var ups []int

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"minsim/internal/topology"
+	"minsim/internal/topology/graphtest"
 )
 
 func TestNetworkSpecsBuild(t *testing.T) {
@@ -24,7 +25,7 @@ func TestNetworkSpecsBuild(t *testing.T) {
 		if net.Nodes != 64 {
 			t.Errorf("%s: %d nodes", name, net.Nodes)
 		}
-		if err := net.Graph().Validate(); err != nil {
+		if err := graphtest.New(net).Validate(); err != nil {
 			t.Errorf("%s: %v", name, err)
 		}
 	}

@@ -65,14 +65,13 @@ func TestRouteLengthMatchesTurnaround(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		router, g := routing.New(net), net.Graph()
 		for s := 0; s < net.Nodes; s++ {
 			for d := 0; d < net.Nodes; d++ {
 				if s == d {
 					continue
 				}
 				want := ft.RouteLength(s, d)
-				if got := routing.OnePath(g, router, s, d).Length(); got != want {
+				if got := routing.OnePath(net, s, d).Length(); got != want {
 					t.Fatalf("BMIN(%d,%d) %d->%d: path length %d, fat tree says %d",
 						kn[0], kn[1], s, d, got, want)
 				}
@@ -87,7 +86,6 @@ func TestUpPathsMatchesTheorem1(t *testing.T) {
 	r := kary.MustNew(4, 3)
 	ft := New(r)
 	net, _ := topology.NewBMIN(4, 3)
-	router, g := routing.New(net), net.Graph()
 	for s := 0; s < net.Nodes; s += 5 {
 		for d := 0; d < net.Nodes; d++ {
 			if s == d {
@@ -95,7 +93,7 @@ func TestUpPathsMatchesTheorem1(t *testing.T) {
 			}
 			l := ft.LCALevel(s, d)
 			// Theorem 1: k^t paths with t = l-1; UpPaths(l) = k^{l-1}.
-			if got := len(routing.AllPaths(g, router, s, d)); got != ft.UpPaths(l) {
+			if got := len(routing.AllPaths(net, s, d)); got != ft.UpPaths(l) {
 				t.Fatalf("%d->%d: %d paths, fat tree says %d", s, d, got, ft.UpPaths(l))
 			}
 		}

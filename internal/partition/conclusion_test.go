@@ -3,7 +3,6 @@ package partition
 import (
 	"testing"
 
-	"minsim/internal/routing"
 	"minsim/internal/topology"
 )
 
@@ -18,14 +17,13 @@ func analyzeDigitClusters(t *testing.T, pat topology.Pattern, digit int) Report 
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := routing.New(net)
 	var clusters [][]int
 	for v := 0; v < 4; v++ {
 		pattern := []int{Free, Free, Free}
 		pattern[2-digit] = v // NewCube takes msd-first
 		clusters = append(clusters, MustCube(net.R, pattern...).Nodes())
 	}
-	return Analyze(net, r, clusters)
+	return Analyze(net, clusters)
 }
 
 func TestOmegaPartitionsLikeCube(t *testing.T) {

@@ -19,7 +19,6 @@ func TestDynamicChannelIsolation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, g := routing.New(net), net.Graph()
 
 	// Static: channels used by each 16-node top-digit cluster.
 	var clusters [][]int
@@ -33,7 +32,7 @@ func TestDynamicChannelIsolation(t *testing.T) {
 				if s == d {
 					continue
 				}
-				for _, p := range routing.AllPaths(g, r, s, d) {
+				for _, p := range routing.AllPaths(net, s, d) {
 					for _, c := range p {
 						allowed[c] = true
 					}
@@ -72,7 +71,7 @@ func TestDynamicChannelIsolation(t *testing.T) {
 	totalAllowed := int64(0)
 	for id, n := range flits {
 		if n > 0 && !allowed[id] {
-			ch := &g.Channels[id]
+			ch := net.ChannelAt(id)
 			t.Errorf("channel %d (layer %d wire %d) carried %d flits outside every cluster's set",
 				id, ch.Layer, ch.Wire, n)
 		}
@@ -86,7 +85,7 @@ func TestDynamicChannelIsolation(t *testing.T) {
 	// Every allowed interstage channel should see some traffic in a
 	// 30k-cycle run at moderate load (balance, not silence).
 	for id := range allowed {
-		ch := &g.Channels[id]
+		ch := net.ChannelAt(id)
 		if ch.Layer > 0 && ch.Layer < net.Stages && flits[id] == 0 {
 			t.Errorf("allowed interstage channel %d (layer %d) carried no flits", id, ch.Layer)
 		}

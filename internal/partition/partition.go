@@ -198,8 +198,8 @@ type wireKey struct {
 }
 
 // Usage is the per-layer set of wires a cluster's intra-cluster
-// traffic can touch, following every path the router may generate for
-// every ordered pair of distinct cluster members.
+// traffic can touch, following every path the routing function may
+// generate for every ordered pair of distinct cluster members.
 type Usage struct {
 	Net     *topology.Network
 	Wires   map[wireKey]bool
@@ -207,18 +207,17 @@ type Usage struct {
 }
 
 // ClusterUsage computes the channels used by intra-cluster traffic.
-func ClusterUsage(net *topology.Network, r routing.Router, nodes []int) Usage {
+func ClusterUsage(net *topology.Network, nodes []int) Usage {
 	u := Usage{Net: net, Wires: make(map[wireKey]bool), ByLayer: make(map[int]int)}
-	g := net.Graph() // the routes are walked over the struct view
 	for _, s := range nodes {
 		for _, d := range nodes {
 			if s == d {
 				continue
 			}
-			for _, p := range routing.AllPaths(g, r, s, d) {
+			for _, p := range routing.AllPaths(net, s, d) {
 				for _, c := range p {
-					ch := &g.Channels[c]
-					u.Wires[wireKey{ch.Layer, ch.Wire, ch.Dir}] = true
+					layer, wire, dir := net.Address(c)
+					u.Wires[wireKey{layer, wire, dir}] = true
 				}
 			}
 		}
@@ -259,10 +258,10 @@ type ClusterReport struct {
 }
 
 // Analyze computes usages and verdicts for a disjoint clustering.
-func Analyze(net *topology.Network, r routing.Router, clusters [][]int) Report {
+func Analyze(net *topology.Network, clusters [][]int) Report {
 	rep := Report{}
 	for _, nodes := range clusters {
-		u := ClusterUsage(net, r, nodes)
+		u := ClusterUsage(net, nodes)
 		v := Verdict{Balanced: true}
 		for _, layer := range usedLayers(u) {
 			cnt := u.ByLayer[layer]

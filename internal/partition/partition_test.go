@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"minsim/internal/kary"
-	"minsim/internal/routing"
 	"minsim/internal/topology"
 )
 
@@ -114,12 +113,11 @@ func mustUni(t *testing.T, k, n int, pat topology.Pattern) *topology.Network {
 func TestTheorem2CubeMIN(t *testing.T) {
 	// 64-node cube MIN, clusters 0**, 1**, 2**, 3**.
 	net := mustUni(t, 4, 3, topology.Cube)
-	r := routing.New(net)
 	var clusters [][]int
 	for v := 0; v < 4; v++ {
 		clusters = append(clusters, MustCube(r64, v, Free, Free).Nodes())
 	}
-	rep := Analyze(net, r, clusters)
+	rep := Analyze(net, clusters)
 	if !rep.ContentionFree() {
 		t.Errorf("cube MIN k-ary clustering not contention free: shared pairs %v", rep.SharedPairs)
 	}
@@ -131,7 +129,6 @@ func TestTheorem2CubeMIN(t *testing.T) {
 
 	// Fig. 14: 8-node cube MIN with 2x2 switches, binary clusters.
 	net8 := mustUni(t, 2, 3, topology.Cube)
-	r8 := routing.New(net8)
 	var bins [][]int
 	for _, pat := range []string{"0**", "1*0", "1*1"} {
 		bc, err := NewBinaryCube(8, pat)
@@ -140,7 +137,7 @@ func TestTheorem2CubeMIN(t *testing.T) {
 		}
 		bins = append(bins, bc.Nodes())
 	}
-	rep8 := Analyze(net8, r8, bins)
+	rep8 := Analyze(net8, bins)
 	if !rep8.ContentionFree() {
 		t.Errorf("Fig. 14 clustering not contention free: %v", rep8.SharedPairs)
 	}
@@ -156,10 +153,9 @@ func TestTheorem2CubeMIN(t *testing.T) {
 // cubes, e.g. the two 32-node halves (cluster-32).
 func TestTheorem2BinaryCubesIn4ary(t *testing.T) {
 	net := mustUni(t, 4, 3, topology.Cube)
-	r := routing.New(net)
 	lo, _ := NewBinaryCube(64, "0*****")
 	hi, _ := NewBinaryCube(64, "1*****")
-	rep := Analyze(net, r, [][]int{lo.Nodes(), hi.Nodes()})
+	rep := Analyze(net, [][]int{lo.Nodes(), hi.Nodes()})
 	if !rep.ContentionFree() {
 		t.Errorf("cluster-32 on cube MIN not contention free: %v", rep.SharedPairs)
 	}
@@ -177,13 +173,12 @@ func TestTheorem3ButterflyMIN(t *testing.T) {
 	// Fig. 15a: 8-node butterfly, clusters 0XX, 10X, 11X — contention
 	// free but channel reduced.
 	net8 := mustUni(t, 2, 3, topology.Butterfly)
-	r8 := routing.New(net8)
 	var bins [][]int
 	for _, pat := range []string{"0**", "10*", "11*"} {
 		bc, _ := NewBinaryCube(8, pat)
 		bins = append(bins, bc.Nodes())
 	}
-	rep := Analyze(net8, r8, bins)
+	rep := Analyze(net8, bins)
 	if !rep.ContentionFree() {
 		t.Errorf("Fig. 15a clustering should be contention free: %v", rep.SharedPairs)
 	}
@@ -203,19 +198,18 @@ func TestTheorem3ButterflyMIN(t *testing.T) {
 		bc, _ := NewBinaryCube(8, pat)
 		shared = append(shared, bc.Nodes())
 	}
-	rep2 := Analyze(net8, r8, shared)
+	rep2 := Analyze(net8, shared)
 	if rep2.ContentionFree() {
 		t.Error("Fig. 15b clustering should share channels")
 	}
 
 	// 64-node butterfly MIN, top-digit clusters: channel reduced.
 	net := mustUni(t, 4, 3, topology.Butterfly)
-	r := routing.New(net)
 	var clusters [][]int
 	for v := 0; v < 4; v++ {
 		clusters = append(clusters, MustCube(r64, v, Free, Free).Nodes())
 	}
-	rep3 := Analyze(net, r, clusters)
+	rep3 := Analyze(net, clusters)
 	for i, cr := range rep3.Clusters {
 		if !cr.Verdict.Reduced {
 			t.Errorf("64-node butterfly top-digit cluster %d not channel-reduced: %v", i, cr.Usage.ByLayer)
@@ -227,7 +221,7 @@ func TestTheorem3ButterflyMIN(t *testing.T) {
 	for v := 0; v < 4; v++ {
 		sh = append(sh, MustCube(r64, Free, Free, v).Nodes())
 	}
-	rep4 := Analyze(net, r, sh)
+	rep4 := Analyze(net, sh)
 	if rep4.ContentionFree() {
 		t.Error("64-node butterfly bottom-digit clustering should share channels")
 	}
@@ -240,12 +234,11 @@ func TestTheorem4BMIN(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := routing.New(net)
 	var clusters [][]int
 	for v := 0; v < 4; v++ {
 		clusters = append(clusters, MustCube(r64, v, Free, Free).Nodes())
 	}
-	rep := Analyze(net, r, clusters)
+	rep := Analyze(net, clusters)
 	if !rep.ContentionFree() {
 		t.Errorf("BMIN base-cube clustering not contention free: %v", rep.SharedPairs)
 	}
@@ -260,7 +253,7 @@ func TestTheorem4BMIN(t *testing.T) {
 	for v := 0; v < 4; v++ {
 		nb = append(nb, MustCube(r64, Free, Free, v).Nodes())
 	}
-	rep2 := Analyze(net, r, nb)
+	rep2 := Analyze(net, nb)
 	if rep2.ContentionFree() {
 		t.Error("BMIN non-base clustering should share channels")
 	}
@@ -275,14 +268,13 @@ func TestTheorem4BMIN(t *testing.T) {
 // just the top one).
 func TestOmegaEqualsCubePartitionability(t *testing.T) {
 	net := mustUni(t, 4, 3, topology.Cube)
-	r := routing.New(net)
 	// Fix the middle digit: *v* clusters; Lemma 1 says any k-ary cube
 	// works on a cube MIN, not just base cubes.
 	var clusters [][]int
 	for v := 0; v < 4; v++ {
 		clusters = append(clusters, MustCube(r64, Free, v, Free).Nodes())
 	}
-	rep := Analyze(net, r, clusters)
+	rep := Analyze(net, clusters)
 	if !rep.ContentionFree() {
 		t.Errorf("cube MIN middle-digit clustering not contention free: %v", rep.SharedPairs)
 	}
@@ -297,12 +289,11 @@ func TestClusterUsageLayerCounts(t *testing.T) {
 	// Full-network "cluster" on the 64-node cube TMIN uses all 64
 	// wires in every layer.
 	net := mustUni(t, 4, 3, topology.Cube)
-	r := routing.New(net)
 	all := make([]int, 64)
 	for i := range all {
 		all[i] = i
 	}
-	u := ClusterUsage(net, r, all)
+	u := ClusterUsage(net, all)
 	for layer := 0; layer <= 3; layer++ {
 		if u.ByLayer[layer] != 64 {
 			t.Errorf("layer %d uses %d wires, want 64", layer, u.ByLayer[layer])

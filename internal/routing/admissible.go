@@ -20,7 +20,8 @@ type Sharing struct {
 
 // PermutationSharing computes channel sharing of a permutation routed
 // on the first-candidate paths.
-func PermutationSharing(net *topology.Graph, r Router, perm kary.Perm) Sharing {
+func PermutationSharing(net *topology.Network, perm kary.Perm) Sharing {
+	w := newWalker(net)
 	use := map[int]int{}
 	s := Sharing{}
 	for src := 0; src < net.Nodes; src++ {
@@ -29,7 +30,7 @@ func PermutationSharing(net *topology.Graph, r Router, perm kary.Perm) Sharing {
 			continue
 		}
 		s.ActivePairs++
-		for _, c := range OnePath(net, r, src, dst) {
+		for _, c := range onePath(w, src, dst) {
 			use[c]++
 		}
 	}
@@ -51,7 +52,7 @@ func PermutationSharing(net *topology.Graph, r Router, perm kary.Perm) Sharing {
 // single-path networks this uses the unique paths; for multipath
 // networks it searches the alternatives (the Section 5.3.3 "properly
 // chosen forward channel" question).
-func Admissible(net *topology.Graph, r Router, perm kary.Perm) bool {
+func Admissible(net *topology.Network, perm kary.Perm) bool {
 	var pairs [][2]int
 	for src := 0; src < net.Nodes; src++ {
 		if perm[src] != src {
@@ -61,6 +62,6 @@ func Admissible(net *topology.Graph, r Router, perm kary.Perm) bool {
 	if len(pairs) == 0 {
 		return true
 	}
-	_, ok := ContentionFreeAssignment(net, r, pairs)
+	_, ok := ContentionFreeAssignment(net, pairs)
 	return ok
 }

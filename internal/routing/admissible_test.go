@@ -11,8 +11,7 @@ import (
 // channels to carry four source/destination pairs.
 func TestShuffleSharingOnTMIN(t *testing.T) {
 	net := mustUni(t, topology.UniConfig{K: 4, Stages: 3, Pattern: topology.Cube, Dilation: 1, VCs: 1})
-	r := New(net.Network)
-	s := PermutationSharing(net, r, net.R.ShufflePerm())
+	s := PermutationSharing(net, net.R.ShufflePerm())
 	if s.MaxShare != 4 {
 		t.Errorf("max share %d, paper says 4", s.MaxShare)
 	}
@@ -23,7 +22,7 @@ func TestShuffleSharingOnTMIN(t *testing.T) {
 		t.Error("no shared channels found")
 	}
 	// The 2nd butterfly permutation also forces four-way sharing.
-	b := PermutationSharing(net, r, net.R.ButterflyPerm(2))
+	b := PermutationSharing(net, net.R.ButterflyPerm(2))
 	if b.MaxShare < 2 {
 		t.Errorf("butterfly-2 max share %d, want >= 2", b.MaxShare)
 	}
@@ -35,26 +34,23 @@ func TestShuffleSharingOnTMIN(t *testing.T) {
 // claim that a properly chosen forward channel avoids contention).
 func TestAdmissibility(t *testing.T) {
 	tmin := mustUni(t, topology.UniConfig{K: 2, Stages: 3, Pattern: topology.Cube, Dilation: 1, VCs: 1})
-	rT := New(tmin.Network)
-	if !Admissible(tmin, rT, tmin.R.IdentityPerm()) {
+	if !Admissible(tmin, tmin.R.IdentityPerm()) {
 		t.Error("identity should be admissible")
 	}
 	shuffle := tmin.R.ShufflePerm()
-	if Admissible(tmin, rT, shuffle) {
+	if Admissible(tmin, shuffle) {
 		t.Error("shuffle should not be admissible on the single-path TMIN")
 	}
 
 	bmin := mustBMIN(t, 2, 3)
-	rB := New(bmin.Network)
-	if !Admissible(bmin, rB, shuffle) {
+	if !Admissible(bmin, shuffle) {
 		t.Error("shuffle should be admissible on the BMIN")
 	}
 
 	// On the DMIN the extra channels also make the shuffle routable
 	// without sharing.
 	dmin := mustUni(t, topology.UniConfig{K: 2, Stages: 3, Pattern: topology.Cube, Dilation: 2, VCs: 1})
-	rD := New(dmin.Network)
-	if !Admissible(dmin, rD, shuffle) {
+	if !Admissible(dmin, shuffle) {
 		t.Error("shuffle should be admissible on the two-dilated DMIN")
 	}
 }
@@ -65,7 +61,6 @@ func TestAdmissibility(t *testing.T) {
 // saturation for it on every network.
 func TestComplementIsAdmissibleOnCube(t *testing.T) {
 	net := mustUni(t, topology.UniConfig{K: 4, Stages: 3, Pattern: topology.Cube, Dilation: 1, VCs: 1})
-	r := New(net.Network)
 	perm := make([]int, net.Nodes)
 	rr := net.R
 	for x := range perm {
@@ -75,7 +70,7 @@ func TestComplementIsAdmissibleOnCube(t *testing.T) {
 		}
 		perm[x] = y
 	}
-	s := PermutationSharing(net, r, perm)
+	s := PermutationSharing(net, perm)
 	if s.MaxShare != 1 {
 		t.Errorf("complement max share %d, want 1 (conflict-free)", s.MaxShare)
 	}
@@ -89,8 +84,7 @@ func TestComplementIsAdmissibleOnCube(t *testing.T) {
 // the static analysis and Fig. 20's 25% TMIN plateau.
 func TestSharingMatchesSaturation(t *testing.T) {
 	net := mustUni(t, topology.UniConfig{K: 4, Stages: 3, Pattern: topology.Cube, Dilation: 1, VCs: 1})
-	r := New(net.Network)
-	s := PermutationSharing(net, r, net.R.ShufflePerm())
+	s := PermutationSharing(net, net.R.ShufflePerm())
 	bound := float64(s.ActivePairs) / float64(net.Nodes) / float64(s.MaxShare)
 	if bound < 0.2 || bound > 0.26 {
 		t.Errorf("sharing-derived saturation bound %v, want about 0.23", bound)

@@ -21,7 +21,7 @@ import (
 // rest running free; what makes the shuffle slow is that every pair
 // is bottlenecked at once, and the sum rewards exactly that.
 //
-// The search is a pure function of (net, r, seed, iters): the same
+// The search is a pure function of (net, seed, iters): the same
 // inputs always return the same permutation, which lets spec
 // canonicalization hash only the parameters while factories resolve
 // the permutation at build time.
@@ -30,7 +30,8 @@ import (
 // and setup are O(N^2 · pathlen) and each iteration rescans the pairs
 // in O(N · pathlen); intended for the paper-scale networks (tens to a
 // few thousand nodes), not the 64K-node engines.
-func WorstPermutation(net *topology.Graph, r Router, seed uint64, iters int) (kary.Perm, Sharing) {
+func WorstPermutation(net *topology.Network, seed uint64, iters int) (kary.Perm, Sharing) {
+	w := newWalker(net)
 	n := net.Nodes
 	rng := xrand.New(seed ^ 0xadbe75a12a35b0d1)
 
@@ -39,7 +40,7 @@ func WorstPermutation(net *topology.Graph, r Router, seed uint64, iters int) (ka
 	for s := 0; s < n; s++ {
 		for d := 0; d < n; d++ {
 			if d != s {
-				paths[s*n+d] = OnePath(net, r, s, d)
+				paths[s*n+d] = onePath(w, s, d)
 			}
 		}
 	}
@@ -66,7 +67,7 @@ func WorstPermutation(net *topology.Graph, r Router, seed uint64, iters int) (ka
 	// O(pathlen). The bottleneck sum is recomputed by scanning the
 	// pairs: a swap shifts use on the touched channels, which can move
 	// other pairs' bottlenecks too, so there is no cheap delta for it.
-	use := make([]int, len(net.Channels))
+	use := make([]int, net.ChannelCount())
 	shared := 0
 	bump := func(c, delta int) {
 		old := use[c]
@@ -128,7 +129,7 @@ func WorstPermutation(net *topology.Graph, r Router, seed uint64, iters int) (ka
 		route(i, +1)
 		route(j, +1)
 	}
-	return perm, PermutationSharing(net, r, perm)
+	return perm, PermutationSharing(net, perm)
 }
 
 // PermutationBottleneck is the adversarial search's primary score on
@@ -136,15 +137,16 @@ func WorstPermutation(net *topology.Graph, r Router, seed uint64, iters int) (ka
 // per-channel pair count along each pair's first-candidate path. It
 // proxies (inverse) sustainable throughput — a pair bottlenecked on a
 // k-shared channel drains at ~1/k of a private channel's rate.
-func PermutationBottleneck(net *topology.Graph, r Router, perm kary.Perm) int64 {
+func PermutationBottleneck(net *topology.Network, perm kary.Perm) int64 {
+	w := newWalker(net)
 	n := net.Nodes
-	use := make([]int, len(net.Channels))
+	use := make([]int, net.ChannelCount())
 	paths := make([]Path, n)
 	for src := 0; src < n; src++ {
 		if perm[src] == src {
 			continue
 		}
-		paths[src] = OnePath(net, r, src, perm[src])
+		paths[src] = onePath(w, src, perm[src])
 		for _, c := range paths[src] {
 			use[c]++
 		}

@@ -7,20 +7,19 @@ import (
 )
 
 func TestWorstPermutationDeterministicAndValid(t *testing.T) {
-	net, err := viewOf(topology.NewUnidirectional(topology.UniConfig{K: 4, Stages: 3, Pattern: topology.Cube, Dilation: 1, VCs: 1}))
+	net, err := topology.NewUnidirectional(topology.UniConfig{K: 4, Stages: 3, Pattern: topology.Cube, Dilation: 1, VCs: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := New(net.Network)
-	p1, s1 := WorstPermutation(net, r, 9, 2000)
-	p2, s2 := WorstPermutation(net, r, 9, 2000)
+	p1, s1 := WorstPermutation(net, 9, 2000)
+	p2, s2 := WorstPermutation(net, 9, 2000)
 	if !p1.Equal(p2) || s1 != s2 {
 		t.Fatal("same seed and iters produced different permutations")
 	}
 	if !p1.Valid() {
 		t.Fatal("search returned an invalid permutation")
 	}
-	if s1 != PermutationSharing(net, r, p1) {
+	if s1 != PermutationSharing(net, p1) {
 		t.Errorf("reported sharing %+v does not match recomputation", s1)
 	}
 }
@@ -31,14 +30,13 @@ func TestWorstPermutationDeterministicAndValid(t *testing.T) {
 // searched worst case must score at least as high on the search's own
 // congestion proxy — the summed per-pair bottleneck share.
 func TestWorstPermutationBeatsShuffle(t *testing.T) {
-	net, err := viewOf(topology.NewUnidirectional(topology.UniConfig{K: 4, Stages: 3, Pattern: topology.Cube, Dilation: 1, VCs: 1}))
+	net, err := topology.NewUnidirectional(topology.UniConfig{K: 4, Stages: 3, Pattern: topology.Cube, Dilation: 1, VCs: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := New(net.Network)
-	shuffle := PermutationBottleneck(net, r, net.R.ShufflePerm())
-	perm, worst := WorstPermutation(net, r, 1, 4096)
-	searched := PermutationBottleneck(net, r, perm)
+	shuffle := PermutationBottleneck(net, net.R.ShufflePerm())
+	perm, worst := WorstPermutation(net, 1, 4096)
+	searched := PermutationBottleneck(net, perm)
 	if searched < shuffle {
 		t.Errorf("searched bottleneck score %d below the shuffle's %d", searched, shuffle)
 	}

@@ -11,14 +11,13 @@ import (
 func TestExtraStagePathCount(t *testing.T) {
 	for _, e := range []int{1, 2} {
 		net := mustUni(t, topology.UniConfig{K: 2, Stages: 3, Pattern: topology.Cube, Dilation: 1, VCs: 1, Extra: e})
-		r := New(net.Network)
 		want := 1 << e
 		for src := 0; src < net.Nodes; src++ {
 			for dst := 0; dst < net.Nodes; dst++ {
 				if src == dst {
 					continue
 				}
-				paths := AllPaths(net, r, src, dst)
+				paths := AllPaths(net, src, dst)
 				if len(paths) != want {
 					t.Fatalf("extra=%d: %d->%d has %d paths, want %d", e, src, dst, len(paths), want)
 				}
@@ -26,7 +25,7 @@ func TestExtraStagePathCount(t *testing.T) {
 					if p.Length() != net.Stages+1 {
 						t.Fatalf("extra=%d: path length %d, want %d", e, p.Length(), net.Stages+1)
 					}
-					last := net.Channels[p[len(p)-1]]
+					last := net.ChannelAt(p[len(p)-1])
 					if last.To.Node != dst {
 						t.Fatalf("extra=%d: misdelivered %d->%d", e, src, dst)
 					}
@@ -42,13 +41,12 @@ func TestExtraStagePathCount(t *testing.T) {
 // asks about.
 func TestExtraStagePathsDiverge(t *testing.T) {
 	net := mustUni(t, topology.UniConfig{K: 4, Stages: 2, Pattern: topology.Cube, Dilation: 1, VCs: 1, Extra: 1})
-	r := New(net.Network)
 	for src := 0; src < net.Nodes; src += 3 {
 		for dst := 0; dst < net.Nodes; dst++ {
 			if src == dst {
 				continue
 			}
-			paths := AllPaths(net, r, src, dst)
+			paths := AllPaths(net, src, dst)
 			seen := map[int]bool{}
 			for _, p := range paths {
 				// Channel leaving the extra stage (index 1 on the path).
@@ -66,17 +64,16 @@ func TestExtraStagePathsDiverge(t *testing.T) {
 // path count by the per-hop VC choices; we only verify delivery and
 // that the plain k^t distinct wire-level routes survive.
 func TestBMINVCDelivery(t *testing.T) {
-	net, err := viewOf(topology.NewBMINVC(2, 3, 2))
+	net, err := topology.NewBMINVC(2, 3, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := New(net.Network)
 	for src := 0; src < net.Nodes; src++ {
 		for dst := 0; dst < net.Nodes; dst++ {
 			if src == dst {
 				continue
 			}
-			paths := AllPaths(net, r, src, dst)
+			paths := AllPaths(net, src, dst)
 			if len(paths) == 0 {
 				t.Fatalf("no paths %d->%d", src, dst)
 			}
@@ -85,7 +82,7 @@ func TestBMINVCDelivery(t *testing.T) {
 				if p.Length() != 2*(tt+1) {
 					t.Fatalf("%d->%d: length %d, want %d", src, dst, p.Length(), 2*(tt+1))
 				}
-				last := net.Channels[p[len(p)-1]]
+				last := net.ChannelAt(p[len(p)-1])
 				if last.To.Node != dst {
 					t.Fatalf("misdelivered %d->%d", src, dst)
 				}
@@ -95,7 +92,7 @@ func TestBMINVCDelivery(t *testing.T) {
 			for _, p := range paths {
 				key := ""
 				for _, c := range p {
-					ch := &net.Channels[c]
+					ch := net.ChannelAt(c)
 					key += string(rune(ch.Layer)) + string(rune(ch.Wire)) + string(rune(ch.Dir))
 				}
 				wires[key] = true

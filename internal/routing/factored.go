@@ -19,14 +19,14 @@ import (
 // The description enforces power-of-two k, so every radix digit is a
 // bit field (kary.Radix.Bits); channels per wire may be any count and
 // scale a wire address by multiplication. Candidate order is identical
-// to the Router implementations — run expansion walks ascending
-// channel ids, which is exactly the order a port lists its channels in
-// — so a random pick among the free candidates draws the same channel
-// the specification would. Factored and the layout it assumes are read
-// off one description, so nothing is verified at run time; the tests
-// hold it against the Routers walking the Graph view, for every
-// family, pattern, extra-stage and channel count
-// (TestFactoredMatchesRouters).
+// to the port-by-port specification (graphtest's Routers) — run
+// expansion walks ascending channel ids, which is exactly the order a
+// port lists its channels in — so a random pick among the free
+// candidates draws the same channel the specification would. Factored
+// and the layout it assumes are read off one description, so nothing
+// is verified at run time; the tests hold it against the Routers
+// walking the struct form, for every family, pattern, extra-stage and
+// channel count (TestFactoredMatchesRouters).
 type Factored struct {
 	bmin bool
 
@@ -58,7 +58,7 @@ type Factored struct {
 // switch) and destined for node dest, as `runs` arithmetic runs of
 // `count` consecutive ids starting at base, base+stride,
 // base+2·stride, ... Candidates enumerate in ascending id order within
-// a run and across runs — the order the Router implementations
+// a run and across runs — the order the specification's Routers
 // produce. runs > 1 only occurs for the continue-forward hop of a BMIN
 // (one run per right port).
 //
@@ -114,8 +114,8 @@ func (f *Factored) lookupBMIN(j, w int, dir topology.Dir, dest int) (base, count
 	return f.layerBase[j] + a*f.vcs2 + f.vcs, f.vcs, 1, 0
 }
 
-// Expand appends the candidate ids Lookup describes, in order — the
-// test/tool mirror of the run expansion the engine inlines.
+// Expand appends the candidate ids Lookup describes, in order: the
+// run expansion the engine inlines, for the analyses' walker.
 func (f *Factored) Expand(dst []int, layer, wire int, dir topology.Dir, dest int) []int {
 	base, count, runs, stride := f.Lookup(layer, wire, dir, dest)
 	for ; runs > 0; runs-- {

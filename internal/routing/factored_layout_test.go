@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"minsim/internal/topology"
+	"minsim/internal/topology/graphtest"
 )
 
 // The structural verification NewFactored ran against the built network
@@ -16,7 +17,7 @@ import (
 // and the routing-tag bit positions must reproduce topology.RoutingTag.
 // What it holds the lookup against is the struct view.
 
-func verifyFactoredUni(net *topology.Graph, f *Factored) error {
+func verifyFactoredUni(net *graphtest.Graph, f *Factored) error {
 	k := net.K()
 	n := net.R.N()
 	total := net.Stages
@@ -78,7 +79,7 @@ func verifyFactoredUni(net *topology.Graph, f *Factored) error {
 	return nil
 }
 
-func verifyFactoredBMIN(net *topology.Graph, f *Factored) error {
+func verifyFactoredBMIN(net *graphtest.Graph, f *Factored) error {
 	k := net.K()
 	vcs := net.VCs
 	vcs2 := f.vcs2
@@ -175,7 +176,7 @@ func TestFactoredLayout(t *testing.T) {
 		if net.Kind == topology.BMIN {
 			verify = verifyFactoredBMIN
 		}
-		if err := verify(net.Graph(), f); err != nil {
+		if err := verify(graphtest.New(net), f); err != nil {
 			t.Errorf("%s: %v", net.Name(), err)
 		}
 	}

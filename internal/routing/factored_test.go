@@ -10,6 +10,7 @@ import (
 	"minsim/internal/experiments"
 	"minsim/internal/routing"
 	"minsim/internal/topology"
+	"minsim/internal/topology/graphtest"
 )
 
 // checkFactoredEquivalence asserts the property the engine relies on:
@@ -19,7 +20,7 @@ import (
 // candidate list the Router finds walking the struct view: same
 // channels, same order (the order feeds the random pick, so it is part
 // of the determinism contract).
-func checkFactoredEquivalence(t *testing.T, net *topology.Graph, f *routing.Factored, r routing.Router) {
+func checkFactoredEquivalence(t *testing.T, net *graphtest.Graph, f *routing.Factored, r graphtest.Router) {
 	t.Helper()
 	var got, want []int
 	for ci := range net.Channels {
@@ -79,7 +80,7 @@ func TestFactoredMatchesRouterPaperConfigs(t *testing.T) {
 			t.Fatal(err)
 		}
 		f := routing.NewFactored(desc)
-		checkFactoredEquivalence(t, desc.Graph(), f, routing.New(desc))
+		checkFactoredEquivalence(t, graphtest.New(desc), f, graphtest.RouterFor(desc))
 		if f.Bytes() > 1024 {
 			t.Errorf("%s: factored routing state is %d bytes, want under 1 KiB", ns.Name, f.Bytes())
 		}
@@ -110,7 +111,7 @@ func TestFactoredMatchesRouters(t *testing.T) {
 							if desc.Nodes > 64 {
 								continue
 							}
-							checkFactoredEquivalence(t, desc.Graph(), routing.NewFactored(desc), routing.New(desc))
+							checkFactoredEquivalence(t, graphtest.New(desc), routing.NewFactored(desc), graphtest.RouterFor(desc))
 							configs++
 						}
 					}
@@ -148,6 +149,6 @@ func FuzzFactoredEquivalence(f *testing.F) {
 		if err != nil {
 			t.Skip()
 		}
-		checkFactoredEquivalence(t, desc.Graph(), routing.NewFactored(desc), routing.New(desc))
+		checkFactoredEquivalence(t, graphtest.New(desc), routing.NewFactored(desc), graphtest.RouterFor(desc))
 	})
 }

@@ -4,14 +4,14 @@ import (
 	"testing"
 
 	"minsim/internal/topology"
+	"minsim/internal/topology/graphtest"
 )
 
 func TestReachableNoFaults(t *testing.T) {
 	net := mustBMIN(t, 4, 3)
-	r := New(net.Network)
 	for s := 0; s < net.Nodes; s += 7 {
 		for d := 0; d < net.Nodes; d++ {
-			if !Reachable(net, r, nil, s, d) {
+			if !Reachable(net, nil, s, d) {
 				t.Fatalf("%d->%d unreachable with no faults", s, d)
 			}
 		}
@@ -23,16 +23,15 @@ func TestReachableNoFaults(t *testing.T) {
 // Section 2.1.
 func TestTMINSingleFaultDisconnects(t *testing.T) {
 	net := mustUni(t, topology.UniConfig{K: 4, Stages: 3, Pattern: topology.Cube, Dilation: 1, VCs: 1})
-	r := New(net.Network)
 	// Pick an interstage channel (layer 1).
 	var victim int = -1
-	for i := range net.Channels {
-		if net.Channels[i].Layer == 1 {
+	for i := range net.ChannelCount() {
+		if layer, _, _ := net.Address(i); layer == 1 {
 			victim = i
 			break
 		}
 	}
-	pairs := DisconnectedPairs(net, r, map[int]bool{victim: true})
+	pairs := DisconnectedPairs(net, map[int]bool{victim: true})
 	// The disconnected set must be exactly the pairs whose unique
 	// path crosses the victim: k sources x k^2 destinations minus the
 	// self-pairs among them.
@@ -42,7 +41,7 @@ func TestTMINSingleFaultDisconnects(t *testing.T) {
 			if s == d {
 				continue
 			}
-			for _, c := range OnePath(net, r, s, d) {
+			for _, c := range OnePath(net, s, d) {
 				if c == victim {
 					want++
 					break
@@ -58,7 +57,7 @@ func TestTMINSingleFaultDisconnects(t *testing.T) {
 	}
 	// Every disconnected pair routes through the victim.
 	for _, p := range pairs {
-		path := OnePath(net, r, p[0], p[1])
+		path := OnePath(net, p[0], p[1])
 		found := false
 		for _, c := range path {
 			if c == victim {
@@ -75,13 +74,12 @@ func TestTMINSingleFaultDisconnects(t *testing.T) {
 // any single interstage channel failure.
 func TestDMINToleratesSingleInterstageFault(t *testing.T) {
 	net := mustUni(t, topology.UniConfig{K: 4, Stages: 3, Pattern: topology.Cube, Dilation: 2, VCs: 1})
-	r := New(net.Network)
-	for i := range net.Channels {
-		ch := &net.Channels[i]
+	for i := range net.ChannelCount() {
+		ch := net.ChannelAt(i)
 		if ch.Layer == 0 || ch.Layer == net.Stages {
 			continue // node links are necessarily critical
 		}
-		if pairs := DisconnectedPairs(net, r, map[int]bool{i: true}); len(pairs) != 0 {
+		if pairs := DisconnectedPairs(net, map[int]bool{i: true}); len(pairs) != 0 {
 			t.Fatalf("DMIN: failing interstage channel %d disconnected %d pairs", i, len(pairs))
 		}
 	}
@@ -95,21 +93,20 @@ func TestDMINToleratesSingleInterstageFault(t *testing.T) {
 // remain critical, as in every one-port network.)
 func TestBMINSingleInterstageFaultTolerance(t *testing.T) {
 	net := mustBMIN(t, 2, 3)
-	r := New(net.Network)
-	for i := range net.Channels {
-		ch := &net.Channels[i]
+	for i := range net.ChannelCount() {
+		ch := net.ChannelAt(i)
 		if ch.Layer == 0 {
 			continue // node links
 		}
-		if pairs := DisconnectedPairs(net, r, map[int]bool{i: true}); len(pairs) != 0 {
+		if pairs := DisconnectedPairs(net, map[int]bool{i: true}); len(pairs) != 0 {
 			t.Errorf("BMIN: failing %s channel %d (layer %d) disconnected %d pairs",
 				ch.Dir, i, ch.Layer, len(pairs))
 		}
 	}
 	// Node links are critical: failing an ejection channel cuts off
 	// all traffic into that node.
-	ej := net.Eject[3]
-	pairs := DisconnectedPairs(net, r, map[int]bool{ej: true})
+	ej := net.Eject(3)
+	pairs := DisconnectedPairs(net, map[int]bool{ej: true})
 	if len(pairs) != net.Nodes-1 {
 		t.Errorf("failed ejection channel disconnected %d pairs, want %d", len(pairs), net.Nodes-1)
 	}
@@ -119,16 +116,16 @@ func TestBMINSingleInterstageFaultTolerance(t *testing.T) {
 // channel is critical; no DMIN interstage channel is.
 func TestCriticalChannels(t *testing.T) {
 	tminNet := mustUni(t, topology.UniConfig{K: 2, Stages: 3, Pattern: topology.Cube, Dilation: 1, VCs: 1})
-	crit := CriticalChannels(tminNet, New(tminNet.Network))
+	crit := CriticalChannels(tminNet)
 	for c, n := range crit {
 		if n == 0 {
 			t.Errorf("TMIN channel %d reported non-critical", c)
 		}
 	}
 	dminNet := mustUni(t, topology.UniConfig{K: 2, Stages: 3, Pattern: topology.Cube, Dilation: 2, VCs: 1})
-	critD := CriticalChannels(dminNet, New(dminNet.Network))
+	critD := CriticalChannels(dminNet)
 	for c, n := range critD {
-		ch := &dminNet.Channels[c]
+		ch := dminNet.ChannelAt(c)
 		interstage := ch.Layer > 0 && ch.Layer < dminNet.Stages
 		if interstage && n != 0 {
 			t.Errorf("DMIN interstage channel %d critical for %d pairs", c, n)
@@ -150,21 +147,22 @@ func TestFaultAwareAvoidsBackwardDeadEnds(t *testing.T) {
 	net := mustBMIN(t, 4, 3)
 	victim := net.LayerBase(2) + net.VCs // wire 0's first backward channel
 	failed := map[int]bool{victim: true}
-	oblivious := New(net.Network)
-	aware := FaultAware{Inner: oblivious, Failed: failed}
+	g := graphtest.New(net)
+	oblivious := graphtest.RouterFor(net)
+	aware := graphtest.FaultAware{Inner: oblivious, Failed: failed}
 	stranded := 0
 	for s := 0; s < net.Nodes; s++ {
 		for d := 0; d < net.Nodes; d++ {
 			if s == d {
 				continue
 			}
-			if !Reachable(net, oblivious, failed, s, d) {
+			if !Reachable(net, failed, s, d) {
 				t.Fatalf("%d->%d unreachable with one backward fault", s, d)
 			}
-			if deadEnd(net, aware, failed, s, d) {
+			if deadEnd(g, aware, failed, s, d) {
 				t.Fatalf("%d->%d: a walk through fault-aware candidates dead-ends", s, d)
 			}
-			if deadEnd(net, oblivious, failed, s, d) {
+			if deadEnd(g, oblivious, failed, s, d) {
 				stranded++
 			}
 		}
@@ -178,7 +176,7 @@ func TestFaultAwareAvoidsBackwardDeadEnds(t *testing.T) {
 // deadEnd reports whether some walk from src's injection channel that
 // takes any non-failed candidate of r at every hop reaches a channel
 // whose candidates have all failed, or ejects at a node other than dst.
-func deadEnd(net *topology.Graph, r Router, failed map[int]bool, src, dst int) bool {
+func deadEnd(net *graphtest.Graph, r graphtest.Router, failed map[int]bool, src, dst int) bool {
 	seen := map[int]bool{}
 	var walk func(c int) bool
 	walk = func(c int) bool {
@@ -207,15 +205,14 @@ func deadEnd(net *topology.Graph, r Router, failed map[int]bool, src, dst int) b
 
 func TestInjectionFaultUnreachable(t *testing.T) {
 	net := mustBMIN(t, 2, 2)
-	r := New(net.Network)
-	failed := map[int]bool{net.Inject[1]: true}
-	if Reachable(net, r, failed, 1, 2) {
+	failed := map[int]bool{net.Inject(1): true}
+	if Reachable(net, failed, 1, 2) {
 		t.Error("node with failed injection channel reported reachable")
 	}
-	if !Reachable(net, r, failed, 2, 1) {
+	if !Reachable(net, failed, 2, 1) {
 		t.Error("incoming traffic should not need the injection channel")
 	}
-	if !Reachable(net, r, failed, 1, 1) {
+	if !Reachable(net, failed, 1, 1) {
 		t.Error("self reachability should hold trivially")
 	}
 }

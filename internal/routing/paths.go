@@ -16,61 +16,58 @@ type Path []int
 // BMINs).
 func (p Path) Length() int { return len(p) }
 
-// AllPaths enumerates every route the router can generate from src to
-// dst by exhaustive search over candidate channels. For a TMIN this is
-// the unique destination-tag path; for a DMIN it is the d^{n-1}
-// channel-level variants of that path; for a BMIN it is the k^t
-// shortest turnaround paths of Theorem 1. It panics if src == dst.
-func AllPaths(net *topology.Graph, r Router, src, dst int) []Path {
+// AllPaths enumerates every route the network's routing function can
+// generate from src to dst by exhaustive search over candidate
+// channels. For a TMIN this is the unique destination-tag path; for a
+// DMIN it is the d^{n-1} channel-level variants of that path; for a
+// BMIN it is the k^t shortest turnaround paths of Theorem 1. It
+// panics if src == dst.
+func AllPaths(net *topology.Network, src, dst int) []Path {
 	if src == dst {
 		panic("routing: AllPaths with src == dst")
 	}
+	return allPaths(newWalker(net), src, dst)
+}
+
+func allPaths(w *walker, src, dst int) []Path {
 	var out []Path
 	var walk func(prefix Path)
 	walk = func(prefix Path) {
-		last := &net.Channels[prefix[len(prefix)-1]]
-		if last.To.IsNode() {
-			if last.To.Node != dst {
-				panic(fmt.Sprintf("routing: path from %d to %d delivered to node %d", src, dst, last.To.Node))
+		last := prefix[len(prefix)-1]
+		if node, ok := w.ejectsTo(last); ok {
+			if node != dst {
+				panic(fmt.Sprintf("routing: path from %d to %d delivered to node %d", src, dst, node))
 			}
 			out = append(out, append(Path(nil), prefix...))
 			return
 		}
-		cands := r.Candidates(nil, net, last, dst)
-		if len(cands) == 0 {
-			panic(fmt.Sprintf("routing: dead end at channel %d routing %d -> %d", last.ID, src, dst))
-		}
-		for _, c := range cands {
+		for _, c := range w.next(len(prefix)-1, last, dst) {
 			walk(append(prefix, c))
 		}
 	}
-	walk(Path{net.Inject[src]})
+	// The prefix never outgrows its first array, so besides the paths
+	// it returns the walk allocates one candidate list per hop.
+	walk(w.route(src))
 	return out
 }
 
 // OnePath returns the route obtained by always taking the first
 // candidate. Useful for deterministic traces and the blocking example
 // tests.
-func OnePath(net *topology.Graph, r Router, src, dst int) Path {
-	p := Path{net.Inject[src]}
-	//simvet:bounded — each step moves toward the destination; the walk ends at the ejection channel after at most a few stages
-	for {
-		last := &net.Channels[p[len(p)-1]]
-		if last.To.IsNode() {
-			return p
-		}
-		cands := r.Candidates(nil, net, last, dst)
-		p = append(p, cands[0])
-	}
+func OnePath(net *topology.Network, src, dst int) Path {
+	return onePath(newWalker(net), src, dst)
 }
 
-// LinksOf maps a path to the physical links it occupies.
-func LinksOf(net *topology.Graph, p Path) []int {
-	links := make([]int, len(p))
-	for i, c := range p {
-		links[i] = net.Channels[c].Link
+func onePath(w *walker, src, dst int) Path {
+	p := w.route(src)
+	//simvet:bounded — each step moves toward the destination; the walk ends at the ejection channel after at most a few stages
+	for {
+		last := p[len(p)-1]
+		if w.net.EndsAtNode(last) {
+			return p
+		}
+		p = append(p, w.next(0, last, dst)[0])
 	}
-	return links
 }
 
 // SharesChannel reports whether two paths have any channel in common —
@@ -97,10 +94,11 @@ func SharesChannel(a, b Path) bool {
 // simultaneously without contention if the forward channel is
 // properly chosen" for permutation traffic. The search is exponential
 // in the worst case; intended for small test instances.
-func ContentionFreeAssignment(net *topology.Graph, r Router, pairs [][2]int) ([]Path, bool) {
+func ContentionFreeAssignment(net *topology.Network, pairs [][2]int) ([]Path, bool) {
+	w := newWalker(net)
 	alts := make([][]Path, len(pairs))
 	for i, pr := range pairs {
-		alts[i] = AllPaths(net, r, pr[0], pr[1])
+		alts[i] = allPaths(w, pr[0], pr[1])
 	}
 	used := make(map[int]bool)
 	chosen := make([]Path, len(pairs))

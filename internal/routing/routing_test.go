@@ -4,43 +4,34 @@ import (
 	"testing"
 
 	"minsim/internal/topology"
+	"minsim/internal/topology/graphtest"
 )
 
-// mustUni and mustBMIN return the struct view the routers walk; the
-// description rides along as its embedded Network.
-func mustUni(t *testing.T, cfg topology.UniConfig) *topology.Graph {
+func mustUni(t *testing.T, cfg topology.UniConfig) *topology.Network {
 	t.Helper()
-	net, err := viewOf(topology.NewUnidirectional(cfg))
+	net, err := topology.NewUnidirectional(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return net.Graph()
+	return net
 }
 
-// viewOf turns a constructor's result into the struct view.
-func viewOf(n *topology.Network, err error) (*topology.Graph, error) {
-	if err != nil {
-		return nil, err
-	}
-	return n.Graph(), nil
-}
-
-func mustBMIN(t *testing.T, k, n int) *topology.Graph {
+func mustBMIN(t *testing.T, k, n int) *topology.Network {
 	t.Helper()
-	net, err := viewOf(topology.NewBMIN(k, n))
+	net, err := topology.NewBMIN(k, n)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return net.Graph()
+	return net
 }
 
 func TestNewSelectsRouter(t *testing.T) {
 	uni := mustUni(t, topology.UniConfig{K: 4, Stages: 3, Pattern: topology.Cube, Dilation: 1, VCs: 1})
-	if _, ok := New(uni.Network).(DestinationTag); !ok {
+	if _, ok := graphtest.RouterFor(uni).(graphtest.DestinationTag); !ok {
 		t.Error("unidirectional network did not get DestinationTag router")
 	}
 	b := mustBMIN(t, 4, 3)
-	if _, ok := New(b.Network).(Turnaround); !ok {
+	if _, ok := graphtest.RouterFor(b).(graphtest.Turnaround); !ok {
 		t.Error("BMIN did not get Turnaround router")
 	}
 }
@@ -50,7 +41,7 @@ func TestNewSelectsRouter(t *testing.T) {
 func TestAllPathsDelivery(t *testing.T) {
 	type tc struct {
 		name  string
-		net   *topology.Graph
+		net   *topology.Network
 		paths func(src, dst int) int // expected number of paths
 	}
 	tmin := mustUni(t, topology.UniConfig{K: 4, Stages: 3, Pattern: topology.Cube, Dilation: 1, VCs: 1})
@@ -74,18 +65,17 @@ func TestAllPathsDelivery(t *testing.T) {
 		}},
 	}
 	for _, c := range cases {
-		r := New(c.net.Network)
 		for src := 0; src < c.net.Nodes; src += 7 {
 			for dst := 0; dst < c.net.Nodes; dst++ {
 				if src == dst {
 					continue
 				}
-				paths := AllPaths(c.net, r, src, dst)
+				paths := AllPaths(c.net, src, dst)
 				if len(paths) != c.paths(src, dst) {
 					t.Fatalf("%s: %d->%d has %d paths, want %d", c.name, src, dst, len(paths), c.paths(src, dst))
 				}
 				for _, p := range paths {
-					last := c.net.Channels[p[len(p)-1]]
+					last := c.net.ChannelAt(p[len(p)-1])
 					if !last.To.IsNode() || last.To.Node != dst {
 						t.Fatalf("%s: path %d->%d misdelivered", c.name, src, dst)
 					}
@@ -101,7 +91,6 @@ func TestAllPathsDelivery(t *testing.T) {
 func TestTheorem1(t *testing.T) {
 	for _, kn := range [][2]int{{2, 3}, {2, 4}, {4, 2}, {4, 3}} {
 		net := mustBMIN(t, kn[0], kn[1])
-		r := New(net.Network)
 		for src := 0; src < net.Nodes; src++ {
 			for dst := 0; dst < net.Nodes; dst++ {
 				if src == dst {
@@ -112,7 +101,7 @@ func TestTheorem1(t *testing.T) {
 				for i := 0; i < tt; i++ {
 					want *= kn[0]
 				}
-				paths := AllPaths(net, r, src, dst)
+				paths := AllPaths(net, src, dst)
 				if len(paths) != want {
 					t.Fatalf("BMIN(%d,%d) %d->%d: %d paths, want k^%d = %d",
 						kn[0], kn[1], src, dst, len(paths), tt, want)
@@ -134,17 +123,16 @@ func TestTheorem1(t *testing.T) {
 // gives two.
 func TestFig9Examples(t *testing.T) {
 	net := mustBMIN(t, 2, 3)
-	r := New(net.Network)
 	// S = 001, D = 101: t = 2, 4 paths (also the Fig. 8 example).
-	if got := len(AllPaths(net, r, 0b001, 0b101)); got != 4 {
+	if got := len(AllPaths(net, 0b001, 0b101)); got != 4 {
 		t.Errorf("001->101: %d paths, want 4", got)
 	}
 	// t = 1 gives 2 paths, e.g. 000 -> 010.
-	if got := len(AllPaths(net, r, 0b000, 0b010)); got != 2 {
+	if got := len(AllPaths(net, 0b000, 0b010)); got != 2 {
 		t.Errorf("000->010: %d paths, want 2", got)
 	}
 	// t = 0 gives 1 path.
-	if got := len(AllPaths(net, r, 0b000, 0b001)); got != 1 {
+	if got := len(AllPaths(net, 0b000, 0b001)); got != 1 {
 		t.Errorf("000->001: %d paths, want 1", got)
 	}
 }
@@ -153,13 +141,12 @@ func TestFig9Examples(t *testing.T) {
 func TestUnidirectionalPathLength(t *testing.T) {
 	for _, pat := range []topology.Pattern{topology.Cube, topology.Butterfly} {
 		net := mustUni(t, topology.UniConfig{K: 4, Stages: 3, Pattern: pat, Dilation: 1, VCs: 1})
-		r := New(net.Network)
 		for src := 0; src < net.Nodes; src += 5 {
 			for dst := 0; dst < net.Nodes; dst++ {
 				if src == dst {
 					continue
 				}
-				if p := OnePath(net, r, src, dst); p.Length() != net.Stages+1 {
+				if p := OnePath(net, src, dst); p.Length() != net.Stages+1 {
 					t.Fatalf("path %d->%d length %d, want %d", src, dst, p.Length(), net.Stages+1)
 				}
 			}
@@ -171,19 +158,18 @@ func TestUnidirectionalPathLength(t *testing.T) {
 // turns exactly at stage t = FirstDifference(S, D) (Fig. 7 step 2).
 func TestTurnaroundMatchesFirstDifference(t *testing.T) {
 	net := mustBMIN(t, 4, 3)
-	r := New(net.Network)
 	for src := 0; src < net.Nodes; src++ {
 		for dst := 0; dst < net.Nodes; dst++ {
 			if src == dst {
 				continue
 			}
-			want, _ := FirstDifferenceTag(net.Network, src, dst)
-			for _, p := range AllPaths(net, r, src, dst) {
+			want, _ := net.R.FirstDifference(src, dst)
+			for _, p := range AllPaths(net, src, dst) {
 				// The turnaround switch is the switch at the deepest
 				// point: channel index t is the last forward channel.
 				turn := -1
 				for i, c := range p {
-					if net.Channels[c].Dir == topology.Backward {
+					if _, _, dir := net.Address(c); dir == topology.Backward {
 						turn = i - 1
 						break
 					}
@@ -191,7 +177,7 @@ func TestTurnaroundMatchesFirstDifference(t *testing.T) {
 				if turn < 0 {
 					t.Fatalf("path %d->%d has no backward segment", src, dst)
 				}
-				stage := net.Switches[net.Channels[p[turn]].To.Switch].Stage
+				stage := net.StageEntered(p[turn])
 				if stage != want {
 					t.Fatalf("path %d->%d turned at stage %d, want %d", src, dst, stage, want)
 				}
@@ -210,21 +196,20 @@ func TestTurnaroundMatchesFirstDifference(t *testing.T) {
 // condition). With shortest paths this holds automatically.
 func TestDefinition4NoPortPairReuse(t *testing.T) {
 	net := mustBMIN(t, 2, 3)
-	r := New(net.Network)
 	for src := 0; src < net.Nodes; src++ {
 		for dst := 0; dst < net.Nodes; dst++ {
 			if src == dst {
 				continue
 			}
-			for _, p := range AllPaths(net, r, src, dst) {
+			for _, p := range AllPaths(net, src, dst) {
 				wires := map[[2]int]topology.Dir{}
 				for _, c := range p {
-					ch := &net.Channels[c]
-					key := [2]int{ch.Layer, ch.Wire}
-					if prev, ok := wires[key]; ok && prev != ch.Dir {
+					layer, wire, dir := net.Address(c)
+					key := [2]int{layer, wire}
+					if prev, ok := wires[key]; ok && prev != dir {
 						t.Fatalf("path %d->%d uses both channels of wire %v", src, dst, key)
 					}
-					wires[key] = ch.Dir
+					wires[key] = dir
 				}
 			}
 		}
@@ -238,9 +223,8 @@ func TestDefinition4NoPortPairReuse(t *testing.T) {
 // assignment may still exist for other pairs.
 func TestFig11Blocking(t *testing.T) {
 	net := mustBMIN(t, 2, 3)
-	r := New(net.Network)
-	a := AllPaths(net, r, 0b011, 0b111)
-	b := AllPaths(net, r, 0b001, 0b110)
+	a := AllPaths(net, 0b011, 0b111)
+	b := AllPaths(net, 0b001, 0b110)
 	conflict := false
 	for _, pa := range a {
 		for _, pb := range b {
@@ -261,7 +245,6 @@ func TestFig11Blocking(t *testing.T) {
 // shuffle permutation a channel-disjoint assignment exists.
 func TestShufflePermutationContentionFreeOnBMIN(t *testing.T) {
 	net := mustBMIN(t, 2, 3)
-	r := New(net.Network)
 	var pairs [][2]int
 	perm := net.R.ShufflePerm()
 	for s := 0; s < net.Nodes; s++ {
@@ -269,7 +252,7 @@ func TestShufflePermutationContentionFreeOnBMIN(t *testing.T) {
 			pairs = append(pairs, [2]int{s, perm[s]})
 		}
 	}
-	if _, ok := ContentionFreeAssignment(net, r, pairs); !ok {
+	if _, ok := ContentionFreeAssignment(net, pairs); !ok {
 		t.Error("no contention-free assignment found for shuffle permutation on BMIN")
 	}
 }
@@ -280,7 +263,6 @@ func TestShufflePermutationContentionFreeOnBMIN(t *testing.T) {
 // four pairs, Section 5.3.3).
 func TestTMINPermutationContention(t *testing.T) {
 	net := mustUni(t, topology.UniConfig{K: 4, Stages: 3, Pattern: topology.Cube, Dilation: 1, VCs: 1})
-	r := New(net.Network)
 	perm := net.R.ShufflePerm()
 	use := map[int]int{}
 	peak := 0
@@ -288,7 +270,7 @@ func TestTMINPermutationContention(t *testing.T) {
 		if perm[s] == s {
 			continue
 		}
-		for _, c := range OnePath(net, r, s, perm[s]) {
+		for _, c := range OnePath(net, s, perm[s]) {
 			use[c]++
 			if use[c] > peak {
 				peak = use[c]
@@ -302,9 +284,8 @@ func TestTMINPermutationContention(t *testing.T) {
 
 func TestOnePathDeterministic(t *testing.T) {
 	net := mustUni(t, topology.UniConfig{K: 4, Stages: 3, Pattern: topology.Butterfly, Dilation: 2, VCs: 1})
-	r := New(net.Network)
-	p1 := OnePath(net, r, 3, 42)
-	p2 := OnePath(net, r, 3, 42)
+	p1 := OnePath(net, 3, 42)
+	p2 := OnePath(net, 3, 42)
 	if len(p1) != len(p2) {
 		t.Fatal("OnePath not deterministic")
 	}
@@ -322,20 +303,5 @@ func TestAllPathsPanicsOnSelf(t *testing.T) {
 			t.Error("AllPaths(src == dst) did not panic")
 		}
 	}()
-	AllPaths(net, New(net.Network), 1, 1)
-}
-
-func TestLinksOf(t *testing.T) {
-	net := mustUni(t, topology.UniConfig{K: 2, Stages: 3, Pattern: topology.Cube, Dilation: 1, VCs: 2})
-	r := New(net.Network)
-	p := OnePath(net, r, 0, 5)
-	links := LinksOf(net, p)
-	if len(links) != len(p) {
-		t.Fatalf("LinksOf length %d, want %d", len(links), len(p))
-	}
-	for i, c := range p {
-		if links[i] != net.Channels[c].Link {
-			t.Fatal("LinksOf mismatch")
-		}
-	}
+	AllPaths(net, 1, 1)
 }

@@ -418,8 +418,7 @@ func (w WorkloadSpec) Validate() error {
 // cursors). The adversarial pattern resolves here —
 // deterministically, from the spec and the network alone — to the
 // worst permutation routing.WorstPermutation finds, the one workload
-// that walks the network's struct view (built for the search, dropped
-// after it).
+// that walks the network's routing function before it runs.
 func (w WorkloadSpec) Factory(net *topology.Network) SourceFactory {
 	lengths := w.Lengths
 	if lengths == nil {
@@ -447,7 +446,7 @@ func (w WorkloadSpec) Factory(net *topology.Network) SourceFactory {
 			newPattern = func() (traffic.Pattern, error) { return traffic.NewTracePattern(net.Nodes, pairs) }
 		case Adversarial:
 			spec, _ := w.Pattern.canon()
-			perm, _ := routing.WorstPermutation(net.Graph(), routing.New(net), advSearchSeed, spec.AdvIters)
+			perm, _ := routing.WorstPermutation(net, advSearchSeed, spec.AdvIters)
 			pattern = traffic.Permutation{P: perm}
 		}
 	}

@@ -26,7 +26,7 @@ import (
 // Arguments of panic calls are exempt: invariant-violation messages
 // never execute in a correct steady state, so fmt.Sprintf inside
 // panic(...) costs nothing. Calls that leave the package (including
-// interface-method calls such as Router.Candidates) are checked at
+// interface-method calls such as engine.Source.Next) are checked at
 // their own package's roots, not followed — the analysis is
 // per-package, like go vet's unit model.
 var HotAlloc = &Analyzer{

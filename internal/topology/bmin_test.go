@@ -1,6 +1,11 @@
-package topology
+package topology_test
 
-import "testing"
+import (
+	"testing"
+
+	"minsim/internal/topology"
+	"minsim/internal/topology/graphtest"
+)
 
 func bminConfigs() [][2]int {
 	return [][2]int{{2, 2}, {2, 3}, {2, 4}, {4, 2}, {4, 3}, {8, 2}}
@@ -8,7 +13,7 @@ func bminConfigs() [][2]int {
 
 func TestBMINValidate(t *testing.T) {
 	for _, kn := range bminConfigs() {
-		net, err := viewOf(NewBMIN(kn[0], kn[1]))
+		net, err := graphtest.Of(topology.NewBMIN(kn[0], kn[1]))
 		if err != nil {
 			t.Fatalf("NewBMIN(%d, %d): %v", kn[0], kn[1], err)
 		}
@@ -21,7 +26,7 @@ func TestBMINValidate(t *testing.T) {
 func TestBMINCounts(t *testing.T) {
 	for _, kn := range bminConfigs() {
 		k, n := kn[0], kn[1]
-		net, _ := viewOf(NewBMIN(k, n))
+		net, _ := graphtest.Of(topology.NewBMIN(k, n))
 		N := net.Nodes
 		// n stages of k^{n-1} switches each.
 		if len(net.Switches) != n*N/k {
@@ -40,8 +45,8 @@ func TestBMINCounts(t *testing.T) {
 // at 64 nodes with 4x4 switches both carry the same total number of
 // channels.
 func TestBMINvsDMINHardware(t *testing.T) {
-	dmin, _ := viewOf(NewUnidirectional(UniConfig{K: 4, Stages: 3, Pattern: Cube, Dilation: 2, VCs: 1}))
-	bmin, _ := viewOf(NewBMIN(4, 3))
+	dmin, _ := graphtest.Of(topology.NewUnidirectional(topology.UniConfig{K: 4, Stages: 3, Pattern: topology.Cube, Dilation: 2, VCs: 1}))
+	bmin, _ := graphtest.Of(topology.NewBMIN(4, 3))
 	if dmin.ChannelCount() != bmin.ChannelCount() {
 		t.Errorf("DMIN has %d channels, BMIN %d; the paper calls these similar",
 			dmin.ChannelCount(), bmin.ChannelCount())
@@ -49,17 +54,17 @@ func TestBMINvsDMINHardware(t *testing.T) {
 }
 
 func TestBMINLastStageHasNoRightPorts(t *testing.T) {
-	net, _ := viewOf(NewBMIN(4, 3))
+	net, _ := graphtest.Of(topology.NewBMIN(4, 3))
 	for i := range net.Switches {
 		sw := &net.Switches[i]
-		hasRight := sw.PortAt(Right, 0) != nil
+		hasRight := sw.PortAt(topology.Right, 0) != nil
 		if sw.Stage == net.Stages-1 && hasRight {
 			t.Errorf("last-stage switch %d has right output ports", i)
 		}
 		if sw.Stage < net.Stages-1 && !hasRight {
 			t.Errorf("stage-%d switch %d is missing right output ports", sw.Stage, i)
 		}
-		if sw.PortAt(Left, 0) == nil {
+		if sw.PortAt(topology.Left, 0) == nil {
 			t.Errorf("switch %d is missing left output ports", i)
 		}
 	}
@@ -69,14 +74,14 @@ func TestBMINWireIdentity(t *testing.T) {
 	// Between adjacent stages, forward and backward channels of the
 	// same wire address connect the same pair of switch ports, in
 	// opposite directions.
-	net, _ := viewOf(NewBMIN(4, 3))
+	net, _ := graphtest.Of(topology.NewBMIN(4, 3))
 	for g := 1; g < net.Stages; g++ {
-		fwd := net.LayerChannels(g, Forward)
-		bwd := net.LayerChannels(g, Backward)
+		fwd := layerChannels(net, g, topology.Forward)
+		bwd := layerChannels(net, g, topology.Backward)
 		if len(fwd) != net.Nodes || len(bwd) != net.Nodes {
 			t.Fatalf("layer %d: %d fwd, %d bwd channels, want %d", g, len(fwd), len(bwd), net.Nodes)
 		}
-		byWire := make(map[int]*Channel)
+		byWire := make(map[int]*topology.Channel)
 		for _, id := range fwd {
 			byWire[net.Channels[id].Wire] = &net.Channels[id]
 		}
@@ -94,7 +99,7 @@ func TestBMINWireIdentity(t *testing.T) {
 }
 
 func TestBMINSubtree(t *testing.T) {
-	net, _ := viewOf(NewBMIN(2, 3))
+	net, _ := graphtest.Of(topology.NewBMIN(2, 3))
 	// Stage-0 switches cover pairs {0,1}, {2,3}, ...
 	for idx := 0; idx < 4; idx++ {
 		got := net.Subtree(0, idx)
@@ -120,7 +125,7 @@ func TestBMINSubtree(t *testing.T) {
 }
 
 func TestBMINSubtreePanicsOnUnidirectional(t *testing.T) {
-	net, _ := viewOf(NewUnidirectional(UniConfig{K: 2, Stages: 3, Dilation: 1, VCs: 1}))
+	net, _ := graphtest.Of(topology.NewUnidirectional(topology.UniConfig{K: 2, Stages: 3, Dilation: 1, VCs: 1}))
 	defer func() {
 		if recover() == nil {
 			t.Error("Subtree on a unidirectional network did not panic")
@@ -130,10 +135,10 @@ func TestBMINSubtreePanicsOnUnidirectional(t *testing.T) {
 }
 
 func TestBMINErrors(t *testing.T) {
-	if _, err := NewBMIN(3, 2); err == nil {
+	if _, err := topology.NewBMIN(3, 2); err == nil {
 		t.Error("k = 3 accepted")
 	}
-	if _, err := NewBMIN(2, 0); err == nil {
+	if _, err := topology.NewBMIN(2, 0); err == nil {
 		t.Error("n = 0 accepted")
 	}
 }
@@ -147,13 +152,13 @@ func TestBMINErrors(t *testing.T) {
 // switch lead (backward) to ports of switches whose subtrees partition
 // the whole network.
 func TestRightmostStageRedundancy(t *testing.T) {
-	net, _ := viewOf(NewBMIN(2, 3))
+	net, _ := graphtest.Of(topology.NewBMIN(2, 3))
 	last := net.Stages - 1
 	for idx := 0; idx < net.Nodes/2; idx++ {
 		sw := net.SwitchAt(last, idx)
 		subs := make(map[int]bool)
 		for off := 0; off < 2; off++ {
-			p := sw.PortAt(Left, off)
+			p := sw.PortAt(topology.Left, off)
 			ch := &net.Channels[p.Channels[0]]
 			down := &net.Switches[ch.To.Switch]
 			for _, node := range net.Subtree(down.Stage, down.Index) {

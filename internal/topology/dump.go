@@ -7,12 +7,12 @@ import (
 )
 
 // locString renders an endpoint compactly, e.g. "n05" or "G1.s03.R2".
-func (n *Graph) locString(l Loc) string {
+func (n *Network) locString(l Loc) string {
 	if l.IsNode() {
 		return fmt.Sprintf("n%0*d", digitsFor(n.Nodes), l.Node)
 	}
-	sw := &n.Switches[l.Switch]
-	return fmt.Sprintf("G%d.s%02d.%s%d", sw.Stage, sw.Index, l.Side, l.Port)
+	stage, index := n.StageOf(l.Switch)
+	return fmt.Sprintf("G%d.s%02d.%s%d", stage, index, l.Side, l.Port)
 }
 
 func digitsFor(n int) int {
@@ -27,21 +27,21 @@ func digitsFor(n int) int {
 // Dump writes a human-readable wiring listing, one line per physical
 // link, grouped by layer. It is used by cmd/topo to reproduce the
 // paper's wiring diagrams (Figs. 4-6) in textual form.
-func (n *Graph) Dump() string {
+func (n *Network) Dump() string {
 	var sb strings.Builder
-	fmt.Fprintf(&sb, "%s: %d switches, %d links, %d channels\n", n.Name(), len(n.Switches), len(n.Links), len(n.Channels))
+	fmt.Fprintf(&sb, "%s: %d switches, %d links, %d channels\n", n.Name(), n.SwitchCount(), n.LinkCount(), n.ChannelCount())
 	type row struct {
 		layer int
 		dir   Dir
 		text  string
 	}
-	var rows []row
-	for i := range n.Links {
-		l := &n.Links[i]
-		ch := &n.Channels[l.Channels[0]]
+	rows := make([]row, 0, n.LinkCount())
+	for l := range n.LinkCount() {
+		base, count := n.LinkChannels(l)
+		ch := n.ChannelAt(base)
 		extra := ""
-		if len(l.Channels) > 1 {
-			extra = fmt.Sprintf(" x%d", len(l.Channels))
+		if count > 1 {
+			extra = fmt.Sprintf(" x%d", count)
 		}
 		rows = append(rows, row{ch.Layer, ch.Dir, fmt.Sprintf("  C%d %s: %s -> %s%s", ch.Layer, ch.Dir, n.locString(ch.From), n.locString(ch.To), extra)})
 	}
@@ -62,19 +62,20 @@ func (n *Graph) Dump() string {
 }
 
 // DOT renders the network in Graphviz dot format.
-func (n *Graph) DOT() string {
+func (n *Network) DOT() string {
 	var sb strings.Builder
 	sb.WriteString("digraph min {\n  rankdir=LR;\n  node [shape=box];\n")
 	for i := 0; i < n.Nodes; i++ {
 		fmt.Fprintf(&sb, "  node%d [shape=circle,label=\"%s\"];\n", i, n.R.Format(i))
 	}
-	for i := range n.Switches {
-		sw := &n.Switches[i]
-		fmt.Fprintf(&sb, "  sw%d [label=\"G%d.%d\"];\n", i, sw.Stage, sw.Index)
+	for sw := range n.SwitchCount() {
+		stage, index := n.StageOf(sw)
+		fmt.Fprintf(&sb, "  sw%d [label=\"G%d.%d\"];\n", sw, stage, index)
 	}
 	seen := map[[2]string]int{}
-	for i := range n.Links {
-		ch := &n.Channels[n.Links[i].Channels[0]]
+	for l := range n.LinkCount() {
+		base, _ := n.LinkChannels(l)
+		ch := n.ChannelAt(base)
 		from, to := n.dotName(ch.From), n.dotName(ch.To)
 		seen[[2]string{from, to}]++
 	}
@@ -99,7 +100,7 @@ func (n *Graph) DOT() string {
 	return sb.String()
 }
 
-func (n *Graph) dotName(l Loc) string {
+func (n *Network) dotName(l Loc) string {
 	if l.IsNode() {
 		return fmt.Sprintf("node%d", l.Node)
 	}

@@ -1,15 +1,17 @@
-package topology
+package topology_test
 
 import (
 	"testing"
 
 	"minsim/internal/kary"
+	"minsim/internal/topology"
+	"minsim/internal/topology/graphtest"
 )
 
 func TestExtraStageValidate(t *testing.T) {
 	for _, e := range []int{1, 2} {
-		for _, pat := range []Pattern{Cube, Butterfly} {
-			net, err := viewOf(NewUnidirectional(UniConfig{K: 4, Stages: 3, Pattern: pat, Dilation: 1, VCs: 1, Extra: e}))
+		for _, pat := range []topology.Pattern{topology.Cube, topology.Butterfly} {
+			net, err := graphtest.Of(topology.NewUnidirectional(topology.UniConfig{K: 4, Stages: 3, Pattern: pat, Dilation: 1, VCs: 1, Extra: e}))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -24,7 +26,7 @@ func TestExtraStageValidate(t *testing.T) {
 			}
 		}
 	}
-	if _, err := NewUnidirectional(UniConfig{K: 4, Stages: 3, Dilation: 1, VCs: 1, Extra: -1}); err == nil {
+	if _, err := topology.NewUnidirectional(topology.UniConfig{K: 4, Stages: 3, Dilation: 1, VCs: 1, Extra: -1}); err == nil {
 		t.Error("negative extra stages accepted")
 	}
 }
@@ -34,8 +36,8 @@ func TestExtraStageValidate(t *testing.T) {
 // entry-independence property of Delta-network destination-tag
 // routing that extra-stage MINs rely on.
 func TestExtraStageDelivery(t *testing.T) {
-	for _, pat := range []Pattern{Cube, Butterfly} {
-		net, err := viewOf(NewUnidirectional(UniConfig{K: 4, Stages: 3, Pattern: pat, Dilation: 1, VCs: 1, Extra: 1}))
+	for _, pat := range []topology.Pattern{topology.Cube, topology.Butterfly} {
+		net, err := graphtest.Of(topology.NewUnidirectional(topology.UniConfig{K: 4, Stages: 3, Pattern: pat, Dilation: 1, VCs: 1, Extra: 1}))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -53,9 +55,9 @@ func TestExtraStageDelivery(t *testing.T) {
 							tag = choice
 							first = false
 						} else {
-							tag = RoutingTag(r, pat, sw.Stage-net.Extra, dst)
+							tag = topology.RoutingTag(r, pat, sw.Stage-net.Extra, dst)
 						}
-						p := sw.PortAt(Right, tag)
+						p := sw.PortAt(topology.Right, tag)
 						ch = &net.Channels[p.Channels[0]]
 					}
 					if first {
@@ -71,14 +73,14 @@ func TestExtraStageDelivery(t *testing.T) {
 }
 
 func TestExtraStageName(t *testing.T) {
-	net, _ := viewOf(NewUnidirectional(UniConfig{K: 4, Stages: 3, Pattern: Cube, Dilation: 1, VCs: 1, Extra: 1}))
+	net, _ := graphtest.Of(topology.NewUnidirectional(topology.UniConfig{K: 4, Stages: 3, Pattern: topology.Cube, Dilation: 1, VCs: 1, Extra: 1}))
 	if got := net.Name(); got != "TMIN(cube+1xs) 64 nodes 4x4" {
 		t.Errorf("Name = %q", got)
 	}
 }
 
 func TestBMINVC(t *testing.T) {
-	net, err := viewOf(NewBMINVC(4, 3, 2))
+	net, err := graphtest.Of(topology.NewBMINVC(4, 3, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +106,7 @@ func TestBMINVC(t *testing.T) {
 	if got := net.Name(); got != "BMIN(vc=2) 64 nodes 4x4" {
 		t.Errorf("Name = %q", got)
 	}
-	if _, err := NewBMINVC(4, 3, 0); err == nil {
+	if _, err := topology.NewBMINVC(4, 3, 0); err == nil {
 		t.Error("vcs = 0 accepted")
 	}
 }
@@ -112,7 +114,7 @@ func TestBMINVC(t *testing.T) {
 func TestExtraStageLemma1Unaffected(t *testing.T) {
 	// The plain networks (Extra = 0) still wire C_0 per pattern, so
 	// the partitionability analysis of Section 4 is untouched.
-	net, _ := viewOf(NewUnidirectional(UniConfig{K: 4, Stages: 3, Pattern: Cube, Dilation: 1, VCs: 1}))
+	net, _ := graphtest.Of(topology.NewUnidirectional(topology.UniConfig{K: 4, Stages: 3, Pattern: topology.Cube, Dilation: 1, VCs: 1}))
 	r := kary.MustNew(4, 3)
 	for s := 0; s < net.Nodes; s++ {
 		if net.Channels[net.Inject[s]].Wire != r.Shuffle(s) {

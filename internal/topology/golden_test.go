@@ -1,12 +1,17 @@
-package topology
+package topology_test
 
-import "testing"
+import (
+	"testing"
+
+	"minsim/internal/topology"
+	"minsim/internal/topology/graphtest"
+)
 
 // TestFig4aCubeWiring spot-checks the 8-node cube TMIN of Fig. 4a
 // against hand-derived wires: C_0 is the perfect shuffle, C_1 = β_2,
 // C_2 = β_1, C_3 = identity (all on 3-bit addresses).
 func TestFig4aCubeWiring(t *testing.T) {
-	net, err := viewOf(NewUnidirectional(UniConfig{K: 2, Stages: 3, Pattern: Cube, Dilation: 1, VCs: 1}))
+	net, err := graphtest.Of(topology.NewUnidirectional(topology.UniConfig{K: 2, Stages: 3, Pattern: topology.Cube, Dilation: 1, VCs: 1}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,7 +33,7 @@ func TestFig4aCubeWiring(t *testing.T) {
 	}
 	// C_1 = β_2 swaps bits 2 and 0: stage-0 right port p feeds stage-1
 	// left port β_2(p).
-	for _, c := range net.LayerChannels(1, Forward) {
+	for _, c := range layerChannels(net, 1, topology.Forward) {
 		ch := &net.Channels[c]
 		fromPort := net.Switches[ch.From.Switch].Index*2 + ch.From.Port
 		want := net.R.Butterfly(2, fromPort)
@@ -37,7 +42,7 @@ func TestFig4aCubeWiring(t *testing.T) {
 		}
 	}
 	// C_2 = β_1 swaps bits 1 and 0.
-	for _, c := range net.LayerChannels(2, Forward) {
+	for _, c := range layerChannels(net, 2, topology.Forward) {
 		ch := &net.Channels[c]
 		fromPort := net.Switches[ch.From.Switch].Index*2 + ch.From.Port
 		want := net.R.Butterfly(1, fromPort)
@@ -46,7 +51,7 @@ func TestFig4aCubeWiring(t *testing.T) {
 		}
 	}
 	// Ejection: identity — right port p of stage 2 feeds node p.
-	for _, c := range net.LayerChannels(3, Forward) {
+	for _, c := range layerChannels(net, 3, topology.Forward) {
 		ch := &net.Channels[c]
 		fromPort := net.Switches[ch.From.Switch].Index*2 + ch.From.Port
 		if ch.To.Node != fromPort {
@@ -58,7 +63,7 @@ func TestFig4aCubeWiring(t *testing.T) {
 // TestFig4bButterflyWiring spot-checks the 8-node butterfly TMIN of
 // Fig. 4b: C_0 identity, C_1 = β_1, C_2 = β_2, C_3 identity.
 func TestFig4bButterflyWiring(t *testing.T) {
-	net, err := viewOf(NewUnidirectional(UniConfig{K: 2, Stages: 3, Pattern: Butterfly, Dilation: 1, VCs: 1}))
+	net, err := graphtest.Of(topology.NewUnidirectional(topology.UniConfig{K: 2, Stages: 3, Pattern: topology.Butterfly, Dilation: 1, VCs: 1}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +73,7 @@ func TestFig4bButterflyWiring(t *testing.T) {
 		}
 	}
 	for layer, beta := range map[int]int{1: 1, 2: 2} {
-		for _, c := range net.LayerChannels(layer, Forward) {
+		for _, c := range layerChannels(net, layer, topology.Forward) {
 			ch := &net.Channels[c]
 			fromPort := net.Switches[ch.From.Switch].Index*2 + ch.From.Port
 			want := net.R.Butterfly(beta, fromPort)
@@ -84,7 +89,7 @@ func TestFig4bButterflyWiring(t *testing.T) {
 // switches in Fig. 8), stage-0 switches pair adjacent nodes and the
 // interstage wires are identity on addresses.
 func TestFig6BMINStage0(t *testing.T) {
-	net, err := viewOf(NewBMIN(2, 3))
+	net, err := graphtest.Of(topology.NewBMIN(2, 3))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,0 +1,64 @@
+package graphtest
+
+import (
+	"go/parser"
+	"go/token"
+	"io/fs"
+	"os"
+	"path/filepath"
+	"strconv"
+	"strings"
+	"testing"
+)
+
+// TestOnlyTestsImportGraphtest keeps the struct form out of production:
+// no non-test Go file of the module — commands and examples included —
+// may import this package. Nested modules (bench/) and testdata are
+// not part of the module and are skipped.
+func TestOnlyTestsImportGraphtest(t *testing.T) {
+	const self = "minsim/internal/topology/graphtest"
+	root := filepath.Join("..", "..", "..")
+	if _, err := os.Stat(filepath.Join(root, "go.mod")); err != nil {
+		t.Fatalf("module root not found: %v", err)
+	}
+	fset := token.NewFileSet()
+	parsed := map[string]bool{}
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			name := d.Name()
+			if path != root && (name == "testdata" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
+				return filepath.SkipDir
+			}
+			if _, err := os.Stat(filepath.Join(path, "go.mod")); err == nil && path != root {
+				return filepath.SkipDir // another module
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.ImportsOnly)
+		if err != nil {
+			return err
+		}
+		rel, _ := filepath.Rel(root, path)
+		parsed[filepath.ToSlash(rel)] = true
+		for _, imp := range f.Imports {
+			if p, _ := strconv.Unquote(imp.Path.Value); p == self {
+				t.Errorf("%s imports %s, which only tests may", rel, self)
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{"analysis.go", "cmd/topo/main.go", "examples/analytic/main.go", "internal/routing/walk.go"} {
+		if !parsed[want] {
+			t.Errorf("the walk did not reach %s", want)
+		}
+	}
+}

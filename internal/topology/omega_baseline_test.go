@@ -1,9 +1,11 @@
-package topology
+package topology_test
 
 import (
 	"testing"
 
 	"minsim/internal/kary"
+	"minsim/internal/topology"
+	"minsim/internal/topology/graphtest"
 )
 
 func TestRotateLowRight(t *testing.T) {
@@ -28,14 +30,14 @@ func TestRotateLowRight(t *testing.T) {
 // TestOmegaBaselineDelivery: destination-tag routing delivers in the
 // Omega and Baseline wirings for every pair, across sizes.
 func TestOmegaBaselineDelivery(t *testing.T) {
-	for _, pat := range []Pattern{Omega, Baseline} {
-		for _, cfg := range []UniConfig{
+	for _, pat := range []topology.Pattern{topology.Omega, topology.Baseline} {
+		for _, cfg := range []topology.UniConfig{
 			{K: 2, Stages: 3, Pattern: pat, Dilation: 1, VCs: 1},
 			{K: 2, Stages: 4, Pattern: pat, Dilation: 1, VCs: 1},
 			{K: 4, Stages: 3, Pattern: pat, Dilation: 1, VCs: 1},
 			{K: 8, Stages: 2, Pattern: pat, Dilation: 1, VCs: 1},
 		} {
-			net, err := viewOf(NewUnidirectional(cfg))
+			net, err := graphtest.Of(topology.NewUnidirectional(cfg))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -48,8 +50,8 @@ func TestOmegaBaselineDelivery(t *testing.T) {
 					ch := &net.Channels[net.Inject[src]]
 					for !ch.To.IsNode() {
 						sw := &net.Switches[ch.To.Switch]
-						tag := RoutingTag(r, pat, sw.Stage, dst)
-						ch = &net.Channels[sw.PortAt(Right, tag).Channels[0]]
+						tag := topology.RoutingTag(r, pat, sw.Stage, dst)
+						ch = &net.Channels[sw.PortAt(topology.Right, tag).Channels[0]]
 					}
 					if ch.To.Node != dst {
 						t.Fatalf("%s: %d->%d delivered to %d", net.Name(), src, dst, ch.To.Node)
@@ -63,28 +65,28 @@ func TestOmegaBaselineDelivery(t *testing.T) {
 func TestOmegaConnIsShuffle(t *testing.T) {
 	r := kary.MustNew(4, 3)
 	for layer := 0; layer < 3; layer++ {
-		if !ConnPerm(r, Omega, layer).Equal(r.ShufflePerm()) {
+		if !topology.ConnPerm(r, topology.Omega, layer).Equal(r.ShufflePerm()) {
 			t.Errorf("omega C_%d != σ", layer)
 		}
 	}
-	if !ConnPerm(r, Omega, 3).Fixed() {
+	if !topology.ConnPerm(r, topology.Omega, 3).Fixed() {
 		t.Error("omega C_n != identity")
 	}
 }
 
 func TestBaselineConnStructure(t *testing.T) {
 	r := kary.MustNew(2, 3)
-	if !ConnPerm(r, Baseline, 0).Fixed() || !ConnPerm(r, Baseline, 3).Fixed() {
+	if !topology.ConnPerm(r, topology.Baseline, 0).Fixed() || !topology.ConnPerm(r, topology.Baseline, 3).Fixed() {
 		t.Error("baseline edge connections should be identity")
 	}
 	// C_1 rotates all 3 digits; C_2 swaps the low 2.
-	c1 := ConnPerm(r, Baseline, 1)
+	c1 := topology.ConnPerm(r, topology.Baseline, 1)
 	for x := 0; x < r.Size(); x++ {
 		if c1[x] != r.Unshuffle(x) {
 			t.Fatalf("baseline C_1(%d) = %d, want σ^-1", x, c1[x])
 		}
 	}
-	c2 := ConnPerm(r, Baseline, 2)
+	c2 := topology.ConnPerm(r, topology.Baseline, 2)
 	for x := 0; x < r.Size(); x++ {
 		if c2[x] != r.SwapDigits(x, 0, 1) {
 			t.Fatalf("baseline C_2(%d) = %d, want low swap", x, c2[x])
@@ -92,7 +94,7 @@ func TestBaselineConnStructure(t *testing.T) {
 	}
 	// All connections are valid permutations.
 	for layer := 0; layer <= 3; layer++ {
-		if !ConnPerm(r, Baseline, layer).Valid() {
+		if !topology.ConnPerm(r, topology.Baseline, layer).Valid() {
 			t.Errorf("baseline C_%d invalid", layer)
 		}
 	}

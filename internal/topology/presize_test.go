@@ -1,8 +1,11 @@
-package topology
+package topology_test
 
 import (
 	"reflect"
 	"testing"
+
+	"minsim/internal/topology"
+	"minsim/internal/topology/graphtest"
 )
 
 // TestGraphCarvedFromSlabs pins how the view is allocated: a fixed
@@ -11,27 +14,27 @@ import (
 // allocations at 16K nodes without failing any structural test — and
 // a description that allocates nothing but itself.
 func TestGraphCarvedFromSlabs(t *testing.T) {
-	var nets []*Network
+	var nets []*topology.Network
 	for _, cfg := range append(allUniConfigs(),
-		UniConfig{K: 2, Stages: 3, Pattern: Cube, Dilation: 1, VCs: 1, Extra: 2},
-		UniConfig{K: 4, Stages: 2, Pattern: Butterfly, Dilation: 2, VCs: 1, Extra: 1},
+		topology.UniConfig{K: 2, Stages: 3, Pattern: topology.Cube, Dilation: 1, VCs: 1, Extra: 2},
+		topology.UniConfig{K: 4, Stages: 2, Pattern: topology.Butterfly, Dilation: 2, VCs: 1, Extra: 1},
 	) {
-		net, err := NewUnidirectional(cfg)
+		net, err := topology.NewUnidirectional(cfg)
 		if err != nil {
 			t.Fatalf("%+v: %v", cfg, err)
 		}
 		nets = append(nets, net)
 	}
 	for _, vcs := range []int{1, 3} {
-		net, err := NewBMINVC(4, 3, vcs)
+		net, err := topology.NewBMINVC(4, 3, vcs)
 		if err != nil {
 			t.Fatal(err)
 		}
 		nets = append(nets, net)
 	}
 	for _, net := range nets {
-		var g *Graph
-		if allocs := testing.AllocsPerRun(3, func() { g = net.Graph() }); allocs > 9 {
+		var g *graphtest.Graph
+		if allocs := testing.AllocsPerRun(3, func() { g = graphtest.New(net) }); allocs > 9 {
 			t.Errorf("%s: Graph() makes %.0f allocations, want its 8 slabs and itself", net.Name(), allocs)
 		}
 		if len(g.Channels) != cap(g.Channels) || len(g.Links) != cap(g.Links) || len(g.Switches) != cap(g.Switches) {
@@ -40,7 +43,7 @@ func TestGraphCarvedFromSlabs(t *testing.T) {
 		}
 	}
 	if allocs := testing.AllocsPerRun(10, func() {
-		if _, err := NewUnidirectional(UniConfig{K: 2, Stages: 16, Pattern: Cube, Dilation: 1, VCs: 1}); err != nil {
+		if _, err := topology.NewUnidirectional(topology.UniConfig{K: 2, Stages: 16, Pattern: topology.Cube, Dilation: 1, VCs: 1}); err != nil {
 			t.Fatal(err)
 		}
 	}); allocs > 1 {
@@ -66,8 +69,8 @@ func TestNetworkIsPlainData(t *testing.T) {
 			t.Errorf("%s is a %s", path, typ.Kind())
 		}
 	}
-	check("Network", reflect.TypeOf(Network{}))
-	if size := reflect.TypeOf(Network{}).Size(); size > 256 {
+	check("Network", reflect.TypeOf(topology.Network{}))
+	if size := reflect.TypeOf(topology.Network{}).Size(); size > 256 {
 		t.Errorf("a Network is %d bytes, want a few words", size)
 	}
 }

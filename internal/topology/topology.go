@@ -119,7 +119,7 @@ func (d Dir) String() string {
 // Switch == -1) or a switch port.
 type Loc struct {
 	Node   int  // node id, or -1
-	Switch int  // index into Network.Switches, or -1
+	Switch int  // switch id (see Network.SwitchID), or -1
 	Side   Side // side of the switch the port is on
 	Port   int  // port offset in [0, k)
 }
@@ -146,53 +146,13 @@ type Channel struct {
 	Wire int
 }
 
-// Link is a physical communication link transmitting at most one flit
-// per cycle, shared by its Channels (one for plain channels, m for a
-// virtual-channel link).
-type Link struct {
-	ID       int
-	Channels []int
-}
-
-// Port is an output port of a switch: the set of candidate channels a
-// packet routed to this port may use (d channels when dilated, m when
-// virtual, 1 otherwise).
-type Port struct {
-	Side     Side
-	Offset   int
-	Channels []int
-}
-
-// Switch is a k x k crossbar (possibly dilated / virtual-channel /
-// bidirectional).
-type Switch struct {
-	ID    int
-	Stage int
-	Index int   // index of the switch within its stage
-	In    []int // ids of channels whose To is this switch
-	Ports []Port
-}
-
-// PortAt returns the output port on the given side with the given
-// offset, or nil if the switch has no such port (e.g. right ports of
-// the last BMIN stage).
-func (sw *Switch) PortAt(side Side, offset int) *Port {
-	for i := range sw.Ports {
-		p := &sw.Ports[i]
-		if p.Side == side && p.Offset == offset {
-			return p
-		}
-	}
-	return nil
-}
-
 // Network is a MIN as the paper defines one: a family, a wiring
 // pattern, a radix and a few multiplicities. Every channel, link,
 // switch and port follows from that in closed form, and the accessors
 // below compute them on demand in O(1) without allocating: ids are
 // layer-major (see place) and a layer's wiring is one primitive digit
-// permutation (see wiring). Code that walks a graph of structs asks for
-// the Graph view; the engine and the factored routing never do.
+// permutation (see wiring). Nothing builds a graph of structs from it:
+// the engine, the routing and the analyses read the accessors.
 // Construct with NewUnidirectional, NewBMIN or NewBMINVC.
 type Network struct {
 	Kind     Kind

@@ -1,25 +1,27 @@
-package topology
+package topology_test
 
 import (
 	"testing"
 
 	"minsim/internal/kary"
+	"minsim/internal/topology"
+	"minsim/internal/topology/graphtest"
 )
 
 // allConfigs returns a spread of unidirectional configurations used by
 // several tests.
-func allUniConfigs() []UniConfig {
-	var out []UniConfig
-	for _, pat := range []Pattern{Cube, Butterfly} {
+func allUniConfigs() []topology.UniConfig {
+	var out []topology.UniConfig
+	for _, pat := range []topology.Pattern{topology.Cube, topology.Butterfly} {
 		out = append(out,
-			UniConfig{K: 2, Stages: 3, Pattern: pat, Dilation: 1, VCs: 1},
-			UniConfig{K: 2, Stages: 4, Pattern: pat, Dilation: 1, VCs: 1},
-			UniConfig{K: 4, Stages: 3, Pattern: pat, Dilation: 1, VCs: 1},
-			UniConfig{K: 4, Stages: 3, Pattern: pat, Dilation: 2, VCs: 1},
-			UniConfig{K: 4, Stages: 3, Pattern: pat, Dilation: 1, VCs: 2},
-			UniConfig{K: 8, Stages: 2, Pattern: pat, Dilation: 1, VCs: 1},
-			UniConfig{K: 4, Stages: 2, Pattern: pat, Dilation: 3, VCs: 1},
-			UniConfig{K: 4, Stages: 2, Pattern: pat, Dilation: 1, VCs: 4},
+			topology.UniConfig{K: 2, Stages: 3, Pattern: pat, Dilation: 1, VCs: 1},
+			topology.UniConfig{K: 2, Stages: 4, Pattern: pat, Dilation: 1, VCs: 1},
+			topology.UniConfig{K: 4, Stages: 3, Pattern: pat, Dilation: 1, VCs: 1},
+			topology.UniConfig{K: 4, Stages: 3, Pattern: pat, Dilation: 2, VCs: 1},
+			topology.UniConfig{K: 4, Stages: 3, Pattern: pat, Dilation: 1, VCs: 2},
+			topology.UniConfig{K: 8, Stages: 2, Pattern: pat, Dilation: 1, VCs: 1},
+			topology.UniConfig{K: 4, Stages: 2, Pattern: pat, Dilation: 3, VCs: 1},
+			topology.UniConfig{K: 4, Stages: 2, Pattern: pat, Dilation: 1, VCs: 4},
 		)
 	}
 	return out
@@ -27,7 +29,7 @@ func allUniConfigs() []UniConfig {
 
 func TestUnidirectionalValidate(t *testing.T) {
 	for _, cfg := range allUniConfigs() {
-		net, err := viewOf(NewUnidirectional(cfg))
+		net, err := graphtest.Of(topology.NewUnidirectional(cfg))
 		if err != nil {
 			t.Fatalf("%+v: %v", cfg, err)
 		}
@@ -39,7 +41,7 @@ func TestUnidirectionalValidate(t *testing.T) {
 
 func TestUnidirectionalCounts(t *testing.T) {
 	for _, cfg := range allUniConfigs() {
-		net, _ := viewOf(NewUnidirectional(cfg))
+		net, _ := graphtest.Of(topology.NewUnidirectional(cfg))
 		k, n, N := cfg.K, cfg.Stages, net.Nodes
 		if len(net.Switches) != n*N/k {
 			t.Errorf("%s: %d switches, want %d", net.Name(), len(net.Switches), n*N/k)
@@ -66,22 +68,22 @@ func TestUnidirectionalCounts(t *testing.T) {
 
 func TestConnPermsAreValid(t *testing.T) {
 	r := kary.MustNew(4, 3)
-	for _, pat := range []Pattern{Cube, Butterfly} {
+	for _, pat := range []topology.Pattern{topology.Cube, topology.Butterfly} {
 		for layer := 0; layer <= 3; layer++ {
-			if !ConnPerm(r, pat, layer).Valid() {
+			if !topology.ConnPerm(r, pat, layer).Valid() {
 				t.Errorf("%v C_%d is not a permutation", pat, layer)
 			}
 		}
 	}
 	// Cube C_0 is the shuffle; butterfly C_0 is the identity.
-	if !ConnPerm(r, Cube, 0).Equal(r.ShufflePerm()) {
+	if !topology.ConnPerm(r, topology.Cube, 0).Equal(r.ShufflePerm()) {
 		t.Error("cube C_0 != σ")
 	}
-	if !ConnPerm(r, Butterfly, 0).Fixed() {
+	if !topology.ConnPerm(r, topology.Butterfly, 0).Fixed() {
 		t.Error("butterfly C_0 != identity")
 	}
 	// Both wirings have identity output connections.
-	if !ConnPerm(r, Cube, 3).Fixed() || !ConnPerm(r, Butterfly, 3).Fixed() {
+	if !topology.ConnPerm(r, topology.Cube, 3).Fixed() || !topology.ConnPerm(r, topology.Butterfly, 3).Fixed() {
 		t.Error("C_n != identity")
 	}
 }
@@ -92,15 +94,15 @@ func TestConnPermsAreValid(t *testing.T) {
 // validates Fig. 4 (TMINs) and Fig. 5 (DMINs) structurally.
 func TestDestinationTagDelivery(t *testing.T) {
 	for _, cfg := range allUniConfigs() {
-		net, _ := viewOf(NewUnidirectional(cfg))
+		net, _ := graphtest.Of(topology.NewUnidirectional(cfg))
 		r := net.R
 		for src := 0; src < net.Nodes; src++ {
 			for dst := 0; dst < net.Nodes; dst++ {
 				ch := &net.Channels[net.Inject[src]]
 				for !ch.To.IsNode() {
 					sw := &net.Switches[ch.To.Switch]
-					tag := RoutingTag(r, cfg.Pattern, sw.Stage, dst)
-					p := sw.PortAt(Right, tag)
+					tag := topology.RoutingTag(r, cfg.Pattern, sw.Stage, dst)
+					p := sw.PortAt(topology.Right, tag)
 					if p == nil {
 						t.Fatalf("%s: no port %d at stage %d", net.Name(), tag, sw.Stage)
 					}
@@ -122,7 +124,7 @@ func TestDestinationTagDelivery(t *testing.T) {
 // σ(s) = s_{n-2}...s_0 s_{n-1}, and the wire exiting stage i carries
 // address d_{n-1}...d_{n-i} s_{n-i-2}...s_0 d_{n-i-1}.
 func TestLemma1ChannelAddresses(t *testing.T) {
-	net, _ := viewOf(NewUnidirectional(UniConfig{K: 4, Stages: 3, Pattern: Cube, Dilation: 1, VCs: 1}))
+	net, _ := graphtest.Of(topology.NewUnidirectional(topology.UniConfig{K: 4, Stages: 3, Pattern: topology.Cube, Dilation: 1, VCs: 1}))
 	r := net.R
 	n := r.N()
 	for s := 0; s < net.Nodes; s++ {
@@ -140,14 +142,14 @@ func TestLemma1ChannelAddresses(t *testing.T) {
 				if sw.Stage != stage {
 					t.Fatalf("walk out of sync at stage %d", stage)
 				}
-				tag := RoutingTag(r, Cube, stage, d)
+				tag := topology.RoutingTag(r, topology.Cube, stage, d)
 				// Exiting wire: digit 0 of the entering wire replaced
 				// by the routing tag d_{n-stage-1}.
 				exit := r.SetDigit(expect, 0, tag)
-				p := sw.PortAt(Right, tag)
+				p := sw.PortAt(topology.Right, tag)
 				ch = &net.Channels[p.Channels[0]]
 				if stage < n-1 {
-					if ch.Wire != ConnPerm(r, Cube, stage+1)[exit] {
+					if ch.Wire != topology.ConnPerm(r, topology.Cube, stage+1)[exit] {
 						t.Fatalf("stage %d exit: wire %d, want C_%d(%d)", stage, ch.Wire, stage+1, exit)
 					}
 					expect = ch.Wire
@@ -160,7 +162,7 @@ func TestLemma1ChannelAddresses(t *testing.T) {
 }
 
 func TestUniErrors(t *testing.T) {
-	bad := []UniConfig{
+	bad := []topology.UniConfig{
 		{K: 3, Stages: 2, Dilation: 1, VCs: 1}, // k not a power of two
 		{K: 4, Stages: 0, Dilation: 1, VCs: 1}, // no stages
 		{K: 4, Stages: 2, Dilation: 0, VCs: 1}, // bad dilation
@@ -169,7 +171,7 @@ func TestUniErrors(t *testing.T) {
 		{K: 1, Stages: 2, Dilation: 1, VCs: 1}, // k too small
 	}
 	for _, cfg := range bad {
-		if _, err := NewUnidirectional(cfg); err == nil {
+		if _, err := topology.NewUnidirectional(cfg); err == nil {
 			t.Errorf("%+v: expected error", cfg)
 		}
 	}
@@ -177,15 +179,15 @@ func TestUniErrors(t *testing.T) {
 
 func TestKindClassification(t *testing.T) {
 	cases := []struct {
-		cfg  UniConfig
-		want Kind
+		cfg  topology.UniConfig
+		want topology.Kind
 	}{
-		{UniConfig{K: 4, Stages: 3, Dilation: 1, VCs: 1}, TMIN},
-		{UniConfig{K: 4, Stages: 3, Dilation: 2, VCs: 1}, DMIN},
-		{UniConfig{K: 4, Stages: 3, Dilation: 1, VCs: 2}, VMIN},
+		{topology.UniConfig{K: 4, Stages: 3, Dilation: 1, VCs: 1}, topology.TMIN},
+		{topology.UniConfig{K: 4, Stages: 3, Dilation: 2, VCs: 1}, topology.DMIN},
+		{topology.UniConfig{K: 4, Stages: 3, Dilation: 1, VCs: 2}, topology.VMIN},
 	}
 	for _, c := range cases {
-		net, err := viewOf(NewUnidirectional(c.cfg))
+		net, err := graphtest.Of(topology.NewUnidirectional(c.cfg))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -199,7 +201,7 @@ func TestNodeEdgesSingleChannel(t *testing.T) {
 	// The one-port rule: node links carry exactly one channel in every
 	// network, including DMINs and VMINs.
 	for _, cfg := range allUniConfigs() {
-		net, _ := viewOf(NewUnidirectional(cfg))
+		net, _ := graphtest.Of(topology.NewUnidirectional(cfg))
 		for node := 0; node < net.Nodes; node++ {
 			inj := net.Channels[net.Inject[node]]
 			if got := len(net.Links[inj.Link].Channels); got != 1 {
@@ -215,7 +217,7 @@ func TestNodeEdgesSingleChannel(t *testing.T) {
 
 func TestPaperConfiguration(t *testing.T) {
 	// Section 5: 64 nodes, 4x4 switches, three stages, 16 switches per stage.
-	net, err := viewOf(NewUnidirectional(UniConfig{K: 4, Stages: 3, Pattern: Cube, Dilation: 1, VCs: 1}))
+	net, err := graphtest.Of(topology.NewUnidirectional(topology.UniConfig{K: 4, Stages: 3, Pattern: topology.Cube, Dilation: 1, VCs: 1}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,7 +238,7 @@ func TestPaperConfiguration(t *testing.T) {
 }
 
 func TestDumpAndDOT(t *testing.T) {
-	net, _ := viewOf(NewUnidirectional(UniConfig{K: 2, Stages: 3, Pattern: Cube, Dilation: 1, VCs: 1}))
+	net, _ := topology.NewUnidirectional(topology.UniConfig{K: 2, Stages: 3, Pattern: topology.Cube, Dilation: 1, VCs: 1})
 	d := net.Dump()
 	if len(d) == 0 {
 		t.Error("empty dump")
@@ -245,7 +247,7 @@ func TestDumpAndDOT(t *testing.T) {
 	if len(dot) == 0 {
 		t.Error("empty DOT")
 	}
-	bnet, _ := viewOf(NewBMIN(2, 3))
+	bnet, _ := topology.NewBMIN(2, 3)
 	if len(bnet.Dump()) == 0 || len(bnet.DOT()) == 0 {
 		t.Error("empty BMIN dump")
 	}

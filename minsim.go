@@ -35,7 +35,6 @@ import (
 	"fmt"
 
 	"minsim/internal/metrics"
-	"minsim/internal/routing"
 	"minsim/internal/simrun"
 	"minsim/internal/topology"
 	"minsim/internal/traffic"
@@ -80,9 +79,8 @@ type NetworkConfig struct {
 // Network is an immutable network instance; safe to share across
 // concurrent simulations.
 type Network struct {
-	spec   simrun.NetworkSpec // what the network was built from; Sweep's points name it
-	topo   *topology.Network
-	router routing.Router
+	spec simrun.NetworkSpec // what the network was built from; Sweep's points name it
+	topo *topology.Network
 }
 
 // NewNetwork builds a network. Family defaults and the size bound
@@ -104,7 +102,7 @@ func NewNetwork(cfg NetworkConfig) (*Network, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Network{spec: spec, topo: topo, router: routing.New(topo)}, nil
+	return &Network{spec: spec, topo: topo}, nil
 }
 
 // Nodes returns the number of processor nodes.
