@@ -9,85 +9,99 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
-	"minsim"
 	"minsim/internal/cli"
+	"minsim/internal/experiments"
+	"minsim/internal/multicast"
 )
 
 func main() {
-	var (
-		netName   = flag.String("net", "bmin", "network: tmin, dmin, vmin, bmin")
-		k         = flag.Int("k", 4, "switch arity")
-		stages    = flag.Int("stages", 3, "stages")
-		root      = flag.Int("root", 0, "multicast root node")
-		destsFlag = flag.String("dests", "", "comma-separated destination nodes")
-		broadcast = flag.Bool("broadcast", false, "send to every other node")
-		msgLen    = flag.Int("len", 256, "message length in flits")
-		gather    = flag.Bool("gather", false, "simulate the reduction (gather) instead of the multicast")
-	)
-	flag.Parse()
-
-	kind, err := cli.ParseKind(*netName)
-	if err != nil {
-		fatal(err)
+	switch err := run(os.Args[1:], os.Stdout); {
+	case errors.Is(err, flag.ErrHelp):
+	case err != nil:
+		fmt.Fprintf(os.Stderr, "mcast: %v\n", err)
+		os.Exit(1)
 	}
-	net, err := minsim.NewNetwork(minsim.NetworkConfig{Kind: kind, K: *k, Stages: *stages})
+}
+
+// run executes one mcast command line (without the program name),
+// writing the comparison to w.
+func run(args []string, w io.Writer) error {
+	fs := flag.NewFlagSet("mcast", flag.ContinueOnError)
+	var (
+		netName   = fs.String("net", "bmin", "network: tmin, dmin, vmin, bmin")
+		k         = fs.Int("k", 4, "switch arity")
+		stages    = fs.Int("stages", 3, "stages")
+		root      = fs.Int("root", 0, "multicast root node")
+		destsFlag = fs.String("dests", "", "comma-separated destination nodes")
+		broadcast = fs.Bool("broadcast", false, "send to every other node")
+		msgLen    = fs.Int("len", 256, "message length in flits")
+		gather    = fs.Bool("gather", false, "simulate the reduction (gather) instead of the multicast")
+	)
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+
+	spec, err := experiments.ParseNetworkSpec(experiments.NetworkOptions{Kind: *netName, K: *k, Stages: *stages})
 	if err != nil {
-		fatal(err)
+		return err
+	}
+	net, err := spec.Build()
+	if err != nil {
+		return err
 	}
 
 	var dests []int
 	switch {
 	case *broadcast:
-		for i := 0; i < net.Nodes(); i++ {
+		for i := 0; i < net.Nodes; i++ {
 			if i != *root {
 				dests = append(dests, i)
 			}
 		}
 	case *destsFlag != "":
-		var err error
-		dests, err = cli.ParseNodeList(*destsFlag)
-		if err != nil {
-			fatal(err)
+		if dests, err = cli.ParseNodeList(*destsFlag); err != nil {
+			return err
 		}
 	default:
-		fatal(fmt.Errorf("need -dests or -broadcast"))
+		return fmt.Errorf("need -dests or -broadcast")
 	}
 
 	op := "multicast to"
 	if *gather {
 		op = "gather from"
 	}
-	fmt.Printf("%s: %d-flit %s %d nodes (root %d)\n\n", net.Name(), *msgLen, op, len(dests), *root)
-	fmt.Printf("%-24s %-16s %-10s %s\n", "algorithm", "latency (cyc)", "unicasts", "rounds")
+	fmt.Fprintf(w, "%s: %d-flit %s %d nodes (root %d)\n\n", net.Name(), *msgLen, op, len(dests), *root)
+	fmt.Fprintf(w, "%-24s %-16s %-10s %s\n", "algorithm", "latency (cyc)", "unicasts", "rounds")
 	for _, a := range []struct {
 		name string
-		alg  minsim.MulticastAlgorithm
+		alg  multicast.Algorithm
 	}{
-		{"separate addressing", minsim.SeparateAddressing},
-		{"binomial tree", minsim.BinomialTree},
-		{"dimension-ordered tree", minsim.SubtreeTree},
+		{"separate addressing", multicast.SeparateAddressing{}},
+		{"binomial tree", multicast.Binomial{}},
+		{"dimension-ordered tree", multicast.SubtreeAware{}},
 	} {
-		var (
-			res minsim.MulticastResult
-			err error
-		)
+		var latency int64
+		var unicasts, rounds int
 		if *gather {
-			res, err = net.Gather(a.alg, *root, dests, *msgLen)
+			res, err := multicast.Gather(net, a.alg, *root, dests, *msgLen)
+			if err != nil {
+				return err
+			}
+			latency, unicasts, rounds = res.Latency, res.Unicasts, res.MaxDepth
 		} else {
-			res, err = net.Multicast(a.alg, *root, dests, *msgLen)
+			res, err := multicast.Run(net, a.alg, *root, dests, *msgLen)
+			if err != nil {
+				return err
+			}
+			latency, unicasts, rounds = res.Latency, res.Unicasts, res.MaxDepth
 		}
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Printf("%-24s %-16d %-10d %d\n", a.name, res.LatencyCycles, res.Unicasts, res.Rounds)
+		fmt.Fprintf(w, "%-24s %-16d %-10d %d\n", a.name, latency, unicasts, rounds)
 	}
-}
-
-func fatal(err error) {
-	fmt.Fprintf(os.Stderr, "mcast: %v\n", err)
-	os.Exit(1)
+	return nil
 }

@@ -6,144 +6,142 @@
 //	minsim -net dmin -pattern hotspot -hotx 0.05 -load 0.4
 //	minsim -net bmin -pattern shuffle -load 0.6 -measure 200000
 //
-// Networks: tmin, dmin, vmin, bmin (add -wiring butterfly for the
-// butterfly interstage pattern; cube is the default, matching the
-// paper's Section 5 choice). Patterns: uniform, hotspot, shuffle,
-// butterfly. Scopes: global, cluster16, shared, cluster32.
+// Networks: tmin, dmin, vmin, bmin (add -wiring butterfly, omega or
+// baseline for another interstage pattern; cube is the default,
+// matching the paper's Section 5 choice). Patterns: uniform, hotspot,
+// shuffle, butterfly, adversarial or a named permutation. Scopes:
+// global, cluster16, shared, cluster32.
+//
+// The flags name a simrun.RunSpec with -seed as its point seed, and the
+// point runs through simrun's one engine constructor: its statistics
+// are those a plan computes and caches for that spec. The instruments
+// (-hist, -util, -ci, -trace) only observe.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
-	"minsim"
 	"minsim/internal/cli"
+	"minsim/internal/engine"
+	"minsim/internal/experiments"
+	"minsim/internal/metrics"
+	"minsim/internal/simrun"
+	"minsim/internal/trace"
 )
 
 func main() {
-	var (
-		netName = flag.String("net", "tmin", "network: tmin, dmin, vmin, bmin")
-		wiring  = flag.String("wiring", "cube", "interstage wiring: cube or butterfly")
-		k       = flag.Int("k", 4, "switch arity")
-		stages  = flag.Int("stages", 3, "stages (nodes = k^stages)")
-		dil     = flag.Int("dilation", 2, "DMIN dilation")
-		vcs     = flag.Int("vcs", 2, "VMIN virtual channels")
-
-		pattern = flag.String("pattern", "uniform", "traffic: uniform, hotspot, shuffle, butterfly")
-		scope   = flag.String("scope", "global", "clustering: global, cluster16, shared, cluster32")
-		hotX    = flag.Float64("hotx", 0.05, "hot spot extra fraction")
-		bfi     = flag.Int("bfi", 2, "butterfly permutation index")
-		ratios  = flag.String("ratios", "", "per-cluster load ratios, e.g. 4:1:1:1")
-		minLen  = flag.Int("minlen", 8, "minimum message length (flits)")
-		maxLen  = flag.Int("maxlen", 1024, "maximum message length (flits)")
-
-		load    = flag.Float64("load", 0.3, "offered load, flits/node/cycle")
-		warmup  = flag.Int64("warmup", 20000, "warmup cycles")
-		measure = flag.Int64("measure", 60000, "measurement cycles")
-		seed    = flag.Uint64("seed", 1, "random seed")
-
-		hist      = flag.Bool("hist", false, "print the latency histogram")
-		util      = flag.Bool("util", false, "print per-layer channel utilization")
-		ci        = flag.Bool("ci", false, "print a 95% batch-means confidence interval")
-		traceFile = flag.String("trace", "", "write a per-message trace CSV to this file")
-	)
-	flag.Parse()
-
-	kind, err := cli.ParseKind(*netName)
-	if err != nil {
-		fatal(err)
-	}
-	wir, err := cli.ParseWiring(*wiring)
-	if err != nil {
-		fatal(err)
-	}
-	pat, err := cli.ParsePattern(*pattern)
-	if err != nil {
-		fatal(err)
-	}
-	scp, err := cli.ParseScope(*scope)
-	if err != nil {
-		fatal(err)
-	}
-	net, err := minsim.NewNetwork(minsim.NetworkConfig{
-		Kind:     kind,
-		Wiring:   wir,
-		K:        *k,
-		Stages:   *stages,
-		Dilation: *dil,
-		VCs:      *vcs,
-	})
-	if err != nil {
-		fatal(err)
-	}
-
-	w := minsim.Workload{
-		Pattern:    pat,
-		Scope:      scp,
-		HotX:       *hotX,
-		ButterflyI: *bfi,
-		MinLen:     *minLen,
-		MaxLen:     *maxLen,
-	}
-	if *ratios != "" {
-		w.Ratios, err = cli.ParseRatios(*ratios)
-		if err != nil {
-			fatal(err)
-		}
-	}
-
-	opts := minsim.ObserveOptions{
-		Histogram:   *hist,
-		Utilization: *util,
-		Trace:       *traceFile != "",
-	}
-	if *ci {
-		opts.BatchCycles = *measure / 20
-	}
-	res, obs, err := minsim.RunObserved(minsim.RunConfig{
-		Network:       net,
-		Workload:      w,
-		Load:          *load,
-		WarmupCycles:  *warmup,
-		MeasureCycles: *measure,
-		Seed:          *seed,
-	}, opts)
-	if err != nil {
-		fatal(err)
-	}
-
-	fmt.Printf("network:            %s (%d channels)\n", net.Name(), net.Channels())
-	fmt.Printf("workload:           %s/%s, lengths U{%d..%d}\n", *pattern, *scope, *minLen, *maxLen)
-	fmt.Printf("offered load:       %.3f flits/node/cycle\n", res.Offered)
-	fmt.Printf("throughput:         %.4f flits/node/cycle (%.1f%% of ejection capacity)\n", res.Throughput, 100*res.Throughput)
-	fmt.Printf("mean latency:       %.1f cycles (%.3f ms at 20 flits/ms)\n", res.MeanLatencyCycles, res.MeanLatencyMs)
-	fmt.Printf("latency std dev:    %.1f cycles\n", res.LatencyStdDev)
-	fmt.Printf("messages measured:  %d\n", res.MessagesMeasured)
-	fmt.Printf("max source queue:   %d messages\n", res.MaxSourceQueue)
-	fmt.Printf("sustainable:        %t\n", res.Sustainable)
-	if *ci {
-		if obs.CIOK {
-			fmt.Printf("latency 95%% CI:     [%.1f, %.1f] cycles (batch means)\n", obs.CILow, obs.CIHigh)
-		} else {
-			fmt.Println("latency 95% CI:     not enough batches")
-		}
-	}
-	if *hist {
-		fmt.Printf("latency quantiles:  p50=%.0f p95=%.0f p99=%.0f cycles\n%s", obs.LatencyP50, obs.LatencyP95, obs.LatencyP99, obs.HistogramText)
-	}
-	if *util {
-		fmt.Print(obs.UtilizationText)
-	}
-	if *traceFile != "" {
-		if err := os.WriteFile(*traceFile, []byte(obs.TraceCSV), 0o644); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("trace written:      %s\n", *traceFile)
+	switch _, _, err := run(os.Args[1:], os.Stdout); {
+	case errors.Is(err, flag.ErrHelp):
+	case err != nil:
+		fmt.Fprintf(os.Stderr, "minsim: %v\n", err)
+		os.Exit(1)
 	}
 }
 
-func fatal(err error) {
-	fmt.Fprintf(os.Stderr, "minsim: %v\n", err)
-	os.Exit(1)
+// run executes one minsim command line (without the program name),
+// writing the report to w. It returns the point's spec and statistics,
+// which the tests hold against a plan's.
+func run(args []string, w io.Writer) (simrun.RunSpec, metrics.Point, error) {
+	fs := flag.NewFlagSet("minsim", flag.ContinueOnError)
+	var (
+		netFlags = cli.AddNetworkFlags(fs)
+
+		pattern = fs.String("pattern", "uniform", "traffic: uniform, hotspot, shuffle, butterfly, adversarial, or a named permutation")
+		scope   = fs.String("scope", "global", "clustering: global, cluster16, shared, cluster32")
+		hotX    = fs.Float64("hotx", 0.05, "hot spot extra fraction")
+		bfi     = fs.Int("bfi", 2, "butterfly permutation index")
+		ratios  = fs.String("ratios", "", "per-cluster load ratios, e.g. 4:1:1:1")
+		minLen  = fs.Int("minlen", 8, "minimum message length (flits)")
+		maxLen  = fs.Int("maxlen", 1024, "maximum message length (flits)")
+
+		load    = fs.Float64("load", 0.3, "offered load, flits/node/cycle")
+		warmup  = fs.Int64("warmup", 20000, "warmup cycles")
+		measure = fs.Int64("measure", 60000, "measurement cycles")
+		seed    = fs.Uint64("seed", 1, "random seed")
+
+		hist      = fs.Bool("hist", false, "print the latency histogram")
+		util      = fs.Bool("util", false, "print per-layer channel utilization")
+		ci        = fs.Bool("ci", false, "print a 95% batch-means confidence interval")
+		traceFile = fs.String("trace", "", "write a per-message trace CSV to this file")
+	)
+	if err := fs.Parse(args); err != nil {
+		return simrun.RunSpec{}, metrics.Point{}, err
+	}
+
+	spec, net, err := netFlags.Build()
+	if err != nil {
+		return simrun.RunSpec{}, metrics.Point{}, err
+	}
+	opts := experiments.WorkloadOptions{
+		Cluster: *scope, Pattern: *pattern, HotX: *hotX, ButterflyI: *bfi,
+		MinLen: *minLen, MaxLen: *maxLen,
+	}
+	if *ratios != "" {
+		if opts.Ratios, err = cli.ParseRatios(*ratios); err != nil {
+			return simrun.RunSpec{}, metrics.Point{}, err
+		}
+	}
+	work, err := experiments.ParseWorkloadSpec(opts)
+	if err != nil {
+		return simrun.RunSpec{}, metrics.Point{}, err
+	}
+	rs := simrun.RunSpec{Net: spec, Work: work, Load: *load, Warmup: *warmup, Measure: *measure, Seed: *seed}
+
+	var rec trace.Recorder
+	e, err := rs.Point(net).NewEngine(func(cfg *engine.Config) {
+		if *traceFile != "" {
+			cfg.OnDeliver = rec.OnDeliver
+		}
+	})
+	if err != nil {
+		return simrun.RunSpec{}, metrics.Point{}, err
+	}
+	var h engine.Histogram
+	if *hist {
+		e.EnableLatencyHistogram(&h)
+	}
+	if *util {
+		e.EnableChannelStats()
+	}
+	if *ci {
+		e.EnableBatchMeans(*measure / 20)
+	}
+	e.SetMeasureFrom(*warmup)
+	e.Run(*warmup + *measure)
+	st := e.Stats()
+	res := metrics.FromStats(*load, net.Nodes, st)
+
+	fmt.Fprintf(w, "network:            %s (%d channels)\n", net.Name(), net.ChannelCount())
+	fmt.Fprintf(w, "workload:           %s/%s, lengths U{%d..%d}\n", *pattern, *scope, *minLen, *maxLen)
+	fmt.Fprintf(w, "offered load:       %.3f flits/node/cycle\n", res.Offered)
+	fmt.Fprintf(w, "throughput:         %.4f flits/node/cycle (%.1f%% of ejection capacity)\n", res.Throughput, 100*res.Throughput)
+	fmt.Fprintf(w, "mean latency:       %.1f cycles (%.3f ms at 20 flits/ms)\n", res.LatencyCyc, res.LatencyMs)
+	fmt.Fprintf(w, "latency std dev:    %.1f cycles\n", res.StdDev)
+	fmt.Fprintf(w, "messages measured:  %d\n", res.Messages)
+	fmt.Fprintf(w, "max source queue:   %d messages\n", st.MaxQueue)
+	fmt.Fprintf(w, "sustainable:        %t\n", res.Sustainable)
+	if *ci {
+		if lo, hi, ok := metrics.ConfidenceInterval(e.BatchMeans(), 1.96); ok {
+			fmt.Fprintf(w, "latency 95%% CI:     [%.1f, %.1f] cycles (batch means)\n", lo, hi)
+		} else {
+			fmt.Fprintln(w, "latency 95% CI:     not enough batches")
+		}
+	}
+	if *hist && h.Count() > 0 {
+		fmt.Fprintf(w, "latency quantiles:  p50=%.0f p95=%.0f p99=%.0f cycles\n%s", h.Quantile(0.5), h.Quantile(0.95), h.Quantile(0.99), h.String())
+	}
+	if *util {
+		fmt.Fprint(w, trace.UtilizationReport(net, e.ChannelFlits(), st.Cycles)+trace.BlockingReport(e.BlockedByStage(), st.Cycles))
+	}
+	if *traceFile != "" {
+		if err := os.WriteFile(*traceFile, []byte(rec.CSV()), 0o644); err != nil {
+			return simrun.RunSpec{}, metrics.Point{}, err
+		}
+		fmt.Fprintf(w, "trace written:      %s\n", *traceFile)
+	}
+	return rs, res, nil
 }

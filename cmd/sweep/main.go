@@ -33,12 +33,7 @@ import (
 
 func main() {
 	var (
-		netName = flag.String("net", "tmin", "network: tmin, dmin, vmin, bmin")
-		wiring  = flag.String("wiring", "cube", "interstage wiring: cube, butterfly, omega, baseline")
-		k       = flag.Int("k", 4, "switch arity")
-		stages  = flag.Int("stages", 3, "stages")
-		dil     = flag.Int("dilation", 2, "DMIN dilation")
-		vcs     = flag.Int("vcs", 2, "VMIN virtual channels")
+		netFlags = cli.AddNetworkFlags(flag.CommandLine)
 
 		pattern  = flag.String("pattern", "uniform", "traffic: uniform, hotspot, shuffle, butterfly, adversarial, or a named permutation")
 		scope    = flag.String("scope", "global", "clustering: global, cluster16, shared, cluster32")
@@ -74,9 +69,7 @@ func main() {
 	}
 	defer stopProfiles()
 
-	spec, err := experiments.ParseNetworkSpec(experiments.NetworkOptions{
-		Kind: *netName, Wiring: *wiring, K: *k, Stages: *stages, Dilation: *dil, VCs: *vcs,
-	})
+	spec, _, err := netFlags.Build()
 	if err != nil {
 		fatal(err)
 	}
@@ -86,9 +79,6 @@ func main() {
 		MinLen: *minLen, MaxLen: *maxLen,
 	})
 	if err != nil {
-		fatal(err)
-	}
-	if err := spec.Check(); err != nil {
 		fatal(err)
 	}
 

@@ -19,6 +19,7 @@ import (
 	"os"
 	"strings"
 
+	"minsim/internal/cli"
 	"minsim/internal/cost"
 	"minsim/internal/partition"
 	"minsim/internal/routing"
@@ -52,14 +53,7 @@ func main() {
 // writing the report to w.
 func run(args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("topo", flag.ContinueOnError)
-	var (
-		netName = fs.String("net", "tmin", "network: tmin, dmin, vmin, bmin")
-		wiring  = fs.String("wiring", "cube", "interstage wiring: cube or butterfly")
-		k       = fs.Int("k", 4, "switch arity")
-		stages  = fs.Int("stages", 3, "stages")
-		dil     = fs.Int("dilation", 2, "DMIN dilation")
-		vcs     = fs.Int("vcs", 2, "VMIN virtual channels")
-	)
+	nf := cli.AddNetworkFlags(fs)
 	if err := fs.Parse(args); errors.Is(err, flag.ErrHelp) {
 		return nil
 	} else if err != nil {
@@ -70,7 +64,7 @@ func run(args []string, w io.Writer) error {
 		return errUsage
 	}
 
-	net, err := build(*netName, *wiring, *k, *stages, *dil, *vcs)
+	spec, net, err := nf.Build()
 	if err != nil {
 		return err
 	}
@@ -97,7 +91,7 @@ func run(args []string, w io.Writer) error {
 	case "summary":
 		summary(w, net)
 	case "cost":
-		err = costReport(w, *k, *stages)
+		err = costReport(w, spec.K, spec.Stages)
 	default:
 		return errUsage
 	}
@@ -117,24 +111,6 @@ func costReport(w io.Writer, k, stages int) error {
 	}
 	_, err := io.WriteString(w, cost.Report([]*topology.Network{tmin, dmin, vmin, bmin}, 1))
 	return err
-}
-
-func build(name, wiring string, k, stages, dil, vcs int) (*topology.Network, error) {
-	pat := topology.Cube
-	if strings.EqualFold(wiring, "butterfly") {
-		pat = topology.Butterfly
-	}
-	switch strings.ToLower(name) {
-	case "bmin":
-		return topology.NewBMIN(k, stages)
-	case "tmin":
-		return topology.NewUnidirectional(topology.UniConfig{K: k, Stages: stages, Pattern: pat, Dilation: 1, VCs: 1})
-	case "dmin":
-		return topology.NewUnidirectional(topology.UniConfig{K: k, Stages: stages, Pattern: pat, Dilation: dil, VCs: 1})
-	case "vmin":
-		return topology.NewUnidirectional(topology.UniConfig{K: k, Stages: stages, Pattern: pat, Dilation: 1, VCs: vcs})
-	}
-	return nil, fmt.Errorf("unknown network %q", name)
 }
 
 func route(w io.Writer, net *topology.Network, s, d int) error {

@@ -5,8 +5,11 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
+
+	"minsim/internal/topology"
 )
 
 // TestOutputsPinned replays the command lines recorded in testdata:
@@ -48,11 +51,71 @@ func TestOutputsPinned(t *testing.T) {
 	}
 }
 
+// TestDeltaWirings: -wiring omega and baseline build those wirings,
+// which the command once replaced by the cube. The summaries are pinned
+// in testdata (recorded when the wirings were fixed; the names there
+// come from topology.Network.Name), and each dump is the one
+// topology.NewUnidirectional gives for the pattern.
+func TestDeltaWirings(t *testing.T) {
+	for _, wiring := range []struct {
+		name    string
+		pattern topology.Pattern
+	}{{"omega", topology.Omega}, {"baseline", topology.Baseline}} {
+		var got bytes.Buffer
+		for _, net := range []struct {
+			name          string
+			dilation, vcs int
+		}{{"tmin", 1, 1}, {"dmin", 2, 1}, {"vmin", 1, 2}} {
+			for _, size := range []struct{ k, stages int }{{2, 3}, {4, 3}} {
+				flags := []string{"-net", net.name, "-wiring", wiring.name, "-k", strconv.Itoa(size.k), "-stages", strconv.Itoa(size.stages)}
+				fmt.Fprintf(&got, "$ topo %s summary\n", strings.Join(flags, " "))
+				if err := run(append(flags, "summary"), &got); err != nil {
+					t.Fatal(err)
+				}
+				var dump bytes.Buffer
+				if err := run(append(flags, "dump"), &dump); err != nil {
+					t.Fatal(err)
+				}
+				want, err := topology.NewUnidirectional(topology.UniConfig{
+					K: size.k, Stages: size.stages, Pattern: wiring.pattern, Dilation: net.dilation, VCs: net.vcs,
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if dump.String() != want.Dump() {
+					t.Errorf("topo %s dump differs from the %s network's", strings.Join(flags, " "), wiring.name)
+				}
+			}
+		}
+		file := filepath.Join("testdata", wiring.name+"-summary.golden")
+		want, err := os.ReadFile(file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Bytes(), want) {
+			t.Errorf("%s: output differs from the recording", file)
+		}
+	}
+}
+
+// TestBMINDefault: the default BMIN is the paper's, one channel per
+// link direction: 384 channels on 64 nodes.
+func TestBMINDefault(t *testing.T) {
+	var got bytes.Buffer
+	if err := run([]string{"-net", "bmin", "summary"}, &got); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(got.String(), "virtual channels: 384\n") {
+		t.Errorf("topo -net bmin summary:\n%s", got.String())
+	}
+}
+
 func TestRunRejectsBadCommandLines(t *testing.T) {
 	for _, args := range [][]string{
 		nil,
 		{"frobnicate"},
 		{"-net", "xmin", "dump"},
+		{"-wiring", "bogus", "summary"},
 		{"route", "1"},
 		{"route", "3", "3"},
 		{"partition"},

@@ -1,76 +1,53 @@
 // Package cli holds what the command line tools share beyond the spec
-// parsers of internal/experiments: the root facade's flag vocabulary
-// for networks, wirings, patterns, scopes, ratios and node lists
-// (cmd/minsim, cmd/mcast), and the pprof wiring behind -cpuprofile and
-// -memprofile (cmd/sweep, cmd/figures).
+// parsers of internal/experiments: the six network flags of cmd/minsim,
+// cmd/sweep and cmd/topo, resolved through experiments.ParseNetworkSpec;
+// the ratio and node-list syntax of -ratios and -dests; and the pprof
+// wiring behind -cpuprofile and -memprofile (cmd/sweep, cmd/figures).
 package cli
 
 import (
+	"flag"
 	"fmt"
 	"strconv"
 	"strings"
 
-	"minsim"
+	"minsim/internal/experiments"
+	"minsim/internal/topology"
 )
 
-// ParseKind maps a network name to its Kind.
-func ParseKind(s string) (minsim.Kind, error) {
-	switch strings.ToLower(s) {
-	case "tmin":
-		return minsim.TMIN, nil
-	case "dmin":
-		return minsim.DMIN, nil
-	case "vmin":
-		return minsim.VMIN, nil
-	case "bmin":
-		return minsim.BMIN, nil
-	}
-	return 0, fmt.Errorf("unknown network %q (want tmin, dmin, vmin, bmin)", s)
+// NetworkFlags holds the six network flags a command registered with
+// AddNetworkFlags.
+type NetworkFlags struct {
+	kind, wiring             *string
+	k, stages, dilation, vcs *int
 }
 
-// ParseWiring maps a wiring name to its Wiring.
-func ParseWiring(s string) (minsim.Wiring, error) {
-	switch strings.ToLower(s) {
-	case "cube":
-		return minsim.Cube, nil
-	case "butterfly":
-		return minsim.Butterfly, nil
-	case "omega":
-		return minsim.Omega, nil
-	case "baseline":
-		return minsim.Baseline, nil
+// AddNetworkFlags registers -net, -wiring, -k, -stages, -dilation and
+// -vcs on fs. The dimensions default to 0, the family default the spec
+// applies: dilation 2 on a DMIN, 2 virtual channels on a VMIN and 1 on
+// a BMIN.
+func AddNetworkFlags(fs *flag.FlagSet) *NetworkFlags {
+	return &NetworkFlags{
+		kind:     fs.String("net", "tmin", "network: tmin, dmin, vmin, bmin"),
+		wiring:   fs.String("wiring", "cube", "interstage wiring of tmin, dmin and vmin: cube, butterfly, omega, baseline"),
+		k:        fs.Int("k", 4, "switch arity"),
+		stages:   fs.Int("stages", 3, "stages (nodes = k^stages)"),
+		dilation: fs.Int("dilation", 0, "DMIN dilation (0 = 2)"),
+		vcs:      fs.Int("vcs", 0, "virtual channels per link (0 = 2 on a VMIN, 1 on a BMIN)"),
 	}
-	return 0, fmt.Errorf("unknown wiring %q (want cube, butterfly, omega, baseline)", s)
 }
 
-// ParsePattern maps a traffic-pattern name to its Pattern.
-func ParsePattern(s string) (minsim.Pattern, error) {
-	switch strings.ToLower(s) {
-	case "uniform":
-		return minsim.Uniform, nil
-	case "hotspot":
-		return minsim.HotSpot, nil
-	case "shuffle":
-		return minsim.ShufflePerm, nil
-	case "butterfly":
-		return minsim.ButterflyPerm, nil
+// Build resolves the flags into a network spec and builds the network
+// it names.
+func (f *NetworkFlags) Build() (experiments.NetworkSpec, *topology.Network, error) {
+	spec, err := experiments.ParseNetworkSpec(experiments.NetworkOptions{
+		Kind: *f.kind, Wiring: *f.wiring, K: *f.k, Stages: *f.stages, Dilation: *f.dilation, VCs: *f.vcs,
+	})
+	if err != nil {
+		return spec, nil, err
 	}
-	return 0, fmt.Errorf("unknown pattern %q (want uniform, hotspot, shuffle, butterfly)", s)
-}
-
-// ParseScope maps a clustering name to its Scope.
-func ParseScope(s string) (minsim.Scope, error) {
-	switch strings.ToLower(s) {
-	case "global":
-		return minsim.Global, nil
-	case "cluster16":
-		return minsim.Cluster16, nil
-	case "shared":
-		return minsim.ClusterShared, nil
-	case "cluster32":
-		return minsim.Cluster32, nil
-	}
-	return 0, fmt.Errorf("unknown scope %q (want global, cluster16, shared, cluster32)", s)
+	net, err := spec.Build()
+	return spec, net, err
 }
 
 // ParseRatios parses colon-separated per-cluster load ratios,

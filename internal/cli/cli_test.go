@@ -1,54 +1,46 @@
 package cli
 
 import (
+	"flag"
 	"testing"
-
-	"minsim"
 )
 
-func TestParseKind(t *testing.T) {
-	cases := map[string]minsim.Kind{
-		"tmin": minsim.TMIN, "TMIN": minsim.TMIN,
-		"dmin": minsim.DMIN, "vmin": minsim.VMIN, "Bmin": minsim.BMIN,
-	}
-	for s, want := range cases {
-		got, err := ParseKind(s)
-		if err != nil || got != want {
-			t.Errorf("ParseKind(%q) = %v, %v", s, got, err)
-		}
-	}
-	if _, err := ParseKind("mesh"); err == nil {
-		t.Error("bad kind accepted")
-	}
-}
-
-func TestParseWiring(t *testing.T) {
-	for s, want := range map[string]minsim.Wiring{
-		"cube": minsim.Cube, "butterfly": minsim.Butterfly,
-		"omega": minsim.Omega, "baseline": minsim.Baseline,
+// TestNetworkFlags: unset dimensions take the family defaults (the
+// paper's 384-channel DMIN, VMIN and BMIN), every wiring the spec
+// parser knows is accepted, and an unknown name, a switch arity that is
+// not a power of two or a network too large to run is refused.
+func TestNetworkFlags(t *testing.T) {
+	for _, c := range []struct {
+		args []string
+		name string
+	}{
+		{nil, "TMIN(cube) 64 nodes 4x4"},
+		{[]string{"-net", "dmin"}, "DMIN(cube,d=2) 64 nodes 4x4"},
+		{[]string{"-net", "VMIN", "-wiring", "omega"}, "VMIN(omega,vc=2) 64 nodes 4x4"},
+		{[]string{"-net", "bmin"}, "BMIN 64 nodes 4x4"},
+		{[]string{"-net", "bmin", "-vcs", "2"}, "BMIN(vc=2) 64 nodes 4x4"},
+		{[]string{"-net", "tmin", "-wiring", "baseline", "-k", "2", "-stages", "4"}, "TMIN(baseline) 16 nodes 2x2"},
 	} {
-		got, err := ParseWiring(s)
-		if err != nil || got != want {
-			t.Errorf("ParseWiring(%q) = %v, %v", s, got, err)
+		fs := flag.NewFlagSet("test", flag.ContinueOnError)
+		nf := AddNetworkFlags(fs)
+		if err := fs.Parse(c.args); err != nil {
+			t.Fatal(err)
+		}
+		_, net, err := nf.Build()
+		if err != nil || net.Name() != c.name {
+			t.Errorf("%v: %v, %v; want %s", c.args, net, err, c.name)
 		}
 	}
-	if _, err := ParseWiring("banyan"); err == nil {
-		t.Error("bad wiring accepted")
-	}
-}
-
-func TestParsePatternAndScope(t *testing.T) {
-	if p, err := ParsePattern("hotspot"); err != nil || p != minsim.HotSpot {
-		t.Error("hotspot parse failed")
-	}
-	if _, err := ParsePattern("x"); err == nil {
-		t.Error("bad pattern accepted")
-	}
-	if sc, err := ParseScope("cluster32"); err != nil || sc != minsim.Cluster32 {
-		t.Error("cluster32 parse failed")
-	}
-	if _, err := ParseScope("x"); err == nil {
-		t.Error("bad scope accepted")
+	// 2^26 nodes is 1.8 G channels, past simrun.MaxChannels.
+	for _, args := range [][]string{{"-net", "mesh"}, {"-wiring", "banyan"}, {"-k", "3"}, {"-k", "2", "-stages", "26"}} {
+		fs := flag.NewFlagSet("test", flag.ContinueOnError)
+		nf := AddNetworkFlags(fs)
+		if err := fs.Parse(args); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := nf.Build(); err == nil {
+			t.Errorf("%v accepted", args)
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package routing
 
 import (
+	"runtime"
 	"testing"
 
 	"minsim/internal/topology"
@@ -304,4 +305,34 @@ func TestAllPathsPanicsOnSelf(t *testing.T) {
 		}
 	}()
 	AllPaths(net, 1, 1)
+}
+
+// TestAnalysesStayOffTheGraph bounds what AllPaths allocates on
+// 16384-node networks: the routing function's walker and the paths it
+// returns, not a struct form of every channel (which cost 27.9 MB on
+// the TMIN and 49.9 MB on the BMIN). On the BMIN, nodes 1 and N-2
+// differ first in the top digit, so Theorem 1 gives 4^6 = 4096 paths
+// of 14 channels: about 0.5 MB of output.
+func TestAnalysesStayOffTheGraph(t *testing.T) {
+	for _, c := range []struct {
+		net   *topology.Network
+		paths int
+		bound uint64
+	}{
+		{mustUni(t, topology.UniConfig{K: 4, Stages: 7, Dilation: 1, VCs: 1}), 1, 64 << 10},
+		{mustBMIN(t, 4, 7), 4096, 2 << 20},
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		n := len(AllPaths(c.net, 1, c.net.Nodes-2))
+		runtime.ReadMemStats(&after)
+		if n != c.paths {
+			t.Fatalf("%s: %d paths from 1 to N-2, want %d", c.net.Name(), n, c.paths)
+		}
+		got := after.TotalAlloc - before.TotalAlloc
+		t.Logf("%s: AllPaths allocated %.1f KB", c.net.Name(), float64(got)/1e3)
+		if got >= c.bound {
+			t.Errorf("%s: AllPaths allocated %d bytes, want < %d", c.net.Name(), got, c.bound)
+		}
+	}
 }

@@ -10,10 +10,10 @@ import (
 
 // DeriveSeed maps a sweep-level base seed and a point index to the
 // point's own seed, so adding points to a sweep does not reshuffle
-// existing ones. Every execution path (Plan.AddSweep, the root
-// facade's Sweep, cmd/saturate's probes as index 0, the cache key)
-// must use this one derivation — cached results are only valid if a
-// point's seed is a pure function of (base seed, index).
+// existing ones. Every execution path (Plan.AddSweep, cmd/saturate's
+// probes as index 0, the cache key) must use this one derivation —
+// cached results are only valid if a point's seed is a pure function
+// of (base seed, index).
 func DeriveSeed(base uint64, i int) uint64 {
 	return base*0x9e3779b97f4a7c15 + uint64(i+1)*0xbf58476d1ce4e5b9
 }
@@ -56,23 +56,37 @@ func (c PointConfig) Simulate() (metrics.Point, error) {
 // on the paper networks, a leg is ≤ 16 ms.
 const cancelQuantum = 8192
 
-// simulate runs the point in cancelQuantum legs, observing ctx between
-// legs. Chunked Run legs are bit-exact with one full Run (idle-skip
-// credits are additive; idle cycles draw no randomness), so cached
-// results are unaffected.
-func (c PointConfig) simulate(ctx context.Context) (metrics.Point, error) {
+// NewEngine builds the point's traffic source and engine: the one
+// place a point's seeds come from (the source draws from Seed, the
+// engine from Seed^0xd1b54a32d192ed03), so every caller that builds a
+// point from a spec simulates the point a plan caches for it. tune,
+// when non-nil, adjusts the configuration before the engine is built;
+// cmd/minsim attaches its trace hook there.
+func (c PointConfig) NewEngine(tune func(*engine.Config)) (*engine.Engine, error) {
 	src, err := c.Factory(c.Load, c.Seed)
 	if err != nil {
-		return metrics.Point{}, err
+		return nil, err
 	}
-	e, err := engine.New(engine.Config{
+	cfg := engine.Config{
 		Net:         c.Net,
 		Source:      src,
 		Seed:        c.Seed ^ 0xd1b54a32d192ed03,
 		QueueLimit:  c.QueueLimit,
 		BufferDepth: c.BufferDepth,
 		Arbitration: c.Arbitration,
-	})
+	}
+	if tune != nil {
+		tune(&cfg)
+	}
+	return engine.New(cfg)
+}
+
+// simulate runs the point in cancelQuantum legs, observing ctx between
+// legs. Chunked Run legs are bit-exact with one full Run (idle-skip
+// credits are additive; idle cycles draw no randomness), so cached
+// results are unaffected.
+func (c PointConfig) simulate(ctx context.Context) (metrics.Point, error) {
+	e, err := c.NewEngine(nil)
 	if err != nil {
 		return metrics.Point{}, err
 	}

@@ -157,15 +157,8 @@ func appendLengths(b []byte, d traffic.LengthDist) ([]byte, error) {
 	return nil, fmt.Errorf("simrun: length distribution %T has no canonical encoding; point is uncacheable", d)
 }
 
-// run executes the spec, sharing built networks through nc. The
-// simulation advances in cancelQuantum legs, observing ctx between
-// legs (chunked legs are bit-exact with a single full run). Each
-// replica of a replicated point is one such run.
-func (r RunSpec) run(ctx context.Context, nc *NetCache) (metrics.Point, error) {
-	net, err := nc.get(r.Net)
-	if err != nil {
-		return metrics.Point{}, err
-	}
+// Point resolves the spec over net, the network its Net builds.
+func (r RunSpec) Point(net *topology.Network) PointConfig {
 	return PointConfig{
 		Net:         net,
 		Factory:     r.Work.Factory(net),
@@ -176,7 +169,19 @@ func (r RunSpec) run(ctx context.Context, nc *NetCache) (metrics.Point, error) {
 		QueueLimit:  r.QueueLimit,
 		BufferDepth: r.BufferDepth,
 		Arbitration: r.Arbitration,
-	}.simulate(ctx)
+	}
+}
+
+// run executes the spec, sharing built networks through nc. The
+// simulation advances in cancelQuantum legs, observing ctx between
+// legs (chunked legs are bit-exact with a single full run). Each
+// replica of a replicated point is one such run.
+func (r RunSpec) run(ctx context.Context, nc *NetCache) (metrics.Point, error) {
+	net, err := nc.get(r.Net)
+	if err != nil {
+		return metrics.Point{}, err
+	}
+	return r.Point(net).simulate(ctx)
 }
 
 var fingerprintOnce sync.Once
@@ -236,17 +241,7 @@ func computeFingerprint() (string, error) {
 		if err != nil {
 			return "", fmt.Errorf("simrun: fingerprint probe %d: %w", i, err)
 		}
-		src, err := probe.Work.Factory(net)(probe.Load, probe.Seed)
-		if err != nil {
-			return "", fmt.Errorf("simrun: fingerprint probe %d: %w", i, err)
-		}
-		e, err := engine.New(engine.Config{
-			Net:         net,
-			Source:      src,
-			Seed:        probe.Seed ^ 0xd1b54a32d192ed03,
-			BufferDepth: probe.BufferDepth,
-			Arbitration: probe.Arbitration,
-		})
+		e, err := probe.Point(net).NewEngine(nil)
 		if err != nil {
 			return "", fmt.Errorf("simrun: fingerprint probe %d: %w", i, err)
 		}
