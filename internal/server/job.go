@@ -178,10 +178,10 @@ const maxRetainedJobs = 256
 
 // manager owns the bounded admission queue, the job workers and the
 // job registry. Every job executes as one simrun plan against the
-// shared content-addressed store.
+// shared content-addressed store, through the service's front on it.
 type manager struct {
 	cfg   Config
-	store simrun.Store
+	store *front
 	// dispatcher, when non-nil, ships each job's hashable points to
 	// the fleet instead of the local pool (set by New from Config.Fleet;
 	// typed as the simrun interface so this file stays fleet-agnostic).
@@ -216,7 +216,7 @@ func newManager(cfg Config, reg *registry) *manager {
 	ctx, cancel := context.WithCancel(context.Background())
 	m := &manager{
 		cfg:        cfg,
-		store:      cfg.Store,
+		store:      newFront(cfg.Store, frontCap),
 		dispatcher: dispatcherFor(cfg),
 		reg:        reg,
 		queue:      make(chan *job, cfg.QueueDepth),

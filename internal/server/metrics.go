@@ -89,7 +89,8 @@ func (r *registry) writePrometheus(w io.Writer, m *manager) {
 	counter("simd_points_cached_total", "Load points served from the result store by finished jobs.", r.pointsCached.Load())
 
 	st := m.store.Stats()
-	counter("simd_cache_hits_total", "Result-store lookups served from disk.", st.Hits)
+	counter("simd_cache_hits_total", "Result-store lookups answered from memory or disk.", st.Hits)
+	counter("simd_cache_memory_hits_total", "Result-store lookups answered from memory (a share of simd_cache_hits_total).", m.store.memHits.Load())
 	counter("simd_cache_misses_total", "Result-store lookups that fell through to simulation.", st.Misses)
 	counter("simd_cache_write_failures_total", "Result-store writes that could not be persisted.", st.WriteFails)
 

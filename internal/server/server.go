@@ -49,6 +49,8 @@ import (
 // defaults; Store is required.
 type Config struct {
 	// Store is the shared content-addressed result store. Required.
+	// The server reads it through an in-memory front, so a point it
+	// has read or written is answered from memory from then on.
 	Store simrun.Store
 	// QueueDepth bounds the admission queue (default 16). A full
 	// queue rejects new jobs with 429.

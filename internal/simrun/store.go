@@ -26,9 +26,13 @@ const DefaultCacheDir = "results/cache"
 type Store interface {
 	// Get returns the cached point for key, or ok=false on any miss —
 	// absent, unreadable, corrupt or mismatched entries alike.
+	//
+	//simvet:blocking — a disk read, or an HTTP call for the fleet's store
 	Get(key string) (metrics.Point, bool)
 	// Put stores a result. Failures are counted, not returned: a cache
 	// that cannot be written degrades to recomputation.
+	//
+	//simvet:blocking — a disk write, or an HTTP call for the fleet's store
 	Put(key, spec string, p metrics.Point)
 	// Stats returns the store's lifetime lookup counters.
 	Stats() StoreStats

@@ -90,7 +90,9 @@ func isModuleLocal(pass *Pass, obj types.Object) bool {
 // funcDirective reports whether the declaration of fn (anywhere in the
 // module) carries the given //simvet: directive. For functions of the
 // package under analysis the declaration is in decls; for imported
-// module-local functions it is found via the owning package's files.
+// module-local functions, and for interface methods (whose declaration
+// is a field of the interface type), it is found via the owning
+// package's files.
 func funcDirective(pass *Pass, fn *types.Func, decls map[*types.Func]*ast.FuncDecl, directive string) bool {
 	if fd := decls[fn]; fd != nil {
 		return hasDirective(fd.Doc, directive)
@@ -103,17 +105,28 @@ func funcDirective(pass *Pass, fn *types.Func, decls map[*types.Func]*ast.FuncDe
 		return false
 	}
 	pos := fn.Pos()
+	var doc *ast.CommentGroup
 	for _, f := range pkg.Files {
 		if f.FileStart <= pos && pos < f.FileEnd {
-			for _, d := range f.Decls {
-				fd, ok := d.(*ast.FuncDecl)
-				if ok && fd.Name.Pos() == pos {
-					return hasDirective(fd.Doc, directive)
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch d := n.(type) {
+				case *ast.FuncDecl:
+					if d.Name.Pos() == pos {
+						doc = d.Doc
+					}
+					return false // no body declares a function or interface looked up here
+				case *ast.Field:
+					for _, name := range d.Names {
+						if name.Pos() == pos {
+							doc = d.Doc
+						}
+					}
 				}
-			}
+				return doc == nil
+			})
 		}
 	}
-	return false
+	return hasDirective(doc, directive)
 }
 
 // stmtDirectives returns the directive line set for the file holding
@@ -183,7 +196,8 @@ var ioInterfaceMethods = map[string]bool{
 
 // blockingCall classifies one call expression: ok reports whether the
 // call is a blocking operation by itself (stdlib I/O, net/http,
-// interface I/O methods, //simvet:blocking targets), and why says why.
+// interface I/O methods, interface methods annotated
+// //simvet:blocking), and why says why.
 // Module-local static callees are NOT classified here — the analyzers
 // consult their facts, which fold in the //simvet:blocking directive.
 func blockingCall(pass *Pass, call *ast.CallExpr) (why string, ok bool) {
@@ -206,6 +220,9 @@ func blockingCall(pass *Pass, call *ast.CallExpr) (why string, ok bool) {
 		return "", false
 	}
 	if isModuleLocal(pass, fn) {
+		if isInterfaceRecv(fn) && funcDirective(pass, fn, nil, "simvet:blocking") {
+			return "interface " + fn.Name() + " call, annotated //simvet:blocking", true
+		}
 		return "", false // summarized by facts instead
 	}
 	path := fn.Pkg().Path()

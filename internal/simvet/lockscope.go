@@ -15,7 +15,8 @@ import (
 // job queue, a deadlock candidate). The analyzer tracks the set of
 // held locks through each function body and reports every operation
 // that may block — directly (channel ops, selects without default,
-// stdlib I/O, interface Read/Write) or transitively (a call to a
+// stdlib I/O, interface Read/Write, interface methods annotated
+// //simvet:blocking such as simrun.Store's) or transitively (a call to a
 // function whose exported fact says it blocks, across packages) —
 // while that set is non-empty.
 //

@@ -1,6 +1,7 @@
 // Package server exercises every lockscope rule: direct channel ops
-// and interface I/O under a lock, a cross-package blocking call
-// resolved through facts, the defaulted-select exemption, goroutine
+// and interface I/O under a lock, an interface method annotated
+// //simvet:blocking, a cross-package blocking call resolved through
+// facts, the defaulted-select exemption, goroutine
 // and closure scoping, and the //simvet:blockok escape hatch.
 package server
 
@@ -114,4 +115,13 @@ func (h *Hub) Branchy(ready bool) int {
 	default:
 		return 0
 	}
+}
+
+// Lookup asks a store through its interface while locked: the
+// annotated Get is reported, the unannotated Len is not.
+func (h *Hub) Lookup(s simrun.Store, key string) int {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	n := s.Len()
+	return n + s.Get(key) // want `blocking operation \(interface Get call, annotated //simvet:blocking\) in Lookup while holding h.mu`
 }

@@ -57,3 +57,12 @@ func (t *Tracker) PeekLocked(path string, buf []byte) {
 	syscall.Read(fd, buf) // want `blocking operation \(syscall.Read file read\) in PeekLocked while holding t.mu`
 	syscall.Close(fd)     // want `blocking operation \(syscall.Close file close\) in PeekLocked while holding t.mu`
 }
+
+// Store is an interface whose implementations do I/O; its annotated
+// method counts as blocking wherever it is called through the
+// interface, and the unannotated one does not.
+type Store interface {
+	//simvet:blocking — reads the backing store
+	Get(key string) int
+	Len() int
+}
