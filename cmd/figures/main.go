@@ -111,7 +111,6 @@ func main() {
 	if *seed != 0 {
 		budget.Seed = *seed
 	}
-	budget.Parallelism = *procs
 	budget.Replicas = *replicas
 
 	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)

@@ -1,8 +1,9 @@
 // Package cli holds what the command line tools share beyond the spec
 // parsers of internal/experiments: the six network flags of cmd/minsim,
 // cmd/sweep and cmd/topo, resolved through experiments.ParseNetworkSpec;
-// the ratio and node-list syntax of -ratios and -dests; and the pprof
-// wiring behind -cpuprofile and -memprofile (cmd/sweep, cmd/figures).
+// the ratio and node-list syntax of -ratios and -dests; the pprof
+// wiring behind -cpuprofile and -memprofile (cmd/sweep, cmd/figures);
+// and the flags and serving shell of cmd/simd and cmd/simfleet.
 package cli
 
 import (

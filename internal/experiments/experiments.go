@@ -214,9 +214,6 @@ func (fh *FigureHandle) Figure() (metrics.Figure, error) {
 // on-disk result cache; ctx cancellation aborts between points with
 // completed cache entries already flushed.
 func RunAll(ctx context.Context, exps []Experiment, b Budget, opts simrun.Options) ([]metrics.Figure, error) {
-	if opts.Workers == 0 {
-		opts.Workers = b.Parallelism
-	}
 	plan := simrun.NewPlan()
 	handles := make([]*FigureHandle, len(exps))
 	for i, e := range exps {

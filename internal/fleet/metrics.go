@@ -96,7 +96,6 @@ func (wk *Worker) WriteMetrics(w io.Writer) {
 	counter("simd_worker_units_failed_total", "Units that failed on this worker.", wk.failedUnits.Load())
 	counter("simd_worker_heartbeat_lost_total", "Leases lost to a 410 heartbeat.", wk.heartbeatLost.Load())
 	counter("simd_worker_complete_failures_total", "Result deliveries abandoned after retries.", wk.completeFails.Load())
-	counter("simd_worker_network_builds_total", "Networks this worker built (the rest came from its cache).", wk.nets.Builds())
 	st := wk.store.Stats()
 	counter("simd_worker_store_hits_total", "Shared-store lookups that hit.", st.Hits)
 	counter("simd_worker_store_misses_total", "Shared-store lookups that missed.", st.Misses)

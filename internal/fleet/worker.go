@@ -41,11 +41,6 @@ type Worker struct {
 	cfg    WorkerConfig
 	client *http.Client
 	store  *RemoteStore
-	// nets keeps built networks between leases: a job's leases walk
-	// the same few networks, and each lease is a plan of its own. It
-	// belongs to the worker, not the process, so plans run any other
-	// way build and release exactly what they always did.
-	nets *simrun.NetCache
 
 	leases        atomic.Int64
 	executed      atomic.Int64
@@ -73,7 +68,6 @@ func NewWorker(cfg WorkerConfig) (*Worker, error) {
 		cfg:    cfg,
 		client: client,
 		store:  NewRemoteStore(cfg.Coordinator, client),
-		nets:   &simrun.NetCache{},
 	}, nil
 }
 
@@ -223,7 +217,7 @@ func (w *Worker) runLease(ctx context.Context, workerID string, lr LeaseResponse
 		}
 		handles[i] = plan.AddSpec(rs)
 	}
-	plan.Execute(leaseCtx, simrun.Options{Workers: w.cfg.SimWorkers, Store: w.store, Nets: w.nets})
+	plan.Execute(leaseCtx, simrun.Options{Workers: w.cfg.SimWorkers, Store: w.store})
 	cancelLease()
 	<-hbDone
 	if ctx.Err() != nil {

@@ -113,10 +113,9 @@ func TestLostLeaseIsForgotten(t *testing.T) {
 	}
 }
 
-// TestWorkerKeepsNetworksBetweenLeases: three leases over one network
-// build it once, and what the worker computes equals the same plan
-// run locally, point for point.
-func TestWorkerKeepsNetworksBetweenLeases(t *testing.T) {
+// TestWorkerLeasesMatchLocalRun: three leases over one network compute
+// what the same plan run locally computes, point for point.
+func TestWorkerLeasesMatchLocalRun(t *testing.T) {
 	store, err := simrun.NewStore(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
@@ -172,8 +171,8 @@ func TestWorkerKeepsNetworksBetweenLeases(t *testing.T) {
 			}
 		}
 	}
-	if leases, builds := w.leases.Load(), w.nets.Builds(); leases != 3 || builds != 1 {
-		t.Fatalf("%d leases built the network %d times; want 3 leases, 1 build", leases, builds)
+	if leases := w.leases.Load(); leases != 3 {
+		t.Fatalf("%d leases; want 3", leases)
 	}
 	cancel()
 	<-stopped

@@ -35,9 +35,11 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"runtime"
 	"strconv"
+	"sync"
 	"time"
 
 	"minsim/internal/experiments"
@@ -85,8 +87,8 @@ type Config struct {
 	// /metrics, and every job's hashable points dispatch to registered
 	// workers instead of the local pool.
 	Fleet *fleet.Coordinator
-	// FleetWorker, when non-nil, is this process's worker client (run
-	// separately by cmd/simd); the server only exposes its counters on
+	// FleetWorker, when non-nil, is this process's worker client:
+	// Serve runs it for as long as it serves, and its counters join
 	// /metrics.
 	FleetWorker *fleet.Worker
 }
@@ -179,8 +181,43 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	return ctx.Err()
 }
 
-// Draining reports whether Shutdown has begun.
-func (s *Server) Draining() bool { return s.mgr.draining.Load() }
+// Serve serves Handler on ln, and runs Config.FleetWorker, until ctx
+// ends. Then it drains in the one order the service keeps: the fleet
+// worker stops (an abandoned lease expires at the coordinator and its
+// units requeue to surviving workers), Shutdown drains the jobs, and
+// HTTP closes last, so synchronous requests waiting on those jobs get
+// their replies. It returns the error that stopped the listener early,
+// else that of closing HTTP within the drain window.
+//
+//simvet:ctxbound
+func (s *Server) Serve(ctx context.Context, ln net.Listener) error {
+	ctx, stop := context.WithCancel(ctx)
+	defer stop()
+	var worker sync.WaitGroup
+	if w := s.cfg.FleetWorker; w != nil {
+		worker.Add(1)
+		go func() { defer worker.Done(); w.Run(ctx) }()
+	}
+	// No WriteTimeout: synchronous /v1/run responses legitimately take
+	// as long as the job; the per-job timeout bounds them.
+	hs := &http.Server{Handler: s.handler, ReadHeaderTimeout: 5 * time.Second, ReadTimeout: 30 * time.Second}
+	served := make(chan error, 1)
+	go func() { served <- hs.Serve(ln) }()
+	var err error
+	select {
+	case err = <-served:
+	case <-ctx.Done():
+	}
+	stop()
+	worker.Wait()
+	drain, cancel := context.WithTimeout(context.Background(), s.cfg.DrainTimeout+10*time.Second)
+	defer cancel()
+	s.Shutdown(drain)
+	if herr := hs.Shutdown(drain); err == nil {
+		err = herr
+	}
+	return err
+}
 
 // writeJSON marshals v with a status code. Marshal failures are
 // programming errors; they surface as a 500 with a plain message.
@@ -391,7 +428,7 @@ func (s *Server) handleFigures(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	if s.Draining() {
+	if s.mgr.draining.Load() {
 		writeJSON(w, http.StatusServiceUnavailable, drainResponse{"draining"})
 		return
 	}

@@ -189,13 +189,12 @@ func TestReplicatedSweepBursty(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	nets := &NetCache{}
 	for i, load := range loads {
 		pts := make([]metrics.Point, reps)
 		for rep := 0; rep < reps; rep++ {
 			spec := tinySpec(load, DeriveReplicaSeed(7, i, rep))
 			spec.Work.Arrival = ArrivalSpec{Kind: ArrivalMMPP, Burst: 8, DwellHi: 200, DwellLo: 800}
-			pt, err := spec.run(context.Background(), nets)
+			pt, err := spec.run(context.Background())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -217,8 +216,7 @@ func TestAdversarialSpecDeterministic(t *testing.T) {
 	run := func() metrics.Point {
 		s := tinySpec(0.2, 42)
 		s.Work.Pattern = PatternSpec{Kind: Adversarial, AdvIters: 256}
-		nets := &NetCache{}
-		pt, err := s.run(context.Background(), nets)
+		pt, err := s.run(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -5,11 +5,9 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
-	"sync/atomic"
 
 	"minsim/internal/engine"
 	"minsim/internal/metrics"
-	"minsim/internal/topology"
 )
 
 // SweepSpec requests one load sweep: a network under a workload
@@ -20,7 +18,7 @@ type SweepSpec struct {
 	Net         NetworkSpec
 	Work        WorkloadSpec
 	Loads       []float64
-	Budget      Budget // Parallelism is ignored here; see Options.Workers
+	Budget      Budget
 	BufferDepth int
 	Arbitration engine.Arbitration
 }
@@ -228,10 +226,6 @@ type Options struct {
 	// results is the dispatcher's responsibility (fleet workers write
 	// through the shared store), so Execute does not re-Put them.
 	Dispatcher Dispatcher
-	// Nets, when non-nil, outlives the call: networks it already holds
-	// are not rebuilt, and ones built here are left in it for the next
-	// Execute.
-	Nets *NetCache
 	// Progress, when non-nil, is called with a counter snapshot after
 	// every state change (cache hit, start, finish). Calls are
 	// serialized.
@@ -243,50 +237,6 @@ func (p *Plan) Counters() Counters {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return p.counters
-}
-
-// NetCache shares immutable network descriptions between point-runs;
-// networks are safe for concurrent engines. Keys are canonical specs
-// so default-valued and explicit spellings of the same network share
-// one build. A description is a few words whatever the network's size,
-// so the cache needs no bound, and its zero value is ready to use.
-// Every Execute owns one that dies with the call; a caller that
-// executes many small plans over the same networks (a fleet worker: one
-// plan per lease) passes its own in Options.Nets and the per-call cache
-// fills from it instead of building.
-type NetCache struct {
-	mu     sync.Mutex
-	m      map[NetworkSpec]*topology.Network
-	parent *NetCache // consulted before building; nil = build
-	builds atomic.Int64
-}
-
-// Builds reports how many networks this cache has built.
-func (c *NetCache) Builds() int64 { return c.builds.Load() }
-
-func (c *NetCache) get(spec NetworkSpec) (*topology.Network, error) {
-	key := spec.canon()
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if net, ok := c.m[key]; ok {
-		return net, nil
-	}
-	if c.m == nil {
-		c.m = map[NetworkSpec]*topology.Network{}
-	}
-	var net *topology.Network
-	var err error
-	if c.parent != nil {
-		net, err = c.parent.get(key)
-	} else {
-		c.builds.Add(1)
-		net, err = spec.Build()
-	}
-	if err != nil {
-		return nil, err
-	}
-	c.m[key] = net
-	return net, nil
 }
 
 // Execute runs every not-yet-done point: cache lookups first (serial,
@@ -393,7 +343,6 @@ func (p *Plan) Execute(ctx context.Context, opts Options) error {
 
 	// Every point — each replica of a replicated one included — is one
 	// engine run and the scheduling granule of the worker pool.
-	nets := &NetCache{parent: opts.Nets}
 	work := make(chan *pointRun)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -405,7 +354,14 @@ func (p *Plan) Execute(ctx context.Context, opts Options) error {
 					continue // drain without simulating
 				}
 				p.bump(func(c *Counters) { c.Running++ }, opts.Progress)
-				executePoint(ctx, r, nets)
+				// A spec point simulates in cancelQuantum legs
+				// (PointConfig.simulate), so cancellation waits one
+				// quantum, not a run; an opaque fn point cannot be cut.
+				if r.fn != nil {
+					r.pt, r.err = r.fn()
+				} else if r.pt, r.err = r.spec.run(ctx); r.err != nil {
+					r.err = fmt.Errorf("simrun: %s: %w", r.spec, r.err)
+				}
 				r.done = r.err == nil
 				if r.done && opts.Store != nil && r.key != "" {
 					opts.Store.Put(r.key, r.spec.String(), r.pt)
@@ -433,21 +389,6 @@ feed:
 	wg.Wait()
 	dispatchWG.Wait()
 	return ctx.Err()
-}
-
-// executePoint simulates one point: a spec point on an engine in
-// cancelQuantum legs (see PointConfig.simulate), so cancellation
-// latency is bounded by one quantum, not a run. Opaque fn points remain
-// non-preemptible: there is no spec to chunk.
-func executePoint(ctx context.Context, r *pointRun, nets *NetCache) {
-	if r.fn != nil {
-		r.pt, r.err = r.fn()
-		return
-	}
-	r.pt, r.err = r.spec.run(ctx, nets)
-	if r.err != nil {
-		r.err = fmt.Errorf("simrun: %s: %w", r.spec, r.err)
-	}
 }
 
 // bump applies a counter update and emits a progress snapshot, both

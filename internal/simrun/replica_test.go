@@ -59,11 +59,10 @@ func TestReplicatedSweep(t *testing.T) {
 	}
 
 	// Reference: every replica run directly, outside the plan.
-	nets := &NetCache{}
 	for i, load := range loads {
 		pts := make([]metrics.Point, reps)
 		for rep := 0; rep < reps; rep++ {
-			pt, err := tinySpec(load, DeriveReplicaSeed(7, i, rep)).run(context.Background(), nets)
+			pt, err := tinySpec(load, DeriveReplicaSeed(7, i, rep)).run(context.Background())
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -172,12 +172,12 @@ func (r RunSpec) Point(net *topology.Network) PointConfig {
 	}
 }
 
-// run executes the spec, sharing built networks through nc. The
+// run builds the spec's network and executes the spec on it. The
 // simulation advances in cancelQuantum legs, observing ctx between
 // legs (chunked legs are bit-exact with a single full run). Each
 // replica of a replicated point is one such run.
-func (r RunSpec) run(ctx context.Context, nc *NetCache) (metrics.Point, error) {
-	net, err := nc.get(r.Net)
+func (r RunSpec) run(ctx context.Context) (metrics.Point, error) {
+	net, err := r.Net.Build()
 	if err != nil {
 		return metrics.Point{}, err
 	}

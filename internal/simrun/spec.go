@@ -479,7 +479,6 @@ type Budget struct {
 	MeasureCycles int64
 	Seed          uint64
 	QueueLimit    int
-	Parallelism   int
 	// Replicas asks for this many independent replications (distinct
 	// derived seeds, see DeriveReplicaSeed) of every load point; the
 	// sweep's results then report per-point means with confidence

@@ -267,10 +267,6 @@ func (r *fieldReader) bool() bool {
 	return f == "true"
 }
 
-// WriteFailures reports how many Puts could not be persisted, for
-// CLIs that want to warn about a degraded cache.
-func (s *DiskStore) WriteFailures() int64 { return s.writeFails.Load() }
-
 // StoreStats is a snapshot of a store's lookup and persistence
 // counters, accumulated across every plan execution sharing the store
 // (the simd service exports these on /metrics).

@@ -161,11 +161,6 @@ func All() []*Analyzer {
 	}
 }
 
-// Analyzers returns the full suite in stable order.
-//
-// Deprecated: use All. Retained so PR 2-era callers keep compiling.
-func Analyzers() []*Analyzer { return All() }
-
 // deterministicSuffixes lists the packages whose results must be a
 // pure function of the seed. Matching is by import-path suffix so the
 // analysistest fixtures (whose modules have their own names) exercise

@@ -53,9 +53,9 @@ func TestGraphCarvedFromSlabs(t *testing.T) {
 
 // TestNetworkIsPlainData: a Network is numbers all the way down — no
 // slice, map or pointer a struct view could be parked behind — so
-// whatever holds one (simrun.NetCache, a fleet worker, an engine)
-// retains a few words, and a reader can never find a field that some
-// earlier call was supposed to fill.
+// whatever holds one (a point run, an engine) retains a few words,
+// and a reader can never find a field that some earlier call was
+// supposed to fill.
 func TestNetworkIsPlainData(t *testing.T) {
 	var check func(path string, typ reflect.Type)
 	check = func(path string, typ reflect.Type) {

@@ -13,8 +13,7 @@
 #      the shared content-addressed store answers everything.
 #
 # Along the way it checks that idle workers wait in held lease calls
-# (fleet_lease_waiters = 2) and that a worker builds its network once,
-# not once per lease.
+# (fleet_lease_waiters = 2).
 #
 # On failure, logs are copied to $E2E_ARTIFACT_DIR (if set) so CI can
 # upload them as artifacts.
@@ -114,9 +113,6 @@ wait_for "both workers parked in held lease calls" both_parked
 echo "== worker-side metrics surface"
 curl -fsS "http://127.0.0.1:$W1_PORT/metrics" | grep -q '^simd_worker_points_executed_total' \
   || { echo "w1 missing fleet worker metrics"; exit 1; }
-# One network in the panel: however many leases w1 ran, it built it once.
-[ "$(metric "http://127.0.0.1:$W1_PORT" simd_worker_network_builds_total)" = 1 ] \
-  || { echo "w1 did not keep its network between leases"; exit 1; }
 
 # Slow job: 6 fresh points at 8M cycles each, so a chunk-2 lease stays
 # outstanding for seconds — long enough to observe and kill its holder.
