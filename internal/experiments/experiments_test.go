@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -75,6 +76,44 @@ func TestByID(t *testing.T) {
 	}
 	if _, ok := ByID("nope"); ok {
 		t.Error("ByID(nope) succeeded")
+	}
+}
+
+// TestByIDIsTheTables: the registry ByID and Titles read holds every
+// figure, then every extension, as Figures and Extensions build them.
+func TestByIDIsTheTables(t *testing.T) {
+	all := append(Figures(), Extensions()...)
+	for _, want := range all {
+		if got, ok := ByID(want.ID); !ok || !reflect.DeepEqual(got, want) {
+			t.Errorf("ByID(%s) = %+v, %v; want %+v", want.ID, got, ok, want)
+		}
+	}
+	i := 0
+	for id, title := range Titles() {
+		if i >= len(all) || id != all[i].ID || title != all[i].Title {
+			t.Fatalf("Titles entry %d = %q %q, want the tables' %d-th experiment", i, id, title, i)
+		}
+		i++
+	}
+	if i != len(all) {
+		t.Errorf("Titles yields %d experiments, the tables hold %d", i, len(all))
+	}
+}
+
+// TestByIDCallerOwnsSlices: writing a returned experiment's Loads and
+// Curves leaves the next lookup as it was, and a lookup costs at most
+// the two clones.
+func TestByIDCallerOwnsSlices(t *testing.T) {
+	want, _ := ByID("fig17a")
+	e, _ := ByID("fig17a")
+	e.Loads[0] = 99
+	e.Curves[0].Label = "changed"
+	e.Curves[1].Net.K = 8
+	if got, _ := ByID("fig17a"); !reflect.DeepEqual(got, want) {
+		t.Errorf("a write to a returned experiment reached the registry: %+v", got)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { ByID("ext-adversarial") }); allocs > 2 {
+		t.Errorf("ByID: %v allocations, want at most 2", allocs)
 	}
 }
 

@@ -1,6 +1,10 @@
 package experiments
 
 import (
+	"iter"
+	"slices"
+	"sync"
+
 	"minsim/internal/engine"
 	"minsim/internal/traffic"
 )
@@ -349,12 +353,31 @@ var (
 	bimodalLengths = traffic.BimodalLen{Short: 16, Long: 1024, PShort: 0.7}
 )
 
-// ByID finds an experiment (paper figure or extension) by id.
+// registry is every paper figure, then every extension, built once:
+// simd looks an id up per request.
+var registry = sync.OnceValue(func() []Experiment { return append(Figures(), Extensions()...) })
+
+// ByID finds an experiment (paper figure or extension) by id. The
+// caller owns the returned Loads and Curves; slices inside a curve's
+// workload (Ratios, a trace) are shared and must not be written.
 func ByID(id string) (Experiment, bool) {
-	for _, e := range append(Figures(), Extensions()...) {
+	for _, e := range registry() {
 		if e.ID == id {
+			e.Loads, e.Curves = slices.Clone(e.Loads), slices.Clone(e.Curves)
 			return e, true
 		}
 	}
 	return Experiment{}, false
+}
+
+// Titles yields the id and title of every paper figure, then every
+// extension.
+func Titles() iter.Seq2[string, string] {
+	return func(yield func(string, string) bool) {
+		for _, e := range registry() {
+			if !yield(e.ID, e.Title) {
+				return
+			}
+		}
+	}
 }

@@ -5,6 +5,7 @@
 package metrics
 
 import (
+	"encoding/json"
 	"fmt"
 	"math"
 	"strconv"
@@ -379,6 +380,98 @@ func appendFixed(b []byte, v float64, prec int) []byte {
 		b = append(append(b, '.'), ds[exp+1:]...)
 	}
 	return b
+}
+
+// AppendJSON appends the figure as encoding/json marshals it (field
+// names and order as declared, nil slices as null), byte for byte,
+// without reflection: simd's warm replies are mostly this text. It
+// returns nil if a point holds NaN or ±Inf, which json.Marshal refuses.
+func (f Figure) AppendJSON(b []byte) []byte {
+	b = AppendJSONString(append(b, `{"ID":`...), f.ID)
+	b = AppendJSONString(append(b, `,"Title":`...), f.Title)
+	b = append(b, `,"Series":`...)
+	if f.Series == nil {
+		return append(b, "null}"...)
+	}
+	b = append(b, '[')
+	for i, s := range f.Series {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = AppendJSONString(append(b, `{"Label":`...), s.Label)
+		b = append(b, `,"Points":`...)
+		if s.Points == nil {
+			b = append(b, "null}"...)
+			continue
+		}
+		b = append(b, '[')
+		for j, p := range s.Points {
+			if j > 0 {
+				b = append(b, ',')
+			}
+			if b = p.appendJSON(b); b == nil {
+				return nil
+			}
+		}
+		b = append(b, "]}"...)
+	}
+	return append(b, "]}"...)
+}
+
+// appendJSON appends one point for AppendJSON, or returns nil if a
+// float is not finite.
+func (p Point) appendJSON(b []byte) []byte {
+	for _, x := range [...]float64{p.Offered, p.OfferedMeasured, p.Throughput, p.LatencyCyc, p.LatencyMs,
+		p.LatencyP0, p.LatencyP100, p.StdDev, p.LatencyCILo, p.LatencyCIHi, p.ThroughputCILo, p.ThroughputCIHi} {
+		if math.IsNaN(x) || math.IsInf(x, 0) {
+			return nil
+		}
+	}
+	b = appendJSONFloat(append(b, `{"Offered":`...), p.Offered)
+	b = appendJSONFloat(append(b, `,"OfferedMeasured":`...), p.OfferedMeasured)
+	b = appendJSONFloat(append(b, `,"Throughput":`...), p.Throughput)
+	b = appendJSONFloat(append(b, `,"LatencyCyc":`...), p.LatencyCyc)
+	b = appendJSONFloat(append(b, `,"LatencyMs":`...), p.LatencyMs)
+	b = appendJSONFloat(append(b, `,"LatencyP0":`...), p.LatencyP0)
+	b = appendJSONFloat(append(b, `,"LatencyP100":`...), p.LatencyP100)
+	b = appendJSONFloat(append(b, `,"StdDev":`...), p.StdDev)
+	b = strconv.AppendInt(append(b, `,"Messages":`...), p.Messages, 10)
+	b = strconv.AppendBool(append(b, `,"Sustainable":`...), p.Sustainable)
+	b = strconv.AppendInt(append(b, `,"Replicas":`...), int64(p.Replicas), 10)
+	b = appendJSONFloat(append(b, `,"LatencyCILo":`...), p.LatencyCILo)
+	b = appendJSONFloat(append(b, `,"LatencyCIHi":`...), p.LatencyCIHi)
+	b = appendJSONFloat(append(b, `,"ThroughputCILo":`...), p.ThroughputCILo)
+	b = appendJSONFloat(append(b, `,"ThroughputCIHi":`...), p.ThroughputCIHi)
+	return append(b, '}')
+}
+
+// appendJSONFloat appends a finite x as encoding/json does: the
+// shortest 'f' form, or 'e' below 1e-6 and from 1e21 on, with a
+// one-digit negative exponent unpadded (1e-7, not 1e-07).
+func appendJSONFloat(b []byte, x float64) []byte {
+	format := byte('f')
+	if a := math.Abs(x); a != 0 && (a < 1e-6 || a >= 1e21) {
+		format = 'e'
+	}
+	b = strconv.AppendFloat(b, x, format, -1, 64)
+	if n := len(b); format == 'e' && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
+		b[n-2], b = b[n-1], b[:n-1]
+	}
+	return b
+}
+
+// AppendJSONString appends s quoted as encoding/json marshals it. A
+// string of printable ASCII with none of "\<>& is copied between
+// quotes; any other goes through json.Marshal, which escapes those
+// bytes, control characters and invalid UTF-8.
+func AppendJSONString(b []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c > 0x7e || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			q, _ := json.Marshal(s) // a string always marshals
+			return append(b, q...)
+		}
+	}
+	return append(append(append(b, '"'), s...), '"')
 }
 
 // Table renders the figure as an aligned text table, one block per
