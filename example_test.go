@@ -1,10 +1,10 @@
 // The examples below are the library's tour: the paper's four network
 // families side by side, its traffic patterns, Section 4's
-// partitionability, Section 3's turnaround routing, software multicast,
-// fault tolerance and the closed-form models. Each builds networks from
-// simrun specs and simulates through simrun plans, so its numbers are
-// the points cmd/sweep and cmd/figures compute and cache for the same
-// specs; go test checks every line it prints.
+// partitionability, Section 3's turnaround routing, software multicast
+// and the closed-form models. Each builds networks from simrun specs
+// and simulates through simrun plans, so its numbers are the points
+// cmd/sweep and cmd/figures compute and cache for the same specs; go
+// test checks every line it prints.
 package minsim_test
 
 import (
@@ -14,7 +14,6 @@ import (
 	"strings"
 
 	"minsim/internal/analytic"
-	"minsim/internal/engine"
 	"minsim/internal/fattree"
 	"minsim/internal/metrics"
 	"minsim/internal/multicast"
@@ -437,80 +436,6 @@ func Example_multicast() {
 	//   separate addressing      16192            1
 	//   binomial tree            1560             6
 	//   dimension-ordered tree   1560             6
-}
-
-// Example_faults quantifies the paper's Section 2.1 motivation for
-// multipath MINs — "if a link becomes congested or fails, the unique
-// path property can easily disrupt the communication" — by counting
-// single-point-of-failure channels per network and simulating traffic
-// around an injected fault.
-func Example_faults() {
-	kinds := []struct {
-		name string
-		spec simrun.NetworkSpec
-	}{
-		{"TMIN", simrun.NetworkSpec{Kind: topology.TMIN, K: 2, Stages: 3}},
-		{"DMIN d=2", simrun.NetworkSpec{Kind: topology.DMIN, K: 2, Stages: 3}},
-		{"VMIN vc=2", simrun.NetworkSpec{Kind: topology.VMIN, K: 2, Stages: 3}},
-		{"BMIN", simrun.NetworkSpec{Kind: topology.BMIN, K: 2, Stages: 3}},
-		{"TMIN +1 extra stage", simrun.NetworkSpec{Kind: topology.TMIN, K: 2, Stages: 3, Extra: 1}},
-	}
-	fmt.Println("single points of failure in 8-node networks (2x2 switches)")
-	printRow("%-22s %-10s %-18s", "network", "channels", "critical channels")
-	for _, k := range kinds {
-		net := build(k.spec)
-		crit := 0
-		for _, pairs := range routing.CriticalChannels(net) {
-			if pairs > 0 {
-				crit++
-			}
-		}
-		printRow("%-22s %-10d %-18d", k.name, net.ChannelCount(), crit)
-	}
-	fmt.Println("\n(node injection/ejection links are always critical under the one-port")
-	fmt.Println("architecture; multipath networks have no critical interstage channels)")
-
-	// Simulate a DMIN around an interstage fault at 64 nodes. A fault is
-	// not part of a RunSpec, so the point is built from its spec and
-	// the failed channel set on its engine.
-	rs := simrun.RunSpec{Net: paper(topology.DMIN), Load: 0.4, Warmup: 10_000, Measure: 40_000, Seed: 9}
-	net := build(rs.Net)
-	victim := net.LayerBase(1) // the first interstage channel
-	fmt.Printf("\n64-node DMIN, uniform load 0.4, interstage channel %d failed:\n", victim)
-	for _, failed := range [][]int{nil, {victim}} {
-		e, err := rs.Point(net).NewEngine(func(cfg *engine.Config) { cfg.FailedChannels = failed })
-		if err != nil {
-			panic(err)
-		}
-		e.SetMeasureFrom(rs.Warmup)
-		e.Run(rs.Warmup + rs.Measure)
-		p := metrics.FromStats(rs.Load, net.Nodes, e.Stats())
-		label := "healthy"
-		if failed != nil {
-			label = "one fault"
-		}
-		fmt.Printf("  %-10s throughput %.4f, latency %.1f ms\n", label, p.Throughput, p.LatencyMs)
-	}
-	fmt.Println("\nThe dilated sibling channel absorbs the fault with a marginal cost;")
-	fmt.Println("on a TMIN the same fault would strand every pair routed through it.")
-	// Output:
-	// single points of failure in 8-node networks (2x2 switches)
-	// network                channels   critical channels
-	// TMIN                   32         32
-	// DMIN d=2               48         16
-	// VMIN vc=2              48         16
-	// BMIN                   48         16
-	// TMIN +1 extra stage    40         16
-	//
-	// (node injection/ejection links are always critical under the one-port
-	// architecture; multipath networks have no critical interstage channels)
-	//
-	// 64-node DMIN, uniform load 0.4, interstage channel 64 failed:
-	//   healthy    throughput 0.4018, latency 81.2 ms
-	//   one fault  throughput 0.3992, latency 84.1 ms
-	//
-	// The dilated sibling channel absorbs the fault with a marginal cost;
-	// on a TMIN the same fault would strand every pair routed through it.
 }
 
 // Example_analytic compares the simulator against the closed-form

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"slices"
 	"testing"
 
 	"minsim/internal/routing"
@@ -23,7 +24,7 @@ func TestDMINRoutesAroundFault(t *testing.T) {
 		Net:            net,
 		Source:         scripted(net.Nodes, msgs...),
 		Seed:           3,
-		FailedChannels: []int{victim},
+		failedChannels: []int{victim},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -55,7 +56,7 @@ func TestTMINFaultStallsAffectedPairsOnly(t *testing.T) {
 	for s := 0; s < net.Nodes; s++ {
 		d := (s + 9) % net.Nodes
 		msgs = append(msgs, Message{Src: s, Dst: d, Len: 16, Created: 0})
-		if !routing.Reachable(net, failed, s, d) {
+		if !reachable(net, failed, s, d) {
 			affected++
 		}
 	}
@@ -66,7 +67,7 @@ func TestTMINFaultStallsAffectedPairsOnly(t *testing.T) {
 		Net:            net,
 		Source:         scripted(net.Nodes, msgs...),
 		Seed:           4,
-		FailedChannels: []int{victim},
+		failedChannels: []int{victim},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -84,20 +85,18 @@ func TestTMINFaultStallsAffectedPairsOnly(t *testing.T) {
 
 func TestFailedChannelValidation(t *testing.T) {
 	net, _ := topology.NewBMIN(2, 2)
-	if _, err := New(Config{Net: net, FailedChannels: []int{-1}}); err == nil {
+	if _, err := New(Config{Net: net, failedChannels: []int{-1}}); err == nil {
 		t.Error("negative failed channel accepted")
 	}
-	if _, err := New(Config{Net: net, FailedChannels: []int{9999}}); err == nil {
+	if _, err := New(Config{Net: net, failedChannels: []int{9999}}); err == nil {
 		t.Error("out-of-range failed channel accepted")
 	}
 }
 
 // TestBMINBackwardFaultNeedsLookahead: with a failed backward channel
 // a fault-oblivious turnaround router can commit a worm past the point
-// of no return and stall, even though routing.Reachable finds every
-// pair reachable. The lookahead that would prevent it,
-// graphtest.FaultAware, is a specification the engine does not run;
-// its static check is routing's TestFaultAwareAvoidsBackwardDeadEnds.
+// of no return and stall, even though every pair keeps a route that
+// avoids the fault.
 func TestBMINBackwardFaultNeedsLookahead(t *testing.T) {
 	net, err := topology.NewBMIN(4, 3)
 	if err != nil {
@@ -108,7 +107,7 @@ func TestBMINBackwardFaultNeedsLookahead(t *testing.T) {
 	for s := 0; s < net.Nodes; s++ {
 		d := (s + 33) % net.Nodes
 		msgs = append(msgs, Message{Src: s, Dst: d, Len: 20, Created: 0})
-		if !routing.Reachable(net, map[int]bool{victim: true}, s, d) {
+		if !reachable(net, map[int]bool{victim: true}, s, d) {
 			t.Fatalf("%d->%d unreachable with one backward fault", s, d)
 		}
 	}
@@ -116,7 +115,7 @@ func TestBMINBackwardFaultNeedsLookahead(t *testing.T) {
 		Net:            net,
 		Source:         scripted(net.Nodes, msgs...),
 		Seed:           5,
-		FailedChannels: []int{victim},
+		failedChannels: []int{victim},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -129,4 +128,15 @@ func TestBMINBackwardFaultNeedsLookahead(t *testing.T) {
 		t.Errorf("delivered %d and stranded %d of %d", e.Stats().Delivered, stranded, len(msgs))
 	}
 	t.Logf("oblivious routing stranded %d worm(s)", stranded)
+}
+
+// reachable reports whether some route the routing function can take
+// from src to dst (src != dst) avoids every failed channel.
+func reachable(net *topology.Network, failed map[int]bool, src, dst int) bool {
+	for _, p := range routing.AllPaths(net, src, dst) {
+		if !slices.ContainsFunc(p, func(c int) bool { return failed[c] }) {
+			return true
+		}
+	}
+	return false
 }

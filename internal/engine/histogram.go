@@ -54,15 +54,6 @@ func (h *Histogram) Quantile(q float64) float64 {
 	return h.samples[idx]
 }
 
-// Min and Max return the extremes, or 0 when empty.
-func (h *Histogram) Min() float64 {
-	if len(h.samples) == 0 {
-		return 0
-	}
-	h.sort()
-	return h.samples[0]
-}
-
 // Max returns the largest sample, or 0 when empty.
 func (h *Histogram) Max() float64 {
 	if len(h.samples) == 0 {

@@ -9,7 +9,7 @@ import (
 
 func TestHistogramBasics(t *testing.T) {
 	var h Histogram
-	if h.Count() != 0 || h.Mean() != 0 || h.Min() != 0 || h.Max() != 0 || h.Quantile(0.5) != 0 {
+	if h.Count() != 0 || h.Mean() != 0 || h.Max() != 0 || h.Quantile(0.5) != 0 {
 		t.Error("empty histogram should zero everything")
 	}
 	for _, v := range []float64{10, 20, 30, 40, 50, 60, 70, 80, 90, 100} {
@@ -21,8 +21,8 @@ func TestHistogramBasics(t *testing.T) {
 	if h.Mean() != 55 {
 		t.Errorf("mean %v", h.Mean())
 	}
-	if h.Min() != 10 || h.Max() != 100 {
-		t.Errorf("min %v max %v", h.Min(), h.Max())
+	if h.Quantile(0) != 10 || h.Max() != 100 {
+		t.Errorf("min %v max %v", h.Quantile(0), h.Max())
 	}
 	if got := h.Quantile(0.5); got != 50 {
 		t.Errorf("p50 %v", got)

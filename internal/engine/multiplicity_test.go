@@ -55,7 +55,7 @@ func TestMultiplicityThreeEnginesPinned(t *testing.T) {
 		for i, arb := range []engine.Arbitration{engine.ArbitrateRandom, engine.ArbitrateOldestFirst} {
 			cfg := engine.Config{Net: c.net, Source: uniformSource(t, c.net.Nodes, 0.5, 7), Seed: 99, Arbitration: arb}
 			if c.failed {
-				cfg.FailedChannels = []int{c.net.LayerBase(1)}
+				engine.SetFailedChannels(&cfg, c.net.LayerBase(1))
 			}
 			e, err := engine.New(cfg)
 			if err != nil {

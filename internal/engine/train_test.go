@@ -442,7 +442,7 @@ func TestTrainAdvanceMatchesPerHop(t *testing.T) {
 						seed++
 						cfg := Config{Net: net, Seed: seed, Arbitration: arb, BufferDepth: depth}
 						if fault {
-							cfg.FailedChannels = []int{firstInterstageChannel(net)}
+							cfg.failedChannels = []int{firstInterstageChannel(net)}
 						}
 						label := fmt.Sprintf("%s/arb=%d/depth=%d/stats=%v/fault=%v", name, arb, depth, chanStats, fault)
 						t.Run(label, func(t *testing.T) {
@@ -512,7 +512,7 @@ func FuzzTrainAdvanceMatchesPerHop(f *testing.F) {
 			cfg.Arbitration = ArbitrateOldestFirst
 		}
 		if flags&4 != 0 {
-			cfg.FailedChannels = []int{firstInterstageChannel(net)}
+			cfg.failedChannels = []int{firstInterstageChannel(net)}
 		}
 		msgs := int(msgCount)%150 + 1
 		var cov trainCoverage

@@ -83,7 +83,7 @@ func TestFailedCandidateWokenNeverGranted(t *testing.T) {
 		}
 		return scripted(net.Nodes, msgs...)
 	}
-	cfg := Config{Net: net, Seed: 3, FailedChannels: []int{dead}}
+	cfg := Config{Net: net, Seed: 3, failedChannels: []int{dead}}
 	p := newDiffPair(t, cfg, script(), script(), false, 0, nil)
 	var cov trainCoverage
 	flagged, wakes, slot, moves := false, 0, -1, 0
@@ -140,7 +140,7 @@ func TestReactiveOfferBusyFreeFailed(t *testing.T) {
 			Message{Src: 0, Dst: 1, Len: 4},
 			Message{Src: busy, Dst: 40, Len: 200})
 	}
-	cfg := Config{Net: net, Seed: 1, FailedChannels: []int{net.Inject(cut)}}
+	cfg := Config{Net: net, Seed: 1, failedChannels: []int{net.Inject(cut)}}
 	p := newDiffPair(t, cfg, script(), script(), false, 0, react)
 	var cov trainCoverage
 	p.run(t, 600, &cov, nil)
@@ -214,7 +214,7 @@ func TestBMINForwardHeadWokenByAnyUpChannel(t *testing.T) {
 			cfg := Config{Net: net, Seed: 2}
 			for _, c := range ups {
 				if c != live {
-					cfg.FailedChannels = append(cfg.FailedChannels, c)
+					cfg.failedChannels = append(cfg.failedChannels, c)
 				}
 			}
 			script := func() *script {

@@ -34,15 +34,6 @@ func (r Radix) ShufflePerm() Perm {
 	return p
 }
 
-// UnshufflePerm returns σ^{-1} as a table.
-func (r Radix) UnshufflePerm() Perm {
-	p := make(Perm, r.size)
-	for x := range p {
-		p[x] = r.Unshuffle(x)
-	}
-	return p
-}
-
 // Valid reports whether p is a bijection over its index range.
 func (p Perm) Valid() bool {
 	seen := make([]bool, len(p))
@@ -79,19 +70,6 @@ func (p Perm) Compose(q Perm) Perm {
 		c[i] = q[p[i]]
 	}
 	return c
-}
-
-// Equal reports whether two permutations are identical.
-func (p Perm) Equal(q Perm) bool {
-	if len(p) != len(q) {
-		return false
-	}
-	for i := range p {
-		if p[i] != q[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // Fixed reports whether p is the identity.

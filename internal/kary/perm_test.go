@@ -1,16 +1,18 @@
 package kary
 
-import "testing"
+import (
+	"slices"
+	"testing"
+)
 
 func TestPermValidity(t *testing.T) {
 	r := MustNew(4, 3)
 	perms := map[string]Perm{
-		"identity":  r.IdentityPerm(),
-		"shuffle":   r.ShufflePerm(),
-		"unshuffle": r.UnshufflePerm(),
-		"beta0":     r.ButterflyPerm(0),
-		"beta1":     r.ButterflyPerm(1),
-		"beta2":     r.ButterflyPerm(2),
+		"identity": r.IdentityPerm(),
+		"shuffle":  r.ShufflePerm(),
+		"beta0":    r.ButterflyPerm(0),
+		"beta1":    r.ButterflyPerm(1),
+		"beta2":    r.ButterflyPerm(2),
 	}
 	for name, p := range perms {
 		if !p.Valid() {
@@ -30,13 +32,15 @@ func TestPermValidity(t *testing.T) {
 
 func TestPermInverse(t *testing.T) {
 	r := MustNew(4, 3)
-	s := r.ShufflePerm()
-	if !s.Inverse().Equal(r.UnshufflePerm()) {
-		t.Error("Inverse(σ) != σ^{-1}")
+	inv := r.ShufflePerm().Inverse()
+	for x, v := range inv {
+		if v != r.Unshuffle(x) {
+			t.Fatalf("Inverse(σ)(%d) = %d, σ^{-1}(%d) = %d", x, v, x, r.Unshuffle(x))
+		}
 	}
 	for i := 0; i < r.N(); i++ {
 		b := r.ButterflyPerm(i)
-		if !b.Inverse().Equal(b) {
+		if !slices.Equal(b.Inverse(), b) {
 			t.Errorf("β_%d should be self-inverse", i)
 		}
 	}

@@ -25,11 +25,6 @@ func CyclesToMilliseconds(cycles float64) float64 {
 	return cycles / FlitsPerMillisecond
 }
 
-// MillisecondsToCycles converts the other way.
-func MillisecondsToCycles(ms float64) float64 {
-	return ms * FlitsPerMillisecond
-}
-
 // Point is one measurement of a latency/throughput curve. It is
 // serialized (default field names) into simd job results and the
 // fleet's store bodies, and its fields are written in declaration
@@ -179,33 +174,6 @@ func (s Series) PeakThroughput() float64 {
 		}
 	}
 	return best
-}
-
-// LatencyAt interpolates the series' latency (cycles) at a target
-// throughput; ok is false when the target is outside the measured
-// sustainable range.
-func (s Series) LatencyAt(throughput float64) (float64, bool) {
-	var lo, hi *Point
-	for i := range s.Points {
-		p := &s.Points[i]
-		if !p.Sustainable {
-			continue
-		}
-		if p.Throughput <= throughput && (lo == nil || p.Throughput > lo.Throughput) {
-			lo = p
-		}
-		if p.Throughput >= throughput && (hi == nil || p.Throughput < hi.Throughput) {
-			hi = p
-		}
-	}
-	if lo == nil || hi == nil {
-		return 0, false
-	}
-	if hi.Throughput == lo.Throughput {
-		return lo.LatencyCyc, true
-	}
-	f := (throughput - lo.Throughput) / (hi.Throughput - lo.Throughput)
-	return lo.LatencyCyc + f*(hi.LatencyCyc-lo.LatencyCyc), true
 }
 
 // ConfidenceInterval computes a normal-approximation confidence

@@ -12,12 +12,6 @@ func TestConversions(t *testing.T) {
 	if got := CyclesToMilliseconds(20); got != 1 {
 		t.Errorf("20 cycles = %v ms, want 1", got)
 	}
-	if got := MillisecondsToCycles(2.5); got != 50 {
-		t.Errorf("2.5 ms = %v cycles, want 50", got)
-	}
-	if got := MillisecondsToCycles(CyclesToMilliseconds(123)); math.Abs(got-123) > 1e-9 {
-		t.Errorf("round trip = %v", got)
-	}
 }
 
 func TestFromStats(t *testing.T) {
@@ -117,23 +111,6 @@ func TestPeakThroughput(t *testing.T) {
 	}
 	if got := (Series{}).PeakThroughput(); got != 0 {
 		t.Errorf("empty series peak = %v", got)
-	}
-}
-
-func TestLatencyAt(t *testing.T) {
-	s := sampleSeries()
-	// Exact point.
-	if lat, ok := s.LatencyAt(0.3); !ok || lat != 700 {
-		t.Errorf("LatencyAt(0.3) = %v, %v", lat, ok)
-	}
-	// Interpolated halfway between 0.3 and 0.45.
-	lat, ok := s.LatencyAt(0.375)
-	if !ok || math.Abs(lat-1100) > 1e-9 {
-		t.Errorf("LatencyAt(0.375) = %v, want 1100", lat)
-	}
-	// Beyond the sustainable range.
-	if _, ok := s.LatencyAt(0.6); ok {
-		t.Error("LatencyAt beyond range should fail")
 	}
 }
 

@@ -1,6 +1,7 @@
 package routing
 
 import (
+	"slices"
 	"testing"
 
 	"minsim/internal/topology"
@@ -13,7 +14,7 @@ func TestWorstPermutationDeterministicAndValid(t *testing.T) {
 	}
 	p1, s1 := WorstPermutation(net, 9, 2000)
 	p2, s2 := WorstPermutation(net, 9, 2000)
-	if !p1.Equal(p2) || s1 != s2 {
+	if !slices.Equal(p1, p2) || s1 != s2 {
 		t.Fatal("same seed and iters produced different permutations")
 	}
 	if !p1.Valid() {

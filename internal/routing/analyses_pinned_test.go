@@ -30,12 +30,12 @@ func (d *digest) add(xs ...int) {
 
 // analysesDigests walks every analysis the routing function backs and
 // digests its output: AllPaths over every ordered pair (count, then
-// each path's channels in order), the CriticalChannels vector,
-// WorstPermutation at seeds 1-3 (permutation and sharing), and
-// partition.Analyze on the top-digit and the bottom-digit clusterings
-// (verdicts, per-layer wire counts and sharing cluster pairs).
-func analysesDigests(net *topology.Network) [4]digest {
-	var paths, crit, worst, part digest
+// each path's channels in order), WorstPermutation at seeds 1-3
+// (permutation and sharing), and partition.Analyze on the top-digit
+// and the bottom-digit clusterings (verdicts, per-layer wire counts
+// and sharing cluster pairs).
+func analysesDigests(net *topology.Network) [3]digest {
+	var paths, worst, part digest
 	for s := 0; s < net.Nodes; s++ {
 		for d := 0; d < net.Nodes; d++ {
 			if s == d {
@@ -48,7 +48,6 @@ func analysesDigests(net *topology.Network) [4]digest {
 			}
 		}
 	}
-	crit.add(routing.CriticalChannels(net)...)
 	for _, seed := range []uint64{1, 2, 3} {
 		perm, sh := routing.WorstPermutation(net, seed, 300)
 		worst.add(perm...)
@@ -67,7 +66,7 @@ func analysesDigests(net *topology.Network) [4]digest {
 			part.add(sp[0], sp[1])
 		}
 	}
-	return [4]digest{paths, crit, worst, part}
+	return [3]digest{paths, worst, part}
 }
 
 // digitClusterings returns the k clusters fixing the top address digit
@@ -99,26 +98,26 @@ func b2i(b bool) int {
 // and channel multiplicity, BMIN with virtual channels included — up to
 // 16 nodes, and then each 64-node paper network alone. (The 64-node
 // corners of that enumeration are left to the equivalence test: their
-// exhaustive path and critical-channel walks take minutes.)
+// exhaustive path walks take minutes.)
 func TestAnalysesPinned(t *testing.T) {
 	type row struct {
-		name                     string
-		networks                 int
-		paths, crit, worst, part digest
+		name               string
+		networks           int
+		paths, worst, part digest
 	}
 	pinned := []row{
-		{"k=2 n=1", 88, 0xbbf5cecdda7728e8, 0xfb9bd2ca7260bb20, 0xfc927b1819c750fc, 0x81ee02a221887a58},
-		{"k=2 n=2", 88, 0x5283ddc0f7cfc2c5, 0x422a1363832aab83, 0xb20de50dbe919628, 0x987f7e1e027c24b8},
-		{"k=2 n=3", 88, 0x015383b7e3904169, 0x813a5aace5ae0836, 0x7ebb7996068cb00c, 0xf73b3edab13bc5eb},
-		{"k=2 n=4", 88, 0xea9c4236de56f49a, 0xf6fd19c2f4b511d4, 0x8e4300db434b50a3, 0x0de4ab1f48d55644},
-		{"k=4 n=1", 88, 0x63b3d9f81ab05e80, 0x260421f986a52d48, 0x3be14b1c1c77f928, 0x258b076aedc87a60},
-		{"k=4 n=2", 88, 0x67652a935e923f93, 0x3e130877a56e40de, 0xfeb77f5264bfb6c8, 0xea0b2ee86d825a0c},
-		{"k=8 n=1", 88, 0xc62422ac7f1b739c, 0xa06522a58b32a8d8, 0xcba05ab01d684514, 0x892793c2213f4dd8},
-		{"tmin-cube", 1, 0x3a24254b0a88d120, 0x643c28a5d9991325, 0x10b7631d063e438a, 0xc77d8caba7d35180},
-		{"tmin-butterfly", 1, 0x903936c308a09600, 0x9f6dda1a06823d25, 0x2203debfc32a7db9, 0x12b4312f19c14d8e},
-		{"dmin-cube", 1, 0xb40d1ce1a1599eb0, 0xd433f096faaa3b25, 0x10b7631d063e438a, 0xc77d8caba7d35180},
-		{"vmin-cube", 1, 0xb40d1ce1a1599eb0, 0xd433f096faaa3b25, 0x10b7631d063e438a, 0xc77d8caba7d35180},
-		{"bmin-butterfly", 1, 0x68d9756029ff5980, 0xde1e0b56ed2a3b25, 0x9a7f28438f195a76, 0x88dcfd911c9232ae},
+		{"k=2 n=1", 88, 0xbbf5cecdda7728e8, 0xfc927b1819c750fc, 0x81ee02a221887a58},
+		{"k=2 n=2", 88, 0x5283ddc0f7cfc2c5, 0xb20de50dbe919628, 0x987f7e1e027c24b8},
+		{"k=2 n=3", 88, 0x015383b7e3904169, 0x7ebb7996068cb00c, 0xf73b3edab13bc5eb},
+		{"k=2 n=4", 88, 0xea9c4236de56f49a, 0x8e4300db434b50a3, 0x0de4ab1f48d55644},
+		{"k=4 n=1", 88, 0x63b3d9f81ab05e80, 0x3be14b1c1c77f928, 0x258b076aedc87a60},
+		{"k=4 n=2", 88, 0x67652a935e923f93, 0xfeb77f5264bfb6c8, 0xea0b2ee86d825a0c},
+		{"k=8 n=1", 88, 0xc62422ac7f1b739c, 0xcba05ab01d684514, 0x892793c2213f4dd8},
+		{"tmin-cube", 1, 0x3a24254b0a88d120, 0x10b7631d063e438a, 0xc77d8caba7d35180},
+		{"tmin-butterfly", 1, 0x903936c308a09600, 0x2203debfc32a7db9, 0x12b4312f19c14d8e},
+		{"dmin-cube", 1, 0xb40d1ce1a1599eb0, 0x10b7631d063e438a, 0xc77d8caba7d35180},
+		{"vmin-cube", 1, 0xb40d1ce1a1599eb0, 0x10b7631d063e438a, 0xc77d8caba7d35180},
+		{"bmin-butterfly", 1, 0x68d9756029ff5980, 0x9a7f28438f195a76, 0x88dcfd911c9232ae},
 	}
 	var got []row
 	for _, kn := range [][2]int{{2, 1}, {2, 2}, {2, 3}, {2, 4}, {4, 1}, {4, 2}, {8, 1}} {
@@ -136,9 +135,8 @@ func TestAnalysesPinned(t *testing.T) {
 						}
 						d := analysesDigests(net)
 						r.paths.add(int(d[0]))
-						r.crit.add(int(d[1]))
-						r.worst.add(int(d[2]))
-						r.part.add(int(d[3]))
+						r.worst.add(int(d[1]))
+						r.part.add(int(d[2]))
 						r.networks++
 					}
 				}
@@ -152,15 +150,15 @@ func TestAnalysesPinned(t *testing.T) {
 			t.Fatal(err)
 		}
 		d := analysesDigests(net)
-		got = append(got, row{ns.Name, 1, d[0], d[1], d[2], d[3]})
+		got = append(got, row{ns.Name, 1, d[0], d[1], d[2]})
 	}
 	if len(got) != len(pinned) {
 		t.Fatalf("%d rows, %d pinned", len(got), len(pinned))
 	}
 	for i, g := range got {
 		if g != pinned[i] {
-			t.Errorf("got  %s: %d networks, paths %#016x critical %#016x worst %#016x partition %#016x\nwant %+v",
-				g.name, g.networks, uint64(g.paths), uint64(g.crit), uint64(g.worst), uint64(g.part), pinned[i])
+			t.Errorf("got  %s: %d networks, paths %#016x worst %#016x partition %#016x\nwant %+v",
+				g.name, g.networks, uint64(g.paths), uint64(g.worst), uint64(g.part), pinned[i])
 		}
 	}
 }

@@ -4,69 +4,77 @@ import (
 	"testing"
 
 	"minsim/internal/topology"
-	"minsim/internal/topology/graphtest"
 )
+
+// The paper's Section 2.1 motivates multipath MINs by fault tolerance:
+// a single failed channel disconnects a pair exactly when every route
+// the routing function offers it crosses that channel. These tests
+// check that property on AllPaths.
+
+// cutBy returns the channels lying on every route from src to dst
+// (src != dst): the single faults that disconnect the pair.
+func cutBy(net *topology.Network, src, dst int) map[int]bool {
+	paths := AllPaths(net, src, dst)
+	cut := map[int]bool{}
+	for _, c := range paths[0] {
+		cut[c] = true
+	}
+	for _, p := range paths[1:] {
+		on := map[int]bool{}
+		for _, c := range p {
+			on[c] = true
+		}
+		for c := range cut {
+			if !on[c] {
+				delete(cut, c)
+			}
+		}
+	}
+	return cut
+}
 
 func TestReachableNoFaults(t *testing.T) {
 	net := mustBMIN(t, 4, 3)
 	for s := 0; s < net.Nodes; s += 7 {
 		for d := 0; d < net.Nodes; d++ {
-			if !Reachable(net, nil, s, d) {
+			if s != d && len(AllPaths(net, s, d)) == 0 {
 				t.Fatalf("%d->%d unreachable with no faults", s, d)
 			}
 		}
 	}
 }
 
-// TestTMINSingleFaultDisconnects: failing any interstage channel of a
-// TMIN disconnects some pairs — the unique-path fragility of
-// Section 2.1.
+// TestTMINSingleFaultDisconnects: failing an interstage channel of a
+// TMIN disconnects exactly the pairs whose unique path crosses it —
+// the unique-path fragility of Section 2.1.
 func TestTMINSingleFaultDisconnects(t *testing.T) {
 	net := mustUni(t, topology.UniConfig{K: 4, Stages: 3, Pattern: topology.Cube, Dilation: 1, VCs: 1})
-	// Pick an interstage channel (layer 1).
-	var victim int = -1
-	for i := range net.ChannelCount() {
-		if layer, _, _ := net.Address(i); layer == 1 {
-			victim = i
-			break
-		}
-	}
-	pairs := DisconnectedPairs(net, map[int]bool{victim: true})
-	// The disconnected set must be exactly the pairs whose unique
-	// path crosses the victim: k sources x k^2 destinations minus the
-	// self-pairs among them.
-	want := 0
+	victim := net.LayerBase(1) // the first interstage channel
+	cut, crossing := 0, 0
 	for s := 0; s < net.Nodes; s++ {
 		for d := 0; d < net.Nodes; d++ {
 			if s == d {
 				continue
 			}
+			cuts := cutBy(net, s, d)[victim]
+			crosses := false
 			for _, c := range OnePath(net, s, d) {
-				if c == victim {
-					want++
-					break
-				}
+				crosses = crosses || c == victim
+			}
+			if cuts != crosses {
+				t.Fatalf("%d->%d: cut by the victim %t, unique path crosses it %t", s, d, cuts, crosses)
+			}
+			if cuts {
+				cut++
+			}
+			if crosses {
+				crossing++
 			}
 		}
 	}
-	if want < 60 || want > 64 {
-		t.Fatalf("victim carries %d pairs, expected about k*k^2 = 64", want)
-	}
-	if len(pairs) != want {
-		t.Errorf("TMIN single fault disconnected %d pairs, want %d", len(pairs), want)
-	}
-	// Every disconnected pair routes through the victim.
-	for _, p := range pairs {
-		path := OnePath(net, p[0], p[1])
-		found := false
-		for _, c := range path {
-			if c == victim {
-				found = true
-			}
-		}
-		if !found {
-			t.Fatalf("pair %v reported disconnected but avoids the fault", p)
-		}
+	// k sources x k^2 destinations, minus the self-pairs among them.
+	if cut < 60 || cut > 64 || cut != crossing {
+		t.Errorf("victim cuts %d pairs and carries %d, want about k*k^2 = 64 of each", cut, crossing)
 	}
 }
 
@@ -74,13 +82,16 @@ func TestTMINSingleFaultDisconnects(t *testing.T) {
 // any single interstage channel failure.
 func TestDMINToleratesSingleInterstageFault(t *testing.T) {
 	net := mustUni(t, topology.UniConfig{K: 4, Stages: 3, Pattern: topology.Cube, Dilation: 2, VCs: 1})
-	for i := range net.ChannelCount() {
-		ch := net.ChannelAt(i)
-		if ch.Layer == 0 || ch.Layer == net.Stages {
-			continue // node links are necessarily critical
-		}
-		if pairs := DisconnectedPairs(net, map[int]bool{i: true}); len(pairs) != 0 {
-			t.Fatalf("DMIN: failing interstage channel %d disconnected %d pairs", i, len(pairs))
+	for s := 0; s < net.Nodes; s++ {
+		for d := 0; d < net.Nodes; d++ {
+			if s == d {
+				continue
+			}
+			for c := range cutBy(net, s, d) {
+				if l := net.ChannelAt(c).Layer; l != 0 && l != net.Stages {
+					t.Fatalf("DMIN: failing interstage channel %d disconnects %d->%d", c, s, d)
+				}
+			}
 		}
 	}
 }
@@ -93,126 +104,74 @@ func TestDMINToleratesSingleInterstageFault(t *testing.T) {
 // remain critical, as in every one-port network.)
 func TestBMINSingleInterstageFaultTolerance(t *testing.T) {
 	net := mustBMIN(t, 2, 3)
-	for i := range net.ChannelCount() {
-		ch := net.ChannelAt(i)
-		if ch.Layer == 0 {
-			continue // node links
-		}
-		if pairs := DisconnectedPairs(net, map[int]bool{i: true}); len(pairs) != 0 {
-			t.Errorf("BMIN: failing %s channel %d (layer %d) disconnected %d pairs",
-				ch.Dir, i, ch.Layer, len(pairs))
-		}
-	}
-	// Node links are critical: failing an ejection channel cuts off
-	// all traffic into that node.
 	ej := net.Eject(3)
-	pairs := DisconnectedPairs(net, map[int]bool{ej: true})
-	if len(pairs) != net.Nodes-1 {
-		t.Errorf("failed ejection channel disconnected %d pairs, want %d", len(pairs), net.Nodes-1)
-	}
-}
-
-// TestCriticalChannels quantifies the fragility ranking: every TMIN
-// channel is critical; no DMIN interstage channel is.
-func TestCriticalChannels(t *testing.T) {
-	tminNet := mustUni(t, topology.UniConfig{K: 2, Stages: 3, Pattern: topology.Cube, Dilation: 1, VCs: 1})
-	crit := CriticalChannels(tminNet)
-	for c, n := range crit {
-		if n == 0 {
-			t.Errorf("TMIN channel %d reported non-critical", c)
-		}
-	}
-	dminNet := mustUni(t, topology.UniConfig{K: 2, Stages: 3, Pattern: topology.Cube, Dilation: 2, VCs: 1})
-	critD := CriticalChannels(dminNet)
-	for c, n := range critD {
-		ch := dminNet.ChannelAt(c)
-		interstage := ch.Layer > 0 && ch.Layer < dminNet.Stages
-		if interstage && n != 0 {
-			t.Errorf("DMIN interstage channel %d critical for %d pairs", c, n)
-		}
-		if !interstage && n == 0 {
-			t.Errorf("DMIN node-edge channel %d should be critical", c)
-		}
-	}
-}
-
-// TestFaultAwareAvoidsBackwardDeadEnds is the lookahead half of the
-// engine's TestBMINBackwardFaultNeedsLookahead, checked statically.
-// With one backward channel of a BMIN(4,3) failed, every pair stays
-// reachable, yet turnaround routing alone offers some walk that turns
-// around above the fault and then finds its unique downward channel
-// failed — a dead end, where a wormhole head would wait forever.
-// Through FaultAware's candidates no walk from any pair dead-ends.
-func TestFaultAwareAvoidsBackwardDeadEnds(t *testing.T) {
-	net := mustBMIN(t, 4, 3)
-	victim := net.LayerBase(2) + net.VCs // wire 0's first backward channel
-	failed := map[int]bool{victim: true}
-	g := graphtest.New(net)
-	oblivious := graphtest.RouterFor(net)
-	aware := graphtest.FaultAware{Inner: oblivious, Failed: failed}
-	stranded := 0
+	cutByEject := 0
 	for s := 0; s < net.Nodes; s++ {
 		for d := 0; d < net.Nodes; d++ {
 			if s == d {
 				continue
 			}
-			if !Reachable(net, failed, s, d) {
-				t.Fatalf("%d->%d unreachable with one backward fault", s, d)
+			cut := cutBy(net, s, d)
+			for c := range cut {
+				if ch := net.ChannelAt(c); ch.Layer != 0 {
+					t.Errorf("BMIN: failing %s channel %d (layer %d) disconnects %d->%d", ch.Dir, c, ch.Layer, s, d)
+				}
 			}
-			if deadEnd(g, aware, failed, s, d) {
-				t.Fatalf("%d->%d: a walk through fault-aware candidates dead-ends", s, d)
-			}
-			if deadEnd(g, oblivious, failed, s, d) {
-				stranded++
+			if cut[ej] {
+				cutByEject++
 			}
 		}
 	}
-	if stranded == 0 {
-		t.Fatal("turnaround routing alone has no dead end here; choose another victim")
+	// Failing an ejection channel cuts off all traffic into its node.
+	if cutByEject != net.Nodes-1 {
+		t.Errorf("failed ejection channel disconnects %d pairs, want %d", cutByEject, net.Nodes-1)
 	}
-	t.Logf("turnaround alone can strand %d pairs; fault-aware none", stranded)
 }
 
-// deadEnd reports whether some walk from src's injection channel that
-// takes any non-failed candidate of r at every hop reaches a channel
-// whose candidates have all failed, or ejects at a node other than dst.
-func deadEnd(net *graphtest.Graph, r graphtest.Router, failed map[int]bool, src, dst int) bool {
-	seen := map[int]bool{}
-	var walk func(c int) bool
-	walk = func(c int) bool {
-		if seen[c] {
-			return false
-		}
-		seen[c] = true
-		ch := &net.Channels[c]
-		if ch.To.IsNode() {
-			return ch.To.Node != dst
-		}
-		live := 0
-		for _, next := range r.Candidates(nil, net, ch, dst) {
-			if failed[next] {
-				continue
-			}
-			live++
-			if walk(next) {
-				return true
+// TestCriticalChannels quantifies the fragility ranking: every TMIN
+// channel is critical for some pair; no DMIN interstage channel is.
+func TestCriticalChannels(t *testing.T) {
+	critical := func(net *topology.Network) map[int]bool {
+		crit := map[int]bool{}
+		for s := 0; s < net.Nodes; s++ {
+			for d := 0; d < net.Nodes; d++ {
+				if s != d {
+					for c := range cutBy(net, s, d) {
+						crit[c] = true
+					}
+				}
 			}
 		}
-		return live == 0
+		return crit
 	}
-	return walk(net.Inject[src])
+	tminNet := mustUni(t, topology.UniConfig{K: 2, Stages: 3, Pattern: topology.Cube, Dilation: 1, VCs: 1})
+	crit := critical(tminNet)
+	for c := range tminNet.ChannelCount() {
+		if !crit[c] {
+			t.Errorf("TMIN channel %d is not critical", c)
+		}
+	}
+	dminNet := mustUni(t, topology.UniConfig{K: 2, Stages: 3, Pattern: topology.Cube, Dilation: 2, VCs: 1})
+	critD := critical(dminNet)
+	for c := range dminNet.ChannelCount() {
+		ch := dminNet.ChannelAt(c)
+		interstage := ch.Layer > 0 && ch.Layer < dminNet.Stages
+		if interstage && critD[c] {
+			t.Errorf("DMIN interstage channel %d is critical", c)
+		}
+		if !interstage && !critD[c] {
+			t.Errorf("DMIN node-edge channel %d should be critical", c)
+		}
+	}
 }
 
 func TestInjectionFaultUnreachable(t *testing.T) {
 	net := mustBMIN(t, 2, 2)
-	failed := map[int]bool{net.Inject(1): true}
-	if Reachable(net, failed, 1, 2) {
+	inj := net.Inject(1)
+	if !cutBy(net, 1, 2)[inj] {
 		t.Error("node with failed injection channel reported reachable")
 	}
-	if !Reachable(net, failed, 2, 1) {
+	if cutBy(net, 2, 1)[inj] {
 		t.Error("incoming traffic should not need the injection channel")
-	}
-	if !Reachable(net, failed, 1, 1) {
-		t.Error("self reachability should hold trivially")
 	}
 }

@@ -100,52 +100,3 @@ func (Turnaround) Candidates(dst []int, net *Graph, in *topology.Channel, dest i
 	p := sw.PortAt(topology.Left, r.Digit(dest, j))
 	return append(dst, p.Channels...)
 }
-
-// FaultAware wraps a router and prunes candidates that are failed or
-// lead only to failed continuations. A fault-oblivious wormhole
-// router can commit a worm into a region from which the only exit is
-// a faulty channel (e.g. a BMIN turnaround whose unique downward path
-// is broken); the wrapper performs the reachability lookahead a
-// fault-aware switch would, so any statically reachable destination
-// stays dynamically reachable. The engine routes only the family
-// algorithms, so the wrapper is a test statement of the property:
-// routing's TestFaultAwareAvoidsBackwardDeadEnds checks it statically.
-type FaultAware struct {
-	Inner  Router
-	Failed map[int]bool
-}
-
-// Candidates implements Router.
-func (f FaultAware) Candidates(dst []int, net *Graph, in *topology.Channel, dest int) []int {
-	start := len(dst)
-	dst = f.Inner.Candidates(dst, net, in, dest)
-	keep := start
-	for _, c := range dst[start:] {
-		if f.Failed[c] {
-			continue
-		}
-		if f.leads(net, c, dest) {
-			dst[keep] = c
-			keep++
-		}
-	}
-	return dst[:keep]
-}
-
-// leads reports whether some fault-free continuation from channel c
-// reaches dest.
-func (f FaultAware) leads(net *Graph, c int, dest int) bool {
-	ch := &net.Channels[c]
-	if ch.To.IsNode() {
-		return ch.To.Node == dest
-	}
-	for _, next := range f.Inner.Candidates(nil, net, ch, dest) {
-		if f.Failed[next] {
-			continue
-		}
-		if f.leads(net, next, dest) {
-			return true
-		}
-	}
-	return false
-}

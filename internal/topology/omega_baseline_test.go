@@ -1,6 +1,7 @@
 package topology_test
 
 import (
+	"slices"
 	"testing"
 
 	"minsim/internal/kary"
@@ -65,7 +66,7 @@ func TestOmegaBaselineDelivery(t *testing.T) {
 func TestOmegaConnIsShuffle(t *testing.T) {
 	r := kary.MustNew(4, 3)
 	for layer := 0; layer < 3; layer++ {
-		if !topology.ConnPerm(r, topology.Omega, layer).Equal(r.ShufflePerm()) {
+		if !slices.Equal(topology.ConnPerm(r, topology.Omega, layer), r.ShufflePerm()) {
 			t.Errorf("omega C_%d != σ", layer)
 		}
 	}

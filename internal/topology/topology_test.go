@@ -1,6 +1,7 @@
 package topology_test
 
 import (
+	"slices"
 	"testing"
 
 	"minsim/internal/kary"
@@ -76,7 +77,7 @@ func TestConnPermsAreValid(t *testing.T) {
 		}
 	}
 	// Cube C_0 is the shuffle; butterfly C_0 is the identity.
-	if !topology.ConnPerm(r, topology.Cube, 0).Equal(r.ShufflePerm()) {
+	if !slices.Equal(topology.ConnPerm(r, topology.Cube, 0), r.ShufflePerm()) {
 		t.Error("cube C_0 != σ")
 	}
 	if !topology.ConnPerm(r, topology.Butterfly, 0).Fixed() {

@@ -15,8 +15,8 @@ func deliverN(r *Recorder, n int) {
 func TestRecorderUnboundedDefault(t *testing.T) {
 	var r Recorder
 	deliverN(&r, 250)
-	if len(r.Records) != 250 || r.Seen() != 250 {
-		t.Fatalf("kept %d seen %d, want 250/250", len(r.Records), r.Seen())
+	if len(r.Records) != 250 || r.seen != 250 {
+		t.Fatalf("kept %d seen %d, want 250/250", len(r.Records), r.seen)
 	}
 }
 
@@ -29,8 +29,8 @@ func TestRecorderKeepFirstLimit(t *testing.T) {
 	if cap(r.Records) != 100 {
 		t.Errorf("buffer capacity %d, want exactly the limit 100", cap(r.Records))
 	}
-	if r.Seen() != 250 {
-		t.Errorf("seen %d, want 250", r.Seen())
+	if r.seen != 250 {
+		t.Errorf("seen %d, want 250", r.seen)
 	}
 	// Keep-first retains the prefix in delivery order.
 	for i, m := range r.Records {
@@ -44,8 +44,8 @@ func TestRecorderReservoir(t *testing.T) {
 	sample := func(seed uint64) []MessageRecord {
 		r := Recorder{Limit: 100, Sample: true, Seed: seed}
 		deliverN(&r, 2000)
-		if len(r.Records) != 100 || r.Seen() != 2000 {
-			t.Fatalf("kept %d seen %d, want 100/2000", len(r.Records), r.Seen())
+		if len(r.Records) != 100 || r.seen != 2000 {
+			t.Fatalf("kept %d seen %d, want 100/2000", len(r.Records), r.seen)
 		}
 		return r.Records
 	}
@@ -96,19 +96,5 @@ func TestRecorderReserve(t *testing.T) {
 	deliverN(&r, 400)
 	if cap(r.Records) < 500 || len(r.Records) != 400 {
 		t.Fatalf("len %d cap %d after 400 deliveries", len(r.Records), cap(r.Records))
-	}
-}
-
-func TestRecorderPairs(t *testing.T) {
-	var r Recorder
-	deliverN(&r, 14)
-	pairs := r.Pairs()
-	if len(pairs) != 14 {
-		t.Fatalf("%d pairs, want 14", len(pairs))
-	}
-	for i, p := range pairs {
-		if p.Src != r.Records[i].Src || p.Dst != r.Records[i].Dst {
-			t.Fatalf("pair %d is %+v, record is %+v", i, p, r.Records[i])
-		}
 	}
 }

@@ -10,7 +10,6 @@ import (
 
 	"minsim/internal/engine"
 	"minsim/internal/topology"
-	"minsim/internal/traffic"
 	"minsim/internal/xrand"
 )
 
@@ -34,14 +33,14 @@ type Recorder struct {
 	// first Limit deliveries are kept and the rest dropped.
 	Limit int
 	// Sample selects reservoir mode: with Limit > 0, every delivery of
-	// the run is retained with equal probability Limit/Seen(). Records
-	// order is then arbitrary, not delivery order.
+	// the run is retained with equal probability Limit/deliveries.
+	// Records order is then arbitrary, not delivery order.
 	Sample bool
 	// Seed drives the reservoir's PRNG; the same (Seed, delivery
 	// stream) always retains the same sample.
 	Seed uint64
 
-	seen int64
+	seen int64 // deliveries observed, including ones the cap dropped
 	rng  *xrand.Source
 }
 
@@ -58,10 +57,6 @@ func (r *Recorder) Reserve(n int) {
 		r.Records = grown
 	}
 }
-
-// Seen returns how many deliveries the recorder observed, including
-// ones the cap dropped.
-func (r *Recorder) Seen() int64 { return r.seen }
 
 // OnDeliver is the engine callback.
 func (r *Recorder) OnDeliver(m engine.Message, completed int64) {
@@ -92,61 +87,12 @@ func (r *Recorder) OnDeliver(m engine.Message, completed int64) {
 	}
 }
 
-// Pairs extracts the source→destination skeleton of the recorded
-// trace in record order, ready to feed a traffic.TracePattern —
-// capture on one run, replay the communication structure on another
-// network or at another load.
-func (r *Recorder) Pairs() []traffic.Pair {
-	pairs := make([]traffic.Pair, len(r.Records))
-	for i, m := range r.Records {
-		pairs[i] = traffic.Pair{Src: m.Src, Dst: m.Dst}
-	}
-	return pairs
-}
-
 // CSV renders all records with a header.
 func (r *Recorder) CSV() string {
 	var sb strings.Builder
 	sb.WriteString("src,dst,len,created,delivered,latency\n")
 	for _, m := range r.Records {
 		fmt.Fprintf(&sb, "%d,%d,%d,%d,%d,%d\n", m.Src, m.Dst, m.Len, m.Created, m.Delivered, m.Latency())
-	}
-	return sb.String()
-}
-
-// Summary renders aggregate statistics: message count, mean latency,
-// and the busiest destinations (hot-spot detection).
-func (r *Recorder) Summary() string {
-	if len(r.Records) == 0 {
-		return "trace: no messages delivered\n"
-	}
-	var sum int64
-	byDst := map[int]int{}
-	for _, m := range r.Records {
-		sum += m.Latency()
-		byDst[m.Dst]++
-	}
-	type dc struct{ dst, n int }
-	tops := make([]dc, 0, len(byDst))
-	for d, n := range byDst {
-		tops = append(tops, dc{d, n})
-	}
-	sort.Slice(tops, func(i, j int) bool {
-		if tops[i].n != tops[j].n {
-			return tops[i].n > tops[j].n
-		}
-		return tops[i].dst < tops[j].dst
-	})
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "trace: %d messages, mean latency %.1f cycles\n",
-		len(r.Records), float64(sum)/float64(len(r.Records)))
-	show := len(tops)
-	if show > 5 {
-		show = 5
-	}
-	sb.WriteString("busiest destinations:\n")
-	for _, t := range tops[:show] {
-		fmt.Fprintf(&sb, "  node %3d: %d messages\n", t.dst, t.n)
 	}
 	return sb.String()
 }

@@ -51,14 +51,6 @@ func TestRecorder(t *testing.T) {
 	if !strings.HasPrefix(csv, "src,dst,len,") || strings.Count(csv, "\n") != 4 {
 		t.Errorf("CSV malformed:\n%s", csv)
 	}
-	sum := rec.Summary()
-	if !strings.Contains(sum, "3 messages") {
-		t.Errorf("summary missing count: %s", sum)
-	}
-	// Node 5 received two messages: busiest destination.
-	if !strings.Contains(sum, "node   5: 2 messages") {
-		t.Errorf("summary missing hot destination:\n%s", sum)
-	}
 
 	util := UtilizationReport(net, e.ChannelFlits(), e.Stats().Cycles)
 	if !strings.Contains(util, "C0") || !strings.Contains(util, "C3") {
@@ -68,9 +60,6 @@ func TestRecorder(t *testing.T) {
 
 func TestEmptyRecorder(t *testing.T) {
 	var rec Recorder
-	if !strings.Contains(rec.Summary(), "no messages") {
-		t.Error("empty summary wrong")
-	}
 	if strings.Count(rec.CSV(), "\n") != 1 {
 		t.Error("empty CSV should be header only")
 	}

@@ -217,23 +217,3 @@ func TestTracePattern(t *testing.T) {
 		t.Error("unrecorded source generated traffic")
 	}
 }
-
-func TestAllToAllTrace(t *testing.T) {
-	pairs := AllToAllTrace(4)
-	if len(pairs) != 12 {
-		t.Fatalf("%d pairs, want 12", len(pairs))
-	}
-	seen := map[Pair]bool{}
-	for _, p := range pairs {
-		if p.Src == p.Dst {
-			t.Fatalf("self pair %+v", p)
-		}
-		if seen[p] {
-			t.Fatalf("duplicate pair %+v", p)
-		}
-		seen[p] = true
-	}
-	if _, err := NewTracePattern(4, pairs); err != nil {
-		t.Fatal(err)
-	}
-}

@@ -9,95 +9,57 @@ import (
 	"minsim/internal/traffic"
 )
 
-func TestReplayValidation(t *testing.T) {
-	bad := [][]engine.Message{
-		{{Src: -1, Dst: 1, Len: 5}},
-		{{Src: 0, Dst: 9, Len: 5}},
-		{{Src: 1, Dst: 1, Len: 5}},
-		{{Src: 0, Dst: 1, Len: 0}},
-	}
-	for i, msgs := range bad {
-		if _, err := traffic.NewReplay(8, msgs); err == nil {
-			t.Errorf("bad replay %d accepted", i)
-		}
-	}
-}
-
-func TestReplayOrdering(t *testing.T) {
-	msgs := []engine.Message{
-		{Src: 0, Dst: 1, Len: 5, Created: 100},
-		{Src: 0, Dst: 2, Len: 5, Created: 50},
-		{Src: 3, Dst: 1, Len: 5, Created: 10},
-	}
-	r, err := traffic.NewReplay(8, msgs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Remaining() != 3 {
-		t.Fatalf("remaining %d", r.Remaining())
-	}
-	// Node 0's messages come back sorted by creation time.
-	m1, ok1 := r.Next(0)
-	m2, ok2 := r.Next(0)
-	if !ok1 || !ok2 || m1.Created != 50 || m2.Created != 100 {
-		t.Errorf("node 0 order wrong: %v %v", m1, m2)
-	}
-	if _, ok := r.Next(0); ok {
-		t.Error("node 0 should be exhausted")
-	}
-	if _, ok := r.Next(5); ok {
-		t.Error("idle node should be empty")
-	}
-	if r.Remaining() != 1 {
-		t.Errorf("remaining %d, want 1", r.Remaining())
-	}
-}
-
-// TestRecordThenReplay: capture a trace on a TMIN, replay the same
-// offered workload on a DMIN, and verify conservation. This is the
-// trace-driven-simulation loop end to end.
+// TestRecordThenReplay: capture a trace on a TMIN, replay its
+// source→destination pairs through a TracePattern on a DMIN, and check
+// that the replayed run sends only recorded pairs, from recorded
+// sources. This is the trace-driven-simulation loop end to end.
 func TestRecordThenReplay(t *testing.T) {
 	tmin, err := topology.NewUnidirectional(topology.UniConfig{K: 4, Stages: 3, Pattern: topology.Cube, Dilation: 1, VCs: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := traffic.Global(tmin.Nodes)
-	rates, _ := traffic.NodeRates(c, 0.2, 32, nil)
-	w, err := traffic.NewWorkload(traffic.Config{Nodes: tmin.Nodes, Pattern: traffic.Uniform{C: c}, Lengths: traffic.FixedLen{L: 32}, Rates: rates, Seed: 77})
-	if err != nil {
-		t.Fatal(err)
+	run := func(net *topology.Network, pattern traffic.Pattern, seed uint64) trace.Recorder {
+		t.Helper()
+		rates, _ := traffic.NodeRates(traffic.Global(net.Nodes), 0.2, 32, nil)
+		w, err := traffic.NewWorkload(traffic.Config{Nodes: net.Nodes, Pattern: pattern, Lengths: traffic.FixedLen{L: 32}, Rates: rates, Seed: seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var rec trace.Recorder
+		e, err := engine.New(engine.Config{Net: net, Source: w, Seed: seed, OnDeliver: rec.OnDeliver})
+		if err != nil {
+			t.Fatal(err)
+		}
+		e.Run(5000)
+		return rec
 	}
-	var rec trace.Recorder
-	e1, err := engine.New(engine.Config{Net: tmin, Source: w, Seed: 77, OnDeliver: rec.OnDeliver})
-	if err != nil {
-		t.Fatal(err)
-	}
-	e1.Run(5000)
-	if len(rec.Records) < 20 {
-		t.Fatalf("only %d messages recorded", len(rec.Records))
+	recorded := run(tmin, traffic.Uniform{C: traffic.Global(tmin.Nodes)}, 77)
+	if len(recorded.Records) < 20 {
+		t.Fatalf("only %d messages recorded", len(recorded.Records))
 	}
 
-	// Rebuild the offered workload from the trace.
-	var msgs []engine.Message
-	for _, m := range rec.Records {
-		msgs = append(msgs, engine.Message{Src: m.Src, Dst: m.Dst, Len: m.Len, Created: m.Created})
+	// Replay the first 20 deliveries: most sources have no pair and stay silent.
+	pairs := make([]traffic.Pair, 20)
+	seen := map[traffic.Pair]bool{}
+	for i, m := range recorded.Records[:20] {
+		pairs[i] = traffic.Pair{Src: m.Src, Dst: m.Dst}
+		seen[pairs[i]] = true
 	}
 	dmin, err := topology.NewUnidirectional(topology.UniConfig{K: 4, Stages: 3, Pattern: topology.Cube, Dilation: 2, VCs: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	replay, err := traffic.NewReplay(dmin.Nodes, msgs)
+	tp, err := traffic.NewTracePattern(dmin.Nodes, pairs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	e2, err := engine.New(engine.Config{Net: dmin, Source: replay, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
+	replayed := run(dmin, tp, 1)
+	if len(replayed.Records) < 20 {
+		t.Fatalf("replay delivered only %d messages", len(replayed.Records))
 	}
-	if !e2.RunUntilDrained(1_000_000) {
-		t.Fatal("replay did not drain")
-	}
-	if e2.Stats().Delivered != int64(len(msgs)) {
-		t.Errorf("replay delivered %d of %d", e2.Stats().Delivered, len(msgs))
+	for _, m := range replayed.Records {
+		if p := (traffic.Pair{Src: m.Src, Dst: m.Dst}); !seen[p] {
+			t.Fatalf("replay delivered %d->%d, which the trace never sent", m.Src, m.Dst)
+		}
 	}
 }

@@ -62,19 +62,3 @@ func (t *TracePattern) Dest(src int, rng *xrand.Source) (int, bool) {
 	}
 	return d, true
 }
-
-// AllToAllTrace builds the canonical collective trace: every node
-// sends one message to every other node, in ascending destination
-// order — the all-to-all personalized exchange of collective
-// communication workloads.
-func AllToAllTrace(nodes int) []Pair {
-	pairs := make([]Pair, 0, nodes*(nodes-1))
-	for s := 0; s < nodes; s++ {
-		for d := 0; d < nodes; d++ {
-			if d != s {
-				pairs = append(pairs, Pair{Src: s, Dst: d})
-			}
-		}
-	}
-	return pairs
-}

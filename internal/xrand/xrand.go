@@ -1,8 +1,8 @@
 // Package xrand provides a small, fast, deterministic pseudo-random
 // number generator (xoshiro256**, seeded through splitmix64) plus the
 // distribution draws the simulator needs: uniform integers,
-// floating-point uniforms, exponential interarrival times, and
-// weighted choices. Determinism under a fixed seed is required so that
+// floating-point uniforms, exponential interarrival times and
+// permutations. Determinism under a fixed seed is required so that
 // simulation experiments are exactly reproducible.
 package xrand
 
@@ -111,9 +111,6 @@ func (src *Source) Exp(mean float64) float64 {
 	}
 }
 
-// Bool returns a fair random boolean.
-func (src *Source) Bool() bool { return src.Uint64()&1 == 1 }
-
 // Perm fills a permutation of [0, n) into dst (reusing its backing
 // storage when cap allows) using Fisher-Yates, and returns it.
 //
@@ -148,27 +145,4 @@ func (src *Source) Perm(dst []int, n int) []int {
 	}
 	src.s = [4]uint64{s0, s1, s2, s3}
 	return dst
-}
-
-// WeightedChoice returns an index i with probability weights[i] /
-// sum(weights). Weights must be non-negative with a positive sum.
-func (src *Source) WeightedChoice(weights []float64) int {
-	total := 0.0
-	for _, w := range weights {
-		if w < 0 {
-			panic("xrand: negative weight")
-		}
-		total += w
-	}
-	if total <= 0 {
-		panic("xrand: WeightedChoice with non-positive total weight")
-	}
-	x := src.Float64() * total
-	for i, w := range weights {
-		x -= w
-		if x < 0 {
-			return i
-		}
-	}
-	return len(weights) - 1
 }

@@ -227,25 +227,6 @@ func TestPermFairness(t *testing.T) {
 	}
 }
 
-func TestWeightedChoice(t *testing.T) {
-	src := New(8)
-	weights := []float64{1, 3, 0, 4}
-	const draws = 80000
-	counts := make([]int, len(weights))
-	for i := 0; i < draws; i++ {
-		counts[src.WeightedChoice(weights)]++
-	}
-	if counts[2] != 0 {
-		t.Errorf("zero-weight bucket drawn %d times", counts[2])
-	}
-	for i, w := range weights {
-		want := float64(draws) * w / 8
-		if w > 0 && math.Abs(float64(counts[i])-want) > 6*math.Sqrt(want) {
-			t.Errorf("bucket %d: %d draws, want about %.0f", i, counts[i], want)
-		}
-	}
-}
-
 func TestSplitIndependence(t *testing.T) {
 	a := New(9)
 	b := a.Split()
@@ -264,11 +245,9 @@ func TestSplitIndependence(t *testing.T) {
 func TestPanics(t *testing.T) {
 	src := New(10)
 	for name, f := range map[string]func(){
-		"Intn(0)":       func() { src.Intn(0) },
-		"IntRange bad":  func() { src.IntRange(2, 1) },
-		"Exp(0)":        func() { src.Exp(0) },
-		"neg weight":    func() { src.WeightedChoice([]float64{-1, 2}) },
-		"empty weights": func() { src.WeightedChoice(nil) },
+		"Intn(0)":      func() { src.Intn(0) },
+		"IntRange bad": func() { src.IntRange(2, 1) },
+		"Exp(0)":       func() { src.Exp(0) },
 	} {
 		func() {
 			defer func() {
@@ -278,19 +257,5 @@ func TestPanics(t *testing.T) {
 			}()
 			f()
 		}()
-	}
-}
-
-func TestBoolBalance(t *testing.T) {
-	src := New(11)
-	trues := 0
-	const draws = 100000
-	for i := 0; i < draws; i++ {
-		if src.Bool() {
-			trues++
-		}
-	}
-	if math.Abs(float64(trues)-draws/2) > 5*math.Sqrt(draws/4) {
-		t.Errorf("Bool: %d trues of %d", trues, draws)
 	}
 }
