@@ -176,6 +176,10 @@ func (j *job) terminal() bool {
 // under sustained traffic.
 const maxRetainedJobs = 256
 
+// maxBodyBytes caps a request body (413 beyond it) and maxExperiments
+// the figure panels of one job (400 beyond it).
+const maxBodyBytes, maxExperiments = 1 << 20, 64
+
 // manager owns the bounded admission queue, the job workers and the
 // job registry. Every job executes as one simrun plan against the
 // shared content-addressed store, through the service's front on it.
@@ -345,7 +349,7 @@ func (m *manager) run(j *job) {
 
 	plan := simrun.NewPlan()
 	handles := make([]*experiments.FigureHandle, len(j.exps))
-	//simvet:bounded — plan assembly over at most MaxExperiments admission-capped experiments
+	//simvet:bounded — plan assembly over at most maxExperiments admission-capped experiments
 	for i, e := range j.exps {
 		handles[i] = experiments.AddToPlan(plan, e, j.budget)
 	}

@@ -72,10 +72,6 @@ type Config struct {
 	// RetryAfter is the backpressure hint on 429 responses
 	// (default 5s).
 	RetryAfter time.Duration
-	// MaxBodyBytes caps request bodies (default 1 MiB).
-	MaxBodyBytes int64
-	// MaxExperiments caps figure panels per job (default 64).
-	MaxExperiments int
 	// MaxPoints caps requested load points per job, pre-dedup
 	// (default 20000).
 	MaxPoints int
@@ -113,12 +109,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.RetryAfter <= 0 {
 		c.RetryAfter = 5 * time.Second
-	}
-	if c.MaxBodyBytes <= 0 {
-		c.MaxBodyBytes = 1 << 20
-	}
-	if c.MaxExperiments <= 0 {
-		c.MaxExperiments = 64
 	}
 	if c.MaxPoints <= 0 {
 		c.MaxPoints = 20000
@@ -327,7 +317,7 @@ func writeError(w http.ResponseWriter, code int, format string, args ...any) {
 
 // readRequest reads and validates a run/jobs request body.
 func (s *Server) readRequest(w http.ResponseWriter, r *http.Request) ([]experiments.Experiment, experiments.Budget, bool) {
-	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
+	body := http.MaxBytesReader(w, r.Body, maxBodyBytes)
 	data, err := io.ReadAll(body)
 	if err != nil {
 		var tooLarge *http.MaxBytesError
@@ -339,7 +329,7 @@ func (s *Server) readRequest(w http.ResponseWriter, r *http.Request) ([]experime
 		return nil, experiments.Budget{}, false
 	}
 	exps, budget, err := parseRunRequest(data, limits{
-		maxExperiments: s.cfg.MaxExperiments,
+		maxExperiments: maxExperiments,
 		maxPoints:      s.cfg.MaxPoints,
 		maxCycles:      s.cfg.MaxCycles,
 	})

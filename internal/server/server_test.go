@@ -133,9 +133,8 @@ func TestHTTPValidationErrors(t *testing.T) {
 		t.Errorf("unknown job: code %d, want 404", resp.StatusCode)
 	}
 
-	// Body cap: a request over MaxBodyBytes is refused with 413.
-	_, tsSmall, _ := newTestServer(t, func(c *Config) { c.MaxBodyBytes = 64 })
-	resp, _ := postJSON(t, tsSmall.URL+"/v1/run", fastRunBody)
+	// Body cap: a request over maxBodyBytes is refused with 413.
+	resp, _ := postJSON(t, ts.URL+"/v1/run", fastRunBody+strings.Repeat(" ", maxBodyBytes))
 	if resp.StatusCode != http.StatusRequestEntityTooLarge {
 		t.Errorf("oversized body: code %d, want 413", resp.StatusCode)
 	}
