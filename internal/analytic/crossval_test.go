@@ -19,7 +19,7 @@ func tmin64(t *testing.T) *topology.Network {
 	return net
 }
 
-func runUniform(t *testing.T, net *topology.Network, load float64, lengths traffic.LengthDist, cycles int64) engine.Stats {
+func runUniform(t *testing.T, net *topology.Network, load float64, lengths traffic.Lengths, cycles int64) engine.Stats {
 	t.Helper()
 	c := traffic.Global(net.Nodes)
 	rates, err := traffic.NodeRates(c, load, lengths.Mean(), nil)
@@ -47,7 +47,7 @@ func runUniform(t *testing.T, net *topology.Network, load float64, lengths traff
 func TestMG1MatchesSimulationAtLowLoad(t *testing.T) {
 	net := tmin64(t)
 	const load = 0.08
-	lengths := traffic.FixedLen{L: 64}
+	lengths := traffic.Lengths{Kind: "fixed", L: 64}
 	st := runUniform(t, net, load, lengths, 120_000)
 	if st.MeasuredMsgs < 300 {
 		t.Fatalf("only %d messages measured", st.MeasuredMsgs)
@@ -72,7 +72,7 @@ func TestMG1MatchesSimulationAtLowLoad(t *testing.T) {
 // latency grows superlinearly as the source queue saturates.
 func TestMG1TracksLoadGrowth(t *testing.T) {
 	net := tmin64(t)
-	lengths := traffic.FixedLen{L: 32}
+	lengths := traffic.Lengths{Kind: "fixed", L: 32}
 	var sims, preds []float64
 	for _, load := range []float64{0.05, 0.15, 0.25} {
 		st := runUniform(t, net, load, lengths, 60_000)
@@ -104,7 +104,7 @@ func TestHotSpotBoundHoldsInSimulation(t *testing.T) {
 	bound := HotSpotLoadBound(net.Nodes, x) // ~0.149 flits/node/cycle
 
 	c := traffic.Global(net.Nodes)
-	lengths := traffic.FixedLen{L: 64}
+	lengths := traffic.Lengths{Kind: "fixed", L: 64}
 	run := func(load float64) engine.Stats {
 		rates, _ := traffic.NodeRates(c, load, lengths.Mean(), nil)
 		src, err := traffic.NewWorkload(traffic.Config{
@@ -154,7 +154,7 @@ func TestFairRatesPredictsPermutationSaturation(t *testing.T) {
 
 	// Simulate the shuffle permutation at an offered load above the
 	// prediction and compare delivered throughput.
-	lengths := traffic.FixedLen{L: 128}
+	lengths := traffic.Lengths{Kind: "fixed", L: 128}
 	c := traffic.Global(net.Nodes)
 	rate, _ := traffic.NodeRates(c, 0.9, lengths.Mean(), nil)
 	src, err := traffic.NewWorkload(traffic.Config{

@@ -408,7 +408,7 @@ func TestQueueWatermark(t *testing.T) {
 	for i := 0; i < 150; i++ {
 		msgs = append(msgs, Message{Src: 0, Dst: 1, Len: 1000, Created: 0})
 	}
-	e, err := New(Config{Net: net, Source: scripted(net.Nodes, msgs...), Seed: 1, QueueLimit: 100})
+	e, err := New(Config{Net: net, Source: scripted(net.Nodes, msgs...), Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -308,11 +308,11 @@ const drainWaitMs = 1000
 // reply without WaitMs means "ask again now".
 //
 //simvet:ctxbound
-func (c *Coordinator) grantLease(ctx context.Context, workerID string, max int) (LeaseResponse, error) {
+func (c *Coordinator) grantLease(ctx context.Context, workerID string) (LeaseResponse, error) {
 	var hold <-chan time.Time // started by the first park: a call that grants at once pays for no timer
 	//simvet:blocking — one iteration per wake-up, each observing ctx and the hold
 	for {
-		resp, wake, expired, err := c.tryGrant(workerID, max)
+		resp, wake, expired, err := c.tryGrant(workerID)
 		if wake == nil {
 			return resp, err
 		}
@@ -336,13 +336,13 @@ func (c *Coordinator) grantLease(ctx context.Context, workerID string, max int) 
 	}
 }
 
-// tryGrant pops up to max pending units for the worker. When there is
-// nothing to grant and the call should park, it returns the channel
-// the next queued unit closes — taken under the same lock hold as the
-// empty look, so no wake-up falls between the two — and one that
-// fires when the earliest live lease expires (nil, so never, when no
-// lease is live).
-func (c *Coordinator) tryGrant(workerID string, max int) (resp LeaseResponse, wake <-chan struct{}, expired <-chan time.Time, err error) {
+// tryGrant pops up to ChunkSize pending units for the worker. When
+// there is nothing to grant and the call should park, it returns the
+// channel the next queued unit closes — taken under the same lock hold
+// as the empty look, so no wake-up falls between the two — and one
+// that fires when the earliest live lease expires (nil, so never, when
+// no lease is live).
+func (c *Coordinator) tryGrant(workerID string) (resp LeaseResponse, wake <-chan struct{}, expired <-chan time.Time, err error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	now := c.now()
@@ -351,11 +351,8 @@ func (c *Coordinator) tryGrant(workerID string, max int) (resp LeaseResponse, wa
 	if !ok {
 		return LeaseResponse{}, nil, nil, fmt.Errorf("unknown worker %q", workerID)
 	}
-	if max <= 0 || max > c.cfg.ChunkSize {
-		max = c.cfg.ChunkSize
-	}
 	var granted []*unit
-	for len(granted) < max && len(c.queue) > 0 {
+	for len(granted) < c.cfg.ChunkSize && len(c.queue) > 0 {
 		u := c.queue[0]
 		c.queue = c.queue[1:]
 		if u.done {

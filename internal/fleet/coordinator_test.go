@@ -72,7 +72,7 @@ func testUnits(t *testing.T, n int) []simrun.DispatchUnit {
 
 // tryLease is one lease attempt that never parks.
 func tryLease(c *Coordinator, workerID string) (LeaseResponse, error) {
-	resp, _, _, err := c.tryGrant(workerID, 0)
+	resp, _, _, err := c.tryGrant(workerID)
 	return resp, err
 }
 

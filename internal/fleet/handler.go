@@ -61,7 +61,7 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 	if !decodeBody(w, r, &req) {
 		return
 	}
-	resp, err := c.grantLease(r.Context(), req.WorkerID, req.Max)
+	resp, err := c.grantLease(r.Context(), req.WorkerID)
 	if err != nil {
 		// Unknown worker: the coordinator restarted. 410 tells the
 		// worker to re-register rather than retry blindly.

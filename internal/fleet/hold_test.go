@@ -132,7 +132,7 @@ func TestNoLostWakeup(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for ctx.Err() == nil {
-				lr, err := c.grantLease(ctx, id, 0)
+				lr, err := c.grantLease(ctx, id)
 				if err != nil {
 					t.Errorf("grantLease: %v", err)
 					return
@@ -195,7 +195,7 @@ func TestParkedSurvivorInheritsDeadWorkersLease(t *testing.T) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), leaseHold/2)
 	defer cancel()
-	lr, err := c.grantLease(ctx, survivor, 0)
+	lr, err := c.grantLease(ctx, survivor)
 	if err != nil || len(lr.Units) != 2 {
 		t.Fatalf("survivor lease = %+v, %v; want the 2 requeued units", lr, err)
 	}

@@ -2,9 +2,12 @@ package fleet
 
 import (
 	"context"
+	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -173,6 +176,59 @@ func TestWorkerLeasesMatchLocalRun(t *testing.T) {
 	}
 	if leases := w.leases.Load(); leases != 3 {
 		t.Fatalf("%d leases; want 3", leases)
+	}
+	cancel()
+	<-stopped
+}
+
+// TestBadLengthsFailTheUnit: a unit whose length range is empty
+// (min > max) fails with a unit error instead of panicking the worker
+// inside the first length draw.
+func TestBadLengthsFailTheUnit(t *testing.T) {
+	var spec WireSpec
+	body := `{"net_kind":0,"k":4,"stages":2,"lengths":{"kind":"uniform","min":10,"max":5},"load":0.3,"warmup":100,"measure":300,"seed":1}`
+	if err := json.Unmarshal([]byte(body), &spec); err != nil {
+		t.Fatal(err)
+	}
+	var leased atomic.Bool
+	results := make(chan []UnitResult, 1)
+	mux := http.NewServeMux()
+	mux.HandleFunc("POST /fleet/v1/register", func(w http.ResponseWriter, r *http.Request) {
+		writeFleetJSON(w, RegisterResponse{WorkerID: "w-1", LeaseTTLMs: 5000, Chunk: 1})
+	})
+	mux.HandleFunc("POST /fleet/v1/lease", func(w http.ResponseWriter, r *http.Request) {
+		if leased.Swap(true) {
+			<-r.Context().Done() // held, as the coordinator would
+			return
+		}
+		writeFleetJSON(w, LeaseResponse{LeaseID: "l-1", Units: []Unit{{Key: "k", Spec: spec}}})
+	})
+	mux.HandleFunc("POST /fleet/v1/complete", func(w http.ResponseWriter, r *http.Request) {
+		var req CompleteRequest
+		if !decodeBody(w, r, &req) {
+			return
+		}
+		w.WriteHeader(http.StatusNoContent)
+		results <- req.Results
+	})
+	srv := httptest.NewServer(mux)
+	defer srv.Close()
+
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	w, err := NewWorker(WorkerConfig{Coordinator: srv.URL, SimWorkers: 1, Client: srv.Client()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	stopped := make(chan struct{})
+	go func() { defer close(stopped); w.Run(ctx) }()
+	select {
+	case got := <-results:
+		if len(got) != 1 || !strings.Contains(got[0].Error, "bad uniform lengths {Kind:uniform Min:10 Max:5") || got[0].Executed {
+			t.Errorf("results %+v; want one unexecuted unit failing on its length range", got)
+		}
+	case <-ctx.Done():
+		t.Fatal("the lease never completed")
 	}
 	cancel()
 	<-stopped

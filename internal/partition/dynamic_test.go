@@ -50,7 +50,7 @@ func TestDynamicChannelIsolation(t *testing.T) {
 	w, err := traffic.NewWorkload(traffic.Config{
 		Nodes:   net.Nodes,
 		Pattern: traffic.Uniform{C: c},
-		Lengths: traffic.FixedLen{L: 64},
+		Lengths: traffic.Lengths{Kind: "fixed", L: 64},
 		Rates:   rates,
 		Seed:    9,
 	})
@@ -105,7 +105,7 @@ func TestDynamicUtilizationBalance(t *testing.T) {
 	w, err := traffic.NewWorkload(traffic.Config{
 		Nodes:   net.Nodes,
 		Pattern: traffic.Uniform{C: c},
-		Lengths: traffic.FixedLen{L: 32},
+		Lengths: traffic.Lengths{Kind: "fixed", L: 32},
 		Rates:   rates,
 		Seed:    4,
 	})

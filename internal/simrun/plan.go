@@ -27,7 +27,7 @@ type SweepSpec struct {
 // several positions within one sweep) may share a pointRun; it is
 // executed at most once per plan.
 type pointRun struct {
-	key    string  // content hash; "" = uncacheable and unshareable
+	key    string  // content hash; "" for AddFunc points and failed registrations
 	spec   RunSpec // valid when fn == nil
 	fn     func() (metrics.Point, error)
 	pt     metrics.Point
@@ -63,8 +63,9 @@ type Handle struct {
 
 // AddSweep registers a spec-described sweep and returns its handle.
 // Points whose content hash matches an already-registered point share
-// that point's single execution (and cache entry); points that cannot
-// be hashed (exotic length distributions) run uncached. With
+// that point's single execution (and cache entry). A sweep whose spec
+// has no key (an unknown pattern, arrival or length kind) registers
+// failed points that never run: Handle.Points reports the error. With
 // Budget.Replicas > 1 every load point expands into that many
 // replica runs with seeds derived per (point, replica) — each replica
 // is an ordinary single-run point-run with its own content key and
@@ -77,7 +78,7 @@ func (p *Plan) AddSweep(s SweepSpec) *Handle {
 	}
 	h := &Handle{groups: make([][]*pointRun, len(s.Loads))}
 	// One key prefix serves the whole sweep: only the point line
-	// differs between its keys. An error makes every point uncacheable.
+	// differs between its keys. An error fails every point.
 	prefix, prefixErr := keyPrefix(s.Net, s.Work)
 	//simvet:bounded — plan assembly over the requested load list; keyPrefix's one-time fingerprint costs milliseconds
 	for i, load := range s.Loads {
@@ -91,25 +92,14 @@ func (p *Plan) AddSweep(s SweepSpec) *Handle {
 				Warmup:      s.Budget.WarmupCycles,
 				Measure:     s.Budget.MeasureCycles,
 				Seed:        DeriveReplicaSeed(s.Budget.Seed, i, rep),
-				QueueLimit:  s.Budget.QueueLimit,
 				BufferDepth: s.BufferDepth,
 				Arbitration: s.Arbitration,
 			}
-			p.requested++
-			key := "" // uncacheable: unique run, no dedup, no store
-			if prefixErr == nil {
-				key = rs.keyAfter(prefix)
-				if existing, ok := p.index[key]; ok {
-					group[rep] = existing
-					continue
-				}
+			if prefixErr != nil {
+				group[rep] = p.add(rs, "", prefixErr)
+			} else {
+				group[rep] = p.add(rs, rs.keyAfter(prefix), nil)
 			}
-			r := &pointRun{key: key, spec: rs}
-			p.runs = append(p.runs, r)
-			if key != "" {
-				p.index[key] = r
-			}
-			group[rep] = r
 		}
 		h.groups[i] = group
 	}
@@ -124,19 +114,25 @@ func (p *Plan) AddSweep(s SweepSpec) *Handle {
 // straight in, and execution reuses the same cache check and chunked
 // cancellation as any locally planned point.
 func (p *Plan) AddSpec(rs RunSpec) *Handle {
-	p.requested++
 	key, err := rs.Key()
-	if err != nil {
-		key = "" // uncacheable: unique run, no dedup, no store
-	} else if existing, ok := p.index[key]; ok {
-		return &Handle{groups: [][]*pointRun{{existing}}}
+	return &Handle{groups: [][]*pointRun{{p.add(rs, key, err)}}}
+}
+
+// add registers the spec point rs under its key, or returns the
+// point-run already registered under that key. keyErr, the error of a
+// spec with no key (key is ""), makes a failed point: it has neither fn
+// nor key, is never indexed or run, and Handle.Points reports keyErr.
+func (p *Plan) add(rs RunSpec, key string, keyErr error) *pointRun {
+	p.requested++
+	if r, ok := p.index[key]; ok {
+		return r
 	}
-	r := &pointRun{key: key, spec: rs}
+	r := &pointRun{key: key, spec: rs, err: keyErr}
 	p.runs = append(p.runs, r)
-	if key != "" {
+	if keyErr == nil {
 		p.index[key] = r
 	}
-	return &Handle{groups: [][]*pointRun{{r}}}
+	return r
 }
 
 // AddFunc registers n opaque points executed by fn(i). Opaque points
@@ -220,11 +216,11 @@ type Options struct {
 	// persists freshly computed ones (written as each point finishes,
 	// so an interrupted run keeps everything it completed).
 	Store Store
-	// Dispatcher, when non-nil, executes the plan's hashable spec
-	// points remotely instead of on the local worker pool; opaque and
-	// uncacheable points still run locally. Persistence of dispatched
-	// results is the dispatcher's responsibility (fleet workers write
-	// through the shared store), so Execute does not re-Put them.
+	// Dispatcher, when non-nil, executes the plan's spec points
+	// remotely instead of on the local worker pool; AddFunc's points
+	// still run locally. Persistence of dispatched results is the
+	// dispatcher's responsibility (fleet workers write through the
+	// shared store), so Execute does not re-Put them.
 	Dispatcher Dispatcher
 	// Progress, when non-nil, is called with a counter snapshot after
 	// every state change (cache hit, start, finish). Calls are
@@ -265,7 +261,14 @@ func (p *Plan) Execute(ctx context.Context, opts Options) error {
 			p.bump(func(c *Counters) { c.Done++ }, opts.Progress)
 			continue
 		}
-		if opts.Store != nil && r.key != "" {
+		if r.fn == nil && r.key == "" {
+			// A registration failure (add) never runs. A point cut off
+			// by cancellation also holds an error, but keeps its key
+			// and runs again.
+			p.bump(func(c *Counters) { c.Failed++; c.Done++ }, opts.Progress)
+			continue
+		}
+		if opts.Store != nil && r.fn == nil {
 			if pt, ok := opts.Store.Get(r.key); ok {
 				r.pt, r.cached, r.done = pt, true, true
 				p.bump(func(c *Counters) { c.Cached++; c.Done++ }, opts.Progress)
@@ -275,13 +278,13 @@ func (p *Plan) Execute(ctx context.Context, opts Options) error {
 		pending = append(pending, r)
 	}
 
-	// With a dispatcher, hashable spec points ship out as units; only
-	// opaque fn points and uncacheable specs stay on the local pool.
+	// With a dispatcher, spec points ship out as units; only AddFunc's
+	// points stay on the local pool.
 	var remote []*pointRun
 	if opts.Dispatcher != nil {
 		local := pending[:0]
 		for _, r := range pending {
-			if r.fn == nil && r.key != "" {
+			if r.fn == nil {
 				remote = append(remote, r)
 			} else {
 				local = append(local, r)
@@ -363,7 +366,7 @@ func (p *Plan) Execute(ctx context.Context, opts Options) error {
 					r.err = fmt.Errorf("simrun: %s: %w", r.spec, r.err)
 				}
 				r.done = r.err == nil
-				if r.done && opts.Store != nil && r.key != "" {
+				if r.done && opts.Store != nil && r.fn == nil {
 					opts.Store.Put(r.key, r.spec.String(), r.pt)
 				}
 				p.bump(func(c *Counters) {

@@ -38,7 +38,6 @@ type PointConfig struct {
 	Seed        uint64
 	Warmup      int64
 	Measure     int64
-	QueueLimit  int
 	BufferDepth int
 	Arbitration engine.Arbitration
 }
@@ -71,7 +70,6 @@ func (c PointConfig) NewEngine(tune func(*engine.Config)) (*engine.Engine, error
 		Net:         c.Net,
 		Source:      src,
 		Seed:        c.Seed ^ 0xd1b54a32d192ed03,
-		QueueLimit:  c.QueueLimit,
 		BufferDepth: c.BufferDepth,
 		Arbitration: c.Arbitration,
 	}

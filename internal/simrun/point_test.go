@@ -42,6 +42,48 @@ func TestScalarCancellationMidRun(t *testing.T) {
 	}
 }
 
+// TestCancelledPointsRerun: a point cut off by cancellation holds an
+// error but keeps its key, so a re-Execute runs every cut-off point
+// again and the plan completes as if never interrupted.
+func TestCancelledPointsRerun(t *testing.T) {
+	s := tinySweep([]float64{0.1, 0.2, 0.3})
+	s.Budget.MeasureCycles = 50_000
+
+	plan := NewPlan()
+	h := plan.AddSweep(s)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	err := plan.Execute(ctx, Options{Workers: 1, Progress: func(c Counters) {
+		if c.Running > 0 {
+			cancel()
+		}
+	}})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("Execute returned %v, want context.Canceled", err)
+	}
+	if c := plan.Counters(); c.Failed == 0 {
+		t.Fatalf("counters %+v: no point was cut off", c)
+	}
+	if err := plan.Execute(context.Background(), Options{Workers: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if c := plan.Counters(); c.Executed != 3 || c.Failed != 0 || c.Done != 3 {
+		t.Errorf("resumed counters %+v, want all 3 points executed", c)
+	}
+	got, err := h.Points()
+	if err != nil {
+		t.Fatalf("Points after the resume: %v", err)
+	}
+	fresh := NewPlan()
+	fh := fresh.AddSweep(s)
+	if err := fresh.Execute(context.Background(), Options{Workers: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if want, _ := fh.Points(); !reflect.DeepEqual(got, want) {
+		t.Errorf("resumed points differ from an uninterrupted plan's:\n got  %+v\n want %+v", got, want)
+	}
+}
+
 // TestSimulateChunkedMatchesFull pins the bit-exactness contract the
 // chunked scalar path relies on: driving the engine in cancelQuantum
 // legs produces exactly the statistics of one uninterrupted run, so

@@ -33,7 +33,7 @@ func TestArrivalValidate(t *testing.T) {
 	// NewWorkload surfaces arrival validation.
 	c := Global(4)
 	rates, _ := NodeRates(c, 0.1, 100, nil)
-	_, err := NewWorkload(Config{Nodes: 4, Pattern: Uniform{C: c}, Lengths: FixedLen{L: 8}, Rates: rates, Seed: 1,
+	_, err := NewWorkload(Config{Nodes: 4, Pattern: Uniform{C: c}, Lengths: Lengths{Kind: "fixed", L: 8}, Rates: rates, Seed: 1,
 		Arrival: MMPP2{Burst: 1, DwellHi: 1, DwellLo: 1}})
 	if err == nil {
 		t.Error("NewWorkload accepted an invalid arrival process")

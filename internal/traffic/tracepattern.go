@@ -9,7 +9,7 @@ import (
 // Pair is one recorded source→destination pair of a captured trace —
 // the timing-free skeleton a trace-replay pattern feeds back into the
 // workload composition. Arrival times come from the workload's
-// ArrivalProcess and lengths from its LengthDist, so a captured
+// ArrivalProcess and lengths from its Lengths, so a captured
 // communication structure can be re-driven at any offered load.
 //
 //simvet:wire — trace pairs ride inside simd workload options.

@@ -3,7 +3,7 @@
 // interarrival gaps (the paper's Poisson stream by default, plus
 // bursty MMPP and on-off processes), a Pattern drawing destinations
 // (Section 5's uniform, x% nonuniform hot spot, perfect k-shuffle and
-// i-th butterfly permutations, plus trace replay), and a LengthDist
+// i-th butterfly permutations, plus trace replay), and Lengths
 // drawing message lengths (uniform over {8, ..., 1024} flits in the
 // paper). Patterns are optionally scoped to processor clusters
 // (global, cluster-16, cluster-32) with per-cluster relative load
@@ -102,65 +102,81 @@ func ButterflyPattern(r kary.Radix, i int) Permutation {
 	return Permutation{P: r.ButterflyPerm(i)}
 }
 
-// LengthDist draws message lengths in flits.
-type LengthDist interface {
-	Draw(rng *xrand.Source) int
-	Mean() float64
-}
-
-// UniformLen draws uniformly from [Min, Max]; the paper uses
-// Min = 8, Max = 1024 ("equal probability of being one packet between
-// eight to 1,024 flits").
-type UniformLen struct{ Min, Max int }
-
-// Draw implements LengthDist.
-func (u UniformLen) Draw(rng *xrand.Source) int { return rng.IntRange(u.Min, u.Max) }
-
-// Mean implements LengthDist.
-func (u UniformLen) Mean() float64 { return float64(u.Min+u.Max) / 2 }
-
-// FixedLen always draws the same length.
-type FixedLen struct{ L int }
-
-// Draw implements LengthDist.
-func (f FixedLen) Draw(rng *xrand.Source) int { return f.L }
-
-// Mean implements LengthDist.
-func (f FixedLen) Mean() float64 { return float64(f.L) }
-
-// BimodalLen draws Short with probability PShort, else Long — the
-// short/long/bimodal message-size study listed in the paper's future
-// work.
-type BimodalLen struct {
-	Short, Long int
-	PShort      float64
-}
-
-// Draw implements LengthDist.
-func (b BimodalLen) Draw(rng *xrand.Source) int {
-	if rng.Float64() < b.PShort {
-		return b.Short
-	}
-	return b.Long
-}
-
-// Mean implements LengthDist.
-func (b BimodalLen) Mean() float64 {
-	return b.PShort*float64(b.Short) + (1-b.PShort)*float64(b.Long)
+// Lengths is a message-length distribution in flits: "uniform" over
+// [Min, Max] (PaperLengths is Section 5's), "fixed" at L, or "bimodal"
+// drawing Short with probability PShort, else Long (the paper's future
+// short/long/bimodal study). Fields the kind does not use are ignored;
+// the JSON tags are the fleet's wire encoding (docs/wire.lock).
+//
+//simvet:wire
+type Lengths struct {
+	Kind   string  `json:"kind"` // "uniform" | "fixed" | "bimodal"
+	Min    int     `json:"min,omitempty"`
+	Max    int     `json:"max,omitempty"`
+	L      int     `json:"l,omitempty"`
+	Short  int     `json:"short,omitempty"`
+	Long   int     `json:"long,omitempty"`
+	PShort float64 `json:"p_short,omitempty"`
 }
 
 // PaperLengths is the message-length distribution of Section 5.
-var PaperLengths = UniformLen{Min: 8, Max: 1024}
+var PaperLengths = Lengths{Kind: "uniform", Min: 8, Max: 1024}
+
+// Draw draws one length: a uniform draw is one IntRange call, a
+// bimodal one a Float64 call, a fixed one no call at all.
+func (l Lengths) Draw(rng *xrand.Source) int {
+	switch l.Kind {
+	case "uniform":
+		return rng.IntRange(l.Min, l.Max)
+	case "bimodal":
+		if rng.Float64() < l.PShort {
+			return l.Short
+		}
+		return l.Long
+	}
+	return l.L
+}
+
+// Mean returns the distribution's mean length.
+func (l Lengths) Mean() float64 {
+	switch l.Kind {
+	case "uniform":
+		return float64(l.Min+l.Max) / 2
+	case "bimodal":
+		return l.PShort*float64(l.Short) + (1-l.PShort)*float64(l.Long)
+	}
+	return float64(l.L)
+}
+
+// Validate reports whether l names a known kind whose parameters draw
+// only positive lengths.
+func (l Lengths) Validate() error {
+	var ok bool
+	switch l.Kind {
+	case "uniform":
+		ok = l.Min >= 1 && l.Max >= l.Min
+	case "fixed":
+		ok = l.L >= 1
+	case "bimodal":
+		ok = l.Short >= 1 && l.Long >= 1 && l.PShort >= 0 && l.PShort <= 1
+	default:
+		return fmt.Errorf("traffic: unknown length kind %q", l.Kind)
+	}
+	if !ok {
+		return fmt.Errorf("traffic: bad %s lengths %+v", l.Kind, l)
+	}
+	return nil
+}
 
 // Workload is an engine.Source generating independent per-node
 // message streams: one arrival process (Poisson by default), one
 // destination pattern, one length distribution. The three axes are
 // orthogonal — any ArrivalProcess composes with any Pattern and any
-// LengthDist.
+// Lengths.
 type Workload struct {
 	nodes   int
 	pattern Pattern
-	lengths LengthDist
+	lengths Lengths
 	arrival ArrivalProcess
 	rates   []float64 // msgs per cycle per node
 	state   []nodeState
@@ -176,7 +192,7 @@ type nodeState struct {
 type Config struct {
 	Nodes   int
 	Pattern Pattern
-	Lengths LengthDist
+	Lengths Lengths
 	// Arrival selects the interarrival process; nil means the paper's
 	// Poisson stream (Exponential), with streams byte-identical to the
 	// pre-abstraction workload.
@@ -188,14 +204,17 @@ type Config struct {
 }
 
 // NewWorkload builds the workload. It validates that rates are
-// non-negative and sized to Nodes, and that the arrival process
-// parameters are usable.
+// non-negative and sized to Nodes, and that the length distribution
+// and arrival process parameters are usable.
 func NewWorkload(cfg Config) (*Workload, error) {
 	if cfg.Nodes <= 0 {
 		return nil, fmt.Errorf("traffic: %d nodes", cfg.Nodes)
 	}
-	if cfg.Pattern == nil || cfg.Lengths == nil {
-		return nil, fmt.Errorf("traffic: nil pattern or length distribution")
+	if cfg.Pattern == nil {
+		return nil, fmt.Errorf("traffic: nil pattern")
+	}
+	if err := cfg.Lengths.Validate(); err != nil {
+		return nil, err
 	}
 	if len(cfg.Rates) != cfg.Nodes {
 		return nil, fmt.Errorf("traffic: %d rates for %d nodes", len(cfg.Rates), cfg.Nodes)

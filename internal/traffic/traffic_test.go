@@ -124,7 +124,7 @@ func TestPermutationPatterns(t *testing.T) {
 	}
 }
 
-func TestLengthDists(t *testing.T) {
+func TestLengths(t *testing.T) {
 	rng := xrand.New(6)
 	u := PaperLengths
 	if u.Mean() != 516 {
@@ -142,11 +142,11 @@ func TestLengthDists(t *testing.T) {
 	if mean := float64(sum) / draws; math.Abs(mean-516) > 5 {
 		t.Errorf("empirical mean %v", mean)
 	}
-	f := FixedLen{L: 64}
+	f := Lengths{Kind: "fixed", L: 64}
 	if f.Draw(rng) != 64 || f.Mean() != 64 {
-		t.Error("FixedLen wrong")
+		t.Error("fixed length wrong")
 	}
-	b := BimodalLen{Short: 16, Long: 1000, PShort: 0.75}
+	b := Lengths{Kind: "bimodal", Short: 16, Long: 1000, PShort: 0.75}
 	if want := 0.75*16 + 0.25*1000; b.Mean() != want {
 		t.Errorf("bimodal mean %v, want %v", b.Mean(), want)
 	}
@@ -279,7 +279,7 @@ func TestWorkloadArrivalProcess(t *testing.T) {
 	w, err := NewWorkload(Config{
 		Nodes:   16,
 		Pattern: Uniform{C: c},
-		Lengths: FixedLen{L: 100},
+		Lengths: Lengths{Kind: "fixed", L: 100},
 		Rates:   rates,
 		Seed:    7,
 	})
@@ -349,7 +349,7 @@ func TestWorkloadConfigErrors(t *testing.T) {
 	bad := []Config{
 		{Nodes: 0, Pattern: Uniform{C: c}, Lengths: PaperLengths, Rates: rates},
 		{Nodes: 4, Pattern: nil, Lengths: PaperLengths, Rates: rates},
-		{Nodes: 4, Pattern: Uniform{C: c}, Lengths: nil, Rates: rates},
+		{Nodes: 4, Pattern: Uniform{C: c}, Lengths: Lengths{}, Rates: rates},
 		{Nodes: 4, Pattern: Uniform{C: c}, Lengths: PaperLengths, Rates: rates[:2]},
 		{Nodes: 4, Pattern: Uniform{C: c}, Lengths: PaperLengths, Rates: []float64{0, 0, 0, -1}},
 	}
