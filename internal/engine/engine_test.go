@@ -326,6 +326,46 @@ func TestInvariantsDuringLoad(t *testing.T) {
 	}
 }
 
+// TestRecycledWormsKeepTheirSlots: channel owners are slab slots, so a
+// worm taken off the free list must come back at the slot it was first
+// given. A thousand messages through a few dozen worms recycle
+// every slot many times over; the owner check runs after every cycle.
+func TestRecycledWormsKeepTheirSlots(t *testing.T) {
+	vmin, err := topology.NewUnidirectional(topology.UniConfig{K: 2, Stages: 4, Pattern: topology.Cube, Dilation: 1, VCs: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, net := range []*topology.Network{tmin(t), vmin} {
+		e := newEngine(t, net, randomScript(net, 11, 1000))
+		slots := make(map[*worm]int32)
+		for !e.drained() {
+			if e.now > 200000 {
+				t.Fatalf("%s: did not drain; %d worms active", net.Name(), e.ActiveWorms())
+			}
+			e.Step()
+			if err := e.CheckInvariants(); err != nil {
+				t.Fatalf("%s: cycle %d: %v", net.Name(), e.now, err)
+			}
+			for _, w := range e.worms {
+				if s, ok := slots[w]; !ok {
+					slots[w] = w.slot
+				} else if s != w.slot {
+					t.Fatalf("%s: worm %d moved from slot %d to %d", net.Name(), w.id, s, w.slot)
+				}
+			}
+		}
+		for i, w := range e.slab[1:] {
+			if w.slot != int32(i+1) {
+				t.Fatalf("%s: slab slot %d holds a worm that says %d", net.Name(), i+1, w.slot)
+			}
+		}
+		t.Logf("%s: %d worms made in %d slots over %d cycles", net.Name(), e.nextID, len(slots), e.now)
+		if made := int(e.nextID); made < 4*len(slots) {
+			t.Fatalf("%s: %d worms made in %d slots, too few recycled to test", net.Name(), made, len(slots))
+		}
+	}
+}
+
 func TestMeasurementWindow(t *testing.T) {
 	net := tmin(t)
 	e := newEngine(t, net, scripted(net.Nodes,

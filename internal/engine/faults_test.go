@@ -37,7 +37,7 @@ func TestDMINRoutesAroundFault(t *testing.T) {
 		t.Errorf("delivered %d of %d", e.Stats().Delivered, len(msgs))
 	}
 	// The failed channel carried nothing.
-	if e.chanOwner[victim] != nil || e.ChannelFlits()[victim] != 0 {
+	if e.owner(victim) != nil || e.ChannelFlits()[victim] != 0 {
 		t.Error("failed channel was used")
 	}
 }

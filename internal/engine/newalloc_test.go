@@ -10,23 +10,23 @@ import (
 // TestNewAllocatesOnlyItsArrays: an engine reads the network through
 // its closed form, so building one over the 16K-node TMIN of the
 // large-n workload allocates the engine's own per-channel and per-node
-// arrays — an owner per channel, and per node a queue header, a
-// prefetched arrival and a heap slot: 8 B x 245,760 + (24 + 32 + 12) B
-// x 16,384 = 3.08 MB — and nothing near the 64 MB of the network's
+// arrays — a 4 B owner slot per channel, and per node a queue header, a
+// prefetched arrival and a heap slot: 4 B x 245,760 + (24 + 32 + 12) B
+// x 16,384 = 2.10 MB — and nothing near the 64 MB of the network's
 // struct view, which the bound below could not hold. A VMIN adds its link map
-// and budgets (4 B per channel, 8 B per link). A DMIN with three channels
-// per wire routes in the same closed form as the others: its 671,744
-// owners and the per-node arrays, 6.5 MB, are all it costs, where a
-// table of every (channel, destination) candidate set would run to tens
-// of gigabytes.
+// and budgets (4 B per channel, 8 B per link), 6.75 MB in all. A DMIN
+// with three channels per wire routes in the same closed form as the
+// others: its 671,744 owners and the per-node arrays, 3.80 MB, are all it
+// costs, where a table of every (channel, destination) candidate set
+// would run to tens of gigabytes.
 func TestNewAllocatesOnlyItsArrays(t *testing.T) {
 	for _, tc := range []struct {
 		cfg   topology.UniConfig
 		bound uint64
 	}{
-		{topology.UniConfig{K: 2, Stages: 14, Pattern: topology.Cube, Dilation: 1, VCs: 1}, 4 << 20},
-		{topology.UniConfig{K: 2, Stages: 14, Pattern: topology.Cube, Dilation: 1, VCs: 2}, 12 << 20},
-		{topology.UniConfig{K: 2, Stages: 14, Pattern: topology.Cube, Dilation: 3, VCs: 1}, 8 << 20},
+		{topology.UniConfig{K: 2, Stages: 14, Pattern: topology.Cube, Dilation: 1, VCs: 1}, 2_500_000},
+		{topology.UniConfig{K: 2, Stages: 14, Pattern: topology.Cube, Dilation: 1, VCs: 2}, 7_500_000},
+		{topology.UniConfig{K: 2, Stages: 14, Pattern: topology.Cube, Dilation: 3, VCs: 1}, 4_500_000},
 	} {
 		net, err := topology.NewUnidirectional(tc.cfg)
 		if err != nil {

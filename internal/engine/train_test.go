@@ -328,7 +328,7 @@ func sharers(e *Engine, w *worm) (moving *worm, parked bool) {
 	for _, c := range w.path {
 		base, count := e.net.LinkChannels(e.net.LinkOf(c))
 		for s := base; s < base+count; s++ {
-			switch o := e.chanOwner[s]; {
+			switch o := e.owner(s); {
 			case o == nil || o == w:
 			case e.wake[o.index] == never:
 				parked = true

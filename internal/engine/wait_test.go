@@ -128,7 +128,7 @@ func TestReactiveOfferBusyFreeFailed(t *testing.T) {
 		if m.Src != 0 {
 			return
 		}
-		if e.chanOwner[net.Inject(busy)] == nil || e.chanOwner[net.Inject(free)] != nil {
+		if e.owner(net.Inject(busy)) == nil || e.owner(net.Inject(free)) != nil {
 			t.Fatalf("cycle %d: node %d is not injecting or node %d is", at, busy, free)
 		}
 		for i, src := range []int{busy, free, cut} {

@@ -185,10 +185,36 @@ func TestWorkerLeasesMatchLocalRun(t *testing.T) {
 // (min > max) fails with a unit error instead of panicking the worker
 // inside the first length draw.
 func TestBadLengthsFailTheUnit(t *testing.T) {
+	got := completeOneUnit(t, `{"net_kind":0,"k":4,"stages":2,"lengths":{"kind":"uniform","min":10,"max":5},"load":0.3,"warmup":100,"measure":300,"seed":1}`)
+	if len(got) != 1 || !strings.Contains(got[0].Error, "bad uniform lengths {Kind:uniform Min:10 Max:5") || got[0].Executed {
+		t.Errorf("results %+v; want one unexecuted unit failing on its length range", got)
+	}
+}
+
+// TestHugeLoadFailsTheUnit: a load whose per-node rate overflows fails
+// its unit with the error, where it used to panic the worker's first
+// arrival draw.
+func TestHugeLoadFailsTheUnit(t *testing.T) {
+	got := completeOneUnit(t, `{"net_kind":0,"k":4,"stages":2,"load":1e308,"warmup":100,"measure":300,"seed":1}`)
+	if len(got) != 1 || !strings.Contains(got[0].Error, "per-node rate of +Inf") || got[0].Executed {
+		t.Errorf("results %+v; want one unexecuted unit failing on its load", got)
+	}
+}
+
+// completeOneUnit leases the unit of the given wire body to a real
+// worker through a stub coordinator and returns what the worker reports
+// completing.
+func completeOneUnit(t *testing.T, body string) []UnitResult {
+	t.Helper()
 	var spec WireSpec
-	body := `{"net_kind":0,"k":4,"stages":2,"lengths":{"kind":"uniform","min":10,"max":5},"load":0.3,"warmup":100,"measure":300,"seed":1}`
 	if err := json.Unmarshal([]byte(body), &spec); err != nil {
 		t.Fatal(err)
+	}
+	key := "k" // what a spec that cannot be keyed is sent under
+	if rs, err := DecodeSpec(spec); err == nil {
+		if k, err := rs.Key(); err == nil {
+			key = k
+		}
 	}
 	var leased atomic.Bool
 	results := make(chan []UnitResult, 1)
@@ -201,7 +227,7 @@ func TestBadLengthsFailTheUnit(t *testing.T) {
 			<-r.Context().Done() // held, as the coordinator would
 			return
 		}
-		writeFleetJSON(w, LeaseResponse{LeaseID: "l-1", Units: []Unit{{Key: "k", Spec: spec}}})
+		writeFleetJSON(w, LeaseResponse{LeaseID: "l-1", Units: []Unit{{Key: key, Spec: spec}}})
 	})
 	mux.HandleFunc("POST /fleet/v1/complete", func(w http.ResponseWriter, r *http.Request) {
 		var req CompleteRequest
@@ -222,14 +248,12 @@ func TestBadLengthsFailTheUnit(t *testing.T) {
 	}
 	stopped := make(chan struct{})
 	go func() { defer close(stopped); w.Run(ctx) }()
+	defer func() { cancel(); <-stopped }()
 	select {
 	case got := <-results:
-		if len(got) != 1 || !strings.Contains(got[0].Error, "bad uniform lengths {Kind:uniform Min:10 Max:5") || got[0].Executed {
-			t.Errorf("results %+v; want one unexecuted unit failing on its length range", got)
-		}
+		return got
 	case <-ctx.Done():
 		t.Fatal("the lease never completed")
+		return nil
 	}
-	cancel()
-	<-stopped
 }

@@ -43,15 +43,6 @@ func NewCube(r kary.Radix, msdFirst ...int) (Cube, error) {
 	return Cube{R: r, Pattern: p}, nil
 }
 
-// MustCube is NewCube but panics on error.
-func MustCube(r kary.Radix, msdFirst ...int) Cube {
-	c, err := NewCube(r, msdFirst...)
-	if err != nil {
-		panic(err)
-	}
-	return c
-}
-
 // M returns the cube dimension (number of free digits).
 func (c Cube) M() int {
 	m := 0
@@ -105,17 +96,6 @@ func (c Cube) IsBase() bool {
 		}
 	}
 	return true
-}
-
-// Disjoint reports whether two cubes share no node (Definition 5's
-// disjointness: different fixed variables and neither a subset).
-func Disjoint(a, b Cube) bool {
-	for i := range a.Pattern {
-		if a.Pattern[i] != Free && b.Pattern[i] != Free && a.Pattern[i] != b.Pattern[i] {
-			return true
-		}
-	}
-	return false
 }
 
 // String renders the cube in the paper's notation, e.g. "21**".

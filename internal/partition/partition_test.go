@@ -9,6 +9,26 @@ import (
 
 var r64 = kary.MustNew(4, 3)
 
+// MustCube is NewCube but panics on error.
+func MustCube(r kary.Radix, msdFirst ...int) Cube {
+	c, err := NewCube(r, msdFirst...)
+	if err != nil {
+		panic(err)
+	}
+	return c
+}
+
+// Disjoint reports whether two cubes share no node (Definition 5's
+// disjointness: different fixed variables and neither a subset).
+func Disjoint(a, b Cube) bool {
+	for i := range a.Pattern {
+		if a.Pattern[i] != Free && b.Pattern[i] != Free && a.Pattern[i] != b.Pattern[i] {
+			return true
+		}
+	}
+	return false
+}
+
 func TestCubeBasics(t *testing.T) {
 	r := kary.MustNew(4, 4)
 	// The paper's examples: cluster (21**) is a base four-ary

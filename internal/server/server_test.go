@@ -165,6 +165,28 @@ func TestOversizeNetworkRefused(t *testing.T) {
 	}
 }
 
+// TestHugeLoadFailsTheJob: a load so large that its per-node rate
+// overflows fails its job with the point's error, and the server goes on
+// serving. It used to panic in the first arrival draw and take the whole
+// process down.
+func TestHugeLoadFailsTheJob(t *testing.T) {
+	_, ts, _ := newTestServer(t, nil)
+	body := `{"experiments":[{"id":"x","loads":[1e308],"curves":[{"label":"t",
+	  "network":{"kind":"tmin","wiring":"cube","k":4,"stages":3},"workload":{"cluster":"global","pattern":"uniform"}}]}],
+	  "budget":{"warmup":10,"measure":10,"seed":1}}`
+	resp, out := postJSON(t, ts.URL+"/v1/run", body)
+	var snap jobSnapshot
+	if err := json.Unmarshal(out, &snap); err != nil {
+		t.Fatalf("code %d body %s: %v", resp.StatusCode, out, err)
+	}
+	if snap.Status != statusFailed || !strings.Contains(snap.Error, "per-node rate of +Inf") {
+		t.Fatalf("code %d, job %+v; want it failed on its per-node rate", resp.StatusCode, snap)
+	}
+	if resp, out := postJSON(t, ts.URL+"/v1/run", fastRunBody); resp.StatusCode != http.StatusOK {
+		t.Fatalf("next run: code %d body %s", resp.StatusCode, out)
+	}
+}
+
 func TestSyncRunWarmCache(t *testing.T) {
 	_, ts, logs := newTestServer(t, nil)
 

@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"testing"
+	"time"
 
 	"minsim/internal/engine"
 	"minsim/internal/metrics"
@@ -24,6 +25,35 @@ func tinySpec(load float64, seed uint64) RunSpec {
 		Warmup:  100,
 		Measure: 500,
 		Seed:    seed,
+	}
+}
+
+// TestTinyLoadRunsEmpty: at load 1e-300 every node's first arrival lies
+// past the last cycle an int64 counts, so the point runs its budget with
+// no message at all. Its creation cycle used to wrap negative, and the
+// engine then admitted messages without end inside a single cycle.
+func TestTinyLoadRunsEmpty(t *testing.T) {
+	spec := tinySpec(1e-300, 1)
+	spec.Measure = 1000
+	type outcome struct {
+		p   metrics.Point
+		err error
+	}
+	done := make(chan outcome, 1)
+	go func() {
+		p, err := spec.run(context.Background())
+		done <- outcome{p, err}
+	}()
+	select {
+	case o := <-done:
+		if o.err != nil {
+			t.Fatal(o.err)
+		}
+		if o.p.Messages != 0 || o.p.Throughput != 0 || !o.p.Sustainable {
+			t.Errorf("point %+v; want an empty, sustainable run", o.p)
+		}
+	case <-time.After(20 * time.Second):
+		t.Fatal("the point did not finish its 1,100 cycles in 20 s")
 	}
 }
 

@@ -14,7 +14,9 @@ type Clustering struct {
 	Members [][]int
 }
 
-// NewClustering builds a Clustering from a node->cluster map.
+// NewClustering builds a Clustering from a node->cluster map. The
+// Clustering keeps of as its Of: the caller hands the map over and must
+// not change it afterwards. The member lists share one backing array.
 func NewClustering(of []int) (Clustering, error) {
 	nc := 0
 	for _, c := range of {
@@ -25,16 +27,22 @@ func NewClustering(of []int) (Clustering, error) {
 			nc = c + 1
 		}
 	}
+	size := make([]int, nc)
+	for _, c := range of {
+		size[c]++
+	}
 	members := make([][]int, nc)
+	all := make([]int, len(of))
+	for i, n := range size {
+		if n == 0 {
+			return Clustering{}, fmt.Errorf("traffic: cluster %d is empty", i)
+		}
+		members[i], all = all[:0:n], all[n:]
+	}
 	for n, c := range of {
 		members[c] = append(members[c], n)
 	}
-	for i, m := range members {
-		if len(m) == 0 {
-			return Clustering{}, fmt.Errorf("traffic: cluster %d is empty", i)
-		}
-	}
-	return Clustering{Of: append([]int(nil), of...), Members: members}, nil
+	return Clustering{Of: of, Members: members}, nil
 }
 
 // Global puts all nodes in one cluster.

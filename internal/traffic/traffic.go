@@ -183,7 +183,7 @@ type Workload struct {
 }
 
 type nodeState struct {
-	rng  *xrand.Source
+	rng  xrand.Source
 	next float64
 	arr  ArrivalState
 }
@@ -198,12 +198,14 @@ type Config struct {
 	// pre-abstraction workload.
 	Arrival ArrivalProcess
 	// Rates is the per-node message arrival rate in messages/cycle.
-	// Use NodeRates to derive it from a normalized flit load.
+	// Use NodeRates to derive it from a normalized flit load. The
+	// Workload keeps the slice, so the caller must not change it
+	// afterwards; NodeRates builds a fresh one per call.
 	Rates []float64
 	Seed  uint64
 }
 
-// NewWorkload builds the workload. It validates that rates are
+// NewWorkload builds the workload. It validates that rates are finite,
 // non-negative and sized to Nodes, and that the length distribution
 // and arrival process parameters are usable.
 func NewWorkload(cfg Config) (*Workload, error) {
@@ -231,16 +233,16 @@ func NewWorkload(cfg Config) (*Workload, error) {
 		pattern: cfg.Pattern,
 		lengths: cfg.Lengths,
 		arrival: arrival,
-		rates:   append([]float64(nil), cfg.Rates...),
+		rates:   cfg.Rates,
 		state:   make([]nodeState, cfg.Nodes),
 	}
 	base := xrand.New(cfg.Seed ^ 0xa5a5a5a55a5a5a5a)
 	for i := range w.state {
-		if w.rates[i] < 0 || math.IsNaN(w.rates[i]) {
-			return nil, fmt.Errorf("traffic: invalid rate %v for node %d", w.rates[i], i)
+		if r := w.rates[i]; !(r >= 0) || math.IsInf(r, 1) { // negated so NaN fails too
+			return nil, fmt.Errorf("traffic: invalid rate %v for node %d", r, i)
 		}
 		w.state[i].rng = base.Split()
-		w.state[i].arr = arrival.Start(w.state[i].rng)
+		w.state[i].arr = arrival.Start(&w.state[i].rng)
 	}
 	return w, nil
 }
@@ -249,22 +251,26 @@ func NewWorkload(cfg Config) (*Workload, error) {
 // arrival process, the destination from the pattern, the length from
 // the length distribution. The draw order (destination, gap, length)
 // is fixed; it is part of the determinism contract the replica
-// bit-exactness suite pins.
+// bit-exactness suite pins. A node's stream ends once its next arrival
+// lies beyond the last cycle an int64 can count.
 func (w *Workload) Next(node int) (engine.Message, bool) {
 	st := &w.state[node]
 	rate := w.rates[node]
 	if rate <= 0 {
 		return engine.Message{}, false
 	}
-	dst, ok := w.pattern.Dest(node, st.rng)
+	dst, ok := w.pattern.Dest(node, &st.rng)
 	if !ok {
 		return engine.Message{}, false
 	}
-	st.next += w.arrival.NextGap(&st.arr, rate, st.rng)
+	st.next += w.arrival.NextGap(&st.arr, rate, &st.rng)
+	if !(st.next < 1<<63) {
+		return engine.Message{}, false
+	}
 	return engine.Message{
 		Src:     node,
 		Dst:     dst,
-		Len:     w.lengths.Draw(st.rng),
+		Len:     w.lengths.Draw(&st.rng),
 		Created: int64(math.Ceil(st.next)),
 	}, true
 }
@@ -276,7 +282,7 @@ func (w *Workload) Next(node int) (engine.Message, bool) {
 // is uniform, across clusters the aggregate rates follow the ratio
 // while the all-node average equals load.
 func NodeRates(c Clustering, load float64, meanLen float64, ratios []float64) ([]float64, error) {
-	if !(load >= 0) || !(meanLen > 0) { // negated so NaN fails too
+	if !(load >= 0) || math.IsInf(load, 1) || !(meanLen > 0) { // negated so NaN fails too
 		return nil, fmt.Errorf("traffic: invalid load %v or mean length %v", load, meanLen)
 	}
 	nc := len(c.Members)
@@ -309,6 +315,9 @@ func NodeRates(c Clustering, load float64, meanLen float64, ratios []float64) ([
 			continue
 		}
 		perNode := msgsTotal * ratios[ci] / total / float64(len(members))
+		if !(perNode <= math.MaxFloat64) { // negated so NaN fails too
+			return nil, fmt.Errorf("traffic: load %v gives cluster %d a per-node rate of %v", load, ci, perNode)
+		}
 		for _, n := range members {
 			rates[n] = perNode
 		}

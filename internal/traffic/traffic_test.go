@@ -271,6 +271,11 @@ func TestNodeRatesErrors(t *testing.T) {
 	if _, err := NodeRates(c, 1, 516, []float64{-1}); err == nil {
 		t.Error("negative ratio accepted")
 	}
+	for _, load := range []float64{math.Inf(1), 1e308} {
+		if _, err := NodeRates(c, load, 516, nil); err == nil {
+			t.Errorf("load %v accepted: its per-node rate is not finite", load)
+		}
+	}
 }
 
 func TestWorkloadArrivalProcess(t *testing.T) {
@@ -352,6 +357,7 @@ func TestWorkloadConfigErrors(t *testing.T) {
 		{Nodes: 4, Pattern: Uniform{C: c}, Lengths: Lengths{}, Rates: rates},
 		{Nodes: 4, Pattern: Uniform{C: c}, Lengths: PaperLengths, Rates: rates[:2]},
 		{Nodes: 4, Pattern: Uniform{C: c}, Lengths: PaperLengths, Rates: []float64{0, 0, 0, -1}},
+		{Nodes: 4, Pattern: Uniform{C: c}, Lengths: PaperLengths, Rates: []float64{0, 0, 0, math.Inf(1)}},
 	}
 	for i, cfg := range bad {
 		if _, err := NewWorkload(cfg); err == nil {

@@ -31,6 +31,12 @@ func splitmix64(x *uint64) uint64 {
 // New returns a Source seeded from seed. Distinct seeds give
 // independent-looking streams; equal seeds give identical streams.
 func New(seed uint64) *Source {
+	src := seeded(seed)
+	return &src
+}
+
+// seeded expands seed into a xoshiro state.
+func seeded(seed uint64) Source {
 	var src Source
 	sm := seed
 	for i := range src.s {
@@ -41,14 +47,15 @@ func New(seed uint64) *Source {
 	if src.s[0]|src.s[1]|src.s[2]|src.s[3] == 0 {
 		src.s[0] = 1
 	}
-	return &src
+	return src
 }
 
 // Split derives a new independent Source from the current one. It is
-// used to give every traffic generator and arbiter its own stream so
-// adding a consumer does not perturb the draws seen by others.
-func (src *Source) Split() *Source {
-	return New(src.Uint64() ^ 0xd1b54a32d192ed03)
+// used to give every traffic generator its own stream so adding a
+// consumer does not perturb the draws seen by others. The child is
+// returned by value, so a table of per-node streams is one allocation.
+func (src *Source) Split() Source {
+	return seeded(src.Uint64() ^ 0xd1b54a32d192ed03)
 }
 
 func rotl(x uint64, k uint) uint64 { return x<<k | x>>(64-k) }
