@@ -20,17 +20,23 @@ import (
 // only parking was available there). Allocate: a head or a queue is
 // asked once per release that could serve it (0.003-0.005 measured on
 // all six; 1.0 before blocked heads waited for a release).
+//
+// The counts themselves are pinned too: a walk skipped because it would
+// visit nobody still counts every slot it passes over and visits none,
+// so skipping must leave both pairs of counts as they were.
 func TestSweepVisitBudget(t *testing.T) {
 	for _, tc := range []struct {
-		spec  experiments.NetworkSpec
-		sweep float64
+		spec                   experiments.NetworkSpec
+		sweep                  float64
+		sweepSlots, sweepSeen  int64
+		allocSlots, allocAsked int64
 	}{
-		{experiments.TMINCube, 0.05},
-		{experiments.TMINButterfly, 0.05},
-		{experiments.DMINCube, 0.05},
-		{experiments.VMINCube, 0.35},
-		{experiments.BMINButterfly, 0.05},
-		{experiments.NetworkSpec{Kind: experiments.BMINButterfly.Kind, K: 4, Stages: 3, VCs: 2}, 0.40},
+		{experiments.TMINCube, 0.05, 1868352, 14452, 2987842, 9407},
+		{experiments.TMINButterfly, 0.05, 1864986, 13854, 3017575, 9065},
+		{experiments.DMINCube, 0.05, 1843968, 19774, 2642492, 13268},
+		{experiments.VMINCube, 0.35, 1864828, 577564, 2708997, 10265},
+		{experiments.BMINButterfly, 0.05, 1862820, 19091, 2932965, 13566},
+		{experiments.NetworkSpec{Kind: experiments.BMINButterfly.Kind, K: 4, Stages: 3, VCs: 2}, 0.40, 1866996, 662023, 2701490, 13284},
 	} {
 		const allocate = 0.01
 		net, err := tc.spec.Build()
@@ -48,11 +54,17 @@ func TestSweepVisitBudget(t *testing.T) {
 		if slots == 0 || share > tc.sweep {
 			t.Errorf("%s: the sweep visited %.3f of its worm-cycles, budget %.2f", net.Name(), share, tc.sweep)
 		}
+		if slots != tc.sweepSlots || visited != tc.sweepSeen {
+			t.Errorf("%s: SweepCounts = %d, %d, recorded %d, %d", net.Name(), slots, visited, tc.sweepSlots, tc.sweepSeen)
+		}
 		slots, visited = e.AllocateCounts()
 		share = float64(visited) / float64(slots)
 		t.Logf("%s: allocate asked %d of %d waiting heads and queues (%.4f)", net.Name(), visited, slots, share)
 		if slots == 0 || share > allocate {
 			t.Errorf("%s: allocate asked %.4f of its heads and queues, budget %.2f", net.Name(), share, allocate)
+		}
+		if slots != tc.allocSlots || visited != tc.allocAsked {
+			t.Errorf("%s: AllocateCounts = %d, %d, recorded %d, %d", net.Name(), slots, visited, tc.allocSlots, tc.allocAsked)
 		}
 	}
 }

@@ -124,6 +124,7 @@ func refStep(e *Engine, cov *trainCoverage) {
 // flagged, and every node with a queued message is listed, ascending.
 func refWakeAll(e *Engine) {
 	clear(e.blocked)
+	e.unblocked = int32(len(e.heads))
 	e.qlive = e.qlive[:0]
 	for node, q := range e.queues {
 		if len(q) > 0 {

@@ -81,14 +81,25 @@ func (src *Source) Intn(n int) int {
 		panic("xrand: Intn with n <= 0")
 	}
 	bound := uint64(n)
-	//simvet:bounded — rejection probability < 2^-32 per draw, so the loop all but always exits on the first iteration
-	for {
-		v := src.Uint64()
-		hi, lo := bits.Mul64(v, bound)
-		if lo >= bound || lo >= (-bound)%bound {
-			return int(hi)
-		}
+	hi, lo := bits.Mul64(src.Uint64(), bound)
+	if lo < bound {
+		hi = src.reject(hi, lo, bound)
 	}
+	return int(hi)
+}
+
+// reject finishes a draw below bound whose 128-bit product with bound
+// has the low half lo < bound: the draw stands unless lo is also below
+// 2^64 mod bound, and each rejection multiplies a fresh Uint64. The
+// modulus is a division, so it is paid only here; the odds of coming
+// here at all are bound/2^64 per draw, so it is kept out of line.
+//
+//go:noinline
+func (src *Source) reject(hi, lo, bound uint64) uint64 {
+	for thresh := -bound % bound; lo < thresh; {
+		hi, lo = bits.Mul64(src.Uint64(), bound)
+	}
+	return hi
 }
 
 // IntRange returns a uniform integer in [lo, hi] inclusive.
@@ -123,33 +134,57 @@ func (src *Source) Exp(mean float64) float64 {
 //
 // It is the loop `j := src.Intn(i + 1); dst[i] = dst[j]; dst[j] = i`
 // for i in [0, n), draw for draw: the engine shuffles its worms with it
-// every cycle, so Uint64 and Intn's rejection test are written out here
-// with the generator state held in locals across the whole loop rather
-// than loaded and stored per draw. TestDrawSequencePinned holds it to
-// that loop's output and to the state it leaves behind.
+// every cycle, so Uint64 and Intn are written out here two draws to an
+// iteration, with the generator state held in locals across the loop
+// and stored only around the rare reject. TestDrawSequencePinned holds
+// it to that loop's output and to the state it leaves behind, and
+// TestPermRejects does so through a rejected draw.
 func (src *Source) Perm(dst []int, n int) []int {
 	dst = slices.Grow(dst[:0], n)[:n]
 	s0, s1, s2, s3 := src.s[0], src.s[1], src.s[2], src.s[3]
-	for i := range dst {
+	i := 0
+	for ; i+1 < n; i += 2 {
 		bound := uint64(i + 1)
-		//simvet:bounded — Intn's rejection loop, same probability
-		for {
-			v := rotl(s1*5, 7) * 9
-			t := s1 << 17
-			s2 ^= s0
-			s3 ^= s1
-			s1 ^= s2
-			s0 ^= s3
-			s2 ^= t
-			s3 = rotl(s3, 45)
-			hi, lo := bits.Mul64(v, bound)
-			if lo >= bound || lo >= (-bound)%bound {
-				dst[i] = dst[hi]
-				dst[hi] = i
-				break
-			}
+		v := rotl(s1*5, 7) * 9
+		t := s1 << 17
+		s2 ^= s0
+		s3 ^= s1
+		s1 ^= s2
+		s0 ^= s3
+		s2 ^= t
+		s3 = rotl(s3, 45)
+		hi, lo := bits.Mul64(v, bound)
+		if lo < bound {
+			src.s = [4]uint64{s0, s1, s2, s3}
+			hi = src.reject(hi, lo, bound)
+			s0, s1, s2, s3 = src.s[0], src.s[1], src.s[2], src.s[3]
 		}
+		dst[i] = dst[hi]
+		dst[hi] = i
+
+		bound++
+		v = rotl(s1*5, 7) * 9
+		t = s1 << 17
+		s2 ^= s0
+		s3 ^= s1
+		s1 ^= s2
+		s0 ^= s3
+		s2 ^= t
+		s3 = rotl(s3, 45)
+		hi, lo = bits.Mul64(v, bound)
+		if lo < bound {
+			src.s = [4]uint64{s0, s1, s2, s3}
+			hi = src.reject(hi, lo, bound)
+			s0, s1, s2, s3 = src.s[0], src.s[1], src.s[2], src.s[3]
+		}
+		dst[i+1] = dst[hi]
+		dst[hi] = i + 1
 	}
 	src.s = [4]uint64{s0, s1, s2, s3}
+	if i < n { // n odd: the last draw
+		j := src.Intn(n)
+		dst[i] = dst[j]
+		dst[j] = i
+	}
 	return dst
 }

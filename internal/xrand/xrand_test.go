@@ -259,3 +259,116 @@ func TestPanics(t *testing.T) {
 		}()
 	}
 }
+
+// unstep is the inverse of one Uint64 step: it returns the state whose
+// step leads to s. The step sets s3 to rotl(s3^s1, 45), s0 to
+// s0^s3^s1, s1 to s1^s2^s0 and s2 to s2^s0^s1<<17, so s1 is
+// recovered from the xor of the last two, x ^ x<<17.
+func unstep(s [4]uint64) [4]uint64 {
+	x := s[3]<<19 | s[3]>>45 // s3^s1 before the step
+	s0 := s[0] ^ x
+	y := s[1] ^ s[2] // s1 ^ s1<<17
+	s1 := y ^ y<<17 ^ y<<34 ^ y<<51
+	return [4]uint64{s0, s1, s[1] ^ s1 ^ s0, x ^ s1}
+}
+
+// forcedZero returns a state from which the draw numbered step (from
+// 0) returns 0: the state before it has s[1] = 0, and Uint64's output
+// is rotl(s[1]*5, 7)*9. A zero draw multiplies to lo = 0, which a bound
+// that is not a power of two rejects, since 2^64 mod bound is then
+// above 0.
+func forcedZero(seed uint64, step int) Source {
+	src := seeded(seed)
+	src.s[1] = 0
+	if src.s[0]|src.s[2]|src.s[3] == 0 {
+		src.s[0] = 1
+	}
+	for range step {
+		src.s = unstep(src.s)
+	}
+	return src
+}
+
+// checkPermAgainstIntnLoop runs Perm(n) and the Intn loop it stands for
+// from the same state and fails unless both fill the same permutation
+// and leave the same state; it returns how many draws the loop took.
+func checkPermAgainstIntnLoop(t *testing.T, start Source, n int) int {
+	t.Helper()
+	ref, counter := start, start
+	want := make([]int, n)
+	for i := range want {
+		j := ref.Intn(i + 1)
+		want[i] = want[j]
+		want[j] = i
+	}
+	draws := 0
+	for ; counter.s != ref.s; draws++ {
+		if draws > 2*n+2 {
+			t.Fatalf("the Intn loop over %d took more than %d draws", n, draws)
+		}
+		counter.Uint64()
+	}
+	src := start
+	if got := src.Perm(nil, n); !slices.Equal(got, want) {
+		t.Fatalf("Perm(%d) = %v, the Intn loop %v", n, got, want)
+	}
+	if src.s != ref.s {
+		t.Fatalf("Perm(%d) leaves state %x, the Intn loop %x", n, src.s, ref.s)
+	}
+	return draws
+}
+
+// TestPermRejects takes Intn and Perm through the rejection branch,
+// which the pinned draw sequences never reach: at bound i+1 a draw is
+// rejected with odds (2^64 mod (i+1))/2^64, below 2^-62 for every bound
+// they use. A draw forced to 0 at Perm's step i is rejected whenever
+// i+1 is not a power of two, and both must then draw again for the same
+// bound, step for step.
+func TestPermRejects(t *testing.T) {
+	for s := range [4]uint64{} {
+		st := [4]uint64{1995, 1 << 63, 0x9e3779b97f4a7c15, 7}
+		st[s] ^= 0xdeadbeef
+		src := Source{st}
+		src.Uint64()
+		if got := unstep(src.s); got != st {
+			t.Fatalf("unstep(step(%x)) = %x", st, got)
+		}
+	}
+
+	src := forcedZero(1995, 0)
+	if v := src.Uint64(); v != 0 {
+		t.Fatalf("the forced draw is %d, not 0", v)
+	}
+	src = forcedZero(1995, 0)
+	after := forcedZero(1995, 0)
+	after.Uint64()
+	want := after.Intn(3)
+	if got := src.Intn(3); got != want || src.s != after.s {
+		t.Errorf("Intn(3) on a zero draw = %d, leaving %x; want the next draw's %d, leaving %x", got, src.s, want, after.s)
+	}
+
+	for _, tc := range []struct{ step, n int }{
+		{2, 3}, {2, 4}, {2, 64}, {4, 6}, {5, 64}, {6, 7}, {62, 64}, {63, 64}, {100, 1000}, {999, 1000},
+	} {
+		rejects := 1
+		if b := tc.step + 1; b&(b-1) == 0 {
+			rejects = 0 // 2^64 mod b is 0: a zero draw stands
+		}
+		if draws := checkPermAgainstIntnLoop(t, forcedZero(1995, tc.step), tc.n); draws != tc.n+rejects {
+			t.Errorf("zero draw at step %d of Perm(%d): the Intn loop took %d draws, want %d", tc.step, tc.n, draws, tc.n+rejects)
+		}
+	}
+}
+
+// FuzzPermMatchesIntnLoop holds Perm to the Intn loop for any seed, any
+// length up to 4096 and a draw forced to 0 at any step, inside the
+// permutation (rejected unless its bound is a power of two) or past it.
+func FuzzPermMatchesIntnLoop(f *testing.F) {
+	f.Add(uint64(1995), uint16(64), uint16(2))
+	f.Add(uint64(0), uint16(3), uint16(2))
+	f.Add(uint64(1<<64-1), uint16(4096), uint16(4000))
+	f.Add(uint64(7), uint16(1), uint16(9))
+	f.Fuzz(func(t *testing.T, seed uint64, n, step uint16) {
+		checkPermAgainstIntnLoop(t, forcedZero(seed, int(step)%4097), int(n)%4097)
+	})
+}
