@@ -103,15 +103,17 @@ func parseRunRequest(data []byte, lim limits) ([]experiments.Experiment, experim
 		exps = append(exps, e)
 	}
 
+	// Each factor and partial sum is held to the cap before the next
+	// is combined with it, so no count wraps past the cap.
 	points := 0
 	for _, e := range exps {
 		points += len(e.Loads) * len(e.Curves)
+		if points > lim.maxPoints {
+			return nil, experiments.Budget{}, badRequest("job requests at least %d load points, limit is %d per job", points, lim.maxPoints)
+		}
 	}
-	if budget.Replicas > 1 {
-		points *= budget.Replicas
-	}
-	if points > lim.maxPoints {
-		return nil, experiments.Budget{}, badRequest("job requests %d load points, limit is %d per job", points, lim.maxPoints)
+	if reps := max(budget.Replicas, 1); reps > lim.maxPoints || points > lim.maxPoints/reps {
+		return nil, experiments.Budget{}, badRequest("job requests %d load points x %d replicas, limit is %d load points per job", points, reps, lim.maxPoints)
 	}
 	return exps, budget, nil
 }
@@ -144,8 +146,9 @@ func resolveBudget(br BudgetRequest, lim limits) (experiments.Budget, error) {
 		return b, badRequest("negative replicas")
 	}
 	b.Replicas = br.Replicas
-	if total := b.WarmupCycles + b.MeasureCycles; total > lim.maxCycles {
-		return b, badRequest("cycle budget %d exceeds the per-point limit %d", total, lim.maxCycles)
+	// Both terms are non-negative, so neither comparison can wrap.
+	if b.WarmupCycles > lim.maxCycles || b.MeasureCycles > lim.maxCycles-b.WarmupCycles {
+		return b, badRequest("cycle budget %d warmup + %d measure exceeds the per-point limit %d", b.WarmupCycles, b.MeasureCycles, lim.maxCycles)
 	}
 	return b, nil
 }

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"math/big"
 	"strings"
 	"testing"
 
@@ -82,6 +83,22 @@ func TestParseRunRequestCaps(t *testing.T) {
 	if _, _, err := parseRunRequest([]byte(body), lim); err == nil || !strings.Contains(err.Error(), "experiments requested") {
 		t.Fatalf("experiment cap not enforced: %v", err)
 	}
+	for _, b := range wrappingBudgets {
+		body := `{"figures":["fig17a"],"budget":{` + b + `}}`
+		if _, _, err := parseRunRequest([]byte(body), testLimits); err == nil || !strings.Contains(err.Error(), "limit") {
+			t.Errorf("%s: admitted or wrong error: %v", body, err)
+		}
+	}
+}
+
+// wrappingBudgets each overflowed an admission product or sum to a
+// negative count, under the cap: 2^62 and 2^61 replicas times fig17a's
+// 30 points, and the two cycle sums.
+var wrappingBudgets = []string{
+	`"replicas":4611686018427387904`,
+	`"replicas":2305843009213693952`,
+	`"warmup":9223372036854775807,"measure":1`,
+	`"warmup":4611686018427387904,"measure":4611686018427387904`,
 }
 
 // TestParseRunRequestReplicas pins the admission accounting for
@@ -108,4 +125,32 @@ func TestParseRunRequestReplicas(t *testing.T) {
 	if _, _, err := parseRunRequest([]byte(`{"figures":["fig16a"],"budget":{"replicas":-1}}`), testLimits); err == nil {
 		t.Fatal("negative replicas admitted")
 	}
+}
+
+// FuzzParseRunRequest: every request parseRunRequest admits fits the
+// limits, with the points and cycles recounted in arbitrary precision
+// so a count that wraps cannot pass for a small one.
+func FuzzParseRunRequest(f *testing.F) {
+	for _, b := range wrappingBudgets {
+		f.Add([]byte(`{"figures":["fig17a"],"budget":{` + b + `}}`))
+	}
+	f.Add([]byte(`{"experiments":[` + tinyExperimentJSON + `],"budget":{"replicas":3,"warmup":5,"measure":7}}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		exps, budget, err := parseRunRequest(data, testLimits)
+		if err != nil {
+			return
+		}
+		points := new(big.Int)
+		for _, e := range exps {
+			points.Add(points, new(big.Int).Mul(big.NewInt(int64(len(e.Loads))), big.NewInt(int64(len(e.Curves)))))
+		}
+		points.Mul(points, big.NewInt(int64(max(budget.Replicas, 1))))
+		if points.Cmp(big.NewInt(int64(testLimits.maxPoints))) > 0 {
+			t.Fatalf("admitted %s load points over the %d limit: %s", points, testLimits.maxPoints, data)
+		}
+		cycles := new(big.Int).Add(big.NewInt(budget.WarmupCycles), big.NewInt(budget.MeasureCycles))
+		if cycles.Cmp(big.NewInt(testLimits.maxCycles)) > 0 {
+			t.Fatalf("admitted %s cycles per point over the %d limit: %s", cycles, testLimits.maxCycles, data)
+		}
+	})
 }

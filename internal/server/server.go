@@ -223,11 +223,25 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	w.Write(append(data, '\n'))
 }
 
+// replyBufs holds writeSnapshot's buffers between replies: a fresh
+// 16 KB buffer per reply was 15% of a warm run request's allocation. A
+// buffer grown past maxPooledReply is dropped, so one huge reply is
+// not kept for good.
+var replyBufs = sync.Pool{New: func() any { b := make([]byte, 0, 16<<10); return &b }}
+
+const maxPooledReply = 1 << 20
+
 // writeSnapshot writes a job snapshot byte for byte as writeJSON
 // would, appended by hand: reflection was a fifth of a warm run reply.
 // A figure holding NaN or ±Inf goes to writeJSON and its 500.
 func writeSnapshot(w http.ResponseWriter, code int, s jobSnapshot) {
-	b := metrics.AppendJSONString(append(make([]byte, 0, 16<<10), `{"id":`...), s.ID)
+	buf := replyBufs.Get().(*[]byte)
+	defer func() {
+		if cap(*buf) <= maxPooledReply {
+			replyBufs.Put(buf)
+		}
+	}()
+	b := metrics.AppendJSONString(append((*buf)[:0], `{"id":`...), s.ID)
 	b = metrics.AppendJSONString(append(b, `,"status":`...), s.Status)
 	if s.Error != "" {
 		b = metrics.AppendJSONString(append(b, `,"error":`...), s.Error)
@@ -252,9 +266,11 @@ func writeSnapshot(w http.ResponseWriter, code int, s jobSnapshot) {
 		}
 		b[len(b)-1] = ']'
 	}
+	b = append(b, "}\n"...)
+	*buf = b[:0]
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	w.Write(append(b, "}\n"...))
+	w.Write(b)
 }
 
 // errorBody is the JSON shape of every non-2xx response.

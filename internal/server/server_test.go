@@ -187,6 +187,27 @@ func TestHugeLoadFailsTheJob(t *testing.T) {
 	}
 }
 
+// TestWrappingBudgetsRefused: a replica count or cycle budget whose
+// product or sum wraps past the admission caps is refused with a 400
+// naming the cap, and the server goes on serving. Admitted, a replica
+// count panicked the job's goroutine sizing a slice of 2^62 point-runs,
+// taking the process down, and a cycle budget ran no cycle and
+// answered 200 with all-zero points, stored under their keys.
+func TestWrappingBudgetsRefused(t *testing.T) {
+	_, ts, _ := newTestServer(t, nil)
+	for _, b := range wrappingBudgets {
+		resp, out := postJSON(t, ts.URL+"/v1/run", `{"figures":["fig17a"],"budget":{`+b+`}}`)
+		var eb errorBody
+		if err := json.Unmarshal(out, &eb); err != nil || resp.StatusCode != http.StatusBadRequest ||
+			!strings.Contains(eb.Error, "limit is 20000 load points") && !strings.Contains(eb.Error, "per-point limit 10000000") {
+			t.Errorf("%s: code %d body %s; want 400 naming the cap", b, resp.StatusCode, out)
+		}
+		if resp, out := postJSON(t, ts.URL+"/v1/run", fastRunBody); resp.StatusCode != http.StatusOK {
+			t.Fatalf("after %s: next run code %d body %s", b, resp.StatusCode, out)
+		}
+	}
+}
+
 func TestSyncRunWarmCache(t *testing.T) {
 	_, ts, logs := newTestServer(t, nil)
 

@@ -25,15 +25,26 @@ type SweepSpec struct {
 
 // pointRun is one deduplicated unit of work. Several sweeps (and
 // several positions within one sweep) may share a pointRun; it is
-// executed at most once per plan.
+// executed at most once per plan. Within a sweep only the load and the
+// seed differ from point to point, so a point holds those two and a
+// pointer to its sweep's spec, not a copy of the whole RunSpec.
 type pointRun struct {
-	key    string  // content hash; "" for AddFunc points and failed registrations
-	spec   RunSpec // valid when fn == nil
+	key    string   // content hash; "" for AddFunc points and failed registrations
+	base   *RunSpec // the sweep's spec with Load and Seed zero; nil for AddFunc points
+	load   float64
+	seed   uint64
 	fn     func() (metrics.Point, error)
 	pt     metrics.Point
 	err    error
 	done   bool
 	cached bool
+}
+
+// spec returns the point's full RunSpec. Valid when fn == nil.
+func (r *pointRun) spec() RunSpec {
+	rs := *r.base
+	rs.Load, rs.Seed = r.load, r.seed
+	return rs
 }
 
 // Plan is a deduplicated DAG of point-runs assembled from requested
@@ -80,26 +91,27 @@ func (p *Plan) AddSweep(s SweepSpec) *Handle {
 	// One key prefix serves the whole sweep: only the point line
 	// differs between its keys. An error fails every point.
 	prefix, prefixErr := keyPrefix(s.Net, s.Work)
+	base := &RunSpec{
+		Net:         s.Net,
+		Work:        s.Work,
+		Warmup:      s.Budget.WarmupCycles,
+		Measure:     s.Budget.MeasureCycles,
+		BufferDepth: s.BufferDepth,
+		Arbitration: s.Arbitration,
+	}
 	//simvet:bounded — plan assembly over the requested load list; keyPrefix's one-time fingerprint costs milliseconds
 	for i, load := range s.Loads {
 		group := make([]*pointRun, reps)
 		//simvet:bounded — replicas per load point, admission-capped
 		for rep := 0; rep < reps; rep++ {
-			rs := RunSpec{
-				Net:         s.Net,
-				Work:        s.Work,
-				Load:        load,
-				Warmup:      s.Budget.WarmupCycles,
-				Measure:     s.Budget.MeasureCycles,
-				Seed:        DeriveReplicaSeed(s.Budget.Seed, i, rep),
-				BufferDepth: s.BufferDepth,
-				Arbitration: s.Arbitration,
-			}
+			seed := DeriveReplicaSeed(s.Budget.Seed, i, rep)
 			if prefixErr != nil {
-				group[rep] = p.add(rs, "", prefixErr)
-			} else {
-				group[rep] = p.add(rs, rs.keyAfter(prefix), nil)
+				group[rep] = p.add(base, load, seed, "", prefixErr)
+				continue
 			}
+			rs := *base
+			rs.Load, rs.Seed = load, seed
+			group[rep] = p.add(base, load, seed, rs.keyAfter(prefix), nil)
 		}
 		h.groups[i] = group
 	}
@@ -115,19 +127,22 @@ func (p *Plan) AddSweep(s SweepSpec) *Handle {
 // cancellation as any locally planned point.
 func (p *Plan) AddSpec(rs RunSpec) *Handle {
 	key, err := rs.Key()
-	return &Handle{groups: [][]*pointRun{{p.add(rs, key, err)}}}
+	base := rs
+	base.Load, base.Seed = 0, 0
+	return &Handle{groups: [][]*pointRun{{p.add(&base, rs.Load, rs.Seed, key, err)}}}
 }
 
-// add registers the spec point rs under its key, or returns the
-// point-run already registered under that key. keyErr, the error of a
-// spec with no key (key is ""), makes a failed point: it has neither fn
-// nor key, is never indexed or run, and Handle.Points reports keyErr.
-func (p *Plan) add(rs RunSpec, key string, keyErr error) *pointRun {
+// add registers the spec point (base with load and seed) under its key,
+// or returns the point-run already registered under that key. keyErr,
+// the error of a spec with no key (key is ""), makes a failed point: it
+// has neither fn nor key, is never indexed or run, and Handle.Points
+// reports keyErr.
+func (p *Plan) add(base *RunSpec, load float64, seed uint64, key string, keyErr error) *pointRun {
 	p.requested++
 	if r, ok := p.index[key]; ok {
 		return r
 	}
-	r := &pointRun{key: key, spec: rs, err: keyErr}
+	r := &pointRun{key: key, base: base, load: load, seed: seed, err: keyErr}
 	p.runs = append(p.runs, r)
 	if keyErr == nil {
 		p.index[key] = r
@@ -296,7 +311,7 @@ func (p *Plan) Execute(ctx context.Context, opts Options) error {
 	if len(remote) > 0 {
 		units := make([]DispatchUnit, len(remote))
 		for i, r := range remote {
-			units[i] = DispatchUnit{Key: r.key, Spec: r.spec}
+			units[i] = DispatchUnit{Key: r.key, Spec: r.spec()}
 		}
 		dispatchWG.Add(1)
 		go func() {
@@ -362,13 +377,15 @@ func (p *Plan) Execute(ctx context.Context, opts Options) error {
 				// quantum, not a run; an opaque fn point cannot be cut.
 				if r.fn != nil {
 					r.pt, r.err = r.fn()
-				} else if r.pt, r.err = r.spec.run(ctx); r.err != nil {
-					r.err = fmt.Errorf("simrun: %s: %w", r.spec, r.err)
+				} else {
+					rs := r.spec()
+					if r.pt, r.err = rs.run(ctx); r.err != nil {
+						r.err = fmt.Errorf("simrun: %s: %w", rs, r.err)
+					} else if opts.Store != nil {
+						opts.Store.Put(r.key, rs.String(), r.pt)
+					}
 				}
 				r.done = r.err == nil
-				if r.done && opts.Store != nil && r.fn == nil {
-					opts.Store.Put(r.key, r.spec.String(), r.pt)
-				}
 				p.bump(func(c *Counters) {
 					c.Running--
 					c.Executed++
