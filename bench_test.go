@@ -23,7 +23,6 @@ import (
 	"minsim/internal/engine"
 	"minsim/internal/experiments"
 	"minsim/internal/metrics"
-	"minsim/internal/multicast"
 	"minsim/internal/routing"
 	"minsim/internal/topology"
 	"minsim/internal/traffic"
@@ -310,35 +309,6 @@ func BenchmarkExtXMIN(b *testing.B)     { runFigure(b, "ext-xmin") }
 func BenchmarkExtBMINVC(b *testing.B)   { runFigure(b, "ext-bmin-vc") }
 func BenchmarkExtBufDepth(b *testing.B) { runFigure(b, "ext-bufdepth") }
 func BenchmarkExt8ary(b *testing.B)     { runFigure(b, "ext-8ary") }
-
-// BenchmarkMulticast compares the three software-multicast trees for
-// a full 63-destination broadcast, reporting cycles per algorithm.
-func BenchmarkMulticast(b *testing.B) {
-	net, err := topology.NewBMIN(4, 3)
-	if err != nil {
-		b.Fatal(err)
-	}
-	var dests []int
-	for i := 1; i < net.Nodes; i++ {
-		dests = append(dests, i)
-	}
-	algs := []multicast.Algorithm{multicast.SeparateAddressing{}, multicast.Binomial{}, multicast.SubtreeAware{}}
-	b.ResetTimer()
-	var results [3]int64
-	for i := 0; i < b.N; i++ {
-		for j, alg := range algs {
-			res, err := multicast.Run(net, alg, 0, dests, 256)
-			if err != nil {
-				b.Fatal(err)
-			}
-			results[j] = res.Latency
-		}
-	}
-	b.StopTimer()
-	b.ReportMetric(float64(results[0]), "sep_cyc")
-	b.ReportMetric(float64(results[1]), "binom_cyc")
-	b.ReportMetric(float64(results[2]), "dimord_cyc")
-}
 
 // BenchmarkRouting measures candidate computation throughput, the
 // inner loop of the allocation phase: the factored lookup, expanded.

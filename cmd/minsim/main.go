@@ -1,21 +1,14 @@
-// Command minsim runs a single wormhole-network simulation and prints
-// its statistics.
+// Command minsim runs and inspects switch-based wormhole networks:
 //
-// Usage:
+//	minsim run -net dmin -pattern hotspot -hotx 0.05 -load 0.4  # one point
+//	minsim sweep -net bmin -from 0.05 -to 0.9 -points 12       # one curve
+//	minsim saturate -cache results/cache      # bisected saturation matrix
+//	minsim topo -net bmin -k 2 -stages 3 route 1 5   # Theorem 1's paths
 //
-//	minsim -net dmin -pattern hotspot -hotx 0.05 -load 0.4
-//	minsim -net bmin -pattern shuffle -load 0.6 -measure 200000
-//
-// Networks: tmin, dmin, vmin, bmin (add -wiring butterfly, omega or
-// baseline for another interstage pattern; cube is the default,
-// matching the paper's Section 5 choice). Patterns: uniform, hotspot,
-// shuffle, butterfly, adversarial or a named permutation. Scopes:
-// global, cluster16, shared, cluster32.
-//
-// The flags name a simrun.RunSpec with -seed as its point seed, and the
-// point runs through simrun's one engine constructor: its statistics
-// are those a plan computes and caches for that spec. The instruments
-// (-hist, -util, -ci, -trace) only observe.
+// The flags parse through the spec vocabulary of the JSON experiment
+// schema (experiments.ParseNetworkSpec, experiments.ParseWorkloadSpec),
+// and every simulated point is a keyed simrun.RunSpec: its statistics
+// are those a plan computes and caches for that spec.
 package main
 
 import (
@@ -23,125 +16,175 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
+	"strconv"
+	"strings"
 
-	"minsim/internal/cli"
-	"minsim/internal/engine"
 	"minsim/internal/experiments"
-	"minsim/internal/metrics"
 	"minsim/internal/simrun"
-	"minsim/internal/trace"
+	"minsim/internal/topology"
 )
 
+const usageText = `usage: minsim <command> [flags] [args]
+commands:
+  run       simulate one load point and print its statistics
+  sweep     simulate an offered-load sweep and print its curve
+  saturate  bisect the maximum sustainable load of each network and pattern
+  topo      inspect a topology: wiring, routes, partitions, cost
+"minsim <command> -h" lists a command's flags`
+
+// commands maps each subcommand to its entry point, which writes its
+// report to stdout and its flag errors and progress to stderr.
+var commands = map[string]func(args []string, stdout, stderr io.Writer) error{
+	"run": func(args []string, stdout, stderr io.Writer) error {
+		_, _, err := run(args, stdout, stderr)
+		return err
+	},
+	"sweep":    sweep,
+	"saturate": saturate,
+	"topo":     topo,
+}
+
+// errFlags marks a command line that the flag package has already
+// reported, with the command's flag listing.
+var errFlags = errors.New("bad flags")
+
 func main() {
-	switch _, _, err := run(os.Args[1:], os.Stdout); {
-	case errors.Is(err, flag.ErrHelp):
-	case err != nil:
-		fmt.Fprintf(os.Stderr, "minsim: %v\n", err)
-		os.Exit(1)
+	os.Exit(minsim(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// minsim dispatches one command line (without the program name) and
+// returns the exit status: 2 for a bad command line, 1 for a failed
+// command.
+func minsim(args []string, stdout, stderr io.Writer) int {
+	if len(args) == 0 || commands[args[0]] == nil {
+		fmt.Fprintln(stderr, usageText)
+		return 2
+	}
+	switch err := commands[args[0]](args[1:], stdout, stderr); {
+	case err == nil, errors.Is(err, flag.ErrHelp):
+		return 0
+	case errors.Is(err, errFlags):
+		return 2
+	case errors.Is(err, errTopoUsage):
+		fmt.Fprintln(stderr, err)
+		return 2
+	default:
+		fmt.Fprintf(stderr, "minsim %s: %v\n", args[0], err)
+		return 1
 	}
 }
 
-// run executes one minsim command line (without the program name),
-// writing the report to w. It returns the point's spec and statistics,
-// which the tests hold against a plan's.
-func run(args []string, w io.Writer) (simrun.RunSpec, metrics.Point, error) {
-	fs := flag.NewFlagSet("minsim", flag.ContinueOnError)
-	var (
-		netFlags = cli.AddNetworkFlags(fs)
-
-		pattern = fs.String("pattern", "uniform", "traffic: uniform, hotspot, shuffle, butterfly, adversarial, or a named permutation")
-		scope   = fs.String("scope", "global", "clustering: global, cluster16, shared, cluster32")
-		hotX    = fs.Float64("hotx", 0.05, "hot spot extra fraction")
-		bfi     = fs.Int("bfi", 2, "butterfly permutation index")
-		ratios  = fs.String("ratios", "", "per-cluster load ratios, e.g. 4:1:1:1")
-		minLen  = fs.Int("minlen", 8, "minimum message length (flits)")
-		maxLen  = fs.Int("maxlen", 1024, "maximum message length (flits)")
-
-		load    = fs.Float64("load", 0.3, "offered load, flits/node/cycle")
-		warmup  = fs.Int64("warmup", 20000, "warmup cycles")
-		measure = fs.Int64("measure", 60000, "measurement cycles")
-		seed    = fs.Uint64("seed", 1, "random seed")
-
-		hist      = fs.Bool("hist", false, "print the latency histogram")
-		util      = fs.Bool("util", false, "print per-layer channel utilization")
-		ci        = fs.Bool("ci", false, "print a 95% batch-means confidence interval")
-		traceFile = fs.String("trace", "", "write a per-message trace CSV to this file")
-	)
-	if err := fs.Parse(args); err != nil {
-		return simrun.RunSpec{}, metrics.Point{}, err
+// parse parses args into fs, which reports its errors to stderr.
+func parse(fs *flag.FlagSet, args []string, stderr io.Writer) error {
+	fs.SetOutput(stderr)
+	err := fs.Parse(args)
+	if err != nil && !errors.Is(err, flag.ErrHelp) {
+		return fmt.Errorf("%w: %w", errFlags, err)
 	}
+	return err
+}
 
-	spec, net, err := netFlags.Build()
+// addNetworkFlags registers -net, -wiring, -k, -stages, -dilation and
+// -vcs. The dimensions default to 0, the family default the spec
+// applies: dilation 2 on a DMIN, 2 virtual channels on a VMIN and 1 on
+// a BMIN.
+func addNetworkFlags(fs *flag.FlagSet) *experiments.NetworkOptions {
+	o := new(experiments.NetworkOptions)
+	fs.StringVar(&o.Kind, "net", "tmin", "network: tmin, dmin, vmin, bmin")
+	fs.StringVar(&o.Wiring, "wiring", "cube", "interstage wiring of tmin, dmin and vmin: cube, butterfly, omega, baseline")
+	fs.IntVar(&o.K, "k", 4, "switch arity")
+	fs.IntVar(&o.Stages, "stages", 3, "stages (nodes = k^stages)")
+	fs.IntVar(&o.Dilation, "dilation", 0, "DMIN dilation (0 = 2)")
+	fs.IntVar(&o.VCs, "vcs", 0, "virtual channels per link (0 = 2 on a VMIN, 1 on a BMIN)")
+	return o
+}
+
+// buildNetwork resolves the network flags into a spec and builds the
+// network it names.
+func buildNetwork(o *experiments.NetworkOptions) (experiments.NetworkSpec, *topology.Network, error) {
+	spec, err := experiments.ParseNetworkSpec(*o)
 	if err != nil {
-		return simrun.RunSpec{}, metrics.Point{}, err
+		return spec, nil, err
 	}
-	opts := experiments.WorkloadOptions{
-		Cluster: *scope, Pattern: *pattern, HotX: *hotX, ButterflyI: *bfi,
-		MinLen: *minLen, MaxLen: *maxLen,
-	}
-	if *ratios != "" {
-		if opts.Ratios, err = cli.ParseRatios(*ratios); err != nil {
-			return simrun.RunSpec{}, metrics.Point{}, err
-		}
-	}
-	work, err := experiments.ParseWorkloadSpec(opts)
-	if err != nil {
-		return simrun.RunSpec{}, metrics.Point{}, err
-	}
-	rs := simrun.RunSpec{Net: spec, Work: work, Load: *load, Warmup: *warmup, Measure: *measure, Seed: *seed}
+	net, err := spec.Build()
+	return spec, net, err
+}
 
-	var rec trace.Recorder
-	e, err := rs.Point(net).NewEngine(func(cfg *engine.Config) {
-		if *traceFile != "" {
-			cfg.OnDeliver = rec.OnDeliver
-		}
-	})
-	if err != nil {
-		return simrun.RunSpec{}, metrics.Point{}, err
-	}
-	var h engine.Histogram
-	if *hist {
-		e.EnableLatencyHistogram(&h)
-	}
-	if *util {
-		e.EnableChannelStats()
-	}
-	if *ci {
-		e.EnableBatchMeans(*measure / 20)
-	}
-	e.SetMeasureFrom(*warmup)
-	e.Run(*warmup + *measure)
-	st := e.Stats()
-	res := metrics.FromStats(*load, net.Nodes, st)
+// addWorkloadFlags registers -pattern, -scope, -hotx, -bfi, -minlen and
+// -maxlen; the length flags' usage ends in unit.
+func addWorkloadFlags(fs *flag.FlagSet, unit string) *experiments.WorkloadOptions {
+	o := new(experiments.WorkloadOptions)
+	fs.StringVar(&o.Pattern, "pattern", "uniform", "traffic: uniform, hotspot, shuffle, butterfly, adversarial, or a named permutation")
+	fs.StringVar(&o.Cluster, "scope", "global", "clustering: global, cluster16, shared, cluster32")
+	fs.Float64Var(&o.HotX, "hotx", 0.05, "hot spot extra fraction")
+	fs.IntVar(&o.ButterflyI, "bfi", 2, "butterfly permutation index")
+	fs.IntVar(&o.MinLen, "minlen", 8, "minimum message length"+unit)
+	fs.IntVar(&o.MaxLen, "maxlen", 1024, "maximum message length"+unit)
+	return o
+}
 
-	fmt.Fprintf(w, "network:            %s (%d channels)\n", net.Name(), net.ChannelCount())
-	fmt.Fprintf(w, "workload:           %s/%s, lengths U{%d..%d}\n", *pattern, *scope, *minLen, *maxLen)
-	fmt.Fprintf(w, "offered load:       %.3f flits/node/cycle\n", res.Offered)
-	fmt.Fprintf(w, "throughput:         %.4f flits/node/cycle (%.1f%% of ejection capacity)\n", res.Throughput, 100*res.Throughput)
-	fmt.Fprintf(w, "mean latency:       %.1f cycles (%.3f ms at 20 flits/ms)\n", res.LatencyCyc, res.LatencyMs)
-	fmt.Fprintf(w, "latency std dev:    %.1f cycles\n", res.StdDev)
-	fmt.Fprintf(w, "messages measured:  %d\n", res.Messages)
-	fmt.Fprintf(w, "max source queue:   %d messages\n", st.MaxQueue)
-	fmt.Fprintf(w, "sustainable:        %t\n", res.Sustainable)
-	if *ci {
-		if lo, hi, ok := metrics.ConfidenceInterval(e.BatchMeans(), 1.96); ok {
-			fmt.Fprintf(w, "latency 95%% CI:     [%.1f, %.1f] cycles (batch means)\n", lo, hi)
-		} else {
-			fmt.Fprintln(w, "latency 95% CI:     not enough batches")
+// parseRatios parses colon-separated per-cluster load ratios,
+// e.g. "4:1:1:1".
+func parseRatios(s string) ([]float64, error) {
+	parts := strings.Split(s, ":")
+	out := make([]float64, len(parts))
+	for i, p := range parts {
+		v, err := strconv.ParseFloat(strings.TrimSpace(p), 64)
+		if err != nil {
+			return nil, fmt.Errorf("bad ratio %q: %w", p, err)
 		}
-	}
-	if *hist && h.Count() > 0 {
-		fmt.Fprintf(w, "latency quantiles:  p50=%.0f p95=%.0f p99=%.0f cycles\n%s", h.Quantile(0.5), h.Quantile(0.95), h.Quantile(0.99), h.String())
-	}
-	if *util {
-		fmt.Fprint(w, trace.UtilizationReport(net, e.ChannelFlits(), st.Cycles)+trace.BlockingReport(e.BlockedByStage(), st.Cycles))
-	}
-	if *traceFile != "" {
-		if err := os.WriteFile(*traceFile, []byte(rec.CSV()), 0o644); err != nil {
-			return simrun.RunSpec{}, metrics.Point{}, err
+		if v < 0 {
+			return nil, fmt.Errorf("negative ratio %v", v)
 		}
-		fmt.Fprintf(w, "trace written:      %s\n", *traceFile)
+		out[i] = v
 	}
-	return rs, res, nil
+	return out, nil
+}
+
+// budget holds -warmup, -measure and -seed.
+type budget struct {
+	warmup, measure int64
+	seed            uint64
+}
+
+// addBudgetFlags registers -warmup and -measure, their usage ending in
+// per, and -seed with the given default.
+func addBudgetFlags(fs *flag.FlagSet, per string, seed uint64) *budget {
+	b := new(budget)
+	fs.Int64Var(&b.warmup, "warmup", 20000, "warmup cycles"+per)
+	fs.Int64Var(&b.measure, "measure", 60000, "measurement cycles"+per)
+	fs.Uint64Var(&b.seed, "seed", seed, "random seed")
+	return b
+}
+
+// check refuses what simd refuses: a negative budget, and one whose
+// total cycle count wraps.
+func (b *budget) check() error {
+	if b.warmup < 0 || b.measure < 0 {
+		return errors.New("negative cycle budget")
+	}
+	if b.measure > math.MaxInt64-b.warmup {
+		return fmt.Errorf("cycle budget %d warmup + %d measure exceeds %d cycles", b.warmup, b.measure, int64(math.MaxInt64))
+	}
+	return nil
+}
+
+// addCacheFlag registers -cache.
+func addCacheFlag(fs *flag.FlagSet) *string {
+	return fs.String("cache", "", "content-addressed result cache directory (empty = no cache)")
+}
+
+// withStore returns opts reading and writing the store at dir, if
+// dir is not empty.
+func withStore(opts simrun.Options, dir string) (simrun.Options, error) {
+	if dir == "" {
+		return opts, nil
+	}
+	store, err := simrun.NewStore(dir)
+	if err == nil {
+		opts.Store = store
+	}
+	return opts, err
 }

@@ -1,6 +1,7 @@
 package minsim_test
 
 import (
+	"fmt"
 	"go/ast"
 	"go/parser"
 	"go/token"
@@ -18,40 +19,67 @@ import (
 var docSymbol = regexp.MustCompile("`([a-z][a-z0-9]*)\\.([A-Z][A-Za-z0-9_]*)(?:\\.([A-Za-z_][A-Za-z0-9_]*))?(?:\\([^`]*\\))?`")
 
 // TestDocSymbolsResolve holds the prose to the code: every backticked
-// `pkg.Name` or `pkg.Type.Member` in README.md, DESIGN.md,
-// EXPERIMENTS.md and docs/*.md whose pkg names an internal/ package
-// must name a declaration of that package. `pkg.Name` is a
-// package-level identifier, or a method or field of some type in the
-// package (shorthand such as `xrand.Intn`); `pkg.Type.Member` is a
-// method or field of that type.
+// `pkg.Name` or `pkg.Type.Member` in the docs whose pkg names an
+// internal/ package must name a declaration of that package.
+// `pkg.Name` is a package-level identifier, or a method or field of
+// some type in the package (shorthand such as `xrand.Intn`);
+// `pkg.Type.Member` is a method or field of that type.
 func TestDocSymbolsResolve(t *testing.T) {
 	pkgs := internalDecls(t)
+	checked := 0
+	forEachDocLine(t, func(at, line string) {
+		for _, m := range docSymbol.FindAllStringSubmatch(line, -1) {
+			d, ok := pkgs[m[1]]
+			if !ok {
+				continue // a standard-library or other outside name
+			}
+			checked++
+			if !d.resolves(m[2], m[3]) {
+				t.Errorf("%s: %s names nothing in package %s", at, m[0], m[1])
+			}
+		}
+	})
+	if checked == 0 {
+		t.Fatal("no doc symbols found; is the pattern stale?")
+	}
+}
+
+// docCommand matches a command path, cmd/<name>.
+var docCommand = regexp.MustCompile(`\bcmd/([a-z][a-z0-9]*)`)
+
+// TestDocCommandsExist: every cmd/<name> the docs mention is a command
+// of the module, so a merged or deleted binary cannot linger in them.
+func TestDocCommandsExist(t *testing.T) {
+	checked := 0
+	forEachDocLine(t, func(at, line string) {
+		for _, m := range docCommand.FindAllStringSubmatch(line, -1) {
+			checked++
+			if st, err := os.Stat(filepath.Join("cmd", m[1])); err != nil || !st.IsDir() {
+				t.Errorf("%s: %s is not a command directory", at, m[0])
+			}
+		}
+	})
+	if checked == 0 {
+		t.Fatal("no command paths found; is the pattern stale?")
+	}
+}
+
+// forEachDocLine calls f with each line of README.md, DESIGN.md,
+// EXPERIMENTS.md and docs/*.md and its file:line position.
+func forEachDocLine(t *testing.T, f func(at, line string)) {
+	t.Helper()
 	docs, err := filepath.Glob("docs/*.md")
 	if err != nil {
 		t.Fatal(err)
 	}
-	docs = append([]string{"README.md", "DESIGN.md", "EXPERIMENTS.md"}, docs...)
-	checked := 0
-	for _, doc := range docs {
+	for _, doc := range append([]string{"README.md", "DESIGN.md", "EXPERIMENTS.md"}, docs...) {
 		data, err := os.ReadFile(doc)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for i, line := range strings.Split(string(data), "\n") {
-			for _, m := range docSymbol.FindAllStringSubmatch(line, -1) {
-				d, ok := pkgs[m[1]]
-				if !ok {
-					continue // a standard-library or other outside name
-				}
-				checked++
-				if !d.resolves(m[2], m[3]) {
-					t.Errorf("%s:%d: %s names nothing in package %s", doc, i+1, m[0], m[1])
-				}
-			}
+			f(fmt.Sprintf("%s:%d", doc, i+1), line)
 		}
-	}
-	if checked == 0 {
-		t.Fatal("no doc symbols found; is the pattern stale?")
 	}
 }
 

@@ -1,10 +1,10 @@
 // The examples below are the library's tour: the paper's four network
 // families side by side, its traffic patterns, Section 4's
-// partitionability, Section 3's turnaround routing, software multicast
-// and the closed-form models. Each builds networks from simrun specs
-// and simulates through simrun plans, so its numbers are the points
-// cmd/sweep and cmd/figures compute and cache for the same specs; go
-// test checks every line it prints.
+// partitionability, Section 3's turnaround routing and the closed-form
+// models. Each builds networks from simrun specs and simulates through
+// simrun plans, so its numbers are the points `minsim sweep` and
+// cmd/figures compute and cache for the same specs; go test checks
+// every line it prints.
 package minsim_test
 
 import (
@@ -16,7 +16,6 @@ import (
 	"minsim/internal/analytic"
 	"minsim/internal/fattree"
 	"minsim/internal/metrics"
-	"minsim/internal/multicast"
 	"minsim/internal/partition"
 	"minsim/internal/routing"
 	"minsim/internal/simrun"
@@ -356,86 +355,6 @@ func Example_fattree() {
 	//   001    66                 68
 	//   010    68                 68
 	//   100    70                 68
-}
-
-// Example_multicast compares software-multicast strategies on the
-// 64-node BMIN (fat tree) — the paper's closing future-work item. A
-// root delivers one message to m destinations via unicasts; a node may
-// forward only after fully receiving. Separate addressing pays m
-// serialized sends; binomial trees pay ~log2(m) rounds; the
-// dimension-ordered tree keeps binomial depth while its rounds ride
-// disjoint fat-tree subtrees.
-func Example_multicast() {
-	net := build(paper(topology.BMIN))
-	const msgLen = 256
-	algorithms := []struct {
-		name string
-		alg  multicast.Algorithm
-	}{
-		{"separate addressing", multicast.SeparateAddressing{}},
-		{"binomial tree", multicast.Binomial{}},
-		{"dimension-ordered tree", multicast.SubtreeAware{}},
-	}
-	for _, m := range []int{4, 16, 63} {
-		dests := make([]int, 0, m)
-		for i := 1; i <= m; i++ {
-			dests = append(dests, i)
-		}
-		fmt.Printf("broadcast of a %d-flit message from node 0 to %d destinations:\n", msgLen, m)
-		fmt.Printf("  %-24s %-16s %-10s %s\n", "algorithm", "latency (cyc)", "unicasts", "rounds")
-		for _, a := range algorithms {
-			res, err := multicast.Run(net, a.alg, 0, dests, msgLen)
-			if err != nil {
-				panic(err)
-			}
-			fmt.Printf("  %-24s %-16d %-10d %d\n", a.name, res.Latency, res.Unicasts, res.MaxDepth)
-		}
-		fmt.Println()
-	}
-	fmt.Println("Separate addressing grows linearly in m; the trees grow with log2(m).")
-
-	// The dual collective: gather (a fixed-size reduction into the
-	// root). The same trees apply in reverse; flat gather serializes
-	// on the root's single ejection channel.
-	var sources []int
-	for i := 1; i < 64; i++ {
-		sources = append(sources, i)
-	}
-	fmt.Printf("\ngather (reduction) of %d-flit contributions from 63 nodes into node 0:\n", msgLen)
-	fmt.Printf("  %-24s %-16s %s\n", "algorithm", "latency (cyc)", "rounds")
-	for _, a := range algorithms {
-		res, err := multicast.Gather(net, a.alg, 0, sources, msgLen)
-		if err != nil {
-			panic(err)
-		}
-		fmt.Printf("  %-24s %-16d %d\n", a.name, res.Latency, res.MaxDepth)
-	}
-	// Output:
-	// broadcast of a 256-flit message from node 0 to 4 destinations:
-	//   algorithm                latency (cyc)    unicasts   rounds
-	//   separate addressing      1031             4          1
-	//   binomial tree            776              4          3
-	//   dimension-ordered tree   776              4          3
-	//
-	// broadcast of a 256-flit message from node 0 to 16 destinations:
-	//   algorithm                latency (cyc)    unicasts   rounds
-	//   separate addressing      4117             16         1
-	//   binomial tree            1298             16         5
-	//   dimension-ordered tree   1298             16         5
-	//
-	// broadcast of a 256-flit message from node 0 to 63 destinations:
-	//   algorithm                latency (cyc)    unicasts   rounds
-	//   separate addressing      16196            63         1
-	//   binomial tree            1560             63         6
-	//   dimension-ordered tree   1560             63         6
-	//
-	// Separate addressing grows linearly in m; the trees grow with log2(m).
-	//
-	// gather (reduction) of 256-flit contributions from 63 nodes into node 0:
-	//   algorithm                latency (cyc)    rounds
-	//   separate addressing      16192            1
-	//   binomial tree            1560             6
-	//   dimension-ordered tree   1560             6
 }
 
 // Example_analytic compares the simulator against the closed-form

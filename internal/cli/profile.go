@@ -1,3 +1,7 @@
+// Package cli holds what more than one command shares: the pprof
+// wiring behind -cpuprofile and -memprofile (minsim sweep and
+// cmd/figures), and the flags and serving shell of cmd/simd and
+// cmd/simfleet.
 package cli
 
 import (
@@ -11,10 +15,10 @@ import (
 // heap profile to be written to memPath; either path may be empty to
 // skip that profile. It returns a stop function to be called (e.g.
 // deferred) after the measured work, which finishes both profiles.
-// This is the standard runtime/pprof wiring shared by cmd/sweep and
+// This is the standard runtime/pprof wiring shared by minsim sweep and
 // cmd/figures so hot-path work is measurable without editing code:
 //
-//	sweep -cpuprofile cpu.out ... && go tool pprof -top cpu.out
+//	minsim sweep -cpuprofile cpu.out ... && go tool pprof -top cpu.out
 func StartProfiles(cpuPath, memPath string) (stop func(), err error) {
 	var cpuFile *os.File
 	if cpuPath != "" {

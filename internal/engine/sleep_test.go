@@ -123,10 +123,10 @@ func TestFinishMovesSleepingSlot(t *testing.T) {
 	}
 }
 
-// TestSleepersWithReactiveOffers drives the engines the way package
-// multicast does: every delivery offers follow-on traffic from inside
-// OnDeliver, which runs in the middle of advance while other worms
-// sleep. The order of deliveries decides the order of the offers, and
+// TestSleepersWithReactiveOffers drives the engines the way a
+// store-and-forward driver would: every delivery offers follow-on
+// traffic from inside OnDeliver, which runs in the middle of advance
+// while other worms sleep. The order of deliveries decides the order of the offers, and
 // compare holds both.
 func TestSleepersWithReactiveOffers(t *testing.T) {
 	for _, fam := range paperFamilies(t) {

@@ -86,7 +86,7 @@ var (
 
 // NamedSpec pairs a paper-standard network spec with a stable name,
 // for harnesses that iterate over all five evaluation networks (the
-// determinism regression tests, cmd/saturate).
+// determinism regression tests, minsim saturate).
 type NamedSpec struct {
 	Name string
 	Spec NetworkSpec
@@ -112,7 +112,7 @@ type NamedWorkload struct {
 
 // StandardWorkloads returns the four traffic patterns of the paper's
 // evaluation matrix (global scope), in a fixed order — shared by
-// cmd/saturate and any harness sweeping the pattern dimension.
+// minsim saturate and any harness sweeping the pattern dimension.
 func StandardWorkloads() []NamedWorkload {
 	return []NamedWorkload{
 		{"uniform", WorkloadSpec{Cluster: Global, Pattern: PatternSpec{Kind: Uniform}}},

@@ -62,7 +62,7 @@ type jsonCurve struct {
 }
 
 // NetworkOptions is the string-keyed network description shared by the
-// JSON experiment schema and the CLI flag sets (cmd/sweep); parse it
+// JSON experiment schema and the CLI flag sets (cmd/minsim); parse it
 // with ParseNetworkSpec.
 //
 //simvet:wire

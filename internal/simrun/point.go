@@ -10,7 +10,7 @@ import (
 
 // DeriveSeed maps a sweep-level base seed and a point index to the
 // point's own seed, so adding points to a sweep does not reshuffle
-// existing ones. Every execution path (Plan.AddSweep, cmd/saturate's
+// existing ones. Every execution path (Plan.AddSweep, FindSaturation's
 // probes as index 0, the cache key) must use this one derivation —
 // cached results are only valid if a point's seed is a pure function
 // of (base seed, index).
@@ -60,7 +60,7 @@ const cancelQuantum = 8192
 // engine from Seed^0xd1b54a32d192ed03), so every caller that builds a
 // point from a spec simulates the point a plan caches for it. tune,
 // when non-nil, adjusts the configuration before the engine is built;
-// cmd/minsim attaches its trace hook there.
+// `minsim run -trace` attaches its delivery hook there.
 func (c PointConfig) NewEngine(tune func(*engine.Config)) (*engine.Engine, error) {
 	src, err := c.Factory(c.Load, c.Seed)
 	if err != nil {

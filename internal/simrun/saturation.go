@@ -102,7 +102,9 @@ func FindSaturation(ctx context.Context, bases []RunSpec, lo, hi, tol float64, o
 // step folds the probe at s.next into the cell's search and picks the
 // next probe, or ends the search in res: lo first (it must be
 // sustainable), then hi (if sustainable, it is the answer), then
-// midpoints until the bracket is within tol.
+// midpoints until the bracket is within tol or, at a tol below float
+// spacing, until lo and hi are adjacent floats and the midpoint rounds
+// onto one of them.
 func (s *search) step(p metrics.Point, tol float64, res *Saturation) {
 	p.Sustainable = p.Sustainable && p.Throughput >= (1-trackTol)*cmp.Or(p.OfferedMeasured, p.Offered)
 	s.probes++
@@ -116,12 +118,12 @@ func (s *search) step(p metrics.Point, tol float64, res *Saturation) {
 	default:
 		s.hi = s.next
 	}
-	switch {
+	switch mid := (s.lo + s.hi) / 2; {
 	case s.done:
 	case s.probes == 1:
 		s.next = s.hi
-	case s.hi-s.lo > tol:
-		s.next = (s.lo + s.hi) / 2
+	case s.hi-s.lo > tol && mid != s.lo && mid != s.hi:
+		s.next = mid
 	default:
 		s.done = true
 	}

@@ -15,7 +15,7 @@ import (
 )
 
 // paperCell is a saturation cell on a 64-node paper network, seeded as
-// cmd/saturate seeds its probes.
+// `minsim saturate` seeds its probes.
 func paperCell(net NetworkSpec, pat PatternSpec, lengths *traffic.Lengths, warmup, measure int64) RunSpec {
 	return RunSpec{
 		Net:     net,
@@ -92,6 +92,26 @@ func TestFindSaturation(t *testing.T) {
 	}
 	if r.Point.Throughput <= 0 {
 		t.Error("no throughput at saturation point")
+	}
+}
+
+// TestFindSaturationEndsAtFloatSpacing: a tolerance below the spacing
+// of floats near the answer ends the search once the bracket's ends
+// are adjacent floats, about 58 halvings of [0.02, 1], instead of
+// probing the same midpoint forever. The cell is the warm rerun's.
+func TestFindSaturationEndsAtFloatSpacing(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	res, c, err := FindSaturation(ctx, []RunSpec{tinyCell(16, 500, 3000, 7)}, 0.02, 1.0, 1e-300, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("%d probes", c.Requested)
+	if c.Requested >= 70 {
+		t.Errorf("%d probes, want fewer than 70", c.Requested)
+	}
+	if r := res[0]; r.Err != nil || !r.Point.Sustainable {
+		t.Errorf("cell error %v, sustainable %t", r.Err, r.Point.Sustainable)
 	}
 }
 

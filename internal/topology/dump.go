@@ -25,7 +25,7 @@ func digitsFor(n int) int {
 }
 
 // Dump writes a human-readable wiring listing, one line per physical
-// link, grouped by layer. It is used by cmd/topo to reproduce the
+// link, grouped by layer. It is used by minsim topo to reproduce the
 // paper's wiring diagrams (Figs. 4-6) in textual form.
 func (n *Network) Dump() string {
 	var sb strings.Builder

@@ -56,7 +56,7 @@ func TestOnlyTestsImportGraphtest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"cmd/minsim/main.go", "cmd/topo/main.go", "internal/routing/walk.go"} {
+	for _, want := range []string{"cmd/minsim/main.go", "cmd/minsim/topo.go", "internal/routing/walk.go"} {
 		if !parsed[want] {
 			t.Errorf("the walk did not reach %s", want)
 		}

@@ -411,31 +411,6 @@ func TestViewMatchesIncrementalBuilder(t *testing.T) {
 	t.Logf("%d configurations", configs)
 }
 
-// TestDumpMatchesIncrementalBuilder: cmd/topo's listings of the five
-// paper networks read the same from the description as from the
-// builder.
-func TestDumpMatchesIncrementalBuilder(t *testing.T) {
-	paper := func(pat topology.Pattern, d, v int) topology.UniConfig {
-		return topology.UniConfig{K: 4, Stages: 3, Pattern: pat, Dilation: d, VCs: v}
-	}
-	for _, want := range []*graphtest.Graph{
-		oracleUnidirectional(t, paper(topology.Cube, 1, 1)),
-		oracleUnidirectional(t, paper(topology.Butterfly, 1, 1)),
-		oracleUnidirectional(t, paper(topology.Cube, 2, 1)),
-		oracleUnidirectional(t, paper(topology.Cube, 1, 2)),
-		oracleBMINVC(t, 4, 3, 1),
-	} {
-		// The description renders from its accessors; the oracle
-		// renders its struct form link by link (graphtest's Dump).
-		if got := want.Network.Dump(); got != want.Dump() {
-			t.Errorf("%s: Dump differs from the builder's", want.Name())
-		}
-		if got := want.Network.DOT(); got != want.DOT() {
-			t.Errorf("%s: DOT differs from the builder's", want.Name())
-		}
-	}
-}
-
 // FuzzViewMatchesIncrementalBuilder draws configurations from the same
 // space (and a little past its edges).
 func FuzzViewMatchesIncrementalBuilder(f *testing.F) {
