@@ -197,6 +197,8 @@ func TestRunRejectsBadCommandLines(t *testing.T) {
 		{[]string{"sweep", "-points", "2", "-warmup", "1", "-measure", maxInt64}, "cycle budget"},
 		{[]string{"sweep", "-cpuprofile", cpu, "-memprofile", mem, "-maxlen", "0"}, ""},
 		{[]string{"sweep", "-from", "0.9", "-to", "0.1"}, ""},
+		{[]string{"sweep", "-points", "2", "-warmup", "10", "-measure", "10", "-replicas", "-3", "-cache", cache}, "negative replicas"},
+		{[]string{"sweep", "-points", "2", "-warmup", "10", "-measure", "10", "-procs", "-1", "-cache", cache}, "negative procs"},
 
 		{[]string{"saturate", "-measure", "-1"}, "negative cycle budget"},
 		{[]string{"saturate", "-warmup", maxInt64, "-measure", "1"}, "cycle budget"},

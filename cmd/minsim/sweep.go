@@ -2,6 +2,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -44,6 +45,12 @@ func sweep(args []string, w, stderr io.Writer) error {
 	}
 	if err := b.check(); err != nil {
 		return err
+	}
+	if *replicas < 0 {
+		return errors.New("negative replicas")
+	}
+	if *procs < 0 {
+		return errors.New("negative procs")
 	}
 
 	stopProfiles, err := cli.StartProfiles(*cpuprofile, *memprofile)

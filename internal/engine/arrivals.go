@@ -12,10 +12,13 @@ type arrivalHeap struct {
 	keys  []int64
 }
 
-// grow reserves capacity for n entries.
-func (h *arrivalHeap) grow(n int) {
-	h.nodes = make([]int32, 0, n)
-	h.keys = make([]int64, 0, n)
+// reserve makes room for n entries, keeping the backing arrays when
+// they are large enough.
+func (h *arrivalHeap) reserve(n int) {
+	if cap(h.nodes) < n {
+		h.nodes = make([]int32, 0, n)
+		h.keys = make([]int64, 0, n)
+	}
 }
 
 func (h *arrivalHeap) len() int { return len(h.nodes) }

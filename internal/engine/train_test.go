@@ -243,7 +243,7 @@ func newDiffPair(t testing.TB, cfg Config, gotSrc, wantSrc Source, chanStats boo
 	}
 	p.got = build(gotSrc, &p.gotDel)
 	p.want = build(wantSrc, &p.wantDel)
-	if p.want.linkMark == nil {
+	if !p.want.sharedLinks {
 		// The engine keeps link state only where links are shared;
 		// the reference stamps every hop.
 		p.want.linkMark = make([]int64, cfg.Net.LinkCount())

@@ -6,6 +6,7 @@ import (
 	"minsim/internal/engine"
 	"minsim/internal/metrics"
 	"minsim/internal/topology"
+	"minsim/internal/traffic"
 )
 
 // DeriveSeed maps a sweep-level base seed and a point index to the
@@ -62,9 +63,16 @@ const cancelQuantum = 8192
 // when non-nil, adjusts the configuration before the engine is built;
 // `minsim run -trace` attaches its delivery hook there.
 func (c PointConfig) NewEngine(tune func(*engine.Config)) (*engine.Engine, error) {
+	e, _, err := c.newEngine(tune)
+	return e, err
+}
+
+// newEngine is NewEngine returning the source too, for simulate to
+// give back.
+func (c PointConfig) newEngine(tune func(*engine.Config)) (*engine.Engine, engine.Source, error) {
 	src, err := c.Factory(c.Load, c.Seed)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	cfg := engine.Config{
 		Net:         c.Net,
@@ -76,15 +84,18 @@ func (c PointConfig) NewEngine(tune func(*engine.Config)) (*engine.Engine, error
 	if tune != nil {
 		tune(&cfg)
 	}
-	return engine.New(cfg)
+	e, err := engine.New(cfg)
+	return e, src, err
 }
 
 // simulate runs the point in cancelQuantum legs, observing ctx between
 // legs. Chunked Run legs are bit-exact with one full Run (idle-skip
 // credits are additive; idle cycles draw no randomness), so cached
-// results are unaffected.
+// results are unaffected. Once it has read the statistics it recycles
+// the engine and the workload it built, so the next point reuses their
+// memory; a point cancelled mid-run drops them.
 func (c PointConfig) simulate(ctx context.Context) (metrics.Point, error) {
-	e, err := c.NewEngine(nil)
+	e, src, err := c.newEngine(nil)
 	if err != nil {
 		return metrics.Point{}, err
 	}
@@ -100,5 +111,10 @@ func (c PointConfig) simulate(ctx context.Context) (metrics.Point, error) {
 		e.Run(leg)
 		left -= leg
 	}
-	return metrics.FromStats(c.Load, c.Net.Nodes, e.Stats()), nil
+	p := metrics.FromStats(c.Load, c.Net.Nodes, e.Stats())
+	e.Recycle()
+	if w, ok := src.(*traffic.Workload); ok {
+		w.Recycle()
+	}
+	return p, nil
 }

@@ -13,6 +13,7 @@ package traffic
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"minsim/internal/engine"
 	"minsim/internal/kary"
@@ -207,7 +208,9 @@ type Config struct {
 
 // NewWorkload builds the workload. It validates that rates are finite,
 // non-negative and sized to Nodes, and that the length distribution
-// and arrival process parameters are usable.
+// and arrival process parameters are usable. The per-node state reuses
+// the array of a workload given back with Recycle when one is at hand;
+// the streams are the same either way.
 func NewWorkload(cfg Config) (*Workload, error) {
 	if cfg.Nodes <= 0 {
 		return nil, fmt.Errorf("traffic: %d nodes", cfg.Nodes)
@@ -228,23 +231,47 @@ func NewWorkload(cfg Config) (*Workload, error) {
 	if err := arrival.Validate(); err != nil {
 		return nil, err
 	}
-	w := &Workload{
+	for i, r := range cfg.Rates {
+		if !(r >= 0) || math.IsInf(r, 1) { // negated so NaN fails too
+			return nil, fmt.Errorf("traffic: invalid rate %v for node %d", r, i)
+		}
+	}
+	w, _ := recycled.Get().(*Workload)
+	if w == nil {
+		w = new(Workload)
+	}
+	state := w.state
+	if cap(state) < cfg.Nodes {
+		state = make([]nodeState, cfg.Nodes)
+	}
+	// One assignment resets everything; only the per-node state's
+	// backing array carries over, and every element is rewritten below.
+	*w = Workload{
 		nodes:   cfg.Nodes,
 		pattern: cfg.Pattern,
 		lengths: cfg.Lengths,
 		arrival: arrival,
 		rates:   cfg.Rates,
-		state:   make([]nodeState, cfg.Nodes),
+		state:   state[:cfg.Nodes],
 	}
 	base := xrand.New(cfg.Seed ^ 0xa5a5a5a55a5a5a5a)
 	for i := range w.state {
-		if r := w.rates[i]; !(r >= 0) || math.IsInf(r, 1) { // negated so NaN fails too
-			return nil, fmt.Errorf("traffic: invalid rate %v for node %d", r, i)
-		}
-		w.state[i].rng = base.Split()
-		w.state[i].arr = arrival.Start(&w.state[i].rng)
+		st := &w.state[i]
+		*st = nodeState{rng: base.Split()}
+		st.arr = arrival.Start(&st.rng)
 	}
 	return w, nil
+}
+
+// recycled holds workloads that finished points gave back (Recycle).
+var recycled sync.Pool
+
+// Recycle gives the workload's per-node state to the next NewWorkload,
+// dropping the pattern, the arrival process and the rates, which the
+// caller built. The workload must not be used after Recycle.
+func (w *Workload) Recycle() {
+	w.pattern, w.arrival, w.rates = nil, nil, nil
+	recycled.Put(w)
 }
 
 // Next implements engine.Source: the interarrival gap comes from the
