@@ -3,7 +3,9 @@ package engine
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"slices"
+	"sync"
 	"testing"
 
 	"minsim/internal/topology"
@@ -11,13 +13,13 @@ import (
 
 // TestResetMatchesNew: an engine New re-initialises from one a finished
 // point gave back must simulate exactly as a fresh one. reset is called
-// directly, not through the pool, which the race detector empties at
-// random. Each dirty engine first runs a saturated point over a larger
-// (256-node) or a smaller (16-node) network with shared links, channel
-// statistics, a latency histogram and batch means on, so that its owner
-// slots, link stamps, queues, worms and batches are all stale; then it
-// is reset to each paper and shared-link network, at both arbitrations
-// and buffer depths 1 and 2, and run beside a fresh engine.
+// directly, so the engine under test is known to be dirty. Each dirty
+// engine first runs a saturated point over a larger (256-node) or a
+// smaller (16-node) network with shared links, channel statistics, a
+// latency histogram and batch means on, so that its owner slots, link
+// stamps, queues, worms and batches are all stale; then it is reset to
+// each paper and shared-link network, at both arbitrations and buffer
+// depths 1 and 2, and run beside a fresh engine.
 func TestResetMatchesNew(t *testing.T) {
 	uni := func(k, stages, vcs int) *topology.Network {
 		net, err := topology.NewUnidirectional(topology.UniConfig{K: k, Stages: stages, Pattern: topology.Cube, Dilation: 1, VCs: vcs})
@@ -53,6 +55,46 @@ func TestResetMatchesNew(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestSparesStayBounded: Recycle parks at most GOMAXPROCS engines, so
+// more points finishing at once than there are Ps leave exactly that
+// many behind. It empties the list afterwards so that the allocation
+// tests after it start cold.
+func TestSparesStayBounded(t *testing.T) {
+	procs := runtime.GOMAXPROCS(0)
+	t.Cleanup(func() {
+		spares.Lock()
+		spares.list = nil
+		spares.Unlock()
+	})
+	net, err := topology.NewUnidirectional(topology.UniConfig{K: 2, Stages: 4, Pattern: topology.Cube, Dilation: 1, VCs: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	engines := make([]*Engine, procs+3)
+	for i := range engines {
+		engines[i], err = New(Config{Net: net, Seed: uint64(i), Source: contendedScript(net, uint64(i), 4*net.Nodes)})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	var wg sync.WaitGroup
+	for _, e := range engines {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			e.Run(200)
+			e.Recycle()
+		}()
+	}
+	wg.Wait()
+	spares.Lock()
+	kept := len(spares.list)
+	spares.Unlock()
+	if kept != procs {
+		t.Errorf("%d engines recycled at once left %d spares, want GOMAXPROCS = %d", len(engines), kept, procs)
 	}
 }
 

@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"context"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -140,6 +141,26 @@ func waitUntil(t *testing.T, cond func() bool) {
 	t.Fatal("condition not reached within 1s")
 }
 
+// recvTimeout bounds every wait on a channel in this package's tests.
+const recvTimeout = 30 * time.Second
+
+// recv returns the next value from ch. After recvTimeout it fails the
+// test with every goroutine's stack, so a hang names the wait it is
+// stuck in instead of running the test binary into its own timeout.
+func recv[T any](t testing.TB, ch <-chan T) T {
+	t.Helper()
+	timer := time.NewTimer(recvTimeout)
+	defer timer.Stop()
+	select {
+	case v := <-ch:
+		return v
+	case <-timer.C:
+		buf := make([]byte, 1<<20)
+		t.Fatalf("nothing received within %v; goroutines:\n%s", recvTimeout, buf[:runtime.Stack(buf, true)])
+		panic("unreachable")
+	}
+}
+
 func TestLeaseExpiryRequeuesToSurvivor(t *testing.T) {
 	c, clk := testCoordinator(t, Config{ChunkSize: 4, LeaseTTL: 10 * time.Second})
 	w1 := c.register("w1")
@@ -162,7 +183,7 @@ func TestLeaseExpiryRequeuesToSurvivor(t *testing.T) {
 	}
 
 	c.complete(CompleteRequest{WorkerID: w2.WorkerID, LeaseID: lr2.LeaseID, Results: leaseResults(lr2)})
-	if err := <-done; err != nil {
+	if err := recv(t, done); err != nil {
 		t.Fatalf("Dispatch: %v", err)
 	}
 	for i := range units {
@@ -203,7 +224,7 @@ func TestUnitFailsAfterMaxAttempts(t *testing.T) {
 	if len(lr.Units) != 0 {
 		t.Fatalf("exhausted unit was re-leased: %+v", lr)
 	}
-	if err := <-done; err != nil {
+	if err := recv(t, done); err != nil {
 		t.Fatalf("Dispatch: %v", err)
 	}
 	if sink.errs[0] == nil || !strings.Contains(sink.errs[0].Error(), "lease attempts") {
@@ -229,7 +250,7 @@ func TestDuplicateCompletionIsIdempotent(t *testing.T) {
 	// and are salvaged (the work is correct; content addressing makes
 	// it identical to w2's copy).
 	c.complete(CompleteRequest{WorkerID: w1.WorkerID, LeaseID: lr1.LeaseID, Results: leaseResults(lr1)})
-	if err := <-done; err != nil {
+	if err := recv(t, done); err != nil {
 		t.Fatalf("Dispatch: %v", err)
 	}
 	// w2 finishes the same unit: delivered exactly once (the sink
@@ -267,10 +288,10 @@ func TestCrossJobDedupSharesOneExecution(t *testing.T) {
 		t.Fatalf("two jobs enqueued %d copies of one key; want a single shared unit", len(lr.Units))
 	}
 	c.complete(CompleteRequest{WorkerID: w1.WorkerID, LeaseID: lr.LeaseID, Results: leaseResults(lr)})
-	if err := <-doneA; err != nil {
+	if err := recv(t, doneA); err != nil {
 		t.Fatalf("Dispatch A: %v", err)
 	}
-	if err := <-doneB; err != nil {
+	if err := recv(t, doneB); err != nil {
 		t.Fatalf("Dispatch B: %v", err)
 	}
 	if !sinkA.got[0] || !sinkB.got[0] {
@@ -287,7 +308,7 @@ func TestDispatchCancelDetachesSubscribers(t *testing.T) {
 
 	lr, _ := tryLease(c, w1.WorkerID)
 	cancel()
-	if err := <-done; err != context.Canceled {
+	if err := recv(t, done); err != context.Canceled {
 		t.Fatalf("Dispatch after cancel = %v; want context.Canceled", err)
 	}
 	// The completion still lands (store write-through, duplicate
@@ -315,7 +336,7 @@ func TestCompletionWriteThroughRepairsStore(t *testing.T) {
 	// lost (flaky network): the coordinator must repair the entry so
 	// the warm path stays warm.
 	c.complete(CompleteRequest{WorkerID: w1.WorkerID, LeaseID: lr.LeaseID, Results: leaseResults(lr)})
-	if err := <-done; err != nil {
+	if err := recv(t, done); err != nil {
 		t.Fatalf("Dispatch: %v", err)
 	}
 	if _, ok := store.Get(lr.Units[0].Key); !ok {

@@ -114,11 +114,7 @@ func TestFleetEndToEnd(t *testing.T) {
 
 	stopWorkers()
 	for range workers {
-		select {
-		case <-workerDone:
-		case <-time.After(10 * time.Second):
-			t.Fatal("worker did not stop")
-		}
+		recv(t, workerDone)
 	}
 }
 
@@ -194,7 +190,7 @@ func TestFleetWorkerLossMidJob(t *testing.T) {
 		survivor.Run(workerCtx)
 	}()
 
-	if err := <-execDone; err != nil {
+	if err := recv(t, execDone); err != nil {
 		t.Fatalf("Execute: %v", err)
 	}
 	if _, err := h.Points(); err != nil {
@@ -212,9 +208,5 @@ func TestFleetWorkerLossMidJob(t *testing.T) {
 	}
 
 	stopWorker()
-	select {
-	case <-survivorDone:
-	case <-time.After(10 * time.Second):
-		t.Fatal("survivor did not stop")
-	}
+	recv(t, survivorDone)
 }

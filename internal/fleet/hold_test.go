@@ -109,7 +109,7 @@ func TestHeldLeaseCarriesTheFirstUnits(t *testing.T) {
 		t.Fatalf("granted=%d requeued=%d duplicates=%d; want 1, 0, 0", granted, requeued, dups)
 	}
 	cancel()
-	<-stopped
+	recv(t, stopped)
 }
 
 // TestNoLostWakeup races dispatches against parked lease calls: every
@@ -157,7 +157,7 @@ func TestNoLostWakeup(t *testing.T) {
 		}()
 	}
 	for j := 0; j < jobs; j++ {
-		if err := <-errs; err != nil {
+		if err := recv(t, errs); err != nil {
 			t.Fatalf("Dispatch: %v (a waiter slept through its wake-up)", err)
 		}
 	}
@@ -200,7 +200,7 @@ func TestParkedSurvivorInheritsDeadWorkersLease(t *testing.T) {
 		t.Fatalf("survivor lease = %+v, %v; want the 2 requeued units", lr, err)
 	}
 	c.complete(CompleteRequest{WorkerID: survivor, LeaseID: lr.LeaseID, Results: leaseResults(lr)})
-	if err := <-done; err != nil {
+	if err := recv(t, done); err != nil {
 		t.Fatalf("Dispatch: %v", err)
 	}
 	c.mu.Lock()
@@ -245,7 +245,7 @@ func TestRequeueInGrantOrder(t *testing.T) {
 		lr, _ := tryLease(c, id)
 		c.complete(CompleteRequest{WorkerID: id, LeaseID: lr.LeaseID, Results: leaseResults(lr)})
 	}
-	if err := <-done; err != nil {
+	if err := recv(t, done); err != nil {
 		t.Fatalf("Dispatch: %v", err)
 	}
 }
@@ -277,7 +277,7 @@ func TestCancelledRequestFreesTheHandler(t *testing.T) {
 	}()
 	parked(t, c, 1)
 	cancel()
-	if err := <-failed; err == nil {
+	if err := recv(t, failed); err == nil {
 		t.Fatal("cancelled lease call returned a reply")
 	}
 	parked(t, c, 0)
@@ -325,18 +325,18 @@ func TestOldStyleWorkerInteroperates(t *testing.T) {
 	}()
 	parked(t, c, 1)
 	done := dispatchAsync(c, ctx, testUnits(t, 2), newSink())
-	lr := <-replies
+	lr := recv(t, replies)
 	if len(lr.Units) != 2 {
 		t.Fatalf("old-style poll answered %+v; want the 2 units", lr)
 	}
 	c.complete(CompleteRequest{WorkerID: id, LeaseID: lr.LeaseID, Results: leaseResults(lr)})
-	if err := <-done; err != nil {
+	if err := recv(t, done); err != nil {
 		t.Fatalf("Dispatch: %v", err)
 	}
 
 	parked(t, c, 1)
 	c.Release()
-	if lr = <-replies; len(lr.Units) != 0 || lr.WaitMs <= 0 {
+	if lr = recv(t, replies); len(lr.Units) != 0 || lr.WaitMs <= 0 {
 		t.Fatalf("released coordinator answered the parked poll %+v; want empty with a back-off", lr)
 	}
 	// Later calls get the same answer without being held.

@@ -99,7 +99,7 @@ func TestLostLeaseIsForgotten(t *testing.T) {
 		t.Fatal("second lease never completed")
 	}
 	cancel()
-	<-stopped
+	recv(t, stopped)
 
 	mu.Lock()
 	defer mu.Unlock()
@@ -178,7 +178,7 @@ func TestWorkerLeasesMatchLocalRun(t *testing.T) {
 		t.Fatalf("%d leases; want 3", leases)
 	}
 	cancel()
-	<-stopped
+	recv(t, stopped)
 }
 
 // TestBadLengthsFailTheUnit: a unit whose length range is empty
@@ -248,7 +248,7 @@ func completeOneUnit(t *testing.T, body string) []UnitResult {
 	}
 	stopped := make(chan struct{})
 	go func() { defer close(stopped); w.Run(ctx) }()
-	defer func() { cancel(); <-stopped }()
+	defer func() { cancel(); recv(t, stopped) }()
 	select {
 	case got := <-results:
 		return got

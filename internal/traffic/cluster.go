@@ -2,13 +2,15 @@ package traffic
 
 import (
 	"fmt"
+	"sync"
 
 	"minsim/internal/kary"
 )
 
 // Clustering partitions the nodes into disjoint processor clusters
 // (Section 4/5 of the paper). Of maps each node to its cluster index;
-// Members lists the nodes of each cluster in ascending order.
+// Members lists the nodes of each cluster in ascending order. Both are
+// read-only once built: patterns and workloads share them.
 type Clustering struct {
 	Of      []int
 	Members [][]int
@@ -45,11 +47,35 @@ func NewClustering(of []int) (Clustering, error) {
 	return Clustering{Of: of, Members: members}, nil
 }
 
-// Global puts all nodes in one cluster.
+// Global puts all nodes in one cluster. Its Of and its one member list
+// are read-only views of arrays shared by every Global clustering (see
+// globalTables), so a clustering of a node count seen before allocates
+// nothing that grows with it.
 func Global(nodes int) Clustering {
-	of := make([]int, nodes)
-	c, _ := NewClustering(of)
-	return c
+	if nodes <= 0 {
+		c, _ := NewClustering(make([]int, nodes))
+		return c
+	}
+	g := &globalTables
+	g.Lock()
+	defer g.Unlock()
+	if len(g.all) < nodes {
+		g.of, g.all = make([]int, nodes), make([]int, nodes)
+		for n := range g.all {
+			g.all[n] = n
+		}
+	}
+	return Clustering{Of: g.of[:nodes:nodes], Members: [][]int{g.all[:nodes:nodes]}}
+}
+
+// globalTables holds the all-zero cluster map and the identity member
+// list Global slices, sized to the largest node count asked for so far.
+// Nothing writes to them once made; a larger count replaces them with
+// larger arrays and leaves the old ones to the clusterings that hold
+// them.
+var globalTables struct {
+	sync.Mutex
+	of, all []int
 }
 
 // ByDigit clusters nodes by the value of one address digit, yielding

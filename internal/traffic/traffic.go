@@ -13,6 +13,7 @@ package traffic
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"sync"
 
 	"minsim/internal/engine"
@@ -236,7 +237,13 @@ func NewWorkload(cfg Config) (*Workload, error) {
 			return nil, fmt.Errorf("traffic: invalid rate %v for node %d", r, i)
 		}
 	}
-	w, _ := recycled.Get().(*Workload)
+	spares.Lock()
+	var w *Workload
+	if n := len(spares.list); n > 0 {
+		w, spares.list[n-1] = spares.list[n-1], nil
+		spares.list = spares.list[:n-1]
+	}
+	spares.Unlock()
 	if w == nil {
 		w = new(Workload)
 	}
@@ -263,15 +270,25 @@ func NewWorkload(cfg Config) (*Workload, error) {
 	return w, nil
 }
 
-// recycled holds workloads that finished points gave back (Recycle).
-var recycled sync.Pool
+// spares is a stack of the workloads finished points gave back
+// (Recycle), at most one per P; a GC does not empty it.
+var spares struct {
+	sync.Mutex
+	list []*Workload
+}
 
 // Recycle gives the workload's per-node state to the next NewWorkload,
 // dropping the pattern, the arrival process and the rates, which the
-// caller built. The workload must not be used after Recycle.
+// caller built. When GOMAXPROCS workloads are already parked the
+// workload is dropped instead. The workload must not be used after
+// Recycle.
 func (w *Workload) Recycle() {
 	w.pattern, w.arrival, w.rates = nil, nil, nil
-	recycled.Put(w)
+	spares.Lock()
+	if len(spares.list) < runtime.GOMAXPROCS(0) {
+		spares.list = append(spares.list, w)
+	}
+	spares.Unlock()
 }
 
 // Next implements engine.Source: the interarrival gap comes from the

@@ -2,6 +2,8 @@ package traffic
 
 import (
 	"math"
+	"runtime"
+	"sync"
 	"testing"
 
 	"minsim/internal/kary"
@@ -381,5 +383,48 @@ func TestSingletonClusterRefuses(t *testing.T) {
 	h := HotSpot{C: c, X: 0.1}
 	if _, ok := h.Dest(3, rng); ok {
 		t.Error("singleton cluster generated hotspot traffic")
+	}
+}
+
+// TestSparesStayBounded: Recycle parks at most GOMAXPROCS workloads, so
+// more points finishing at once than there are Ps leave exactly that
+// many behind. It empties the list afterwards so that the allocation
+// tests after it start cold.
+func TestSparesStayBounded(t *testing.T) {
+	procs := runtime.GOMAXPROCS(0)
+	t.Cleanup(func() {
+		spares.Lock()
+		spares.list = nil
+		spares.Unlock()
+	})
+	c := Global(64)
+	rates, err := NodeRates(c, 0.5, 516, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	works := make([]*Workload, procs+3)
+	for i := range works {
+		works[i], err = NewWorkload(Config{Nodes: 64, Pattern: Uniform{C: c}, Lengths: PaperLengths, Rates: rates, Seed: uint64(i)})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	var wg sync.WaitGroup
+	for _, w := range works {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for n := range 64 {
+				w.Next(n)
+			}
+			w.Recycle()
+		}()
+	}
+	wg.Wait()
+	spares.Lock()
+	kept := len(spares.list)
+	spares.Unlock()
+	if kept != procs {
+		t.Errorf("%d workloads recycled at once left %d spares, want GOMAXPROCS = %d", len(works), kept, procs)
 	}
 }
