@@ -148,6 +148,28 @@ func TestInstruments(t *testing.T) {
 	}
 }
 
+// TestInstrumentsPinned replays `minsim run -util -hist` on four
+// families against recordings made when every hop and every blocked
+// head's cycle was counted where it happened, byte for byte: the
+// utilization table, the per-stage blocking and the histogram beside
+// the summary lines.
+func TestInstrumentsPinned(t *testing.T) {
+	for _, net := range []string{"tmin", "dmin", "vmin", "bmin"} {
+		var got bytes.Buffer
+		if _, _, err := run([]string{"-net", net, "-util", "-hist", "-warmup", "1000", "-measure", "4000"}, &got, io.Discard); err != nil {
+			t.Fatal(err)
+		}
+		file := filepath.Join("testdata", "run-util-"+net+".golden")
+		want, err := os.ReadFile(file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Bytes(), want) {
+			t.Errorf("%s: output differs from the recording:\n%s", file, got.String())
+		}
+	}
+}
+
 // TestBMINDefault: the default BMIN is the paper's 384-channel
 // network, one virtual channel per link direction; with no instrument
 // asked for, run's report is the nine summary lines alone.

@@ -54,14 +54,17 @@ func refRunTo(e *Engine, target int64, cov *trainCoverage) {
 
 // TestChunkedRunMatchesPerHop returns from Run with worms asleep, reads
 // the statistics there and resumes: every leg boundary must show what
-// the per-hop reference shows at that cycle, and the legs must add up
-// to one Run.
+// the per-hop reference shows at that cycle, channel statistics
+// included — a leg of up to 97 cycles leaves that many cycles of a
+// sleeper's flits and a flagged head's waiting to settle — and the legs
+// must add up to one Run without statistics, visits included: neither
+// counting nor reading the counts changes what a cycle looks at.
 func TestChunkedRunMatchesPerHop(t *testing.T) {
 	for _, fam := range paperFamilies(t) {
 		t.Run(fam.name, func(t *testing.T) {
 			net := fam.net
 			cfg := Config{Net: net, Seed: 1995}
-			p := newDiffPair(t, cfg, contendedScript(net, 11, 150), contendedScript(net, 11, 150), false, 50, nil)
+			p := newDiffPair(t, cfg, contendedScript(net, 11, 150), contendedScript(net, 11, 150), true, 50, nil)
 			var cov trainCoverage
 			legs := xrand.New(5)
 			asleepAtReturn := 0
@@ -88,6 +91,13 @@ func TestChunkedRunMatchesPerHop(t *testing.T) {
 			whole.Run(total)
 			if whole.Stats() != p.got.Stats() {
 				t.Errorf("legs do not add up to one Run:\n legs: %+v\nwhole: %+v", p.got.Stats(), whole.Stats())
+			}
+			ls, lv := p.got.SweepCounts()
+			ws, wv := whole.SweepCounts()
+			la, lq := p.got.AllocateCounts()
+			wa, wq := whole.AllocateCounts()
+			if ls != ws || lv != wv || la != wa || lq != wq {
+				t.Errorf("legs visit what one Run does not: sweep %d/%d vs %d/%d, allocate %d/%d vs %d/%d", lv, ls, wv, ws, lq, la, wq, wa)
 			}
 			if st := whole.Stats(); st.IdleSkipped == 0 || st.Delivered != 150 {
 				t.Errorf("script neither drained nor idled: %+v", st)

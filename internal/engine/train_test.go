@@ -21,7 +21,8 @@ import (
 // woken before allocate (admission is the engine's own), so two engines
 // fed the same script can be stepped side by side and compared. The
 // reference stamps links on every network, never puts a worm to sleep
-// and never lets a head or a queue wait unasked.
+// and never lets a head or a queue wait unasked, and it counts every
+// hop and every blocked head's cycle where it happens.
 
 // refAdvanceWorm is the per-hop advance of one worm.
 func refAdvanceWorm(e *Engine, w *worm) bool {
@@ -83,6 +84,7 @@ func refStep(e *Engine, cov *trainCoverage) {
 	e.admitArrivals()
 	refWakeAll(e)
 	e.allocate()
+	refChargeBlocked(e)
 	e.epoch++
 	moved := false
 	e.order = e.wormOrder()
@@ -120,11 +122,10 @@ func refStep(e *Engine, cov *trainCoverage) {
 	e.stats.Cycles++
 }
 
-// refWakeAll makes the allocate that follows a full scan: no head is
-// flagged, and every node with a queued message is listed, ascending.
+// refWakeAll makes the allocate that follows a full scan: every node
+// with a queued message is listed, ascending, and no head is flagged
+// (refChargeBlocked cleared the flags the last allocate set).
 func refWakeAll(e *Engine) {
-	clear(e.blocked)
-	e.unblocked = int32(len(e.heads))
 	e.qlive = e.qlive[:0]
 	for node, q := range e.queues {
 		if len(q) > 0 {
@@ -132,6 +133,22 @@ func refWakeAll(e *Engine) {
 		}
 	}
 	e.qunsorted = false
+}
+
+// refChargeBlocked charges one cycle to the stage of each head the
+// allocate just found blocked, when blocked cycles are counted, and
+// clears its flag, so the next allocate asks it again.
+func refChargeBlocked(e *Engine) {
+	for i, w := range e.heads {
+		if !e.blocked[i] {
+			continue
+		}
+		if e.blockedByStage != nil {
+			e.blockedByStage[e.net.StageEntered(w.path[len(w.path)-1])]++
+		}
+		e.blocked[i] = false
+		e.unblocked++
+	}
 }
 
 // isCompact restates the compact-worm condition from the buffers
@@ -155,7 +172,8 @@ func isCompact(e *Engine, w *worm) bool {
 // trainCoverage counts the fates of the worms that began a cycle
 // compact, out of wormCycles worm-cycles in all, how many worm-cycles
 // the engine under test ended asleep, and how many heads and queues its
-// next allocate was set to pass over.
+// next allocate was set to pass over. The differential tests keep one
+// for the runs with channel statistics and one for those without.
 type trainCoverage struct {
 	wormCycles int
 	held       int // head not routed through: stood still
@@ -166,12 +184,8 @@ type trainCoverage struct {
 	// sleptBeside counts the streaming worm-cycles with a parked worm
 	// holding another channel on one of the sleeper's links.
 	sleptBeside int
-	// parkedSeen counts the parked worm-cycles of runs with channel
-	// statistics, where every hop must be counted and no worm may sleep
-	// streaming.
-	parkedSeen int
-	headSkips  int // routable heads left flagged blocked
-	queueSkips int // non-empty queues left off the injection scan
+	headSkips   int // routable heads left flagged blocked
+	queueSkips  int // non-empty queues left off the injection scan
 }
 
 // contendedScript offers msgs messages within the first few hundred
@@ -258,21 +272,23 @@ func newDiffPair(t testing.TB, cfg Config, gotSrc, wantSrc Source, chanStats boo
 // compare checks that the two engines are in the same state: the
 // statistics as they stand — a sleeping worm's flits are credited in
 // bulk, cycle by cycle, and this is what holds that to account — the
-// per-channel and per-stage counters, the deliveries in order, every
-// worm's flit positions (a streaming sleeper's counters read through
-// its lag) and the engine's own invariants. It tallies into cov how the
-// engine under test's worms sleep.
+// per-channel and per-stage counters read through the accessors, which
+// settle what sleepers and flagged heads have not yet credited, the
+// deliveries in order, every worm's flit positions (a streaming
+// sleeper's counters read through its lag, which is 0 once settled)
+// and the engine's own invariants. It tallies into cov how the engine
+// under test's worms sleep and its heads wait.
 func (p *diffPair) compare(t testing.TB, cycle int64, cov *trainCoverage) {
 	t.Helper()
 	got, want := p.got, p.want
 	if got.stats != want.stats {
 		t.Fatalf("cycle %d: Stats diverge:\n got: %+v\nwant: %+v", cycle, got.stats, want.stats)
 	}
-	if !slices.Equal(got.chanFlits, want.chanFlits) {
+	if !slices.Equal(got.ChannelFlits(), want.ChannelFlits()) {
 		t.Fatalf("cycle %d: ChannelFlits diverge", cycle)
 	}
-	if !slices.Equal(got.blockedByStage, want.blockedByStage) {
-		t.Fatalf("cycle %d: BlockedByStage diverge: %v vs %v", cycle, got.blockedByStage, want.blockedByStage)
+	if g, w := got.BlockedByStage(), want.BlockedByStage(); !slices.Equal(g, w) {
+		t.Fatalf("cycle %d: BlockedByStage diverge: %v vs %v", cycle, g, w)
 	}
 	if !slices.Equal(p.gotDel, p.wantDel) {
 		t.Fatalf("cycle %d: deliveries diverge:\n got: %v\nwant: %v", cycle, p.gotDel, p.wantDel)
@@ -280,10 +296,9 @@ func (p *diffPair) compare(t testing.TB, cycle int64, cov *trainCoverage) {
 	if len(got.worms) != len(want.worms) {
 		t.Fatalf("cycle %d: %d worms in flight, want %d", cycle, len(got.worms), len(want.worms))
 	}
-	counted := got.chanFlits != nil
 	for i, g := range got.worms {
 		w := want.worms[i]
-		lag := got.lag(g)
+		lag := lag(got, g)
 		if g.id != w.id || g.inj+lag != w.inj || g.del+lag != w.del || g.tail != w.tail || g.done != w.done ||
 			!slices.Equal(g.path, w.path) || !slices.Equal(g.cnt, w.cnt) {
 			t.Fatalf("cycle %d: worm %d diverges:\n got: id=%d inj=%d del=%d lag=%d tail=%d done=%v path=%v cnt=%v\nwant: id=%d inj=%d del=%d tail=%d done=%v path=%v cnt=%v",
@@ -293,33 +308,36 @@ func (p *diffPair) compare(t testing.TB, cycle int64, cov *trainCoverage) {
 		case wk == 0:
 		case wk == never:
 			cov.parked++
-			if counted {
-				cov.parkedSeen++
-			}
 		default:
 			cov.slept++
 			moving, parked := sharers(got, g)
-			if counted || g.msg.Len <= 2 || moving != nil {
-				t.Fatalf("cycle %d: worm %d (%d flits) sleeps streaming; channel statistics: %v, beside a worm that can move: %v", cycle, g.id, g.msg.Len, counted, moving != nil)
+			if g.msg.Len <= 2 || moving != nil {
+				t.Fatalf("cycle %d: worm %d (%d flits) sleeps streaming, beside a worm that can move: %v", cycle, g.id, g.msg.Len, moving != nil)
 			}
 			if parked {
 				cov.sleptBeside++
 			}
 		}
 	}
-	for i, b := range got.blocked {
-		if !b {
-			continue
-		}
-		cov.headSkips++
-		if got.blockedByStage != nil {
-			t.Fatalf("cycle %d: worm %d's head is flagged while blocked cycles are counted per stage", cycle, got.heads[i].id)
+	for _, b := range got.blocked {
+		if b {
+			cov.headSkips++
 		}
 	}
 	cov.queueSkips += got.waiting - len(got.qlive)
 	if err := got.CheckInvariants(); err != nil {
 		t.Fatalf("cycle %d: %v", cycle, err)
 	}
+}
+
+// lag returns how many flits a worm's inj and del are behind: one for
+// each cycle it has slept streaming since it was last caught up, nothing
+// for any other worm.
+func lag(e *Engine, w *worm) int {
+	if !e.streams(w.index) {
+		return 0
+	}
+	return int(e.now - 1 - w.since)
 }
 
 // sharers looks at the other channels of the links under w's path, read
@@ -435,7 +453,7 @@ func TestTrainAdvanceMatchesPerHop(t *testing.T) {
 	seed := uint64(1)
 	for _, fam := range append(paperFamilies(t), sharedFamilies(t)...) {
 		name, net := fam.name, fam.net
-		var cov trainCoverage
+		var covs [2]trainCoverage // without, with channel statistics
 		for _, arb := range []Arbitration{ArbitrateRandom, ArbitrateOldestFirst} {
 			for depth := 1; depth <= 4; depth++ {
 				for _, chanStats := range []bool{false, true} {
@@ -446,49 +464,55 @@ func TestTrainAdvanceMatchesPerHop(t *testing.T) {
 							cfg.failedChannels = []int{firstInterstageChannel(net)}
 						}
 						label := fmt.Sprintf("%s/arb=%d/depth=%d/stats=%v/fault=%v", name, arb, depth, chanStats, fault)
+						cov := &covs[0]
+						if chanStats {
+							cov = &covs[1]
+						}
 						t.Run(label, func(t *testing.T) {
 							// A faulted single-path network strands the
 							// worms that need the failed channel, so the
 							// run is bounded by cycles, not by draining.
 							stepBothAndCompare(t, cfg,
 								contendedScript(net, seed, 150), contendedScript(net, seed, 150),
-								chanStats, 4000, &cov)
+								chanStats, 4000, cov)
 						})
 					}
 				}
 			}
 		}
-		// The comparison means little unless the compact path did a
-		// large share of the work (the scripts are half short worms, so
-		// less than on the paper's traffic, and four channels to a link
-		// interleave more of them into bubbles), in each of its fates.
-		t.Logf("%s: %+v", name, cov)
-		share := 3
-		if net.VCs > 2 {
-			share = 4
-		}
-		if compact := cov.held + cov.streamed + cov.broke; share*compact < cov.wormCycles {
-			t.Errorf("%s: only %d of %d worm-cycles began compact", name, compact, cov.wormCycles)
-		}
-		if cov.held == 0 || cov.streamed == 0 {
-			t.Errorf("%s: a compact fate was never met: %+v", name, cov)
-		}
-		shared := net.LinkCount() < net.ChannelCount()
-		if (cov.broke > 0) != shared {
-			t.Errorf("%s: trains broken by a spent link: %d, shared links: %v", name, cov.broke, shared)
-		}
-		// Both ways of sleeping must have been exercised — streaming
-		// beside a parked worm where links are shared — and parking also
-		// in the runs that bar streaming (compare fails any worm that
-		// streams there).
-		if cov.parked == 0 || cov.parkedSeen == 0 || cov.slept == 0 || (cov.sleptBeside > 0) != shared {
-			t.Errorf("%s: a way of sleeping was never met (shared links: %v): %+v", name, shared, cov)
-		}
-		// And allocate must have passed over heads and queues the
-		// reference asked (compare fails a flagged head where blocked
-		// cycles are counted per stage).
-		if cov.headSkips == 0 || cov.queueSkips == 0 {
-			t.Errorf("%s: allocate never passed over a waiting head or queue: %+v", name, cov)
+		for i, cov := range covs {
+			name := fmt.Sprintf("%s/stats=%v", name, i == 1)
+			// The comparison means little unless the compact path did a
+			// large share of the work (the scripts are half short worms,
+			// so less than on the paper's traffic, and four channels to a
+			// link interleave more of them into bubbles), in each of its
+			// fates.
+			t.Logf("%s: %+v", name, cov)
+			share := 3
+			if net.VCs > 2 {
+				share = 4
+			}
+			if compact := cov.held + cov.streamed + cov.broke; share*compact < cov.wormCycles {
+				t.Errorf("%s: only %d of %d worm-cycles began compact", name, compact, cov.wormCycles)
+			}
+			if cov.held == 0 || cov.streamed == 0 {
+				t.Errorf("%s: a compact fate was never met: %+v", name, cov)
+			}
+			shared := net.LinkCount() < net.ChannelCount()
+			if (cov.broke > 0) != shared {
+				t.Errorf("%s: trains broken by a spent link: %d, shared links: %v", name, cov.broke, shared)
+			}
+			// Both ways of sleeping must have been exercised — streaming
+			// beside a parked worm where links are shared — with channel
+			// statistics as without: counting costs no visits.
+			if cov.parked == 0 || cov.slept == 0 || (cov.sleptBeside > 0) != shared {
+				t.Errorf("%s: a way of sleeping was never met (shared links: %v): %+v", name, shared, cov)
+			}
+			// And allocate must have passed over heads and queues the
+			// reference asked, blocked cycles counted per stage or not.
+			if cov.headSkips == 0 || cov.queueSkips == 0 {
+				t.Errorf("%s: allocate never passed over a waiting head or queue: %+v", name, cov)
+			}
 		}
 	}
 }
@@ -496,13 +520,17 @@ func TestTrainAdvanceMatchesPerHop(t *testing.T) {
 // FuzzTrainAdvanceMatchesPerHop widens the differential test to the
 // fuzz selector's networks (extra-stage, Omega, Baseline, BMINs with
 // virtual channels and a VMIN with four of them among them), deeper
-// buffers and fuzzer-chosen scripts.
+// buffers and fuzzer-chosen scripts. Bits of flags: 1 oldest-first
+// arbitration, 2 channel statistics from the start, 4 a failed channel,
+// 8 channel statistics from cycle 25 times the high four bits.
 func FuzzTrainAdvanceMatchesPerHop(f *testing.F) {
 	f.Add(uint8(0), uint64(1), uint8(40), uint8(0), uint8(0))
 	f.Add(uint8(2), uint64(42), uint8(90), uint8(1), uint8(2))
 	f.Add(uint8(4), uint64(7), uint8(120), uint8(2), uint8(7))
 	f.Add(uint8(3), uint64(1995), uint8(60), uint8(3), uint8(5))
 	f.Add(uint8(8), uint64(2930), uint8(110), uint8(0), uint8(0))
+	f.Add(uint8(1), uint64(12), uint8(130), uint8(0), uint8(0x38))
+	f.Add(uint8(5), uint64(77), uint8(100), uint8(1), uint8(0x79))
 	f.Fuzz(func(t *testing.T, sel uint8, seed uint64, msgCount, depth, flags uint8) {
 		net, err := buildNet(sel)
 		if err != nil {
@@ -517,6 +545,12 @@ func FuzzTrainAdvanceMatchesPerHop(f *testing.F) {
 		}
 		msgs := int(msgCount)%150 + 1
 		var cov trainCoverage
-		stepBothAndCompare(t, cfg, contendedScript(net, seed, msgs), contendedScript(net, seed, msgs), flags&2 != 0, 3000, &cov)
+		p := newDiffPair(t, cfg, contendedScript(net, seed, msgs), contendedScript(net, seed, msgs), flags&2 != 0, 50, nil)
+		p.run(t, 3000, &cov, func(cycle int64) {
+			if flags&8 != 0 && cycle == 25*int64(flags>>4) {
+				p.got.EnableChannelStats()
+				p.want.EnableChannelStats()
+			}
+		})
 	})
 }

@@ -1,9 +1,13 @@
 package fleet
 
 import (
-	"fmt"
+	"bytes"
 	"io"
-	"sort"
+	"maps"
+	"slices"
+	"strings"
+
+	"minsim/internal/metrics"
 )
 
 // WriteMetrics renders the coordinator's fleet state in the
@@ -12,6 +16,9 @@ import (
 // are the observables the fleet e2e gate asserts on: a clean cold run
 // shows every worker executing and zero duplicates.
 func (c *Coordinator) WriteMetrics(w io.Writer) {
+	// Rendered into memory under the lock, so a slow reader of w never holds it.
+	var buf bytes.Buffer
+	p := metrics.Prom{W: &buf}
 	c.mu.Lock()
 	c.expireLocked(c.now())
 	pending := 0
@@ -28,76 +35,48 @@ func (c *Coordinator) WriteMetrics(w io.Writer) {
 			}
 		}
 	}
-	type row struct {
-		name             string
-		executed, cached int64
-		activeLeases     int
+	p.Gauge("fleet_workers_registered", "Workers that have joined the fleet.", int64(len(c.workers)))
+	p.Gauge("fleet_units_pending", "Units queued waiting for a lease.", int64(pending))
+	p.Gauge("fleet_units_leased", "Units currently out on live leases.", int64(leased))
+	p.Gauge("fleet_lease_waiters", "Lease calls held waiting for a unit: idle workers.", c.waiters.Load())
+	p.Counter("fleet_leases_granted_total", "Leases handed to workers.", c.leasesGranted)
+	p.Counter("fleet_leases_expired_total", "Leases that missed their heartbeat window.", c.leasesExpired)
+	p.Counter("fleet_units_requeued_total", "Units re-leased after worker loss.", c.unitsRequeued)
+	p.Counter("fleet_units_completed_total", "Units finished successfully.", c.unitsCompleted)
+	p.Counter("fleet_units_failed_total", "Units failed (deterministic error or attempts exhausted).", c.unitsFailed)
+	p.Counter("fleet_duplicate_executions_total", "Executed results delivered for already-completed units.", c.duplicates)
+	p.Counter("fleet_store_gets_total", "Shared-store lookups served to workers.", c.storeGets)
+	p.Counter("fleet_store_puts_total", "Shared-store write-throughs from workers.", c.storePuts)
+
+	rows := slices.SortedFunc(maps.Values(c.workers), func(a, b *workerState) int { return strings.Compare(a.name, b.name) })
+	p.Family("fleet_worker_points_executed_total", "counter", "Units freshly simulated, by worker.")
+	for _, r := range rows {
+		p.Sample("fleet_worker_points_executed_total", "worker", r.name, r.executed)
 	}
-	rows := make([]row, 0, len(c.workers))
-	for _, ws := range c.workers {
-		rows = append(rows, row{ws.name, ws.executed, ws.cached, ws.activeLeases})
+	p.Family("fleet_worker_points_cached_total", "counter", "Units served from the shared store, by worker.")
+	for _, r := range rows {
+		p.Sample("fleet_worker_points_cached_total", "worker", r.name, r.cached)
 	}
-	snap := struct {
-		workers                                             int
-		pending, leased                                     int
-		granted, expired, requeued, completed, failed, dups int64
-		gets, puts                                          int64
-	}{
-		len(c.workers), pending, leased,
-		c.leasesGranted, c.leasesExpired, c.unitsRequeued, c.unitsCompleted, c.unitsFailed, c.duplicates,
-		c.storeGets, c.storePuts,
+	p.Family("fleet_worker_active_leases", "gauge", "Live leases held, by worker.")
+	for _, r := range rows {
+		p.Sample("fleet_worker_active_leases", "worker", r.name, int64(r.activeLeases))
 	}
 	c.mu.Unlock()
-	sort.Slice(rows, func(i, j int) bool { return rows[i].name < rows[j].name })
-
-	gauge := func(name, help string, v int64) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n%s %d\n", name, help, name, name, v)
-	}
-	counter := func(name, help string, v int64) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
-	}
-
-	gauge("fleet_workers_registered", "Workers that have joined the fleet.", int64(snap.workers))
-	gauge("fleet_units_pending", "Units queued waiting for a lease.", int64(snap.pending))
-	gauge("fleet_units_leased", "Units currently out on live leases.", int64(snap.leased))
-	gauge("fleet_lease_waiters", "Lease calls held waiting for a unit: idle workers.", c.waiters.Load())
-	counter("fleet_leases_granted_total", "Leases handed to workers.", snap.granted)
-	counter("fleet_leases_expired_total", "Leases that missed their heartbeat window.", snap.expired)
-	counter("fleet_units_requeued_total", "Units re-leased after worker loss.", snap.requeued)
-	counter("fleet_units_completed_total", "Units finished successfully.", snap.completed)
-	counter("fleet_units_failed_total", "Units failed (deterministic error or attempts exhausted).", snap.failed)
-	counter("fleet_duplicate_executions_total", "Executed results delivered for already-completed units.", snap.dups)
-	counter("fleet_store_gets_total", "Shared-store lookups served to workers.", snap.gets)
-	counter("fleet_store_puts_total", "Shared-store write-throughs from workers.", snap.puts)
-
-	fmt.Fprintf(w, "# HELP fleet_worker_points_executed_total Units freshly simulated, by worker.\n# TYPE fleet_worker_points_executed_total counter\n")
-	for _, r := range rows {
-		fmt.Fprintf(w, "fleet_worker_points_executed_total{worker=%q} %d\n", r.name, r.executed)
-	}
-	fmt.Fprintf(w, "# HELP fleet_worker_points_cached_total Units served from the shared store, by worker.\n# TYPE fleet_worker_points_cached_total counter\n")
-	for _, r := range rows {
-		fmt.Fprintf(w, "fleet_worker_points_cached_total{worker=%q} %d\n", r.name, r.cached)
-	}
-	fmt.Fprintf(w, "# HELP fleet_worker_active_leases Live leases held, by worker.\n# TYPE fleet_worker_active_leases gauge\n")
-	for _, r := range rows {
-		fmt.Fprintf(w, "fleet_worker_active_leases{worker=%q} %d\n", r.name, r.activeLeases)
-	}
+	w.Write(buf.Bytes())
 }
 
 // WriteMetrics renders the worker-side counters; cmd/simd appends
 // them to its own /metrics when running in fleet mode.
 func (wk *Worker) WriteMetrics(w io.Writer) {
-	counter := func(name, help string, v int64) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
-	}
-	counter("simd_worker_leases_total", "Leases this worker has executed.", wk.leases.Load())
-	counter("simd_worker_points_executed_total", "Units freshly simulated by this worker.", wk.executed.Load())
-	counter("simd_worker_points_cached_total", "Units this worker served from the shared store.", wk.cachedPts.Load())
-	counter("simd_worker_units_failed_total", "Units that failed on this worker.", wk.failedUnits.Load())
-	counter("simd_worker_heartbeat_lost_total", "Leases lost to a 410 heartbeat.", wk.heartbeatLost.Load())
-	counter("simd_worker_complete_failures_total", "Result deliveries abandoned after retries.", wk.completeFails.Load())
+	p := metrics.Prom{W: w}
+	p.Counter("simd_worker_leases_total", "Leases this worker has executed.", wk.leases.Load())
+	p.Counter("simd_worker_points_executed_total", "Units freshly simulated by this worker.", wk.executed.Load())
+	p.Counter("simd_worker_points_cached_total", "Units this worker served from the shared store.", wk.cachedPts.Load())
+	p.Counter("simd_worker_units_failed_total", "Units that failed on this worker.", wk.failedUnits.Load())
+	p.Counter("simd_worker_heartbeat_lost_total", "Leases lost to a 410 heartbeat.", wk.heartbeatLost.Load())
+	p.Counter("simd_worker_complete_failures_total", "Result deliveries abandoned after retries.", wk.completeFails.Load())
 	st := wk.store.Stats()
-	counter("simd_worker_store_hits_total", "Shared-store lookups that hit.", st.Hits)
-	counter("simd_worker_store_misses_total", "Shared-store lookups that missed.", st.Misses)
-	counter("simd_worker_store_write_failures_total", "Shared-store write-throughs that failed.", st.WriteFails)
+	p.Counter("simd_worker_store_hits_total", "Shared-store lookups that hit.", st.Hits)
+	p.Counter("simd_worker_store_misses_total", "Shared-store lookups that missed.", st.Misses)
+	p.Counter("simd_worker_store_write_failures_total", "Shared-store write-throughs that failed.", st.WriteFails)
 }
