@@ -14,7 +14,6 @@ import (
 	"strings"
 
 	"minsim/internal/analytic"
-	"minsim/internal/fattree"
 	"minsim/internal/metrics"
 	"minsim/internal/partition"
 	"minsim/internal/routing"
@@ -302,7 +301,7 @@ func Example_permutation() {
 // Fig. 8 example (an 8-node BMIN of 2x2 switches, message 001 -> 101).
 func Example_fattree() {
 	net := build(simrun.NetworkSpec{Kind: topology.BMIN, K: 2, Stages: 3})
-	fmt.Printf("%s viewed as a fat tree with %d interior levels\n\n", net.Name(), fattree.New(net.R).Levels())
+	fmt.Printf("%s viewed as a fat tree with %d interior levels\n\n", net.Name(), net.Stages)
 
 	// The Fig. 8 example.
 	s, d := 0b001, 0b101

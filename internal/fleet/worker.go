@@ -305,20 +305,21 @@ func (w *Worker) lostLease(leaseID string) bool {
 }
 
 // complete delivers results with bounded retries; a chunk that cannot
-// be delivered is abandoned to the requeue path.
+// be delivered is abandoned to the requeue path. A worker shutting
+// down mid-delivery abandons it too, but that is not a failed delivery:
+// the coordinator may well have taken the results.
 //
 //simvet:ctxbound
 func (w *Worker) complete(ctx context.Context, req CompleteRequest) {
 	//simvet:bounded — three delivery attempts
 	for attempt := 0; attempt < 3; attempt++ {
+		if attempt > 0 {
+			sleepCtx(ctx, 300*time.Millisecond)
+		}
 		err := w.postJSON(ctx, "/fleet/v1/complete", req, nil)
-		if err == nil || errors.Is(err, errGone) {
+		if err == nil || errors.Is(err, errGone) || ctx.Err() != nil {
 			return
 		}
-		if ctx.Err() != nil {
-			break
-		}
-		sleepCtx(ctx, 300*time.Millisecond)
 	}
 	w.completeFails.Add(1)
 }

@@ -257,3 +257,67 @@ func completeOneUnit(t *testing.T, body string) []UnitResult {
 		return nil
 	}
 }
+
+// TestShutdownIsNotAFailedDelivery: a delivery the worker's own
+// shutdown cuts short leaves simd_worker_complete_failures_total
+// alone, since the coordinator may have taken the results; three
+// refused deliveries count once.
+func TestShutdownIsNotAFailedDelivery(t *testing.T) {
+	// deliver runs one complete call under ctx against a coordinator
+	// serving handler, calling during while the call is out.
+	deliver := func(t *testing.T, ctx context.Context, handler http.HandlerFunc, during func()) *Worker {
+		mux := http.NewServeMux()
+		mux.HandleFunc("POST /fleet/v1/complete", handler)
+		srv := httptest.NewServer(mux)
+		defer srv.Close()
+		w, err := NewWorker(WorkerConfig{Coordinator: srv.URL, Client: srv.Client()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			w.complete(ctx, CompleteRequest{WorkerID: "w-1", LeaseID: "l-1"})
+		}()
+		during()
+		recv(t, done)
+		return w
+	}
+
+	t.Run("shutdown", func(t *testing.T) {
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		took := make(chan struct{}, 1)
+		w := deliver(t, ctx, func(w http.ResponseWriter, r *http.Request) {
+			var req CompleteRequest
+			if !decodeBody(w, r, &req) {
+				return
+			}
+			took <- struct{}{}
+			select { // held until the worker shuts down
+			case <-ctx.Done():
+			case <-r.Context().Done():
+			}
+		}, func() {
+			recv(t, took)
+			cancel()
+		})
+		if n := w.completeFails.Load(); n != 0 {
+			t.Errorf("completeFails = %d after a shutdown mid-delivery; want 0", n)
+		}
+	})
+
+	t.Run("refused", func(t *testing.T) {
+		var calls atomic.Int64
+		w := deliver(t, context.Background(), func(w http.ResponseWriter, r *http.Request) {
+			calls.Add(1)
+			http.Error(w, "down", http.StatusInternalServerError)
+		}, func() {})
+		if n := calls.Load(); n != 3 {
+			t.Errorf("%d delivery attempts; want 3", n)
+		}
+		if n := w.completeFails.Load(); n != 1 {
+			t.Errorf("completeFails = %d after three refused deliveries; want 1", n)
+		}
+	})
+}

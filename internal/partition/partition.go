@@ -186,20 +186,14 @@ type Usage struct {
 	ByLayer map[int]int // layer -> distinct wire count (both directions pooled for BMIN pairs)
 }
 
-// ClusterUsage computes the channels used by intra-cluster traffic.
+// ClusterUsage computes the channels used by intra-cluster traffic:
+// one reach walk per member, toward that member from all the others.
 func ClusterUsage(net *topology.Network, nodes []int) Usage {
 	u := Usage{Net: net, Wires: make(map[wireKey]bool), ByLayer: make(map[int]int)}
-	for _, s := range nodes {
-		for _, d := range nodes {
-			if s == d {
-				continue
-			}
-			for _, p := range routing.AllPaths(net, s, d) {
-				for _, c := range p {
-					layer, wire, dir := net.Address(c)
-					u.Wires[wireKey{layer, wire, dir}] = true
-				}
-			}
+	for _, d := range nodes {
+		for _, c := range routing.Reach(net, d, nodes) {
+			layer, wire, dir := net.Address(c)
+			u.Wires[wireKey{layer, wire, dir}] = true
 		}
 	}
 	counts := make(map[int]map[int]bool)

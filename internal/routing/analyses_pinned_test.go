@@ -31,11 +31,9 @@ func (d *digest) add(xs ...int) {
 // analysesDigests walks every analysis the routing function backs and
 // digests its output: AllPaths over every ordered pair (count, then
 // each path's channels in order), WorstPermutation at seeds 1-3
-// (permutation and sharing), and partition.Analyze on the top-digit
-// and the bottom-digit clusterings (verdicts, per-layer wire counts
-// and sharing cluster pairs).
+// (permutation and sharing), and partitionDigest.
 func analysesDigests(net *topology.Network) [3]digest {
-	var paths, worst, part digest
+	var paths, worst digest
 	for s := 0; s < net.Nodes; s++ {
 		for d := 0; d < net.Nodes; d++ {
 			if s == d {
@@ -53,6 +51,14 @@ func analysesDigests(net *topology.Network) [3]digest {
 		worst.add(perm...)
 		worst.add(sh.MaxShare, sh.SharedChannels, sh.ActivePairs)
 	}
+	return [3]digest{paths, worst, partitionDigest(net)}
+}
+
+// partitionDigest digests partition.Analyze on the top-digit and the
+// bottom-digit clusterings: verdicts, per-layer wire counts and
+// sharing cluster pairs.
+func partitionDigest(net *topology.Network) digest {
+	var part digest
 	for _, clusters := range digitClusterings(net.R) {
 		rep := partition.Analyze(net, clusters)
 		for _, c := range rep.Clusters {
@@ -66,7 +72,7 @@ func analysesDigests(net *topology.Network) [3]digest {
 			part.add(sp[0], sp[1])
 		}
 	}
-	return [3]digest{paths, worst, part}
+	return part
 }
 
 // digitClusterings returns the k clusters fixing the top address digit
@@ -92,13 +98,19 @@ func b2i(b bool) int {
 }
 
 // TestAnalysesPinned holds the analyses to literals recorded while they
-// still walked the struct graph through the Routers. Each row folds,
-// in TestFactoredMatchesRouters' order, every network that test
-// enumerates at one (k, n) — every family, wiring, extra-stage count
-// and channel multiplicity, BMIN with virtual channels included — up to
-// 16 nodes, and then each 64-node paper network alone. (The 64-node
-// corners of that enumeration are left to the equivalence test: their
-// exhaustive path walks take minutes.)
+// still walked the struct graph through the Routers. Each row folds
+// every network enumerate yields at one (k, n) — every family, wiring,
+// extra-stage count and channel multiplicity, BMIN with virtual
+// channels included — up to 16 nodes, and then each 64-node paper
+// network alone.
+//
+// The 64-node corners of the enumeration (k=4 n=3, k=2 n=6 and k=8 n=2)
+// pin partition verdicts only: their exhaustive path walks take
+// minutes, and so did the partition analysis while it listed every
+// route. Those rows were recorded with routing.Reach. The enumerating
+// analysis finished only k=8 n=2, at the same digest, so the other two
+// rest on FuzzReachMatchesAllPaths and on the rows above, which the
+// enumeration recorded.
 func TestAnalysesPinned(t *testing.T) {
 	type row struct {
 		name               string
@@ -118,30 +130,19 @@ func TestAnalysesPinned(t *testing.T) {
 		{"dmin-cube", 1, 0xb40d1ce1a1599eb0, 0x10b7631d063e438a, 0xc77d8caba7d35180},
 		{"vmin-cube", 1, 0xb40d1ce1a1599eb0, 0x10b7631d063e438a, 0xc77d8caba7d35180},
 		{"bmin-butterfly", 1, 0x68d9756029ff5980, 0x9a7f28438f195a76, 0x88dcfd911c9232ae},
+		{"k=4 n=3", 88, 0, 0, 0x76b700060cca61d0}, // partition only, from here on
+		{"k=2 n=6", 88, 0, 0, 0xb87951f51863c090},
+		{"k=8 n=2", 88, 0, 0, 0xe07a2c3b040a8eac},
 	}
 	var got []row
 	for _, kn := range [][2]int{{2, 1}, {2, 2}, {2, 3}, {2, 4}, {4, 1}, {4, 2}, {8, 1}} {
 		r := row{name: fmt.Sprintf("k=%d n=%d", kn[0], kn[1])}
-		for kind := uint8(0); kind < 4; kind++ {
-			for _, pat := range []topology.Pattern{topology.Cube, topology.Butterfly, topology.Omega, topology.Baseline} {
-				for _, dv := range []int{1, 2, 3, 4} {
-					for extra := 0; extra <= 2; extra++ {
-						if kind == 0 && (pat != topology.Cube || extra != 0) || kind == 1 && dv != 1 || kind > 1 && dv == 1 {
-							continue // as in TestFactoredMatchesRouters
-						}
-						net, err := fuzzNetwork(kn[0], kn[1], kind, pat, dv, extra)
-						if err != nil {
-							t.Fatal(err)
-						}
-						d := analysesDigests(net)
-						r.paths.add(int(d[0]))
-						r.worst.add(int(d[1]))
-						r.part.add(int(d[2]))
-						r.networks++
-					}
-				}
-			}
-		}
+		r.networks = enumerate(t, kn[0], kn[1], func(net *topology.Network) {
+			d := analysesDigests(net)
+			r.paths.add(int(d[0]))
+			r.worst.add(int(d[1]))
+			r.part.add(int(d[2]))
+		})
 		got = append(got, r)
 	}
 	for _, ns := range experiments.PaperSpecs() {
@@ -152,6 +153,13 @@ func TestAnalysesPinned(t *testing.T) {
 		d := analysesDigests(net)
 		got = append(got, row{ns.Name, 1, d[0], d[1], d[2]})
 	}
+	for _, kn := range [][2]int{{4, 3}, {2, 6}, {8, 2}} {
+		r := row{name: fmt.Sprintf("k=%d n=%d", kn[0], kn[1])}
+		r.networks = enumerate(t, kn[0], kn[1], func(net *topology.Network) {
+			r.part.add(int(partitionDigest(net)))
+		})
+		got = append(got, r)
+	}
 	if len(got) != len(pinned) {
 		t.Fatalf("%d rows, %d pinned", len(got), len(pinned))
 	}
@@ -161,4 +169,71 @@ func TestAnalysesPinned(t *testing.T) {
 				g.name, g.networks, uint64(g.paths), uint64(g.worst), uint64(g.part), pinned[i])
 		}
 	}
+}
+
+// FuzzReachMatchesAllPaths holds routing.Reach to enumeration: on a
+// network of at most 64 nodes, the channels it reaches toward a
+// destination from a set of sources are exactly those on some route
+// AllPaths lists from one of them.
+func FuzzReachMatchesAllPaths(f *testing.F) {
+	// kRaw: 0/1/2 -> k = 2/4/8; nRaw: stages - 1; kind: 0 BMIN,
+	// 1 TMIN, 2 DMIN, 3 VMIN; pat: Cube..Baseline; dvRaw: d or m - 1.
+	// The seeds are the five paper networks; two reach from one source,
+	// where no other source's routes cover a dropped alternative.
+	f.Add(uint8(1), uint8(2), uint8(1), uint8(0), uint8(0), uint8(0), uint64(0x00ff00ff00ff00ff), uint8(5))  // tmin-cube
+	f.Add(uint8(1), uint8(2), uint8(1), uint8(1), uint8(0), uint8(0), uint64(0xf0f0f0f0f0f0f0f0), uint8(63)) // tmin-butterfly
+	f.Add(uint8(1), uint8(2), uint8(2), uint8(0), uint8(1), uint8(0), uint64(1<<9), uint8(0))                // dmin-cube
+	f.Add(uint8(1), uint8(2), uint8(3), uint8(0), uint8(1), uint8(0), uint64(0x0123456789abcdef), uint8(17)) // vmin-cube
+	f.Add(uint8(1), uint8(2), uint8(0), uint8(0), uint8(0), uint8(0), uint64(1), uint8(63))                  // bmin-butterfly
+	f.Fuzz(func(t *testing.T, kRaw, nRaw, kindRaw, patRaw, dvRaw, extraRaw uint8, mask uint64, dstRaw uint8) {
+		k := 2 << (kRaw % 3)
+		n := int(nRaw)%6 + 1
+		size := 1
+		for i := 0; i < n; i++ {
+			size *= k
+		}
+		if size > 64 {
+			t.Skip()
+		}
+		net, err := fuzzNetwork(k, n, kindRaw%4, topology.Pattern(patRaw%4), int(dvRaw)%4+1, int(extraRaw)%3)
+		if err != nil {
+			t.Skip()
+		}
+		dst := int(dstRaw) % net.Nodes
+		var srcs []int
+		want := map[int]bool{}
+		routes := 0
+		for s := 0; s < net.Nodes; s++ {
+			if mask>>s&1 == 0 {
+				continue
+			}
+			srcs = append(srcs, s)
+			if s == dst {
+				continue
+			}
+			ps := routing.AllPaths(net, s, dst)
+			if routes += len(ps); routes > 1<<14 {
+				t.Skip() // keep the enumeration cheap: d^stages routes a pair on the widest DMINs
+			}
+			for _, p := range ps {
+				for _, c := range p {
+					want[c] = true
+				}
+			}
+		}
+		got := routing.Reach(net, dst, srcs)
+		seen := map[int]bool{}
+		for _, c := range got {
+			if seen[c] {
+				t.Fatalf("%s: channel %d reached twice", net.Name(), c)
+			}
+			seen[c] = true
+			if !want[c] {
+				t.Fatalf("%s: channel %d reached toward %d, on no route from %v", net.Name(), c, dst, srcs)
+			}
+		}
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d channels reached toward %d, %d on routes from %v", net.Name(), len(got), dst, len(want), srcs)
+		}
+	})
 }

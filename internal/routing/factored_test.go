@@ -68,6 +68,33 @@ func fuzzNetwork(k, n int, kind uint8, pat topology.Pattern, dv, extra int) (*to
 	return topology.NewUnidirectional(cfg)
 }
 
+// enumerate calls f on every network of one (k, n) that
+// TestFactoredMatchesRouters and TestAnalysesPinned walk, in a fixed
+// order: every family, wiring, channel multiplicity 1 to 4 and extra
+// stage count 0 to 2, and returns how many there were.
+func enumerate(t *testing.T, k, n int, f func(*topology.Network)) int {
+	t.Helper()
+	count := 0
+	for kind := uint8(0); kind < 4; kind++ {
+		for _, pat := range []topology.Pattern{topology.Cube, topology.Butterfly, topology.Omega, topology.Baseline} {
+			for _, dv := range []int{1, 2, 3, 4} {
+				for extra := 0; extra <= 2; extra++ {
+					if kind == 0 && (pat != topology.Cube || extra != 0) || kind == 1 && dv != 1 || kind > 1 && dv == 1 {
+						continue // a BMIN has one wiring; a TMIN is the d = m = 1 case
+					}
+					net, err := fuzzNetwork(k, n, kind, pat, dv, extra)
+					if err != nil {
+						t.Fatal(err)
+					}
+					f(net)
+					count++
+				}
+			}
+		}
+	}
+	return count
+}
+
 // TestFactoredMatchesRouterPaperConfigs proves factored ≡ Router
 // pairwise-exhaustively on the paper's five 64-node evaluation
 // configurations, and pins the size the representation exists for:
@@ -97,26 +124,13 @@ func TestFactoredMatchesRouters(t *testing.T) {
 	configs := 0
 	for _, k := range []int{2, 4, 8} {
 		for n := 1; n <= 4; n++ {
-			for kind := uint8(0); kind < 4; kind++ {
-				for _, pat := range []topology.Pattern{topology.Cube, topology.Butterfly, topology.Omega, topology.Baseline} {
-					for _, dv := range []int{1, 2, 3, 4} {
-						for extra := 0; extra <= 2; extra++ {
-							if kind == 0 && (pat != topology.Cube || extra != 0) || kind == 1 && dv != 1 || kind > 1 && dv == 1 {
-								continue // a BMIN has one wiring; a TMIN is the d = m = 1 case
-							}
-							desc, err := fuzzNetwork(k, n, kind, pat, dv, extra)
-							if err != nil {
-								t.Fatal(err)
-							}
-							if desc.Nodes > 64 {
-								continue
-							}
-							checkFactoredEquivalence(t, graphtest.New(desc), routing.NewFactored(desc), graphtest.RouterFor(desc))
-							configs++
-						}
-					}
+			enumerate(t, k, n, func(desc *topology.Network) {
+				if desc.Nodes > 64 {
+					return
 				}
-			}
+				checkFactoredEquivalence(t, graphtest.New(desc), routing.NewFactored(desc), graphtest.RouterFor(desc))
+				configs++
+			})
 		}
 	}
 	t.Logf("%d configurations", configs)

@@ -51,6 +51,44 @@ func allPaths(w *walker, src, dst int) []Path {
 	return out
 }
 
+// Reach returns every channel that lies on some route from a source in
+// srcs to dst, each once, in the order a depth-first walk first meets
+// it; a source equal to dst is skipped. Its set is the union of
+// AllPaths' channels over the sources, but where AllPaths lists k^t
+// routes per pair, Reach expands each channel once: a hop's candidates
+// depend only on (channel, destination), and every route ends at dst,
+// so a channel once met needs no second walk.
+func Reach(net *topology.Network, dst int, srcs []int) []int {
+	w := newWalker(net)
+	seen := make([]bool, net.ChannelCount())
+	var out []int
+	var walk func(hop, c int)
+	walk = func(hop, c int) {
+		if seen[c] {
+			return
+		}
+		seen[c] = true
+		out = append(out, c)
+		if node, ok := w.ejectsTo(c); ok {
+			if node != dst {
+				panic(fmt.Sprintf("routing: route to %d delivered to node %d", dst, node))
+			}
+			return
+		}
+		// Recursion writes only deeper hops' lists, so this one can
+		// be ranged over in place.
+		for _, next := range w.next(hop, c, dst) {
+			walk(hop+1, next)
+		}
+	}
+	for _, s := range srcs {
+		if s != dst {
+			walk(0, net.Inject(s))
+		}
+	}
+	return out
+}
+
 // OnePath returns the route obtained by always taking the first
 // candidate. Useful for deterministic traces and the blocking example
 // tests.

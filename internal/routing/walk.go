@@ -3,8 +3,9 @@
 // butterfly wirings, with dilated-channel and virtual-channel
 // candidate sets) and the turnaround routing of bidirectional
 // butterfly MINs (Fig. 7 of the paper) — as one function, Factored,
-// and the analyses that walk it: path enumeration (Theorem 1), fault
-// reach, channel sharing and the adversarial permutation search.
+// and the analyses that walk it: path enumeration (Theorem 1), the
+// reach walk behind Section 4's cluster usage, channel sharing and the
+// adversarial permutation search.
 //
 // The routing function answers one question: given the input channel
 // where a worm's head flit waits and the packet's destination, which

@@ -1,6 +1,7 @@
 package topology_test
 
 import (
+	"slices"
 	"testing"
 
 	"minsim/internal/topology"
@@ -98,29 +99,88 @@ func TestBMINWireIdentity(t *testing.T) {
 	}
 }
 
+// fatTreeConfigs are the BMIN sizes whose fat-tree view (Section 3.3)
+// is checked against the built network.
+func fatTreeConfigs() [][2]int {
+	return [][2]int{{2, 3}, {2, 4}, {4, 2}, {4, 3}, {8, 2}}
+}
+
+// TestBMINSubtree: a stage-s switch's subtree is a level-(s+1) vertex of
+// the fat tree, k^(s+1) consecutive leaves from a multiple of k^(s+1),
+// and exactly the nodes its backward channels descend to.
 func TestBMINSubtree(t *testing.T) {
-	net, _ := graphtest.Of(topology.NewBMIN(2, 3))
-	// Stage-0 switches cover pairs {0,1}, {2,3}, ...
-	for idx := 0; idx < 4; idx++ {
-		got := net.Subtree(0, idx)
-		if len(got) != 2 || got[0] != 2*idx || got[1] != 2*idx+1 {
-			t.Errorf("Subtree(0, %d) = %v", idx, got)
+	for _, kn := range fatTreeConfigs() {
+		net, err := topology.NewBMIN(kn[0], kn[1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		span := 1
+		for stage := 0; stage < net.Stages; stage++ {
+			span *= net.K()
+			for index := 0; index < net.SwitchCount()/net.Stages; index++ {
+				got := net.Subtree(stage, index)
+				below := descend(net, net.SwitchID(stage, index), nil)
+				slices.Sort(below)
+				if len(got) != span || got[0]%span != 0 || got[span-1] != got[0]+span-1 || !slices.Equal(got, below) {
+					t.Fatalf("%s: Subtree(%d, %d) = %v; backward channels reach %v", net.Name(), stage, index, got, below)
+				}
+			}
 		}
 	}
-	// Stage-1 switches cover 4 nodes sharing the top bit. Switch index
-	// is the address with bit 1 deleted: indices {0,1} -> nodes 0-3,
-	// {2,3} -> nodes 4-7.
-	for idx := 0; idx < 4; idx++ {
-		got := net.Subtree(1, idx)
-		wantBase := (idx / 2) * 4
-		if len(got) != 4 || got[0] != wantBase {
-			t.Errorf("Subtree(1, %d) = %v, want base %d size 4", idx, got, wantBase)
+}
+
+// descend appends the nodes the backward channels of switch sw lead to.
+func descend(net *topology.Network, sw int, nodes []int) []int {
+	for off := 0; off < net.K(); off++ {
+		base, _ := net.PortChannels(sw, topology.Left, off)
+		if to := net.ChannelAt(base).To; to.IsNode() {
+			nodes = append(nodes, to.Node)
+		} else {
+			nodes = descend(net, to.Switch, nodes)
 		}
 	}
-	// The last stage covers all nodes.
-	got := net.Subtree(2, 0)
-	if len(got) != 8 || got[0] != 0 {
-		t.Errorf("Subtree(2, 0) = %v", got)
+	return nodes
+}
+
+// TestBMINCapacityLaw: the fat tree's capacity law on the built BMIN,
+// with and without virtual channels. The stage-s switches of one
+// k^(s+1)-leaf subtree, one level-(s+1) vertex, have k^(s+1) distinct
+// forward links leaving them, as many as the leaves below, so
+// bandwidth does not thin toward the root.
+func TestBMINCapacityLaw(t *testing.T) {
+	for _, kn := range fatTreeConfigs() {
+		for _, vcs := range []int{1, 2} {
+			net, err := topology.NewBMINVC(kn[0], kn[1], vcs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			span := 1
+			for stage := 0; stage < net.Stages-1; stage++ {
+				span *= net.K()
+				up := map[int]map[int]bool{} // first leaf of a subtree -> forward links
+				for index := 0; index < net.SwitchCount()/net.Stages; index++ {
+					leaf := net.Subtree(stage, index)[0]
+					if up[leaf] == nil {
+						up[leaf] = map[int]bool{}
+					}
+					for off := 0; off < net.K(); off++ {
+						base, count := net.PortChannels(net.SwitchID(stage, index), topology.Right, off)
+						for c := base; c < base+count; c++ {
+							up[leaf][net.LinkOf(c)] = true
+						}
+					}
+				}
+				if len(up) != net.Nodes/span {
+					t.Fatalf("%s stage %d: %d subtrees, want %d", net.Name(), stage, len(up), net.Nodes/span)
+				}
+				for leaf, links := range up {
+					if len(links) != span {
+						t.Errorf("%s stage %d: subtree from leaf %d has %d forward links leaving it, want %d",
+							net.Name(), stage, leaf, len(links), span)
+					}
+				}
+			}
+		}
 	}
 }
 
