@@ -1,15 +1,13 @@
 // Command simvet runs the simulator's custom static-analysis suite
-// (package internal/simvet). The per-package analyzers — detrand,
-// mapiter, hotalloc, statscomplete — enforce bit-exact determinism and
-// the zero-allocation Step contract; the cross-package dataflow
-// analyzers — keypurity, wirestable, lockscope, ctxflow — guard the
+// (package internal/simvet): four cross-package dataflow analyzers —
+// keypurity, wirestable, lockscope, ctxflow — that guard the
 // content-addressed cache-key paths, the committed wire schema
 // (docs/wire.lock), mutex critical sections and context
 // responsiveness across the whole module.
 //
 // Usage:
 //
-//	simvet [-run detrand,keypurity] [-json] [-writewire] [packages]
+//	simvet [-run keypurity,lockscope] [-json] [-writewire] [packages]
 //
 // Packages default to ./... (the whole module). Patterns are matched
 // against import paths: "./..." selects everything, "./internal/engine"

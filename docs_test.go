@@ -11,6 +11,8 @@ import (
 	"regexp"
 	"strings"
 	"testing"
+
+	"minsim/internal/simvet"
 )
 
 // docSymbol matches a backticked `pkg.Name` or `pkg.Type.Member`,
@@ -61,6 +63,34 @@ func TestDocCommandsExist(t *testing.T) {
 	})
 	if checked == 0 {
 		t.Fatal("no command paths found; is the pattern stale?")
+	}
+}
+
+// docSimvetRun matches the analyzer list of a simvet command's -run
+// flag.
+var docSimvetRun = regexp.MustCompile(`\bsimvet\b.*?\s-run[= ]([a-z][a-z0-9,]*)`)
+
+// TestDocAnalyzersExist: every analyzer a `simvet -run` command in the
+// docs names is in simvet.All(), so a deleted analyzer cannot linger in
+// them.
+func TestDocAnalyzersExist(t *testing.T) {
+	known := map[string]bool{}
+	for _, a := range simvet.All() {
+		known[a.Name] = true
+	}
+	checked := 0
+	forEachDocLine(t, func(at, line string) {
+		for _, m := range docSimvetRun.FindAllStringSubmatch(line, -1) {
+			for _, name := range strings.Split(m[1], ",") {
+				checked++
+				if !known[name] {
+					t.Errorf("%s: simvet -run names %s, which is not an analyzer of simvet.All()", at, name)
+				}
+			}
+		}
+	})
+	if checked == 0 {
+		t.Fatal("no simvet -run commands found; is the pattern stale?")
 	}
 }
 

@@ -61,8 +61,6 @@ type Factored struct {
 // a run and across runs — the order the specification's Routers
 // produce. runs > 1 only occurs for the continue-forward hop of a BMIN
 // (one run per right port).
-//
-//simvet:hotpath
 func (f *Factored) Lookup(layer, wire int, dir topology.Dir, dest int) (base, count, runs, stride int) {
 	if f.bmin {
 		return f.lookupBMIN(layer, wire, dir, dest)

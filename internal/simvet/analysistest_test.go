@@ -49,9 +49,6 @@ func runFixture(t *testing.T, fixture string, analyzers ...*Analyzer) {
 		for _, f := range pkg.Files {
 			collectWants(t, mod, f.Comments, wants)
 		}
-		for _, f := range pkg.TestFiles {
-			collectWants(t, mod, f.Comments, wants)
-		}
 	}
 	// Wirestable's Finish hook anchors lock-only diagnostics at lines of
 	// the lock file itself; the same path construction keeps the keys

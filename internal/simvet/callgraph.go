@@ -81,6 +81,20 @@ func staticCallees(pass *Pass, fd *ast.FuncDecl, decls map[*types.Func]*ast.Func
 	return out
 }
 
+// calleeFunc resolves the static callee of a call expression, or nil
+// for calls through function values, builtins and type conversions.
+func calleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {
+	var obj types.Object
+	switch fun := ast.Unparen(call.Fun).(type) {
+	case *ast.Ident:
+		obj = info.Uses[fun]
+	case *ast.SelectorExpr:
+		obj = info.Uses[fun.Sel]
+	}
+	fn, _ := obj.(*types.Func)
+	return fn
+}
+
 // isModuleLocal reports whether obj is declared in a package of the
 // module under analysis (as opposed to the standard library).
 func isModuleLocal(pass *Pass, obj types.Object) bool {
@@ -129,12 +143,23 @@ func funcDirective(pass *Pass, fn *types.Func, decls map[*types.Func]*ast.FuncDe
 	return hasDirective(doc, directive)
 }
 
-// stmtDirectives returns the directive line set for the file holding
-// pos. A statement-level directive (//simvet:orderfree, bounded,
-// blockok) applies to the line it shares with the statement or to the
-// line directly above it.
+// stmtDirectives returns the line numbers of every comment in f that
+// carries the given //simvet: directive. A statement-level directive
+// (//simvet:orderfree, bounded, blockok) applies to the line it shares
+// with the statement or to the line directly above it (directiveAt).
 func stmtDirectives(pass *Pass, f *ast.File, directive string) map[int]bool {
-	return directiveLines(pass.Fset, f, directive)
+	var lines map[int]bool
+	for _, g := range f.Comments {
+		for _, c := range g.List {
+			if strings.HasPrefix(c.Text, "//"+directive) {
+				if lines == nil {
+					lines = make(map[int]bool)
+				}
+				lines[pass.Fset.Position(c.Slash).Line] = true
+			}
+		}
+	}
+	return lines
 }
 
 // directiveAt reports whether lines marks the statement line or the

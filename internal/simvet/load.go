@@ -15,8 +15,8 @@ import (
 )
 
 // Module is a parsed and type-checked Go module. Packages are sorted
-// by import path; test files are parsed (for the syntactic scans) but
-// not type-checked, exactly like `go vet`'s default unit.
+// by import path; test files are not loaded (the analyzers check
+// production code only).
 type Module struct {
 	Dir      string // absolute module root
 	Path     string // module path from go.mod
@@ -32,12 +32,11 @@ func (m *Module) Lookup(importPath string) *Package { return m.byPath[importPath
 
 // Package is one type-checked package of the module.
 type Package struct {
-	Path      string      // import path
-	Dir       string      // absolute directory
-	Files     []*ast.File // non-test files, type-checked
-	TestFiles []*ast.File // *_test.go files (in-package and external), AST only
-	Types     *types.Package
-	Info      *types.Info
+	Path  string      // import path
+	Dir   string      // absolute directory
+	Files []*ast.File // non-test files, type-checked
+	Types *types.Package
+	Info  *types.Info
 }
 
 // LoadModule parses and type-checks every package under the module
@@ -175,18 +174,15 @@ func (l *loader) load(importPath string) (*Package, error) {
 	pkg := &Package{Path: importPath, Dir: dir}
 	for _, e := range entries {
 		name := e.Name()
-		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") {
+		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") ||
+			strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") {
 			continue
 		}
 		f, err := parser.ParseFile(l.mod.Fset, filepath.Join(dir, name), nil, parser.ParseComments)
 		if err != nil {
 			return nil, err
 		}
-		if strings.HasSuffix(name, "_test.go") {
-			pkg.TestFiles = append(pkg.TestFiles, f)
-		} else {
-			pkg.Files = append(pkg.Files, f)
-		}
+		pkg.Files = append(pkg.Files, f)
 	}
 	if len(pkg.Files) > 0 {
 		pkg.Info = &types.Info{

@@ -1,26 +1,7 @@
-// Package simvet is a suite of static analyzers that enforce the
-// simulator's two load-bearing, non-local properties at review time
-// rather than at runtime:
-//
-//   - bit-exact determinism: the engine, the routers, the plan layer
-//     and the traffic generators must draw every random number from
-//     internal/xrand seeded streams, never consult wall-clock time, and
-//     never let Go's randomized map-iteration order leak into results
-//     (analyzers detrand and mapiter);
-//
-//   - a zero-allocation steady-state Step path: functions reachable
-//     from //simvet:hotpath roots must not call fmt formatting, build
-//     closures, make fresh slices/maps, or box values into interfaces
-//     (analyzer hotalloc, backing the 0 allocs/cycle contract the
-//     benchmark's traced run reports as engine.allocs_per_cycle);
-//
-// plus one rot detector: every field of engine.Stats must be both
-// written by the engine and read somewhere — a counter nobody consumes
-// is a bug waiting to be trusted (analyzer statscomplete);
-//
-// plus four cross-package dataflow analyzers built on the suite's
-// exported-facts mechanism (see facts.go), guarding the subsystems the
-// engine-era analyzers cannot see:
+// Package simvet is a suite of four cross-package dataflow analyzers
+// built on the suite's exported-facts mechanism (see facts.go). Each
+// guards a property that a failing test cannot point at, or that no
+// test sees at all:
 //
 //   - keypurity: everything reachable from a //simvet:keypath root
 //     (simrun's content-key hashing and the engine fingerprint probe)
@@ -49,6 +30,11 @@
 //     context each iteration, generalizing the hand-maintained "check
 //     ctx every 8192 cycles" rule into an enforced property.
 //
+// Determinism and the 0 allocs/cycle Step path are held by tests
+// instead: TestRegistryDigests, TestPinnedKeys and TestSweepPinned pin
+// the simulated results, and the engine's TestStepAllocs measures
+// Step, Run and RunUntilDrained on every family.
+//
 // The suite mirrors the golang.org/x/tools/go/analysis API shape
 // (Analyzer, Pass, Diagnostic, object facts, `// want` fixtures) but
 // is built purely on the standard library's go/ast, go/parser and
@@ -58,14 +44,11 @@
 //
 // Annotations recognized in source comments:
 //
-//	//simvet:hotpath   on a function declaration: the function is a
-//	                   steady-state hot-path root; hotalloc checks it
-//	                   and everything it (transitively) calls within
-//	                   the same package.
 //	//simvet:orderfree on (or immediately above) a `range` statement
-//	                   over a map: the loop body is order-insensitive,
-//	                   so the nondeterministic iteration order is
-//	                   harmless. Justify the claim in the same comment.
+//	                   over a map on a keypath: the loop body is
+//	                   order-insensitive, so the nondeterministic
+//	                   iteration order is harmless. Justify the claim
+//	                   in the same comment.
 //	//simvet:keypath   on a function declaration: the function derives
 //	                   cache-key material; keypurity checks it and
 //	                   everything it (transitively) calls, across
@@ -118,7 +101,7 @@ type Analyzer struct {
 }
 
 // A Pass provides one analyzer with one type-checked package plus a
-// view of the whole module (statscomplete needs cross-package reads).
+// view of the whole module.
 type Pass struct {
 	Analyzer *Analyzer
 	Fset     *token.FileSet
@@ -151,37 +134,9 @@ func (d Diagnostic) String() string {
 	return fmt.Sprintf("%s: %s: %s", d.Pos, d.Analyzer, d.Message)
 }
 
-// All returns the full suite in stable order: the engine-era
-// single-package analyzers first, then the cross-package dataflow
-// analyzers built on exported facts.
+// All returns the full suite in stable order.
 func All() []*Analyzer {
-	return []*Analyzer{
-		DetRand, MapIter, HotAlloc, StatsComplete,
-		KeyPurity, WireStable, LockScope, CtxFlow,
-	}
-}
-
-// deterministicSuffixes lists the packages whose results must be a
-// pure function of the seed. Matching is by import-path suffix so the
-// analysistest fixtures (whose modules have their own names) exercise
-// the same classification as the real module.
-var deterministicSuffixes = []string{
-	"internal/engine",
-	"internal/routing",
-	"internal/simrun",
-	"internal/traffic",
-	"internal/xrand",
-}
-
-// isDeterministicPackage reports whether the import path names one of
-// the packages under the determinism contract.
-func isDeterministicPackage(path string) bool {
-	for _, sfx := range deterministicSuffixes {
-		if path == sfx || strings.HasSuffix(path, "/"+sfx) {
-			return true
-		}
-	}
-	return false
+	return []*Analyzer{KeyPurity, WireStable, LockScope, CtxFlow}
 }
 
 // hasDirective reports whether the comment group carries the given
@@ -196,25 +151,6 @@ func hasDirective(doc *ast.CommentGroup, directive string) bool {
 		}
 	}
 	return false
-}
-
-// directiveLines returns the line numbers of every comment in the file
-// that carries the given //simvet: directive. A directive applies to
-// the statement on its own line (trailing comment) or on the line
-// directly below (standalone comment).
-func directiveLines(fset *token.FileSet, f *ast.File, directive string) map[int]bool {
-	var lines map[int]bool
-	for _, g := range f.Comments {
-		for _, c := range g.List {
-			if strings.HasPrefix(c.Text, "//"+directive) {
-				if lines == nil {
-					lines = make(map[int]bool)
-				}
-				lines[fset.Position(c.Slash).Line] = true
-			}
-		}
-	}
-	return lines
 }
 
 // RunAnalyzers applies the analyzers to every package of the module

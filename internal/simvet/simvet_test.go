@@ -6,19 +6,9 @@ import (
 )
 
 // Each analyzer must fire on its seeded-violation fixture and stay
-// quiet on the fixture's legitimate patterns (the sorted-key iteration
-// idiom, the xrand package itself, panic arguments, pooled appends).
-
-func TestDetRandFixture(t *testing.T) { runFixture(t, "detrand", DetRand) }
-
-func TestMapIterFixture(t *testing.T) { runFixture(t, "mapiter", MapIter) }
-
-func TestHotAllocFixture(t *testing.T) { runFixture(t, "hotalloc", HotAlloc) }
-
-func TestStatsCompleteFixture(t *testing.T) { runFixture(t, "statscomplete", StatsComplete) }
-
-// The cross-package dataflow analyzers: each fixture is a multi-package
-// module whose violations are reported through exported facts.
+// quiet on the fixture's legitimate patterns. Each fixture is a
+// multi-package module whose violations are reported through exported
+// facts.
 
 func TestKeyPurityFixture(t *testing.T) { runFixture(t, "keypurity", KeyPurity) }
 
