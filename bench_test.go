@@ -114,16 +114,12 @@ func benchEngine(b *testing.B, build func() (*topology.Network, error)) {
 		b.Fatal(err)
 	}
 	c := traffic.Global(net.Nodes)
-	rates, err := traffic.NodeRates(c, 0.4, traffic.PaperLengths.Mean(), nil)
-	if err != nil {
-		b.Fatal(err)
-	}
 	src, err := traffic.NewWorkload(traffic.Config{
-		Nodes:   net.Nodes,
-		Pattern: traffic.Uniform{C: c},
-		Lengths: traffic.PaperLengths,
-		Rates:   rates,
-		Seed:    1,
+		Clusters: c,
+		Pattern:  traffic.Uniform{C: c},
+		Lengths:  traffic.PaperLengths,
+		Load:     0.4,
+		Seed:     1,
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -180,16 +176,12 @@ func BenchmarkEngineLowLoad(b *testing.B) {
 		b.Fatal(err)
 	}
 	c := traffic.Global(net.Nodes)
-	rates, err := traffic.NodeRates(c, 0.005, traffic.PaperLengths.Mean(), nil)
-	if err != nil {
-		b.Fatal(err)
-	}
 	src, err := traffic.NewWorkload(traffic.Config{
-		Nodes:   net.Nodes,
-		Pattern: traffic.Uniform{C: c},
-		Lengths: traffic.PaperLengths,
-		Rates:   rates,
-		Seed:    1,
+		Clusters: c,
+		Pattern:  traffic.Uniform{C: c},
+		Lengths:  traffic.PaperLengths,
+		Load:     0.005,
+		Seed:     1,
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -250,16 +242,12 @@ func largeNNet(b *testing.B, stages int) *topology.Network {
 func largeNSource(b *testing.B, net *topology.Network) engine.Source {
 	b.Helper()
 	c := traffic.Global(net.Nodes)
-	rates, err := traffic.NodeRates(c, 0.1, traffic.PaperLengths.Mean(), nil)
-	if err != nil {
-		b.Fatal(err)
-	}
 	src, err := traffic.NewWorkload(traffic.Config{
-		Nodes:   net.Nodes,
-		Pattern: traffic.Uniform{C: c},
-		Lengths: traffic.PaperLengths,
-		Rates:   rates,
-		Seed:    1,
+		Clusters: c,
+		Pattern:  traffic.Uniform{C: c},
+		Lengths:  traffic.PaperLengths,
+		Load:     0.1,
+		Seed:     1,
 	})
 	if err != nil {
 		b.Fatal(err)

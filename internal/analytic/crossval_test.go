@@ -22,12 +22,8 @@ func tmin64(t *testing.T) *topology.Network {
 func runUniform(t *testing.T, net *topology.Network, load float64, lengths traffic.Lengths, cycles int64) engine.Stats {
 	t.Helper()
 	c := traffic.Global(net.Nodes)
-	rates, err := traffic.NodeRates(c, load, lengths.Mean(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
 	src, err := traffic.NewWorkload(traffic.Config{
-		Nodes: net.Nodes, Pattern: traffic.Uniform{C: c}, Lengths: lengths, Rates: rates, Seed: 31,
+		Clusters: c, Pattern: traffic.Uniform{C: c}, Lengths: lengths, Load: load, Seed: 31,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -106,9 +102,8 @@ func TestHotSpotBoundHoldsInSimulation(t *testing.T) {
 	c := traffic.Global(net.Nodes)
 	lengths := traffic.Lengths{Kind: "fixed", L: 64}
 	run := func(load float64) engine.Stats {
-		rates, _ := traffic.NodeRates(c, load, lengths.Mean(), nil)
 		src, err := traffic.NewWorkload(traffic.Config{
-			Nodes: net.Nodes, Pattern: traffic.HotSpot{C: c, X: x}, Lengths: lengths, Rates: rates, Seed: 17,
+			Clusters: c, Pattern: traffic.HotSpot{C: c, X: x}, Lengths: lengths, Load: load, Seed: 17,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -156,9 +151,8 @@ func TestFairRatesPredictsPermutationSaturation(t *testing.T) {
 	// prediction and compare delivered throughput.
 	lengths := traffic.Lengths{Kind: "fixed", L: 128}
 	c := traffic.Global(net.Nodes)
-	rate, _ := traffic.NodeRates(c, 0.9, lengths.Mean(), nil)
 	src, err := traffic.NewWorkload(traffic.Config{
-		Nodes: net.Nodes, Pattern: traffic.Permutation{P: perm}, Lengths: lengths, Rates: rate, Seed: 23,
+		Clusters: c, Pattern: traffic.Permutation{P: perm}, Lengths: lengths, Load: 0.9, Seed: 23,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -26,16 +26,12 @@ func runOnce(t *testing.T, spec experiments.NetworkSpec, arb engine.Arbitration,
 		t.Fatal(err)
 	}
 	c := traffic.Global(net.Nodes)
-	rates, err := traffic.NodeRates(c, load, traffic.PaperLengths.Mean(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
 	src, err := traffic.NewWorkload(traffic.Config{
-		Nodes:   net.Nodes,
-		Pattern: traffic.Uniform{C: c},
-		Lengths: traffic.PaperLengths,
-		Rates:   rates,
-		Seed:    7,
+		Clusters: c,
+		Pattern:  traffic.Uniform{C: c},
+		Lengths:  traffic.PaperLengths,
+		Load:     load,
+		Seed:     7,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -86,16 +82,12 @@ func TestIdleSkipEquivalence(t *testing.T) {
 		}
 		c := traffic.Global(net.Nodes)
 		// A very low load leaves the network empty between bursts.
-		rates, err := traffic.NodeRates(c, 0.002, traffic.PaperLengths.Mean(), nil)
-		if err != nil {
-			t.Fatal(err)
-		}
 		src, err := traffic.NewWorkload(traffic.Config{
-			Nodes:   net.Nodes,
-			Pattern: traffic.Uniform{C: c},
-			Lengths: traffic.PaperLengths,
-			Rates:   rates,
-			Seed:    3,
+			Clusters: c,
+			Pattern:  traffic.Uniform{C: c},
+			Lengths:  traffic.PaperLengths,
+			Load:     0.002,
+			Seed:     3,
 		})
 		if err != nil {
 			t.Fatal(err)

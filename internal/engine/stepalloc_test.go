@@ -15,16 +15,12 @@ import (
 func uniformSource(t testing.TB, nodes int, load float64, seed uint64) engine.Source {
 	t.Helper()
 	c := traffic.Global(nodes)
-	rates, err := traffic.NodeRates(c, load, traffic.PaperLengths.Mean(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
 	src, err := traffic.NewWorkload(traffic.Config{
-		Nodes:   nodes,
-		Pattern: traffic.Uniform{C: c},
-		Lengths: traffic.PaperLengths,
-		Rates:   rates,
-		Seed:    seed,
+		Clusters: c,
+		Pattern:  traffic.Uniform{C: c},
+		Lengths:  traffic.PaperLengths,
+		Load:     load,
+		Seed:     seed,
 	})
 	if err != nil {
 		t.Fatal(err)

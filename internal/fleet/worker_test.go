@@ -3,6 +3,7 @@ package fleet
 import (
 	"context"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -218,13 +219,21 @@ func completeOneUnit(t *testing.T, body string) []UnitResult {
 	}
 	var leased atomic.Bool
 	results := make(chan []UnitResult, 1)
+	closing := make(chan struct{})
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /fleet/v1/register", func(w http.ResponseWriter, r *http.Request) {
 		writeFleetJSON(w, RegisterResponse{WorkerID: "w-1", LeaseTTLMs: 5000, Chunk: 1})
 	})
 	mux.HandleFunc("POST /fleet/v1/lease", func(w http.ResponseWriter, r *http.Request) {
 		if leased.Swap(true) {
-			<-r.Context().Done() // held, as the coordinator would
+			// Held, as the coordinator would. net/http notices the
+			// worker hanging up only once the body is read; closing
+			// ends the hold before srv.Close waits for it regardless.
+			io.Copy(io.Discard, r.Body)
+			select {
+			case <-r.Context().Done():
+			case <-closing:
+			}
 			return
 		}
 		writeFleetJSON(w, LeaseResponse{LeaseID: "l-1", Units: []Unit{{Key: key, Spec: spec}}})
@@ -239,6 +248,7 @@ func completeOneUnit(t *testing.T, body string) []UnitResult {
 	})
 	srv := httptest.NewServer(mux)
 	defer srv.Close()
+	defer close(closing)
 
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()

@@ -43,16 +43,12 @@ func TestDynamicChannelIsolation(t *testing.T) {
 
 	// Dynamic: run cluster-16 uniform traffic with channel counters.
 	c := traffic.Cluster16(net.R)
-	rates, err := traffic.NodeRates(c, 0.3, 64, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
 	w, err := traffic.NewWorkload(traffic.Config{
-		Nodes:   net.Nodes,
-		Pattern: traffic.Uniform{C: c},
-		Lengths: traffic.Lengths{Kind: "fixed", L: 64},
-		Rates:   rates,
-		Seed:    9,
+		Clusters: c,
+		Pattern:  traffic.Uniform{C: c},
+		Lengths:  traffic.Lengths{Kind: "fixed", L: 64},
+		Load:     0.3,
+		Seed:     9,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -101,13 +97,12 @@ func TestDynamicUtilizationBalance(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := traffic.Global(net.Nodes)
-	rates, _ := traffic.NodeRates(c, 0.25, 32, nil)
 	w, err := traffic.NewWorkload(traffic.Config{
-		Nodes:   net.Nodes,
-		Pattern: traffic.Uniform{C: c},
-		Lengths: traffic.Lengths{Kind: "fixed", L: 32},
-		Rates:   rates,
-		Seed:    4,
+		Clusters: c,
+		Pattern:  traffic.Uniform{C: c},
+		Lengths:  traffic.Lengths{Kind: "fixed", L: 32},
+		Load:     0.25,
+		Seed:     4,
 	})
 	if err != nil {
 		t.Fatal(err)

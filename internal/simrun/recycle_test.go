@@ -5,6 +5,7 @@ import (
 	"math"
 	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 	"weak"
 
@@ -85,9 +86,13 @@ func samePointBits(a, b metrics.Point) bool {
 // outlive garbage collections, so a point repeated after two GCs reuses
 // the first run's channel owners, queues, worms and per-node streams
 // and allocates a bounded amount, not the megabytes a 4K-node point's
-// arrays take. What is left is NodeRates' table, 8 bytes a node.
+// arrays take: nothing of it grows with the node count. TotalAlloc
+// counts the whole process, and on a loaded machine one repeat has read
+// 5 KB more with no other goroutine of the test alive, so the point's
+// own figure is the least of three repeats; a per-node table shows in
+// every one.
 func TestPointReusesEngineMemory(t *testing.T) {
-	const bound = 64 << 10
+	const bound = 4 << 10
 	spec := RunSpec{
 		Net:     NetworkSpec{Kind: topology.TMIN, K: 4, Stages: 6},
 		Work:    WorkloadSpec{Pattern: PatternSpec{Kind: Uniform}},
@@ -104,8 +109,8 @@ func TestPointReusesEngineMemory(t *testing.T) {
 		t.Fatalf("the network has %d nodes; the bound needs at least 4096 to mean anything", net.Nodes)
 	}
 	cfg := spec.Point(net)
-	var bytes [2]uint64
-	var p [2]metrics.Point
+	var bytes [4]uint64
+	var p [4]metrics.Point
 	for i := range p {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
@@ -118,24 +123,27 @@ func TestPointReusesEngineMemory(t *testing.T) {
 		runtime.GC()
 		runtime.GC()
 	}
-	t.Logf("the first run allocated %d bytes, the repeat after two GCs %d", bytes[0], bytes[1])
+	repeat := slices.Min(bytes[1:])
+	t.Logf("the first run allocated %d bytes, the repeats after two GCs %v", bytes[0], bytes[1:])
 	if p[0].Messages == 0 {
 		t.Fatal("the point delivered nothing; the comparison is vacuous")
 	}
-	if p[0] != p[1] {
-		t.Errorf("the repeat differs:\n%+v\n%+v", p[0], p[1])
+	for _, q := range p[1:] {
+		if q != p[0] {
+			t.Errorf("a repeat differs:\n%+v\n%+v", p[0], q)
+		}
 	}
-	if bytes[1] > bound {
-		t.Errorf("the repeat after two GCs allocated %d bytes, more than %d", bytes[1], bound)
+	if repeat > bound {
+		t.Errorf("every repeat after two GCs allocated more than %d bytes, the least %d", bound, repeat)
 	}
 }
 
 // TestRecycledPointPinsNothing: the spares a finished point leaves
 // behind live as long as the process, so they must hold nothing the
 // caller built. After the point and a GC, its network, its source's
-// pattern and its rates are gone.
+// pattern and its clustering are gone.
 func TestRecycledPointPinsNothing(t *testing.T) {
-	netRef, patRef, ratesRef := runAndForget(t)
+	netRef, patRef, clusterRef := runAndForget(t)
 	runtime.GC()
 	runtime.GC()
 	if netRef.Value() != nil {
@@ -144,27 +152,25 @@ func TestRecycledPointPinsNothing(t *testing.T) {
 	if patRef.Value() != nil {
 		t.Error("a recycled point still pins its source's pattern")
 	}
-	if ratesRef.Value() != nil {
-		t.Error("a recycled point still pins its rates")
+	if clusterRef.Value() != nil {
+		t.Error("a recycled point still pins its clustering")
 	}
 }
 
-// runAndForget simulates one point whose network, pattern and rates
-// only the point holds, and returns weak pointers to them.
-func runAndForget(t *testing.T) (weak.Pointer[topology.Network], weak.Pointer[traffic.Permutation], weak.Pointer[float64]) {
+// runAndForget simulates one point whose network, pattern and
+// clustering (two halves, so not Global's shared tables) only the point
+// holds, and returns weak pointers to them.
+func runAndForget(t *testing.T) (weak.Pointer[topology.Network], weak.Pointer[traffic.Permutation], weak.Pointer[int]) {
 	net, err := NetworkSpec{Kind: topology.TMIN, K: 4, Stages: 3}.Build()
 	if err != nil {
 		t.Fatal(err)
 	}
 	pat := &traffic.Permutation{P: traffic.ShufflePattern(net.R).P}
-	rates, err := traffic.NodeRates(traffic.Global(net.Nodes), 0.5, traffic.PaperLengths.Mean(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := traffic.Halves(net.Nodes)
 	cfg := PointConfig{
 		Net: net,
 		Factory: func(load float64, seed uint64) (engine.Source, error) {
-			return traffic.NewWorkload(traffic.Config{Nodes: net.Nodes, Pattern: pat, Lengths: traffic.PaperLengths, Rates: rates, Seed: seed})
+			return traffic.NewWorkload(traffic.Config{Clusters: c, Pattern: pat, Lengths: traffic.PaperLengths, Load: load, Ratios: []float64{3, 1}, Seed: seed})
 		},
 		Load:    0.5,
 		Seed:    1,
@@ -174,5 +180,5 @@ func runAndForget(t *testing.T) (weak.Pointer[topology.Network], weak.Pointer[tr
 	if p, err := cfg.Simulate(); err != nil || p.Messages == 0 {
 		t.Fatalf("the point delivered %d messages (%v)", p.Messages, err)
 	}
-	return weak.Make(net), weak.Make(pat), weak.Make(&rates[0])
+	return weak.Make(net), weak.Make(pat), weak.Make(&c.Of[0])
 }

@@ -466,17 +466,14 @@ func (w WorkloadSpec) Factory(net *topology.Network) SourceFactory {
 		if err != nil {
 			return nil, err
 		}
-		rates, err := traffic.NodeRates(c, load, lengths.Mean(), w.Ratios)
-		if err != nil {
-			return nil, err
-		}
 		return traffic.NewWorkload(traffic.Config{
-			Nodes:   net.Nodes,
-			Pattern: pat,
-			Lengths: lengths,
-			Arrival: arrival,
-			Rates:   rates,
-			Seed:    seed,
+			Clusters: c,
+			Pattern:  pat,
+			Lengths:  lengths,
+			Arrival:  arrival,
+			Load:     load,
+			Ratios:   w.Ratios,
+			Seed:     seed,
 		})
 	}
 }

@@ -32,8 +32,7 @@ func TestArrivalValidate(t *testing.T) {
 	}
 	// NewWorkload surfaces arrival validation.
 	c := Global(4)
-	rates, _ := NodeRates(c, 0.1, 100, nil)
-	_, err := NewWorkload(Config{Nodes: 4, Pattern: Uniform{C: c}, Lengths: Lengths{Kind: "fixed", L: 8}, Rates: rates, Seed: 1,
+	_, err := NewWorkload(Config{Clusters: c, Pattern: Uniform{C: c}, Lengths: Lengths{Kind: "fixed", L: 8}, Load: 0.1, Seed: 1,
 		Arrival: MMPP2{Burst: 1, DwellHi: 1, DwellLo: 1}})
 	if err == nil {
 		t.Error("NewWorkload accepted an invalid arrival process")
@@ -106,8 +105,7 @@ func TestArrivalDeterminism(t *testing.T) {
 	}
 	mk := func(p ArrivalProcess) *Workload {
 		c := Global(8)
-		rates, _ := NodeRates(c, 0.3, 516, nil)
-		w, err := NewWorkload(Config{Nodes: 8, Pattern: Uniform{C: c}, Lengths: PaperLengths, Rates: rates, Seed: 42, Arrival: p})
+		w, err := NewWorkload(Config{Clusters: c, Pattern: Uniform{C: c}, Lengths: PaperLengths, Load: 0.3, Seed: 42, Arrival: p})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -165,17 +163,16 @@ func TestPatternSingleMemberClusters(t *testing.T) {
 	}
 }
 
+// TestNodeRatesNaN: a NaN load or ratio is refused, not spread into
+// NaN rates. (A NaN mean length cannot get this far: Lengths.Validate
+// refuses every distribution whose mean is not at least 1.)
 func TestNodeRatesNaN(t *testing.T) {
 	c := Global(8)
-	if _, err := NodeRates(c, math.NaN(), 516, nil); err == nil {
-		t.Error("NaN load accepted")
-	}
-	if _, err := NodeRates(c, 0.5, math.NaN(), nil); err == nil {
-		t.Error("NaN mean length accepted")
-	}
-	if _, err := NodeRates(c, 0.5, 516, []float64{math.NaN()}); err == nil {
-		t.Error("NaN ratio accepted")
-	}
+	u := Uniform{C: c}
+	refuses(t, []badConfig{
+		{Config{Clusters: c, Pattern: u, Lengths: PaperLengths, Load: math.NaN()}, "invalid load NaN"},
+		{Config{Clusters: c, Pattern: u, Lengths: PaperLengths, Load: 0.5, Ratios: []float64{math.NaN()}}, "invalid ratio NaN"},
+	})
 }
 
 func TestTracePattern(t *testing.T) {

@@ -1,17 +1,19 @@
 package traffic
 
 import (
+	"math"
+	"runtime"
 	"testing"
 
 	"minsim/internal/kary"
 )
 
-// FuzzWorkloadRates: whatever load and cluster ratios come in, NodeRates
-// either refuses them or hands back rates that NewWorkload accepts and
-// whose streams draw without a panic, each node's creation cycles
-// non-negative and non-decreasing. A load so large that a per-node rate
-// overflows is refused, and one so small that the next arrival lies past
-// the last int64 cycle ends the node's stream.
+// FuzzWorkloadRates: whatever load and cluster ratios come in,
+// NewWorkload either refuses them or gives every node a finite,
+// non-negative rate whose stream draws without a panic, each node's
+// creation cycles non-negative and non-decreasing. A load so large that
+// a per-node rate overflows is refused, and one so small that the next
+// arrival lies past the last int64 cycle ends the node's stream.
 func FuzzWorkloadRates(f *testing.F) {
 	for _, load := range []float64{1e308, 1e-300, 0.3} {
 		for sel := range uint8(4) {
@@ -35,16 +37,14 @@ func FuzzWorkloadRates(f *testing.F) {
 		if sel&4 != 0 {
 			ratios = nil
 		}
-		rates, err := NodeRates(cl, load, PaperLengths.Mean(), ratios)
+		w, err := NewWorkload(Config{Clusters: cl, Pattern: Uniform{C: cl}, Lengths: PaperLengths, Load: load, Ratios: ratios, Seed: 5})
 		if err != nil {
 			return
 		}
-		nodes := len(cl.Of)
-		w, err := NewWorkload(Config{Nodes: nodes, Pattern: Uniform{C: cl}, Lengths: PaperLengths, Rates: rates, Seed: 5})
-		if err != nil {
-			t.Fatalf("load %v ratios %v: NodeRates gave %v, NewWorkload refused it: %v", load, ratios, rates, err)
-		}
-		for node := range nodes {
+		for node := range w.state {
+			if r := w.state[node].rate; !(r >= 0 && r <= math.MaxFloat64) {
+				t.Fatalf("load %v ratios %v: node %d accepted at rate %v", load, ratios, node, r)
+			}
 			prev := int64(0)
 			for range 4 {
 				m, ok := w.Next(node)
@@ -63,25 +63,41 @@ func FuzzWorkloadRates(f *testing.F) {
 // TestSetupAllocationsDoNotGrowWithNodes: a 16K-node clustering and
 // workload each cost a handful of allocations, not one per node (a
 // stream apiece) or one per append doubling (member lists grown node by
-// node).
+// node), and a workload built on a recycled one allocates less than a
+// kilobyte, rates included: nothing of it is a per-node table.
 func TestSetupAllocationsDoNotGrowWithNodes(t *testing.T) {
-	const nodes, few = 16384, 8
+	const nodes, few, runs, fewBytes = 16384, 8, 20, 1024
 	c := Global(nodes)
-	rates, err := NodeRates(c, 0.3, PaperLengths.Mean(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	global := testing.AllocsPerRun(20, func() { Global(nodes) })
-	workload := testing.AllocsPerRun(20, func() {
-		if _, err := NewWorkload(Config{Nodes: nodes, Pattern: Uniform{C: c}, Lengths: PaperLengths, Rates: rates, Seed: 1}); err != nil {
+	cfg := Config{Clusters: c, Pattern: Uniform{C: c}, Lengths: PaperLengths, Load: 0.3, Seed: 1}
+	global := testing.AllocsPerRun(runs, func() { Global(nodes) })
+	workload := testing.AllocsPerRun(runs, func() {
+		if _, err := NewWorkload(cfg); err != nil {
 			t.Fatal(err)
 		}
 	})
-	t.Logf("allocations at %d nodes: Global %v, NewWorkload %v", nodes, global, workload)
+	point := func() {
+		w, err := NewWorkload(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w.Recycle()
+	}
+	point() // parks a spare the runs reuse
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		point()
+	}
+	runtime.ReadMemStats(&after)
+	recycled := (after.TotalAlloc - before.TotalAlloc) / runs
+	t.Logf("allocations at %d nodes: Global %v, NewWorkload %v; bytes of a recycled NewWorkload %d", nodes, global, workload, recycled)
 	if global > few {
 		t.Errorf("Global makes %v allocations at %d nodes, want at most %d", global, nodes, few)
 	}
 	if workload > few {
 		t.Errorf("NewWorkload makes %v allocations at %d nodes, want at most %d", workload, nodes, few)
+	}
+	if recycled > fewBytes {
+		t.Errorf("a recycled NewWorkload allocates %d bytes at %d nodes, want at most %d", recycled, nodes, fewBytes)
 	}
 }

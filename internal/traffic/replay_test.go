@@ -20,8 +20,7 @@ func TestRecordThenReplay(t *testing.T) {
 	}
 	run := func(net *topology.Network, pattern traffic.Pattern, seed uint64) trace.Recorder {
 		t.Helper()
-		rates, _ := traffic.NodeRates(traffic.Global(net.Nodes), 0.2, 32, nil)
-		w, err := traffic.NewWorkload(traffic.Config{Nodes: net.Nodes, Pattern: pattern, Lengths: traffic.Lengths{Kind: "fixed", L: 32}, Rates: rates, Seed: seed})
+		w, err := traffic.NewWorkload(traffic.Config{Clusters: traffic.Global(net.Nodes), Pattern: pattern, Lengths: traffic.Lengths{Kind: "fixed", L: 32}, Load: 0.2, Seed: seed})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -176,54 +176,61 @@ func (l Lengths) Validate() error {
 // orthogonal — any ArrivalProcess composes with any Pattern and any
 // Lengths.
 type Workload struct {
-	nodes   int
 	pattern Pattern
 	lengths Lengths
 	arrival ArrivalProcess
-	rates   []float64 // msgs per cycle per node
 	state   []nodeState
 }
 
+// nodeState is one node's stream, 64 bytes: Next reads the rate from
+// the cache line it advances.
 type nodeState struct {
 	rng  xrand.Source
 	next float64
+	rate float64 // msgs per cycle
 	arr  ArrivalState
 }
 
 // Config assembles a Workload.
 type Config struct {
-	Nodes   int
-	Pattern Pattern
-	Lengths Lengths
+	// Clusters partitions the nodes: the workload has one stream per
+	// entry of Clusters.Of and spreads Load over Clusters.Members. The
+	// workload keeps neither.
+	Clusters Clustering
+	Pattern  Pattern
+	Lengths  Lengths
 	// Arrival selects the interarrival process; nil means the paper's
 	// Poisson stream (Exponential), with streams byte-identical to the
 	// pre-abstraction workload.
 	Arrival ArrivalProcess
-	// Rates is the per-node message arrival rate in messages/cycle.
-	// Use NodeRates to derive it from a normalized flit load. The
-	// Workload keeps the slice, so the caller must not change it
-	// afterwards; NodeRates builds a fresh one per call.
-	Rates []float64
-	Seed  uint64
+	// Load is the normalized offered load: mean flits per node per
+	// cycle, averaged over all nodes.
+	Load float64
+	// Ratios are the paper's a:b:c:d cluster load ratios, one per
+	// cluster; nil means equal. Within a cluster every node gets the
+	// same message rate; across clusters the aggregate rates follow the
+	// ratios while the all-node average stays Load.
+	Ratios []float64
+	Seed   uint64
 }
 
-// NewWorkload builds the workload. It validates that rates are finite,
-// non-negative and sized to Nodes, and that the length distribution
-// and arrival process parameters are usable. The per-node state reuses
-// the array of a workload given back with Recycle when one is at hand;
+// NewWorkload builds the workload. It validates that there are nodes,
+// that the length distribution and arrival process parameters are
+// usable, that Load is finite and non-negative, that Ratios has one
+// non-negative entry per cluster, not all zero, and that no per-node
+// rate overflows. Each node's rate lives in its stream state, an array
+// reused from a workload given back with Recycle when one is at hand;
 // the streams are the same either way.
 func NewWorkload(cfg Config) (*Workload, error) {
-	if cfg.Nodes <= 0 {
-		return nil, fmt.Errorf("traffic: %d nodes", cfg.Nodes)
+	nodes := len(cfg.Clusters.Of)
+	if nodes == 0 {
+		return nil, fmt.Errorf("traffic: %d nodes", nodes)
 	}
 	if cfg.Pattern == nil {
 		return nil, fmt.Errorf("traffic: nil pattern")
 	}
 	if err := cfg.Lengths.Validate(); err != nil {
 		return nil, err
-	}
-	if len(cfg.Rates) != cfg.Nodes {
-		return nil, fmt.Errorf("traffic: %d rates for %d nodes", len(cfg.Rates), cfg.Nodes)
 	}
 	arrival := cfg.Arrival
 	if arrival == nil {
@@ -232,9 +239,41 @@ func NewWorkload(cfg Config) (*Workload, error) {
 	if err := arrival.Validate(); err != nil {
 		return nil, err
 	}
-	for i, r := range cfg.Rates {
-		if !(r >= 0) || math.IsInf(r, 1) { // negated so NaN fails too
-			return nil, fmt.Errorf("traffic: invalid rate %v for node %d", r, i)
+	load, meanLen := cfg.Load, cfg.Lengths.Mean()
+	if !(load >= 0) || math.IsInf(load, 1) || !(meanLen > 0) { // negated so NaN fails too
+		return nil, fmt.Errorf("traffic: invalid load %v or mean length %v", load, meanLen)
+	}
+	clusters := cfg.Clusters.Members
+	total := float64(len(clusters))
+	if cfg.Ratios != nil {
+		if len(cfg.Ratios) != len(clusters) {
+			return nil, fmt.Errorf("traffic: %d ratios for %d clusters", len(cfg.Ratios), len(clusters))
+		}
+		total = 0
+		for _, r := range cfg.Ratios {
+			if !(r >= 0) { // negated so NaN fails too
+				return nil, fmt.Errorf("traffic: invalid ratio %v", r)
+			}
+			total += r
+		}
+	}
+	if total == 0 {
+		return nil, fmt.Errorf("traffic: all-zero ratios")
+	}
+	// rate is the message rate of each node of cluster ci: the load's
+	// messages per cycle over all nodes, the cluster's share of them by
+	// its ratio, split evenly among its members.
+	msgs := load * float64(nodes) / meanLen
+	rate := func(ci int) float64 {
+		ratio := 1.0
+		if cfg.Ratios != nil {
+			ratio = cfg.Ratios[ci]
+		}
+		return msgs * ratio / total / float64(len(clusters[ci]))
+	}
+	for ci, members := range clusters {
+		if r := rate(ci); len(members) > 0 && !(r <= math.MaxFloat64) { // negated so NaN fails too
+			return nil, fmt.Errorf("traffic: load %v gives cluster %d a per-node rate of %v", load, ci, r)
 		}
 	}
 	spares.Lock()
@@ -248,24 +287,28 @@ func NewWorkload(cfg Config) (*Workload, error) {
 		w = new(Workload)
 	}
 	state := w.state
-	if cap(state) < cfg.Nodes {
-		state = make([]nodeState, cfg.Nodes)
+	if cap(state) < nodes {
+		state = make([]nodeState, nodes)
 	}
 	// One assignment resets everything; only the per-node state's
 	// backing array carries over, and every element is rewritten below.
 	*w = Workload{
-		nodes:   cfg.Nodes,
 		pattern: cfg.Pattern,
 		lengths: cfg.Lengths,
 		arrival: arrival,
-		rates:   cfg.Rates,
-		state:   state[:cfg.Nodes],
+		state:   state[:nodes],
 	}
 	base := xrand.New(cfg.Seed ^ 0xa5a5a5a55a5a5a5a)
 	for i := range w.state {
 		st := &w.state[i]
 		*st = nodeState{rng: base.Split()}
 		st.arr = arrival.Start(&st.rng)
+	}
+	for ci, members := range clusters {
+		r := rate(ci)
+		for _, n := range members {
+			w.state[n].rate = r
+		}
 	}
 	return w, nil
 }
@@ -278,12 +321,12 @@ var spares struct {
 }
 
 // Recycle gives the workload's per-node state to the next NewWorkload,
-// dropping the pattern, the arrival process and the rates, which the
-// caller built. When GOMAXPROCS workloads are already parked the
+// dropping the pattern and the arrival process, which the caller
+// built. When GOMAXPROCS workloads are already parked the
 // workload is dropped instead. The workload must not be used after
 // Recycle.
 func (w *Workload) Recycle() {
-	w.pattern, w.arrival, w.rates = nil, nil, nil
+	w.pattern, w.arrival = nil, nil
 	spares.Lock()
 	if len(spares.list) < runtime.GOMAXPROCS(0) {
 		spares.list = append(spares.list, w)
@@ -299,7 +342,7 @@ func (w *Workload) Recycle() {
 // lies beyond the last cycle an int64 can count.
 func (w *Workload) Next(node int) (engine.Message, bool) {
 	st := &w.state[node]
-	rate := w.rates[node]
+	rate := st.rate
 	if rate <= 0 {
 		return engine.Message{}, false
 	}
@@ -317,54 +360,4 @@ func (w *Workload) Next(node int) (engine.Message, bool) {
 		Len:     w.lengths.Draw(&st.rng),
 		Created: int64(math.Ceil(st.next)),
 	}, true
-}
-
-// NodeRates converts a normalized offered load (mean flits per node
-// per cycle, averaged over all nodes) into per-node message rates,
-// weighting clusters by ratios (nil ratios means equal). Ratios are
-// the paper's a:b:c:d cluster load ratios: within each cluster traffic
-// is uniform, across clusters the aggregate rates follow the ratio
-// while the all-node average equals load.
-func NodeRates(c Clustering, load float64, meanLen float64, ratios []float64) ([]float64, error) {
-	if !(load >= 0) || math.IsInf(load, 1) || !(meanLen > 0) { // negated so NaN fails too
-		return nil, fmt.Errorf("traffic: invalid load %v or mean length %v", load, meanLen)
-	}
-	nc := len(c.Members)
-	if ratios == nil {
-		ratios = make([]float64, nc)
-		for i := range ratios {
-			ratios[i] = 1
-		}
-	}
-	if len(ratios) != nc {
-		return nil, fmt.Errorf("traffic: %d ratios for %d clusters", len(ratios), nc)
-	}
-	// Total messages/cycle = load * nodes / meanLen, split across
-	// clusters proportionally to ratio_i, evenly within a cluster.
-	total := 0.0
-	for _, r := range ratios {
-		if !(r >= 0) { // negated so NaN fails too
-			return nil, fmt.Errorf("traffic: invalid ratio %v", r)
-		}
-		total += r
-	}
-	if total == 0 {
-		return nil, fmt.Errorf("traffic: all-zero ratios")
-	}
-	nodes := len(c.Of)
-	rates := make([]float64, nodes)
-	msgsTotal := load * float64(nodes) / meanLen
-	for ci, members := range c.Members {
-		if len(members) == 0 {
-			continue
-		}
-		perNode := msgsTotal * ratios[ci] / total / float64(len(members))
-		if !(perNode <= math.MaxFloat64) { // negated so NaN fails too
-			return nil, fmt.Errorf("traffic: load %v gives cluster %d a per-node rate of %v", load, ci, perNode)
-		}
-		for _, n := range members {
-			rates[n] = perNode
-		}
-	}
-	return rates, nil
 }

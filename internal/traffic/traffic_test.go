@@ -3,6 +3,7 @@ package traffic
 import (
 	"math"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 
@@ -211,26 +212,33 @@ func TestNewClusteringErrors(t *testing.T) {
 	}
 }
 
+// TestNodeRates: a node's message rate is the load spread over the
+// clusters by their ratios and evenly within a cluster.
 func TestNodeRates(t *testing.T) {
 	c := Cluster16(r64)
-	// Equal ratios: every node gets load/meanLen messages per cycle.
-	rates, err := NodeRates(c, 0.5, 516, nil)
-	if err != nil {
-		t.Fatal(err)
+	rates := func(load float64, ratios []float64) []float64 {
+		t.Helper()
+		w, err := NewWorkload(Config{Clusters: c, Pattern: Uniform{C: c}, Lengths: PaperLengths, Load: load, Ratios: ratios, Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := make([]float64, len(w.state))
+		for n := range w.state {
+			out[n] = w.state[n].rate
+		}
+		return out
 	}
-	for n, rt := range rates {
+	// Equal ratios: every node gets load/meanLen messages per cycle.
+	for n, rt := range rates(0.5, nil) {
 		if math.Abs(rt-0.5/516) > 1e-12 {
 			t.Fatalf("node %d rate %v, want %v", n, rt, 0.5/516)
 		}
 	}
 	// 4:1:1:1: cluster 0 nodes get 16/7 of the average, others 4/7.
-	rates, err = NodeRates(c, 0.7, 516, []float64{4, 1, 1, 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	rs := rates(0.7, []float64{4, 1, 1, 1})
 	wantHot := 0.7 * 4 * 4 / 7 / 516
 	wantCold := 0.7 * 4 / 7 / 516
-	for n, rt := range rates {
+	for n, rt := range rs {
 		want := wantCold
 		if c.Of[n] == 0 {
 			want = wantHot
@@ -241,54 +249,28 @@ func TestNodeRates(t *testing.T) {
 	}
 	// Average over nodes equals load/meanLen.
 	sum := 0.0
-	for _, rt := range rates {
+	for _, rt := range rs {
 		sum += rt
 	}
 	if math.Abs(sum/64-0.7/516) > 1e-12 {
 		t.Errorf("average rate %v, want %v", sum/64, 0.7/516)
 	}
 	// 1:0:0:0 leaves other clusters silent.
-	rates, _ = NodeRates(c, 0.1, 516, []float64{1, 0, 0, 0})
-	for n, rt := range rates {
+	for n, rt := range rates(0.1, []float64{1, 0, 0, 0}) {
 		if c.Of[n] != 0 && rt != 0 {
 			t.Fatalf("silent cluster node %d has rate %v", n, rt)
 		}
 	}
 }
 
-func TestNodeRatesErrors(t *testing.T) {
-	c := Global(8)
-	if _, err := NodeRates(c, -1, 516, nil); err == nil {
-		t.Error("negative load accepted")
-	}
-	if _, err := NodeRates(c, 1, 0, nil); err == nil {
-		t.Error("zero mean length accepted")
-	}
-	if _, err := NodeRates(c, 1, 516, []float64{1, 2}); err == nil {
-		t.Error("ratio count mismatch accepted")
-	}
-	if _, err := NodeRates(c, 1, 516, []float64{0}); err == nil {
-		t.Error("all-zero ratios accepted")
-	}
-	if _, err := NodeRates(c, 1, 516, []float64{-1}); err == nil {
-		t.Error("negative ratio accepted")
-	}
-	for _, load := range []float64{math.Inf(1), 1e308} {
-		if _, err := NodeRates(c, load, 516, nil); err == nil {
-			t.Errorf("load %v accepted: its per-node rate is not finite", load)
-		}
-	}
-}
-
 func TestWorkloadArrivalProcess(t *testing.T) {
 	c := Global(16)
-	rates, _ := NodeRates(c, 0.5, 100, nil) // 0.005 msgs/cycle/node
 	w, err := NewWorkload(Config{
-		Nodes:   16,
-		Pattern: Uniform{C: c},
-		Lengths: Lengths{Kind: "fixed", L: 100},
-		Rates:   rates,
-		Seed:    7,
+		Clusters: c,
+		Pattern:  Uniform{C: c},
+		Lengths:  Lengths{Kind: "fixed", L: 100},
+		Load:     0.5, // 0.005 msgs/cycle/node
+		Seed:     7,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -319,8 +301,7 @@ func TestWorkloadArrivalProcess(t *testing.T) {
 
 func TestWorkloadZeroRateNodeSilent(t *testing.T) {
 	c := Cluster16(r64)
-	rates, _ := NodeRates(c, 0.5, 516, []float64{1, 0, 0, 0})
-	w, err := NewWorkload(Config{Nodes: 64, Pattern: Uniform{C: c}, Lengths: PaperLengths, Rates: rates, Seed: 1})
+	w, err := NewWorkload(Config{Clusters: c, Pattern: Uniform{C: c}, Lengths: PaperLengths, Load: 0.5, Ratios: []float64{1, 0, 0, 0}, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -335,8 +316,7 @@ func TestWorkloadZeroRateNodeSilent(t *testing.T) {
 func TestWorkloadDeterminism(t *testing.T) {
 	mk := func() *Workload {
 		c := Global(8)
-		rates, _ := NodeRates(c, 0.3, 516, nil)
-		w, _ := NewWorkload(Config{Nodes: 8, Pattern: Uniform{C: c}, Lengths: PaperLengths, Rates: rates, Seed: 42})
+		w, _ := NewWorkload(Config{Clusters: c, Pattern: Uniform{C: c}, Lengths: PaperLengths, Load: 0.3, Seed: 42})
 		return w
 	}
 	a, b := mk(), mk()
@@ -350,22 +330,48 @@ func TestWorkloadDeterminism(t *testing.T) {
 	}
 }
 
-func TestWorkloadConfigErrors(t *testing.T) {
-	c := Global(4)
-	rates, _ := NodeRates(c, 0.1, 516, nil)
-	bad := []Config{
-		{Nodes: 0, Pattern: Uniform{C: c}, Lengths: PaperLengths, Rates: rates},
-		{Nodes: 4, Pattern: nil, Lengths: PaperLengths, Rates: rates},
-		{Nodes: 4, Pattern: Uniform{C: c}, Lengths: Lengths{}, Rates: rates},
-		{Nodes: 4, Pattern: Uniform{C: c}, Lengths: PaperLengths, Rates: rates[:2]},
-		{Nodes: 4, Pattern: Uniform{C: c}, Lengths: PaperLengths, Rates: []float64{0, 0, 0, -1}},
-		{Nodes: 4, Pattern: Uniform{C: c}, Lengths: PaperLengths, Rates: []float64{0, 0, 0, math.Inf(1)}},
-	}
-	for i, cfg := range bad {
-		if _, err := NewWorkload(cfg); err == nil {
-			t.Errorf("bad config %d accepted", i)
+// badConfig is a config NewWorkload must refuse and a piece of the
+// error it must refuse it with.
+type badConfig struct {
+	cfg  Config
+	want string
+}
+
+// refuses checks that NewWorkload fails each bad config on its own check.
+func refuses(t *testing.T, bad []badConfig) {
+	t.Helper()
+	for i, b := range bad {
+		_, err := NewWorkload(b.cfg)
+		if err == nil || !strings.Contains(err.Error(), b.want) {
+			t.Errorf("bad config %d: error %v, want one naming %q", i, err, b.want)
 		}
 	}
+}
+
+// TestWorkloadConfigErrors: each bad config fails on its own check.
+func TestWorkloadConfigErrors(t *testing.T) {
+	c := Global(8)
+	u := Uniform{C: c}
+	refuses(t, []badConfig{
+		{Config{Pattern: u, Lengths: PaperLengths, Load: 0.1}, "0 nodes"},
+		{Config{Clusters: c, Lengths: PaperLengths, Load: 0.1}, "nil pattern"},
+		{Config{Clusters: c, Pattern: u, Lengths: Lengths{}, Load: 0.1}, "unknown length kind"},
+	})
+}
+
+// TestNodeRatesErrors: NewWorkload refuses a load or ratios from which
+// no finite, non-negative per-node rate follows.
+func TestNodeRatesErrors(t *testing.T) {
+	c := Global(8)
+	u := Uniform{C: c}
+	refuses(t, []badConfig{
+		{Config{Clusters: c, Pattern: u, Lengths: PaperLengths, Load: -1}, "invalid load -1"},
+		{Config{Clusters: c, Pattern: u, Lengths: PaperLengths, Load: math.Inf(1)}, "invalid load +Inf"},
+		{Config{Clusters: c, Pattern: u, Lengths: PaperLengths, Load: 1e308}, "per-node rate of +Inf"},
+		{Config{Clusters: c, Pattern: u, Lengths: PaperLengths, Load: 1, Ratios: []float64{1, 2}}, "2 ratios for 1 clusters"},
+		{Config{Clusters: c, Pattern: u, Lengths: PaperLengths, Load: 1, Ratios: []float64{0}}, "all-zero ratios"},
+		{Config{Clusters: c, Pattern: u, Lengths: PaperLengths, Load: 1, Ratios: []float64{-1}}, "invalid ratio -1"},
+	})
 }
 
 func TestSingletonClusterRefuses(t *testing.T) {
@@ -398,13 +404,10 @@ func TestSparesStayBounded(t *testing.T) {
 		spares.Unlock()
 	})
 	c := Global(64)
-	rates, err := NodeRates(c, 0.5, 516, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
 	works := make([]*Workload, procs+3)
 	for i := range works {
-		works[i], err = NewWorkload(Config{Nodes: 64, Pattern: Uniform{C: c}, Lengths: PaperLengths, Rates: rates, Seed: uint64(i)})
+		var err error
+		works[i], err = NewWorkload(Config{Clusters: c, Pattern: Uniform{C: c}, Lengths: PaperLengths, Load: 0.5, Seed: uint64(i)})
 		if err != nil {
 			t.Fatal(err)
 		}
