@@ -1,9 +1,10 @@
 // Command simvet runs the simulator's custom static-analysis suite
-// (package internal/simvet): four cross-package dataflow analyzers —
-// keypurity, wirestable, lockscope, ctxflow — that guard the
-// content-addressed cache-key paths, the committed wire schema
+// (package internal/simvet): four analyzers — keypurity, wirestable,
+// lockscope, ctxflow — over the module loaded as one program, guarding
+// the content-addressed cache-key paths, the committed wire schema
 // (docs/wire.lock), mutex critical sections and context
-// responsiveness across the whole module.
+// responsiveness. The whole module is always analyzed; the package
+// patterns only select which diagnostics are shown.
 //
 // Usage:
 //

@@ -98,13 +98,25 @@ func TestFindSaturation(t *testing.T) {
 // TestFindSaturationEndsAtFloatSpacing: a tolerance below the spacing
 // of floats near the answer ends the search once the bracket's ends
 // are adjacent floats, about 58 halvings of [0.02, 1], instead of
-// probing the same midpoint forever. The cell is the warm rerun's.
+// probing the same midpoint forever. The cell is the warm rerun's. A
+// search that never ends is cut at its 70th probe, counted from the
+// progress reports (each probe is a plan of one point, so a report of
+// one point running is one probe), not by a clock, which the race
+// detector's slowdown would outrun.
 func TestFindSaturationEndsAtFloatSpacing(t *testing.T) {
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	res, c, err := FindSaturation(ctx, []RunSpec{tinyCell(16, 500, 3000, 7)}, 0.02, 1.0, 1e-300, Options{})
+	probes := 0
+	opts := Options{Progress: func(c Counters) {
+		if c.Running == 1 {
+			if probes++; probes == 70 {
+				cancel()
+			}
+		}
+	}}
+	res, c, err := FindSaturation(ctx, []RunSpec{tinyCell(16, 500, 3000, 7)}, 0.02, 1.0, 1e-300, opts)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("after %d probes: %v", probes, err)
 	}
 	t.Logf("%d probes", c.Requested)
 	if c.Requested >= 70 {

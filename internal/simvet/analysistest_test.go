@@ -12,6 +12,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -31,7 +32,10 @@ type wantKey struct {
 }
 
 // runFixture loads the fixture module and checks the analyzers'
-// diagnostics against the fixture's want comments.
+// diagnostics against the fixture's want comments. It runs the
+// analyzers twice over the one loaded module and requires the same
+// diagnostics both times: a run must leave nothing behind (a "reported
+// once" mark, a cached summary) that changes the next.
 func runFixture(t *testing.T, fixture string, analyzers ...*Analyzer) {
 	t.Helper()
 	mod, err := LoadModule(filepath.Join("testdata", fixture))
@@ -42,6 +46,13 @@ func runFixture(t *testing.T, fixture string, analyzers ...*Analyzer) {
 	if err != nil {
 		t.Fatalf("running analyzers on %s: %v", fixture, err)
 	}
+	again, err := RunAnalyzers(mod, analyzers)
+	if err != nil {
+		t.Fatalf("running analyzers on %s again: %v", fixture, err)
+	}
+	if !slices.Equal(diags, again) {
+		t.Errorf("a second run over the same module differs:\n%v\nvs\n%v", diags, again)
+	}
 
 	wants := make(map[wantKey]*regexp.Regexp)
 	matched := make(map[wantKey]bool)
@@ -50,8 +61,8 @@ func runFixture(t *testing.T, fixture string, analyzers ...*Analyzer) {
 			collectWants(t, mod, f.Comments, wants)
 		}
 	}
-	// Wirestable's Finish hook anchors lock-only diagnostics at lines of
-	// the lock file itself; the same path construction keeps the keys
+	// Wirestable anchors lock-only diagnostics at lines of the lock file
+	// itself; the same path construction keeps the keys
 	// comparable.
 	collectLockWants(t, filepath.Join(mod.Dir, filepath.FromSlash(WireLockFile)), wants)
 

@@ -7,74 +7,125 @@ import (
 	"strings"
 )
 
-// This file holds the call-graph plumbing shared by the cross-package
-// dataflow analyzers (keypurity, lockscope, ctxflow). Each analyzer
-// summarizes every function of a package bottom-up, exports the
-// summary as a fact on the *types.Func, and consumes facts of the
-// packages it imports — RunAnalyzers visits packages in dependency
-// order, so an imported function's fact is always final by the time a
-// call site is analyzed. Calls through function values and interface
-// methods have no static callee and are not followed; where that
-// matters (an io.Writer that might block) the analyzers classify the
-// call site itself instead.
-
-// packageDecls maps every function and method declared in the package
-// under analysis to its syntax, in file order.
-func packageDecls(pass *Pass) map[*types.Func]*ast.FuncDecl {
-	decls := make(map[*types.Func]*ast.FuncDecl)
-	for _, f := range pass.Files {
-		for _, d := range f.Decls {
-			fd, ok := d.(*ast.FuncDecl)
-			if !ok {
-				continue
-			}
-			if fn, ok := pass.Info.Defs[fd.Name].(*types.Func); ok {
-				decls[fn] = fd
-			}
-		}
-	}
-	return decls
+// An index is the module's call graph, built once per RunAnalyzers
+// and read by every analyzer of that run; it holds no analyzer state,
+// so runs never leak into one another. Calls through function values
+// and interface methods have no static callee and are not followed;
+// where that matters (an io.Writer that might block) the analyzers
+// classify the call site itself instead.
+type index struct {
+	*Module
+	funcs   []*types.Func // every declared function and method, packages in dependency order, source order within
+	decls   map[*types.Func]*ast.FuncDecl
+	files   map[*types.Func]*ast.File
+	callees map[*types.Func][]*types.Func     // distinct module-local static callees, in source order
+	docs    map[*types.Func]*ast.CommentGroup // of every declared function and interface method
+	blocks  map[*types.Func]string            // why calling the function may block; absent if it cannot
 }
 
-// declOrder returns the package's declared functions in source order,
-// so every per-function loop in the analyzers is deterministic.
-func declOrder(pass *Pass, decls map[*types.Func]*ast.FuncDecl) []*types.Func {
-	order := make([]*types.Func, 0, len(decls))
-	for _, f := range pass.Files {
-		for _, d := range f.Decls {
-			fd, ok := d.(*ast.FuncDecl)
-			if !ok {
-				continue
-			}
-			if fn, ok := pass.Info.Defs[fd.Name].(*types.Func); ok && decls[fn] != nil {
-				order = append(order, fn)
-			}
-		}
+// newIndex indexes every function and interface method of the module,
+// then summarizes blocking package by package in dependency order.
+func newIndex(mod *Module) *index {
+	ix := &index{
+		Module:  mod,
+		decls:   make(map[*types.Func]*ast.FuncDecl),
+		files:   make(map[*types.Func]*ast.File),
+		callees: make(map[*types.Func][]*types.Func),
+		docs:    make(map[*types.Func]*ast.CommentGroup),
+		blocks:  make(map[*types.Func]string),
 	}
-	return order
+	var byPkg [][]*types.Func
+	for _, pkg := range mod.Packages {
+		var fns []*types.Func
+		for _, f := range pkg.Files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.FuncDecl:
+					if fn, ok := mod.Info.Defs[n.Name].(*types.Func); ok {
+						ix.decls[fn], ix.files[fn], ix.docs[fn] = n, f, n.Doc
+						fns = append(fns, fn)
+					}
+					return false // an interface local to a function body is not indexed
+				case *ast.InterfaceType:
+					for _, m := range n.Methods.List {
+						for _, name := range m.Names {
+							if fn, ok := mod.Info.Defs[name].(*types.Func); ok {
+								ix.docs[fn] = m.Doc
+							}
+						}
+					}
+				}
+				return true
+			})
+		}
+		byPkg = append(byPkg, fns)
+		ix.funcs = append(ix.funcs, fns...)
+	}
+	for _, fns := range byPkg {
+		ix.summarizeBlocking(fns)
+	}
+	return ix
 }
 
-// staticCallees lists the distinct static callees of fd's body in
-// source order: package-local functions and methods plus module-local
-// functions from imported packages (whose facts already exist).
-func staticCallees(pass *Pass, fd *ast.FuncDecl, decls map[*types.Func]*ast.FuncDecl) []*types.Func {
+// has reports whether fn's declaration (a function, method or
+// interface method anywhere in the module) carries the directive; an
+// instance of a generic function answers for its declaration.
+func (ix *index) has(fn *types.Func, directive string) bool {
+	return hasDirective(ix.docs[fn.Origin()], directive)
+}
+
+// reportReachable walks the static call graph from every function
+// carrying the root directive, in module order, and reports the findings
+// of each module function reached, once, naming the first root that
+// reaches it. The walk neither reports nor passes a function for which
+// stop(root, fn) holds.
+func (ix *index) reportReachable(directive string, stop func(root, fn *types.Func) bool, findings func(*types.Func) []finding, report reportFunc) {
+	reported := map[*types.Func]bool{}
+	for _, root := range ix.funcs {
+		if !ix.has(root, directive) {
+			continue
+		}
+		queue := []*types.Func{root}
+		seen := map[*types.Func]bool{}
+		for len(queue) > 0 {
+			fn := queue[0]
+			queue = queue[1:]
+			if seen[fn] || ix.decls[fn] == nil || stop(root, fn) {
+				continue
+			}
+			seen[fn] = true
+			if !reported[fn] {
+				reported[fn] = true
+				for _, f := range findings(fn) {
+					report(ix.Fset.Position(f.pos), "%s (reachable from //%s root %s)", f.msg, directive, root.Name())
+				}
+			}
+			queue = append(queue, ix.callees[fn]...)
+		}
+	}
+}
+
+// A finding is one violation in a function body, reported only if the
+// function is reachable from a root.
+type finding struct {
+	pos token.Pos
+	msg string
+}
+
+// staticCallees lists the distinct module-local static callees of
+// fd's body in source order.
+func (ix *index) staticCallees(fd *ast.FuncDecl) []*types.Func {
 	if fd.Body == nil {
 		return nil
 	}
 	var out []*types.Func
 	seen := make(map[*types.Func]bool)
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		fn := calleeFunc(pass.Info, call)
-		if fn == nil || seen[fn] {
-			return true
-		}
-		if decls[fn] != nil || isModuleLocal(pass, fn) {
-			seen[fn] = true
-			out = append(out, fn)
+		if call, ok := n.(*ast.CallExpr); ok {
+			if fn := calleeFunc(ix.Info, call); fn != nil && !seen[fn] && ix.declares(fn) {
+				seen[fn] = true
+				out = append(out, fn)
+			}
 		}
 		return true
 	})
@@ -95,59 +146,11 @@ func calleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {
 	return fn
 }
 
-// isModuleLocal reports whether obj is declared in a package of the
-// module under analysis (as opposed to the standard library).
-func isModuleLocal(pass *Pass, obj types.Object) bool {
-	return obj.Pkg() != nil && pass.Module.Lookup(obj.Pkg().Path()) != nil
-}
-
-// funcDirective reports whether the declaration of fn (anywhere in the
-// module) carries the given //simvet: directive. For functions of the
-// package under analysis the declaration is in decls; for imported
-// module-local functions, and for interface methods (whose declaration
-// is a field of the interface type), it is found via the owning
-// package's files.
-func funcDirective(pass *Pass, fn *types.Func, decls map[*types.Func]*ast.FuncDecl, directive string) bool {
-	if fd := decls[fn]; fd != nil {
-		return hasDirective(fd.Doc, directive)
-	}
-	if fn.Pkg() == nil {
-		return false
-	}
-	pkg := pass.Module.Lookup(fn.Pkg().Path())
-	if pkg == nil {
-		return false
-	}
-	pos := fn.Pos()
-	var doc *ast.CommentGroup
-	for _, f := range pkg.Files {
-		if f.FileStart <= pos && pos < f.FileEnd {
-			ast.Inspect(f, func(n ast.Node) bool {
-				switch d := n.(type) {
-				case *ast.FuncDecl:
-					if d.Name.Pos() == pos {
-						doc = d.Doc
-					}
-					return false // no body declares a function or interface looked up here
-				case *ast.Field:
-					for _, name := range d.Names {
-						if name.Pos() == pos {
-							doc = d.Doc
-						}
-					}
-				}
-				return doc == nil
-			})
-		}
-	}
-	return hasDirective(doc, directive)
-}
-
 // stmtDirectives returns the line numbers of every comment in f that
 // carries the given //simvet: directive. A statement-level directive
 // (//simvet:orderfree, bounded, blockok) applies to the line it shares
 // with the statement or to the line directly above it (directiveAt).
-func stmtDirectives(pass *Pass, f *ast.File, directive string) map[int]bool {
+func (ix *index) stmtDirectives(f *ast.File, directive string) map[int]bool {
 	var lines map[int]bool
 	for _, g := range f.Comments {
 		for _, c := range g.List {
@@ -155,7 +158,7 @@ func stmtDirectives(pass *Pass, f *ast.File, directive string) map[int]bool {
 				if lines == nil {
 					lines = make(map[int]bool)
 				}
-				lines[pass.Fset.Position(c.Slash).Line] = true
+				lines[ix.Fset.Position(c.Slash).Line] = true
 			}
 		}
 	}
@@ -222,15 +225,14 @@ var ioInterfaceMethods = map[string]bool{
 // blockingCall classifies one call expression: ok reports whether the
 // call is a blocking operation by itself (stdlib I/O, net/http,
 // interface I/O methods, interface methods annotated
-// //simvet:blocking), and why says why.
-// Module-local static callees are NOT classified here — the analyzers
-// consult their facts, which fold in the //simvet:blocking directive.
-func blockingCall(pass *Pass, call *ast.CallExpr) (why string, ok bool) {
-	fn := calleeFunc(pass.Info, call)
+// //simvet:blocking), and why says why. Module-local static callees
+// are not classified here; their blocking summaries are.
+func (ix *index) blockingCall(call *ast.CallExpr) (why string, ok bool) {
+	fn := calleeFunc(ix.Info, call)
 	if fn == nil {
 		// Function value or interface method without type info.
 		if sel, isSel := ast.Unparen(call.Fun).(*ast.SelectorExpr); isSel {
-			if s := pass.Info.Selections[sel]; s != nil {
+			if s := ix.Info.Selections[sel]; s != nil {
 				if m, isFn := s.Obj().(*types.Func); isFn && isInterfaceRecv(m) && ioInterfaceMethods[m.Name()] {
 					return "interface " + m.Name() + " call", true
 				}
@@ -244,11 +246,11 @@ func blockingCall(pass *Pass, call *ast.CallExpr) (why string, ok bool) {
 	if fn.Pkg() == nil {
 		return "", false
 	}
-	if isModuleLocal(pass, fn) {
-		if isInterfaceRecv(fn) && funcDirective(pass, fn, nil, "simvet:blocking") {
+	if ix.declares(fn) {
+		if isInterfaceRecv(fn) && ix.has(fn, "simvet:blocking") {
 			return "interface " + fn.Name() + " call, annotated //simvet:blocking", true
 		}
-		return "", false // summarized by facts instead
+		return "", false
 	}
 	path := fn.Pkg().Path()
 	if path == "net/http" || path == "net" || path == "os/exec" {
@@ -302,11 +304,11 @@ type blockHit struct {
 // root: channel sends and receives (select-aware — a send or receive
 // that is a comm clause of a select with a default case cannot block),
 // selects without a default, ranges over channels, blocking standard
-// library calls, interface I/O calls, and — when calleeWhy is non-nil
-// — calls to module-local functions it classifies as blocking.
+// library calls, interface I/O calls, and — when viaCallees is set —
+// calls to module-local functions whose summary says they block.
 // Goroutine launches and function literals are skipped: their bodies
 // do not run on the caller's stack.
-func scanBlockingOps(pass *Pass, root ast.Node, calleeWhy func(*types.Func) (string, bool)) []blockHit {
+func (ix *index) scanBlockingOps(root ast.Node, viaCallees bool) []blockHit {
 	var hits []blockHit
 	var scan func(n ast.Node)
 	scan = func(root ast.Node) {
@@ -347,20 +349,16 @@ func scanBlockingOps(pass *Pass, root ast.Node, calleeWhy func(*types.Func) (str
 					hits = append(hits, blockHit{n.Pos(), "channel receive"})
 				}
 			case *ast.RangeStmt:
-				if t := pass.Info.Types[n.X].Type; t != nil {
+				if t := ix.Info.Types[n.X].Type; t != nil {
 					if _, isChan := t.Underlying().(*types.Chan); isChan {
 						hits = append(hits, blockHit{n.Pos(), "range over channel"})
 					}
 				}
 			case *ast.CallExpr:
-				if why, ok := blockingCall(pass, n); ok {
+				if why, ok := ix.blockingCall(n); ok {
 					hits = append(hits, blockHit{n.Pos(), why})
-				} else if calleeWhy != nil {
-					if fn := calleeFunc(pass.Info, n); fn != nil {
-						if why, ok := calleeWhy(fn); ok {
-							hits = append(hits, blockHit{n.Pos(), "calls " + fn.Name() + ", which " + why})
-						}
-					}
+				} else if fn := calleeFunc(ix.Info, n); viaCallees && fn != nil && ix.blocks[fn] != "" {
+					hits = append(hits, blockHit{n.Pos(), "calls " + fn.Name() + ", which " + headline(ix.blocks[fn])})
 				}
 			}
 			return true
@@ -370,52 +368,39 @@ func scanBlockingOps(pass *Pass, root ast.Node, calleeWhy func(*types.Func) (str
 	return hits
 }
 
-// blockingSummaries computes, for every function declared in the
-// package under analysis, whether calling it may block, as a why
-// string ("" = does not block). A function blocks if it is annotated
-// //simvet:blocking, contains a direct blocking operation, or calls
-// (transitively, to a fixpoint — recursion is safe) a function that
-// blocks; extBlocked resolves imported module-local callees from the
-// calling analyzer's facts. The callee lists are returned too, for
-// reachability walks.
-func blockingSummaries(pass *Pass, decls map[*types.Func]*ast.FuncDecl, order []*types.Func, extBlocked func(*types.Func) (string, bool)) (map[*types.Func]string, map[*types.Func][]*types.Func) {
-	why := make(map[*types.Func]string, len(order))
-	callees := make(map[*types.Func][]*types.Func, len(order))
-	for _, fn := range order {
-		fd := decls[fn]
-		callees[fn] = staticCallees(pass, fd, decls)
+// summarizeBlocking decides, for one package's functions, whether
+// calling each may block, and why. A function blocks if it is
+// annotated //simvet:blocking, contains a direct blocking operation,
+// or calls (transitively, to a fixpoint — recursion is safe) a
+// function that blocks. Packages are summarized in dependency order,
+// so a callee in an imported package is already final.
+func (ix *index) summarizeBlocking(fns []*types.Func) {
+	for _, fn := range fns {
+		fd := ix.decls[fn]
+		ix.callees[fn] = ix.staticCallees(fd)
 		if hasDirective(fd.Doc, "simvet:blocking") {
-			why[fn] = "is annotated //simvet:blocking"
-			continue
-		}
-		if fd.Body != nil {
-			if hits := scanBlockingOps(pass, fd.Body, nil); len(hits) > 0 {
-				why[fn] = hits[0].why
+			ix.blocks[fn] = "is annotated //simvet:blocking"
+		} else if fd.Body != nil {
+			if hits := ix.scanBlockingOps(fd.Body, false); len(hits) > 0 {
+				ix.blocks[fn] = hits[0].why
 			}
 		}
 	}
 	for changed := true; changed; {
 		changed = false
-		for _, fn := range order {
-			if why[fn] != "" {
+		for _, fn := range fns {
+			if ix.blocks[fn] != "" {
 				continue
 			}
-			for _, c := range callees[fn] {
-				w := why[c]
-				if w == "" && decls[c] == nil {
-					if ew, ok := extBlocked(c); ok {
-						w = ew
-					}
-				}
-				if w != "" {
-					why[fn] = "calls " + c.Name() + ", which " + headline(w)
+			for _, c := range ix.callees[fn] {
+				if w := ix.blocks[c]; w != "" {
+					ix.blocks[fn] = "calls " + c.Name() + ", which " + headline(w)
 					changed = true
 					break
 				}
 			}
 		}
 	}
-	return why, callees
 }
 
 // headline compresses a nested why-chain to its first link so

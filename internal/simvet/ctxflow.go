@@ -9,9 +9,9 @@ import (
 // //simvet:ctxbound is a cancellation root — job execution, the plan
 // executor, drain paths: once its context is canceled it must return
 // promptly. The analyzer walks the static call graph from each root,
-// across packages via exported facts, and flags every loop that can
-// stall an iteration — it blocks (channel ops, I/O, calls whose facts
-// say they block) or has no loop condition at all — yet never observes
+// across packages, and flags every loop that can stall an iteration —
+// it blocks (channel ops, I/O, calls whose summaries say they block)
+// or has no loop condition at all — yet never observes
 // the context: no ctx.Err() check, no ctx.Done() receive, and no call
 // that hands ctx to a context-observing callee. This generalizes the
 // hand-maintained "check ctx every cancelQuantum cycles" rule of the
@@ -26,143 +26,54 @@ import (
 var CtxFlow = &Analyzer{
 	Name: "ctxflow",
 	Doc:  "require every can-block loop reachable from a //simvet:ctxbound root to observe its context each iteration",
-	Run:  runCtxFlow,
+	run:  runCtxFlow,
 }
 
-// ctxFact is the exported per-function summary.
-type ctxFact struct {
-	Why      string // non-empty if calling the function may block
-	Observes bool   // body checks a context.Context it receives
-	Issues   []keyIssue
-	Callees  []*types.Func
-	Reported bool
-}
-
-func runCtxFlow(pass *Pass) error {
-	if pass.Pkg == nil {
-		return nil
-	}
-	decls := packageDecls(pass)
-	order := declOrder(pass, decls)
-	extFact := func(fn *types.Func) *ctxFact {
-		if f, ok := pass.ImportFact(fn); ok {
-			return f.(*ctxFact)
-		}
-		return nil
-	}
-	extBlocked := func(fn *types.Func) (string, bool) {
-		if f := extFact(fn); f != nil && f.Why != "" {
-			return f.Why, true
-		}
-		return "", false
-	}
-	why, callees := blockingSummaries(pass, decls, order, extBlocked)
-
+// runCtxFlow reports every stalled loop reachable from a ctxbound
+// root. A //simvet:blocking callee is a boundary: the call site is the
+// blocking operation.
+func runCtxFlow(ix *index, report reportFunc) {
 	// Fixpoint: a function observes its context if its body checks one
 	// directly or passes one to an observing callee.
-	observes := make(map[*types.Func]bool, len(order))
-	calleeObserves := func(fn *types.Func) bool {
-		if observes[fn] {
-			return true
-		}
-		if f := extFact(fn); f != nil {
-			return f.Observes
-		}
-		return false
-	}
+	observes := make(map[*types.Func]bool)
 	for changed := true; changed; {
 		changed = false
-		for _, fn := range order {
-			if observes[fn] {
-				continue
-			}
-			if fd := decls[fn]; fd.Body != nil && observesCtx(pass, fd.Body, calleeObserves) {
+		for _, fn := range ix.funcs {
+			if fd := ix.decls[fn]; !observes[fn] && fd.Body != nil && observesCtx(ix.Info, fd.Body, observes) {
 				observes[fn] = true
 				changed = true
 			}
 		}
 	}
 
-	calleeWhy := func(fn *types.Func) (string, bool) {
-		if w := why[fn]; w != "" {
-			return headline(w), true
-		}
-		if decls[fn] == nil {
-			if w, ok := extBlocked(fn); ok {
-				return headline(w), true
-			}
-		}
-		return "", false
-	}
-
-	var roots []*types.Func
-	for _, fn := range order {
-		fd := decls[fn]
-		if hasDirective(fd.Doc, "simvet:ctxbound") {
-			roots = append(roots, fn)
-		}
-		pass.ExportFact(fn, &ctxFact{
-			Why:      why[fn],
-			Observes: observes[fn],
-			Issues:   loopIssues(pass, fd, calleeWhy, calleeObserves),
-			Callees:  callees[fn],
-		})
-	}
-
-	for _, root := range roots {
-		queue := []*types.Func{root}
-		seen := map[*types.Func]bool{}
-		for len(queue) > 0 {
-			fn := queue[0]
-			queue = queue[1:]
-			if seen[fn] {
-				continue
-			}
-			seen[fn] = true
-			if fn != root && funcDirective(pass, fn, decls, "simvet:blocking") {
-				continue // boundary: the call site is the blocking op
-			}
-			raw, ok := pass.ImportFact(fn)
-			if !ok {
-				continue
-			}
-			fact := raw.(*ctxFact)
-			if !fact.Reported {
-				fact.Reported = true
-				for _, iss := range fact.Issues {
-					pass.Reportf(iss.Pos, "%s (reachable from //simvet:ctxbound root %s)", iss.Msg, root.Name())
-				}
-			}
-			queue = append(queue, fact.Callees...)
-		}
-	}
-	return nil
+	boundary := func(root, fn *types.Func) bool { return fn != root && ix.has(fn, "simvet:blocking") }
+	ix.reportReachable("simvet:ctxbound", boundary, func(fn *types.Func) []finding { return loopFindings(ix, fn, observes) }, report)
 }
 
-// loopIssues finds the loops in fd — including inside goroutine and
+// loopFindings finds the loops in fn — including inside goroutine and
 // closure bodies, which is where worker loops live — that can stall
 // an iteration but never observe a context.
-func loopIssues(pass *Pass, fd *ast.FuncDecl, calleeWhy func(*types.Func) (string, bool), calleeObserves func(*types.Func) bool) []keyIssue {
+func loopFindings(ix *index, fn *types.Func, observes map[*types.Func]bool) []finding {
+	fd := ix.decls[fn]
 	if fd.Body == nil {
 		return nil
 	}
-	file := enclosingFile(pass, fd.Pos())
-	bounded := stmtDirectives(pass, file, "simvet:bounded")
-	var issues []keyIssue
+	bounded := ix.stmtDirectives(ix.files[fn], "simvet:bounded")
+	var findings []finding
 	check := func(loop ast.Node) {
-		if directiveAt(bounded, pass.Fset.Position(loop.Pos()).Line) {
+		if directiveAt(bounded, ix.Fset.Position(loop.Pos()).Line) {
 			return
 		}
-		why := loopStallWhy(pass, loop, calleeWhy)
+		why := loopStallWhy(ix, loop)
 		if why == "" {
 			return
 		}
-		if observesCtx(pass, loop, calleeObserves) {
+		if observesCtx(ix.Info, loop, observes) {
 			return
 		}
-		issues = append(issues, keyIssue{
-			Pos: loop.Pos(),
-			Msg: "loop can stall an iteration (" + why + ") but never observes a context; check ctx.Err() or select on ctx.Done() each iteration, or annotate //simvet:bounded with the justification",
+		findings = append(findings, finding{
+			pos: loop.Pos(),
+			msg: "loop can stall an iteration (" + why + ") but never observes a context; check ctx.Err() or select on ctx.Done() each iteration, or annotate //simvet:bounded with the justification",
 		})
 	}
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
@@ -172,15 +83,15 @@ func loopIssues(pass *Pass, fd *ast.FuncDecl, calleeWhy func(*types.Func) (strin
 		}
 		return true
 	})
-	return issues
+	return findings
 }
 
 // loopStallWhy reports why one iteration of the loop might take
 // unbounded time, or "" if it cannot: a blocking operation anywhere in
 // the loop, or no loop condition at all (for {} spins until something
 // inside it decides to stop, which had better include cancellation).
-func loopStallWhy(pass *Pass, loop ast.Node, calleeWhy func(*types.Func) (string, bool)) string {
-	if hits := scanBlockingOps(pass, loop, calleeWhy); len(hits) > 0 {
+func loopStallWhy(ix *index, loop ast.Node) string {
+	if hits := ix.scanBlockingOps(loop, true); len(hits) > 0 {
 		return hits[0].why
 	}
 	if f, ok := loop.(*ast.ForStmt); ok && f.Cond == nil {
@@ -191,9 +102,9 @@ func loopStallWhy(pass *Pass, loop ast.Node, calleeWhy func(*types.Func) (string
 
 // observesCtx reports whether the subtree checks a context.Context:
 // a ctx.Err() or ctx.Done() use, or a call passing a ctx to a callee
-// whose summary observes it. Goroutine and closure bodies do not
-// count — a check on another goroutine does not bound this loop.
-func observesCtx(pass *Pass, root ast.Node, calleeObserves func(*types.Func) bool) bool {
+// that observes it. Goroutine and closure bodies do not count — a
+// check on another goroutine does not bound this loop.
+func observesCtx(info *types.Info, root ast.Node, observes map[*types.Func]bool) bool {
 	found := false
 	ast.Inspect(root, func(n ast.Node) bool {
 		if found {
@@ -203,7 +114,7 @@ func observesCtx(pass *Pass, root ast.Node, calleeObserves func(*types.Func) boo
 		case *ast.GoStmt, *ast.FuncLit:
 			return false
 		case *ast.CallExpr:
-			fn := calleeFunc(pass.Info, n)
+			fn := calleeFunc(info, n)
 			if fn == nil {
 				return true
 			}
@@ -211,9 +122,9 @@ func observesCtx(pass *Pass, root ast.Node, calleeObserves func(*types.Func) boo
 				found = true
 				return false
 			}
-			if calleeObserves != nil && calleeObserves(fn) {
+			if observes[fn] {
 				for _, arg := range n.Args {
-					if tv, ok := pass.Info.Types[arg]; ok && tv.Type != nil && isContextType(tv.Type) {
+					if tv, ok := info.Types[arg]; ok && tv.Type != nil && isContextType(tv.Type) {
 						found = true
 						return false
 					}

@@ -14,8 +14,7 @@ import (
 // canonical function of its inputs. A cache key that depends on
 // process state serves stale results under a fresh binary — or misses
 // forever — and both failure modes are silent. In every function
-// reachable from a keypath root, across package boundaries via
-// exported facts, the analyzer flags:
+// reachable from a keypath root, in any package, the analyzer flags:
 //
 //   - map iteration — Go randomizes the order, so hashed bytes differ
 //     run to run (annotate //simvet:orderfree if the body provably
@@ -37,23 +36,7 @@ import (
 var KeyPurity = &Analyzer{
 	Name: "keypurity",
 	Doc:  "forbid process-state dependence (map order, %v on floats/pointers, env/time reads) in code reachable from //simvet:keypath roots",
-	Run:  runKeyPurity,
-}
-
-// keyIssue is one impurity found in a function body, reported only if
-// the function turns out to be reachable from a keypath root.
-type keyIssue struct {
-	Pos token.Pos
-	Msg string
-}
-
-// keyFact is the exported per-function summary: the function's own
-// impurities plus its module-local static callees for reachability.
-// Reported dedupes when several roots reach the same function.
-type keyFact struct {
-	Issues   []keyIssue
-	Callees  []*types.Func
-	Reported bool
+	run:  runKeyPurity,
 }
 
 // impureReads maps fully qualified functions whose result is process
@@ -91,93 +74,47 @@ var fmtPrintFuncs = map[string]int{
 	"Fprint": 1, "Fprintln": 1, "Append": 1, "Appendln": 1,
 }
 
-func runKeyPurity(pass *Pass) error {
-	if pass.Pkg == nil {
-		return nil
-	}
-	decls := packageDecls(pass)
-	order := declOrder(pass, decls)
-
-	// Summarize every function bottom-up and export the fact; imported
-	// module-local callees were summarized in earlier passes.
-	var roots []*types.Func
-	for _, fn := range order {
-		fd := decls[fn]
-		if hasDirective(fd.Doc, "simvet:keypath") {
-			roots = append(roots, fn)
-		}
-		if hasDirective(fd.Doc, "simvet:keypure") {
-			pass.ExportFact(fn, &keyFact{}) // audited pure leaf
-			continue
-		}
-		pass.ExportFact(fn, &keyFact{
-			Issues:  keyIssues(pass, fd),
-			Callees: staticCallees(pass, fd, decls),
-		})
-	}
-
-	// Walk the call graph from each root and report every impurity in
-	// reach, once, no matter how many roots converge on it.
-	for _, root := range roots {
-		queue := []*types.Func{root}
-		seen := map[*types.Func]bool{}
-		for len(queue) > 0 {
-			fn := queue[0]
-			queue = queue[1:]
-			if seen[fn] {
-				continue
-			}
-			seen[fn] = true
-			raw, ok := pass.ImportFact(fn)
-			if !ok {
-				continue // outside the module (or no body)
-			}
-			fact := raw.(*keyFact)
-			if !fact.Reported {
-				fact.Reported = true
-				for _, iss := range fact.Issues {
-					pass.Reportf(iss.Pos, "%s (reachable from //simvet:keypath root %s)", iss.Msg, root.Name())
-				}
-			}
-			queue = append(queue, fact.Callees...)
-		}
-	}
-	return nil
+// runKeyPurity reports every impurity reachable from a keypath root.
+// An audited //simvet:keypure function is a pure leaf: neither its
+// body nor its callees are checked.
+func runKeyPurity(ix *index, report reportFunc) {
+	keypure := func(_, fn *types.Func) bool { return ix.has(fn, "simvet:keypure") }
+	ix.reportReachable("simvet:keypath", keypure, func(fn *types.Func) []finding { return keyFindings(ix, fn) }, report)
 }
 
-// keyIssues scans one function body for impurities.
-func keyIssues(pass *Pass, fd *ast.FuncDecl) []keyIssue {
+// keyFindings scans one function body for impurities.
+func keyFindings(ix *index, fn *types.Func) []finding {
+	fd := ix.decls[fn]
 	if fd.Body == nil {
 		return nil
 	}
-	file := enclosingFile(pass, fd.Pos())
-	orderfree := stmtDirectives(pass, file, "simvet:orderfree")
-	var issues []keyIssue
+	orderfree := ix.stmtDirectives(ix.files[fn], "simvet:orderfree")
+	var findings []finding
 	add := func(pos token.Pos, msg string) {
-		issues = append(issues, keyIssue{Pos: pos, Msg: msg})
+		findings = append(findings, finding{pos, msg})
 	}
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.RangeStmt:
-			t := pass.Info.Types[n.X].Type
+			t := ix.Info.Types[n.X].Type
 			if t != nil {
 				if _, isMap := t.Underlying().(*types.Map); isMap {
-					if !directiveAt(orderfree, pass.Fset.Position(n.Pos()).Line) {
+					if !directiveAt(orderfree, ix.Fset.Position(n.Pos()).Line) {
 						add(n.Pos(), "map iteration in key-derivation code: Go randomizes the order, so derived bytes differ run to run; collect and sort the keys first")
 					}
 				}
 			}
 		case *ast.CallExpr:
-			checkKeyCall(pass, n, add)
+			checkKeyCall(ix.Info, n, add)
 		}
 		return true
 	})
-	return issues
+	return findings
 }
 
 // checkKeyCall classifies one call in key-derivation code.
-func checkKeyCall(pass *Pass, call *ast.CallExpr, add func(token.Pos, string)) {
-	fn := calleeFunc(pass.Info, call)
+func checkKeyCall(info *types.Info, call *ast.CallExpr, add func(token.Pos, string)) {
+	fn := calleeFunc(info, call)
 	if fn == nil || fn.Pkg() == nil {
 		return
 	}
@@ -191,16 +128,16 @@ func checkKeyCall(pass *Pass, call *ast.CallExpr, add func(token.Pos, string)) {
 			return // error paths are never hashed
 		}
 		if fi, ok := fmtFormatFuncs[fn.Name()]; ok {
-			checkFormatCall(pass, call, fi, add)
+			checkFormatCall(info, call, fi, add)
 		} else if oi, ok := fmtPrintFuncs[fn.Name()]; ok {
 			for _, arg := range call.Args[min(oi, len(call.Args)):] {
-				checkVerbV(pass, arg, fn.Name(), add)
+				checkVerbV(info, arg, fn.Name(), add)
 			}
 		}
 	case "encoding/json":
 		if fn.Name() == "Marshal" || fn.Name() == "MarshalIndent" {
 			for _, arg := range call.Args[:1] {
-				if t := pass.Info.Types[arg].Type; t != nil && hasDynamicEncoding(t, nil) {
+				if t := info.Types[arg].Type; t != nil && hasDynamicEncoding(t, nil) {
 					add(arg.Pos(), "JSON-encoding a map- or interface-bearing value ("+t.String()+") in key-derivation code; encode fields explicitly in a fixed order so the key bytes are visibly canonical")
 				}
 			}
@@ -212,12 +149,12 @@ func checkKeyCall(pass *Pass, call *ast.CallExpr, add func(token.Pos, string)) {
 
 // checkFormatCall validates a Printf-style call: constant format, no
 // %p, and no %v/%+v/%#v applied to a non-canonical operand.
-func checkFormatCall(pass *Pass, call *ast.CallExpr, formatIdx int, add func(token.Pos, string)) {
+func checkFormatCall(info *types.Info, call *ast.CallExpr, formatIdx int, add func(token.Pos, string)) {
 	if len(call.Args) <= formatIdx {
 		return
 	}
 	farg := call.Args[formatIdx]
-	tv := pass.Info.Types[farg]
+	tv := info.Types[farg]
 	if tv.Value == nil || tv.Value.Kind() != constant.String {
 		add(farg.Pos(), "non-constant format string in key-derivation code; the encoding must be auditable at the call site")
 		return
@@ -252,7 +189,7 @@ func checkFormatCall(pass *Pass, call *ast.CallExpr, formatIdx int, add func(tok
 			add(farg.Pos(), "%p in key-derivation code: addresses differ every run; hash the pointed-to value instead")
 		case 'v':
 			if operand != nil {
-				checkVerbV(pass, operand, "%v", add)
+				checkVerbV(info, operand, "%v", add)
 			}
 		}
 	}
@@ -260,8 +197,8 @@ func checkFormatCall(pass *Pass, call *ast.CallExpr, formatIdx int, add func(tok
 
 // checkVerbV flags an operand formatted with (explicit or implicit)
 // %v whose type has no canonical default encoding.
-func checkVerbV(pass *Pass, arg ast.Expr, via string, add func(token.Pos, string)) {
-	tv := pass.Info.Types[arg]
+func checkVerbV(info *types.Info, arg ast.Expr, via string, add func(token.Pos, string)) {
+	tv := info.Types[arg]
 	if tv.Type == nil || tv.Value != nil {
 		return // constants format from static data
 	}
@@ -340,15 +277,4 @@ func hasDynamicEncoding(t types.Type, seen map[types.Type]bool) bool {
 		}
 	}
 	return false
-}
-
-// enclosingFile returns the file of the package under analysis that
-// contains pos.
-func enclosingFile(pass *Pass, pos token.Pos) *ast.File {
-	for _, f := range pass.Files {
-		if f.FileStart <= pos && pos < f.FileEnd {
-			return f
-		}
-	}
-	return nil
 }

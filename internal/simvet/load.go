@@ -10,25 +10,32 @@ import (
 	"os"
 	"path"
 	"path/filepath"
-	"sort"
+	"slices"
+	"strconv"
 	"strings"
 )
 
-// Module is a parsed and type-checked Go module. Packages are sorted
-// by import path; test files are not loaded (the analyzers check
-// production code only).
+// Module is a parsed and type-checked Go module, loaded as one
+// program: every package is checked into the one shared Info, so any
+// function body can be read without a package lookup. Packages are in
+// dependency order (every package after the module-local packages it
+// imports, ties broken by import path); test files are not loaded
+// (the analyzers check production code only).
 type Module struct {
 	Dir      string // absolute module root
 	Path     string // module path from go.mod
 	Fset     *token.FileSet
+	Info     *types.Info
 	Packages []*Package
 
 	byPath map[string]*Package
-	facts  map[factKey]Fact // cross-package analyzer summaries (see facts.go)
 }
 
-// Lookup returns the package with the given import path, or nil.
-func (m *Module) Lookup(importPath string) *Package { return m.byPath[importPath] }
+// declares reports whether obj is declared in a package of the module
+// (as opposed to the standard library).
+func (m *Module) declares(obj types.Object) bool {
+	return obj.Pkg() != nil && m.byPath[obj.Pkg().Path()] != nil
+}
 
 // Package is one type-checked package of the module.
 type Package struct {
@@ -36,7 +43,6 @@ type Package struct {
 	Dir   string      // absolute directory
 	Files []*ast.File // non-test files, type-checked
 	Types *types.Package
-	Info  *types.Info
 }
 
 // LoadModule parses and type-checks every package under the module
@@ -60,6 +66,12 @@ func LoadModule(dir string) (*Module, error) {
 		Path:   modPath,
 		Fset:   token.NewFileSet(),
 		byPath: make(map[string]*Package),
+		Info: &types.Info{
+			Types:      make(map[ast.Expr]types.TypeAndValue),
+			Defs:       make(map[*ast.Ident]types.Object),
+			Uses:       make(map[*ast.Ident]types.Object),
+			Selections: make(map[*ast.SelectorExpr]*types.Selection),
+		},
 	}
 	ld := &loader{
 		mod:     mod,
@@ -94,13 +106,12 @@ func LoadModule(dir string) (*Module, error) {
 	if err != nil {
 		return nil, err
 	}
-	sort.Strings(paths)
+	slices.Sort(paths)
 	for _, ip := range paths {
 		if _, err := ld.load(ip); err != nil {
 			return nil, err
 		}
 	}
-	sort.Slice(mod.Packages, func(i, j int) bool { return mod.Packages[i].Path < mod.Packages[j].Path })
 	return mod, nil
 }
 
@@ -152,7 +163,9 @@ func (l *loader) Import(importPath string) (*types.Package, error) {
 	return l.std.Import(importPath)
 }
 
-// load parses and type-checks one module-local package (memoized).
+// load parses and type-checks one module-local package (memoized),
+// after its module-local imports in import-path order, so the module's
+// Packages come out in dependency order.
 func (l *loader) load(importPath string) (*Package, error) {
 	if pkg, ok := l.mod.byPath[importPath]; ok {
 		return pkg, nil
@@ -172,6 +185,7 @@ func (l *loader) load(importPath string) (*Package, error) {
 		return nil, err
 	}
 	pkg := &Package{Path: importPath, Dir: dir}
+	var deps []string
 	for _, e := range entries {
 		name := e.Name()
 		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") ||
@@ -183,16 +197,21 @@ func (l *loader) load(importPath string) (*Package, error) {
 			return nil, err
 		}
 		pkg.Files = append(pkg.Files, f)
+		for _, imp := range f.Imports {
+			if p, _ := strconv.Unquote(imp.Path.Value); p == l.mod.Path || strings.HasPrefix(p, l.mod.Path+"/") {
+				deps = append(deps, p)
+			}
+		}
+	}
+	slices.Sort(deps)
+	for _, dep := range slices.Compact(deps) {
+		if _, err := l.load(dep); err != nil {
+			return nil, err
+		}
 	}
 	if len(pkg.Files) > 0 {
-		pkg.Info = &types.Info{
-			Types:      make(map[ast.Expr]types.TypeAndValue),
-			Defs:       make(map[*ast.Ident]types.Object),
-			Uses:       make(map[*ast.Ident]types.Object),
-			Selections: make(map[*ast.SelectorExpr]*types.Selection),
-		}
 		conf := types.Config{Importer: l}
-		tpkg, err := conf.Check(importPath, l.mod.Fset, pkg.Files, pkg.Info)
+		tpkg, err := conf.Check(importPath, l.mod.Fset, pkg.Files, l.mod.Info)
 		if err != nil {
 			return nil, fmt.Errorf("simvet: type-checking %s: %w", importPath, err)
 		}

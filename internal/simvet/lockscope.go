@@ -17,7 +17,7 @@ import (
 // that may block — directly (channel ops, selects without default,
 // stdlib I/O, interface Read/Write, interface methods annotated
 // //simvet:blocking such as simrun.Store's) or transitively (a call to a
-// function whose exported fact says it blocks, across packages) —
+// function whose blocking summary says it blocks, in any package) —
 // while that set is non-empty.
 //
 // Approximations, chosen to keep the check reviewable: statements are
@@ -31,12 +31,7 @@ import (
 var LockScope = &Analyzer{
 	Name: "lockscope",
 	Doc:  "forbid blocking operations (channel ops, I/O, blocking calls) while holding a mutex in internal/server, internal/simrun and internal/fleet",
-	Run:  runLockScope,
-}
-
-// lockFact marks an exported function as blocking, with the reason.
-type lockFact struct {
-	Why string
+	run:  runLockScope,
 }
 
 // lockScopedSuffixes lists the packages whose critical sections are
@@ -53,62 +48,28 @@ func isLockScopedPackage(path string) bool {
 	return false
 }
 
-func runLockScope(pass *Pass) error {
-	if pass.Pkg == nil {
-		return nil
-	}
-	decls := packageDecls(pass)
-	order := declOrder(pass, decls)
-	extBlocked := func(fn *types.Func) (string, bool) {
-		if f, ok := pass.ImportFact(fn); ok {
-			return f.(*lockFact).Why, true
-		}
-		return "", false
-	}
-	why, _ := blockingSummaries(pass, decls, order, extBlocked)
-	for _, fn := range order {
-		if why[fn] != "" {
-			pass.ExportFact(fn, &lockFact{Why: why[fn]})
+func runLockScope(ix *index, report reportFunc) {
+	for _, fn := range ix.funcs {
+		if fd := ix.decls[fn]; fd.Body != nil && isLockScopedPackage(fn.Pkg().Path()) {
+			checkLockedSections(ix, fn, report)
 		}
 	}
-	if !isLockScopedPackage(pass.Path) {
-		return nil
-	}
-
-	calleeWhy := func(fn *types.Func) (string, bool) {
-		if w := why[fn]; w != "" {
-			return headline(w), true
-		}
-		if decls[fn] == nil {
-			if w, ok := extBlocked(fn); ok {
-				return headline(w), true
-			}
-		}
-		return "", false
-	}
-	for _, fn := range order {
-		fd := decls[fn]
-		if fd.Body != nil {
-			checkLockedSections(pass, fd, calleeWhy)
-		}
-	}
-	return nil
 }
 
 // checkLockedSections walks fd's statements in source order, tracking
 // which mutexes are held, and reports blocking operations inside
 // critical sections.
-func checkLockedSections(pass *Pass, fd *ast.FuncDecl, calleeWhy func(*types.Func) (string, bool)) {
-	file := enclosingFile(pass, fd.Pos())
-	blockok := stmtDirectives(pass, file, "simvet:blockok")
+func checkLockedSections(ix *index, fn *types.Func, reportf reportFunc) {
+	fd := ix.decls[fn]
+	blockok := ix.stmtDirectives(ix.files[fn], "simvet:blockok")
 
 	report := func(n ast.Node, held map[string]bool) {
-		for _, hit := range scanBlockingOps(pass, n, calleeWhy) {
-			line := pass.Fset.Position(hit.pos).Line
-			if directiveAt(blockok, line) {
+		for _, hit := range ix.scanBlockingOps(n, true) {
+			pos := ix.Fset.Position(hit.pos)
+			if directiveAt(blockok, pos.Line) {
 				continue
 			}
-			pass.Reportf(hit.pos, "blocking operation (%s) in %s while holding %s; shrink the critical section, or annotate //simvet:blockok with the justification", hit.why, fd.Name.Name, heldNames(held))
+			reportf(pos, "blocking operation (%s) in %s while holding %s; shrink the critical section, or annotate //simvet:blockok with the justification", hit.why, fd.Name.Name, heldNames(held))
 		}
 	}
 	reportExprs := func(held map[string]bool, exprs ...ast.Node) {
@@ -128,7 +89,7 @@ func checkLockedSections(pass *Pass, fd *ast.FuncDecl, calleeWhy func(*types.Fun
 			switch s := stmt.(type) {
 			case *ast.ExprStmt:
 				if call, ok := s.X.(*ast.CallExpr); ok {
-					if key, op := mutexOp(pass, call); op != "" {
+					if key, op := mutexOp(ix.Info, call); op != "" {
 						switch op {
 						case "Lock", "RLock":
 							held[key] = true
@@ -160,7 +121,7 @@ func checkLockedSections(pass *Pass, fd *ast.FuncDecl, calleeWhy func(*types.Fun
 				walk(s.Body.List, copyHeld(held))
 			case *ast.RangeStmt:
 				if len(held) > 0 {
-					if t := pass.Info.Types[s.X].Type; t != nil {
+					if t := ix.Info.Types[s.X].Type; t != nil {
 						if _, isChan := t.Underlying().(*types.Chan); isChan {
 							report(s.X, held)
 						}
@@ -200,12 +161,12 @@ func checkLockedSections(pass *Pass, fd *ast.FuncDecl, calleeWhy func(*types.Fun
 // mutexOp recognizes a direct Lock/RLock/Unlock/RUnlock call on a
 // sync.Mutex or sync.RWMutex (including one embedded in a struct) and
 // returns the receiver expression as the lock's identity.
-func mutexOp(pass *Pass, call *ast.CallExpr) (key, op string) {
+func mutexOp(info *types.Info, call *ast.CallExpr) (key, op string) {
 	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
 	if !ok {
 		return "", ""
 	}
-	fn := calleeFunc(pass.Info, call)
+	fn := calleeFunc(info, call)
 	if fn == nil || fn.Pkg() == nil || fn.Pkg().Path() != "sync" {
 		return "", ""
 	}

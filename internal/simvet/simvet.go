@@ -1,7 +1,8 @@
-// Package simvet is a suite of four cross-package dataflow analyzers
-// built on the suite's exported-facts mechanism (see facts.go). Each
-// guards a property that a failing test cannot point at, or that no
-// test sees at all:
+// Package simvet is a suite of four analyzers over the whole module,
+// loaded and type-checked as one program and indexed once per run
+// (the call graph, each function's directives, and one "may block,
+// and why" summary). Each guards a property that a failing test
+// cannot point at, or that no test sees at all:
 //
 //   - keypurity: everything reachable from a //simvet:keypath root
 //     (simrun's content-key hashing and the engine fingerprint probe)
@@ -21,8 +22,9 @@
 //   - lockscope: no blocking operation — channel send/receive,
 //     ctx.Done() waits, disk and network I/O, functions annotated
 //     //simvet:blocking — while holding a sync.Mutex/RWMutex in
-//     internal/server or internal/simrun, with blocking summaries
-//     propagated through the call graph across packages;
+//     internal/server, internal/simrun or internal/fleet, with
+//     blocking summaries propagated through the call graph across
+//     packages;
 //
 //   - ctxflow: every loop reachable from a //simvet:ctxbound root
 //     (job execution, the plan executor, point legs, drain
@@ -35,11 +37,9 @@
 // the simulated results, and the engine's TestStepAllocs measures
 // Step, Run and RunUntilDrained on every family.
 //
-// The suite mirrors the golang.org/x/tools/go/analysis API shape
-// (Analyzer, Pass, Diagnostic, object facts, `// want` fixtures) but
-// is built purely on the standard library's go/ast, go/parser and
-// go/types so the module stays dependency-free; if x/tools is ever
-// vendored, each analyzer ports mechanically. Run it with
+// The suite is built on the standard library's go/ast, go/parser and
+// go/types alone, so the module stays dependency-free; its fixtures
+// use the `// want` comments of x/tools' analysistest. Run it with
 // `go run ./cmd/simvet ./...` or through the `simvet` CI job.
 //
 // Annotations recognized in source comments:
@@ -76,52 +76,24 @@
 package simvet
 
 import (
+	"cmp"
 	"fmt"
 	"go/ast"
 	"go/token"
-	"go/types"
-	"sort"
+	"slices"
 	"strings"
 )
 
-// An Analyzer describes one invariant check. This mirrors
-// golang.org/x/tools/go/analysis.Analyzer (Name, Doc, Run) minus the
-// dependency-injection machinery the suite does not need.
+// An Analyzer describes one invariant check: one function over the
+// module's index, reporting through the function it is handed.
 type Analyzer struct {
 	Name string
 	Doc  string
-	Run  func(pass *Pass) error
-
-	// Finish, if non-nil, runs once per module after Run has been
-	// applied to every package, with a module-level Pass (Pkg, Files
-	// and Info are nil; Path is the module path). Analyzers that
-	// assemble a module-wide view from exported facts — wirestable's
-	// lock comparison — report from here.
-	Finish func(pass *Pass) error
+	run  func(ix *index, report reportFunc)
 }
 
-// A Pass provides one analyzer with one type-checked package plus a
-// view of the whole module.
-type Pass struct {
-	Analyzer *Analyzer
-	Fset     *token.FileSet
-	Path     string      // package import path
-	Files    []*ast.File // non-test files, type-checked
-	Pkg      *types.Package
-	Info     *types.Info
-	Module   *Module // every package of the module under analysis
-
-	Report func(Diagnostic)
-}
-
-// Reportf records a diagnostic at pos.
-func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
-	p.Report(Diagnostic{
-		Analyzer: p.Analyzer.Name,
-		Pos:      p.Fset.Position(pos),
-		Message:  fmt.Sprintf(format, args...),
-	})
-}
+// A reportFunc records one diagnostic of the running analyzer.
+type reportFunc func(pos token.Position, format string, args ...any)
 
 // A Diagnostic is one reported invariant violation.
 type Diagnostic struct {
@@ -153,57 +125,24 @@ func hasDirective(doc *ast.CommentGroup, directive string) bool {
 	return false
 }
 
-// RunAnalyzers applies the analyzers to every package of the module
-// and returns the diagnostics sorted by position. Each analyzer
-// visits packages in dependency order (imports before importers), so
-// a pass can ImportFact summaries that earlier passes of the same
-// analyzer exported for the packages it depends on; an analyzer's
-// Finish hook, if any, runs after its last package pass.
+// RunAnalyzers indexes the module once, applies each analyzer to the
+// index and returns the diagnostics sorted by position. The index is
+// built afresh per call, so repeated runs over one Module agree.
 func RunAnalyzers(mod *Module, analyzers []*Analyzer) ([]Diagnostic, error) {
+	ix := newIndex(mod)
 	var diags []Diagnostic
-	report := func(d Diagnostic) { diags = append(diags, d) }
-	ordered := mod.PackagesInDependencyOrder()
 	for _, a := range analyzers {
-		for _, pkg := range ordered {
-			pass := &Pass{
-				Analyzer: a,
-				Fset:     mod.Fset,
-				Path:     pkg.Path,
-				Files:    pkg.Files,
-				Pkg:      pkg.Types,
-				Info:     pkg.Info,
-				Module:   mod,
-				Report:   report,
-			}
-			if err := a.Run(pass); err != nil {
-				return nil, fmt.Errorf("%s: %s: %w", a.Name, pkg.Path, err)
-			}
-		}
-		if a.Finish != nil {
-			pass := &Pass{
-				Analyzer: a,
-				Fset:     mod.Fset,
-				Path:     mod.Path,
-				Module:   mod,
-				Report:   report,
-			}
-			if err := a.Finish(pass); err != nil {
-				return nil, fmt.Errorf("%s: finish: %w", a.Name, err)
-			}
-		}
+		a.run(ix, func(pos token.Position, format string, args ...any) {
+			diags = append(diags, Diagnostic{Analyzer: a.Name, Pos: pos, Message: fmt.Sprintf(format, args...)})
+		})
 	}
-	sort.Slice(diags, func(i, j int) bool {
-		a, b := diags[i].Pos, diags[j].Pos
-		if a.Filename != b.Filename {
-			return a.Filename < b.Filename
-		}
-		if a.Line != b.Line {
-			return a.Line < b.Line
-		}
-		if a.Column != b.Column {
-			return a.Column < b.Column
-		}
-		return diags[i].Analyzer < diags[j].Analyzer
+	slices.SortFunc(diags, func(a, b Diagnostic) int {
+		return cmp.Or(
+			cmp.Compare(a.Pos.Filename, b.Pos.Filename),
+			cmp.Compare(a.Pos.Line, b.Pos.Line),
+			cmp.Compare(a.Pos.Column, b.Pos.Column),
+			cmp.Compare(a.Analyzer, b.Analyzer),
+			cmp.Compare(a.Message, b.Message))
 	})
 	return diags, nil
 }

@@ -1,14 +1,19 @@
 package simvet
 
 import (
+	"go/parser"
+	"go/token"
+	"os"
 	"path/filepath"
+	"regexp"
+	"slices"
+	"strings"
 	"testing"
 )
 
 // Each analyzer must fire on its seeded-violation fixture and stay
 // quiet on the fixture's legitimate patterns. Each fixture is a
-// multi-package module whose violations are reported through exported
-// facts.
+// multi-package module whose violations cross package boundaries.
 
 func TestKeyPurityFixture(t *testing.T) { runFixture(t, "keypurity", KeyPurity) }
 
@@ -69,5 +74,44 @@ func TestRepoInvariantsClean(t *testing.T) {
 	}
 	for _, d := range diags {
 		t.Errorf("%s", d)
+	}
+}
+
+// directives are the //simvet: directives the suite reads.
+var directives = []string{"orderfree", "keypath", "keypure", "wire", "blocking", "ctxbound", "bounded", "blockok"}
+
+// TestDirectivesSpelled scans every comment of the module's Go files,
+// tests and fixtures included, and fails on one that starts with
+// //simvet: but names none of the directives: a misspelled
+// //simvet:keypath or //simvet:wire would silently drop that root or
+// type from checking.
+func TestDirectivesSpelled(t *testing.T) {
+	nameRe := regexp.MustCompile(`^//simvet:(\w*)`)
+	fset := token.NewFileSet()
+	err := filepath.WalkDir("../..", func(p string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() && p != "../.." && (strings.HasPrefix(d.Name(), ".") || strings.HasPrefix(d.Name(), "_")) {
+			return filepath.SkipDir
+		}
+		if d.IsDir() || !strings.HasSuffix(p, ".go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, p, nil, parser.ParseComments|parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		for _, g := range f.Comments {
+			for _, c := range g.List {
+				if m := nameRe.FindStringSubmatch(c.Text); m != nil && !slices.Contains(directives, m[1]) {
+					t.Errorf("%s: unknown directive %q; the suite reads //simvet: %s", fset.Position(c.Slash), m[0], strings.Join(directives, ", "))
+				}
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }

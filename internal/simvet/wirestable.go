@@ -19,8 +19,8 @@ import (
 // progress counters, the cache-entry layout on disk, the metrics CSV
 // header. The analyzer derives a canonical schema for each (field
 // names in declaration order, effective json tags, fully qualified
-// field types, const values) and, in its Finish hook, diffs the
-// assembled module schema against the committed docs/wire.lock golden.
+// field types, const values) and diffs the module's schema against the
+// committed docs/wire.lock golden.
 // An accidental rename, tag edit, type change or field reorder fails
 // CI with the differing entry; an intentional change regenerates the
 // lock with `go run ./cmd/simvet -writewire`, which makes the wire
@@ -32,17 +32,16 @@ import (
 // under reachability, and the analyzer insists the closure be written
 // down rather than inferred.
 var WireStable = &Analyzer{
-	Name:   "wirestable",
-	Doc:    "lock the schema of //simvet:wire structs and constants against docs/wire.lock (the simd HTTP, cache-file and CSV formats)",
-	Run:    runWireStable,
-	Finish: finishWireStable,
+	Name: "wirestable",
+	Doc:  "lock the schema of //simvet:wire structs and constants against docs/wire.lock (the simd HTTP, cache-file and CSV formats)",
+	run:  func(ix *index, report reportFunc) { wireStable(ix.Module, report) },
 }
 
 // WireLockFile is the lock's module-relative path, for cmd/simvet.
 const WireLockFile = "docs/wire.lock"
 
-// wireEntry is the exported fact for one wire declaration: its
-// canonical schema block and where it was declared.
+// wireEntry is one wire declaration: its canonical schema block and
+// where it was declared.
 type wireEntry struct {
 	Kind string // "type" or "const"
 	Name string // fully qualified: pkgpath.Ident
@@ -50,43 +49,42 @@ type wireEntry struct {
 	Pos  token.Pos
 }
 
-func runWireStable(pass *Pass) error {
-	if pass.Pkg == nil {
-		return nil
+// wireStable derives the schema of every //simvet:wire declaration,
+// reports a non-struct, non-string or unclosed declaration and any
+// drift from docs/wire.lock, and returns the entries in lock order
+// (kind, then name).
+func wireStable(mod *Module, report reportFunc) []*wireEntry {
+	reportf := func(pos token.Pos, format string, args ...any) {
+		report(mod.Fset.Position(pos), format, args...)
 	}
-	// First pass: which package-level objects are annotated? Needed
-	// before the reference check so order within the package does not
-	// matter (cross-package references resolve through facts, which
-	// dependency-ordered execution has already finalized).
+	// Collect every annotated object before checking references, so a
+	// field may name a wire struct declared anywhere in the module.
 	annotated := make(map[types.Object]bool)
-	type wireDecl struct {
-		obj  types.Object
-		spec ast.Spec
-	}
-	var declsInOrder []wireDecl
-	for _, f := range pass.Files {
-		for _, d := range f.Decls {
-			gd, ok := d.(*ast.GenDecl)
-			if !ok {
-				continue
-			}
-			groupWire := hasDirective(gd.Doc, "simvet:wire")
-			for _, spec := range gd.Specs {
-				switch s := spec.(type) {
-				case *ast.TypeSpec:
-					if groupWire || hasDirective(s.Doc, "simvet:wire") || hasDirective(s.Comment, "simvet:wire") {
-						if obj := pass.Info.Defs[s.Name]; obj != nil {
-							annotated[obj] = true
-							declsInOrder = append(declsInOrder, wireDecl{obj, s})
+	var objs []types.Object
+	for _, pkg := range mod.Packages {
+		for _, f := range pkg.Files {
+			for _, d := range f.Decls {
+				gd, ok := d.(*ast.GenDecl)
+				if !ok {
+					continue
+				}
+				groupWire := hasDirective(gd.Doc, "simvet:wire")
+				for _, spec := range gd.Specs {
+					var names []*ast.Ident
+					switch s := spec.(type) {
+					case *ast.TypeSpec:
+						if groupWire || hasDirective(s.Doc, "simvet:wire") || hasDirective(s.Comment, "simvet:wire") {
+							names = []*ast.Ident{s.Name}
+						}
+					case *ast.ValueSpec:
+						if gd.Tok == token.CONST && (groupWire || hasDirective(s.Doc, "simvet:wire") || hasDirective(s.Comment, "simvet:wire")) {
+							names = s.Names
 						}
 					}
-				case *ast.ValueSpec:
-					if gd.Tok == token.CONST && (groupWire || hasDirective(s.Doc, "simvet:wire") || hasDirective(s.Comment, "simvet:wire")) {
-						for _, name := range s.Names {
-							if obj := pass.Info.Defs[name]; obj != nil {
-								annotated[obj] = true
-								declsInOrder = append(declsInOrder, wireDecl{obj, s})
-							}
+					for _, name := range names {
+						if obj := mod.Info.Defs[name]; obj != nil {
+							annotated[obj] = true
+							objs = append(objs, obj)
 						}
 					}
 				}
@@ -94,12 +92,13 @@ func runWireStable(pass *Pass) error {
 		}
 	}
 
-	for _, wd := range declsInOrder {
-		switch obj := wd.obj.(type) {
+	var entries []*wireEntry
+	for _, obj := range objs {
+		switch obj := obj.(type) {
 		case *types.TypeName:
 			st, ok := obj.Type().Underlying().(*types.Struct)
 			if !ok {
-				pass.Reportf(obj.Pos(), "//simvet:wire on %s, which is not a struct type; only structs and string constants carry a wire schema", obj.Name())
+				reportf(obj.Pos(), "//simvet:wire on %s, which is not a struct type; only structs and string constants carry a wire schema", obj.Name())
 				continue
 			}
 			entry := &wireEntry{
@@ -110,15 +109,15 @@ func runWireStable(pass *Pass) error {
 			for i := 0; i < st.NumFields(); i++ {
 				f := st.Field(i)
 				entry.Body = append(entry.Body, wireFieldLine(f, st.Tag(i)))
-				checkWireRefs(pass, annotated, obj, f, f.Type(), nil)
+				checkWireRefs(mod, reportf, annotated, obj, f, f.Type(), nil)
 			}
-			pass.ExportFact(obj, entry)
+			entries = append(entries, entry)
 		case *types.Const:
 			if b, ok := obj.Type().Underlying().(*types.Basic); !ok || b.Info()&types.IsString == 0 {
-				pass.Reportf(obj.Pos(), "//simvet:wire on non-string constant %s; only structs and string constants carry a wire schema", obj.Name())
+				reportf(obj.Pos(), "//simvet:wire on non-string constant %s; only structs and string constants carry a wire schema", obj.Name())
 				continue
 			}
-			pass.ExportFact(obj, &wireEntry{
+			entries = append(entries, &wireEntry{
 				Kind: "const",
 				Name: obj.Pkg().Path() + "." + obj.Name(),
 				Body: []string{fmt.Sprintf("%q", constant.StringVal(obj.Val()))},
@@ -126,7 +125,49 @@ func runWireStable(pass *Pass) error {
 			})
 		}
 	}
-	return nil
+	sort.Slice(entries, func(i, j int) bool {
+		if entries[i].Kind != entries[j].Kind {
+			return entries[i].Kind < entries[j].Kind
+		}
+		return entries[i].Name < entries[j].Name
+	})
+
+	lockPath := filepath.Join(mod.Dir, filepath.FromSlash(WireLockFile))
+	reportAtLock := func(line int, format string, args ...any) {
+		report(token.Position{Filename: lockPath, Line: line}, format, args...)
+	}
+	data, err := os.ReadFile(lockPath)
+	if err != nil {
+		if len(entries) > 0 {
+			reportAtLock(1, "%s missing but the module declares %d //simvet:wire schema(s); generate it with: go run ./cmd/simvet -writewire", WireLockFile, len(entries))
+		}
+		return entries // no wire surface and no lock is clean
+	}
+	committed, lockLines := parseWireLock(string(data))
+	current := make(map[string]*wireEntry, len(entries))
+	for _, e := range entries {
+		key := e.Kind + " " + e.Name
+		current[key] = e
+		want, ok := committed[key]
+		if !ok {
+			reportf(e.Pos, "%s %s is //simvet:wire but absent from %s; regenerate the lock with: go run ./cmd/simvet -writewire", e.Kind, e.Name, WireLockFile)
+			continue
+		}
+		if d := firstSchemaDiff(want, e.Body); d != "" {
+			reportf(e.Pos, "wire schema of %s drifted from %s (%s); if the wire change is intentional, regenerate with: go run ./cmd/simvet -writewire", e.Name, WireLockFile, d)
+		}
+	}
+	var removed []string
+	for key := range committed {
+		if current[key] == nil {
+			removed = append(removed, key)
+		}
+	}
+	sort.Strings(removed)
+	for _, key := range removed {
+		reportAtLock(lockLines[key], "%s is locked in %s but no longer declared //simvet:wire; restore the annotation or regenerate the lock with: go run ./cmd/simvet -writewire", key, WireLockFile)
+	}
+	return entries
 }
 
 // wireFieldLine renders one struct field canonically: name, fully
@@ -150,7 +191,7 @@ func wireFieldLine(f *types.Var, tag string) string {
 // checkWireRefs requires every module-local named struct reachable
 // through a wire field's type to be //simvet:wire itself: the wire
 // surface must be annotated shut, not discovered.
-func checkWireRefs(pass *Pass, annotated map[types.Object]bool, owner *types.TypeName, f *types.Var, t types.Type, seen map[types.Type]bool) {
+func checkWireRefs(mod *Module, reportf func(token.Pos, string, ...any), annotated map[types.Object]bool, owner *types.TypeName, f *types.Var, t types.Type, seen map[types.Type]bool) {
 	if seen[t] {
 		return
 	}
@@ -160,44 +201,24 @@ func checkWireRefs(pass *Pass, annotated map[types.Object]bool, owner *types.Typ
 	seen[t] = true
 	if named, ok := t.(*types.Named); ok {
 		obj := named.Obj()
-		if _, isStruct := named.Underlying().(*types.Struct); isStruct && obj != owner && isModuleLocal(pass, obj) {
+		if _, isStruct := named.Underlying().(*types.Struct); isStruct && obj != owner && mod.declares(obj) {
 			if !annotated[obj] {
-				if _, ok := pass.ImportFact(obj); !ok {
-					pass.Reportf(f.Pos(), "wire struct %s field %s references %s.%s, which is not annotated //simvet:wire; the wire surface must be closed under annotation", owner.Name(), f.Name(), obj.Pkg().Path(), obj.Name())
-				}
+				reportf(f.Pos(), "wire struct %s field %s references %s.%s, which is not annotated //simvet:wire; the wire surface must be closed under annotation", owner.Name(), f.Name(), obj.Pkg().Path(), obj.Name())
 			}
 			return // its own fields are checked at its own declaration
 		}
 	}
 	switch u := t.Underlying().(type) {
 	case *types.Pointer:
-		checkWireRefs(pass, annotated, owner, f, u.Elem(), seen)
+		checkWireRefs(mod, reportf, annotated, owner, f, u.Elem(), seen)
 	case *types.Slice:
-		checkWireRefs(pass, annotated, owner, f, u.Elem(), seen)
+		checkWireRefs(mod, reportf, annotated, owner, f, u.Elem(), seen)
 	case *types.Array:
-		checkWireRefs(pass, annotated, owner, f, u.Elem(), seen)
+		checkWireRefs(mod, reportf, annotated, owner, f, u.Elem(), seen)
 	case *types.Map:
-		checkWireRefs(pass, annotated, owner, f, u.Key(), seen)
-		checkWireRefs(pass, annotated, owner, f, u.Elem(), seen)
+		checkWireRefs(mod, reportf, annotated, owner, f, u.Key(), seen)
+		checkWireRefs(mod, reportf, annotated, owner, f, u.Elem(), seen)
 	}
-}
-
-// sortedWireEntries returns the module's wire entries sorted by kind
-// then name — the deterministic lock-file order.
-func sortedWireEntries(pass *Pass) []*wireEntry {
-	var entries []*wireEntry
-	for _, f := range pass.AllFacts() {
-		if e, ok := f.(*wireEntry); ok {
-			entries = append(entries, e)
-		}
-	}
-	sort.Slice(entries, func(i, j int) bool {
-		if entries[i].Kind != entries[j].Kind {
-			return entries[i].Kind < entries[j].Kind
-		}
-		return entries[i].Name < entries[j].Name
-	})
-	return entries
 }
 
 // renderWireLock produces the lock-file text: a comment header, then
@@ -220,80 +241,13 @@ func renderWireLock(entries []*wireEntry) string {
 
 // WireLockText derives the module's current wire.lock content. Used by
 // `cmd/simvet -writewire` and by the byte-stability test; diagnostics
-// from the derivation (unannotated references) are ignored here — the
-// full analyzer run reports them.
+// from the derivation are ignored here — the full analyzer run
+// reports them.
 func WireLockText(mod *Module) (string, error) {
-	var finishPass *Pass
-	for _, pkg := range mod.PackagesInDependencyOrder() {
-		pass := &Pass{
-			Analyzer: WireStable,
-			Fset:     mod.Fset,
-			Path:     pkg.Path,
-			Files:    pkg.Files,
-			Pkg:      pkg.Types,
-			Info:     pkg.Info,
-			Module:   mod,
-			Report:   func(Diagnostic) {},
-		}
-		if err := runWireStable(pass); err != nil {
-			return "", err
-		}
-		finishPass = pass
-	}
-	if finishPass == nil {
+	if len(mod.Packages) == 0 {
 		return "", fmt.Errorf("wirestable: empty module")
 	}
-	return renderWireLock(sortedWireEntries(finishPass)), nil
-}
-
-// finishWireStable diffs the assembled schema against docs/wire.lock.
-func finishWireStable(pass *Pass) error {
-	entries := sortedWireEntries(pass)
-	lockPath := filepath.Join(pass.Module.Dir, filepath.FromSlash(WireLockFile))
-	reportAtLock := func(line int, format string, args ...any) {
-		pass.Report(Diagnostic{
-			Analyzer: pass.Analyzer.Name,
-			Pos:      token.Position{Filename: lockPath, Line: line},
-			Message:  fmt.Sprintf(format, args...),
-		})
-	}
-	data, err := os.ReadFile(lockPath)
-	if err != nil {
-		if len(entries) == 0 {
-			return nil // module has no wire surface and no lock: clean
-		}
-		reportAtLock(1, "%s missing but the module declares %d //simvet:wire schema(s); generate it with: go run ./cmd/simvet -writewire", WireLockFile, len(entries))
-		return nil
-	}
-
-	committed, lockLines := parseWireLock(string(data))
-	current := make(map[string]*wireEntry, len(entries))
-	for _, e := range entries {
-		current[e.Kind+" "+e.Name] = e
-	}
-
-	for _, e := range entries {
-		key := e.Kind + " " + e.Name
-		want, ok := committed[key]
-		if !ok {
-			pass.Reportf(e.Pos, "%s %s is //simvet:wire but absent from %s; regenerate the lock with: go run ./cmd/simvet -writewire", e.Kind, e.Name, WireLockFile)
-			continue
-		}
-		if d := firstSchemaDiff(want, e.Body); d != "" {
-			pass.Reportf(e.Pos, "wire schema of %s drifted from %s (%s); if the wire change is intentional, regenerate with: go run ./cmd/simvet -writewire", e.Name, WireLockFile, d)
-		}
-	}
-	var removed []string
-	for key := range committed {
-		if current[key] == nil {
-			removed = append(removed, key)
-		}
-	}
-	sort.Strings(removed)
-	for _, key := range removed {
-		reportAtLock(lockLines[key], "%s is locked in %s but no longer declared //simvet:wire; restore the annotation or regenerate the lock with: go run ./cmd/simvet -writewire", key, WireLockFile)
-	}
-	return nil
+	return renderWireLock(wireStable(mod, func(token.Position, string, ...any) {})), nil
 }
 
 // parseWireLock reads a lock file into entry bodies keyed by header
