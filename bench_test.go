@@ -17,6 +17,7 @@
 package minsim_test
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -24,12 +25,13 @@ import (
 	"minsim/internal/experiments"
 	"minsim/internal/metrics"
 	"minsim/internal/routing"
+	"minsim/internal/simrun"
 	"minsim/internal/topology"
 	"minsim/internal/traffic"
 )
 
 // benchBudget keeps full-sweep benchmarks around a second per
-// iteration; use cmd/figures for publication-quality runs.
+// iteration; use `minsim figures` for publication-quality runs.
 var benchBudget = experiments.Budget{WarmupCycles: 10_000, MeasureCycles: 30_000, Seed: 1995}
 
 // runFigure executes a figure experiment b.N times and reports the
@@ -40,17 +42,18 @@ func runFigure(b *testing.B, id string) {
 	if !ok {
 		b.Fatalf("unknown experiment %s", id)
 	}
-	var fig metrics.Figure
+	var figs []metrics.Figure
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		var err error
-		fig, err = e.Run(benchBudget)
+		figs, err = experiments.RunAll(context.Background(), []experiments.Experiment{e}, benchBudget, simrun.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
 	}
 	b.StopTimer()
+	fig := figs[0]
 	ref := e.Loads[len(e.Loads)/2]
 	for si, s := range fig.Series {
 		if sat, ok := s.SaturationThroughput(); ok {

@@ -4,6 +4,7 @@
 //	minsim sweep -net bmin -from 0.05 -to 0.9 -points 12       # one curve
 //	minsim saturate -cache results/cache      # bisected saturation matrix
 //	minsim topo -net bmin -k 2 -stages 3 route 1 5   # Theorem 1's paths
+//	minsim figures -id fig18a -csv                # one paper panel
 //
 // The flags parse through the spec vocabulary of the JSON experiment
 // schema (experiments.ParseNetworkSpec, experiments.ParseWorkloadSpec),
@@ -18,6 +19,8 @@ import (
 	"io"
 	"math"
 	"os"
+	"runtime"
+	"runtime/pprof"
 	"strconv"
 	"strings"
 
@@ -32,6 +35,7 @@ commands:
   sweep     simulate an offered-load sweep and print its curve
   saturate  bisect the maximum sustainable load of each network and pattern
   topo      inspect a topology: wiring, routes, partitions, cost
+  figures   regenerate the paper's figures and the extension experiments
 "minsim <command> -h" lists a command's flags`
 
 // commands maps each subcommand to its entry point, which writes its
@@ -44,11 +48,18 @@ var commands = map[string]func(args []string, stdout, stderr io.Writer) error{
 	"sweep":    sweep,
 	"saturate": saturate,
 	"topo":     topo,
+	"figures":  figures,
 }
 
 // errFlags marks a command line that the flag package has already
 // reported, with the command's flag listing.
 var errFlags = errors.New("bad flags")
+
+// usageError is a command line a command refuses before it runs; minsim
+// prints it as it is and exits 2.
+type usageError string
+
+func (e usageError) Error() string { return string(e) }
 
 func main() {
 	os.Exit(minsim(os.Args[1:], os.Stdout, os.Stderr))
@@ -67,7 +78,7 @@ func minsim(args []string, stdout, stderr io.Writer) int {
 		return 0
 	case errors.Is(err, errFlags):
 		return 2
-	case errors.Is(err, errTopoUsage):
+	case errors.As(err, new(usageError)):
 		fmt.Fprintln(stderr, err)
 		return 2
 	default:
@@ -161,7 +172,7 @@ func addBudgetFlags(fs *flag.FlagSet, per string, seed uint64) *budget {
 
 // check refuses what simd refuses: a negative budget, and one whose
 // total cycle count wraps.
-func (b *budget) check() error {
+func (b budget) check() error {
 	if b.warmup < 0 || b.measure < 0 {
 		return errors.New("negative cycle budget")
 	}
@@ -187,4 +198,43 @@ func withStore(opts simrun.Options, dir string) (simrun.Options, error) {
 		opts.Store = store
 	}
 	return opts, err
+}
+
+// startProfiles begins CPU profiling into cpuPath and arranges for a
+// heap profile to be written to memPath; either path may be empty to
+// skip that profile. The returned stop, deferred by the command, ends
+// both profiles on every return, an error's included, so hot-path work
+// is measurable without editing code:
+//
+//	minsim sweep -cpuprofile cpu.out ... && go tool pprof -top cpu.out
+func startProfiles(cpuPath, memPath string, stderr io.Writer) (stop func(), err error) {
+	var cpuFile *os.File
+	if cpuPath != "" {
+		cpuFile, err = os.Create(cpuPath)
+		if err != nil {
+			return nil, fmt.Errorf("cpuprofile: %w", err)
+		}
+		if err := pprof.StartCPUProfile(cpuFile); err != nil {
+			cpuFile.Close()
+			return nil, fmt.Errorf("cpuprofile: %w", err)
+		}
+	}
+	return func() {
+		if cpuFile != nil {
+			pprof.StopCPUProfile()
+			cpuFile.Close()
+		}
+		if memPath != "" {
+			f, err := os.Create(memPath)
+			if err != nil {
+				fmt.Fprintf(stderr, "memprofile: %v\n", err)
+				return
+			}
+			defer f.Close()
+			runtime.GC() // get up-to-date allocation statistics
+			if err := pprof.Lookup("heap").WriteTo(f, 0); err != nil {
+				fmt.Fprintf(stderr, "memprofile: %v\n", err)
+			}
+		}
+	}, nil
 }

@@ -2,7 +2,9 @@ package main
 
 import (
 	"bytes"
+	"compress/gzip"
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -186,15 +188,21 @@ func TestBMINDefault(t *testing.T) {
 	}
 }
 
-// TestRunRejectsBadCommandLines: the dispatcher and run, sweep and
-// saturate refuse what they cannot run with a non-zero exit and, where
-// the case names one, a message naming the fault (topo's refusals are
-// TestTopoRejectsBadCommandLines). A sweep refused for its budget writes
-// nothing to its store, and one that fails after starting its profiles
-// still finishes both.
+// TestRunRejectsBadCommandLines: the dispatcher and run, sweep,
+// saturate and figures refuse what they cannot run with a non-zero exit
+// and, where the case names one, a message naming the fault (topo's
+// refusals are TestTopoRejectsBadCommandLines). A sweep or figures run
+// refused for its budget writes nothing to its store, and one that
+// fails after starting its profiles still finishes both.
 func TestRunRejectsBadCommandLines(t *testing.T) {
 	dir := t.TempDir()
-	cache, cpu, mem := filepath.Join(dir, "cache"), filepath.Join(dir, "cpu.out"), filepath.Join(dir, "mem.out")
+	cache := filepath.Join(dir, "cache")
+	var profiles []string
+	profileFlags := func(cmd string) []string {
+		cpu, mem := filepath.Join(dir, cmd+"-cpu.out"), filepath.Join(dir, cmd+"-mem.out")
+		profiles = append(profiles, cpu, mem)
+		return []string{"-cpuprofile", cpu, "-memprofile", mem}
+	}
 	const maxInt64 = "9223372036854775807"
 	for _, c := range []struct {
 		args []string
@@ -217,7 +225,7 @@ func TestRunRejectsBadCommandLines(t *testing.T) {
 		{[]string{"sweep", "-points", "2", "-measure", "-1", "-cache", cache}, "negative cycle budget"},
 		{[]string{"sweep", "-points", "2", "-warmup", "-1"}, "negative cycle budget"},
 		{[]string{"sweep", "-points", "2", "-warmup", "1", "-measure", maxInt64}, "cycle budget"},
-		{[]string{"sweep", "-cpuprofile", cpu, "-memprofile", mem, "-maxlen", "0"}, ""},
+		{append([]string{"sweep", "-maxlen", "0"}, profileFlags("sweep")...), ""},
 		{[]string{"sweep", "-from", "0.9", "-to", "0.1"}, ""},
 		{[]string{"sweep", "-points", "2", "-warmup", "10", "-measure", "10", "-replicas", "-3", "-cache", cache}, "negative replicas"},
 		{[]string{"sweep", "-points", "2", "-warmup", "10", "-measure", "10", "-procs", "-1", "-cache", cache}, "negative procs"},
@@ -225,17 +233,45 @@ func TestRunRejectsBadCommandLines(t *testing.T) {
 		{[]string{"saturate", "-measure", "-1"}, "negative cycle budget"},
 		{[]string{"saturate", "-warmup", maxInt64, "-measure", "1"}, "cycle budget"},
 		{[]string{"saturate", "-tol", "0"}, ""},
+
+		{[]string{"figures", "-nosuchflag"}, ""},
+		{[]string{"figures", "-id", "fig16a", "-quick", "-measure", "-5", "-cache", cache}, "negative cycle budget"},
+		{[]string{"figures", "-id", "fig16a", "-quick", "-warmup", "-5", "-cache", cache}, "negative cycle budget"},
+		{[]string{"figures", "-id", "fig16a", "-warmup", maxInt64, "-cache", cache}, "cycle budget"},
+		{[]string{"figures", "-id", "fig16a", "-quick", "-replicas", "-3", "-cache", cache}, "negative replicas"},
+		{[]string{"figures", "-id", "fig16a", "-quick", "-procs", "-2", "-cache", cache}, "negative procs"},
+		{[]string{"figures", "-file", filepath.Join(dir, "missing.json"), "-cache", cache}, "missing.json"},
+		{append([]string{"figures", "-id", "bogus", "-cache", cache}, profileFlags("figures")...), `unknown experiment "bogus"`},
 	} {
 		refuses(t, c.args, c.want)
 	}
 	if entries, _ := os.ReadDir(cache); len(entries) > 0 {
-		t.Errorf("a refused sweep wrote %d store entries", len(entries))
+		t.Errorf("a refused command wrote %d store entries", len(entries))
 	}
-	for _, f := range []string{cpu, mem} {
-		if st, err := os.Stat(f); err != nil || st.Size() == 0 {
-			t.Errorf("a failed sweep left profile %s empty or missing (%v)", f, err)
+	for _, f := range profiles {
+		if err := completeProfile(f); err != nil {
+			t.Errorf("a failed command left profile %s incomplete: %v", f, err)
 		}
 	}
+}
+
+// completeProfile checks that path holds a whole pprof profile: a
+// gzip stream that decodes to its end.
+func completeProfile(path string) error {
+	f, err := os.Open(path)
+	if err != nil {
+		return err
+	}
+	defer f.Close()
+	z, err := gzip.NewReader(f)
+	if err != nil {
+		return err
+	}
+	n, err := io.Copy(io.Discard, z)
+	if err == nil && n == 0 {
+		err = errors.New("empty profile")
+	}
+	return err
 }
 
 // refuses checks that minsim exits non-zero on args, names want on
@@ -255,7 +291,7 @@ func refuses(t *testing.T, args []string, want string) {
 // and usage strings — are those of the binary it replaced, recorded
 // from that binary's -h (without its "Usage of" line) in testdata.
 func TestFlagSetsPinned(t *testing.T) {
-	for _, cmd := range []string{"run", "sweep", "saturate", "topo"} {
+	for _, cmd := range []string{"run", "sweep", "saturate", "topo", "figures"} {
 		var stderr bytes.Buffer
 		if code := minsim([]string{cmd, "-h"}, io.Discard, &stderr); code != 0 {
 			t.Errorf("minsim %s -h: exit %d", cmd, code)

@@ -18,7 +18,7 @@ import (
 // load of each paper network (experiments.PaperSpecs) under each
 // standard pattern (experiments.StandardWorkloads), plus -adversarial
 // and -bursty columns — the paper's results at a glance. Every probe is
-// a keyed point, so -cache DIR shares the figures tool's store; a
+// a keyed point, so -cache DIR shares minsim figures' store; a
 // stderr line counts the probes.
 func saturate(args []string, w, stderr io.Writer) error {
 	fs := flag.NewFlagSet("saturate", flag.ContinueOnError)

@@ -10,7 +10,6 @@ import (
 	"os/signal"
 	"syscall"
 
-	"minsim/internal/cli"
 	"minsim/internal/experiments"
 	"minsim/internal/simrun"
 )
@@ -53,7 +52,7 @@ func sweep(args []string, w, stderr io.Writer) error {
 		return errors.New("negative procs")
 	}
 
-	stopProfiles, err := cli.StartProfiles(*cpuprofile, *memprofile)
+	stopProfiles, err := startProfiles(*cpuprofile, *memprofile, stderr)
 	if err != nil {
 		return err
 	}

@@ -23,7 +23,7 @@ commands:
   cost                     hardware-cost comparison of the four families`
 
 // errTopoUsage reports a topo command line that names no known command.
-var errTopoUsage = errors.New(topoUsageText)
+const errTopoUsage = usageError(topoUsageText)
 
 // topo executes one `minsim topo` command line, which inspects a
 // topology without simulating it: dump is the textual analogue of the

@@ -3,7 +3,7 @@
 // partitionability, Section 3's turnaround routing and the closed-form
 // models. Each builds networks from simrun specs and simulates through
 // simrun plans, so its numbers are the points `minsim sweep` and
-// cmd/figures compute and cache for the same specs; go test checks
+// `minsim figures` compute and cache for the same specs; go test checks
 // every line it prints.
 package minsim_test
 

@@ -1,3 +1,5 @@
+// Package cli holds the flags and serving shell that cmd/simd and
+// cmd/simfleet share.
 package cli
 
 import (

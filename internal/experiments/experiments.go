@@ -232,16 +232,3 @@ func RunAll(ctx context.Context, exps []Experiment, b Budget, opts simrun.Option
 	}
 	return figs, nil
 }
-
-// Run executes every curve of the experiment on a worker pool.
-// Results are deterministic regardless of scheduling because every
-// point derives its own seed. No cache is consulted — callers that
-// want cached, cross-figure-deduplicated execution use RunAll (or
-// AddToPlan on a shared plan) instead.
-func (e Experiment) Run(b Budget) (metrics.Figure, error) {
-	figs, err := RunAll(context.Background(), []Experiment{e}, b, simrun.Options{})
-	if err != nil {
-		return metrics.Figure{ID: e.ID, Title: e.Title}, err
-	}
-	return figs[0], nil
-}

@@ -138,7 +138,7 @@ func TestSpecStrings(t *testing.T) {
 func TestRunTinyExperiment(t *testing.T) {
 	e, _ := ByID("fig16a")
 	e.Loads = []float64{0.1, 0.3}
-	fig, err := e.Run(Budget{WarmupCycles: 1000, MeasureCycles: 5000, Seed: 3})
+	fig, err := runAlone(e, Budget{WarmupCycles: 1000, MeasureCycles: 5000, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +168,7 @@ func TestShapeFig16a(t *testing.T) {
 	}
 	e, _ := ByID("fig16a")
 	e.Loads = []float64{0.3}
-	fig, err := e.Run(Budget{WarmupCycles: 5000, MeasureCycles: 30000, Seed: 4})
+	fig, err := runAlone(e, Budget{WarmupCycles: 5000, MeasureCycles: 30000, Seed: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +187,7 @@ func TestShapeFig18a(t *testing.T) {
 	}
 	e, _ := ByID("fig18a")
 	e.Loads = []float64{0.45}
-	fig, err := e.Run(Budget{WarmupCycles: 5000, MeasureCycles: 30000, Seed: 5})
+	fig, err := runAlone(e, Budget{WarmupCycles: 5000, MeasureCycles: 30000, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,7 +211,7 @@ func TestShapeFig16b(t *testing.T) {
 	}
 	e, _ := ByID("fig16b")
 	e.Loads = []float64{0.4}
-	fig, err := e.Run(Budget{WarmupCycles: 5000, MeasureCycles: 30000, Seed: 6})
+	fig, err := runAlone(e, Budget{WarmupCycles: 5000, MeasureCycles: 30000, Seed: 6})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -66,7 +66,7 @@ func TestParseJSONRunsEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	e.Loads = []float64{0.1}
-	fig, err := e.Run(Budget{WarmupCycles: 500, MeasureCycles: 3000, Seed: 1})
+	fig, err := runAlone(e, Budget{WarmupCycles: 500, MeasureCycles: 3000, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +154,7 @@ func TestParseJSONNewKinds(t *testing.T) {
 	if e.Curves[3].Work.Pattern.Kind != Adversarial || e.Curves[3].Work.Pattern.AdvIters != 256 {
 		t.Errorf("adversarial pattern wrong: %+v", e.Curves[3].Work.Pattern)
 	}
-	fig, err := e.Run(Budget{WarmupCycles: 500, MeasureCycles: 3000, Seed: 1})
+	fig, err := runAlone(e, Budget{WarmupCycles: 500, MeasureCycles: 3000, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

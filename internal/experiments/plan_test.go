@@ -7,13 +7,14 @@ import (
 	"runtime"
 	"testing"
 
+	"minsim/internal/metrics"
 	"minsim/internal/simrun"
 	"minsim/internal/topology"
 )
 
 // TestCrossFigureDedup registers two figure panels that share a curve
 // on one plan and checks the shared load points execute once: the
-// whole reason the figures binary assembles a single plan instead of
+// whole reason `minsim figures` assembles a single plan instead of
 // running panels independently.
 func TestCrossFigureDedup(t *testing.T) {
 	tiny := NetworkSpec{Kind: topology.TMIN, K: 4, Stages: 2}
@@ -69,26 +70,34 @@ func TestCrossFigureDedup(t *testing.T) {
 	}
 }
 
-// TestRunAllMatchesRun checks the batched plan path returns exactly
-// what the per-experiment path returns — dedup and scheduling must
-// never change results.
+// runAlone executes e as a plan of its own, without a store.
+func runAlone(e Experiment, b Budget) (metrics.Figure, error) {
+	figs, err := RunAll(context.Background(), []Experiment{e}, b, simrun.Options{})
+	if err != nil {
+		return metrics.Figure{}, err
+	}
+	return figs[0], nil
+}
+
+// TestRunAllMatchesRun checks that a figure batched on one plan with
+// another that shares its points, on a pool of workers, is exactly the
+// figure run alone — dedup and scheduling must never change results.
 func TestRunAllMatchesRun(t *testing.T) {
 	tiny := NetworkSpec{Kind: topology.TMIN, K: 4, Stages: 2}
-	e := Experiment{
-		ID: "x", Title: "x", Loads: []float64{0.1, 0.3},
-		Curves: []Curve{{Label: "u", Net: tiny, Work: WorkloadSpec{Cluster: Global, Pattern: PatternSpec{Kind: Uniform}}}},
-	}
+	uniform := Curve{Label: "u", Net: tiny, Work: WorkloadSpec{Cluster: Global, Pattern: PatternSpec{Kind: Uniform}}}
+	e := Experiment{ID: "x", Title: "x", Loads: []float64{0.1, 0.3}, Curves: []Curve{uniform}}
+	other := Experiment{ID: "y", Title: "y", Loads: []float64{0.3, 0.5}, Curves: []Curve{uniform}}
 	b := Budget{WarmupCycles: 200, MeasureCycles: 1000, Seed: 9}
-	single, err := e.Run(b)
+	single, err := runAlone(e, b)
 	if err != nil {
 		t.Fatal(err)
 	}
-	batched, err := RunAll(context.Background(), []Experiment{e}, b, simrun.Options{})
+	batched, err := RunAll(context.Background(), []Experiment{other, e}, b, simrun.Options{Workers: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(single, batched[0]) {
-		t.Errorf("RunAll result differs from Run:\n%+v\nvs\n%+v", single, batched[0])
+	if !reflect.DeepEqual(single, batched[1]) {
+		t.Errorf("batched figure differs from the figure run alone:\n%+v\nvs\n%+v", single, batched[1])
 	}
 }
 

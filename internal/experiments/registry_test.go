@@ -20,7 +20,7 @@ var update = flag.Bool("update", false, "rewrite testdata/registry.digests from 
 
 const registryDigests = "testdata/registry.digests"
 
-// registryBudget is what `figures -quick -extensions -warmup 100
+// registryBudget is what `minsim figures -quick -extensions -warmup 100
 // -measure 300 -seed 777` runs: QuickBudget cut short enough that the
 // whole registry (848 unique points) simulates in well under a second.
 var registryBudget = func() Budget {

@@ -19,7 +19,7 @@ import (
 const pinnedWireDigest = "08be1d2bf7a311e0"
 
 // registryUnits is every point of the paper figures and extensions as
-// `figures -quick -extensions -warmup 100 -measure 300 -seed 777`
+// `minsim figures -quick -extensions -warmup 100 -measure 300 -seed 777`
 // requests it, duplicates included, as the unit a coordinator leases.
 func registryUnits(t testing.TB) []Unit {
 	t.Helper()

@@ -12,7 +12,7 @@ import (
 // RunRequest is the JSON body of POST /v1/run and POST /v1/jobs. It
 // speaks the repo's existing experiment vocabulary: named paper
 // figures and extensions by id, and/or inline custom experiments in
-// the exact schema cmd/figures -file accepts (experiments.ParseJSON).
+// the exact schema `minsim figures -file` accepts (experiments.ParseJSON).
 //
 //	{
 //	  "figures": ["fig16a", "ext-cluster32"],

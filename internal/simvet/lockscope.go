@@ -63,13 +63,15 @@ func checkLockedSections(ix *index, fn *types.Func, reportf reportFunc) {
 	fd := ix.decls[fn]
 	blockok := ix.stmtDirectives(ix.files[fn], "simvet:blockok")
 
+	reportHit := func(hit blockHit, held map[string]bool) {
+		pos := ix.Fset.Position(hit.pos)
+		if !directiveAt(blockok, pos.Line) {
+			reportf(pos, "blocking operation (%s) in %s while holding %s; shrink the critical section, or annotate //simvet:blockok with the justification", hit.why, fd.Name.Name, heldNames(held))
+		}
+	}
 	report := func(n ast.Node, held map[string]bool) {
 		for _, hit := range ix.scanBlockingOps(n, true) {
-			pos := ix.Fset.Position(hit.pos)
-			if directiveAt(blockok, pos.Line) {
-				continue
-			}
-			reportf(pos, "blocking operation (%s) in %s while holding %s; shrink the critical section, or annotate //simvet:blockok with the justification", hit.why, fd.Name.Name, heldNames(held))
+			reportHit(hit, held)
 		}
 	}
 	reportExprs := func(held map[string]bool, exprs ...ast.Node) {
@@ -120,11 +122,11 @@ func checkLockedSections(ix *index, fn *types.Func, reportf reportFunc) {
 				reportExprs(held, s.Init, s.Cond, s.Post)
 				walk(s.Body.List, copyHeld(held))
 			case *ast.RangeStmt:
-				if len(held) > 0 {
-					if t := ix.Info.Types[s.X].Type; t != nil {
-						if _, isChan := t.Underlying().(*types.Chan); isChan {
-							report(s.X, held)
-						}
+				// Each iteration receives; the loop itself is the
+				// blocking operation, which scanning s.X cannot see.
+				if t := ix.Info.Types[s.X].Type; len(held) > 0 && t != nil {
+					if _, isChan := t.Underlying().(*types.Chan); isChan {
+						reportHit(blockHit{s.Pos(), "range over channel"}, held)
 					}
 				}
 				reportExprs(held, s.X)

@@ -1,7 +1,8 @@
 // Package server exercises every lockscope rule: direct channel ops
 // and interface I/O under a lock, an interface method annotated
 // //simvet:blocking, a cross-package blocking call resolved through
-// facts, the defaulted-select exemption, goroutine
+// the callee's blocking summary, a range over a channel, the
+// defaulted-select exemption, goroutine
 // and closure scoping, and the //simvet:blockok escape hatch.
 package server
 
@@ -27,7 +28,7 @@ func (h *Hub) SendLocked(v int) {
 }
 
 // FlushLocked calls into simrun while locked; the callee's blocking
-// fact crosses the package boundary.
+// summary crosses the package boundary.
 func (h *Hub) FlushLocked(path string) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -35,7 +36,7 @@ func (h *Hub) FlushLocked(path string) {
 }
 
 // PeekLocked reads a file on a bare descriptor through simrun while
-// locked; raw syscalls are disk I/O too, and the fact says so.
+// locked; raw syscalls are disk I/O too, and the summary says so.
 func (h *Hub) PeekLocked(path string, buf []byte) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -97,6 +98,17 @@ func (h *Hub) WaitLocked() int {
 	case v := <-h.ch: // want `blocking operation \(channel receive\) in WaitLocked while holding h.mu`
 		return v
 	}
+}
+
+// DrainLocked ranges over a channel while holding the lock; every
+// iteration is a receive.
+func (h *Hub) DrainLocked() (n int) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	for v := range h.ch { // want `blocking operation \(range over channel\) in DrainLocked while holding h.mu`
+		n += v
+	}
+	return n
 }
 
 // Branchy holds the lock only into the true branch; the receive there

@@ -10,7 +10,6 @@ import (
 
 	"minsim/internal/engine"
 	"minsim/internal/topology"
-	"minsim/internal/xrand"
 )
 
 // MessageRecord is one delivered message.
@@ -24,67 +23,17 @@ func (m MessageRecord) Latency() int64 { return m.Delivered - m.Created }
 
 // Recorder collects MessageRecords. Install with
 // engine.Config{OnDeliver: rec.OnDeliver}. The zero value records
-// every delivery unboundedly; set Limit to cap retention on large-N
-// runs, and Sample to turn the cap into a uniform reservoir over the
-// whole run instead of a keep-first prefix.
+// every delivery, in delivery order.
 type Recorder struct {
 	Records []MessageRecord
-	// Limit caps len(Records); 0 means unbounded. With Sample false the
-	// first Limit deliveries are kept and the rest dropped.
-	Limit int
-	// Sample selects reservoir mode: with Limit > 0, every delivery of
-	// the run is retained with equal probability Limit/deliveries.
-	// Records order is then arbitrary, not delivery order.
-	Sample bool
-	// Seed drives the reservoir's PRNG; the same (Seed, delivery
-	// stream) always retains the same sample.
-	Seed uint64
-
-	seen int64 // deliveries observed, including ones the cap dropped
-	rng  *xrand.Source
-}
-
-// Reserve pre-sizes the record buffer for n further deliveries so a
-// run with a known message budget does not pay repeated growth
-// copies. With Limit set, the buffer never grows past it.
-func (r *Recorder) Reserve(n int) {
-	if r.Limit > 0 && n > r.Limit {
-		n = r.Limit
-	}
-	if need := len(r.Records) + n; need > cap(r.Records) {
-		grown := make([]MessageRecord, len(r.Records), need)
-		copy(grown, r.Records)
-		r.Records = grown
-	}
 }
 
 // OnDeliver is the engine callback.
 func (r *Recorder) OnDeliver(m engine.Message, completed int64) {
-	r.seen++
-	rec := MessageRecord{
+	r.Records = append(r.Records, MessageRecord{
 		Src: m.Src, Dst: m.Dst, Len: m.Len,
 		Created: m.Created, Delivered: completed,
-	}
-	if r.Limit <= 0 {
-		r.Records = append(r.Records, rec)
-		return
-	}
-	if len(r.Records) < r.Limit {
-		r.Reserve(r.Limit - len(r.Records))
-		r.Records = append(r.Records, rec)
-		return
-	}
-	if !r.Sample {
-		return
-	}
-	// Algorithm R: the i-th delivery replaces a random slot with
-	// probability Limit/i, giving every delivery equal retention odds.
-	if r.rng == nil {
-		r.rng = xrand.New(r.Seed ^ 0x7ace5eed0b5e53a1)
-	}
-	if j := r.rng.Intn(int(r.seen)); j < r.Limit {
-		r.Records[j] = rec
-	}
+	})
 }
 
 // CSV renders all records with a header.

@@ -58,6 +58,23 @@ func TestRecorder(t *testing.T) {
 	}
 }
 
+// TestRecorderUnboundedDefault: the zero Recorder keeps every
+// delivery, in delivery order.
+func TestRecorderUnboundedDefault(t *testing.T) {
+	var r Recorder
+	for i := 0; i < 250; i++ {
+		r.OnDeliver(engine.Message{Src: i % 7, Dst: (i + 1) % 7, Len: 8, Created: int64(i)}, int64(i+50))
+	}
+	if len(r.Records) != 250 {
+		t.Fatalf("kept %d records, want 250", len(r.Records))
+	}
+	for i, m := range r.Records {
+		if m.Created != int64(i) || m.Latency() != 50 {
+			t.Fatalf("record %d is %+v, want delivery %d", i, m, i)
+		}
+	}
+}
+
 func TestEmptyRecorder(t *testing.T) {
 	var rec Recorder
 	if strings.Count(rec.CSV(), "\n") != 1 {
