@@ -9,7 +9,6 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
-	"sync"
 	"syscall"
 	"time"
 
@@ -198,13 +197,10 @@ func figures(args []string, w, stderr io.Writer) error {
 
 // progressPrinter returns a simrun progress callback that rewrites one
 // stderr status line with counts and an ETA extrapolated from the
-// average per-simulation wall time so far. Workers call it
-// concurrently, so it writes under a lock of its own.
+// average per-simulation wall time so far. The plan serializes its
+// calls.
 func progressPrinter(start time.Time, stderr io.Writer) func(simrun.Counters) {
-	var mu sync.Mutex
 	return func(c simrun.Counters) {
-		mu.Lock()
-		defer mu.Unlock()
 		line := fmt.Sprintf("\r%d/%d done (%d cached, %d simulated, %d running)",
 			c.Done, c.Unique, c.Cached, c.Executed, c.Running)
 		if c.Executed > 0 && c.Done < c.Unique {

@@ -1,14 +1,13 @@
 // Command simvet runs the simulator's custom static-analysis suite
-// (package internal/simvet): four analyzers — keypurity, wirestable,
-// lockscope, ctxflow — over the module loaded as one program, guarding
-// the content-addressed cache-key paths, the committed wire schema
-// (docs/wire.lock), mutex critical sections and context
-// responsiveness. The whole module is always analyzed; the package
+// (package internal/simvet): two analyzers — keypurity and wirestable
+// — over the module loaded as one program, guarding the
+// content-addressed cache-key paths and the committed wire schema
+// (docs/wire.lock). The whole module is always analyzed; the package
 // patterns only select which diagnostics are shown.
 //
 // Usage:
 //
-//	simvet [-run keypurity,lockscope] [-json] [-writewire] [packages]
+//	simvet [-run keypurity,wirestable] [-json] [-writewire] [packages]
 //
 // Packages default to ./... (the whole module). Patterns are matched
 // against import paths: "./..." selects everything, "./internal/engine"

@@ -573,8 +573,6 @@ func (e *Engine) SetMeasureFrom(cycle int64) { e.measureFrom = cycle }
 // calls (see simrun's cancelQuantum legs). Chunking changes nothing:
 // idle-skip credits are additive over adjacent legs, so several Runs
 // accumulate exactly the Stats one Run over their sum would.
-//
-//simvet:blocking — compute proportional to cycles, no cancellation point
 func (e *Engine) Run(cycles int64) {
 	target := e.now + cycles
 	for e.now < target {
@@ -590,8 +588,6 @@ func (e *Engine) Run(cycles int64) {
 // It returns true if the network drained. Like Run, it fast-forwards
 // over provably idle stretches. Compute is bounded only by maxCycles;
 // callers chunk for cancellation latency.
-//
-//simvet:blocking — compute bounded only by maxCycles
 func (e *Engine) RunUntilDrained(maxCycles int64) bool {
 	target := e.now + maxCycles
 	for e.now < target {

@@ -179,7 +179,6 @@ type FigureHandle struct {
 // cache-backed invocations execute once.
 func AddToPlan(p *simrun.Plan, e Experiment, b Budget) *FigureHandle {
 	fh := &FigureHandle{exp: e, handles: make([]*simrun.Handle, len(e.Curves))}
-	//simvet:bounded — plan assembly over the experiment's fixed curve list; Key's one-time fingerprint costs milliseconds
 	for i, c := range e.Curves {
 		fh.handles[i] = p.AddSweep(simrun.SweepSpec{
 			Net:         c.Net,

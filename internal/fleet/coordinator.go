@@ -146,7 +146,7 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 // then blocks until all are delivered or ctx is cancelled. report is
 // invoked under the coordinator mutex, so it must not call back into
 // the coordinator — the plan layer's callback only touches plan
-// state, which satisfies that.
+// state and its Progress callback, which satisfies that.
 func (c *Coordinator) Dispatch(ctx context.Context, units []simrun.DispatchUnit, report func(i int, pt metrics.Point, executed bool, err error)) error {
 	if len(units) == 0 {
 		return nil
@@ -191,7 +191,6 @@ func (c *Coordinator) Dispatch(ctx context.Context, units []simrun.DispatchUnit,
 // deliverLocked notifies every subscriber of a finished unit and
 // updates dispatch completion state. Caller holds c.mu.
 func (c *Coordinator) deliverLocked(u *unit, pt metrics.Point, executed bool, err error) {
-	//simvet:bounded — one entry per concurrently dispatching job
 	for _, s := range u.subs {
 		if s.owner.cancelled {
 			continue
@@ -246,7 +245,6 @@ func (c *Coordinator) expireLocked(now time.Time) (next time.Time) {
 		if w, ok := c.workers[l.workerID]; ok {
 			w.activeLeases--
 		}
-		//simvet:bounded — at most ChunkSize units per lease
 		for _, u := range l.units {
 			if u.done {
 				continue
@@ -306,11 +304,8 @@ const drainWaitMs = 1000
 // expiry passes (the sweep that follows requeues a dead worker's
 // units to this very call), ctx ends or leaseHold runs out. An empty
 // reply without WaitMs means "ask again now".
-//
-//simvet:ctxbound
 func (c *Coordinator) grantLease(ctx context.Context, workerID string) (LeaseResponse, error) {
 	var hold <-chan time.Time // started by the first park: a call that grants at once pays for no timer
-	//simvet:blocking — one iteration per wake-up, each observing ctx and the hold
 	for {
 		resp, wake, expired, err := c.tryGrant(workerID)
 		if wake == nil {
@@ -428,7 +423,6 @@ func (c *Coordinator) complete(req CompleteRequest) {
 		}
 	}
 	w := c.workers[req.WorkerID] // nil for a forgotten worker; counters just drop
-	//simvet:bounded — at most ChunkSize results per completion
 	for _, res := range req.Results {
 		u, ok := c.byKey[res.Key]
 		if !ok || u.done {

@@ -2,9 +2,11 @@ package fleet
 
 import (
 	"context"
+	"io"
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -341,5 +343,90 @@ func TestCompletionWriteThroughRepairsStore(t *testing.T) {
 	}
 	if _, ok := store.Get(lr.Units[0].Key); !ok {
 		t.Fatal("completed unit's result missing from the shared store")
+	}
+}
+
+// returns runs call on a goroutine and waits for it through recv.
+func returns(t testing.TB, call func()) {
+	t.Helper()
+	done := make(chan struct{})
+	go func() { call(); close(done) }()
+	recv(t, done)
+}
+
+// parkingStore is a shared store whose first Get or Put after arm
+// announces itself on parked and then waits until release is closed.
+type parkingStore struct {
+	simrun.Store
+	armed   atomic.Bool
+	parked  chan struct{}
+	release chan struct{}
+}
+
+func (s *parkingStore) park() {
+	if s.armed.CompareAndSwap(true, false) {
+		close(s.parked)
+		<-s.release
+	}
+}
+
+func (s *parkingStore) Get(key string) (metrics.Point, bool) { s.park(); return s.Store.Get(key) }
+
+func (s *parkingStore) Put(key, spec string, p metrics.Point) { s.park(); s.Store.Put(key, spec, p) }
+
+// TestCoordinatorStoreIOLeavesTheLockFree parks the shared store
+// inside complete's write-through repair, a worker's storeGet and a
+// worker's storePut in turn. While it is parked, a heartbeat, a lease
+// attempt, a registration and a /metrics render must all return: the
+// coordinator's mutex guards every worker's lease path, so store I/O
+// under it would stall the whole fleet behind one slow disk.
+func TestCoordinatorStoreIOLeavesTheLockFree(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		io   func(c *Coordinator, workerID string, lr LeaseResponse)
+	}{
+		{"repair", func(c *Coordinator, workerID string, lr LeaseResponse) {
+			c.complete(CompleteRequest{WorkerID: workerID, LeaseID: lr.LeaseID, Results: leaseResults(lr)})
+		}},
+		{"storeGet", func(c *Coordinator, _ string, lr LeaseResponse) { c.storeGet(lr.Units[0].Key) }},
+		{"storePut", func(c *Coordinator, _ string, lr LeaseResponse) {
+			c.storePut(lr.Units[0].Key, "spec", metrics.Point{Offered: 0.1})
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			disk, err := simrun.NewStore(t.TempDir())
+			if err != nil {
+				t.Fatal(err)
+			}
+			store := &parkingStore{Store: disk, parked: make(chan struct{}), release: make(chan struct{})}
+			var once sync.Once
+			release := func() { once.Do(func() { close(store.release) }) }
+			defer release()
+			c, _ := testCoordinator(t, Config{Store: store, ChunkSize: 1, LeaseTTL: 10 * time.Second})
+			w1 := c.register("w1")
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			dispatchAsync(c, ctx, testUnits(t, 2), newSink())
+			lr, _ := tryLease(c, w1.WorkerID)
+			held, _ := tryLease(c, w1.WorkerID)
+			if len(lr.Units) != 1 || len(held.Units) != 1 {
+				t.Fatalf("leases %+v and %+v, want one unit each", lr, held)
+			}
+
+			store.armed.Store(true)
+			ioDone := make(chan struct{})
+			go func() { tc.io(c, w1.WorkerID, lr); close(ioDone) }()
+			recv(t, store.parked)
+			returns(t, func() {
+				if !c.heartbeat(w1.WorkerID, held.LeaseID) {
+					t.Error("heartbeat lost a live lease")
+				}
+			})
+			returns(t, func() { tryLease(c, w1.WorkerID) })
+			returns(t, func() { c.register("w2") })
+			returns(t, func() { c.WriteMetrics(io.Discard) })
+			release()
+			recv(t, ioDone)
+		})
 	}
 }

@@ -120,11 +120,8 @@ func sleepCtx(ctx context.Context, d time.Duration) {
 
 // register joins the fleet, retrying with backoff until it succeeds
 // or ctx ends — a worker booted before its coordinator just waits.
-//
-//simvet:ctxbound
 func (w *Worker) register(ctx context.Context) (RegisterResponse, error) {
 	backoff := 200 * time.Millisecond
-	//simvet:blocking — retries until the coordinator appears or ctx ends
 	for {
 		if err := ctx.Err(); err != nil {
 			return RegisterResponse{}, err
@@ -145,15 +142,12 @@ func (w *Worker) register(ctx context.Context) (RegisterResponse, error) {
 // wait inside — registration backoff, held lease calls, heartbeats,
 // the simulations themselves — observes ctx, so shutdown latency is
 // one cancellation quantum, not one lease.
-//
-//simvet:ctxbound
 func (w *Worker) Run(ctx context.Context) error {
 	reg, err := w.register(ctx)
 	if err != nil {
 		return err
 	}
 	ttl := time.Duration(reg.LeaseTTLMs) * time.Millisecond
-	//simvet:blocking — the worker's whole life: lease until ctx ends
 	for {
 		if err := ctx.Err(); err != nil {
 			return err
@@ -190,8 +184,6 @@ func (w *Worker) Run(ctx context.Context) error {
 // fresh result, then one complete call. Losing
 // the heartbeat cancels the simulations and abandons the chunk — the
 // coordinator has already requeued it.
-//
-//simvet:ctxbound
 func (w *Worker) runLease(ctx context.Context, workerID string, lr LeaseResponse, ttl time.Duration) {
 	leaseCtx, cancelLease := context.WithCancel(ctx)
 	defer cancelLease()
@@ -201,7 +193,6 @@ func (w *Worker) runLease(ctx context.Context, workerID string, lr LeaseResponse
 	plan := simrun.NewPlan()
 	results := make([]UnitResult, len(lr.Units))
 	handles := make([]*simrun.Handle, len(lr.Units))
-	//simvet:bounded — at most the coordinator's chunk size
 	for i, u := range lr.Units {
 		results[i] = UnitResult{Key: u.Key}
 		rs, err := DecodeSpec(u.Spec)
@@ -229,7 +220,6 @@ func (w *Worker) runLease(ctx context.Context, workerID string, lr LeaseResponse
 		return
 	}
 
-	//simvet:bounded — at most the coordinator's chunk size
 	for i, h := range handles {
 		if h == nil {
 			w.failedUnits.Add(1)
@@ -254,8 +244,6 @@ func (w *Worker) runLease(ctx context.Context, workerID string, lr LeaseResponse
 
 // heartbeatLoop keeps the lease alive at ttl/3 until leaseCtx ends;
 // a definitive 410 records the lease as lost and cancels execution.
-//
-//simvet:ctxbound
 func (w *Worker) heartbeatLoop(leaseCtx context.Context, cancelLease context.CancelFunc, workerID, leaseID string, ttl time.Duration, done chan<- struct{}) {
 	defer close(done)
 	interval := ttl / 3
@@ -264,7 +252,6 @@ func (w *Worker) heartbeatLoop(leaseCtx context.Context, cancelLease context.Can
 	}
 	t := time.NewTicker(interval)
 	defer t.Stop()
-	//simvet:blocking — lives exactly as long as the lease execution
 	for {
 		select {
 		case <-leaseCtx.Done():
@@ -308,10 +295,7 @@ func (w *Worker) lostLease(leaseID string) bool {
 // be delivered is abandoned to the requeue path. A worker shutting
 // down mid-delivery abandons it too, but that is not a failed delivery:
 // the coordinator may well have taken the results.
-//
-//simvet:ctxbound
 func (w *Worker) complete(ctx context.Context, req CompleteRequest) {
-	//simvet:bounded — three delivery attempts
 	for attempt := 0; attempt < 3; attempt++ {
 		if attempt > 0 {
 			sleepCtx(ctx, 300*time.Millisecond)

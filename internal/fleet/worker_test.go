@@ -3,6 +3,7 @@ package fleet
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -42,6 +43,7 @@ func TestLostLeaseIsForgotten(t *testing.T) {
 	leases := 0
 	var completed []string
 	secondDone := make(chan struct{})
+	closing := make(chan struct{})
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /fleet/v1/register", func(w http.ResponseWriter, r *http.Request) {
 		writeFleetJSON(w, RegisterResponse{WorkerID: "w-1", LeaseTTLMs: 30, Chunk: 1})
@@ -57,7 +59,13 @@ func TestLostLeaseIsForgotten(t *testing.T) {
 		case 2:
 			writeFleetJSON(w, LeaseResponse{LeaseID: "l-2", Units: wire[1:]})
 		default:
-			<-r.Context().Done() // held, as the coordinator would
+			// Held, as the coordinator would; drained and ended by
+			// closing for the reasons completeOneUnit gives.
+			io.Copy(io.Discard, r.Body)
+			select {
+			case <-r.Context().Done():
+			case <-closing:
+			}
 		}
 	})
 	mux.HandleFunc("POST /fleet/v1/heartbeat", func(w http.ResponseWriter, r *http.Request) {
@@ -85,6 +93,7 @@ func TestLostLeaseIsForgotten(t *testing.T) {
 	})
 	srv := httptest.NewServer(mux)
 	defer srv.Close()
+	defer close(closing)
 
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
@@ -330,4 +339,96 @@ func TestShutdownIsNotAFailedDelivery(t *testing.T) {
 			t.Errorf("completeFails = %d after three refused deliveries; want 1", n)
 		}
 	})
+}
+
+// TestWorkerStopsWhileRegistering: a worker whose coordinator refuses
+// it keeps retrying, and stops when its context ends. On a cancelled
+// context every call and back-off returns at once, so a retry loop
+// that missed the cancellation would spin for good, and simd, which
+// waits for its worker, would never exit.
+func TestWorkerStopsWhileRegistering(t *testing.T) {
+	tried := make(chan struct{}, 1)
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		select {
+		case tried <- struct{}{}:
+		default:
+		}
+		http.Error(w, "not yet", http.StatusServiceUnavailable)
+	}))
+	defer srv.Close()
+	w, err := NewWorker(WorkerConfig{Coordinator: srv.URL, Client: srv.Client()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	stopped := make(chan error, 1)
+	go func() { stopped <- w.Run(ctx) }()
+	recv(t, tried)
+	cancel()
+	if err := recv(t, stopped); !errors.Is(err, context.Canceled) {
+		t.Fatalf("Run returned %v, want context.Canceled", err)
+	}
+}
+
+// TestShutdownMidLeaseIsNotAFailure: a worker shut down while its
+// lease executes sends no completion (the lease expires and requeues
+// at the coordinator) and counts no failed unit, since a point cut off
+// by shutdown did not fail.
+func TestShutdownMidLeaseIsNotAFailure(t *testing.T) {
+	unit := testUnits(t, 1)[0]
+	unit.Spec.Measure = 1 << 40
+	key, err := unit.Spec.Key()
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec, err := EncodeSpec(unit.Spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	looked := make(chan struct{}, 1)
+	var leased atomic.Bool
+	var completes atomic.Int64
+	mux := http.NewServeMux()
+	mux.HandleFunc("POST /fleet/v1/register", func(w http.ResponseWriter, r *http.Request) {
+		writeFleetJSON(w, RegisterResponse{WorkerID: "w-1", LeaseTTLMs: 5000, Chunk: 1})
+	})
+	mux.HandleFunc("POST /fleet/v1/lease", func(w http.ResponseWriter, r *http.Request) {
+		if leased.Swap(true) {
+			writeFleetJSON(w, LeaseResponse{WaitMs: 1000})
+			return
+		}
+		writeFleetJSON(w, LeaseResponse{LeaseID: "l-1", Units: []Unit{{Key: key, Spec: spec}}})
+	})
+	mux.HandleFunc("POST /fleet/v1/complete", func(w http.ResponseWriter, r *http.Request) {
+		completes.Add(1)
+		io.Copy(io.Discard, r.Body)
+		w.WriteHeader(http.StatusNoContent)
+	})
+	mux.HandleFunc("GET /fleet/v1/store/", func(w http.ResponseWriter, r *http.Request) {
+		select {
+		case looked <- struct{}{}:
+		default:
+		}
+		http.Error(w, "miss", http.StatusNotFound)
+	})
+	srv := httptest.NewServer(mux)
+	defer srv.Close()
+	w, err := NewWorker(WorkerConfig{Coordinator: srv.URL, SimWorkers: 1, Client: srv.Client()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	stopped := make(chan struct{})
+	go func() { defer close(stopped); w.Run(ctx) }()
+	recv(t, looked)
+	cancel()
+	recv(t, stopped)
+	if n := completes.Load(); n != 0 {
+		t.Errorf("%d completions after a shutdown mid-lease, want 0", n)
+	}
+	if n := w.failedUnits.Load(); n != 0 {
+		t.Errorf("failedUnits = %d after a shutdown mid-lease, want 0", n)
+	}
 }

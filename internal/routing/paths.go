@@ -98,7 +98,6 @@ func OnePath(net *topology.Network, src, dst int) Path {
 
 func onePath(w *walker, src, dst int) Path {
 	p := w.route(src)
-	//simvet:bounded — each step moves toward the destination; the walk ends at the ejection channel after at most a few stages
 	for {
 		last := p[len(p)-1]
 		if w.net.EndsAtNode(last) {

@@ -6,9 +6,11 @@ import (
 	"math"
 	"os"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"minsim/internal/experiments"
 	"minsim/internal/metrics"
@@ -188,4 +190,69 @@ func TestFrontStats(t *testing.T) {
 	if st.Hits != inner.Hits+f.memHits.Load() || st.Misses != inner.Misses || st.WriteFails != inner.WriteFails {
 		t.Errorf("front stats %+v, inner %+v, memory hits %d", st, inner, f.memHits.Load())
 	}
+}
+
+// parkedStore is an inner store whose Get of one key announces itself
+// on parked and then waits until release is closed.
+type parkedStore struct {
+	simrun.Store
+	key     string
+	parked  chan struct{}
+	release chan struct{}
+}
+
+func (s *parkedStore) Get(key string) (metrics.Point, bool) {
+	if key == s.key {
+		close(s.parked)
+		<-s.release
+	}
+	return s.Store.Get(key)
+}
+
+// returns runs call on a goroutine and waits for it to return. After
+// 30 s it fails the test with every goroutine's stack, so a call stuck
+// behind a lock names that lock instead of flaking on a short timer.
+func returns(t *testing.T, call func()) {
+	t.Helper()
+	done := make(chan struct{})
+	go func() { call(); close(done) }()
+	timer := time.NewTimer(30 * time.Second)
+	defer timer.Stop()
+	select {
+	case <-done:
+	case <-timer.C:
+		buf := make([]byte, 1<<20)
+		t.Fatalf("call did not return within 30s; goroutines:\n%s", buf[:runtime.Stack(buf, true)])
+	}
+}
+
+// TestFrontNeverHoldsItsLockAcrossTheInnerStore: while a Get is parked
+// inside the inner store, a Get of a remembered key and a Put of a
+// third key still return. A front that held f.mu across the inner
+// read would stall every job of the service behind one slow disk or
+// HTTP read.
+func TestFrontNeverHoldsItsLockAcrossTheInnerStore(t *testing.T) {
+	inner := &parkedStore{Store: newDisk(t), key: frontKey(0), parked: make(chan struct{}), release: make(chan struct{})}
+	var once sync.Once
+	release := func() { once.Do(func() { close(inner.release) }) }
+	defer release()
+	f := newFront(inner, frontCap)
+	f.Put(frontKey(1), "spec", frontPoint(1))
+
+	parkedGet := make(chan struct{})
+	go func() { f.Get(frontKey(0)); close(parkedGet) }()
+	returns(t, func() { <-inner.parked })
+	returns(t, func() {
+		if got, ok := f.Get(frontKey(1)); !ok || !sameBits(got, frontPoint(1)) {
+			t.Errorf("remembered key: got %+v (ok %v)", got, ok)
+		}
+	})
+	returns(t, func() { f.Put(frontKey(2), "spec", frontPoint(2)) })
+	release()
+	returns(t, func() { <-parkedGet })
+	returns(t, func() {
+		if _, ok := f.Get(frontKey(2)); !ok {
+			t.Error("the Put made while a Get was parked is lost")
+		}
+	})
 }

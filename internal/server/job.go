@@ -336,8 +336,6 @@ func (m *manager) worker() {
 // completed. The job's registry record and the inflight gauge are
 // settled before done is closed, so a synchronous reply and every
 // /metrics read after it agree on the finished job.
-//
-//simvet:ctxbound
 func (m *manager) run(j *job) {
 	ctx, cancel := context.WithTimeout(m.baseCtx, m.cfg.JobTimeout)
 	defer cancel()
@@ -349,7 +347,6 @@ func (m *manager) run(j *job) {
 
 	plan := simrun.NewPlan()
 	handles := make([]*experiments.FigureHandle, len(j.exps))
-	//simvet:bounded — plan assembly over at most maxExperiments admission-capped experiments
 	for i, e := range j.exps {
 		handles[i] = experiments.AddToPlan(plan, e, j.budget)
 	}
@@ -392,8 +389,6 @@ func (m *manager) record(j *job) {
 // running jobs the drain window to finish before cutting their
 // contexts. It returns once every worker has exited; by then every
 // completed point is flushed to the store.
-//
-//simvet:ctxbound
 func (m *manager) shutdown(ctx context.Context) {
 	if !m.draining.CompareAndSwap(false, true) {
 		m.wg.Wait()
@@ -401,7 +396,6 @@ func (m *manager) shutdown(ctx context.Context) {
 	}
 	close(m.quit)
 	// Drain the queue: anything a worker has not picked up is canceled.
-	//simvet:bounded — the non-blocking default exits after at most QueueDepth queued jobs
 	for {
 		select {
 		case j := <-m.queue:

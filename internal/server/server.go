@@ -179,8 +179,6 @@ func (s *Server) Shutdown(ctx context.Context) error {
 // HTTP closes last, so synchronous requests waiting on those jobs get
 // their replies. It returns the error that stopped the listener early,
 // else that of closing HTTP within the drain window.
-//
-//simvet:ctxbound
 func (s *Server) Serve(ctx context.Context, ln net.Listener) error {
 	ctx, stop := context.WithCancel(ctx)
 	defer stop()

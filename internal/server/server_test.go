@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -339,6 +340,29 @@ func TestGracefulShutdownDrains(t *testing.T) {
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("submit while draining: code %d, want 503", resp.StatusCode)
 	}
+}
+
+// TestShutdownHonorsItsContext: a Shutdown whose context ends cuts the
+// running jobs then, not at the end of a drain window that is still
+// open.
+func TestShutdownHonorsItsContext(t *testing.T) {
+	s, ts, _ := newTestServer(t, func(c *Config) { c.DrainTimeout = 10 * time.Minute })
+	resp, body := postJSON(t, ts.URL+"/v1/jobs", slowRunBody)
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("slow job: code %d body %s", resp.StatusCode, body)
+	}
+	var running struct{ ID string }
+	json.Unmarshal(body, &running)
+	waitStatus(t, ts.URL, running.ID, statusRunning)
+
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	returns(t, func() {
+		if err := s.Shutdown(ctx); !errors.Is(err, context.Canceled) {
+			t.Errorf("Shutdown returned %v, want context.Canceled", err)
+		}
+	})
+	waitStatus(t, ts.URL, running.ID, statusCanceled)
 }
 
 // metricValue extracts a sample value from Prometheus text output.

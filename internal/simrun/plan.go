@@ -99,10 +99,8 @@ func (p *Plan) AddSweep(s SweepSpec) *Handle {
 		BufferDepth: s.BufferDepth,
 		Arbitration: s.Arbitration,
 	}
-	//simvet:bounded — plan assembly over the requested load list; keyPrefix's one-time fingerprint costs milliseconds
 	for i, load := range s.Loads {
 		group := make([]*pointRun, reps)
-		//simvet:bounded — replicas per load point, admission-capped
 		for rep := 0; rep < reps; rep++ {
 			seed := DeriveReplicaSeed(s.Budget.Seed, i, rep)
 			if prefixErr != nil {
@@ -239,7 +237,11 @@ type Options struct {
 	Dispatcher Dispatcher
 	// Progress, when non-nil, is called with a counter snapshot after
 	// every state change (cache hit, start, finish). Calls are
-	// serialized.
+	// serialized and in order: each runs under the plan's mutex, so
+	// Progress must not call back into the plan (Counters would
+	// deadlock). A fleet Dispatch reports under the coordinator's
+	// mutex, so the lock order is coordinator, plan, then whatever
+	// Progress takes.
 	Progress func(Counters)
 }
 
@@ -256,8 +258,6 @@ func (p *Plan) Counters() Counters {
 // through Handles; Execute itself only fails on context cancellation,
 // in which case completed cache entries have already been flushed and
 // a re-Execute (same plan or a rebuilt one) resumes where it stopped.
-//
-//simvet:ctxbound
 func (p *Plan) Execute(ctx context.Context, opts Options) error {
 	p.mu.Lock()
 	p.counters = Counters{Requested: p.requested, Unique: len(p.runs)}
@@ -412,13 +412,12 @@ feed:
 }
 
 // bump applies a counter update and emits a progress snapshot, both
-// under the plan mutex so observers see consistent counts.
+// under the plan mutex, so observers see consistent counts in order.
 func (p *Plan) bump(update func(*Counters), progress func(Counters)) {
 	p.mu.Lock()
+	defer p.mu.Unlock()
 	update(&p.counters)
-	snap := p.counters
-	p.mu.Unlock()
 	if progress != nil {
-		progress(snap)
+		progress(p.counters)
 	}
 }

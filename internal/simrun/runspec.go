@@ -225,7 +225,6 @@ func fingerprintProbes() []RunSpec {
 func computeFingerprint() (string, error) {
 	h := sha256.New()
 	fmt.Fprintf(h, "minsim-fingerprint-v%d\n", specSchemaVersion)
-	//simvet:bounded — two fixed 16-node probes, about a millisecond once per process
 	for i, probe := range fingerprintProbes() {
 		net, err := probe.Net.Build()
 		if err != nil {

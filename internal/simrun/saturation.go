@@ -50,8 +50,6 @@ type search struct {
 // ctx cancels within one cancelQuantum leg. Per-cell failures land in
 // that cell's Saturation.Err; the error return is a bad bracket or ctx's
 // error. The Counters sum every round's.
-//
-//simvet:ctxbound
 func FindSaturation(ctx context.Context, bases []RunSpec, lo, hi, tol float64, opts Options) ([]Saturation, Counters, error) {
 	var total Counters
 	if lo < 0 || hi <= lo || tol <= 0 {
@@ -64,7 +62,6 @@ func FindSaturation(ctx context.Context, bases []RunSpec, lo, hi, tol float64, o
 	}
 	for {
 		plan := NewPlan()
-		//simvet:bounded — plan assembly over the caller's cells; Key's one-time fingerprint costs milliseconds
 		for i := range cells {
 			if !cells[i].done {
 				rs := bases[i]

@@ -3,6 +3,7 @@ package simrun
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -348,6 +349,62 @@ func TestExecuteCancellation(t *testing.T) {
 	}
 	if _, err := h.Points(); err != nil {
 		t.Fatalf("resume after cancellation failed: %v", err)
+	}
+}
+
+// cancellingStore misses every key and cancels the plan's context on
+// its first Get.
+type cancellingStore struct {
+	countingStore
+	cancel context.CancelFunc
+}
+
+func (s *cancellingStore) Get(key string) (metrics.Point, bool) {
+	s.cancel()
+	return s.countingStore.Get(key)
+}
+
+// TestExecuteScanObservesCancellation: the cache scan checks ctx before
+// every lookup, so a plan cancelled during the scan stops after the
+// lookup in hand instead of reading the store for every point first;
+// on a large cold plan over an HTTP store that is minutes.
+func TestExecuteScanObservesCancellation(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	store := &cancellingStore{cancel: cancel}
+	p := NewPlan()
+	p.AddSweep(tinySweep([]float64{0.1, 0.2, 0.3}))
+	if err := p.Execute(ctx, Options{Workers: 1, Store: store}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("Execute returned %v, want context.Canceled", err)
+	}
+	if store.gets != 1 {
+		t.Errorf("%d store lookups after the first cancelled the plan, want 1", store.gets)
+	}
+}
+
+// TestProgressIsSerialized: Progress is called under the plan's lock,
+// so a callback that records without a lock of its own is race-free
+// (the CI race leg runs this) and sees Done in order, ending at the
+// plan's final counters.
+func TestProgressIsSerialized(t *testing.T) {
+	loads := make([]float64, 16)
+	for i := range loads {
+		loads[i] = 0.05 * float64(i+1)
+	}
+	p := NewPlan()
+	p.AddSweep(tinySweep(loads))
+	var snaps []Counters
+	err := p.Execute(context.Background(), Options{Workers: 4, Progress: func(c Counters) { snaps = append(snaps, c) }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i < len(snaps); i++ {
+		if snaps[i].Done < snaps[i-1].Done {
+			t.Fatalf("snapshot %d has Done %d after %d", i, snaps[i].Done, snaps[i-1].Done)
+		}
+	}
+	if last, final := snaps[len(snaps)-1], p.Counters(); last != final {
+		t.Errorf("last snapshot %+v, plan counters %+v", last, final)
 	}
 }
 

@@ -78,7 +78,7 @@ var fmtPrintFuncs = map[string]int{
 // An audited //simvet:keypure function is a pure leaf: neither its
 // body nor its callees are checked.
 func runKeyPurity(ix *index, report reportFunc) {
-	keypure := func(_, fn *types.Func) bool { return ix.has(fn, "simvet:keypure") }
+	keypure := func(fn *types.Func) bool { return ix.has(fn, "simvet:keypure") }
 	ix.reportReachable("simvet:keypath", keypure, func(fn *types.Func) []finding { return keyFindings(ix, fn) }, report)
 }
 

@@ -1,8 +1,7 @@
-// Package simvet is a suite of four analyzers over the whole module,
+// Package simvet is a suite of two analyzers over the whole module,
 // loaded and type-checked as one program and indexed once per run
-// (the call graph, each function's directives, and one "may block,
-// and why" summary). Each guards a property that a failing test
-// cannot point at, or that no test sees at all:
+// (the static call graph and each function's directives). Each guards
+// a property that no test sees at all:
 //
 //   - keypurity: everything reachable from a //simvet:keypath root
 //     (simrun's content-key hashing and the engine fingerprint probe)
@@ -17,25 +16,15 @@
 //     header) is diffed against the committed docs/wire.lock golden,
 //     so accidental wire-format changes fail CI with a readable schema
 //     diff and intentional ones regenerate the lock
-//     (go run ./cmd/simvet -writewire);
+//     (go run ./cmd/simvet -writewire).
 //
-//   - lockscope: no blocking operation — channel send/receive,
-//     ctx.Done() waits, disk and network I/O, functions annotated
-//     //simvet:blocking — while holding a sync.Mutex/RWMutex in
-//     internal/server, internal/simrun or internal/fleet, with
-//     blocking summaries propagated through the call graph across
-//     packages;
-//
-//   - ctxflow: every loop reachable from a //simvet:ctxbound root
-//     (job execution, the plan executor, point legs, drain
-//     paths) that can block or compute without bound must observe its
-//     context each iteration, generalizing the hand-maintained "check
-//     ctx every 8192 cycles" rule into an enforced property.
-//
-// Determinism and the 0 allocs/cycle Step path are held by tests
-// instead: TestRegistryDigests, TestPinnedKeys and TestSweepPinned pin
-// the simulated results, and the engine's TestStepAllocs measures
-// Step, Run and RunUntilDrained on every family.
+// What a test can observe is held by tests instead. TestRegistryDigests,
+// TestPinnedKeys and TestSweepPinned pin the simulated results; the
+// engine's TestStepAllocs measures Step, Run and RunUntilDrained on
+// every family. Store I/O outside a held lock is held by server's
+// TestFrontNeverHoldsItsLockAcrossTheInnerStore and fleet's
+// TestCoordinatorStoreIOLeavesTheLockFree, and cancellation by
+// tests such as simrun's TestExecuteScanObservesCancellation.
 //
 // The suite is built on the standard library's go/ast, go/parser and
 // go/types alone, so the module stays dependency-free; its fixtures
@@ -60,19 +49,6 @@
 //	//simvet:wire      on a struct type or string constant: the
 //	                   declaration is wire format; wirestable locks its
 //	                   schema in docs/wire.lock.
-//	//simvet:blocking  on a function declaration: treat calls to it as
-//	                   blocking operations (unbounded compute or I/O)
-//	                   for lockscope and ctxflow.
-//	//simvet:ctxbound  on a function declaration: a cancellation root;
-//	                   ctxflow requires every can-block loop reachable
-//	                   from it to observe the context.
-//	//simvet:bounded   on (or directly above) a loop: the loop
-//	                   provably terminates in bounded time without
-//	                   external input, so no context check is needed.
-//	                   Justify the claim in the same comment.
-//	//simvet:blockok   on (or directly above) a statement: audited —
-//	                   this operation may block while a lock is held,
-//	                   and that is the design. Justify in the comment.
 package simvet
 
 import (
@@ -108,7 +84,7 @@ func (d Diagnostic) String() string {
 
 // All returns the full suite in stable order.
 func All() []*Analyzer {
-	return []*Analyzer{KeyPurity, WireStable, LockScope, CtxFlow}
+	return []*Analyzer{KeyPurity, WireStable}
 }
 
 // hasDirective reports whether the comment group carries the given

@@ -19,10 +19,6 @@ func TestKeyPurityFixture(t *testing.T) { runFixture(t, "keypurity", KeyPurity) 
 
 func TestWireStableFixture(t *testing.T) { runFixture(t, "wirestable", WireStable) }
 
-func TestLockScopeFixture(t *testing.T) { runFixture(t, "lockscope", LockScope) }
-
-func TestCtxFlowFixture(t *testing.T) { runFixture(t, "ctxflow", CtxFlow) }
-
 // TestWireLockTextStable re-derives the wirestable fixture's lock text
 // twice, the second time from a fresh load, and requires identical
 // bytes: `-writewire` must never produce a spurious diff.
@@ -78,7 +74,7 @@ func TestRepoInvariantsClean(t *testing.T) {
 }
 
 // directives are the //simvet: directives the suite reads.
-var directives = []string{"orderfree", "keypath", "keypure", "wire", "blocking", "ctxbound", "bounded", "blockok"}
+var directives = []string{"orderfree", "keypath", "keypure", "wire"}
 
 // TestDirectivesSpelled scans every comment of the module's Go files,
 // tests and fixtures included, and fails on one that starts with

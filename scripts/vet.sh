@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # One-command local mirror of the CI static-analysis gates, runnable
-# without make: the repo's own simvet suite (all four analyzers plus
-# the wire.lock regeneration no-op check), then the pinned third-party
+# without make: the repo's own simvet suite (keypurity and wirestable,
+# plus the wire.lock regeneration no-op check), then the pinned third-party
 # linters from the lint job — staticcheck's SA class and govulncheck.
 # The pins below MUST match .github/workflows/ci.yml; bump both
 # together. The third-party tools need network to install, so when
