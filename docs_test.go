@@ -11,8 +11,6 @@ import (
 	"regexp"
 	"strings"
 	"testing"
-
-	"minsim/internal/simvet"
 )
 
 // docSymbol matches a backticked `pkg.Name` or `pkg.Type.Member`,
@@ -66,31 +64,25 @@ func TestDocCommandsExist(t *testing.T) {
 	}
 }
 
-// docSimvetRun matches the analyzer list of a simvet command's -run
-// flag.
-var docSimvetRun = regexp.MustCompile(`\bsimvet\b.*?\s-run[= ]([a-z][a-z0-9,]*)`)
+// docSimvetFlags captures the flags that follow a simvet command.
+var docSimvetFlags = regexp.MustCompile(`\bsimvet((?:\s+-[a-z][a-z0-9-]*)+)`)
 
-// TestDocAnalyzersExist: every analyzer a `simvet -run` command in the
-// docs names is in simvet.All(), so a deleted analyzer cannot linger in
-// them.
-func TestDocAnalyzersExist(t *testing.T) {
-	known := map[string]bool{}
-	for _, a := range simvet.All() {
-		known[a.Name] = true
-	}
+// TestDocSimvetFlags: a simvet command in the docs passes no flag but
+// -json, the one it has, so a deleted flag cannot linger in them.
+func TestDocSimvetFlags(t *testing.T) {
 	checked := 0
 	forEachDocLine(t, func(at, line string) {
-		for _, m := range docSimvetRun.FindAllStringSubmatch(line, -1) {
-			for _, name := range strings.Split(m[1], ",") {
+		for _, m := range docSimvetFlags.FindAllStringSubmatch(line, -1) {
+			for _, flag := range strings.Fields(m[1]) {
 				checked++
-				if !known[name] {
-					t.Errorf("%s: simvet -run names %s, which is not an analyzer of simvet.All()", at, name)
+				if flag != "-json" {
+					t.Errorf("%s: simvet %s; its one flag is -json", at, flag)
 				}
 			}
 		}
 	})
 	if checked == 0 {
-		t.Fatal("no simvet -run commands found; is the pattern stale?")
+		t.Fatal("no simvet flags found; is the pattern stale?")
 	}
 }
 

@@ -1,8 +1,10 @@
 package experiments
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"strings"
 
 	"minsim/internal/topology"
@@ -44,7 +46,8 @@ import (
 // (default), mmpp (with "burst", "dwellhi", "dwelllo"), onoff (with
 // "dwellhi" = mean ON cycles, "dwelllo" = mean OFF cycles).
 
-//simvet:wire — the experiment definition accepted by simd job requests.
+// jsonExperiment is the experiment definition ParseJSON decodes, which
+// simd job requests carry inline.
 type jsonExperiment struct {
 	ID     string      `json:"id"`
 	Title  string      `json:"title"`
@@ -53,7 +56,7 @@ type jsonExperiment struct {
 	Curves []jsonCurve `json:"curves"`
 }
 
-//simvet:wire
+// jsonCurve is one curve of a jsonExperiment.
 type jsonCurve struct {
 	Label       string          `json:"label"`
 	Network     NetworkOptions  `json:"network"`
@@ -64,8 +67,6 @@ type jsonCurve struct {
 // NetworkOptions is the string-keyed network description shared by the
 // JSON experiment schema and the CLI flag sets (cmd/minsim); parse it
 // with ParseNetworkSpec.
-//
-//simvet:wire
 type NetworkOptions struct {
 	Kind     string `json:"kind"`
 	Wiring   string `json:"wiring"`
@@ -79,8 +80,6 @@ type NetworkOptions struct {
 // WorkloadOptions is the string-keyed workload description shared by
 // the JSON experiment schema and the CLI flag sets; parse it with
 // ParseWorkloadSpec.
-//
-//simvet:wire
 type WorkloadOptions struct {
 	Cluster    string         `json:"cluster"`
 	Pattern    string         `json:"pattern"`
@@ -97,10 +96,21 @@ type WorkloadOptions struct {
 	MaxLen     int            `json:"maxlen"`
 }
 
-// ParseJSON decodes a JSON experiment definition.
+// ParseJSON decodes a JSON experiment definition. A key the schema
+// does not name is an error, not a default: a misspelled option (the
+// fleet's "hot_x" for "hotx") would otherwise run a different
+// experiment than the one written.
 func ParseJSON(data []byte) (Experiment, error) {
 	var je jsonExperiment
-	if err := json.Unmarshal(data, &je); err != nil {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	err := dec.Decode(&je)
+	if err == nil {
+		if _, tail := dec.Token(); tail != io.EOF {
+			err = fmt.Errorf("data after the experiment object")
+		}
+	}
+	if err != nil {
 		return Experiment{}, fmt.Errorf("experiments: bad JSON: %w", err)
 	}
 	if je.ID == "" {

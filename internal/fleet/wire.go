@@ -39,10 +39,8 @@ import (
 // WireSpec is the explicit JSON mirror of simrun.RunSpec. Every field
 // that feeds RunSpec.Key appears here under a stable tag, so a unit's
 // content key can be recomputed — and verified — on the far side of
-// the wire. Enum fields travel as their integer values; the schema
-// lock (docs/wire.lock) pins the layout.
-//
-//simvet:wire
+// the wire. Enum fields travel as their integer values;
+// TestWireBytesPinned and TestCoordinatorRepliesPinned hold the bytes.
 type WireSpec struct {
 	NetKind    int `json:"net_kind"`
 	NetPattern int `json:"net_pattern,omitempty"`
@@ -172,24 +170,18 @@ func DecodeSpec(w WireSpec) (simrun.RunSpec, error) {
 
 // Unit is one leased work item: a content key and the spec that
 // produces it.
-//
-//simvet:wire
 type Unit struct {
 	Key  string   `json:"key"`
 	Spec WireSpec `json:"spec"`
 }
 
 // RegisterRequest is the body of POST /fleet/v1/register.
-//
-//simvet:wire
 type RegisterRequest struct {
 	Name string `json:"name"` // human-readable worker name for metrics
 }
 
 // RegisterResponse tells the worker its id and the protocol
 // parameters the coordinator runs with.
-//
-//simvet:wire
 type RegisterResponse struct {
 	WorkerID   string `json:"worker_id"`
 	LeaseTTLMs int64  `json:"lease_ttl_ms"` // heartbeat at least 3x faster than this
@@ -197,8 +189,6 @@ type RegisterResponse struct {
 }
 
 // LeaseRequest is the body of POST /fleet/v1/lease.
-//
-//simvet:wire
 type LeaseRequest struct {
 	WorkerID string `json:"worker_id"`
 }
@@ -207,8 +197,6 @@ type LeaseRequest struct {
 // call ended with nothing to grant: ask again — at once, unless WaitMs
 // is set, which only a draining coordinator does (it no longer holds
 // calls, so the worker must supply the pause itself).
-//
-//simvet:wire
 type LeaseResponse struct {
 	LeaseID string `json:"lease_id,omitempty"`
 	Units   []Unit `json:"units,omitempty"`
@@ -218,8 +206,6 @@ type LeaseResponse struct {
 // HeartbeatRequest is the body of POST /fleet/v1/heartbeat. A 410
 // response means the lease already expired; the worker abandons its
 // units (they have been requeued).
-//
-//simvet:wire
 type HeartbeatRequest struct {
 	WorkerID string `json:"worker_id"`
 	LeaseID  string `json:"lease_id"`
@@ -231,8 +217,6 @@ type HeartbeatRequest struct {
 // deterministic failure (bad spec, key mismatch, simulation error);
 // the coordinator fails the unit without retry, because a
 // deterministic error will not pass on another worker.
-//
-//simvet:wire
 type UnitResult struct {
 	Key      string        `json:"key"`
 	Point    metrics.Point `json:"point"`
@@ -243,8 +227,6 @@ type UnitResult struct {
 // CompleteRequest is the body of POST /fleet/v1/complete. Results
 // from an expired lease are still salvaged for units nobody else
 // finished first.
-//
-//simvet:wire
 type CompleteRequest struct {
 	WorkerID string       `json:"worker_id"`
 	LeaseID  string       `json:"lease_id"`
@@ -254,8 +236,6 @@ type CompleteRequest struct {
 // StoreEntry is the GET/PUT body of the shared-store endpoints. Key
 // is repeated inside the body so a response routed to the wrong key
 // can never be trusted, mirroring the on-disk entry layout.
-//
-//simvet:wire
 type StoreEntry struct {
 	Key   string        `json:"key"`
 	Spec  string        `json:"spec"`

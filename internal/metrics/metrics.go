@@ -31,8 +31,6 @@ func CyclesToMilliseconds(cycles float64) float64 {
 // order into cache-store entries (simrun's entryFields): renaming a
 // field breaks API consumers; adding, removing or reordering one needs
 // a new entry version, which a simrun test insists on.
-//
-//simvet:wire
 type Point struct {
 	Offered float64 // nominal offered load, flits/node/cycle
 	// OfferedMeasured is the load the sources actually generated in
@@ -141,8 +139,6 @@ func MergeReplicas(points []Point) Point {
 
 // Series is a labeled curve (one network under one workload),
 // serialized (default field names) inside simd job results.
-//
-//simvet:wire
 type Series struct {
 	Label  string
 	Points []Point
@@ -206,8 +202,6 @@ func ConfidenceInterval(batchMeans []float64, z float64) (lo, hi float64, ok boo
 
 // Figure is a set of series reproducing one paper figure panel,
 // serialized (default field names) inside simd job results.
-//
-//simvet:wire
 type Figure struct {
 	ID     string // e.g. "fig18a"
 	Title  string
@@ -216,8 +210,6 @@ type Figure struct {
 
 // csvHeader is the column contract of every CSV the figure harness
 // emits; downstream plotting scripts select columns by these names.
-//
-//simvet:wire
 const csvHeader = "figure,series,offered,throughput,latency_cycles,latency_ms,latency_stddev,messages,sustainable,replicas,latency_ci_lo,latency_ci_hi,throughput_ci_lo,throughput_ci_hi\n"
 
 // csvRowNumbers bounds the bytes of one CSV row past its figure and

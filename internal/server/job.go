@@ -52,9 +52,8 @@ type job struct {
 }
 
 // jobSnapshot is the externally visible state of a job, safe to
-// marshal after the job mutex is released.
-//
-//simvet:wire — the body of every job status/result response.
+// marshal after the job mutex is released: the body of every job
+// status/result response.
 type jobSnapshot struct {
 	ID         string           `json:"id"`
 	Status     string           `json:"status"`

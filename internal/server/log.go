@@ -28,8 +28,6 @@ func (r *statusRecorder) Write(b []byte) (int, error) {
 
 // logEntry is one structured request-log line; the field names are
 // the contract operators' log pipelines parse.
-//
-//simvet:wire
 type logEntry struct {
 	Time       string  `json:"time"`
 	Method     string  `json:"method"`

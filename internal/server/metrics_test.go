@@ -18,7 +18,7 @@ import (
 	"minsim/internal/simrun"
 )
 
-var updateMetrics = flag.Bool("update", false, "rewrite testdata/metrics.golden from the current code")
+var updateMetrics = flag.Bool("update", false, "rewrite the goldens under testdata/ from the current code")
 
 // TestMetricsTextPinned renders /metrics for a coordinator with one
 // worker of its own, after a cold run went through the fleet, and holds
@@ -58,7 +58,7 @@ func TestMetricsTextPinned(t *testing.T) {
 	}
 	waitLeaseWaiters(t, coord, 1) // the worker has delivered and asks again
 	cancel()
-	<-stopped
+	recv(t, stopped)
 	waitLeaseWaiters(t, coord, 0)
 	ts.Close() // waits for the cancelled lease call's reply to be counted
 

@@ -19,8 +19,6 @@ import (
 //	  "experiments": [{"id": "mine", "loads": [0.1, 0.3], "curves": [...]}],
 //	  "budget": {"preset": "quick", "measure": 30000, "seed": 7}
 //	}
-//
-//simvet:wire
 type RunRequest struct {
 	Figures     []string          `json:"figures"`
 	Experiments []json.RawMessage `json:"experiments"`
@@ -30,8 +28,6 @@ type RunRequest struct {
 // BudgetRequest selects the cycle budget: a named preset ("quick" is
 // the default, "default" is the paper-quality budget) optionally
 // overridden field by field. Zero values mean "keep the preset's".
-//
-//simvet:wire
 type BudgetRequest struct {
 	Preset  string `json:"preset"`
 	Warmup  int64  `json:"warmup"`

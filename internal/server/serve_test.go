@@ -108,10 +108,10 @@ func TestServeDrainsARunningJob(t *testing.T) {
 
 	reply := syncRun(t, base, `{"experiments":[`+tinyExperimentJSON+`],"budget":{"warmup":200,"measure":2000000}}`)
 	cancel()
-	if snap := <-reply; snap.Status != statusDone {
+	if snap := recv(t, reply); snap.Status != statusDone {
 		t.Fatalf("the running job's reply after the drain: %+v", snap)
 	}
-	if err := <-served; err != nil {
+	if err := recv(t, served); err != nil {
 		t.Fatalf("Serve: %v", err)
 	}
 }
@@ -132,10 +132,10 @@ func TestServeCutsALongJob(t *testing.T) {
 	reply := syncRun(t, base, `{"experiments":[`+tinyExperimentJSON+`],"budget":{"warmup":200,"measure":9000000}}`)
 	start := time.Now()
 	cancel()
-	if snap := <-reply; snap.Status != statusCanceled {
+	if snap := recv(t, reply); snap.Status != statusCanceled {
 		t.Fatalf("the cut job's reply: %+v", snap)
 	}
-	if err := <-served; err != nil {
+	if err := recv(t, served); err != nil {
 		t.Fatalf("Serve: %v", err)
 	}
 	if d := time.Since(start); d > 10*time.Second {

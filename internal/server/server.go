@@ -272,15 +272,11 @@ func writeSnapshot(w http.ResponseWriter, code int, s jobSnapshot) {
 }
 
 // errorBody is the JSON shape of every non-2xx response.
-//
-//simvet:wire
 type errorBody struct {
 	Error string `json:"error"`
 }
 
 // submitResponse is the 202 body of POST /v1/jobs.
-//
-//simvet:wire
 type submitResponse struct {
 	ID     string `json:"id"`
 	Status string `json:"status"`
@@ -288,30 +284,22 @@ type submitResponse struct {
 }
 
 // jobListResponse is the body of GET /v1/jobs.
-//
-//simvet:wire
 type jobListResponse struct {
 	Jobs []jobSnapshot `json:"jobs"`
 }
 
 // figureInfo is one experiment id/title pair in GET /v1/figures.
-//
-//simvet:wire
 type figureInfo struct {
 	ID    string `json:"id"`
 	Title string `json:"title"`
 }
 
 // figuresResponse is the body of GET /v1/figures.
-//
-//simvet:wire
 type figuresResponse struct {
 	Figures []figureInfo `json:"figures"`
 }
 
 // healthResponse is the 200 body of GET /healthz.
-//
-//simvet:wire
 type healthResponse struct {
 	Status string `json:"status"`
 	Queue  int    `json:"queue_depth"`
@@ -319,8 +307,6 @@ type healthResponse struct {
 
 // drainResponse is the 503 body of GET /healthz during shutdown; it
 // deliberately omits queue_depth, matching the pre-drain contract.
-//
-//simvet:wire
 type drainResponse struct {
 	Status string `json:"status"`
 }

@@ -557,6 +557,6 @@ func TestShutdownReleasesParkedLeaseCalls(t *testing.T) {
 	}
 	cancel()
 	for i := 0; i < workers; i++ {
-		<-stopped
+		recv(t, stopped)
 	}
 }

@@ -209,8 +209,6 @@ func (h *Handle) FromCache(i int) bool {
 // Counters snapshots plan progress for observability. The JSON tags
 // are the wire format of the simd service's progress snapshots
 // (internal/server), so renaming them is an API change.
-//
-//simvet:wire
 type Counters struct {
 	Requested int `json:"requested"` // points requested across all sweeps, duplicates included
 	Unique    int `json:"unique"`    // deduplicated point-runs the plan will actually execute or fetch

@@ -61,17 +61,14 @@ type DiskStore struct {
 // for cache spelunking only; it is Go-quoted, so no spec text can
 // contain a raw newline and pose as the field line. Floats are written
 // in their shortest form that parses back to the same bits. Changing
-// the layout or the field list means a new version here: readers treat
-// every other magic as a miss.
-//
-//simvet:wire — entries written by one binary are read by later ones.
+// the layout or the field list means a new version here: entries
+// written by one binary are read by later ones, and readers treat every
+// other magic as a miss.
 const entryMagic = "minsim-entry-v1 "
 
 // entryFields names, in order, the metrics.Point fields on an entry's
 // third line. appendEntry and parseEntry are written out by hand in
 // this order; a test holds the three (and metrics.Point) together.
-//
-//simvet:wire
 const entryFields = "Offered OfferedMeasured Throughput LatencyCyc LatencyMs LatencyP0 LatencyP100 StdDev Messages Sustainable Replicas LatencyCILo LatencyCIHi ThroughputCILo ThroughputCIHi"
 
 // entryExt names entry files. Entries of the earlier JSON layout live
@@ -266,12 +263,10 @@ func (r *fieldReader) bool() bool {
 // StoreStats is a snapshot of a store's lookup and persistence
 // counters, accumulated across every plan execution sharing the store
 // (the simd service exports these on /metrics).
-//
-//simvet:wire — serialized into simd job snapshots.
 type StoreStats struct {
-	Hits       int64 `json:"hits"`        // Get calls served from disk
-	Misses     int64 `json:"misses"`      // Get calls that fell through to simulation
-	WriteFails int64 `json:"write_fails"` // Puts that could not be persisted
+	Hits       int64 // Get calls served from disk
+	Misses     int64 // Get calls that fell through to simulation
+	WriteFails int64 // Puts that could not be persisted
 }
 
 // Stats returns the store's lifetime lookup counters.

@@ -7,10 +7,10 @@ import (
 	"strings"
 )
 
-// An index is the module's call graph, built once per RunAnalyzers
-// and read by every analyzer of that run; it holds no analyzer state,
-// so runs never leak into one another. Calls through function values
-// and interface methods have no static callee and are not followed.
+// An index is the module's call graph, built once per Run; it holds
+// no state of the check, so runs never leak into one another. Calls
+// through function values and interface methods have no static callee
+// and are not followed.
 type index struct {
 	*Module
 	funcs   []*types.Func // every declared function and method, packages in dependency order, source order within

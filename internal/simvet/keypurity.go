@@ -8,37 +8,6 @@ import (
 	"strings"
 )
 
-// KeyPurity guards the content-addressed cache key: everything
-// reachable from a //simvet:keypath root (RunSpec canonicalization and
-// the engine fingerprint probe in internal/simrun) must be a pure,
-// canonical function of its inputs. A cache key that depends on
-// process state serves stale results under a fresh binary — or misses
-// forever — and both failure modes are silent. In every function
-// reachable from a keypath root, in any package, the analyzer flags:
-//
-//   - map iteration — Go randomizes the order, so hashed bytes differ
-//     run to run (annotate //simvet:orderfree if the body provably
-//     commutes, e.g. collecting keys to sort);
-//   - %v, %+v and %#v on floats, maps, pointers, channels, funcs or
-//     interfaces, %p anywhere, and non-constant format strings — the
-//     default verbs are not a canonical encoding (floats must be
-//     hashed by bit pattern, pointers never);
-//   - JSON encoding of map- or interface-bearing values — key bytes
-//     must be visibly canonical, not delegated to encoder internals;
-//   - process-state reads: env, hostname, pid, wall-clock time, CPU
-//     count and friends.
-//
-// Functions audited by hand opt out with //simvet:keypure (treated as
-// pure leaves). fmt.Errorf is exempt: error paths are never hashed.
-// Only static calls are followed; calls through function values and
-// interface methods are outside the key path by construction (the key
-// helpers take concrete types).
-var KeyPurity = &Analyzer{
-	Name: "keypurity",
-	Doc:  "forbid process-state dependence (map order, %v on floats/pointers, env/time reads) in code reachable from //simvet:keypath roots",
-	run:  runKeyPurity,
-}
-
 // impureReads maps fully qualified functions whose result is process
 // state, not input, to the state they read.
 var impureReads = map[string]string{
@@ -74,9 +43,31 @@ var fmtPrintFuncs = map[string]int{
 	"Fprint": 1, "Fprintln": 1, "Append": 1, "Appendln": 1,
 }
 
-// runKeyPurity reports every impurity reachable from a keypath root.
+// runKeyPurity guards the content-addressed cache key: everything
+// reachable from a //simvet:keypath root (RunSpec canonicalization and
+// the engine fingerprint probe in internal/simrun) must be a pure,
+// canonical function of its inputs. A cache key that depends on
+// process state serves stale results under a fresh binary — or misses
+// forever — and both failure modes are silent. In every function
+// reachable from a keypath root, in any package, it flags:
+//
+//   - map iteration — Go randomizes the order, so hashed bytes differ
+//     run to run (annotate //simvet:orderfree if the body provably
+//     commutes, e.g. collecting keys to sort);
+//   - %v, %+v and %#v on floats, maps, pointers, channels, funcs or
+//     interfaces, %p anywhere, and non-constant format strings — the
+//     default verbs are not a canonical encoding (floats must be
+//     hashed by bit pattern, pointers never);
+//   - JSON encoding of map- or interface-bearing values — key bytes
+//     must be visibly canonical, not delegated to encoder internals;
+//   - process-state reads: env, hostname, pid, wall-clock time, CPU
+//     count and friends.
+//
 // An audited //simvet:keypure function is a pure leaf: neither its
-// body nor its callees are checked.
+// body nor its callees are checked. fmt.Errorf is exempt: error paths
+// are never hashed. Only static calls are followed; calls through
+// function values and interface methods are outside the key path by
+// construction (the key helpers take concrete types).
 func runKeyPurity(ix *index, report reportFunc) {
 	keypure := func(fn *types.Func) bool { return ix.has(fn, "simvet:keypure") }
 	ix.reportReachable("simvet:keypath", keypure, func(fn *types.Func) []finding { return keyFindings(ix, fn) }, report)

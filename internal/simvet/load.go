@@ -20,7 +20,7 @@ import (
 // function body can be read without a package lookup. Packages are in
 // dependency order (every package after the module-local packages it
 // imports, ties broken by import path); test files are not loaded
-// (the analyzers check production code only).
+// (keypurity checks production code only).
 type Module struct {
 	Dir      string // absolute module root
 	Path     string // module path from go.mod
@@ -67,10 +67,9 @@ func LoadModule(dir string) (*Module, error) {
 		Fset:   token.NewFileSet(),
 		byPath: make(map[string]*Package),
 		Info: &types.Info{
-			Types:      make(map[ast.Expr]types.TypeAndValue),
-			Defs:       make(map[*ast.Ident]types.Object),
-			Uses:       make(map[*ast.Ident]types.Object),
-			Selections: make(map[*ast.SelectorExpr]*types.Selection),
+			Types: make(map[ast.Expr]types.TypeAndValue),
+			Defs:  make(map[*ast.Ident]types.Object),
+			Uses:  make(map[*ast.Ident]types.Object),
 		},
 	}
 	ld := &loader{

@@ -10,9 +10,8 @@ import (
 // the timing-free skeleton a trace-replay pattern feeds back into the
 // workload composition. Arrival times come from the workload's
 // ArrivalProcess and lengths from its Lengths, so a captured
-// communication structure can be re-driven at any offered load.
-//
-//simvet:wire — trace pairs ride inside simd workload options.
+// communication structure can be re-driven at any offered load. Trace
+// pairs ride inside simd workload options and fleet units.
 type Pair struct {
 	Src int `json:"src"`
 	Dst int `json:"dst"`

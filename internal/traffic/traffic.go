@@ -108,9 +108,8 @@ func ButterflyPattern(r kary.Radix, i int) Permutation {
 // [Min, Max] (PaperLengths is Section 5's), "fixed" at L, or "bimodal"
 // drawing Short with probability PShort, else Long (the paper's future
 // short/long/bimodal study). Fields the kind does not use are ignored;
-// the JSON tags are the fleet's wire encoding (docs/wire.lock).
-//
-//simvet:wire
+// the JSON tags are the fleet's wire encoding, which fleet's
+// TestCoordinatorRepliesPinned holds.
 type Lengths struct {
 	Kind   string  `json:"kind"` // "uniform" | "fixed" | "bimodal"
 	Min    int     `json:"min,omitempty"`

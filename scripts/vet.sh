@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # One-command local mirror of the CI static-analysis gates, runnable
-# without make: the repo's own simvet suite (keypurity and wirestable,
-# plus the wire.lock regeneration no-op check), then the pinned third-party
-# linters from the lint job — staticcheck's SA class and govulncheck.
+# without make: the repo's own static check, simvet (keypurity), then
+# the pinned third-party linters from the lint job — staticcheck's SA
+# class and govulncheck.
 # The pins below MUST match .github/workflows/ci.yml; bump both
 # together. The third-party tools need network to install, so when
 # `go install` cannot fetch them (offline sandbox) those steps are
@@ -17,12 +17,8 @@ GOVULNCHECK_VERSION="v1.1.4"
 echo "== go vet"
 go vet ./...
 
-echo "== simvet (all analyzers)"
+echo "== simvet (keypurity)"
 go run ./cmd/simvet ./...
-
-echo "== wire.lock regeneration is a no-op"
-go run ./cmd/simvet -writewire
-git diff --exit-code docs/wire.lock
 
 GOBIN="$(mktemp -d)"
 export GOBIN
