@@ -350,11 +350,8 @@ func (s *Server) submit(w http.ResponseWriter, exps []experiments.Experiment, bu
 		w.Header().Set("Retry-After", strconv.Itoa(int(s.cfg.RetryAfter/time.Second)))
 		writeError(w, http.StatusTooManyRequests, "job queue full (%d queued); retry later", s.mgr.queueDepth())
 		return nil, false
-	case errors.Is(err, errDraining):
+	case err != nil: // errDraining, the only other error submit returns
 		writeError(w, http.StatusServiceUnavailable, "server is draining")
-		return nil, false
-	case err != nil:
-		writeError(w, http.StatusInternalServerError, "%v", err)
 		return nil, false
 	}
 	return j, true

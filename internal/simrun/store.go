@@ -7,7 +7,6 @@ import (
 	"path/filepath"
 	"strconv"
 	"sync/atomic"
-	"syscall"
 
 	"minsim/internal/metrics"
 )
@@ -39,11 +38,15 @@ type Store interface {
 // Writes are atomic (temp file + rename), so a crashed or interrupted
 // run never leaves a truncated entry that decodes; unreadable, corrupt
 // or mismatched entries are treated as misses and recomputed, never
-// trusted. A Get is the entry's read and nothing else: the path is one
-// concatenation onto the directory cleaned in NewStore, and the file
-// is read on a bare descriptor (readEntry).
+// trusted. A Get is the entry's read and nothing else, on a bare
+// descriptor (readEntry). On Linux the store opens its directory once,
+// in NewStore, and names every entry relative to that descriptor, so
+// no Get or Put walks the directory's path again; the descriptor is
+// closed once the store is unreachable. Such a store keeps serving the
+// directory it opened, even if that path is later removed or replaced.
 type DiskStore struct {
-	dir        string // cleaned once, in NewStore
+	dir        string  // cleaned once, in NewStore
+	held       heldDir // the open directory, on Linux (store_linux.go)
 	hits       atomic.Int64
 	misses     atomic.Int64
 	writeFails atomic.Int64
@@ -87,17 +90,15 @@ func NewStore(dir string) (*DiskStore, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("simrun: cache dir: %w", err)
 	}
-	return &DiskStore{dir: filepath.Clean(dir)}, nil
+	s := &DiskStore{dir: filepath.Clean(dir)}
+	if err := s.hold(); err != nil {
+		return nil, fmt.Errorf("simrun: cache dir: %w", err)
+	}
+	return s, nil
 }
 
 // Dir returns the cache root, cleaned.
 func (s *DiskStore) Dir() string { return s.dir }
-
-// path is filepath.Join(s.dir, key+entryExt) for the keys a store
-// sees, without Join's per-call Clean.
-func (s *DiskStore) path(key string) string {
-	return s.dir + string(filepath.Separator) + key + entryExt
-}
 
 // Get returns the cached point for key, or ok=false on a miss —
 // including every corruption case (unreadable or truncated file,
@@ -105,7 +106,7 @@ func (s *DiskStore) path(key string) string {
 // overwrites.
 func (s *DiskStore) Get(key string) (metrics.Point, bool) {
 	var buf [entryBufSize]byte
-	p, ok := readEntry(s.path(key), key, buf[:0])
+	p, ok := s.readEntry(key, buf[:0])
 	if ok {
 		s.hits.Add(1)
 	} else {
@@ -114,57 +115,12 @@ func (s *DiskStore) Get(key string) (metrics.Point, bool) {
 	return p, ok
 }
 
-// readEntry reads the whole file into buf and decodes it: open, read
-// until a read returns 0 bytes, close — four system calls for an entry
-// that fits buf, which grows only for one that does not. It reads on a
-// bare descriptor, not an *os.File: os.Open would also switch the
-// descriptor to non-blocking and back and try to register a regular
-// file with the poller (five more calls on Linux, all of them useless
-// for a file) and allocate a File with a finalizer. Every error,
-// including reading a directory, is a miss.
-func readEntry(path, key string, buf []byte) (metrics.Point, bool) {
-	fd, err := syscall.Open(path, syscall.O_RDONLY|syscall.O_CLOEXEC, 0)
-	if err != nil {
-		return metrics.Point{}, false
-	}
-	defer syscall.Close(fd)
-	for {
-		if len(buf) == cap(buf) {
-			buf = append(buf, 0)[:len(buf)]
-		}
-		n, err := syscall.Read(fd, buf[len(buf):cap(buf)])
-		switch {
-		case err == syscall.EINTR: // interrupted before any byte moved: read again
-		case err != nil:
-			return metrics.Point{}, false
-		case n == 0:
-			return parseEntry(buf, key)
-		default:
-			buf = buf[:len(buf)+n]
-		}
-	}
-}
-
 // Put stores a result atomically. Failures are counted but not fatal:
 // a cache that cannot be written degrades to recomputation, it must
 // never abort the simulation that produced the result.
 func (s *DiskStore) Put(key, spec string, p metrics.Point) {
 	var buf [entryBufSize]byte
-	data := appendEntry(buf[:0], key, spec, p)
-	tmp, err := os.CreateTemp(s.dir, ".tmp-*")
-	if err != nil {
-		s.writeFails.Add(1)
-		return
-	}
-	_, werr := tmp.Write(data)
-	cerr := tmp.Close()
-	if werr != nil || cerr != nil {
-		os.Remove(tmp.Name())
-		s.writeFails.Add(1)
-		return
-	}
-	if err := os.Rename(tmp.Name(), s.path(key)); err != nil {
-		os.Remove(tmp.Name())
+	if !s.writeEntry(key, appendEntry(buf[:0], key, spec, p)) {
 		s.writeFails.Add(1)
 	}
 }

@@ -3,6 +3,7 @@ package simvet
 import (
 	"fmt"
 	"go/ast"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -20,7 +21,8 @@ import (
 // function body can be read without a package lookup. Packages are in
 // dependency order (every package after the module-local packages it
 // imports, ties broken by import path); test files are not loaded
-// (keypurity checks production code only).
+// (keypurity checks production code only), nor files whose build
+// constraints exclude them on the host platform.
 type Module struct {
 	Dir      string // absolute module root
 	Path     string // module path from go.mod
@@ -187,8 +189,14 @@ func (l *loader) load(importPath string) (*Package, error) {
 	var deps []string
 	for _, e := range entries {
 		name := e.Name()
-		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") ||
-			strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") {
+		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
+			continue
+		}
+		match, err := build.Default.MatchFile(dir, name)
+		if err != nil {
+			return nil, err
+		}
+		if !match { // another platform's file, or a "_"- or "."-prefixed one
 			continue
 		}
 		f, err := parser.ParseFile(l.mod.Fset, filepath.Join(dir, name), nil, parser.ParseComments)
