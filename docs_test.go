@@ -64,37 +64,16 @@ func TestDocCommandsExist(t *testing.T) {
 	}
 }
 
-// docSimvetFlags captures the flags that follow a simvet command.
-var docSimvetFlags = regexp.MustCompile(`\bsimvet((?:\s+-[a-z][a-z0-9-]*)+)`)
-
-// TestDocSimvetFlags: a simvet command in the docs passes no flag but
-// -json, the one it has, so a deleted flag cannot linger in them.
-func TestDocSimvetFlags(t *testing.T) {
-	checked := 0
-	forEachDocLine(t, func(at, line string) {
-		for _, m := range docSimvetFlags.FindAllStringSubmatch(line, -1) {
-			for _, flag := range strings.Fields(m[1]) {
-				checked++
-				if flag != "-json" {
-					t.Errorf("%s: simvet %s; its one flag is -json", at, flag)
-				}
-			}
-		}
-	})
-	if checked == 0 {
-		t.Fatal("no simvet flags found; is the pattern stale?")
-	}
-}
-
 // forEachDocLine calls f with each line of README.md, DESIGN.md,
-// EXPERIMENTS.md and docs/*.md and its file:line position.
+// EXPERIMENTS.md, docs/*.md and .claude/skills/verify/SKILL.md and
+// its file:line position.
 func forEachDocLine(t *testing.T, f func(at, line string)) {
 	t.Helper()
 	docs, err := filepath.Glob("docs/*.md")
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, doc := range append([]string{"README.md", "DESIGN.md", "EXPERIMENTS.md"}, docs...) {
+	for _, doc := range append([]string{"README.md", "DESIGN.md", "EXPERIMENTS.md", ".claude/skills/verify/SKILL.md"}, docs...) {
 		data, err := os.ReadFile(doc)
 		if err != nil {
 			t.Fatal(err)

@@ -29,7 +29,7 @@ const pinnedWireDigest = "08be1d2bf7a311e0"
 // pinnedReplyDigest is the first 16 hex digits of the SHA-256 over the
 // coordinator's replies in TestCoordinatorRepliesPinned. Its units'
 // keys hash the engine fingerprint too.
-const pinnedReplyDigest = "8e331c45a17b6994"
+const pinnedReplyDigest = "90f6d36be1bf9848"
 
 // registryUnits is every point of the paper figures and extensions as
 // `minsim figures -quick -extensions -warmup 100 -measure 300 -seed 777`

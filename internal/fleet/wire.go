@@ -235,9 +235,10 @@ type CompleteRequest struct {
 
 // StoreEntry is the GET/PUT body of the shared-store endpoints. Key
 // is repeated inside the body so a response routed to the wrong key
-// can never be trusted, mirroring the on-disk entry layout.
+// can never be trusted, mirroring the on-disk entry layout. Spec
+// travels on PUT only, for the entry file; a GET answers without it.
 type StoreEntry struct {
 	Key   string        `json:"key"`
-	Spec  string        `json:"spec"`
+	Spec  string        `json:"spec,omitempty"`
 	Point metrics.Point `json:"point"`
 }

@@ -34,7 +34,7 @@ func PermutationSharing(net *topology.Network, perm kary.Perm) Sharing {
 			use[c]++
 		}
 	}
-	//simvet:orderfree — max and a threshold count both commute
+	// Map order is free here: max and a threshold count both commute.
 	for _, n := range use {
 		if n > s.MaxShare {
 			s.MaxShare = n

@@ -53,8 +53,6 @@ func (r RunSpec) String() string {
 // The hashed bytes are keyPrefix(Net, Work) followed by the point
 // line; Plan.AddSweep builds the prefix once and calls keyAfter for
 // each of the sweep's points.
-//
-//simvet:keypath
 func (r RunSpec) Key() (string, error) {
 	prefix, err := keyPrefix(r.Net, r.Work)
 	if err != nil {
@@ -221,7 +219,6 @@ func fingerprintProbes() []RunSpec {
 	}
 }
 
-//simvet:keypath
 func computeFingerprint() (string, error) {
 	h := sha256.New()
 	fmt.Fprintf(h, "minsim-fingerprint-v%d\n", specSchemaVersion)
@@ -251,11 +248,11 @@ func computeFingerprint() (string, error) {
 // hashStats writes a canonical encoding of the engine statistics:
 // field names in declaration order, integers in decimal, floats by
 // IEEE-754 bit pattern. The previous %+v encoding rendered floats with
-// default formatting — not a stable key encoding — which keypurity now
-// forbids on the fingerprint path. Reflection keeps future Stats
-// fields automatically fingerprinted: adding one changes the encoding,
-// which invalidates the cache, which is the safe direction; a field of
-// an unsupported kind is a loud error rather than a silent skip.
+// default formatting, which is not a stable key encoding. Reflection
+// keeps future Stats fields automatically fingerprinted: adding one
+// changes the encoding, which invalidates the cache, which is the safe
+// direction; a field of an unsupported kind is a loud error rather
+// than a silent skip.
 func hashStats(w io.Writer, s engine.Stats) error {
 	v := reflect.ValueOf(s)
 	t := v.Type()

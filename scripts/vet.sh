@@ -1,13 +1,13 @@
 #!/usr/bin/env bash
 # One-command local mirror of the CI static-analysis gates, runnable
-# without make: the repo's own static check, simvet (keypurity), then
-# the pinned third-party linters from the lint job — staticcheck's SA
-# class and govulncheck.
+# without make: go vet, then the pinned third-party linters from the
+# lint job — staticcheck's SA class and govulncheck. Cache-key purity
+# is a tier-1 test (TestKeyIsPure in internal/experiments).
 # The pins below MUST match .github/workflows/ci.yml; bump both
 # together. The third-party tools need network to install, so when
 # `go install` cannot fetch them (offline sandbox) those steps are
-# skipped with a warning instead of failing the run — simvet itself is
-# stdlib-only and always runs.
+# skipped with a warning instead of failing the run; go vet always
+# runs.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -16,9 +16,6 @@ GOVULNCHECK_VERSION="v1.1.4"
 
 echo "== go vet"
 go vet ./...
-
-echo "== simvet (keypurity)"
-go run ./cmd/simvet ./...
 
 GOBIN="$(mktemp -d)"
 export GOBIN
