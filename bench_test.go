@@ -296,10 +296,11 @@ func BenchmarkEngineLargeNBuild(b *testing.B) {
 }
 
 // New extension ablations.
-func BenchmarkExtXMIN(b *testing.B)     { runFigure(b, "ext-xmin") }
-func BenchmarkExtBMINVC(b *testing.B)   { runFigure(b, "ext-bmin-vc") }
-func BenchmarkExtBufDepth(b *testing.B) { runFigure(b, "ext-bufdepth") }
-func BenchmarkExt8ary(b *testing.B)     { runFigure(b, "ext-8ary") }
+func BenchmarkExtXMIN(b *testing.B)        { runFigure(b, "ext-xmin") }
+func BenchmarkExtBMINVC(b *testing.B)      { runFigure(b, "ext-bmin-vc") }
+func BenchmarkExtBufDepth(b *testing.B)    { runFigure(b, "ext-bufdepth") }
+func BenchmarkExtArbitration(b *testing.B) { runFigure(b, "ext-arbitration") }
+func BenchmarkExt8ary(b *testing.B)        { runFigure(b, "ext-8ary") }
 
 // BenchmarkRouting measures candidate computation throughput, the
 // inner loop of the allocation phase: the factored lookup, expanded.

@@ -13,7 +13,7 @@ import (
 
 // docCommand matches a `minsim <sub>` command line in the docs up to
 // the end of its code span, a shell comment, pipe, list or redirect.
-var docCommand = regexp.MustCompile("\\bminsim (run|sweep|saturate|topo|figures)\\b([^`#|&;>\n]*)")
+var docCommand = regexp.MustCompile("\\bminsim (run|sweep|saturate|topo|figures|serve|coordinate)\\b([^`#|&;>\n]*)")
 
 // docFlag matches one flag of a command line, without its value.
 var docFlag = regexp.MustCompile(`(?:^|\s)-([a-z][a-z0-9-]*)`)

@@ -5,6 +5,10 @@
 //	minsim saturate -cache results/cache      # bisected saturation matrix
 //	minsim topo -net bmin -k 2 -stages 3 route 1 5   # Theorem 1's paths
 //	minsim figures -id fig18a -csv                # one paper panel
+//	minsim serve -addr :8080 &                    # the service, then a panel
+//	curl -X POST localhost:8080/v1/run -d '{"figures":["fig16a"],"budget":{"preset":"quick"}}'
+//	minsim coordinate -addr :18090 &              # a fleet: its coordinator
+//	minsim serve -addr :18091 -coordinator http://127.0.0.1:18090 &  # a worker
 //
 // The flags parse through the spec vocabulary of the JSON experiment
 // schema (experiments.ParseNetworkSpec, experiments.ParseWorkloadSpec),
@@ -31,12 +35,15 @@ import (
 
 const usageText = `usage: minsim <command> [flags] [args]
 commands:
-  run       simulate one load point and print its statistics
-  sweep     simulate an offered-load sweep and print its curve
-  saturate  bisect the maximum sustainable load of each network and pattern
-  topo      inspect a topology: wiring, routes, partitions, cost
-  figures   regenerate the paper's figures and the extension experiments
-"minsim <command> -h" lists a command's flags`
+  run         simulate one load point and print its statistics
+  sweep       simulate an offered-load sweep and print its curve
+  saturate    bisect the maximum sustainable load of each network and pattern
+  topo        inspect a topology: wiring, routes, partitions, cost
+  figures     regenerate the paper's figures and the extension experiments
+  serve       serve simulations over HTTP; with -coordinator, also a fleet worker
+  coordinate  lease a service's simulations to the fleet's serve workers
+"minsim <command> -h" lists a command's flags; a served panel:
+  curl -X POST localhost:8080/v1/run -d '{"figures":["fig16a"],"budget":{"preset":"quick"}}'`
 
 // commands maps each subcommand to its entry point, which writes its
 // report to stdout and its flag errors and progress to stderr.
@@ -45,10 +52,12 @@ var commands = map[string]func(args []string, stdout, stderr io.Writer) error{
 		_, _, err := run(args, stdout, stderr)
 		return err
 	},
-	"sweep":    sweep,
-	"saturate": saturate,
-	"topo":     topo,
-	"figures":  figures,
+	"sweep":      sweep,
+	"saturate":   saturate,
+	"topo":       topo,
+	"figures":    figures,
+	"serve":      serve,
+	"coordinate": coordinate,
 }
 
 // errFlags marks a command line that the flag package has already

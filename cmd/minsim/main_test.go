@@ -189,9 +189,9 @@ func TestBMINDefault(t *testing.T) {
 }
 
 // TestRunRejectsBadCommandLines: the dispatcher and run, sweep,
-// saturate and figures refuse what they cannot run with a non-zero exit
-// and, where the case names one, a message naming the fault (topo's
-// refusals are TestTopoRejectsBadCommandLines). A sweep or figures run
+// saturate, figures, serve and coordinate refuse what they cannot run
+// with a non-zero exit and, where the case names one, a message naming
+// the fault (topo's refusals are TestTopoRejectsBadCommandLines). A sweep or figures run
 // refused for its budget writes nothing to its store, and one that
 // fails after starting its profiles still finishes both.
 func TestRunRejectsBadCommandLines(t *testing.T) {
@@ -204,6 +204,11 @@ func TestRunRejectsBadCommandLines(t *testing.T) {
 		return []string{"-cpuprofile", cpu, "-memprofile", mem}
 	}
 	const maxInt64 = "9223372036854775807"
+	// A store cannot open on a regular file.
+	notDir := filepath.Join(dir, "file")
+	if err := os.WriteFile(notDir, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
 	for _, c := range []struct {
 		args []string
 		want string
@@ -242,8 +247,28 @@ func TestRunRejectsBadCommandLines(t *testing.T) {
 		{[]string{"figures", "-id", "fig16a", "-quick", "-procs", "-2", "-cache", cache}, "negative procs"},
 		{[]string{"figures", "-file", filepath.Join(dir, "missing.json"), "-cache", cache}, "missing.json"},
 		{append([]string{"figures", "-id", "bogus", "-cache", cache}, profileFlags("figures")...), `unknown experiment "bogus"`},
+
+		{[]string{"serve", "-chunk", "2"}, "-chunk"},
+		{[]string{"coordinate", "-coordinator", "http://127.0.0.1:1"}, "-coordinator"},
+		{[]string{"serve", "-addr", "127.0.0.1:0", "-cache", notDir}, "minsim serve: "},
+		{[]string{"coordinate", "-addr", "127.0.0.1:0", "-cache", notDir}, "minsim coordinate: "},
 	} {
 		refuses(t, c.args, c.want)
+	}
+	// The service commands keep the exit codes of the binaries they
+	// replaced: 2 for a bad command line, 1 for a failure.
+	for _, c := range []struct {
+		args []string
+		code int
+	}{
+		{[]string{"serve", "-nosuchflag"}, 2},
+		{[]string{"coordinate", "-sim-workers", "2"}, 2},
+		{[]string{"serve", "-addr", "127.0.0.1:0", "-cache", notDir}, 1},
+		{[]string{"coordinate", "-addr", "127.0.0.1:0", "-cache", notDir}, 1},
+	} {
+		if code := minsim(c.args, io.Discard, io.Discard); code != c.code {
+			t.Errorf("minsim %v: exit %d, want %d", c.args, code, c.code)
+		}
 	}
 	if entries, _ := os.ReadDir(cache); len(entries) > 0 {
 		t.Errorf("a refused command wrote %d store entries", len(entries))
@@ -291,19 +316,21 @@ func refuses(t *testing.T, args []string, want string) {
 // and usage strings — are those of the binary it replaced, recorded
 // from that binary's -h (without its "Usage of" line) in testdata.
 func TestFlagSetsPinned(t *testing.T) {
-	for _, cmd := range []string{"run", "sweep", "saturate", "topo", "figures"} {
-		var stderr bytes.Buffer
-		if code := minsim([]string{cmd, "-h"}, io.Discard, &stderr); code != 0 {
-			t.Errorf("minsim %s -h: exit %d", cmd, code)
-		}
-		_, got, _ := strings.Cut(stderr.String(), "\n")
-		want, err := os.ReadFile(filepath.Join("testdata", cmd+".flags"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != string(want) {
-			t.Errorf("minsim %s flags:\n%s\nwant\n%s", cmd, got, want)
-		}
+	for _, cmd := range []string{"run", "sweep", "saturate", "topo", "figures", "serve", "coordinate"} {
+		t.Run(cmd, func(t *testing.T) {
+			var stderr bytes.Buffer
+			if code := minsim([]string{cmd, "-h"}, io.Discard, &stderr); code != 0 {
+				t.Errorf("minsim %s -h: exit %d", cmd, code)
+			}
+			_, got, _ := strings.Cut(stderr.String(), "\n")
+			want, err := os.ReadFile(filepath.Join("testdata", cmd+".flags"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != string(want) {
+				t.Errorf("minsim %s flags:\n%s\nwant\n%s", cmd, got, want)
+			}
+		})
 	}
 }
 

@@ -94,7 +94,7 @@ func run(args []string, w, stderr io.Writer) (simrun.RunSpec, metrics.Point, err
 	fmt.Fprintf(w, "max source queue:   %d messages\n", st.MaxQueue)
 	fmt.Fprintf(w, "sustainable:        %t\n", res.Sustainable)
 	if *ci {
-		if lo, hi, ok := metrics.ConfidenceInterval(e.BatchMeans(), 1.96); ok {
+		if lo, hi, ok := metrics.ConfidenceInterval(e.BatchMeans()); ok {
 			fmt.Fprintf(w, "latency 95%% CI:     [%.1f, %.1f] cycles (batch means)\n", lo, hi)
 		} else {
 			fmt.Fprintln(w, "latency 95% CI:     not enough batches")

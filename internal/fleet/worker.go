@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -48,11 +47,6 @@ type Worker struct {
 	failedUnits   atomic.Int64
 	heartbeatLost atomic.Int64
 	completeFails atomic.Int64
-
-	// lost records leases whose heartbeat answered 410 mid-execution,
-	// so runLease skips the completion that would double-execute.
-	lostMu sync.Mutex
-	lost   map[string]bool
 }
 
 // NewWorker builds a worker client for a coordinator.
@@ -185,8 +179,8 @@ func (w *Worker) Run(ctx context.Context) error {
 // the heartbeat cancels the simulations and abandons the chunk — the
 // coordinator has already requeued it.
 func (w *Worker) runLease(ctx context.Context, workerID string, lr LeaseResponse, ttl time.Duration) {
-	leaseCtx, cancelLease := context.WithCancel(ctx)
-	defer cancelLease()
+	leaseCtx, cancelLease := context.WithCancelCause(ctx)
+	defer cancelLease(nil)
 	hbDone := make(chan struct{})
 	go w.heartbeatLoop(leaseCtx, cancelLease, workerID, lr.LeaseID, ttl, hbDone)
 
@@ -209,12 +203,12 @@ func (w *Worker) runLease(ctx context.Context, workerID string, lr LeaseResponse
 		handles[i] = plan.AddSpec(rs)
 	}
 	plan.Execute(leaseCtx, simrun.Options{Workers: w.cfg.SimWorkers, Store: w.store})
-	cancelLease()
+	cancelLease(nil)
 	<-hbDone
 	if ctx.Err() != nil {
 		return // shutting down: no complete, the lease expires and requeues
 	}
-	if w.lostLease(lr.LeaseID) {
+	if context.Cause(leaseCtx) == errGone {
 		// Heartbeat got a 410 mid-execution: the units are requeued
 		// elsewhere; completing now would be the duplicate path.
 		return
@@ -243,8 +237,8 @@ func (w *Worker) runLease(ctx context.Context, workerID string, lr LeaseResponse
 }
 
 // heartbeatLoop keeps the lease alive at ttl/3 until leaseCtx ends;
-// a definitive 410 records the lease as lost and cancels execution.
-func (w *Worker) heartbeatLoop(leaseCtx context.Context, cancelLease context.CancelFunc, workerID, leaseID string, ttl time.Duration, done chan<- struct{}) {
+// a definitive 410 cancels execution with errGone as the cause.
+func (w *Worker) heartbeatLoop(leaseCtx context.Context, cancelLease context.CancelCauseFunc, workerID, leaseID string, ttl time.Duration, done chan<- struct{}) {
 	defer close(done)
 	interval := ttl / 3
 	if interval <= 0 {
@@ -260,8 +254,7 @@ func (w *Worker) heartbeatLoop(leaseCtx context.Context, cancelLease context.Can
 			err := w.postJSON(leaseCtx, "/fleet/v1/heartbeat", HeartbeatRequest{WorkerID: workerID, LeaseID: leaseID}, nil)
 			if errors.Is(err, errGone) {
 				w.heartbeatLost.Add(1)
-				w.markLeaseLost(leaseID)
-				cancelLease()
+				cancelLease(errGone)
 				return
 			}
 			// Transport errors: keep trying; if the coordinator is
@@ -269,26 +262,6 @@ func (w *Worker) heartbeatLoop(leaseCtx context.Context, cancelLease context.Can
 			// heartbeat (or lease call) answers 410.
 		}
 	}
-}
-
-func (w *Worker) markLeaseLost(leaseID string) {
-	w.lostMu.Lock()
-	defer w.lostMu.Unlock()
-	if w.lost == nil {
-		w.lost = map[string]bool{}
-	}
-	w.lost[leaseID] = true
-}
-
-// lostLease reports whether the lease was marked lost and forgets
-// it: runLease asks once per lease, so the map holds only leases
-// still executing.
-func (w *Worker) lostLease(leaseID string) bool {
-	w.lostMu.Lock()
-	defer w.lostMu.Unlock()
-	lost := w.lost[leaseID]
-	delete(w.lost, leaseID)
-	return lost
 }
 
 // complete delivers results with bounded retries; a chunk that cannot

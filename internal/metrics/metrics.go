@@ -83,7 +83,7 @@ func FromStats(offered float64, nodes int, st engine.Stats) Point {
 // MergeReplicas aggregates R single-run points of one load point
 // (independent seeds, identical configuration) into a replicated
 // point: means across replicas for the load/throughput/latency
-// estimates, 95% normal-approximation confidence intervals over the
+// estimates, 95% Student's t confidence intervals over the
 // replica means for latency and throughput (via ConfidenceInterval,
 // treating each replication as one batch), extremes for the latency
 // min/max, and the conjunction of sustainability flags. With a single
@@ -125,8 +125,8 @@ func MergeReplicas(points []Point) Point {
 	n := float64(len(points))
 	p.OfferedMeasured /= n
 	p.StdDev /= n // mean within-run spread, not the spread of means
-	p.LatencyCILo, p.LatencyCIHi, _ = ConfidenceInterval(lat, 1.96)
-	p.ThroughputCILo, p.ThroughputCIHi, _ = ConfidenceInterval(thr, 1.96)
+	p.LatencyCILo, p.LatencyCIHi, _ = ConfidenceInterval(lat)
+	p.ThroughputCILo, p.ThroughputCIHi, _ = ConfidenceInterval(thr)
 	for _, v := range lat {
 		p.LatencyCyc += v / n
 	}
@@ -172,12 +172,13 @@ func (s Series) PeakThroughput() float64 {
 	return best
 }
 
-// ConfidenceInterval computes a normal-approximation confidence
-// interval for the steady-state mean from batch means (the standard
-// batch-means method): mean ± z * s / sqrt(B), with z = 1.96 for 95%.
+// ConfidenceInterval computes a 95% confidence interval for the
+// steady-state mean from batch means (the standard batch-means
+// method): mean ± t * s / sqrt(B), with t Student's 0.975 quantile
+// for B-1 degrees of freedom (tQuantile975), 12.706 for two batches.
 // It needs at least two batches; with fewer it returns the point
 // estimate for both bounds and ok = false.
-func ConfidenceInterval(batchMeans []float64, z float64) (lo, hi float64, ok bool) {
+func ConfidenceInterval(batchMeans []float64) (lo, hi float64, ok bool) {
 	n := len(batchMeans)
 	if n == 0 {
 		return 0, 0, false
@@ -196,8 +197,33 @@ func ConfidenceInterval(batchMeans []float64, z float64) (lo, hi float64, ok boo
 		ss += d * d
 	}
 	s := math.Sqrt(ss / float64(n-1))
-	half := z * s / math.Sqrt(float64(n))
+	half := tQuantile975(n-1) * s / math.Sqrt(float64(n))
 	return mean - half, mean + half, true
+}
+
+// t975 holds Student's t 0.975 quantile for 1 to 30 degrees of
+// freedom.
+var t975 = [...]float64{
+	12.706205, 4.302653, 3.182446, 2.776445, 2.570582, 2.446912, 2.364624, 2.306004, 2.262157, 2.228139,
+	2.200985, 2.178813, 2.160369, 2.144787, 2.131450, 2.119905, 2.109816, 2.100922, 2.093024, 2.085963,
+	2.079614, 2.073873, 2.068658, 2.063899, 2.059539, 2.055529, 2.051831, 2.048407, 2.045230, 2.042272,
+}
+
+// tQuantile975 is Student's t 0.975 quantile for df >= 1 degrees of
+// freedom: the table to 30, then the Cornish-Fisher expansion in 1/df
+// about the normal quantile (Abramowitz & Stegun 26.7.5), within 1e-6
+// there.
+func tQuantile975(df int) float64 {
+	if df <= len(t975) {
+		return t975[df-1]
+	}
+	const z = 1.959963984540054 // the normal 0.975 quantile
+	z2, v := z*z, float64(df)
+	g1 := (z2 + 1) * z / 4
+	g2 := ((5*z2+16)*z2 + 3) * z / 96
+	g3 := (((3*z2+19)*z2+17)*z2 - 15) * z / 384
+	g4 := ((((79*z2+776)*z2+1482)*z2-1920)*z2 - 945) * z / 92160
+	return z + (g1+(g2+(g3+g4/v)/v)/v)/v
 }
 
 // Figure is a set of series reproducing one paper figure panel,

@@ -56,26 +56,60 @@ func TestFromStats(t *testing.T) {
 
 func TestConfidenceInterval(t *testing.T) {
 	// Identical batches give a zero-width interval.
-	lo, hi, ok := ConfidenceInterval([]float64{10, 10, 10, 10}, 1.96)
+	lo, hi, ok := ConfidenceInterval([]float64{10, 10, 10, 10})
 	if !ok || lo != 10 || hi != 10 {
 		t.Errorf("constant batches: [%v, %v] ok=%v", lo, hi, ok)
 	}
-	// Known spread: batches {8, 12}: mean 10, s = 2*sqrt(2)... s =
-	// sqrt(((8-10)^2+(12-10)^2)/1) = sqrt(8) ≈ 2.828; half-width =
-	// 1.96 * 2.828 / sqrt(2) = 3.92.
-	lo, hi, ok = ConfidenceInterval([]float64{8, 12}, 1.96)
+	// Known spread: batches {8, 12}: mean 10, s = sqrt(((8-10)^2 +
+	// (12-10)^2)/1) = sqrt(8); half-width = t(1) * sqrt(8) / sqrt(2) =
+	// 2 * 12.706205 = 25.41241.
+	lo, hi, ok = ConfidenceInterval([]float64{8, 12})
 	if !ok {
 		t.Fatal("two batches should be ok")
 	}
-	if math.Abs(lo-(10-3.92)) > 1e-9 || math.Abs(hi-(10+3.92)) > 1e-9 {
-		t.Errorf("interval [%v, %v], want [6.08, 13.92]", lo, hi)
+	if math.Abs(lo-(10-25.41241)) > 1e-9 || math.Abs(hi-(10+25.41241)) > 1e-9 {
+		t.Errorf("interval [%v, %v], want [-15.41241, 35.41241]", lo, hi)
 	}
 	// Degenerate inputs.
-	if _, _, ok := ConfidenceInterval(nil, 1.96); ok {
+	if _, _, ok := ConfidenceInterval(nil); ok {
 		t.Error("empty batches should not be ok")
 	}
-	if lo, hi, ok := ConfidenceInterval([]float64{7}, 1.96); ok || lo != 7 || hi != 7 {
+	if lo, hi, ok := ConfidenceInterval([]float64{7}); ok || lo != 7 || hi != 7 {
 		t.Error("single batch should return point estimate, not ok")
+	}
+}
+
+// TestTQuantile975: the quantile matches published tables of Student's
+// t to four decimals, and the t density integrates to 0.475 between 0
+// and it, for every degree of freedom to 200; so both the table and
+// the expansion past it are checked against an independent reckoning.
+func TestTQuantile975(t *testing.T) {
+	published := map[int]float64{
+		1: 12.7062, 2: 4.3027, 3: 3.1824, 4: 2.7764, 5: 2.5706, 6: 2.4469, 7: 2.3646, 8: 2.3060, 9: 2.2622, 10: 2.2281,
+		11: 2.2010, 12: 2.1788, 13: 2.1604, 14: 2.1448, 15: 2.1314, 16: 2.1199, 17: 2.1098, 18: 2.1009, 19: 2.0930, 20: 2.0860,
+		21: 2.0796, 22: 2.0739, 23: 2.0687, 24: 2.0639, 25: 2.0595, 26: 2.0555, 27: 2.0518, 28: 2.0484, 29: 2.0452, 30: 2.0423,
+		40: 2.0211, 60: 2.0003, 120: 1.9799,
+	}
+	for df, want := range published {
+		if got := tQuantile975(df); math.Abs(got-want) > 0.5e-4 {
+			t.Errorf("t(0.975, %d) = %.6f, published %.4f", df, got, want)
+		}
+	}
+	for df := 1; df <= 200; df++ {
+		q, v := tQuantile975(df), float64(df)
+		lg1, _ := math.Lgamma((v + 1) / 2)
+		lg2, _ := math.Lgamma(v / 2)
+		c := math.Exp(lg1-lg2) / math.Sqrt(v*math.Pi)
+		density := func(x float64) float64 { return c * math.Pow(1+x*x/v, -(v+1)/2) }
+		const steps = 4000 // Simpson's rule
+		h := q / steps
+		sum := density(0) + density(q)
+		for i := 1; i < steps; i++ {
+			sum += float64(2+2*(i%2)) * density(float64(i)*h)
+		}
+		if mass := sum * h / 3; math.Abs(mass-0.475) > 1e-6 {
+			t.Errorf("df %d: the density integrates to %.8f over [0, %.6f], want 0.475", df, mass, q)
+		}
 	}
 }
 
@@ -197,7 +231,7 @@ func TestMergeReplicas(t *testing.T) {
 	}
 	// The CI must bracket the mean symmetrically and agree with
 	// ConfidenceInterval over the replica means.
-	lo, hi, ok := ConfidenceInterval([]float64{100, 110, 120}, 1.96)
+	lo, hi, ok := ConfidenceInterval([]float64{100, 110, 120})
 	if !ok || m.LatencyCILo != lo || m.LatencyCIHi != hi {
 		t.Errorf("latency CI [%v, %v], want [%v, %v]", m.LatencyCILo, m.LatencyCIHi, lo, hi)
 	}

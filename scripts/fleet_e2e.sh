@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # End-to-end gate for the distributed fleet, run by the CI job
 # fleet-e2e and runnable locally (./scripts/fleet_e2e.sh). It boots
-# the real simfleet coordinator plus two real simd workers and proves
-# the three distribution properties the fleet promises:
+# a real coordinator (minsim coordinate) plus two real workers
+# (minsim serve -coordinator) and proves the three distribution
+# properties the fleet promises:
 #
 #   1. a cold panel is sharded across the fleet: both workers execute
 #      at least one point, no key executes twice (executed == unique,
@@ -57,22 +58,21 @@ wait_for() {
 }
 
 echo "== build"
-go build -o "$WORK/simfleet" ./cmd/simfleet
-go build -o "$WORK/simd" ./cmd/simd
+go build -o "$WORK/minsim" ./cmd/minsim
 
 echo "== boot coordinator + 2 workers"
-"$WORK/simfleet" -addr "127.0.0.1:$COORD_PORT" -cache "$WORK/cache" \
+"$WORK/minsim" coordinate -addr "127.0.0.1:$COORD_PORT" -cache "$WORK/cache" \
   -chunk 2 -lease-ttl 3s 2> "$WORK/simfleet.log" &
 PIDS+=($!)
 disown
 wait_for "coordinator healthz" curl -fsS "$COORD/healthz"
 
-"$WORK/simd" -addr "127.0.0.1:$W1_PORT" -cache "$WORK/w1cache" \
+"$WORK/minsim" serve -addr "127.0.0.1:$W1_PORT" -cache "$WORK/w1cache" \
   -coordinator "$COORD" -worker-name w1 2> "$WORK/w1.log" &
 W1_PID=$!
 PIDS+=($W1_PID)
 disown
-"$WORK/simd" -addr "127.0.0.1:$W2_PORT" -cache "$WORK/w2cache" \
+"$WORK/minsim" serve -addr "127.0.0.1:$W2_PORT" -cache "$WORK/w2cache" \
   -coordinator "$COORD" -worker-name w2 2> "$WORK/w2.log" &
 W2_PID=$!
 PIDS+=($W2_PID)

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
-# End-to-end gate for the simd simulation service, run by the CI job
-# serve-e2e and runnable locally (./scripts/serve_e2e.sh). It proves
-# the four hardening properties the service promises:
+# End-to-end gate for the simulation service, minsim serve, run by the
+# CI job serve-e2e and runnable locally (./scripts/serve_e2e.sh). It
+# proves the four hardening properties the service promises:
 #
 #   1. a quick figure panel served over HTTP,
 #   2. the warm repeat of the same request executes 0 simulations
@@ -30,16 +30,16 @@ cleanup() {
 trap cleanup EXIT
 
 echo "== build"
-go build -o "$WORK/simd" ./cmd/simd
+go build -o "$WORK/minsim" ./cmd/minsim
 
 echo "== boot"
-"$WORK/simd" -addr "127.0.0.1:$PORT" -cache "$WORK/cache" \
+"$WORK/minsim" serve -addr "127.0.0.1:$PORT" -cache "$WORK/cache" \
   -queue 1 -job-workers 1 -drain-timeout 2s 2> "$WORK/simd.log" &
 SIMD_PID=$!
 for _ in $(seq 1 100); do
   curl -fsS "$BASE/healthz" > /dev/null 2>&1 && break
   if ! kill -0 "$SIMD_PID" 2>/dev/null; then
-    echo "simd died during boot"; cat "$WORK/simd.log"; exit 1
+    echo "minsim serve died during boot"; cat "$WORK/simd.log"; exit 1
   fi
   sleep 0.1
 done
@@ -122,7 +122,7 @@ kill -TERM "$SIMD_PID"
 rc=0
 wait "$SIMD_PID" || rc=$?
 if [ "$rc" -ne 0 ]; then
-  echo "simd exited $rc after SIGTERM"; cat "$WORK/simd.log"; exit 1
+  echo "minsim serve exited $rc after SIGTERM"; cat "$WORK/simd.log"; exit 1
 fi
 SIMD_PID=""
 
