@@ -37,9 +37,20 @@ type RunSpec struct {
 	Arbitration engine.Arbitration
 }
 
-// String names the point for logs and cache-entry metadata.
+// String names the point for logs and cache-entry metadata: the line
+// Plan.Execute hands to Store.Put with each result, which the fleet's
+// coordinator also keeps per unit. It is one append chain through the
+// network's and workload's names into a stack buffer, so a call
+// allocates only the string it returns (for a spec line under 256
+// bytes: every one but a long ratio list's).
 func (r RunSpec) String() string {
-	return fmt.Sprintf("%s %s load=%g warm=%d meas=%d seed=%d", r.Net, r.Work, r.Load, r.Warmup, r.Measure, r.Seed)
+	var buf [256]byte
+	b := r.Work.appendString(append(r.Net.appendString(buf[:0]), ' '))
+	b = appendFloat(append(b, " load="...), r.Load)
+	b = strconv.AppendInt(append(b, " warm="...), r.Warmup, 10)
+	b = strconv.AppendInt(append(b, " meas="...), r.Measure, 10)
+	b = strconv.AppendUint(append(b, " seed="...), r.Seed, 10)
+	return string(b)
 }
 
 // Key returns the content-address of the spec: a hex SHA-256 over the

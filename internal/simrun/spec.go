@@ -17,6 +17,7 @@ package simrun
 
 import (
 	"fmt"
+	"strconv"
 
 	"minsim/internal/engine"
 	"minsim/internal/kary"
@@ -143,21 +144,29 @@ func (s NetworkSpec) canon() NetworkSpec {
 // String returns a compact human-readable name, e.g.
 // "DMIN(cube k=4 s=3 d=2)".
 func (s NetworkSpec) String() string {
+	var buf [64]byte
+	return string(s.appendString(buf[:0]))
+}
+
+// appendString appends String's text to b.
+func (s NetworkSpec) appendString(b []byte) []byte {
 	c := s.canon()
-	detail := fmt.Sprintf("%s k=%d s=%d", c.Pattern, c.K, c.Stages)
-	if s.Kind == topology.BMIN {
-		detail = fmt.Sprintf("k=%d s=%d", c.K, c.Stages)
+	b = append(append(b, s.Kind.String()...), '(')
+	if s.Kind != topology.BMIN {
+		b = append(append(b, c.Pattern.String()...), ' ')
 	}
+	b = strconv.AppendInt(append(b, "k="...), int64(c.K), 10)
+	b = strconv.AppendInt(append(b, " s="...), int64(c.Stages), 10)
 	if c.Dilation > 1 {
-		detail += fmt.Sprintf(" d=%d", c.Dilation)
+		b = strconv.AppendInt(append(b, " d="...), int64(c.Dilation), 10)
 	}
 	if c.VCs > 1 {
-		detail += fmt.Sprintf(" vc=%d", c.VCs)
+		b = strconv.AppendInt(append(b, " vc="...), int64(c.VCs), 10)
 	}
 	if c.Extra > 0 {
-		detail += fmt.Sprintf(" x=%d", c.Extra)
+		b = strconv.AppendInt(append(b, " x="...), int64(c.Extra), 10)
 	}
-	return fmt.Sprintf("%s(%s)", s.Kind, detail)
+	return append(b, ')')
 }
 
 // ClusterSpec names a node clustering of the 64-node system.
@@ -237,24 +246,36 @@ const (
 
 // String returns the human-readable name.
 func (p PatternSpec) String() string {
+	var buf [32]byte
+	return string(p.appendString(buf[:0]))
+}
+
+// appendString appends String's text to b.
+func (p PatternSpec) appendString(b []byte) []byte {
 	switch p.Kind {
 	case Uniform:
-		return "uniform"
+		return append(b, "uniform"...)
 	case HotSpot:
-		return fmt.Sprintf("hotspot-%g%%", 100*p.HotX)
+		return append(appendFloat(append(b, "hotspot-"...), 100*p.HotX), '%')
 	case ShufflePerm:
-		return "shuffle"
+		return append(b, "shuffle"...)
 	case ButterflyPerm:
-		return fmt.Sprintf("butterfly-%d", p.Butterfly)
+		return strconv.AppendInt(append(b, "butterfly-"...), int64(p.Butterfly), 10)
 	case NamedPerm:
-		return p.Name
+		return append(b, p.Name...)
 	case TraceReplay:
-		return fmt.Sprintf("trace-%d", len(p.Trace))
+		return strconv.AppendInt(append(b, "trace-"...), int64(len(p.Trace)), 10)
 	case Adversarial:
 		c, _ := p.canon()
-		return fmt.Sprintf("adversarial-%d", c.AdvIters)
+		return strconv.AppendInt(append(b, "adversarial-"...), int64(c.AdvIters), 10)
 	}
-	return fmt.Sprintf("PatternSpec(%d)", int(p.Kind))
+	return fmt.Appendf(b, "PatternSpec(%d)", int(p.Kind))
+}
+
+// appendFloat appends v as fmt's %g (and %v) writes a float64: the
+// shortest form that parses back to v.
+func appendFloat(b []byte, v float64) []byte {
+	return strconv.AppendFloat(b, v, 'g', -1, 64)
 }
 
 // canon zeroes the parameters the pattern kind ignores and applies
@@ -325,15 +346,27 @@ const (
 
 // String returns the human-readable name.
 func (a ArrivalSpec) String() string {
+	var buf [64]byte
+	return string(a.appendString(buf[:0]))
+}
+
+// appendString appends String's text to b.
+func (a ArrivalSpec) appendString(b []byte) []byte {
 	switch a.Kind {
 	case ArrivalExponential:
-		return "poisson"
+		return append(b, "poisson"...)
 	case ArrivalMMPP:
-		return fmt.Sprintf("mmpp-b%g-d%g/%g", a.Burst, a.DwellHi, a.DwellLo)
+		b = appendFloat(append(b, "mmpp-b"...), a.Burst)
+		return a.appendDwells(append(b, "-d"...))
 	case ArrivalOnOff:
-		return fmt.Sprintf("onoff-d%g/%g", a.DwellHi, a.DwellLo)
+		return a.appendDwells(append(b, "onoff-d"...))
 	}
-	return fmt.Sprintf("ArrivalSpec(%d)", int(a.Kind))
+	return fmt.Appendf(b, "ArrivalSpec(%d)", int(a.Kind))
+}
+
+// appendDwells appends "DwellHi/DwellLo".
+func (a ArrivalSpec) appendDwells(b []byte) []byte {
+	return appendFloat(append(appendFloat(b, a.DwellHi), '/'), a.DwellLo)
 }
 
 // canon zeroes the parameters the kind ignores, so equivalent specs
@@ -399,14 +432,28 @@ func (w WorkloadSpec) lengths() traffic.Lengths {
 
 // String returns the human-readable name.
 func (w WorkloadSpec) String() string {
-	s := fmt.Sprintf("%s %s", w.Cluster, w.Pattern)
+	var buf [128]byte
+	return string(w.appendString(buf[:0]))
+}
+
+// appendString appends String's text to b; non-nil Ratios read as
+// fmt's %v writes a []float64.
+func (w WorkloadSpec) appendString(b []byte) []byte {
+	b = w.Pattern.appendString(append(append(b, w.Cluster.String()...), ' '))
 	if w.Arrival.Kind != ArrivalExponential {
-		s += " " + w.Arrival.String()
+		b = w.Arrival.appendString(append(b, ' '))
 	}
 	if w.Ratios != nil {
-		s += fmt.Sprintf(" ratios %v", w.Ratios)
+		b = append(b, " ratios ["...)
+		for i, v := range w.Ratios {
+			if i > 0 {
+				b = append(b, ' ')
+			}
+			b = appendFloat(b, v)
+		}
+		b = append(b, ']')
 	}
-	return s
+	return b
 }
 
 // Validate reports whether the workload's pattern, arrival and length

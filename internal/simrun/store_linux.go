@@ -6,7 +6,9 @@ import (
 	"math/rand/v2"
 	"runtime"
 	"strconv"
+	"strings"
 	"syscall"
+	"unsafe"
 
 	"minsim/internal/metrics"
 )
@@ -32,6 +34,38 @@ func (s *DiskStore) hold() error {
 	return nil
 }
 
+// nameMax is NAME_MAX, the longest name one directory entry may have.
+const nameMax = 255
+
+// cName is one directory entry's name as the kernel reads it, with
+// its terminating NUL, built on the caller's stack: syscall.Openat and
+// its kin copy every name they are given onto the heap, so the store
+// calls the kernel itself (openat, renameat, unlinkat). Each call
+// converts the pointer to uintptr in syscall.Syscall6's argument list,
+// the one form for which the compiler keeps the array alive and in
+// place until the call returns (unsafe.Pointer's rule 4).
+type cName [nameMax + 1]byte
+
+// setEntry writes key's entry name into n. It reports false for a key
+// the kernel would refuse, without asking it: one with a NUL, which no
+// name can hold (package syscall's EINVAL), or whose name is longer
+// than NAME_MAX (the kernel's ENAMETOOLONG). A key with a '/' is
+// passed on, and the kernel resolves it as it always did.
+func (n *cName) setEntry(key string) bool {
+	if len(key)+len(entryExt) > nameMax || strings.IndexByte(key, 0) >= 0 {
+		return false
+	}
+	copy(n[copy(n[:], key):], entryExt+"\x00")
+	return true
+}
+
+// openat opens name relative to dirfd, as syscall.Openat does.
+func openat(dirfd int, name *cName, flags int, mode uint32) (int, syscall.Errno) {
+	fd, _, errno := syscall.Syscall6(syscall.SYS_OPENAT, uintptr(dirfd), uintptr(unsafe.Pointer(name)),
+		uintptr(flags|syscall.O_LARGEFILE), uintptr(mode), 0, 0)
+	return int(fd), errno
+}
+
 // readEntry reads key's whole file into buf and decodes it: openat,
 // read, close — three system calls for an entry that fits buf, which
 // grows only for one that does not. A read that returns fewer bytes
@@ -43,12 +77,17 @@ func (s *DiskStore) hold() error {
 // bare descriptor, not an *os.File: os.Open would also switch the
 // descriptor to non-blocking and back and try to register a regular
 // file with the poller (five more calls, all of them useless for a
-// file) and allocate a File with a finalizer. Every error, including
-// reading a directory, is a miss.
+// file) and allocate a File with a finalizer. The entry's name is
+// built on the stack (cName), so a Get that fits buf allocates
+// nothing. Every error, including reading a directory, is a miss.
 func (s *DiskStore) readEntry(key string, buf []byte) (metrics.Point, bool) {
-	fd, err := syscall.Openat(s.held.fd, key+entryExt, syscall.O_RDONLY|syscall.O_CLOEXEC, 0)
+	var name cName
+	if !name.setEntry(key) {
+		return metrics.Point{}, false
+	}
+	fd, errno := openat(s.held.fd, &name, syscall.O_RDONLY|syscall.O_CLOEXEC, 0)
 	runtime.KeepAlive(s)
-	if err != nil {
+	if errno != 0 {
 		return metrics.Point{}, false
 	}
 	defer syscall.Close(fd)
@@ -72,31 +111,51 @@ func (s *DiskStore) readEntry(key string, buf []byte) (metrics.Point, bool) {
 
 // writeEntry writes data to a new temp file in the store's directory
 // and renames it onto key's entry, removing the temp file on any
-// failure. It reports whether the entry was written.
+// failure. It reports whether the entry was written. Both names are
+// built on the stack and handed to renameat and unlinkat directly, so
+// a Put allocates nothing. A key the kernel would refuse fails before
+// a temp file is made.
 func (s *DiskStore) writeEntry(key string, data []byte) bool {
 	defer runtime.KeepAlive(s)
-	tmp, fd, err := s.createTemp()
-	if err != nil {
+	var name, tmp cName
+	if !name.setEntry(key) {
+		return false
+	}
+	fd, errno := s.createTemp(&tmp)
+	if errno != 0 {
 		return false
 	}
 	written := writeAll(fd, data)
-	if syscall.Close(fd) != nil || !written || syscall.Renameat(s.held.fd, tmp, s.held.fd, key+entryExt) != nil {
-		syscall.Unlinkat(s.held.fd, tmp)
+	if syscall.Close(fd) != nil || !written || renameat(s.held.fd, &tmp, &name) != 0 {
+		unlinkat(s.held.fd, &tmp)
 		return false
 	}
 	return true
 }
 
-// createTemp creates an empty file under a new random name in the
-// store's directory, 0600 as os.CreateTemp makes it, and returns its
-// name and a bare descriptor: no File and no finalizer per Put.
-func (s *DiskStore) createTemp() (string, int, error) {
-	var b [32]byte
+// renameat renames from onto to, both relative to dirfd. The fifth
+// argument is renameat2's flags where sysRenameat is renameat2.
+func renameat(dirfd int, from, to *cName) syscall.Errno {
+	_, _, errno := syscall.Syscall6(sysRenameat, uintptr(dirfd), uintptr(unsafe.Pointer(from)),
+		uintptr(dirfd), uintptr(unsafe.Pointer(to)), 0, 0)
+	return errno
+}
+
+// unlinkat removes name, relative to dirfd.
+func unlinkat(dirfd int, name *cName) {
+	syscall.Syscall(syscall.SYS_UNLINKAT, uintptr(dirfd), uintptr(unsafe.Pointer(name)), 0)
+}
+
+// createTemp creates an empty file under a new random name, written
+// into name, in the store's directory, 0600 as os.CreateTemp makes it,
+// and returns a bare descriptor: no File and no finalizer per Put.
+func (s *DiskStore) createTemp(name *cName) (int, syscall.Errno) {
 	for try := 1; ; try++ {
-		name := string(strconv.AppendUint(append(b[:0], ".tmp-"...), rand.Uint64(), 36))
-		fd, err := syscall.Openat(s.held.fd, name, syscall.O_WRONLY|syscall.O_CREAT|syscall.O_EXCL|syscall.O_CLOEXEC, 0o600)
-		if err != syscall.EEXIST || try == 100 {
-			return name, fd, err
+		b := strconv.AppendUint(append(name[:0], ".tmp-"...), rand.Uint64(), 36)
+		name[len(b)] = 0
+		fd, errno := openat(s.held.fd, name, syscall.O_WRONLY|syscall.O_CREAT|syscall.O_EXCL|syscall.O_CLOEXEC, 0o600)
+		if errno != syscall.EEXIST || try == 100 {
+			return fd, errno
 		}
 	}
 }

@@ -5,11 +5,119 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
 	"minsim/internal/metrics"
+	"minsim/internal/topology"
 )
+
+// specLineSink keeps RunSpec.String's result alive in
+// TestStorePathAllocatesNothing.
+var specLineSink string
+
+// TestStorePathAllocatesNothing pins what a point's trip through the
+// disk store allocates: a Get that hits and one that misses allocate
+// nothing (the entry's name is built on the stack and handed to openat
+// directly), nor does a Put on amd64 (temp name, entry name, the
+// entry's bytes: all on the stack), and the spec line Plan.Execute
+// hands to Put costs one allocation, its string. Before names were
+// built on the stack a Get cost 2 allocations and a Put 5; the spec
+// line below cost 16 through nested fmt calls.
+func TestStorePathAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	store, err := NewStore(tempDir(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := metrics.Point{Offered: 0.35, Throughput: 0.3412, LatencyCyc: 612.25, Messages: 9001, Sustainable: true, Replicas: 1}
+	rs := RunSpec{
+		Net:  NetworkSpec{Kind: topology.DMIN, Pattern: topology.Cube, K: 4, Stages: 3},
+		Work: WorkloadSpec{Cluster: Cluster16, Pattern: PatternSpec{Kind: HotSpot, HotX: 0.05}},
+		Load: 0.35, Warmup: 40_000, Measure: 120_000, Seed: DeriveSeed(1995, 3),
+	}
+	spec := rs.String()
+	store.Put(testKey, spec, p)
+	absent := fmt.Sprintf("%064x", 3)
+	type pin struct {
+		name string
+		run  func()
+		want float64
+	}
+	pins := []pin{
+		{"Get (hit)", func() {
+			if _, ok := store.Get(testKey); !ok {
+				t.Fatal("Get missed")
+			}
+		}, 0},
+		{"Get (miss)", func() {
+			if _, ok := store.Get(absent); ok {
+				t.Fatal("Get hit")
+			}
+		}, 0},
+		{"RunSpec.String", func() { specLineSink = rs.String() }, 1},
+	}
+	if runtime.GOARCH == "amd64" {
+		pins = append(pins, pin{"Put", func() { store.Put(testKey, spec, p) }, 0})
+	}
+	for _, c := range pins {
+		if got := testing.AllocsPerRun(100, c.run); got != c.want {
+			t.Errorf("%s: %v allocations a call, want %v", c.name, got, c.want)
+		}
+	}
+	if st := store.Stats(); st.WriteFails != 0 {
+		t.Errorf("stats = %+v, want no write failures", st)
+	}
+}
+
+// TestEntryNamesTheKernelRefuses holds a store's answers on keys whose
+// entry names the kernel takes or refuses to what the store answered
+// when it named entries through package syscall (each row was recorded
+// there): a NUL in a name and a name longer than NAME_MAX (255 bytes)
+// are refused, a '/' makes the name a path into a directory that does
+// not exist, and a 255-byte name is an ordinary entry. A refused key's
+// Put counts one write failure and leaves no temp file; its Get misses.
+func TestEntryNamesTheKernelRefuses(t *testing.T) {
+	p := metrics.Point{Offered: 0.2, Throughput: 0.19, LatencyCyc: 45, Messages: 12, Sustainable: true}
+	for _, c := range []struct {
+		name string
+		key  string
+		hit  bool
+		want StoreStats
+	}{
+		{"interior NUL", testKey[:10] + "\x00" + testKey[11:], false, StoreStats{Misses: 1, WriteFails: 1}},
+		{"trailing NUL", testKey + "\x00", false, StoreStats{Misses: 1, WriteFails: 1}},
+		{"slash", testKey[:32] + "/" + testKey[33:], false, StoreStats{Misses: 1, WriteFails: 1}},
+		{"255-byte name", strings.Repeat("a", nameMax-len(entryExt)), true, StoreStats{Hits: 1}},
+		{"256-byte name", strings.Repeat("a", nameMax+1-len(entryExt)), false, StoreStats{Misses: 1, WriteFails: 1}},
+		{"4096-byte name", strings.Repeat("a", 4096), false, StoreStats{Misses: 1, WriteFails: 1}},
+		{"empty key", "", true, StoreStats{Hits: 1}},
+	} {
+		dir := tempDir(t)
+		store, err := NewStore(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		store.Put(c.key, "spec", p)
+		got, ok := store.Get(c.key)
+		if ok != c.hit || (ok && got != p) {
+			t.Errorf("%s: Get = %+v, %t; want a hit: %t", c.name, got, ok, c.hit)
+		}
+		if st := store.Stats(); st != c.want {
+			t.Errorf("%s: stats = %+v, want %+v", c.name, st, c.want)
+		}
+		files := 0 // the entry, if the name was taken; never a temp file
+		if c.hit {
+			files = 1
+		}
+		if ents, err := os.ReadDir(dir); err != nil || len(ents) != files {
+			t.Errorf("%s: the store's directory holds %d files (%v), want %d", c.name, len(ents), err, files)
+		}
+	}
+}
 
 // TestPutFailureLeavesNothing: a Put whose rename fails, because the
 // entry's name is taken by a non-empty directory, counts one write

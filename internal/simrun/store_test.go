@@ -16,6 +16,9 @@ import (
 
 const testKey = "00000000000000000000000000000000000000000000000000000000000000a1"
 
+// raceEnabled is set under the race detector (race_test.go).
+var raceEnabled bool
+
 // samePoint compares field by field, floats by bit pattern except
 // that any NaN equals any NaN (the text form keeps no payload).
 func samePoint(a, b metrics.Point) bool {

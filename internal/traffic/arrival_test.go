@@ -163,9 +163,11 @@ func TestPatternSingleMemberClusters(t *testing.T) {
 	}
 }
 
-// TestNodeRatesNaN: a NaN load or ratio is refused, not spread into
-// NaN rates. (A NaN mean length cannot get this far: Lengths.Validate
-// refuses every distribution whose mean is not at least 1.)
+// TestNodeRatesNaN: NewWorkload refuses a NaN load or ratio instead of
+// spreading it into NaN per-node rates. (A NaN mean length cannot get
+// this far: Lengths.Validate refuses every distribution whose mean is
+// not at least 1. The name is kept from the deleted traffic.NodeRates,
+// as TestNodeRates' is.)
 func TestNodeRatesNaN(t *testing.T) {
 	c := Global(8)
 	u := Uniform{C: c}

@@ -212,8 +212,11 @@ func TestNewClusteringErrors(t *testing.T) {
 	}
 }
 
-// TestNodeRates: a node's message rate is the load spread over the
-// clusters by their ratios and evenly within a cluster.
+// TestNodeRates: the per-node message rate NewWorkload writes into each
+// node's state is the load spread over the clusters by their ratios and
+// evenly within a cluster. (The name is that of the function that once
+// derived the rates, traffic.NodeRates, since deleted; change records
+// cite the test by it.)
 func TestNodeRates(t *testing.T) {
 	c := Cluster16(r64)
 	rates := func(load float64, ratios []float64) []float64 {
@@ -360,7 +363,9 @@ func TestWorkloadConfigErrors(t *testing.T) {
 }
 
 // TestNodeRatesErrors: NewWorkload refuses a load or ratios from which
-// no finite, non-negative per-node rate follows.
+// no finite, non-negative per-node rate follows. (Named, as
+// TestNodeRates is, for the deleted traffic.NodeRates, whose checks
+// NewWorkload runs now.)
 func TestNodeRatesErrors(t *testing.T) {
 	c := Global(8)
 	u := Uniform{C: c}
